@@ -15,7 +15,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .groups import GroupElement, GroupMismatchError
+from .groups import FinAbGroup, GroupElement, GroupMismatchError
 from .sets import GroupSet, iterate, prog, sumset
 
 INCLUSION_SLACK = 1e-9
@@ -40,8 +40,11 @@ def bohr_distance_table(freqs: GroupSet) -> np.ndarray:
 
 def bohr_family(freqs: GroupSet) -> Callable[[float], GroupSet]:
     """radius -> Bohr(freqs, radius), sharing one distance table."""
-    table = bohr_distance_table(freqs)
-    g = freqs.group
+    return table_family(freqs.group, bohr_distance_table(freqs))
+
+
+def table_family(g: FinAbGroup, table: np.ndarray) -> Callable[[float], GroupSet]:
+    """radius -> the Bohr set cut from a precomputed distance table over g."""
 
     def family(radius: float) -> GroupSet:
         return GroupSet(g, table <= radius + INCLUSION_SLACK)

@@ -31,6 +31,11 @@ def _emit(payload: dict, out: str | None) -> None:
     sys.stdout.write(text)
 
 
+#: The keys a --config file may set; any other key is an error.
+_CONFIG_KEYS = ("n_max", "ratio_bound", "C", "max_retries", "dim_grid_cap",
+               "bourgain_depth_cap")
+
+
 def _load_config(path: str | None) -> dict:
     if not path:
         return {}
@@ -38,6 +43,10 @@ def _load_config(path: str | None) -> dict:
         cfg = json.load(fh)
     if not isinstance(cfg, dict):
         raise ValueError("config file must hold a JSON object")
+    unknown = sorted(set(cfg) - set(_CONFIG_KEYS))
+    if unknown:
+        raise ValueError(f"unknown config key {unknown[0]!r} in {path} "
+                         f"(known: {', '.join(_CONFIG_KEYS)})")
     return cfg
 
 
@@ -68,8 +77,6 @@ def _cmd_cover(args, cfg) -> int:
     if args.mode == "ruzsa":
         cert = ruzsa_cover(B)
     else:
-        if not args.bprime or args.k is None:
-            raise SystemExit(2)
         Bp = load_set(args.bprime)
         cert = chang_cover(B, Bp, args.k)
     _emit(cert.to_jsonable(), args.out)
@@ -234,6 +241,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.command == "cover" and args.mode == "chang" and (
+            not args.bprime or args.k is None):
+        parser.error("cover --mode chang needs --bprime and --k")
     try:
         cfg = _load_config(args.config)
         return args.fn(args, cfg)

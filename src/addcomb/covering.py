@@ -131,6 +131,12 @@ def chang_cover(B: GroupSet, Bp: GroupSet, k: int,
     The greedy keeps forbidden = (B'-B') + reach(T) up to date, so membership
     tests are O(1) per candidate.
     """
+    return _chang_cover(B, Bp, k, guard)[0]
+
+
+def _chang_cover(B: GroupSet, Bp: GroupSet, k: int, guard: int = DISSOCIATION_GUARD
+                 ) -> tuple[CoverCertificate, GroupSet, GroupSet]:
+    """chang_cover, also returning Prog(T,1) and the target Prog(T,1)+B'-B'."""
     if k < 1:
         raise ValueError(f"chang_cover needs k >= 1, got {k}")
     if B.cardinality == 0 or Bp.cardinality == 0:
@@ -157,7 +163,8 @@ def chang_cover(B: GroupSet, Bp: GroupSet, k: int,
         forbidden = forbidden | cur.translate(x_el).mask | cur.translate(-x_el).mask
 
     elems = tuple(GroupElement(g, i) for i in T)
-    target = sumset(prog(list(elems), 1, group=g), Dp)
+    P = prog(list(elems), 1, group=g)
+    target = sumset(P, Dp)
     containment = B.is_subset_of(target)
     params = {
         "k": k,
@@ -169,10 +176,11 @@ def chang_cover(B: GroupSet, Bp: GroupSet, k: int,
         "size_bound_applicable": precondition_held,
         "guard_exceeded": guard_exceeded,
     }
-    return CoverCertificate(
+    cert = CoverCertificate(
         kind="chang",
         T=elems,
         containment_verified=containment and not guard_exceeded,
         size_bound_verified=len(T) <= k,
         parameters=params,
     )
+    return cert, P, target

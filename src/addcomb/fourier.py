@@ -94,8 +94,10 @@ def convolve(f, g, group: FinAbGroup | None = None,
              snap_integers: bool | None = None) -> np.ndarray:
     """(f * g)(x) = sum_{x'} f(x') g(x - x'), exact circular convolution.
 
-    For indicator inputs (GroupSets) values are integers; they are snapped
-    back to exact integers unless snap_integers=False.
+    Both inputs are real, so the product runs through the real FFT (half
+    the spectrum, multiplied in place). For indicator inputs (GroupSets)
+    values are integers; they are snapped back to exact integers unless
+    snap_integers=False.
     """
     both_sets = isinstance(f, GroupSet) and isinstance(g, GroupSet)
     if both_sets and f.group != g.group:
@@ -104,9 +106,13 @@ def convolve(f, g, group: FinAbGroup | None = None,
     grp2, gv = _as_values(g, grp)
     if grp != grp2:
         raise GroupMismatchError("convolve needs functions over one group")
-    shape = grp.invariants
-    fg = np.fft.fftn(fv.reshape(shape, order="F")) * np.fft.fftn(gv.reshape(shape, order="F"))
-    out = np.fft.ifftn(fg).real.ravel(order="F")
+    # C-order views on the reversed factor grid (the little-endian layout), so
+    # the halved real-FFT axis is the contiguous first coordinate
+    shape = grp.invariants[::-1]
+    axes = tuple(range(len(shape)))
+    fg = np.fft.rfftn(fv.reshape(shape), axes=axes)
+    fg *= np.fft.rfftn(gv.reshape(shape), axes=axes)
+    out = np.fft.irfftn(fg, s=shape, axes=axes).ravel()
     if snap_integers or (snap_integers is None and both_sets):
         rounded = np.rint(out)
         near = np.abs(out - rounded) < INT_SNAP_TOL

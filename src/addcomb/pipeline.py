@@ -20,14 +20,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .bohr import (INCLUSION_SLACK, BohrSet, bohr_distance_table, bohr_family,
-                   bohr_set, dimension_estimate, dyadic_dimension_grid,
+import numpy as np
+
+from .bohr import (INCLUSION_SLACK, BohrSet, bohr_distance_table, bohr_set,
+                   dimension_estimate, dyadic_dimension_grid, table_family,
                    DimensionEstimate)
-from .covering import CoverCertificate, chang_cover
+from .covering import CoverCertificate, _chang_cover
+from .fourier import transform
 from .groups import GroupElement
-from .sets import (GroupSet, difference, growth_profile, growth_window_start,
-                   iterate, prog, sumset, GrowthProfile)
-from .spectrum import Spectrum, lspec
+from .sets import (GroupSet, Multiples, growth_window_end, growth_window_start,
+                   negate, sumset, GrowthProfile)
+from .spectrum import Spectrum, cut_spectrum, lspec
 
 DEFAULT_RATIO_BOUND = float(2 ** 15)
 DEFAULT_RADIUS = 2.0 ** -4
@@ -65,10 +68,7 @@ class FreimanConfig:
             raise ValueError(f"l override must be >= 2, got {self.l}")
 
     def scan_window_end(self) -> int:
-        if self.n_max is not None:
-            return self.n_max
-        d = self.d
-        return max(4, math.ceil(2 * d * math.log(d))) if d > 1 else 4
+        return self.n_max if self.n_max is not None else growth_window_end(self.d)
 
     def to_jsonable(self) -> dict:
         return {
@@ -77,6 +77,57 @@ class FreimanConfig:
             "C": self.C, "max_retries": self.max_retries,
             "n_max": self.n_max, "dim_grid_cap": self.dim_grid_cap,
         }
+
+
+# -- the per-run context -----------------------------------------------------------
+
+
+class _Run:
+    """What one Freiman run computes once and every stage reads.
+
+    It holds the multiples nA, the magnitudes |1_lA^| of the one transform
+    of lA (every spectrum of lA, at any delta, is a threshold of them), A - A
+    and the Bohr distance tables of the nested frequency sets
+    LSpec(lA, eps) <= LSpec(lA, eps) u X <= LSpec(lA, 2 eps). A context
+    lives for one call: the public helpers below each make a fresh one and
+    run the same stage code as run_freiman.
+    """
+
+    def __init__(self, A: GroupSet):
+        self.A = A
+        self.multiples = Multiples(A)
+        self._magnitudes: dict[int, np.ndarray] = {}
+        self._difference: GroupSet | None = None
+        self._tables: list[tuple[GroupSet, np.ndarray]] = []
+
+    def spectrum(self, l: int, delta: float) -> Spectrum:
+        """LSpec(lA, delta)."""
+        lA = self.multiples[l]
+        if l not in self._magnitudes:
+            self._magnitudes[l] = transform(lA).magnitudes()
+        return cut_spectrum(lA, self._magnitudes[l], delta)
+
+    def difference(self) -> GroupSet:
+        """A - A, which is 2A when A is symmetric."""
+        if self._difference is None:
+            neg = negate(self.A)
+            self._difference = (self.multiples[2] if neg == self.A
+                                else sumset(self.A, neg))
+        return self._difference
+
+    def bohr_table(self, freqs: GroupSet) -> np.ndarray:
+        """bohr_distance_table(freqs), computing only the frequencies outside
+        the largest earlier frequency set it contains (a sup over a union is
+        the max of the sups, and each is an exact ratio over one denominator)."""
+        known = [(f, t) for f, t in self._tables if f.is_subset_of(freqs)]
+        if known:
+            base, table = max(known, key=lambda ft: ft[0].cardinality)
+            rest = GroupSet(freqs.group, freqs.mask & ~base.mask)
+            table = np.maximum(table, bohr_distance_table(rest))
+        else:
+            table = bohr_distance_table(freqs)
+        self._tables.append((freqs, table))
+        return table
 
 
 # -- pigeonhole index -------------------------------------------------------------
@@ -95,30 +146,31 @@ def find_l(A: GroupSet, d: float, ratio_bound: float = DEFAULT_RATIO_BOUND
     """Smallest l in the pigeonhole window with mu(lA) <= ratio_bound * mu((l-1)A)."""
     if A.cardinality == 0:
         raise ValueError("find_l needs a nonempty set")
+    return _find_l(Multiples(A), d, ratio_bound)
+
+
+def _find_l(multiples: Multiples, d: float, ratio_bound: float) -> FindL | None:
     lo = growth_window_start(d, floor=2)
-    hi = max(4, math.ceil(2 * d * math.log(d))) if d > 1 else 4
-    hi = max(hi, lo)
-    measures = []
-    current = A
-    for n in range(1, hi + 1):
-        if n > 1:
-            current = sumset(current, A)
-        measures.append(current.measure)
+    hi = max(growth_window_end(d), lo)
+    measures = tuple(multiples[n].measure for n in range(1, hi + 1))
     for l in range(lo, hi + 1):
         ratio = measures[l - 1] / measures[l - 2]
         if ratio <= ratio_bound:
-            return FindL(l, ratio, (lo, hi), tuple(measures))
+            return FindL(l, ratio, (lo, hi), measures)
     return None
 
 
 def measured_growth_exponent(A: GroupSet, n_max: int) -> float:
     """Smallest d' with mu(nA) <= n^{d'} mu(A) over n = 2..n_max (0 when constant)."""
-    mu = A.measure
+    return _growth_exponent(Multiples(A), 1, n_max)
+
+
+def _growth_exponent(multiples: Multiples, l: int, n_max: int) -> float:
+    """measured_growth_exponent of lA, read off the multiples (n l)A."""
+    mu = multiples[l].measure
     out = 0.0
-    current = A
     for n in range(2, n_max + 1):
-        current = sumset(current, A)
-        out = max(out, math.log(current.measure / mu) / math.log(n))
+        out = max(out, math.log(multiples[n * l].measure / mu) / math.log(n))
     return out
 
 
@@ -167,34 +219,35 @@ def spectrum_cover(A: GroupSet, l: int, epsilon: float) -> SpectrumCover:
     qualifies the escape branch is reported (the small-epsilon regime where
     the covering route gives nothing).
     """
+    return _cover(_Run(A), l, epsilon)
+
+
+def _cover(run: _Run, l: int, epsilon: float) -> SpectrumCover:
     if epsilon <= 0:
         raise ValueError(f"spectrum_cover needs epsilon > 0, got {epsilon}")
-    lA = iterate(l, A)
-    dual = lA.group.dual()
-    S_half = lspec(lA, epsilon / 2)
-    S_one = lspec(lA, epsilon)
-    S_two = lspec(lA, 2 * epsilon)
+    S_half = run.spectrum(l, epsilon / 2)
+    S_one = run.spectrum(l, epsilon)
+    S_two = run.spectrum(l, 2 * epsilon)
     counts = {
         "eps/2": S_half.count, "eps": S_one.count, "2eps": S_two.count,
     }
     r_max = math.floor((1.0 / epsilon - 0.5) / 2.0)
     chosen = None
     for r in range(2, r_max + 1):
-        wide = lspec(lA, (2 * r + 0.5) * epsilon)
+        wide = run.spectrum(l, (2 * r + 0.5) * epsilon)
         if wide.count < (2 ** r) * S_half.count:
             chosen = r
             break
     if chosen is None:
         return SpectrumCover(epsilon, True, None, r_max, (), None, None,
                              None, None, counts)
-    cert = chang_cover(S_two.members, S_half.members, chosen)
+    # the Chang target Prog(X,1) + LSpec(eps/2) - LSpec(eps/2) is form_chang's
+    cert, P, target = _chang_cover(S_two.members, S_half.members, chosen)
     X = cert.T
-    X_set = GroupSet.from_elements(dual, list(X))
-    P = prog(list(X), 1, group=dual)
+    X_set = GroupSet.from_elements(S_one.members.group, list(X))
     form_sum = sumset(S_one.members, S_one.members).is_subset_of(
         sumset(P, S_one.members))
-    D_half = difference(S_half.members, S_half.members)
-    form_chang = S_two.members.is_subset_of(sumset(P, D_half))
+    form_chang = S_two.members.is_subset_of(target)
     return SpectrumCover(epsilon, False, chosen, r_max, X, X_set, cert,
                          form_sum, form_chang, counts)
 
@@ -226,21 +279,24 @@ class LowerboundAudit:
 def lowerbound_audit(A: GroupSet, l: int, epsilon: float,
                      K: float | None = None) -> LowerboundAudit:
     """Exhaustive membership check of the spectral lower-bound containment."""
+    return _lowerbound(_Run(A), l, epsilon, K)
+
+
+def _lowerbound(run: _Run, l: int, epsilon: float, K: float | None) -> LowerboundAudit:
     if l < 2:
         raise ValueError(f"lowerbound_audit needs l >= 2, got {l}")
     if not 0 < epsilon <= 1:
         raise ValueError(f"lowerbound_audit needs epsilon in (0, 1], got {epsilon}")
-    lA = iterate(l, A)
-    lm1A = iterate(l - 1, A)
+    lA, lm1A = run.multiples[l], run.multiples[l - 1]
     ratio = lA.measure / lm1A.measure
     if K is None:
         K = ratio
     elif ratio > K:
         raise ValueError(f"mu(lA) = {lA.measure} exceeds K * mu((l-1)A) = {K * lm1A.measure}")
-    spec = lspec(lA, epsilon)
+    spec = run.spectrum(l, epsilon)
     radius = 2 * epsilon * math.sqrt(2 * K)
-    table = bohr_distance_table(spec.members)
-    AmA = difference(A, A)
+    table = run.bohr_table(spec.members)
+    AmA = run.difference()
     worst = float(table[AmA.mask].max())
     return LowerboundAudit(worst <= radius + INCLUSION_SLACK, l, float(epsilon),
                            float(K), radius, spec.count, worst)
@@ -361,63 +417,91 @@ def _paper_epsilon(d_prime: float, C: float) -> tuple[float, bool]:
     return 1.0 / inv, False
 
 
-def run_freiman(A: GroupSet, config: FreimanConfig) -> FreimanReport:
-    """Execute the full containment pipeline and assemble the report."""
-    if A.cardinality == 0:
-        raise ValueError("run_freiman needs a nonempty set")
-    g = A.group
-    d = config.d
-
-    n_max = config.scan_window_end()
-    profile = growth_profile(A, d, n_max)
-    hypothesis_ok = profile.satisfied_on_window
-
+def _pigeonhole(run: _Run, config: FreimanConfig) -> tuple[int, float]:
+    """(l, K_l): the configured l, or the smallest one find_l accepts."""
     if config.l is not None:
         l = config.l
-        measures = [iterate(n, A).measure for n in (l - 1, l)]
-        K_l = measures[1] / measures[0]
-    else:
-        found = find_l(A, d, config.ratio_bound)
-        if found is None:
-            raise ValueError("no pigeonhole index l in the window; growth hypothesis fails")
-        l, K_l = found.l, found.K_l
+        return l, run.multiples[l].measure / run.multiples[l - 1].measure
+    found = _find_l(run.multiples, config.d, config.ratio_bound)
+    if found is None:
+        raise ValueError("no pigeonhole index l in the window; growth hypothesis fails")
+    return found.l, found.K_l
 
-    d_prime = measured_growth_exponent(iterate(l, A), n_max)
+
+def _covered(run: _Run, l: int, eps: float, max_retries: int
+             ) -> tuple[SpectrumCover, float, tuple[float, ...]]:
+    """The cover at eps, doubling eps on escape; (cover, eps used, eps tried).
+
+    When every attempt escapes, the first attempt and its epsilon are kept.
+    """
+    first = cover = _cover(run, l, eps)
+    tried = [eps]
+    while cover.escape and len(tried) <= max_retries:
+        cover = _cover(run, l, 2 * tried[-1])
+        tried.append(2 * tried[-1])
+    if cover.escape:
+        return first, eps, tuple(tried)
+    return cover, tried[-1], tuple(tried)
+
+
+def _chain(run: _Run, l: int, eps: float, K_l: float, ball: BohrSet
+           ) -> tuple[ChainLink, ChainLink, ChainLink]:
+    """The three-link radius chain, each link exhaustive with its own applicability."""
+    table2 = run.bohr_table(run.spectrum(l, 2 * eps).members)
+    g = run.A.group
+    link1 = ChainLink(
+        "A-A in Bohr(LSpec(lA,2eps), 2^9 eps)",
+        bool(table2[run.difference().mask].max() <= 2 ** 9 * eps + INCLUSION_SLACK),
+        K_l <= 2 ** 13,  # then 2^9 eps dominates the guaranteed 4 eps sqrt(2 K_l)
+    )
+    mid = GroupSet(g, table2 <= 2 ** 9 * eps + INCLUSION_SLACK)
+    tight = GroupSet(g, table2 <= DEFAULT_RADIUS + INCLUSION_SLACK)
+    link2 = ChainLink(
+        "Bohr(LSpec(lA,2eps), 2^9 eps) in Bohr(LSpec(lA,2eps), 2^-4)",
+        mid.is_subset_of(tight),
+        2 ** 9 * eps <= DEFAULT_RADIUS,
+    )
+    link3 = ChainLink(
+        "Bohr(LSpec(lA,2eps), 2^-4) in B",
+        tight.is_subset_of(ball.members),
+        ball.radius >= DEFAULT_RADIUS,
+    )
+    return link1, link2, link3
+
+
+def run_freiman(A: GroupSet, config: FreimanConfig) -> FreimanReport:
+    """Execute the full containment pipeline and assemble the report.
+
+    The stages (growth, pigeonhole, spectrum, cover, audit, ball, chain)
+    share one _Run context, so each nA, the transform of lA, A - A and each
+    Bohr distance row are computed once.
+    """
+    if A.cardinality == 0:
+        raise ValueError("run_freiman needs a nonempty set")
+    run = _Run(A)
+    n_max = config.scan_window_end()
+
+    profile = run.multiples.profile(config.d, n_max)
+    l, K_l = _pigeonhole(run, config)
+    d_prime = _growth_exponent(run.multiples, l, n_max)
+
     degenerate = False
     if config.mode == "paper":
         eps_requested, degenerate = _paper_epsilon(d_prime, config.C)
     else:
         eps_requested = float(config.epsilon)
+    cover, eps_used, retries = _covered(run, l, eps_requested, config.max_retries)
 
-    # covering, with the doubled-epsilon escape retries
-    retries: list[float] = []
-    eps_try = eps_requested
-    cover = spectrum_cover(A, l, eps_try)
-    first_cover = cover
-    retries.append(eps_try)
-    attempts = 0
-    while cover.escape and attempts < config.max_retries:
-        attempts += 1
-        eps_try *= 2
-        cover = spectrum_cover(A, l, eps_try)
-        retries.append(eps_try)
-    escape_flagged = cover.escape
-    if escape_flagged:
-        # every attempt escaped; report the original attempt and keep its epsilon
-        cover = first_cover
-        eps_used = eps_requested
-    else:
-        eps_used = eps_try
-
-    lA = iterate(l, A)
-    spectrum = lspec(lA, eps_used)
+    spectrum = run.spectrum(l, eps_used)
     if config.mode == "paper" and spectrum.count <= 1:
         degenerate = True  # the threshold collapsed the spectrum to gamma_0
+
+    # the audit's table over LSpec(lA, eps) is the base of the ball's and the chain's
+    audit = _lowerbound(run, l, min(eps_used, 1.0), None)
 
     Lambda = spectrum.members
     if cover.X_set is not None:
         Lambda = Lambda | cover.X_set
-
     guaranteed = 4 * eps_used * math.sqrt(2 * K_l)
     if config.radius is not None:
         radius = config.radius
@@ -425,62 +509,34 @@ def run_freiman(A: GroupSet, config: FreimanConfig) -> FreimanReport:
         radius = DEFAULT_RADIUS
     else:
         radius = max(DEFAULT_RADIUS, guaranteed)
-
-    fam = bohr_family(Lambda)
+    fam = table_family(A.group, run.bohr_table(Lambda))
     ball = BohrSet(Lambda, float(radius), fam(radius))
-
-    AmA = difference(A, A)
-    containment = AmA.is_subset_of(ball.members)
-
-    # the three-link radius chain, each link exhaustive with its own applicability
-    S2 = lspec(lA, 2 * eps_used).members
-    table2 = bohr_distance_table(S2)
-    link1 = ChainLink(
-        "A-A in Bohr(LSpec(lA,2eps), 2^9 eps)",
-        bool(table2[AmA.mask].max() <= 2 ** 9 * eps_used + INCLUSION_SLACK),
-        K_l <= 2 ** 13,  # then 2^9 eps dominates the guaranteed 4 eps sqrt(2 K_l)
-    )
-    mid = GroupSet(g, table2 <= 2 ** 9 * eps_used + INCLUSION_SLACK)
-    tight = GroupSet(g, table2 <= DEFAULT_RADIUS + INCLUSION_SLACK)
-    link2 = ChainLink(
-        "Bohr(LSpec(lA,2eps), 2^9 eps) in Bohr(LSpec(lA,2eps), 2^-4)",
-        mid.is_subset_of(tight),
-        2 ** 9 * eps_used <= DEFAULT_RADIUS,
-    )
-    link3 = ChainLink(
-        "Bohr(LSpec(lA,2eps), 2^-4) in B",
-        tight.is_subset_of(ball.members),
-        radius >= DEFAULT_RADIUS,
-    )
-
-    audit = lowerbound_audit(A, l, min(eps_used, 1.0))
     grid = dyadic_dimension_grid(fam, radius, cap=config.dim_grid_cap)
-    dim = dimension_estimate(fam, grid)
 
     return FreimanReport(
         config=config,
-        group_cycles=g.invariants,
+        group_cycles=A.group.invariants,
         mu_A=A.measure,
         A_symmetric=A.is_symmetric(),
         A_contains_zero=A.contains_zero(),
         profile=profile,
-        hypothesis_ok=hypothesis_ok,
+        hypothesis_ok=profile.satisfied_on_window,
         l=l,
         K_l=K_l,
         d_prime=d_prime,
         epsilon_requested=eps_requested,
         epsilon_used=eps_used,
-        epsilon_retries=tuple(retries),
-        escape_flagged=escape_flagged,
+        epsilon_retries=retries,
+        escape_flagged=cover.escape,
         degenerate=degenerate,
         cover=cover,
         spectrum=spectrum,
         radius=float(radius),
         guaranteed_radius=guaranteed,
         ball=ball,
-        containment=containment,
-        chain=(link1, link2, link3),
+        containment=run.difference().is_subset_of(ball.members),
+        chain=_chain(run, l, eps_used, K_l, ball),
         lowerbound=audit,
-        dimension=dim,
+        dimension=dimension_estimate(fam, grid),
         measure_ratio=ball.measure / A.measure,
     )

@@ -1,9 +1,18 @@
 """Dense subsets of a finite abelian group with Minkowski arithmetic.
 
 A GroupSet is a bit vector over the canonical element enumeration. Sumsets
-run through one of two exact routes: a translate loop for small inputs and
-an integer-rounded FFT convolution above a size crossover (indicator
-convolutions take integer values, so thresholding at 1/2 is exact).
+run through one of two exact routes: a translate loop, which shifts the
+larger set by each element of the smaller one, and a real FFT convolution
+of the two indicators cut at 1/2 (the convolution counts representations,
+so its values are integers and the cut is exact). sumset picks the route of
+lower modelled cost,
+
+    direct   ~ |small| * (c0 + c1 * |big| * rank)
+    spectral ~ c2 * |G| * log2|G| + c3,
+
+with the constants SUMSET_COST fitted by tools/sumset_cost_fit.py. No rule
+on |A| * |B| alone can choose well: the direct cost grows with the smaller
+operand times the larger one, while the FFT cost depends on |G| only.
 """
 
 from __future__ import annotations
@@ -19,9 +28,9 @@ from .groups import FinAbGroup, GroupElement, GroupMismatchError
 #: prog() refuses generator lists longer than this.
 PROG_GUARD = 24
 
-#: sumset switches to the FFT route when mu(A)*mu(B) exceeds
-#: SUMSET_CROSSOVER * |G| * ln|G|.
-SUMSET_CROSSOVER = 64
+#: Seconds-per-unit constants (c0, c1, c2, c3) of the sumset cost model:
+#: direct ~ |small| * (c0 + c1 * |big| * rank), spectral ~ c2 * |G| log2|G| + c3.
+SUMSET_COST = (1.37e-5, 9.61e-9, 2.35e-9, 6.05e-5)
 
 
 class GuardExceededError(ValueError):
@@ -185,6 +194,14 @@ def negate(A: GroupSet) -> GroupSet:
     return GroupSet(A.group, A.mask[A.group.negation_permutation()])
 
 
+def _sumset_route(small: int, big: int, g: FinAbGroup) -> str:
+    """The route of lower modelled cost for operands of sizes small <= big."""
+    c0, c1, c2, c3 = SUMSET_COST
+    direct = small * (c0 + c1 * big * g.rank)
+    spectral = c2 * g.order * math.log2(g.order) + c3
+    return "spectral" if spectral < direct else "direct"
+
+
 def sumset(A: GroupSet, B: GroupSet, method: str = "auto") -> GroupSet:
     """{a + b : a in A, b in B}. Empty inputs give the empty set.
 
@@ -197,16 +214,16 @@ def sumset(A: GroupSet, B: GroupSet, method: str = "auto") -> GroupSet:
         return GroupSet.empty(g)
     if method not in ("auto", "direct", "spectral"):
         raise ValueError(f"unknown sumset method {method!r}")
+    small, big = (A, B) if A.cardinality <= B.cardinality else (B, A)
     if method == "auto":
-        crossover = SUMSET_CROSSOVER * g.order * max(1.0, math.log(g.order))
-        method = "spectral" if A.cardinality * B.cardinality > crossover else "direct"
+        method = _sumset_route(small.cardinality, big.cardinality, g)
     if method == "spectral":
         from . import fourier  # local import; fourier depends on this module
 
-        conv = fourier.convolve(A, B)
-        return GroupSet(g, conv >= 0.5)
+        # the exact counts are integers, so the unsnapped convolution cut at
+        # 1/2 is exact
+        return GroupSet(g, fourier.convolve(A, B, snap_integers=False) >= 0.5)
     # direct: translate the larger set by each element of the smaller one
-    small, big = (A, B) if A.cardinality <= B.cardinality else (B, A)
     coords = g.coords_table()
     big_coords = coords[:, big.mask]  # (rank, |big|)
     mask = np.zeros(g.order, dtype=bool)
@@ -320,18 +337,52 @@ def growth_window_start(d: float, floor: int = 1) -> int:
     return floor
 
 
+def growth_window_end(d: float) -> int:
+    """Last n of the default growth scan, max(4, ceil(2 d ln d))."""
+    return max(4, math.ceil(2 * d * math.log(d))) if d > 1 else 4
+
+
+class Multiples:
+    """The multiples nA of one set, each built once, for one computation's lifetime.
+
+    multiples[n] is mA + (n-m)A for the largest known m with (n-m)A known,
+    so asking for n = 2, 3, ... in turn steps by A and asking for 2l, 3l, ...
+    after l steps by lA. Once a multiple is all of G, every later one is.
+    """
+
+    __slots__ = ("A", "_known")
+
+    def __init__(self, A: GroupSet):
+        self.A = A
+        self._known = {1: A}
+
+    def __getitem__(self, n: int) -> GroupSet:
+        known = self._known
+        if n not in known:
+            if n < 1:
+                raise ValueError(f"multiples need n >= 1, got {n}")
+            splits = [m for m in known if m < n and n - m in known]
+            m = max(splits) if splits else n - 1
+            part, rest = self[m], known[n - m]
+            bigger = max(part, rest, key=len)
+            known[n] = bigger if len(bigger) == self.A.group.order else sumset(part, rest)
+        return known[n]
+
+    def profile(self, d: float, n_max: int) -> GrowthProfile:
+        """Check mu(nA) <= n^d * mu(A) for n = 1..n_max; wraparound just saturates."""
+        A = self.A
+        if A.cardinality == 0:
+            raise ValueError("growth_profile needs a nonempty set")
+        if n_max < 2:
+            raise ValueError(f"growth_profile needs n_max >= 2, got {n_max}")
+        rows = []
+        for n in range(1, n_max + 1):
+            mu = self[n].measure
+            bound = float(n) ** d * A.measure
+            rows.append(GrowthRow(n, mu, bound, mu <= bound))
+        return GrowthProfile(A, d, tuple(rows), growth_window_start(d))
+
+
 def growth_profile(A: GroupSet, d: float, n_max: int) -> GrowthProfile:
     """Check mu(nA) <= n^d * mu(A) for n = 1..n_max; wraparound just saturates."""
-    if A.cardinality == 0:
-        raise ValueError("growth_profile needs a nonempty set")
-    if n_max < 2:
-        raise ValueError(f"growth_profile needs n_max >= 2, got {n_max}")
-    mu_A = A.measure
-    rows = []
-    current = A
-    for n in range(1, n_max + 1):
-        if n > 1:
-            current = sumset(current, A)
-        bound = float(n) ** d * mu_A
-        rows.append(GrowthRow(n, current.measure, bound, current.measure <= bound))
-    return GrowthProfile(A, d, tuple(rows), growth_window_start(d))
+    return Multiples(A).profile(d, n_max)

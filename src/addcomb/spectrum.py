@@ -51,15 +51,24 @@ class Spectrum:
 
 def lspec(A: GroupSet, delta: float, slack: float = THRESHOLD_SLACK) -> Spectrum:
     """LSpec(A, delta); delta >= sqrt(2) yields the full dual group."""
+    return cut_spectrum(A, transform(A).magnitudes(), delta, slack)
+
+
+def cut_spectrum(A: GroupSet, magnitudes: np.ndarray, delta: float,
+                 slack: float = THRESHOLD_SLACK) -> Spectrum:
+    """LSpec(A, delta) cut from precomputed magnitudes |1_A^|.
+
+    Spectra of one set at several deltas are thresholds of one magnitude
+    array, so a caller holding it needs no further transform.
+    """
     if A.cardinality == 0:
         raise ValueError("lspec needs a nonempty set")
     if delta < 0:
         raise ValueError(f"lspec needs delta >= 0, got {delta}")
     mu = float(A.measure)
-    mags = transform(A).magnitudes()
     threshold = math.sqrt(max(0.0, 1.0 - delta * delta / 2.0)) * mu
-    members = GroupSet(A.group.dual(), mags >= threshold - slack * mu)
-    return Spectrum(A, float(delta), members, mags, threshold)
+    members = GroupSet(A.group.dual(), magnitudes >= threshold - slack * mu)
+    return Spectrum(A, float(delta), members, magnitudes, threshold)
 
 
 def spectral_distance(gamma: Character, gamma2: Character, A: GroupSet,

@@ -172,3 +172,23 @@ def test_seed_changes_nothing_for_deterministic_commands(set_file, capsys):
     code1, p1 = run_cli(capsys, "freiman", set_file, "--d", "1.0", "--epsilon", "0.5")
     code2, p2 = run_cli(capsys, "freiman", set_file, "--d", "1.0", "--epsilon", "0.5")
     assert (code1, p1) == (code2, p2)
+
+
+def test_chang_without_k_prints_error(tmp_path, capsys):
+    B = tmp_path / "B.json"
+    B.write_text(dumps({"group": {"cycles": [64]}, "interval": 4}))
+    with pytest.raises(SystemExit) as exc:
+        main(["cover", str(B), "--mode", "chang", "--bprime", str(B)])
+    assert exc.value.code == 2
+    assert "error: cover --mode chang needs --bprime and --k" in capsys.readouterr().err
+
+
+def test_unknown_config_key_is_usage_error(set_file, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(dumps({"dim_grid_cap": 5, "max_retrys": 1}))
+    code = main(["--config", str(cfg), "freiman", set_file, "--d", "1.0",
+                 "--epsilon", "0.5"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "error: unknown config key 'max_retrys'" in captured.err

@@ -2,10 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from addcomb.groups import FinAbGroup, GroupMismatchError
-from addcomb.sets import (GroupSet, GuardExceededError, difference,
-                          growth_profile, iterate, negate, prog, sumset)
+from addcomb.sets import (GroupSet, GuardExceededError, Multiples, _sumset_route,
+                          difference, growth_profile, iterate, negate, prog, sumset)
 
 
 def brute_sumset(A: GroupSet, B: GroupSet) -> set[int]:
@@ -23,6 +24,38 @@ def brute_sumset(A: GroupSet, B: GroupSet) -> set[int]:
 def interval16(*vals):
     g = FinAbGroup([16])
     return GroupSet.from_indices(g, [v % 16 for v in vals])
+
+
+def pairs_sumset(A: GroupSet, B: GroupSet) -> set[int]:
+    """Oracle: every pair a + b over A x B, through numpy's own index arithmetic.
+
+    The little-endian element index is the C-order index on the reversed
+    cycle list, so unravel/ravel with wraparound add coordinates mod n_j.
+    """
+    dims = A.group.invariants[::-1]
+    ca = np.array(np.unravel_index(A.indices(), dims))
+    cb = np.array(np.unravel_index(B.indices(), dims))
+    sums = (ca[:, :, None] + cb[:, None, :]).reshape(len(dims), -1)
+    return set(np.ravel_multi_index(tuple(sums), dims, mode="wrap").tolist())
+
+
+@st.composite
+def sumset_operands(draw):
+    """(A, B, route): sets over a group of rank 1-3, odd and even cycles alike,
+    with the smaller size drawn on either side of the cost-model boundary."""
+    rank = draw(st.integers(1, 3))
+    top = {1: 700, 2: 30, 3: 10}[rank]
+    g = FinAbGroup(draw(st.lists(st.integers(2, top), min_size=rank, max_size=rank)))
+    big = draw(st.integers(1, g.order))
+    by_route = {"direct": [], "spectral": []}
+    for small in range(1, big + 1):
+        by_route[_sumset_route(small, big, g)].append(small)
+    route = draw(st.sampled_from(sorted(r for r, sizes in by_route.items() if sizes)))
+    small = draw(st.sampled_from(by_route[route]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    A = GroupSet.from_indices(g, rng.choice(g.order, size=small, replace=False))
+    B = GroupSet.from_indices(g, rng.choice(g.order, size=big, replace=False))
+    return A, B, route
 
 
 class TestSumset:
@@ -64,6 +97,24 @@ class TestSumset:
             if A.cardinality and B.cardinality:
                 assert set(d.indices()) == brute_sumset(A, B)
 
+    @settings(max_examples=80, deadline=None)
+    @given(sumset_operands())
+    def test_all_routes_agree_with_brute_force(self, operands):
+        A, B, route = operands
+        auto = sumset(A, B)
+        assert auto == sumset(B, A, method="direct") == sumset(A, B, method="spectral")
+        assert set(auto.indices()) == pairs_sumset(A, B)
+        assert _sumset_route(A.cardinality, B.cardinality, A.group) == route
+
+    @pytest.mark.parametrize("cycles,small,big,route", [
+        ([2 ** 18], 8193, 24577, "spectral"),  # direct 1.7 s, FFT 0.04 s
+        ([2 ** 18], 10, 100000, "direct"),      # direct 11 ms, FFT 39 ms
+        ([4096], 50, 200, "spectral"),          # direct 0.77 ms, FFT 0.31 ms
+        ([4096], 2, 200, "direct"),
+    ])
+    def test_cost_model_routes(self, cycles, small, big, route):
+        assert _sumset_route(small, big, FinAbGroup(cycles)) == route
+
     def test_commutative_and_associative(self):
         rng = np.random.default_rng(5)
         g = FinAbGroup([8, 4])
@@ -97,6 +148,25 @@ class TestNegate:
         g = FinAbGroup([6, 5])
         A = GroupSet(g, rng.random(g.order) < 0.3)
         assert negate(negate(A)) == A
+
+
+class TestMultiples:
+    def test_matches_iterate_in_any_order(self):
+        g = FinAbGroup([9, 7])
+        A = GroupSet.from_indices(g, [0, 1, 10, 20])
+        multiples = Multiples(A)
+        for n in (5, 2, 12, 3, 9, 1, 24):
+            assert multiples[n] == iterate(n, A)
+
+    def test_saturation_is_kept(self):
+        g = FinAbGroup([16])
+        multiples = Multiples(GroupSet.from_indices(g, [0, 1, 2, 3]))
+        assert multiples[5] == GroupSet.full(g)
+        assert multiples[40] == GroupSet.full(g)
+
+    def test_rejects_nonpositive(self):
+        with pytest.raises(ValueError):
+            Multiples(interval16(0, 1))[0]
 
 
 class TestIterate:
