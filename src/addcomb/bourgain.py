@@ -7,16 +7,24 @@ subadditivity, dyadic growth. Grid radii are kept as exact Fractions; the
 family itself is called with floats.
 
 The metric: rho*(x) = inf{2^-k : x in S_{3^-k}, k >= 0}, and rho is the
-chain infimum, computed exactly as a single-source shortest path from 0 over
-edges x -> x+y of weight rho*(y). Weights are dyadic rationals, so float
-arithmetic is exact. A family that is still constant twelve ternary levels
-below the grid is treated as eventually constant, and its bottom level gets
-rho* = 0 (the true infimum for e.g. subgroup systems).
+chain infimum, the least total rho*(y) over chains of steps y from 0 to x.
+A family that is still constant twelve ternary levels below the grid is
+treated as eventually constant, and its bottom level gets rho* = 0 (the true
+infimum for e.g. subgroup systems). A step in S_{3^-k} costs at most 2^-k, so
+rho is computed level by level rather than step by step: distances are
+integers in units of 2^-depth, and each round settles every element at the
+least open distance t at once, closing them under the zero-cost core and
+relaxing t + 2^(depth-k) onto their sumset with each distinct level S_{3^-k},
+less the sums of two steps of the next level, which reach the same elements
+at no greater cost. The depth is at most MAX_DEPTH = 31, so
+|G| * 2^depth <= 2^53 under the group order cap, every distance fits int64,
+and rho is exact in float64.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
@@ -28,6 +36,11 @@ from .sets import GroupSet, sumset
 
 #: default cap on the ternary grid depth.
 GRID_DEPTH_CAP = 20
+
+#: deepest ternary grid a system may have: 31 = 53 - 22, so that
+#: |G| * 2^depth <= 2^53 under the group order cap, and every chain sum of
+#: the metric is an exact float64 and fits int64.
+MAX_DEPTH = 31
 
 #: extra ternary levels probed below the grid to attest a constant tail.
 TAIL_PROBE_LEVELS = 12
@@ -105,14 +118,23 @@ def system_from_balls(family: Callable[[float], GroupSet], d: float,
     """Sample a monotone ball family into a Bourgain system and audit the axioms.
 
     K defaults to the first ternary level whose set is {0} (stabilization),
-    capped. Audit failures do not raise; they are recorded on the system,
-    which is then only usable for diagnostics.
+    capped. K and cap must be integers in 1..MAX_DEPTH and d a finite number
+    >= 0; anything else raises ValueError. Audit failures do not raise; they
+    are recorded on the system, which is then only usable for diagnostics.
     """
+    if not (math.isfinite(d) and d >= 0):
+        raise ValueError(f"system_from_balls needs a finite d >= 0, got {d}")
+    for name, value in (("K", K), ("cap", cap)):
+        if value is None:
+            continue
+        if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+            raise ValueError(f"system_from_balls needs an integer {name}, got {value!r}")
+        if not 1 <= value <= MAX_DEPTH:
+            raise ValueError(f"system_from_balls needs 1 <= {name} <= {MAX_DEPTH}, "
+                             f"got {value}")
     probe = family(float(Fraction(1, 3 ** 0)))
     group = probe.group
     if K is not None:
-        if K < 1:
-            raise ValueError(f"system_from_balls needs K >= 1, got {K}")
         depth = K
     else:
         zero_only = GroupSet.singleton(group, 0)
@@ -224,9 +246,6 @@ class BirkhoffMetric:
     def ball(self, radius: float) -> GroupSet:
         return GroupSet(self.system.group, self.rho <= radius + RHO_SLACK)
 
-    def ball_family(self) -> Callable[[float], GroupSet]:
-        return self.ball
-
     def dump_jsonable(self) -> list:
         g = self.system.group
         out = []
@@ -243,37 +262,68 @@ def birkhoff_metric(system: BourgainSystem) -> BirkhoffMetric:
     """Exact chain-infimum metric of an axiom-clean system.
 
     rho* assigns 2^-k at the deepest ternary level containing the element
-    (0 on an attested constant core); rho is Dijkstra from 0 with edge
-    weights rho*(step). Dyadic weights make float relaxation exact.
+    (0 on an attested constant core). rho is the least total rho* over
+    chains from 0, found by settling whole distance buckets: distances are
+    integers in units of 2^-depth, and each round takes the least unsettled
+    distance t, closes its elements under the zero-weight core steps, and
+    relaxes t + 2^(depth-k) onto one sumset with each distinct level S_k,
+    less the steps that two steps of the next level make at the same cost.
+    A system has depth <= MAX_DEPTH, so every distance is an integer below
+    2^53 and rho = distance * 2^-depth is exact in float64.
     """
     if not system.audit.all_pass:
         raise ValueError(f"system failed its axiom audit: {system.audit.violations}")
-    g = system.group
-    order = g.order
-    rho_star = np.full(order, np.inf)
+    g, depth, core = system.group, system.depth, system.core
+    rho_star = np.full(g.order, np.inf)
     for k, r in enumerate(system.ternary_radii()):
         rho_star[system.levels[r].mask] = 2.0 ** -k
-    if system.core is not None:
-        rho_star[system.core.mask] = 0.0
+    if core is not None:
+        rho_star[core.mask] = 0.0
 
-    steps = np.flatnonzero(np.isfinite(rho_star))
-    weights = rho_star[steps]
-    coords = g.coords_table()
-    step_coords = coords[:, steps]
+    # The weighted step sets, deep to shallow, with weights in units of
+    # 2^-depth; the core, when attested, is the bottom level at weight 0. A
+    # level equal to the next deeper one costs more for the same steps, so it
+    # is dropped. When the next deeper level S' weighs half as much, a step in
+    # S' + S' costs no more as two steps of S', so only the rest is kept.
+    steps: list[tuple[GroupSet, int]] = []
+    deeper, deeper_w = core, 0
+    for k in reversed(range(depth + 1 if core is None else depth)):
+        S, w = system.levels[Fraction(1, 3 ** k)], 1 << (depth - k)
+        if S == deeper:
+            continue
+        kept = S
+        if 2 * deeper_w == w:
+            kept = GroupSet(g, S.mask & ~sumset(deeper, deeper).mask)
+        if kept:
+            steps.append((kept, w))
+        deeper, deeper_w = S, w
 
-    dist = np.full(order, np.inf)
-    dist[0] = 0.0
-    done = np.zeros(order, dtype=bool)
-    for _ in range(order):
-        candidates = np.where(done, np.inf, dist)
-        u = int(np.argmin(candidates))
-        if not np.isfinite(candidates[u]):
+    unreached = np.iinfo(np.int64).max
+    dist = np.full(g.order, unreached, dtype=np.int64)
+    dist[0] = 0
+    settled = np.zeros(g.order, dtype=bool)
+    while True:
+        open_dist = np.where(settled, unreached, dist)
+        t = int(open_dist.min())
+        if t == unreached:
             break
-        done[u] = True
-        nbrs = g.encode_array(np.asarray(g.decode(u), dtype=np.int64)[:, None]
-                              + step_coords)
-        np.minimum.at(dist, nbrs, dist[u] + weights)
-    return BirkhoffMetric(system, rho_star, dist)
+        frontier = GroupSet(g, open_dist == t)
+        while core is not None:
+            closed = frontier | sumset(frontier, core)
+            if closed == frontier:
+                break
+            frontier = closed
+        dist[frontier.mask] = t
+        settled |= frontier.mask
+        # the steps run from cheap to dear, and once t + w cannot beat the
+        # worst open distance, no relaxation can change anything
+        worst = int(np.max(dist, where=~settled, initial=-1))
+        for S, w in steps:
+            if t + w >= worst:
+                break
+            np.minimum(dist, t + w, out=dist, where=sumset(frontier, S).mask)
+    rho = np.where(dist == unreached, np.inf, dist * 2.0 ** -depth)
+    return BirkhoffMetric(system, rho_star, rho)
 
 
 # -- the two-sided sandwich audit ----------------------------------------------------

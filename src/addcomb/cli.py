@@ -13,8 +13,8 @@ import sys
 import numpy as np
 
 from .bohr import bohr_set
-from .bourgain import (birkhoff_metric, constant_family, interval_family,
-                       sandwich_audit, system_from_balls)
+from .bourgain import (GRID_DEPTH_CAP, birkhoff_metric, constant_family,
+                       interval_family, sandwich_audit, system_from_balls)
 from .covering import chang_cover, ruzsa_cover
 from .pipeline import FreimanConfig, run_freiman
 from .serialize import dumps, group_from_json, load_set, set_to_json
@@ -93,7 +93,7 @@ def _system_from_file(path: str, cfg: dict):
         obj = json.load(fh)
     d = float(obj.get("d", 1.0))
     depth = obj.get("K")
-    cap = cfg.get("bourgain_depth_cap", 20)
+    cap = cfg.get("bourgain_depth_cap", GRID_DEPTH_CAP)
     if "interval" in obj:
         spec = obj["interval"]
         group = group_from_json(spec["group"])

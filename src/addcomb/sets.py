@@ -225,7 +225,7 @@ def sumset(A: GroupSet, B: GroupSet, method: str = "auto") -> GroupSet:
         return GroupSet(g, fourier.convolve(A, B, snap_integers=False) >= 0.5)
     # direct: translate the larger set by each element of the smaller one
     coords = g.coords_table()
-    big_coords = coords[:, big.mask]  # (rank, |big|)
+    big_coords = coords[:, big.indices()]  # (rank, |big|)
     mask = np.zeros(g.order, dtype=bool)
     for a in small.indices():
         shifted = big_coords + np.asarray(g.decode(int(a)), dtype=np.int64)[:, None]

@@ -3,13 +3,15 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from addcomb.bohr import dimension_estimate, dyadic_dimension_grid
-from addcomb.bourgain import (BirkhoffMetric, birkhoff_metric, constant_family,
-                              interval_family, sandwich_audit,
-                              subgroup_generated, system_from_balls)
+from addcomb.bohr import bohr_family, dimension_estimate, dyadic_dimension_grid
+from addcomb.bourgain import (MAX_DEPTH, BirkhoffMetric, BourgainSystem,
+                              birkhoff_metric, constant_family, interval_family,
+                              sandwich_audit, subgroup_generated, system_from_balls)
 from addcomb.groups import FinAbGroup
-from addcomb.sets import GroupSet
+from addcomb.sets import GroupSet, negate
+from addcomb.verify import _birkhoff_systems
 
 
 def bellman_ford_rho(metric: BirkhoffMetric) -> np.ndarray:
@@ -31,6 +33,79 @@ def bellman_ford_rho(metric: BirkhoffMetric) -> np.ndarray:
                     dist[v] = nd
                     changed = True
     return np.array([dist[i] for i in range(g.order)])
+
+
+def dijkstra_rho(system: BourgainSystem) -> tuple[np.ndarray, np.ndarray]:
+    """Oracle: (rho*, rho) by a per-element Dijkstra from 0 in float64.
+
+    One argmin per settled element, relaxing every step at once; dyadic
+    weights make the float sums exact below the depth bound.
+    """
+    g = system.group
+    rho_star = np.full(g.order, np.inf)
+    for k, r in enumerate(system.ternary_radii()):
+        rho_star[system.levels[r].mask] = 2.0 ** -k
+    if system.core is not None:
+        rho_star[system.core.mask] = 0.0
+    steps = np.flatnonzero(np.isfinite(rho_star))
+    weights = rho_star[steps]
+    step_coords = g.coords_table()[:, steps]
+    dist = np.full(g.order, np.inf)
+    dist[0] = 0.0
+    done = np.zeros(g.order, dtype=bool)
+    for _ in range(g.order):
+        candidates = np.where(done, np.inf, dist)
+        u = int(np.argmin(candidates))
+        if not np.isfinite(candidates[u]):
+            break
+        done[u] = True
+        nbrs = g.encode_array(np.asarray(g.decode(u), dtype=np.int64)[:, None]
+                              + step_coords)
+        np.minimum.at(dist, nbrs, dist[u] + weights)
+    return rho_star, dist
+
+
+def assert_matches_dijkstra(system: BourgainSystem) -> None:
+    metric = birkhoff_metric(system)
+    rho_star, rho = dijkstra_rho(system)
+    assert metric.rho_star.tobytes() == rho_star.tobytes()
+    assert metric.rho.tobytes() == rho.tobytes()
+
+
+@st.composite
+def clean_systems(draw):
+    """Axiom-clean systems: Bohr families over groups of rank 1-3 (odd and
+    even cycles), interval families (some floored at radius 1, which gives a
+    core that is not a subgroup), and subgroup systems (unreachable elements,
+    an all-zero-weight core); K is either stabilized or an explicit small
+    depth, which leaves no attested core on the non-constant families."""
+    kind = draw(st.sampled_from(["bohr", "interval", "subgroup"]))
+    K = draw(st.one_of(st.none(), st.integers(1, 3)))
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    rng = np.random.default_rng(seed)
+    if kind == "interval":
+        g = FinAbGroup([draw(st.integers(3, 400))])
+        scale = draw(st.floats(1.0, g.order / 2))
+        floor = draw(st.integers(0, 1))
+        fam = lambda r: GroupSet.interval(g, max(floor, math.floor(scale * r + 1e-12)))
+        system = system_from_balls(fam, d=2.0, K=K)
+    else:
+        rank = draw(st.integers(1, 3))
+        top = {1: 300, 2: 16, 3: 7}[rank]
+        g = FinAbGroup(draw(st.lists(st.integers(2, top), min_size=rank, max_size=rank)))
+        picks = rng.integers(0, g.order, size=draw(st.integers(1, 3)))
+        if kind == "subgroup":
+            H = subgroup_generated(g, [g.element(g.decode(int(i))) for i in picks])
+            system = system_from_balls(constant_family(H), d=0.0, K=K)
+        else:
+            freqs = GroupSet.from_indices(g, picks)
+            system = system_from_balls(bohr_family(freqs | negate(freqs)),
+                                       d=draw(st.floats(2.0, 8.0)), K=K)
+    assume(system.audit.all_pass)
+    return system
+
+
+VERIFY_SYSTEMS = _birkhoff_systems()
 
 
 class TestSystemFromBalls:
@@ -74,6 +149,23 @@ class TestSystemFromBalls:
         system = system_from_balls(interval_family(g, 16.0), d=1.25, K=5)
         assert system.depth == 5
 
+    @pytest.mark.parametrize("kwargs", [
+        {"K": 2.5}, {"K": "3"}, {"K": True}, {"K": 0}, {"K": MAX_DEPTH + 1},
+        {"cap": 2.0}, {"cap": 0}, {"cap": MAX_DEPTH + 1},
+        {"d": -1.0}, {"d": math.inf}, {"d": math.nan},
+    ])
+    def test_bad_parameters_rejected(self, kwargs):
+        g = FinAbGroup([64])
+        args = {"d": 1.25, **kwargs}
+        with pytest.raises(ValueError):
+            system_from_balls(interval_family(g, 16.0), **args)
+
+    def test_depth_bound_accepted(self):
+        g = FinAbGroup([64])
+        system = system_from_balls(interval_family(g, 16.0), d=1.25, K=MAX_DEPTH)
+        assert system.depth == MAX_DEPTH
+        assert_matches_dijkstra(system)
+
     def test_nesting_violation_detected(self):
         g = FinAbGroup([32])
         shrink = lambda r: GroupSet.interval(g, 1 if r > 0.5 else 3)
@@ -109,6 +201,38 @@ class TestBirkhoffMetric:
         H = subgroup_generated(g2, [g2.element((2, 0))])
         metric2 = birkhoff_metric(system_from_balls(constant_family(H), d=0.0))
         assert np.array_equal(metric2.rho, bellman_ford_rho(metric2))
+
+    @settings(max_examples=80, deadline=None)
+    @given(clean_systems())
+    def test_matches_dijkstra_oracle(self, system):
+        assert_matches_dijkstra(system)
+
+    @pytest.mark.parametrize("name,system", VERIFY_SYSTEMS,
+                             ids=[name for name, _ in VERIFY_SYSTEMS])
+    def test_matches_dijkstra_on_verify_systems(self, name, system):
+        assert_matches_dijkstra(system)
+
+    def test_matches_dijkstra_on_z4096_interval_system(self):
+        g = FinAbGroup([4096])
+        assert_matches_dijkstra(system_from_balls(interval_family(g, 1024.0), d=2.0))
+
+    def test_explicit_shallow_depth_has_no_core(self):
+        g = FinAbGroup([64])
+        system = system_from_balls(interval_family(g, 16.0), d=1.25, K=1)
+        assert system.core is None
+        assert_matches_dijkstra(system)
+
+    def test_non_subgroup_core_closes_to_zero(self):
+        # a tail constant at {-1, 0, 1} below 1/9 costs nothing, so chains of
+        # it reach all of Z_64
+        g = FinAbGroup([64])
+        fam = lambda r: GroupSet.interval(g, max(1, math.floor(16 * r)))
+        system = system_from_balls(fam, d=2.0, K=2)
+        assert system.audit.all_pass
+        assert system.core == GroupSet.interval(g, 1)
+        metric = birkhoff_metric(system)
+        assert np.all(metric.rho == 0.0)
+        assert_matches_dijkstra(system)
 
     def test_factor_two_equivalence(self):
         for system in (
@@ -201,7 +325,7 @@ class TestMetricBallDimension:
         g = FinAbGroup([128])
         d = 2.0
         metric = birkhoff_metric(system_from_balls(interval_family(g, 32.0), d=d))
-        fam = metric.ball_family()
+        fam = metric.ball
         grid = dyadic_dimension_grid(fam, 1.0)
         est = dimension_estimate(fam, grid)
         assert est.empirical_dim <= 2 * d + 2

@@ -88,6 +88,29 @@ def test_birkhoff_levels_system(tmp_path, capsys):
     assert payload["metric"] is not None
 
 
+@pytest.mark.parametrize("fields,config,message", [
+    ({"K": 2.5}, None, "needs an integer K"),
+    ({"d": -1}, None, "needs a finite d >= 0"),
+    ({"K": 40}, None, "needs 1 <= K <= 31"),
+    ({}, {"bourgain_depth_cap": 32}, "needs 1 <= cap <= 31"),
+])
+def test_birkhoff_bad_system_parameters_are_usage_errors(tmp_path, capsys, fields,
+                                                         config, message):
+    system = tmp_path / "system.json"
+    system.write_text(dumps({"d": 1.25, **fields,
+                             "interval": {"group": {"cycles": [64]}, "scale": 16.0}}))
+    argv = ["birkhoff", "--system", str(system)]
+    if config is not None:
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(config))
+        argv = ["--config", str(cfg)] + argv
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and message in captured.err
+
+
 def test_birkhoff_failed_audit_reports_without_metric(tmp_path, capsys):
     system = tmp_path / "system.json"
     system.write_text(dumps(
