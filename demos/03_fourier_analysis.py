@@ -10,6 +10,7 @@ import numpy as np
 from addcomb import (FinAbGroup, GroupSet, convolve, moment,
                      moment_lower_bound_audit, parseval_audit, sumset,
                      transform)
+from addcomb.oracles import naive_transform
 
 g = FinAbGroup([16])
 A = GroupSet.from_indices(g, [15, 0, 1])
@@ -19,7 +20,7 @@ fhat = transform(A)
 print("1_A^ values:", np.round(fhat.values.real, 6))
 
 # fast factor-wise route vs the quadratic definition
-naive = transform(A.mask.astype(float), g, method="naive")
+naive = naive_transform(A.mask.astype(float), g)
 print("fast vs naive max gap:", float(np.abs(fhat.values - naive.values).max()))
 
 # convolution counts representations: supp(1_A * 1_A) is the sumset

@@ -6,9 +6,10 @@ two exact identities are audited: the k-fold rescaling equality and the
 structured-frequency growth ratio.
 """
 
-from addcomb import (FinAbGroup, GroupSet, bohr_distance, bohr_family,
-                     bohr_set, dimension_estimate, dyadic_dimension_grid,
-                     nested_bohr_audit, rounding_check, structured_growth_audit)
+from addcomb import (FinAbGroup, GroupSet, bohr_family, bohr_set,
+                     dimension_estimate, dyadic_dimension_grid, nested_bohr_audit,
+                     rounding_check, structured_growth_audit)
+from addcomb.oracles import bohr_distance
 
 g = FinAbGroup([64])
 freqs = GroupSet.from_indices(g, [0, 1, 9])

@@ -7,7 +7,7 @@ counting-measure conventions and brute-force verification at desk scale.
 """
 
 from .bohr import (BohrSet, DimensionEstimate, NestedBohrAudit, RoundingCheck,
-                   StructuredGrowthAudit, bohr_distance, bohr_family, bohr_set,
+                   StructuredGrowthAudit, bohr_family, bohr_set,
                    dimension_estimate, dyadic_dimension_grid, nearest_int_dist,
                    nested_bohr_audit, rounding_check, structured_growth_audit)
 from .bourgain import (BirkhoffMetric, BourgainSystem, SandwichVerdict,
@@ -19,7 +19,7 @@ from .fourier import (DualFunction, MomentBoundAudit, MomentValue, convolve,
                       moment, moment_detail, moment_lower_bound_audit,
                       parseval_audit, transform)
 from .groups import (Character, FinAbGroup, GroupElement, GroupMismatchError,
-                     add, arg_norm, character_arg_norm, eval_character)
+                     arg_norm, character_arg_norm, eval_character)
 from .pipeline import (BohrMeasureAudit, FreimanConfig, FreimanReport,
                        LowerboundAudit, SpectrumCover, bohr_measure_audit,
                        find_l, lowerbound_audit, run_freiman, spectrum_cover)

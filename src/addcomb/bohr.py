@@ -4,7 +4,9 @@ Bohr(Gamma, delta) is the set of x whose character phases stay within delta
 of zero (in the circle norm) for every frequency in Gamma. Memberships come
 from exact integer phase numerators, so two runs agree bit for bit; a 1e-9
 inclusion slack keeps borderline radii deterministic when the radius itself
-arrives as a float.
+arrives as a float. bohr_distance_table gives every element's distance to
+0 at once; `oracles.bohr_distance` evaluates one distance frequency by
+frequency and is its cross-check.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .groups import FinAbGroup, GroupElement, GroupMismatchError
+from .groups import FinAbGroup
 from .sets import GroupSet, iterate, prog, sumset
 
 INCLUSION_SLACK = 1e-9
@@ -84,22 +86,6 @@ def bohr_set(freqs: GroupSet, delta: float) -> BohrSet:
         raise ValueError(f"bohr_set needs delta >= 0, got {delta}")
     members = bohr_family(freqs)(delta)
     return BohrSet(freqs, float(delta), members)
-
-
-def bohr_distance(x: GroupElement, y: GroupElement, freqs: GroupSet) -> float:
-    """sup-norm distance sup{||gamma(x - y)|| : gamma in freqs}; needs freqs nonempty."""
-    if freqs.cardinality == 0:
-        raise ValueError("bohr_distance needs a nonempty frequency set")
-    g = freqs.group
-    if x.group != g or y.group != g:
-        raise GroupMismatchError("elements and frequencies must share one group")
-    z = (x - y).index
-    M = g.phase_denominator
-    best = 0
-    for m in freqs.indices():
-        num = g.phase_numerator(int(m), z)
-        best = max(best, min(num, M - num))
-    return best / M
 
 
 # -- dimension estimation ---------------------------------------------------------

@@ -2,9 +2,9 @@
 
 Transforms are taken against the counting measure: f^(gamma_m) =
 sum_x f(x) * conj(gamma_m(x)). On the product-of-cycles encoding this is a
-multidimensional DFT along each cyclic factor, so the fast path reshapes to
-the factor grid and calls numpy's FFT. A quadratic naive evaluation is kept
-as an always-available oracle route.
+multidimensional DFT along each cyclic factor, so the transform reshapes to
+the factor grid and calls numpy's FFT. The quadratic evaluation of the
+defining sum is the cross-check `oracles.naive_transform`.
 
 All quantities handled here are integers or short cosine sums, so indicator
 convolutions are snapped back to exact integers after the FFT round trip.
@@ -24,8 +24,8 @@ from .sets import GroupSet
 #: |value - nearest integer| below this snaps indicator convolutions to ints.
 INT_SNAP_TOL = 1e-6
 
-#: values above this overflow threshold are reported in log space.
-FLOAT_OVERFLOW = 1e300
+#: natural log of the largest value reported as a float; above it, log space.
+LOG_FLOAT_CAP = math.log(1e300)
 
 
 @dataclass(frozen=True)
@@ -58,36 +58,11 @@ def _as_values(f, group: FinAbGroup | None) -> tuple[FinAbGroup, np.ndarray]:
     return group, arr
 
 
-def transform(f, group: FinAbGroup | None = None, method: str = "fast") -> DualFunction:
-    """Fourier transform of a real function (or set indicator) on G.
-
-    method "fast" runs the factor-wise FFT; "naive" evaluates the defining
-    double sum in O(|G|^2) and exists as the oracle route.
-    """
+def transform(f, group: FinAbGroup | None = None) -> DualFunction:
+    """Fourier transform of a real function (or set indicator) on G, by the factor-wise FFT."""
     group, values = _as_values(f, group)
-    if method == "fast":
-        grid = values.reshape(group.invariants, order="F")
-        out = np.fft.fftn(grid).ravel(order="F")
-        return DualFunction(group, out)
-    if method == "naive":
-        return DualFunction(group, _naive_transform(group, values))
-    raise ValueError(f"unknown transform method {method!r}")
-
-
-def _naive_transform(group: FinAbGroup, values: np.ndarray) -> np.ndarray:
-    # chi_m(x) phases from the exact integer numerators, one character at a time
-    M = group.phase_denominator
-    out = np.empty(group.order, dtype=np.complex128)
-    for m in range(group.order):
-        num = group.phase_numerators(m)
-        out[m] = np.sum(values * np.exp(-2j * np.pi * num / M))
-    return out
-
-
-def inverse_transform(fhat: DualFunction) -> np.ndarray:
-    """Inverse against the dual measure nu: f(x) = (1/|G|) sum_m fhat(m) chi_m(x)."""
-    grid = fhat.values.reshape(fhat.group.invariants, order="F")
-    return np.fft.ifftn(grid).ravel(order="F")
+    grid = values.reshape(group.invariants, order="F")
+    return DualFunction(group, np.fft.fftn(grid).ravel(order="F"))
 
 
 def convolve(f, g, group: FinAbGroup | None = None,
@@ -147,12 +122,14 @@ class MomentValue:
     log_space: bool   # True when value overflowed and log_value is authoritative
 
 
-def _normalized_power_sum(A: GroupSet, k: int) -> tuple[float, float]:
-    """(S, log mu) with S = (1/|G|) sum_gamma (|1_A^|/mu)^{2k}; S is in [1/|G|, 1]ish."""
-    mags = transform(A).magnitudes()
-    mu = float(A.measure)
-    t = np.minimum(mags / mu, 1.0)  # clamp fp noise at gamma_0
-    return float(np.sum(t ** (2 * k))) / A.group.order, math.log(mu)
+def capped_exp(log_value: float) -> float:
+    """exp(log_value), or +inf above LOG_FLOAT_CAP."""
+    return math.exp(log_value) if log_value <= LOG_FLOAT_CAP else math.inf
+
+
+def normalized_powers(magnitudes: np.ndarray, mu: float, k: int) -> np.ndarray:
+    """(|1_A^|/mu(A))^{2k} per character, the ratio clamped at 1 (fp noise at gamma_0)."""
+    return np.minimum(magnitudes / mu, 1.0) ** (2 * k)
 
 
 def moment_detail(A: GroupSet, k: int) -> MomentValue:
@@ -160,11 +137,11 @@ def moment_detail(A: GroupSet, k: int) -> MomentValue:
         raise ValueError(f"moment needs k >= 1, got {k}")
     if A.cardinality == 0:
         raise ValueError("moment needs a nonempty set")
-    S, log_mu = _normalized_power_sum(A, k)
-    log_value = 2 * k * log_mu + math.log(S)
-    if log_value <= math.log(FLOAT_OVERFLOW):
-        return MomentValue(math.exp(log_value), log_value, False)
-    return MomentValue(math.inf, log_value, True)
+    mu = float(A.measure)
+    # S = (1/|G|) sum_gamma (|1_A^|/mu)^{2k} lies in [1/|G|, 1]
+    S = float(np.sum(normalized_powers(transform(A).magnitudes(), mu, k))) / A.group.order
+    log_value = 2 * k * math.log(mu) + math.log(S)
+    return MomentValue(capped_exp(log_value), log_value, log_value > LOG_FLOAT_CAP)
 
 
 def moment(A: GroupSet, k: int) -> float:
@@ -199,6 +176,6 @@ def moment_lower_bound_audit(A: GroupSet, k: int) -> MomentBoundAudit:
     detail = moment_detail(A, k)
     mu_kA = iterate(k, A).measure
     log_bound = 2 * k * math.log(A.measure) - math.log(mu_kA)
-    bound = math.exp(log_bound) if log_bound <= math.log(FLOAT_OVERFLOW) else math.inf
+    bound = capped_exp(log_bound)
     holds = detail.log_value >= log_bound - 1e-9
     return MomentBoundAudit(detail.value, bound, holds, detail.log_value, log_bound)

@@ -178,8 +178,12 @@ class FinAbGroup:
 
 
 @dataclass(frozen=True)
-class GroupElement:
-    """An element of a FinAbGroup, identified by its mixed-radix index."""
+class _Indexed:
+    """A group or dual member identified by its mixed-radix index.
+
+    Sums, negatives and differences keep the class of the left operand, and
+    equality is class-strict, so an element never equals a character.
+    """
 
     group: FinAbGroup
     index: int
@@ -188,19 +192,23 @@ class GroupElement:
     def coords(self) -> tuple[int, ...]:
         return self.group.decode(self.index)
 
-    def __add__(self, other: "GroupElement") -> "GroupElement":
+    def __add__(self, other):
         _require_same_group(self, other)
         coords = tuple((a + b) % n for a, b, n in
                        zip(self.coords, other.coords, self.group.invariants))
-        return GroupElement(self.group, self.group.encode(coords))
+        return type(self)(self.group, self.group.encode(coords))
 
-    def __neg__(self) -> "GroupElement":
+    def __neg__(self):
         coords = tuple((-a) % n for a, n in
                        zip(self.coords, self.group.invariants))
-        return GroupElement(self.group, self.group.encode(coords))
+        return type(self)(self.group, self.group.encode(coords))
 
-    def __sub__(self, other: "GroupElement") -> "GroupElement":
+    def __sub__(self, other):
         return self + (-other)
+
+
+class GroupElement(_Indexed):
+    """An element of a FinAbGroup, identified by its mixed-radix index."""
 
     def scale(self, r: int) -> "GroupElement":
         """Integer multiple r*x."""
@@ -212,41 +220,14 @@ class GroupElement:
         return f"{self.coords}@{self.group!r}"
 
 
-@dataclass(frozen=True)
-class Character:
+class Character(_Indexed):
     """A character of a FinAbGroup: index m evaluates to exp(2*pi*i*sum m_j x_j/n_j)."""
-
-    group: FinAbGroup
-    index: int
-
-    @property
-    def coords(self) -> tuple[int, ...]:
-        return self.group.decode(self.index)
 
     def __call__(self, x: GroupElement) -> complex:
         return eval_character(self, x)
 
-    def __add__(self, other: "Character") -> "Character":
-        _require_same_group(self, other)
-        coords = tuple((a + b) % n for a, b, n in
-                       zip(self.coords, other.coords, self.group.invariants))
-        return Character(self.group, self.group.encode(coords))
-
-    def __neg__(self) -> "Character":
-        coords = tuple((-a) % n for a, n in
-                       zip(self.coords, self.group.invariants))
-        return Character(self.group, self.group.encode(coords))
-
-    def __sub__(self, other: "Character") -> "Character":
-        return self + (-other)
-
     def __repr__(self) -> str:
         return f"chi{self.coords}@{self.group!r}"
-
-
-def add(a: GroupElement, b: GroupElement) -> GroupElement:
-    """Componentwise sum mod the cycle lengths."""
-    return a + b
 
 
 def eval_character(gamma: Character, x: GroupElement) -> complex:

@@ -18,6 +18,7 @@ the radius the spectral lower bound actually guarantees for A - A.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -54,18 +55,29 @@ class FreimanConfig:
     def __post_init__(self):
         if self.mode not in ("paper", "empirical"):
             raise ValueError(f"mode must be 'paper' or 'empirical', got {self.mode!r}")
-        if self.d <= 0:
-            raise ValueError(f"d must be positive, got {self.d}")
         if self.mode == "paper":
             if self.epsilon is not None or self.l is not None or self.radius is not None:
                 raise ValueError("paper mode forbids epsilon/l/radius overrides")
-        else:
-            if self.epsilon is None:
-                raise ValueError("empirical mode requires an explicit epsilon")
-            if not 0 < self.epsilon:
-                raise ValueError(f"epsilon must be positive, got {self.epsilon}")
-        if self.l is not None and self.l < 2:
-            raise ValueError(f"l override must be >= 2, got {self.l}")
+        elif self.epsilon is None:
+            raise ValueError("empirical mode requires an explicit epsilon")
+        # (field, integer-valued, least value, whether the least value is
+        # excluded); None skips the optional epsilon, radius, l and n_max
+        for name, integral, low, strict in (
+                ("d", False, 0, True), ("epsilon", False, 0, True),
+                ("radius", False, 0, True), ("ratio_bound", False, 1, False),
+                ("C", False, 0, False), ("l", True, 2, False),
+                ("max_retries", True, 0, False), ("n_max", True, 2, False),
+                ("dim_grid_cap", True, 0, False)):
+            value = getattr(self, name)
+            if value is None and name in ("epsilon", "radius", "l", "n_max"):
+                continue
+            kind = "an integer" if integral else "a finite number"
+            if (not isinstance(value, numbers.Integral if integral else numbers.Real)
+                    or isinstance(value, bool)
+                    or not (isinstance(value, numbers.Integral) or math.isfinite(value))
+                    or value < low or (strict and value == low)):
+                raise ValueError(f"{name} must be {kind} {'>' if strict else '>='} {low}, "
+                                 f"got {value!r}")
 
     def scan_window_end(self) -> int:
         return self.n_max if self.n_max is not None else growth_window_end(self.d)

@@ -194,9 +194,10 @@ def negate(A: GroupSet) -> GroupSet:
     return GroupSet(A.group, A.mask[A.group.negation_permutation()])
 
 
-def _sumset_route(small: int, big: int, g: FinAbGroup) -> str:
-    """The route of lower modelled cost for operands of sizes small <= big."""
-    c0, c1, c2, c3 = SUMSET_COST
+def _sumset_route(small: int, big: int, g: FinAbGroup,
+                  cost: tuple[float, float, float, float] = SUMSET_COST) -> str:
+    """The route of lower modelled cost (constants c0..c3) for sizes small <= big."""
+    c0, c1, c2, c3 = cost
     direct = small * (c0 + c1 * big * g.rank)
     spectral = c2 * g.order * math.log2(g.order) + c3
     return "spectral" if spectral < direct else "direct"

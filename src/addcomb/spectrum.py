@@ -7,8 +7,8 @@ in L^2 of the normalized autocorrelation measure of A. The identity
 
     rho(gamma, gamma_0)^2 = 2 (1 - |1_A^(gamma)|^2 / mu(A)^2)
 
-links the two views; the closed form is the default route and the literal
-double sum over A x A stays available as the oracle.
+links the two views; spectral_distance evaluates the closed form, and the
+literal double sum over A x A is the cross-check `oracles.spectral_distance`.
 """
 
 from __future__ import annotations
@@ -18,9 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fourier import transform
+from .fourier import LOG_FLOAT_CAP, capped_exp, normalized_powers, transform
 from .groups import Character, GroupMismatchError
-from .sets import GroupSet
+from .sets import GroupSet, growth_window_start
 
 #: inclusion-favoring slack: borderline characters land inside the spectrum.
 THRESHOLD_SLACK = 1e-9
@@ -71,43 +71,16 @@ def cut_spectrum(A: GroupSet, magnitudes: np.ndarray, delta: float,
     return Spectrum(A, float(delta), members, magnitudes, threshold)
 
 
-def spectral_distance(gamma: Character, gamma2: Character, A: GroupSet,
-                      method: str = "closed") -> float:
-    """rho(gamma, gamma') for the spectral metric of A.
-
-    "closed" evaluates 2(1 - |1_A^(gamma - gamma')|^2 / mu(A)^2) after one
-    transform; "direct" runs the defining double sum over A x A.
-    """
+def spectral_distance(gamma: Character, gamma2: Character, A: GroupSet) -> float:
+    """rho(gamma, gamma') for the spectral metric of A, from one transform:
+    rho^2 = 2(1 - |1_A^(gamma - gamma')|^2 / mu(A)^2)."""
     if A.cardinality == 0:
         raise ValueError("spectral_distance needs a nonempty set")
     if gamma.group != gamma2.group or gamma.group != A.group:
         raise GroupMismatchError("characters and set must share one group")
-    diff = gamma - gamma2
-    if method == "closed":
-        mu = float(A.measure)
-        mag = float(np.abs(transform(A).values[diff.index]))
-        return math.sqrt(max(0.0, 2.0 * (1.0 - (mag / mu) ** 2)))
-    if method == "direct":
-        g = A.group
-        idx = A.indices()
-        # phases of (gamma - gamma') at all pairwise differences a - a'
-        num = g.phase_numerators(diff.index)
-        phases = 2.0 * np.pi * num / g.phase_denominator
-        vals = np.exp(1j * phases)
-        neg = g.negation_permutation()
-        diffs = np.empty((idx.size, idx.size), dtype=np.int64)
-        for r, a in enumerate(idx):
-            # a - a' = a + (-a'); translate(-A) indexing done per row
-            diffs[r] = _pairwise_diff_row(g, int(a), idx, neg)
-        total = float(np.sum(np.abs(1.0 - vals[diffs]) ** 2))
-        return math.sqrt(total) / A.measure
-    raise ValueError(f"unknown spectral_distance method {method!r}")
-
-
-def _pairwise_diff_row(g, a: int, idx: np.ndarray, neg: np.ndarray) -> np.ndarray:
-    a_coords = np.asarray(g.decode(a), dtype=np.int64)[:, None]
-    other = g.coords_table()[:, neg[idx]]  # coords of -a'
-    return g.encode_array(a_coords + other)
+    mu = float(A.measure)
+    mag = float(np.abs(transform(A).values[(gamma - gamma2).index]))
+    return math.sqrt(max(0.0, 2.0 * (1.0 - (mag / mu) ** 2)))
 
 
 # -- the moment-splitting machinery ------------------------------------------------
@@ -160,8 +133,7 @@ def moment_split(A: GroupSet, eta: float, k: int) -> MomentSplit:
         raise ValueError("moment_split needs a nonempty set")
     spec = lspec(A, eta)
     mu = float(A.measure)
-    t = np.minimum(spec.magnitudes / mu, 1.0)
-    powers = t ** (2 * k)
+    powers = normalized_powers(spec.magnitudes, mu, k)
     order = A.group.order
     S_total = float(np.sum(powers)) / order
     S_inside = float(np.sum(powers[spec.members.mask])) / order
@@ -169,12 +141,6 @@ def moment_split(A: GroupSet, eta: float, k: int) -> MomentSplit:
     log_total = 2 * k * log_mu + math.log(S_total)
     log_inside = 2 * k * log_mu + math.log(S_inside) if S_inside > 0 else -math.inf
     log_tail = (k - 1) * math.log(1.0 - eta * eta / 2.0) + (2 * k - 1) * log_mu
-
-    log_cap = math.log(1e300)
-    overflow = log_total > log_cap
-
-    def lift(lv: float) -> float:
-        return math.exp(lv) if lv <= log_cap else math.inf
 
     S_out = S_total - S_inside
     if S_out <= 0:
@@ -184,11 +150,12 @@ def moment_split(A: GroupSet, eta: float, k: int) -> MomentSplit:
         tail_ok = log_out <= log_tail + 1e-9
     return MomentSplit(
         A=A, eta=float(eta), k=int(k),
-        inside=lift(log_inside), total=lift(log_total), tail_bound=lift(log_tail),
+        inside=capped_exp(log_inside), total=capped_exp(log_total),
+        tail_bound=capped_exp(log_tail),
         log_inside=log_inside, log_total=log_total, log_tail_bound=log_tail,
         meets_half=S_inside >= S_total / 2.0,
         tail_ok=tail_ok,
-        log_space=overflow,
+        log_space=log_total > LOG_FLOAT_CAP,
     )
 
 
@@ -228,7 +195,7 @@ def find_k(eta: float, d: float, cap: int = 10**6) -> FindKResult:
         raise ValueError(f"find_k needs eta in (0, 1/2], got {eta}")
     if d <= 0:
         raise ValueError(f"find_k needs d > 0, got {d}")
-    start = max(2, math.ceil(d * math.log(d))) if d > 1 else 2
+    start = growth_window_start(d, floor=2)
     log_base = math.log(1.0 - eta * eta / 2.0)
     k_found = None
     for k in range(start, cap + 1):

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import oracles
 from .bohr import dimension_estimate, nested_bohr_audit, rounding_check
 from .bourgain import (birkhoff_metric, constant_family, interval_family,
                        sandwich_audit, subgroup_generated, system_from_balls)
@@ -107,19 +108,6 @@ def criterion_fourier_identities(rng: np.random.Generator) -> CriterionResult:
          "runtime_limit_s": 30.0})
 
 
-def _pairwise_difference_counts(A: GroupSet) -> np.ndarray:
-    """count of (a, a') in A x A with a - a' = x, by direct enumeration."""
-    g = A.group
-    idx = A.indices()
-    coords = g.coords_table()
-    neg_coords = coords[:, g.negation_permutation()[idx]]
-    corr = np.zeros(g.order, dtype=np.int64)
-    for a in idx:
-        diffs = g.encode_array(coords[:, int(a)][:, None] + neg_coords)
-        corr += np.bincount(diffs, minlength=g.order)
-    return corr
-
-
 def criterion_spectral_identity(rng: np.random.Generator) -> CriterionResult:
     """dist(gamma, gamma_0)^2 = 2(1 - |1_A^|^2/mu^2), exhaustive, 30 instances."""
     t0 = time.perf_counter()
@@ -130,7 +118,7 @@ def criterion_spectral_identity(rng: np.random.Generator) -> CriterionResult:
         A = _random_set(rng, g)
         mu = A.measure
         # direct side: double sum via pairwise difference counts and raw phases
-        corr = _pairwise_difference_counts(A)
+        corr = oracles.pairwise_difference_counts(A)
         M = g.phase_denominator
         roots = np.exp(2j * np.pi * np.arange(M) / M)
         direct = np.empty(g.order)
@@ -139,11 +127,11 @@ def criterion_spectral_identity(rng: np.random.Generator) -> CriterionResult:
             direct[m] = (2 * mu * mu - 2 * float(np.real(np.sum(corr * vals)))) / (mu * mu)
         closed = 2.0 * (1.0 - (transform(A).magnitudes() / mu) ** 2)
         worst = max(worst, float(np.abs(direct - closed).max()))
-        # tie in the public API on a few characters, both routes
+        # tie in the public API on a few characters, against the oracle
         for m in rng.integers(0, g.order, size=3):
             gm = g.character(int(m))
-            d1 = spectral_distance(gm, g.character(0), A, method="closed")
-            d2 = spectral_distance(gm, g.character(0), A, method="direct")
+            d1 = spectral_distance(gm, g.character(0), A)
+            d2 = oracles.spectral_distance(gm, g.character(0), A)
             api_worst = max(api_worst, abs(d1 * d1 - d2 * d2))
     secs = time.perf_counter() - t0
     ok = worst <= 1e-9 and api_worst <= 1e-9

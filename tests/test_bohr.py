@@ -3,11 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from addcomb.bohr import (bohr_distance, bohr_family, bohr_set,
+from addcomb.bohr import (bohr_family, bohr_set,
                           dimension_estimate, dyadic_dimension_grid,
                           nearest_int_dist, nested_bohr_audit, rounding_check,
                           structured_growth_audit)
 from addcomb.groups import FinAbGroup
+from addcomb.oracles import bohr_distance
 from addcomb.sets import GroupSet, sumset
 
 

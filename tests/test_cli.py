@@ -206,6 +206,25 @@ def test_chang_without_k_prints_error(tmp_path, capsys):
     assert "error: cover --mode chang needs --bprime and --k" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("config,message", [
+    ({"dim_grid_cap": "abc"}, "dim_grid_cap must be an integer >= 0"),
+    ({"max_retries": "x"}, "max_retries must be an integer >= 0"),
+    ({"ratio_bound": None}, "ratio_bound must be a finite number >= 1"),
+    ({"n_max": 2.5}, "n_max must be an integer >= 2"),
+    ({"C": "a"}, "C must be a finite number >= 0"),
+    ({"max_retries": -3}, "max_retries must be an integer >= 0"),
+])
+def test_bad_freiman_config_is_usage_error(set_file, tmp_path, capsys, config, message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    code = main(["--config", str(cfg), "freiman", set_file, "--d", "1.0",
+                 "--epsilon", "0.5"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and message in captured.err
+
+
 def test_unknown_config_key_is_usage_error(set_file, tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(dumps({"dim_grid_cap": 5, "max_retrys": 1}))

@@ -4,7 +4,8 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from addcomb.groups import (FinAbGroup, GroupMismatchError, add, arg_norm,
+from addcomb.groups import (Character, FinAbGroup, GroupElement,
+                            GroupMismatchError, arg_norm,
                             character_arg_norm, eval_character)
 
 
@@ -37,7 +38,7 @@ def test_add_group_mismatch():
     a = FinAbGroup([5]).element(1)
     b = FinAbGroup([7]).element(1)
     with pytest.raises(GroupMismatchError):
-        add(a, b)
+        a + b
 
 
 def test_scale_and_negate():
@@ -89,6 +90,22 @@ def test_dual_group_law():
                 x = g.element(xi)
                 want = eval_character(g.character(m1), x) * eval_character(g.character(m2), x)
                 assert eval_character(lhs, x) == pytest.approx(want, abs=1e-9)
+
+
+def test_elements_and_characters_keep_their_class():
+    g = FinAbGroup([6, 4])
+    x, gamma = g.element((1, 3)), g.character((1, 3))
+    assert x.index == gamma.index and x.coords == gamma.coords
+    assert x != gamma and g.element(0) != g.character(0)
+    assert g.element(5) == g.element(5) and hash(g.character(5)) == hash(g.character(5))
+    for z in (x + x, -x, x - g.element(2)):
+        assert type(z) is GroupElement
+    for z in (gamma + gamma, -gamma, gamma - g.character(2)):
+        assert type(z) is Character
+    assert (gamma - gamma) == g.character(0)
+    assert repr(x) == "(1, 3)@Z_6x_4" and repr(gamma) == "chi(1, 3)@Z_6x_4"
+    with pytest.raises(AttributeError):
+        x.index = 2
 
 
 def test_arg_norm_values():

@@ -184,6 +184,28 @@ class TestFreimanConfig:
         with pytest.raises(ValueError):
             FreimanConfig(d=1.0, mode="empirical", epsilon=0.5, l=1)
 
+    @pytest.mark.parametrize("field,value", [
+        ("d", math.nan), ("d", math.inf), ("d", -1.0), ("d", True), ("d", "1"),
+        ("epsilon", math.inf), ("epsilon", 0.0), ("epsilon", math.nan),
+        ("radius", -1.0), ("radius", 0.0), ("radius", math.inf),
+        ("ratio_bound", None), ("ratio_bound", 0.5), ("ratio_bound", math.inf),
+        ("C", "a"), ("C", -0.5), ("C", None), ("C", math.nan),
+        ("l", 2.0), ("l", True), ("max_retries", -3), ("max_retries", "x"),
+        ("max_retries", None), ("n_max", 2.5), ("n_max", 1),
+        ("dim_grid_cap", -1), ("dim_grid_cap", "abc"), ("dim_grid_cap", False),
+    ])
+    def test_rejects_out_of_range_fields(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            FreimanConfig(**{"d": 1.0, "epsilon": 0.5, field: value})
+
+    def test_accepts_range_edges_without_coercion(self):
+        cfg = FreimanConfig(d=1, epsilon=0.5, radius=0.1, l=2, ratio_bound=1,
+                            C=0, max_retries=0, n_max=2, dim_grid_cap=0)
+        assert cfg.to_jsonable() == {
+            "d": 1, "mode": "empirical", "epsilon": 0.5, "l": 2, "radius": 0.1,
+            "ratio_bound": 1, "C": 0, "max_retries": 0, "n_max": 2, "dim_grid_cap": 0}
+        assert type(cfg.d) is int and type(cfg.ratio_bound) is int
+
 
 class TestRunFreiman:
     def test_subgroup_fixed_point(self):

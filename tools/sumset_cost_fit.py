@@ -22,7 +22,7 @@ import time
 import numpy as np
 
 from addcomb.groups import FinAbGroup
-from addcomb.sets import SUMSET_COST, GroupSet, sumset
+from addcomb.sets import SUMSET_COST, GroupSet, _sumset_route, sumset
 
 GROUPS = ([256], [4096], [65536], [2 ** 18], [729], [3 ** 11], [64, 64], [81, 81],
           [256, 256], [16, 16, 16], [9, 9, 9], [32, 32, 32])
@@ -80,11 +80,11 @@ def main() -> None:
                  [float(np.median(spectral_by_group[g])) for g in groups])
     fitted = (float(c0), float(c1), float(c2), float(c3))
     print("fitted SUMSET_COST =", tuple(float(f"{c:.3g}") for c in fitted))
-    for label, (c0, c1, c2, c3) in (("fitted", fitted), ("current", SUMSET_COST)):
+    for label, cost in (("fitted", fitted), ("current", SUMSET_COST)):
         misses = []
         for g, s, b, d, sp in samples:
-            spectral_wins = c2 * g.order * math.log2(g.order) + c3 < s * (c0 + c1 * b * g.rank)
-            pick, taken = ("spectral", sp) if spectral_wins else ("direct", d)
+            pick = _sumset_route(s, b, g, cost)
+            taken = sp if pick == "spectral" else d
             if taken > 1.1 * min(d, sp):
                 misses.append(f"{g!r} {s}x{b}: {pick} {taken * 1e3:.3f} ms "
                               f"vs best {min(d, sp) * 1e3:.3f} ms")
