@@ -7,6 +7,13 @@ inclusion slack keeps borderline radii deterministic when the radius itself
 arrives as a float. bohr_distance_table gives every element's distance to
 0 at once; `oracles.bohr_distance` evaluates one distance frequency by
 frequency and is its cross-check.
+
+The table takes one phase row per pair {gamma, -gamma} in the frequency set
+(||-theta|| = ||theta||). Each row is an outer sum of short digit tables,
+one pair of sqrt(n)-long tables per cycle Z_n, so no full-length modulo is
+taken; entries stay below 2M for M = lcm(n_1..n_k), which keeps the rows
+int32 while 2M < 2^31 (always, under the default order cap). Rows of small
+groups are batched into blocks of about BLOCK_CELLS cells.
 """
 
 from __future__ import annotations
@@ -25,19 +32,68 @@ INCLUSION_SLACK = 1e-9
 #: dimension grids never descend more than this many dyadic levels.
 DIM_GRID_CAP = 40
 
+#: int32 cells in one block of phase rows (rows of small groups are batched).
+BLOCK_CELLS = 1 << 20
+
 
 def bohr_distance_table(freqs: GroupSet) -> np.ndarray:
     """max_{gamma in freqs} ||gamma(x)|| for every x, as exact ratios.
 
     An empty frequency set constrains nothing (sup over the empty set is 0).
+    Since ||-theta|| = ||theta||, a gamma whose negative is also in freqs at
+    a smaller index adds nothing and gets no row. The numerators stay below
+    2M, so they are int32 while 2M < 2^31.
     """
     g = freqs.group
     M = g.phase_denominator
-    best = np.zeros(g.order, dtype=np.int64)
-    for m in freqs.indices():
-        num = g.phase_numerators(int(m))
-        np.maximum(best, np.minimum(num, M - num), out=best)
+    dtype = np.dtype(np.int32 if 2 * M < 2 ** 31 else np.int64)
+    top = dtype.type(M)
+    idx = freqs.indices()
+    coords = g.decode_array(idx)
+    neg = g.encode_array(-coords)
+    coords = coords[:, ~(freqs.mask[neg] & (neg < idx))]
+    best = np.zeros(g.order, dtype=dtype)
+    rows = max(1, BLOCK_CELLS // g.order)
+    for start in range(0, coords.shape[1], rows):
+        # |s - M| is r or M - r for the numerator r = s mod M
+        u = _phase_sums(g, coords[:, start:start + rows], dtype)
+        u -= top
+        np.abs(u, out=u)
+        np.minimum(u, top - u, out=u)
+        np.maximum(best, u.max(axis=0), out=best)
     return best / M
+
+
+def _phase_sums(g: FinAbGroup, mc: np.ndarray, dtype: np.dtype) -> np.ndarray:
+    """Phase numerators of the characters with coordinates mc (rank, k) at
+    every element, plus 0 or M: a (k, order) array with entries in [0, 2M).
+
+    Coordinate x = a*B + b (B = ceil(sqrt(n)), padded to ceil(n/B)*B and cut
+    back to n) adds (m*B*a mod n + m*b mod n) * M/n, so every full-length
+    row is an outer sum of short tables, coordinate 0 fastest; each sum that
+    feeds another is brought back into [0, M) by one conditional subtract.
+    """
+    M = g.phase_denominator
+    total = None
+    for m, n in zip(mc, g.invariants):
+        B = math.isqrt(n - 1) + 1
+        m = m[:, None]
+        hi = (m * B * np.arange(-(-n // B)) % n * (M // n)).astype(dtype)
+        lo = (m * np.arange(B) % n * (M // n)).astype(dtype)
+        row = _outer_sum(hi, lo)[:, :n]
+        total = row if total is None else _outer_sum(_mod(row, M), _mod(total, M))
+    return total
+
+
+def _outer_sum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise outer sums: out[i, j * b.shape[1] + l] = a[i, j] + b[i, l]."""
+    return (a[:, :, None] + b[:, None, :]).reshape(len(a), -1)
+
+
+def _mod(s: np.ndarray, M: int) -> np.ndarray:
+    """s mod M in place, for entries in [0, 2M)."""
+    s -= (s >= M) * s.dtype.type(M)
+    return s
 
 
 def bohr_family(freqs: GroupSet) -> Callable[[float], GroupSet]:
@@ -82,8 +138,8 @@ class BohrSet:
 
 def bohr_set(freqs: GroupSet, delta: float) -> BohrSet:
     """The Bohr set of the given frequency set; delta >= 1/2 gives all of G."""
-    if delta < 0:
-        raise ValueError(f"bohr_set needs delta >= 0, got {delta}")
+    if not (math.isfinite(delta) and delta >= 0):
+        raise ValueError(f"bohr_set needs a finite delta >= 0, got {delta}")
     members = bohr_family(freqs)(delta)
     return BohrSet(freqs, float(delta), members)
 

@@ -52,7 +52,7 @@ def _load_config(path: str | None) -> dict:
 
 def _cmd_analyze(args, cfg) -> int:
     A = load_set(args.set)
-    n_max = args.n_max or cfg.get("n_max", 8)
+    n_max = args.n_max if args.n_max is not None else cfg.get("n_max", 8)
     profile = growth_profile(A, args.d, n_max)
     _emit({"set": set_to_json(A), "growth_profile": profile.to_jsonable()}, args.out)
     return 0

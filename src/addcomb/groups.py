@@ -101,13 +101,15 @@ class FinAbGroup:
         return tuple((index // s) % n
                      for n, s in zip(self.invariants, self._strides))
 
+    def decode_array(self, indices: np.ndarray) -> np.ndarray:
+        """Vectorized decode: int64 array of shape (rank, len(indices))."""
+        idx = np.asarray(indices, dtype=np.int64)
+        return np.stack([(idx // s) % n for n, s in zip(self.invariants, self._strides)])
+
     def coords_table(self) -> np.ndarray:
         """int64 array of shape (rank, order): coordinates of every index."""
         if self._coords is None:
-            idx = np.arange(self.order, dtype=np.int64)
-            self._coords = np.stack(
-                [(idx // s) % n for n, s in zip(self.invariants, self._strides)]
-            )
+            self._coords = self.decode_array(np.arange(self.order, dtype=np.int64))
             self._coords.setflags(write=False)
         return self._coords
 
@@ -164,16 +166,6 @@ class FinAbGroup:
         total = 0
         for m, x, n in zip(mc, xc, self.invariants):
             total += ((m * x) % n) * (M // n)
-        return total % M
-
-    def phase_numerators(self, m_index: int) -> np.ndarray:
-        """Exact phase numerators of character m at every element (int64)."""
-        M = self.phase_denominator
-        mc = self.decode(m_index)
-        coords = self.coords_table()
-        total = np.zeros(self.order, dtype=np.int64)
-        for m, col, n in zip(mc, coords, self.invariants):
-            total += ((m * col) % n) * (M // n)
         return total % M
 
 

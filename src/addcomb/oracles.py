@@ -18,6 +18,17 @@ from .groups import Character, FinAbGroup, GroupElement, GroupMismatchError
 from .sets import GroupSet
 
 
+def phase_numerators(group: FinAbGroup, m_index: int) -> np.ndarray:
+    """Exact phase numerators of character m at every element (int64)."""
+    M = group.phase_denominator
+    mc = group.decode(m_index)
+    coords = group.coords_table()
+    total = np.zeros(group.order, dtype=np.int64)
+    for m, col, n in zip(mc, coords, group.invariants):
+        total += ((m * col) % n) * (M // n)
+    return total % M
+
+
 def naive_transform(f, group: FinAbGroup | None = None) -> DualFunction:
     """f^(gamma_m) = sum_x f(x) conj(gamma_m(x)), one character at a time."""
     group, values = _as_values(f, group)
@@ -25,7 +36,7 @@ def naive_transform(f, group: FinAbGroup | None = None) -> DualFunction:
     M = group.phase_denominator
     out = np.empty(group.order, dtype=np.complex128)
     for m in range(group.order):
-        num = group.phase_numerators(m)
+        num = phase_numerators(group, m)
         out[m] = np.sum(values * np.exp(-2j * np.pi * num / M))
     return DualFunction(group, out)
 
@@ -54,7 +65,7 @@ def spectral_distance(gamma: Character, gamma2: Character, A: GroupSet) -> float
     if gamma.group != gamma2.group or gamma.group != A.group:
         raise GroupMismatchError("characters and set must share one group")
     g = A.group
-    num = g.phase_numerators((gamma - gamma2).index)
+    num = phase_numerators(g, (gamma - gamma2).index)
     vals = np.exp(1j * (2.0 * np.pi * num / g.phase_denominator))
     total = float(np.sum(np.abs(1.0 - vals[difference_table(A)]) ** 2))
     return math.sqrt(total) / A.measure

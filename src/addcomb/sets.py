@@ -18,6 +18,7 @@ operand times the larger one, while the FFT cost depends on |G| only.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -374,8 +375,12 @@ class Multiples:
         A = self.A
         if A.cardinality == 0:
             raise ValueError("growth_profile needs a nonempty set")
-        if n_max < 2:
-            raise ValueError(f"growth_profile needs n_max >= 2, got {n_max}")
+        if isinstance(n_max, bool) or not isinstance(n_max, numbers.Integral) \
+                or n_max < 2:
+            raise ValueError(f"growth_profile needs an integer n_max >= 2, got {n_max!r}")
+        if isinstance(d, bool) or not isinstance(d, numbers.Real) \
+                or not math.isfinite(d) or d <= 0:
+            raise ValueError(f"growth_profile needs a finite d > 0, got {d!r}")
         rows = []
         for n in range(1, n_max + 1):
             mu = self[n].measure

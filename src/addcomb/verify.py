@@ -123,7 +123,7 @@ def criterion_spectral_identity(rng: np.random.Generator) -> CriterionResult:
         roots = np.exp(2j * np.pi * np.arange(M) / M)
         direct = np.empty(g.order)
         for m in range(g.order):
-            vals = roots[g.phase_numerators(m)]
+            vals = roots[oracles.phase_numerators(g, m)]
             direct[m] = (2 * mu * mu - 2 * float(np.real(np.sum(corr * vals)))) / (mu * mu)
         closed = 2.0 * (1.0 - (transform(A).magnitudes() / mu) ** 2)
         worst = max(worst, float(np.abs(direct - closed).max()))

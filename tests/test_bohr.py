@@ -2,14 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from addcomb.bohr import (bohr_family, bohr_set,
+from addcomb import bohr
+from addcomb.bohr import (bohr_distance_table, bohr_family, bohr_set,
                           dimension_estimate, dyadic_dimension_grid,
                           nearest_int_dist, nested_bohr_audit, rounding_check,
                           structured_growth_audit)
 from addcomb.groups import FinAbGroup
-from addcomb.oracles import bohr_distance
-from addcomb.sets import GroupSet, sumset
+from addcomb.oracles import bohr_distance, phase_numerators
+from addcomb.sets import GroupSet, negate, sumset
 
 
 def freq_set(g, *indices):
@@ -69,6 +71,87 @@ class TestBohrSet:
         g = FinAbGroup([8])
         with pytest.raises(ValueError):
             bohr_set(freq_set(g, 1), -0.5)
+
+    @pytest.mark.parametrize("delta", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_radius_before_the_table(self, monkeypatch, delta):
+        def no_table(freqs):
+            raise AssertionError("distance table built for a bad radius")
+
+        monkeypatch.setattr(bohr, "bohr_distance_table", no_table)
+        g = FinAbGroup([8])
+        with pytest.raises(ValueError, match="delta"):
+            bohr_set(freq_set(g, 1), delta)
+
+
+def oracle_table(freqs):
+    """max over freqs of min(num, M - num) / M, one oracle phase row per frequency."""
+    g = freqs.group
+    M = g.phase_denominator
+    best = np.zeros(g.order, dtype=np.int64)
+    for m in freqs.indices():
+        num = phase_numerators(g, int(m))
+        best = np.maximum(best, np.minimum(num, M - num))
+    return best / M
+
+
+def assert_matches_oracle(freqs):
+    table, expected = bohr_distance_table(freqs), oracle_table(freqs)
+    assert table.dtype == expected.dtype
+    assert np.array_equal(table, expected)
+
+
+# prime, square and non-square cycle lengths; 35 = 6*6 - 1 and 63 = 8*8 - 1
+# leave one padded digit cell to cut off
+CYCLES = [2, 3, 5, 7, 13, 31, 4, 9, 16, 25, 36, 6, 10, 12, 35, 45, 63]
+
+
+@st.composite
+def frequency_sets(draw):
+    """Frequency sets over groups of rank 1-3: symmetric, asymmetric (with a
+    gamma whose negative is absent), empty, or the trivial character alone."""
+    rank = draw(st.integers(1, 3))
+    g = FinAbGroup(draw(st.lists(st.sampled_from(CYCLES), min_size=rank, max_size=rank)))
+    kind = draw(st.sampled_from(["symmetric", "asymmetric", "empty", "zero"]))
+    if kind == "empty":
+        return GroupSet.empty(g)
+    if kind == "zero":
+        return freq_set(g, 0)
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    picks = GroupSet.from_indices(g, rng.integers(0, g.order, size=draw(st.integers(1, 12))))
+    if kind == "symmetric":
+        return picks | negate(picks)
+    neg = g.negation_permutation()
+    lone = np.flatnonzero(neg != np.arange(g.order))
+    if lone.size == 0:  # every character is its own negative
+        return picks
+    m = lone[rng.integers(lone.size)]
+    mask = picks.mask.copy()
+    mask[m], mask[neg[m]] = True, False
+    return GroupSet(g, mask)
+
+
+class TestBohrDistanceTable:
+    @settings(max_examples=150, deadline=None)
+    @given(frequency_sets())
+    def test_matches_oracle_bit_for_bit(self, freqs):
+        assert_matches_oracle(freqs)
+
+    def test_padded_digits(self):
+        g = FinAbGroup([35, 63])
+        assert_matches_oracle(freq_set(g, 1, 36, 100, 2204, 2204 - 35))
+
+    def test_small_group_rows_span_several_blocks(self):
+        g = FinAbGroup([4096])
+        rng = np.random.default_rng(5)
+        freqs = GroupSet.from_indices(g, rng.integers(0, g.order, size=700))
+        assert freqs.cardinality * g.order > 2 * bohr.BLOCK_CELLS
+        assert_matches_oracle(freqs)
+        assert_matches_oracle(freqs | negate(freqs))
+
+    def test_one_row_per_block_on_a_large_group(self):
+        g = FinAbGroup([2 ** 20])
+        assert g.order >= bohr.BLOCK_CELLS
+        assert_matches_oracle(freq_set(g, 1, 3, 2 ** 20 - 3, 12345))
 
 
 class TestBohrDistance:

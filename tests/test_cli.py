@@ -2,6 +2,8 @@ import json
 
 import pytest
 
+import addcomb.bohr
+import addcomb.sets
 from addcomb.cli import main
 from addcomb.serialize import dumps
 
@@ -41,6 +43,48 @@ def test_bohr(tmp_path, capsys):
     assert code == 0
     members = sorted(c[0] for c in payload["members"]["elements"])
     assert members == [0, 1, 2, 14, 15]
+
+
+def no_work(*args, **kwargs):
+    raise AssertionError("work started before the parameters were checked")
+
+
+@pytest.mark.parametrize("d,flags,config,message", [
+    ("1.0", ["--n-max", "1"], None, "integer n_max >= 2"),
+    ("1.0", ["--n-max", "0"], None, "integer n_max >= 2"),
+    ("1.0", [], {"n_max": 2.5}, "integer n_max >= 2"),
+    ("1.0", [], {"n_max": "x"}, "integer n_max >= 2"),
+    ("1.0", [], {"n_max": True}, "integer n_max >= 2"),
+    ("nan", [], None, "finite d > 0"),
+    ("inf", [], None, "finite d > 0"),
+    ("0", [], None, "finite d > 0"),
+    ("-1", [], None, "finite d > 0"),
+])
+def test_bad_analyze_parameters_are_usage_errors(set_file, tmp_path, capsys, monkeypatch,
+                                                 d, flags, config, message):
+    monkeypatch.setattr(addcomb.sets, "sumset", no_work)
+    argv = ["analyze", set_file, f"--d={d}"] + flags
+    if config is not None:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        argv = ["--config", str(cfg)] + argv
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and message in captured.err
+
+
+@pytest.mark.parametrize("radius", ["nan", "inf", "-inf"])
+def test_bohr_non_finite_radius_is_usage_error(tmp_path, capsys, monkeypatch, radius):
+    monkeypatch.setattr(addcomb.bohr, "bohr_distance_table", no_work)
+    freqs = tmp_path / "freqs.json"
+    freqs.write_text(dumps({"group": {"cycles": [16]}, "elements": [[1]]}))
+    code = main(["bohr", "--freqs", str(freqs), f"--radius={radius}"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "finite delta >= 0" in captured.err
 
 
 def test_cover_chang(tmp_path, capsys):
