@@ -11,9 +11,9 @@ frequency and is its cross-check.
 The table takes one phase row per pair {gamma, -gamma} in the frequency set
 (||-theta|| = ||theta||). Each row is an outer sum of short digit tables,
 one pair of sqrt(n)-long tables per cycle Z_n, so no full-length modulo is
-taken; entries stay below 2M for M = lcm(n_1..n_k), which keeps the rows
-int32 while 2M < 2^31 (always, under the default order cap). Rows of small
-groups are batched into blocks of about BLOCK_CELLS cells.
+taken; entries stay below 2M for M = lcm(n_1..n_k) <= |G| <= 2^22 (the
+group order cap), so the rows are int32. Rows of small groups are batched
+into blocks of about BLOCK_CELLS cells.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .groups import FinAbGroup
+from .serialize import set_to_json
 from .sets import GroupSet, iterate, prog, sumset
 
 INCLUSION_SLACK = 1e-9
@@ -42,21 +43,20 @@ def bohr_distance_table(freqs: GroupSet) -> np.ndarray:
     An empty frequency set constrains nothing (sup over the empty set is 0).
     Since ||-theta|| = ||theta||, a gamma whose negative is also in freqs at
     a smaller index adds nothing and gets no row. The numerators stay below
-    2M, so they are int32 while 2M < 2^31.
+    2M < 2^31, so they are int32.
     """
     g = freqs.group
     M = g.phase_denominator
-    dtype = np.dtype(np.int32 if 2 * M < 2 ** 31 else np.int64)
-    top = dtype.type(M)
+    top = np.int32(M)
     idx = freqs.indices()
     coords = g.decode_array(idx)
     neg = g.encode_array(-coords)
     coords = coords[:, ~(freqs.mask[neg] & (neg < idx))]
-    best = np.zeros(g.order, dtype=dtype)
+    best = np.zeros(g.order, dtype=np.int32)
     rows = max(1, BLOCK_CELLS // g.order)
     for start in range(0, coords.shape[1], rows):
         # |s - M| is r or M - r for the numerator r = s mod M
-        u = _phase_sums(g, coords[:, start:start + rows], dtype)
+        u = _phase_sums(g, coords[:, start:start + rows])
         u -= top
         np.abs(u, out=u)
         np.minimum(u, top - u, out=u)
@@ -64,7 +64,7 @@ def bohr_distance_table(freqs: GroupSet) -> np.ndarray:
     return best / M
 
 
-def _phase_sums(g: FinAbGroup, mc: np.ndarray, dtype: np.dtype) -> np.ndarray:
+def _phase_sums(g: FinAbGroup, mc: np.ndarray) -> np.ndarray:
     """Phase numerators of the characters with coordinates mc (rank, k) at
     every element, plus 0 or M: a (k, order) array with entries in [0, 2M).
 
@@ -78,8 +78,8 @@ def _phase_sums(g: FinAbGroup, mc: np.ndarray, dtype: np.dtype) -> np.ndarray:
     for m, n in zip(mc, g.invariants):
         B = math.isqrt(n - 1) + 1
         m = m[:, None]
-        hi = (m * B * np.arange(-(-n // B)) % n * (M // n)).astype(dtype)
-        lo = (m * np.arange(B) % n * (M // n)).astype(dtype)
+        hi = (m * B * np.arange(-(-n // B)) % n * (M // n)).astype(np.int32)
+        lo = (m * np.arange(B) % n * (M // n)).astype(np.int32)
         row = _outer_sum(hi, lo)[:, :n]
         total = row if total is None else _outer_sum(_mod(row, M), _mod(total, M))
     return total
@@ -124,15 +124,9 @@ class BohrSet:
 
     def to_jsonable(self) -> dict:
         return {
-            "frequencies": {
-                "group": {"cycles": list(self.frequencies.group.invariants)},
-                "elements": [list(c) for c in self.frequencies.coords_list()],
-            },
+            "frequencies": set_to_json(self.frequencies),
             "radius": self.radius,
-            "members": {
-                "group": {"cycles": list(self.members.group.invariants)},
-                "elements": [list(c) for c in self.members.coords_list()],
-            },
+            "members": set_to_json(self.members),
         }
 
 

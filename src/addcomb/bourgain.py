@@ -4,7 +4,12 @@ A system samples a monotone radius family on the ternary grid
 {2} u {3^-k} u {2*3^-k} (the dyadic points exist so the growth axiom has
 on-grid pairs) and audits the four axioms: symmetric neighborhood, nesting,
 subadditivity, dyadic growth. Grid radii are kept as exact Fractions; the
-family itself is called with floats.
+family itself is called with floats. The subadditivity audit checks
+S_r + S_r' inside S_t for every pair r <= r' with r + r' <= 2, where t is
+the least grid radius >= r + r' (found by bisection). For each r it walks r'
+upward, stops at the first sum past 2, and sums S_r + S_r' only when S_r'
+differs from the level before it, so a constant run of levels costs one
+sumset per r.
 
 The metric: rho*(x) = inf{2^-k : x in S_{3^-k}, k >= 0}, and rho is the
 chain infimum, the least total rho*(y) over chains of steps y from 0 to x.
@@ -23,6 +28,7 @@ and rho is exact in float64.
 
 from __future__ import annotations
 
+import bisect
 import math
 import numbers
 from dataclasses import dataclass
@@ -77,9 +83,6 @@ class BourgainSystem:
     @property
     def radii(self) -> list[Fraction]:
         return sorted(self.levels)
-
-    def level(self, radius: Fraction) -> GroupSet:
-        return self.levels[radius]
 
     def ternary_radii(self) -> list[Fraction]:
         """The rho* levels 3^-k, k = 0..depth, shallow to deep."""
@@ -166,13 +169,18 @@ def system_from_balls(family: Callable[[float], GroupSet], d: float,
 
     subadditive_ok = True
     two = Fraction(2)
+    # same[j]: the level at radii[j] equals the one below it, so its sums repeat
+    same = [False] + [levels[hi] == levels[lo] for lo, hi in zip(radii, radii[1:])]
     for i, r1 in enumerate(radii):
-        for r2 in radii[i:]:
+        for j in range(i, len(radii)):
+            r2 = radii[j]
             s = r1 + r2
             if s > two:
-                continue
-            target = min(r for r in radii if r >= s)  # round up to the grid
-            if not sumset(levels[r1], levels[r2]).is_subset_of(levels[target]):
+                break  # the radii are sorted, so every later sum is past 2 too
+            if j == i or not same[j]:
+                total = sumset(levels[r1], levels[r2])
+            target = radii[bisect.bisect_left(radii, s)]  # round up to the grid
+            if not total.is_subset_of(levels[target]):
                 subadditive_ok = False
                 violations.append(
                     f"subadditivity fails: S_{float(r1):g} + S_{float(r2):g} "

@@ -17,7 +17,7 @@ from .bourgain import (GRID_DEPTH_CAP, birkhoff_metric, constant_family,
                        interval_family, sandwich_audit, system_from_balls)
 from .covering import chang_cover, ruzsa_cover
 from .pipeline import FreimanConfig, run_freiman
-from .serialize import dumps, group_from_json, load_set, set_to_json
+from .serialize import dumps, group_from_json, load_set, set_from_json, set_to_json
 from .sets import GroupSet, growth_profile
 from .spectrum import lspec
 from .verify import SUITES, run_suite
@@ -99,12 +99,8 @@ def _system_from_file(path: str, cfg: dict):
         group = group_from_json(spec["group"])
         fam = interval_family(group, float(spec["scale"]))
     elif "constant" in obj:
-        from .serialize import set_from_json
-
         fam = constant_family(set_from_json(obj["constant"]))
     elif "levels" in obj:
-        from .serialize import set_from_json
-
         levels = sorted(
             ((float(lv["radius"]), set_from_json(lv["set"])) for lv in obj["levels"]),
             key=lambda p: p[0])

@@ -1,10 +1,10 @@
 """Ruzsa and Chang covering lemmas as deterministic greedy algorithms.
 
 Both greedies scan candidates in canonical index order, so identical inputs
-give identical covers. Dissociativity is decided set-wise: the reach set of
-all nonzero {-1,0,1}-coefficient combinations is grown one generator at a
-time and intersected with B'-B', which is the signed-sum test without the
-3^|T| enumeration.
+give identical covers. Dissociativity is decided set-wise: the set
+(B'-B') + reach(T) of B'-B' shifted by every {-1,0,1}-coefficient
+combination grows one generator at a time, and each new generator must
+avoid it, which is the signed-sum test without the 3^|T| enumeration.
 """
 
 from __future__ import annotations
@@ -38,10 +38,6 @@ class CoverCertificate:
     size_bound_verified: bool
     parameters: dict = field(default_factory=dict)
 
-    @property
-    def valid(self) -> bool:
-        return self.containment_verified and self.size_bound_verified
-
     def to_jsonable(self) -> dict:
         return {
             "kind": self.kind,
@@ -62,9 +58,8 @@ def ruzsa_cover(B: GroupSet) -> CoverCertificate:
     if B.cardinality == 0:
         raise ValueError("ruzsa_cover needs a nonempty set")
     g = B.group
-    twoB = iterate(2, B)
-    S = difference(twoB, twoB)  # 2B - 2B
     BmB = difference(B, B)
+    S = sumset(BmB, BmB)  # 2B - 2B
     forbidden = np.zeros(g.order, dtype=bool)
     T: list[int] = []
     for x in S.indices():
@@ -90,15 +85,9 @@ def ruzsa_cover(B: GroupSet) -> CoverCertificate:
     )
 
 
-def _reach_nonzero(T: Sequence[GroupElement], group) -> GroupSet:
-    """{sum tau_t * t : tau in {-1,0,1}^T, tau != 0} as a set."""
-    N = np.zeros(group.order, dtype=bool)
-    for t in T:
-        cur = GroupSet(group, N)
-        N = (N | cur.translate(t).mask | cur.translate(-t).mask)
-        N[t.index] = True
-        N[(-t).index] = True
-    return GroupSet(group, N)
+def _signed_step(forbidden: GroupSet, x: GroupElement) -> GroupSet:
+    """forbidden | (forbidden + x) | (forbidden - x): one generator joins reach."""
+    return forbidden | forbidden.translate(x) | forbidden.translate(-x)
 
 
 def is_dissociated(T: Sequence[GroupElement], Bp: GroupSet,
@@ -106,7 +95,10 @@ def is_dissociated(T: Sequence[GroupElement], Bp: GroupSet,
     """True when the 0/1-combination translates of T by B' are pairwise disjoint.
 
     Equivalent difference form: no nonzero {-1,0,1} combination of T lies in
-    B'-B'. Empty T is vacuously dissociated.
+    B'-B'. Empty T is vacuously dissociated. The test is the Chang greedy's
+    own: t_i must avoid (B'-B') + reach({t_j : j < i}). A combination whose
+    last nonzero coefficient sits at i lies in B'-B' exactly when +-t_i does
+    lie in that set, since B'-B' and every reach set are symmetric.
     """
     if len(T) > guard:
         raise GuardExceededError(f"|T| = {len(T)} exceeds dissociation guard {guard}")
@@ -114,11 +106,12 @@ def is_dissociated(T: Sequence[GroupElement], Bp: GroupSet,
     for t in T:
         if t.group != g:
             raise GroupMismatchError("generators must live over the group of B'")
-    if not T:
-        return True
-    Dp = difference(Bp, Bp)
-    reach = _reach_nonzero(T, g)
-    return (reach & Dp).cardinality == 0
+    forbidden = difference(Bp, Bp)  # (B'-B') + reach({}), reach({}) = {0}
+    for t in T:
+        if t in forbidden:
+            return False
+        forbidden = _signed_step(forbidden, t)
+    return True
 
 
 def chang_cover(B: GroupSet, Bp: GroupSet, k: int,
@@ -148,19 +141,17 @@ def _chang_cover(B: GroupSet, Bp: GroupSet, k: int, guard: int = DISSOCIATION_GU
     precondition_held = kB_plus_Bp.measure < (2 ** k) * Bp.measure
 
     Dp = difference(Bp, Bp)
-    forbidden = Dp.mask.copy()  # (B'-B') + reach(T), reach({}) = {0}
+    forbidden = Dp  # (B'-B') + reach(T), reach({}) = {0}
     T: list[int] = []
     guard_exceeded = False
     for x in B.indices():
-        if forbidden[x]:
+        if forbidden.mask[x]:
             continue
         if len(T) >= guard:
             guard_exceeded = True
             break
         T.append(int(x))
-        x_el = GroupElement(g, int(x))
-        cur = GroupSet(g, forbidden)
-        forbidden = forbidden | cur.translate(x_el).mask | cur.translate(-x_el).mask
+        forbidden = _signed_step(forbidden, GroupElement(g, int(x)))
 
     elems = tuple(GroupElement(g, i) for i in T)
     P = prog(list(elems), 1, group=g)

@@ -24,7 +24,9 @@ from typing import Iterator, Sequence
 import numpy as np
 
 #: Hard cap on group order; guards exhaustive scans against accidental blow-up.
-DEFAULT_ORDER_CAP = 1 << 22
+#: Fixed, because other bounds rest on it: bourgain.MAX_DEPTH (|G| * 2^depth
+#: <= 2^53) and the int32 rows of bohr.bohr_distance_table (2|G| < 2^31).
+ORDER_CAP = 1 << 22
 
 
 class GroupMismatchError(ValueError):
@@ -48,15 +50,15 @@ class FinAbGroup:
     __slots__ = ("invariants", "order", "phase_denominator",
                  "_strides", "_coords", "_neg_perm")
 
-    def __init__(self, cycles: Sequence[int], order_cap: int = DEFAULT_ORDER_CAP):
+    def __init__(self, cycles: Sequence[int]):
         cycles = tuple(int(n) for n in cycles)
         if not cycles:
             raise ValueError("need at least one cycle length")
         if any(n < 2 for n in cycles):
             raise ValueError(f"cycle lengths must be >= 2, got {cycles}")
         order = math.prod(cycles)
-        if order > order_cap:
-            raise ValueError(f"group order {order} exceeds cap {order_cap}")
+        if order > ORDER_CAP:
+            raise ValueError(f"group order {order} exceeds cap {ORDER_CAP}")
         self.invariants = cycles
         self.order = order
         self.phase_denominator = math.lcm(*cycles)

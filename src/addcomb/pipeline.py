@@ -23,8 +23,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bohr import (INCLUSION_SLACK, BohrSet, bohr_distance_table, bohr_set,
-                   dimension_estimate, dyadic_dimension_grid, table_family,
+from .bohr import (DIM_GRID_CAP, INCLUSION_SLACK, BohrSet, bohr_distance_table,
+                   bohr_set, dimension_estimate, dyadic_dimension_grid, table_family,
                    DimensionEstimate)
 from .covering import CoverCertificate, _chang_cover
 from .fourier import transform
@@ -50,7 +50,7 @@ class FreimanConfig:
     C: float = 1.0
     max_retries: int = 4
     n_max: int | None = None       # growth scan window end
-    dim_grid_cap: int = 40
+    dim_grid_cap: int = DIM_GRID_CAP
 
     def __post_init__(self):
         if self.mode not in ("paper", "empirical"):

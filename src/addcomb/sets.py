@@ -13,6 +13,10 @@ lower modelled cost,
 with the constants SUMSET_COST fitted by tools/sumset_cost_fit.py. No rule
 on |A| * |B| alone can choose well: the direct cost grows with the smaller
 operand times the larger one, while the FFT cost depends on |G| only.
+
+Multiples is the one route to the n-fold sumsets nA: it keeps every
+multiple it has built, reuses known ones, and halves where none fits, so
+iterate(n, A) is Multiples(A)[n].
 """
 
 from __future__ import annotations
@@ -241,23 +245,8 @@ def difference(A: GroupSet, B: GroupSet) -> GroupSet:
 
 
 def iterate(n: int, A: GroupSet) -> GroupSet:
-    """The n-fold sumset nA, computed by doubling; iterate(1, A) = A."""
-    if n < 1:
-        raise ValueError(f"iterate needs n >= 1, got {n}")
-    g = A.group
-    full = GroupSet.full(g)
-    result: GroupSet | None = None
-    power = A
-    while n:
-        if n & 1:
-            result = power if result is None else sumset(result, power)
-            if result == full:
-                return full
-        n >>= 1
-        if n:
-            power = sumset(power, power)
-    assert result is not None
-    return result
+    """The n-fold sumset nA; iterate(1, A) = A."""
+    return Multiples(A)[n]
 
 
 def multiples(t: GroupElement, L: int) -> GroupSet:
@@ -349,7 +338,9 @@ class Multiples:
 
     multiples[n] is mA + (n-m)A for the largest known m with (n-m)A known,
     so asking for n = 2, 3, ... in turn steps by A and asking for 2l, 3l, ...
-    after l steps by lA. Once a multiple is all of G, every later one is.
+    after l steps by lA. With no such m it is (n//2)A + (n - n//2)A, which
+    builds a fresh nA in as many sumsets as binary doubling for n <= 16.
+    Once a multiple is all of G, every later one is.
     """
 
     __slots__ = ("A", "_known")
@@ -364,8 +355,8 @@ class Multiples:
             if n < 1:
                 raise ValueError(f"multiples need n >= 1, got {n}")
             splits = [m for m in known if m < n and n - m in known]
-            m = max(splits) if splits else n - 1
-            part, rest = self[m], known[n - m]
+            m = max(splits, default=n // 2)
+            part, rest = self[m], self[n - m]
             bigger = max(part, rest, key=len)
             known[n] = bigger if len(bigger) == self.A.group.order else sumset(part, rest)
         return known[n]

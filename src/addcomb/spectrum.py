@@ -20,6 +20,7 @@ import numpy as np
 
 from .fourier import LOG_FLOAT_CAP, capped_exp, normalized_powers, transform
 from .groups import Character, GroupMismatchError
+from .serialize import set_to_json
 from .sets import GroupSet, growth_window_start
 
 #: inclusion-favoring slack: borderline characters land inside the spectrum.
@@ -41,17 +42,21 @@ class Spectrum:
         return self.members.cardinality
 
     def to_jsonable(self) -> dict:
-        return {
-            "group": {"cycles": list(self.members.group.invariants)},
-            "elements": [list(c) for c in self.members.coords_list()],
-            "delta": self.delta,
-            "threshold": self.threshold,
-        }
+        return {**set_to_json(self.members), "delta": self.delta,
+                "threshold": self.threshold}
 
 
 def lspec(A: GroupSet, delta: float, slack: float = THRESHOLD_SLACK) -> Spectrum:
     """LSpec(A, delta); delta >= sqrt(2) yields the full dual group."""
+    _check_cut(A, delta)
     return cut_spectrum(A, transform(A).magnitudes(), delta, slack)
+
+
+def _check_cut(A: GroupSet, delta: float) -> None:
+    if A.cardinality == 0:
+        raise ValueError("lspec needs a nonempty set")
+    if not (math.isfinite(delta) and delta >= 0):
+        raise ValueError(f"lspec needs a finite delta >= 0, got {delta}")
 
 
 def cut_spectrum(A: GroupSet, magnitudes: np.ndarray, delta: float,
@@ -61,10 +66,7 @@ def cut_spectrum(A: GroupSet, magnitudes: np.ndarray, delta: float,
     Spectra of one set at several deltas are thresholds of one magnitude
     array, so a caller holding it needs no further transform.
     """
-    if A.cardinality == 0:
-        raise ValueError("lspec needs a nonempty set")
-    if delta < 0:
-        raise ValueError(f"lspec needs delta >= 0, got {delta}")
+    _check_cut(A, delta)
     mu = float(A.measure)
     threshold = math.sqrt(max(0.0, 1.0 - delta * delta / 2.0)) * mu
     members = GroupSet(A.group.dual(), magnitudes >= threshold - slack * mu)

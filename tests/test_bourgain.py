@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import addcomb.sets
+from addcomb import verify
 from addcomb.bohr import bohr_family, dimension_estimate, dyadic_dimension_grid
 from addcomb.bourgain import (MAX_DEPTH, BirkhoffMetric, BourgainSystem,
                               birkhoff_metric, constant_family, interval_family,
@@ -108,6 +110,55 @@ def clean_systems(draw):
 VERIFY_SYSTEMS = _birkhoff_systems()
 
 
+def reference_audit(system: BourgainSystem) -> tuple[tuple[bool, ...], list[str]]:
+    """Oracle: the four axiom flags and the violations, every pair summed afresh
+    and every round-up target found by a scan of all radii."""
+    levels, radii, d = system.levels, sorted(system.levels), system.d
+    symmetric, nesting, subadditive, growth = [], [], [], []
+    for r in radii:
+        if not levels[r].contains_zero():
+            symmetric.append(f"level {float(r):g} misses 0")
+        if not levels[r].is_symmetric():
+            symmetric.append(f"level {float(r):g} is not symmetric")
+    for lo, hi in zip(radii, radii[1:]):
+        if not levels[lo].is_subset_of(levels[hi]):
+            nesting.append(f"nesting fails at {float(lo):g} vs {float(hi):g}")
+    for r1 in radii:
+        for r2 in radii:
+            if r2 < r1 or r1 + r2 > 2:
+                continue
+            target = min(r for r in radii if r >= r1 + r2)
+            if not addcomb.sets.sumset(levels[r1], levels[r2]).is_subset_of(levels[target]):
+                subadditive.append(f"subadditivity fails: S_{float(r1):g} + S_{float(r2):g} "
+                                   f"not in S_{float(target):g}")
+    for r in (r for r in radii if 2 * r in levels):
+        small, big = levels[r].measure, levels[2 * r].measure
+        if small > 1 and big > 2.0 ** d * small * (1 + 1e-12):
+            growth.append(f"growth fails at {float(r):g}: {big} > 2^{d:g} * {small}")
+    flags = (not symmetric, not nesting, not subadditive, not growth)
+    return flags, symmetric + nesting + subadditive + growth
+
+
+def random_levels_system(rng: np.random.Generator) -> BourgainSystem:
+    """A step family like the CLI's "levels" systems: a few random sets, each
+    held from its radius up to the next, so long runs of levels are equal."""
+    g = FinAbGroup([int(n) for n in rng.integers(3, 13, size=int(rng.integers(1, 3)))])
+    steps = []
+    for radius in sorted(rng.choice([0.0, 1 / 27, 1 / 9, 2 / 9, 0.3, 2 / 3, 1.0, 2.0],
+                                    size=int(rng.integers(2, 6)), replace=False)):
+        mask = rng.random(g.order) < rng.uniform(0.05, 0.5)
+        if rng.random() < 0.8:
+            mask |= mask[g.negation_permutation()]
+        mask[0] |= rng.random() < 0.9
+        steps.append((radius, GroupSet(g, mask)))
+
+    def family(delta: float) -> GroupSet:
+        return max((p for p in steps if p[0] <= delta), default=steps[0], key=lambda p: p[0])[1]
+
+    K = int(rng.integers(1, 7)) if rng.random() < 0.8 else None
+    return system_from_balls(family, d=float(rng.choice([0.0, 0.5, 1.0, 2.0])), K=K, cap=6)
+
+
 class TestSystemFromBalls:
     def test_subgroup_system_clean_at_d0(self):
         g = FinAbGroup([32])
@@ -171,6 +222,42 @@ class TestSystemFromBalls:
         shrink = lambda r: GroupSet.interval(g, 1 if r > 0.5 else 3)
         system = system_from_balls(shrink, d=1.0, K=2)
         assert not system.audit.nesting_ok
+
+    def test_audit_matches_all_pairs_oracle_on_levels_systems(self):
+        rng = np.random.default_rng(2007)
+        failing = 0
+        for _ in range(60):
+            system = random_levels_system(rng)
+            audit = system.audit
+            flags, violations = reference_audit(system)
+            assert (audit.symmetric_ok, audit.nesting_ok, audit.subadditive_ok,
+                    audit.growth_ok) == flags
+            assert list(audit.violations) == violations
+            failing += not audit.subadditive_ok
+        assert failing >= 20
+
+    def test_constant_family_sums_once_per_radius(self, record_calls):
+        g = FinAbGroup([256])
+        H = subgroup_generated(g, [g.element(16)])
+        sums = record_calls(addcomb.sets, "sumset")
+        system = system_from_balls(constant_family(H), d=0.0)
+        assert system.audit.all_pass and len(system.radii) == 42
+        assert len(sums) <= len(system.radii)
+
+    def test_sumset_budget_on_verify_systems(self, record_calls, monkeypatch):
+        sums = record_calls(addcomb.sets, "sumset")
+        made = []
+
+        def counted(*args, **kwargs):
+            before = len(sums)
+            system = system_from_balls(*args, **kwargs)
+            made.append(len(sums) - before)
+            return system
+
+        monkeypatch.setattr(verify, "system_from_balls", counted)
+        _birkhoff_systems()
+        assert len(made) == 12
+        assert sum(made) <= 430  # 2894 when every pair is summed afresh
 
 
 class TestBirkhoffMetric:

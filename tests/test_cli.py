@@ -3,7 +3,9 @@ import json
 import pytest
 
 import addcomb.bohr
+import addcomb.fourier
 import addcomb.sets
+import addcomb.spectrum
 from addcomb.cli import main
 from addcomb.serialize import dumps
 
@@ -81,6 +83,17 @@ def test_bohr_non_finite_radius_is_usage_error(tmp_path, capsys, monkeypatch, ra
     freqs = tmp_path / "freqs.json"
     freqs.write_text(dumps({"group": {"cycles": [16]}, "elements": [[1]]}))
     code = main(["bohr", "--freqs", str(freqs), f"--radius={radius}"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "finite delta >= 0" in captured.err
+
+
+@pytest.mark.parametrize("delta", ["nan", "inf", "-inf"])
+def test_spectrum_non_finite_delta_is_usage_error(set_file, capsys, monkeypatch, delta):
+    for module in (addcomb.fourier, addcomb.spectrum):
+        monkeypatch.setattr(module, "transform", no_work)
+    code = main(["spectrum", set_file, f"--delta={delta}"])
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""

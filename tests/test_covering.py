@@ -2,7 +2,9 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import addcomb.sets
 from addcomb.covering import chang_cover, is_dissociated, ruzsa_cover
 from addcomb.groups import FinAbGroup, GroupMismatchError
 from addcomb.sets import GroupSet, GuardExceededError, difference, iterate
@@ -47,6 +49,19 @@ class TestIsDissociated:
             Bp = GroupSet.from_indices(g, rng.integers(0, g.order,
                                                        size=int(rng.integers(1, 5))))
             assert is_dissociated(T, Bp) == brute_dissociated(T, Bp)
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_matches_brute_force_with_duplicates_and_zero(self, data):
+        cycles = data.draw(st.lists(st.integers(2, 9), min_size=1, max_size=3))
+        g = FinAbGroup(cycles)
+        element = st.integers(0, g.order - 1)
+        T = data.draw(st.lists(element, max_size=4))
+        if T and data.draw(st.booleans()):  # a duplicate or 0 somewhere in T
+            T.insert(data.draw(st.integers(0, len(T))), data.draw(st.sampled_from([0] + T)))
+        Bp = GroupSet.from_indices(g, data.draw(st.lists(element, min_size=1, max_size=4)))
+        T = [g.element(int(i)) for i in T]
+        assert is_dissociated(T, Bp) == brute_dissociated(T, Bp)
 
     def test_antitone_in_bprime(self):
         g = FinAbGroup([64])
@@ -99,6 +114,12 @@ class TestRuzsaCover:
         # chosen translates are pairwise disjoint (B-separatedness)
         for t1, t2 in itertools.combinations(cert.T, 2):
             assert (B.translate(t1) & B.translate(t2)).cardinality == 0
+
+    def test_three_sumsets(self, record_calls):
+        B = GroupSet.interval(FinAbGroup([32]), 2)
+        sums = record_calls(addcomb.sets, "sumset")
+        ruzsa_cover(B)
+        assert len(sums) == 3  # B - B, (B - B) + (B - B) and 2B, each once
 
     def test_random_containment_always(self):
         rng = np.random.default_rng(31)

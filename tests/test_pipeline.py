@@ -1,6 +1,5 @@
 import json
 import math
-import sys
 
 import numpy as np
 import pytest
@@ -303,28 +302,11 @@ class TestRunFreiman:
         assert payload["lowerbound_audit"]["holds"] is True
 
 
-def record_calls(monkeypatch, module, name: str) -> list:
-    """Rebind module.name wherever an addcomb namespace holds it; log each call's args."""
-    original = getattr(module, name)
-    calls = []
-
-    def recording(*args, **kwargs):
-        calls.append(args)
-        return original(*args, **kwargs)
-
-    for modname, mod in list(sys.modules.items()):
-        if modname == "addcomb" or modname.startswith("addcomb."):
-            for attr, obj in list(vars(mod).items()):
-                if obj is original:
-                    monkeypatch.setattr(mod, attr, recording)
-    return calls
-
-
 class TestRunReuse:
-    def test_each_sumset_and_transform_once(self, monkeypatch):
+    def test_each_sumset_and_transform_once(self, record_calls):
         A = interval(4096, 16)
-        sums = record_calls(monkeypatch, addcomb.sets, "sumset")
-        transforms = record_calls(monkeypatch, addcomb.fourier, "transform")
+        sums = record_calls(addcomb.sets, "sumset")
+        transforms = record_calls(addcomb.fourier, "transform")
         report = run_freiman(A, FreimanConfig(d=1.0, epsilon=0.05))
         assert not report.cover.escape  # the cover and its sumsets ran
         pairs = [tuple(sorted((X.mask.tobytes(), Y.mask.tobytes()))) for X, Y, *_ in sums]
@@ -333,8 +315,8 @@ class TestRunReuse:
         sets_transformed = [f.mask.tobytes() for f, *_ in transforms]
         assert len(set(sets_transformed)) == len(sets_transformed) == 1
 
-    def test_each_bohr_distance_row_once(self, monkeypatch):
-        tables = record_calls(monkeypatch, addcomb.bohr, "bohr_distance_table")
+    def test_each_bohr_distance_row_once(self, record_calls):
+        tables = record_calls(addcomb.bohr, "bohr_distance_table")
         report = run_freiman(interval(4096, 16), FreimanConfig(d=1.0, epsilon=0.05))
         rows = np.concatenate([freqs.indices() for freqs, *_ in tables])
         assert len(np.unique(rows)) == len(rows), "a frequency row was computed twice"

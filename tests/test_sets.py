@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import addcomb.sets
 from addcomb.groups import FinAbGroup, GroupMismatchError
 from addcomb.sets import (GroupSet, GuardExceededError, Multiples, _sumset_route,
                           difference, growth_profile, iterate, negate, prog, sumset)
@@ -150,13 +151,52 @@ class TestNegate:
         assert negate(negate(A)) == A
 
 
+def pairs_multiple(n: int, A: GroupSet) -> GroupSet:
+    """Oracle: nA as n - 1 all-pairs sums with A."""
+    out = A
+    for _ in range(n - 1):
+        out = GroupSet.from_indices(A.group, pairs_sumset(out, A))
+    return out
+
+
+def doubling_sumsets(n: int, A: GroupSet) -> int:
+    """How many sumsets binary doubling with a full-group exit makes for nA."""
+    full = GroupSet.full(A.group)
+    made, result, power = 0, None, A
+    while n:
+        if n & 1:
+            if result is None:
+                result = power
+            else:
+                result, made = sumset(result, power), made + 1
+            if result == full:
+                return made
+        n >>= 1
+        if n:
+            power, made = sumset(power, power), made + 1
+    return made
+
+
 class TestMultiples:
-    def test_matches_iterate_in_any_order(self):
+    def test_matches_oracle_in_any_order(self):
         g = FinAbGroup([9, 7])
         A = GroupSet.from_indices(g, [0, 1, 10, 20])
         multiples = Multiples(A)
         for n in (5, 2, 12, 3, 9, 1, 24):
-            assert multiples[n] == iterate(n, A)
+            assert multiples[n] == pairs_multiple(n, A)
+
+    @pytest.mark.parametrize("cycles", [[61], [256], [6, 10], [2, 32], [4, 3, 5], [2, 2, 16]])
+    def test_fresh_multiple_matches_oracle_within_doubling_budget(self, record_calls,
+                                                                  cycles):
+        g = FinAbGroup(cycles)
+        rng = np.random.default_rng(g.order)
+        A = GroupSet.from_indices(g, rng.choice(g.order, size=3, replace=False))
+        budget = [doubling_sumsets(n, A) for n in range(17)]
+        sums = record_calls(addcomb.sets, "sumset")
+        for n in range(2, 17):
+            before = len(sums)
+            assert Multiples(A)[n] == pairs_multiple(n, A)
+            assert len(sums) - before <= budget[n]
 
     def test_saturation_is_kept(self):
         g = FinAbGroup([16])
