@@ -26,7 +26,7 @@ import numpy as np
 
 from .groups import FinAbGroup
 from .serialize import set_to_json
-from .sets import GroupSet, iterate, prog, sumset
+from .sets import GroupSet, Multiples, prog, sumset
 
 INCLUSION_SLACK = 1e-9
 
@@ -130,12 +130,20 @@ class BohrSet:
         }
 
 
-def bohr_set(freqs: GroupSet, delta: float) -> BohrSet:
-    """The Bohr set of the given frequency set; delta >= 1/2 gives all of G."""
+def bohr_set(freqs: GroupSet, delta: float,
+             families: dict[GroupSet, Callable[[float], GroupSet]] | None = None) -> BohrSet:
+    """The Bohr set of the given frequency set; delta >= 1/2 gives all of G.
+
+    families, when given, maps frequency sets to their Bohr families and is
+    filled in as it goes, so a caller that cuts one frequency set at many
+    radii builds its distance table once.
+    """
     if not (math.isfinite(delta) and delta >= 0):
         raise ValueError(f"bohr_set needs a finite delta >= 0, got {delta}")
-    members = bohr_family(freqs)(delta)
-    return BohrSet(freqs, float(delta), members)
+    families = {} if families is None else families
+    if freqs not in families:
+        families[freqs] = bohr_family(freqs)
+    return BohrSet(freqs, float(delta), families[freqs](delta))
 
 
 # -- dimension estimation ---------------------------------------------------------
@@ -250,17 +258,27 @@ class NestedBohrAudit:
     right: BohrSet | None  # Bohr(Lambda, delta)
 
 
-def nested_bohr_audit(Lambda: GroupSet, k: int, delta: float) -> NestedBohrAudit:
-    """Exact set equality of the rescaled Bohr sets; skipped when the guard fails."""
+def nested_bohr_audit(Lambda: GroupSet, k: int, delta: float,
+                      multiples: Multiples | None = None,
+                      families: dict[GroupSet, Callable[[float], GroupSet]] | None = None,
+                      ) -> NestedBohrAudit:
+    """Exact set equality of the rescaled Bohr sets; skipped when the guard fails.
+
+    A caller auditing one Lambda on a grid of (k, delta) passes the same
+    multiples (a Multiples(Lambda)) and families (see bohr_set) to every
+    call, so each kLambda and each distance table is built once.
+    """
     if k < 1:
         raise ValueError(f"nested_bohr_audit needs k >= 1, got {k}")
+    if multiples is not None and multiples.A != Lambda:
+        raise ValueError("nested_bohr_audit needs the multiples of Lambda")
     if not Lambda.contains_zero():
         return NestedBohrAudit(None, "trivial character not in Lambda", None, None)
     if k * delta >= 1 / 3:
         return NestedBohrAudit(None, f"k*delta = {k * delta} >= 1/3", None, None)
-    kLambda = iterate(k, Lambda)
-    left = bohr_set(kLambda, k * delta)
-    right = bohr_set(Lambda, delta)
+    kLambda = (Multiples(Lambda) if multiples is None else multiples)[k]
+    left = bohr_set(kLambda, k * delta, families)
+    right = bohr_set(Lambda, delta, families)
     return NestedBohrAudit(left.members == right.members, None, left, right)
 
 

@@ -9,7 +9,9 @@ S_r + S_r' inside S_t for every pair r <= r' with r + r' <= 2, where t is
 the least grid radius >= r + r' (found by bisection). For each r it walks r'
 upward, stops at the first sum past 2, and sums S_r + S_r' only when S_r'
 differs from the level before it, so a constant run of levels costs one
-sumset per r.
+sumset per r. The levels are registered with an OperandCache made for the
+audit and forgotten after the last row that sums them, so each is
+transformed at most once per call.
 
 The metric: rho*(x) = inf{2^-k : x in S_{3^-k}, k >= 0}, and rho is the
 chain infimum, the least total rho*(y) over chains of steps y from 0 to x.
@@ -21,7 +23,11 @@ integers in units of 2^-depth, and each round settles every element at the
 least open distance t at once, closing them under the zero-cost core and
 relaxing t + 2^(depth-k) onto their sumset with each distinct level S_{3^-k},
 less the sums of two steps of the next level, which reach the same elements
-at no greater cost. The depth is at most MAX_DEPTH = 31, so
+at no greater cost. The kept levels (and a core larger than {0}) are
+registered with an OperandCache made for the call, so each is transformed at
+most once however many rounds sum it, and each round's frontier once for all
+the levels it is summed with; a {0} core closes nothing, and the closure is
+skipped. The depth is at most MAX_DEPTH = 31, so
 |G| * 2^depth <= 2^53 under the group order cap, every distance fits int64,
 and rho is exact in float64.
 """
@@ -38,7 +44,7 @@ from typing import Callable
 import numpy as np
 
 from .groups import FinAbGroup, GroupElement
-from .sets import GroupSet, sumset
+from .sets import GroupSet, OperandCache, sumset
 
 #: default cap on the ternary grid depth.
 GRID_DEPTH_CAP = 20
@@ -171,6 +177,10 @@ def system_from_balls(family: Callable[[float], GroupSet], d: float,
     two = Fraction(2)
     # same[j]: the level at radii[j] equals the one below it, so its sums repeat
     same = [False] + [levels[hi] == levels[lo] for lo, hi in zip(radii, radii[1:])]
+    # row i sums S_radii[i] with the levels above it, so the last row that
+    # holds a level is the last at which it appears; it is cached until then
+    cache = OperandCache(levels.values())
+    last_row = {id(levels[r]): i for i, r in enumerate(radii)}
     for i, r1 in enumerate(radii):
         for j in range(i, len(radii)):
             r2 = radii[j]
@@ -178,13 +188,15 @@ def system_from_balls(family: Callable[[float], GroupSet], d: float,
             if s > two:
                 break  # the radii are sorted, so every later sum is past 2 too
             if j == i or not same[j]:
-                total = sumset(levels[r1], levels[r2])
+                total = sumset(levels[r1], levels[r2], cache=cache)
             target = radii[bisect.bisect_left(radii, s)]  # round up to the grid
             if not total.is_subset_of(levels[target]):
                 subadditive_ok = False
                 violations.append(
                     f"subadditivity fails: S_{float(r1):g} + S_{float(r2):g} "
                     f"not in S_{float(target):g}")
+        if last_row[id(levels[r1])] == i:
+            cache.forget(levels[r1])
 
     growth_ok = True
     bound = 2.0 ** d
@@ -255,15 +267,11 @@ class BirkhoffMetric:
         return GroupSet(self.system.group, self.rho <= radius + RHO_SLACK)
 
     def dump_jsonable(self) -> list:
-        g = self.system.group
-        out = []
-        for i in range(g.order):
-            rs = self.rho_star[i]
-            r = self.rho[i]
-            out.append([list(g.decode(i)),
-                        None if math.isinf(rs) else rs,
-                        None if math.isinf(r) else r])
-        return out
+        """[coordinates, rho*, rho] per element in index order; None for +inf."""
+        coords = self.system.group.coords_table().T.tolist()
+        rho_star = np.where(np.isinf(self.rho_star), None, self.rho_star).tolist()
+        rho = np.where(np.isinf(self.rho), None, self.rho).tolist()
+        return [list(row) for row in zip(coords, rho_star, rho)]
 
 
 def birkhoff_metric(system: BourgainSystem) -> BirkhoffMetric:
@@ -276,8 +284,12 @@ def birkhoff_metric(system: BourgainSystem) -> BirkhoffMetric:
     distance t, closes its elements under the zero-weight core steps, and
     relaxes t + 2^(depth-k) onto one sumset with each distinct level S_k,
     less the steps that two steps of the next level make at the same cost.
-    A system has depth <= MAX_DEPTH, so every distance is an integer below
-    2^53 and rho = distance * 2^-depth is exact in float64.
+    Each kept level's half spectrum (and coordinate block) is built at most
+    once per call, and each frontier's at most once per round, in a cache
+    dropped on return; a core that is {0}, as on every auto-depth system,
+    gets no closure sumsets. A system has depth <=
+    MAX_DEPTH, so every distance is an integer below 2^53 and
+    rho = distance * 2^-depth is exact in float64.
     """
     if not system.audit.all_pass:
         raise ValueError(f"system failed its axiom audit: {system.audit.violations}")
@@ -292,7 +304,9 @@ def birkhoff_metric(system: BourgainSystem) -> BirkhoffMetric:
     # 2^-depth; the core, when attested, is the bottom level at weight 0. A
     # level equal to the next deeper one costs more for the same steps, so it
     # is dropped. When the next deeper level S' weighs half as much, a step in
-    # S' + S' costs no more as two steps of S', so only the rest is kept.
+    # S' + S' costs no more as two steps of S', so only the rest is kept. Each
+    # kept level is registered, so its transform is made at most once.
+    cache = OperandCache()
     steps: list[tuple[GroupSet, int]] = []
     deeper, deeper_w = core, 0
     for k in reversed(range(depth + 1 if core is None else depth)):
@@ -303,8 +317,10 @@ def birkhoff_metric(system: BourgainSystem) -> BirkhoffMetric:
         if 2 * deeper_w == w:
             kept = GroupSet(g, S.mask & ~sumset(deeper, deeper).mask)
         if kept:
-            steps.append((kept, w))
+            steps.append((cache.register(kept), w))
         deeper, deeper_w = S, w
+    # every level holds 0, so a one-element core is {0} and closes nothing
+    closing = cache.register(core) if core is not None and len(core) > 1 else None
 
     unreached = np.iinfo(np.int64).max
     dist = np.full(g.order, unreached, dtype=np.int64)
@@ -316,20 +332,24 @@ def birkhoff_metric(system: BourgainSystem) -> BirkhoffMetric:
         if t == unreached:
             break
         frontier = GroupSet(g, open_dist == t)
-        while core is not None:
-            closed = frontier | sumset(frontier, core)
+        while closing is not None:
+            closed = frontier | sumset(frontier, closing, cache=cache)
             if closed == frontier:
                 break
             frontier = closed
         dist[frontier.mask] = t
         settled |= frontier.mask
         # the steps run from cheap to dear, and once t + w cannot beat the
-        # worst open distance, no relaxation can change anything
+        # worst open distance, no relaxation can change anything; the frontier
+        # is cached for its own round only
         worst = int(np.max(dist, where=~settled, initial=-1))
+        cache.register(frontier)
         for S, w in steps:
             if t + w >= worst:
                 break
-            np.minimum(dist, t + w, out=dist, where=sumset(frontier, S).mask)
+            np.minimum(dist, t + w, out=dist,
+                       where=sumset(frontier, S, cache=cache).mask)
+        cache.forget(frontier)
     rho = np.where(dist == unreached, np.inf, dist * 2.0 ** -depth)
     return BirkhoffMetric(system, rho_star, rho)
 

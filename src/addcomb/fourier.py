@@ -19,7 +19,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .groups import FinAbGroup, GroupMismatchError
-from .sets import GroupSet
+from .sets import GroupSet, OperandCache
 
 #: |value - nearest integer| below this snaps indicator convolutions to ints.
 INT_SNAP_TOL = 1e-6
@@ -66,33 +66,57 @@ def transform(f, group: FinAbGroup | None = None) -> DualFunction:
 
 
 def convolve(f, g, group: FinAbGroup | None = None,
-             snap_integers: bool | None = None) -> np.ndarray:
+             snap_integers: bool | None = None, *,
+             cache: OperandCache | None = None) -> np.ndarray:
     """(f * g)(x) = sum_{x'} f(x') g(x - x'), exact circular convolution.
 
     Both inputs are real, so the product runs through the real FFT (half
-    the spectrum, multiplied in place). For indicator inputs (GroupSets)
-    values are integers; they are snapped back to exact integers unless
-    snap_integers=False.
+    the spectrum). An input passed as both f and g is transformed once, and
+    a set registered with cache (a sets.OperandCache) is transformed once
+    per cache. For indicator inputs (GroupSets) values are integers; they
+    are snapped back to exact integers unless snap_integers=False.
     """
     both_sets = isinstance(f, GroupSet) and isinstance(g, GroupSet)
-    if both_sets and f.group != g.group:
-        raise GroupMismatchError("convolve needs functions over one group")
-    grp, fv = _as_values(f, group if group is not None else getattr(g, "group", None))
-    grp2, gv = _as_values(g, grp)
-    if grp != grp2:
-        raise GroupMismatchError("convolve needs functions over one group")
-    # C-order views on the reversed factor grid (the little-endian layout), so
-    # the halved real-FFT axis is the contiguous first coordinate
-    shape = grp.invariants[::-1]
-    axes = tuple(range(len(shape)))
-    fg = np.fft.rfftn(fv.reshape(shape), axes=axes)
-    fg *= np.fft.rfftn(gv.reshape(shape), axes=axes)
-    out = np.fft.irfftn(fg, s=shape, axes=axes).ravel()
+    grp = f.group if isinstance(f, GroupSet) else (
+        group if group is not None else getattr(g, "group", None))
+    if grp is None:
+        raise ValueError("array input needs an explicit group")
+    fg = _spectrum(f, grp, cache)
+    gg = fg if g is f else _spectrum(g, grp, cache)
+    if cache is None:
+        fg *= gg  # fg is this call's own array
+    else:
+        fg = fg * gg  # either spectrum may be the cache's
+    shape = _grid_shape(grp)
+    out = np.fft.irfftn(fg, s=shape, axes=tuple(range(len(shape)))).ravel()
     if snap_integers or (snap_integers is None and both_sets):
         rounded = np.rint(out)
         near = np.abs(out - rounded) < INT_SNAP_TOL
         out = np.where(near, rounded, out)
     return out
+
+
+def _grid_shape(group: FinAbGroup) -> tuple[int, ...]:
+    """The reversed factor grid: C-order views of the little-endian layout on
+    it make the halved real-FFT axis the contiguous first coordinate."""
+    return group.invariants[::-1]
+
+
+def _half_spectrum(values: np.ndarray, group: FinAbGroup) -> np.ndarray:
+    """The real FFT (half spectrum) of a real function on group."""
+    shape = _grid_shape(group)
+    return np.fft.rfftn(values.reshape(shape), axes=tuple(range(len(shape))))
+
+
+def _spectrum(f, group: FinAbGroup, cache: OperandCache | None) -> np.ndarray:
+    """f's half spectrum over group; a set is looked up in cache when one is given."""
+    if isinstance(f, GroupSet):
+        if f.group != group:
+            raise GroupMismatchError("convolve needs functions over one group")
+        if cache is not None:
+            return cache.get(f, "half_spectrum",
+                             lambda S: _half_spectrum(S.mask.astype(np.float64), S.group))
+    return _half_spectrum(_as_values(f, group)[1], group)
 
 
 class ParsevalAudit(NamedTuple):

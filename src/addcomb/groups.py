@@ -115,11 +115,14 @@ class FinAbGroup:
             self._coords.setflags(write=False)
         return self._coords
 
-    def encode_array(self, coords: np.ndarray) -> np.ndarray:
-        """Vectorized encode; coords has shape (rank, ...), entries any ints."""
+    def encode_array(self, coords: np.ndarray, reduced: bool = False) -> np.ndarray:
+        """Vectorized encode; coords has shape (rank, ...), entries any ints.
+
+        reduced: every entry is already in 0..n_j - 1, so no modulo is taken.
+        """
         out = np.zeros(coords.shape[1:], dtype=np.int64)
         for c, n, s in zip(coords, self.invariants, self._strides):
-            out += (c % n) * s
+            out += (c if reduced else c % n) * s
         return out
 
     def negation_permutation(self) -> np.ndarray:

@@ -1,11 +1,14 @@
 """Dense subsets of a finite abelian group with Minkowski arithmetic.
 
 A GroupSet is a bit vector over the canonical element enumeration. Sumsets
-run through one of two exact routes: a translate loop, which shifts the
-larger set by each element of the smaller one, and a real FFT convolution
-of the two indicators cut at 1/2 (the convolution counts representations,
-so its values are integers and the cut is exact). sumset picks the route of
-lower modelled cost,
+run through one of two exact routes. The direct route adds the uint32
+coordinates of every pair at once, as one numpy outer sum per block of
+about SUMSET_BLOCK_CELLS pairs (rows of the smaller operand against all of
+the larger one); a coordinate sum is below 2n, so one wrapped subtract
+reduces it, and each block is encoded and marked in one call. The spectral
+route is a real FFT convolution of the two indicators cut at 1/2 (the
+convolution counts representations, so its values are integers and the cut
+is exact). sumset picks the route of lower modelled cost,
 
     direct   ~ |small| * (c0 + c1 * |big| * rank)
     spectral ~ c2 * |G| * log2|G| + c3,
@@ -13,6 +16,10 @@ lower modelled cost,
 with the constants SUMSET_COST fitted by tools/sumset_cost_fit.py. No rule
 on |A| * |B| alone can choose well: the direct cost grows with the smaller
 operand times the larger one, while the FFT cost depends on |G| only.
+
+A computation that sums the same sets again and again registers them with
+an OperandCache and passes it to sumset, so each one's coordinates and half
+spectrum are built once per call.
 
 Multiples is the one route to the n-fold sumsets nA: it keeps every
 multiple it has built, reuses known ones, and halves where none fits, so
@@ -35,7 +42,11 @@ PROG_GUARD = 24
 
 #: Seconds-per-unit constants (c0, c1, c2, c3) of the sumset cost model:
 #: direct ~ |small| * (c0 + c1 * |big| * rank), spectral ~ c2 * |G| log2|G| + c3.
-SUMSET_COST = (1.37e-5, 9.61e-9, 2.35e-9, 6.05e-5)
+SUMSET_COST = (1.32e-6, 2.63e-9, 2.06e-9, 5.49e-5)
+
+#: Pairs the direct sumset route adds in one block (rows of the smaller
+#: operand against all of the larger one; at least one row per block).
+SUMSET_BLOCK_CELLS = 1 << 14
 
 
 class GuardExceededError(ValueError):
@@ -208,11 +219,14 @@ def _sumset_route(small: int, big: int, g: FinAbGroup,
     return "spectral" if spectral < direct else "direct"
 
 
-def sumset(A: GroupSet, B: GroupSet, method: str = "auto") -> GroupSet:
+def sumset(A: GroupSet, B: GroupSet, method: str = "auto", *,
+           cache: "OperandCache | None" = None) -> GroupSet:
     """{a + b : a in A, b in B}. Empty inputs give the empty set.
 
-    method: "auto" picks the route by size, "direct" forces the translate
-    loop, "spectral" forces the FFT route. Both routes are exact.
+    method: "auto" picks the route by size, "direct" forces the blocked
+    outer sum, "spectral" forces the FFT route. Both routes are exact.
+    cache: an OperandCache whose registered operands reuse their stored
+    coordinates or half spectrum instead of building them again.
     """
     _same_group(A, B)
     g = A.group
@@ -228,15 +242,63 @@ def sumset(A: GroupSet, B: GroupSet, method: str = "auto") -> GroupSet:
 
         # the exact counts are integers, so the unsnapped convolution cut at
         # 1/2 is exact
-        return GroupSet(g, fourier.convolve(A, B, snap_integers=False) >= 0.5)
-    # direct: translate the larger set by each element of the smaller one
-    coords = g.coords_table()
-    big_coords = coords[:, big.indices()]  # (rank, |big|)
+        return GroupSet(g, fourier.convolve(A, B, snap_integers=False, cache=cache) >= 0.5)
+    # direct: every pair at once, in blocks of rows of small against all of big
+    small_coords, big_coords = (_coords(S) if cache is None else cache.get(S, "coords", _coords)
+                                for S in (small, big))
+    cycles = np.array(g.invariants, dtype=np.uint32)[:, None, None]
     mask = np.zeros(g.order, dtype=bool)
-    for a in small.indices():
-        shifted = big_coords + np.asarray(g.decode(int(a)), dtype=np.int64)[:, None]
-        mask[g.encode_array(shifted)] = True
+    rows = max(1, SUMSET_BLOCK_CELLS // big.cardinality)
+    for start in range(0, small.cardinality, rows):
+        block = small_coords[:, start:start + rows, None] + big_coords[:, None, :]
+        # a coordinate sum s < 2n is s or s - n mod n; below n, s - n wraps
+        # past s in uint32, so the minimum is the reduced coordinate
+        np.minimum(block, block - cycles, out=block)
+        mask[g.encode_array(block, reduced=True)] = True
     return GroupSet(g, mask)
+
+
+def _coords(S: GroupSet) -> np.ndarray:
+    """The (rank, |S|) uint32 coordinates of the elements of S."""
+    return S.group.coords_table()[:, S.indices()].astype(np.uint32, order="C")
+
+
+class OperandCache:
+    """Per-call store of what sumset builds from its operands, for sets that
+    one computation sums again and again.
+
+    A registered set keeps each derived array (its coordinate block, its
+    half spectrum) from the first time a sumset route needs it, until it is
+    forgotten; other operands pass through uncached. Sets are matched by
+    identity and held while registered. The caller makes one cache per call
+    and drops it on return, so nothing outlives the computation.
+    """
+
+    __slots__ = ("_entries",)
+
+    def __init__(self, sets: Iterable[GroupSet] = ()):
+        self._entries: dict[int, tuple[GroupSet, dict]] = {}
+        for S in sets:
+            self.register(S)
+
+    def register(self, S: GroupSet) -> GroupSet:
+        """Cache S's derived arrays from now on; returns S."""
+        self._entries.setdefault(id(S), (S, {}))
+        return S
+
+    def forget(self, S: GroupSet) -> None:
+        """Drop S and its arrays."""
+        self._entries.pop(id(S), None)
+
+    def get(self, S: GroupSet, key: str, build):
+        """build(S), stored under key when S is registered."""
+        entry = self._entries.get(id(S))
+        if entry is None:
+            return build(S)
+        store = entry[1]
+        if key not in store:
+            store[key] = build(S)
+        return store[key]
 
 
 def difference(A: GroupSet, B: GroupSet) -> GroupSet:

@@ -23,7 +23,7 @@ from .fourier import convolve, moment_lower_bound_audit, parseval_audit, transfo
 from .groups import FinAbGroup
 from .pipeline import FreimanConfig, lowerbound_audit, run_freiman
 from .serialize import dumps
-from .sets import GroupSet
+from .sets import GroupSet, Multiples
 from .spectrum import spectral_distance
 
 
@@ -167,11 +167,12 @@ def criterion_nested_bohr(rng: np.random.Generator) -> CriterionResult:
     for _ in range(20):
         g = _random_group(rng, 512)
         Lam = _random_set(rng, g, style="sparse") | GroupSet.singleton(g, 0)
+        multiples, families = Multiples(Lam), {}  # each kLam and each table once
         for k in ks:
             for delta in deltas:
                 if k * delta >= 1 / 3:
                     continue
-                audit = nested_bohr_audit(Lam, k, delta)
+                audit = nested_bohr_audit(Lam, k, delta, multiples, families)
                 checked += 1
                 if audit.equal is not True:
                     failures += 1

@@ -4,14 +4,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from addcomb import bohr
+import addcomb.sets
+from addcomb import bohr, verify
 from addcomb.bohr import (bohr_distance_table, bohr_family, bohr_set,
                           dimension_estimate, dyadic_dimension_grid,
                           nearest_int_dist, nested_bohr_audit, rounding_check,
                           structured_growth_audit)
 from addcomb.groups import FinAbGroup
 from addcomb.oracles import bohr_distance, phase_numerators
-from addcomb.sets import GroupSet, negate, sumset
+from addcomb.sets import GroupSet, Multiples, negate, sumset
 
 
 def freq_set(g, *indices):
@@ -306,6 +307,31 @@ class TestNestedBohrAudit:
         audit = nested_bohr_audit(freq_set(g, 1), 2, 0.05)
         assert audit.equal is None
         assert "trivial" in audit.skipped_reason
+
+    def test_shared_multiples_and_families_change_nothing(self):
+        g = FinAbGroup([96])
+        Lam = GroupSet.from_indices(g, [0, 5, 91, 17])
+        multiples, families = Multiples(Lam), {}
+        for k in (3, 2, 4, 1):
+            for delta in (0.05, 0.01, 0.07):
+                shared = nested_bohr_audit(Lam, k, delta, multiples, families)
+                fresh = nested_bohr_audit(Lam, k, delta)
+                assert shared == fresh
+        assert set(families) == {Lam, multiples[2], multiples[3], multiples[4]}
+
+    def test_rejects_multiples_of_another_set(self):
+        g = FinAbGroup([32])
+        with pytest.raises(ValueError):
+            nested_bohr_audit(freq_set(g, 0, 1), 2, 0.05, Multiples(freq_set(g, 0, 3)))
+
+    def test_criterion_builds_each_multiple_and_table_once(self, record_calls):
+        sums = record_calls(addcomb.sets, "sumset")
+        tables = record_calls(bohr, "bohr_distance_table")
+        result = verify.criterion_nested_bohr(np.random.default_rng(0))
+        assert result.passed and result.details["pairs_checked"] == 220
+        # 360 and 440 with a fresh kLambda and two fresh tables per grid point
+        assert len(sums) == 57
+        assert len(tables) == 72
 
     def test_random_instances_equal(self):
         rng = np.random.default_rng(55)

@@ -74,6 +74,37 @@ def assert_matches_dijkstra(system: BourgainSystem) -> None:
     assert metric.rho.tobytes() == rho.tobytes()
 
 
+def record_transforms(monkeypatch) -> list[bytes]:
+    """Rebind numpy's real FFT and log the bytes of every input it transforms."""
+    seen = []
+    rfftn = np.fft.rfftn
+
+    def recording(a, *args, **kwargs):
+        seen.append(np.asarray(a).tobytes())
+        return rfftn(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "rfftn", recording)
+    return seen
+
+
+def float_bytes(S: GroupSet) -> bytes:
+    return S.mask.astype(np.float64).tobytes()
+
+
+Z2048 = FinAbGroup([2048])
+CORE_KINDS = {
+    # auto depth: the bottom level is {0}
+    "zero-core": lambda: system_from_balls(interval_family(Z2048, 512.0), d=2.0),
+    # every level carries the subgroup of order 4, which the tail keeps
+    "subgroup-core": lambda: system_from_balls(
+        lambda r: addcomb.sets.sumset(GroupSet.interval(Z2048, math.floor(512 * r + 1e-12)),
+                                      GroupSet.from_indices(Z2048, range(0, 2048, 512))),
+        d=2.0, cap=7),
+    # an explicit shallow depth leaves the tail unattested
+    "no-core": lambda: system_from_balls(interval_family(Z2048, 512.0), d=2.0, K=4),
+}
+
+
 @st.composite
 def clean_systems(draw):
     """Axiom-clean systems: Bohr families over groups of rank 1-3 (odd and
@@ -259,6 +290,21 @@ class TestSystemFromBalls:
         assert len(made) == 12
         assert sum(made) <= 430  # 2894 when every pair is summed afresh
 
+    def test_audit_transforms_each_level_once(self, monkeypatch):
+        seen = record_transforms(monkeypatch)
+        system_from_balls(interval_family(FinAbGroup([4096]), 1024.0), d=2.0)
+        # the audit sums nothing but levels
+        assert len(seen) >= 5 and len(set(seen)) == len(seen)
+
+    def test_audit_transforms_a_constant_family_once(self, monkeypatch):
+        g = FinAbGroup([4096])
+        H = GroupSet.from_indices(g, range(0, 4096, 4))
+        seen = record_transforms(monkeypatch)
+        system = system_from_balls(constant_family(H), d=0.0)
+        # every one of the 42 rows sums H + H on the spectral route
+        assert system.audit.all_pass and len(system.radii) == 42
+        assert seen == [float_bytes(H)]
+
 
 class TestBirkhoffMetric:
     def test_zero_has_zero_distance(self):
@@ -302,6 +348,41 @@ class TestBirkhoffMetric:
     def test_matches_dijkstra_on_z4096_interval_system(self):
         g = FinAbGroup([4096])
         assert_matches_dijkstra(system_from_balls(interval_family(g, 1024.0), d=2.0))
+
+    @pytest.mark.parametrize("kind", sorted(CORE_KINDS))
+    def test_matches_dijkstra_by_core(self, kind):
+        system = CORE_KINDS[kind]()
+        assert system.audit.all_pass
+        core = system.core
+        assert {"zero-core": core is not None and len(core) == 1,
+                "subgroup-core": core is not None and len(core) == 4,
+                "no-core": core is None}[kind]
+        assert_matches_dijkstra(system)
+
+    def test_sumset_count_on_z4096_interval_system(self, record_calls):
+        g = FinAbGroup([4096])
+        system = system_from_balls(interval_family(g, 1024.0), d=2.0)
+        assert system.core == GroupSet.singleton(g, 0)
+        sums = record_calls(addcomb.sets, "sumset")
+        birkhoff_metric(system)
+        # 905 while every round also closed its frontier under the {0} core
+        assert len(sums) == 776
+
+    @pytest.mark.parametrize("kind", sorted(CORE_KINDS))
+    def test_each_cached_set_transformed_at_most_once(self, monkeypatch, kind):
+        system = CORE_KINDS[kind]()
+        ternary = [system.levels[r] for r in reversed(system.ternary_radii())]
+        # the sets the metric may keep: each level, and each level less the
+        # sums of two steps of the next deeper one
+        kept = {float_bytes(S) for S in ternary}
+        kept |= {float_bytes(GroupSet(S.group, S.mask & ~addcomb.sets.sumset(D, D).mask))
+                 for D, S in zip(ternary, ternary[1:])}
+        seen = record_transforms(monkeypatch)
+        birkhoff_metric(system)
+        assert max(seen.count(b) for b in kept) <= 1
+        if kind != "subgroup-core":
+            # nothing closes the frontiers, and each is cached for its round
+            assert len(set(seen)) == len(seen)
 
     def test_explicit_shallow_depth_has_no_core(self):
         g = FinAbGroup([64])
@@ -360,6 +441,21 @@ class TestBirkhoffMetric:
         bad = system_from_balls(constant_family(GroupSet.from_indices(g, [0, 1])), d=1.0)
         with pytest.raises(ValueError):
             birkhoff_metric(bad)
+
+    def test_dump_matches_elementwise_reference(self):
+        g = FinAbGroup([6, 4])
+        H = subgroup_generated(g, [g.element((2, 0))])
+        for system in (system_from_balls(constant_family(H), d=0.0),  # rho = +inf off H
+                       # rho* = +inf beyond S_1 = [-16, 16], rho finite
+                       system_from_balls(interval_family(FinAbGroup([64]), 16.0), d=1.25, K=1)):
+            metric = birkhoff_metric(system)
+            reference = [[list(system.group.decode(i)),
+                          None if math.isinf(rs) else float(rs),
+                          None if math.isinf(r) else float(r)]
+                         for i, (rs, r) in enumerate(zip(metric.rho_star, metric.rho))]
+            dump = metric.dump_jsonable()
+            assert dump == reference
+            assert all(type(v) is float for row in dump for v in row[1:] if v is not None)
 
     def test_dump_format(self):
         g = FinAbGroup([32])

@@ -6,8 +6,9 @@ from hypothesis import given, settings, strategies as st
 
 import addcomb.sets
 from addcomb.groups import FinAbGroup, GroupMismatchError
-from addcomb.sets import (GroupSet, GuardExceededError, Multiples, _sumset_route,
-                          difference, growth_profile, iterate, negate, prog, sumset)
+from addcomb.sets import (SUMSET_BLOCK_CELLS, GroupSet, GuardExceededError, Multiples,
+                          OperandCache, _sumset_route, difference, growth_profile, iterate,
+                          negate, prog, sumset)
 
 
 def brute_sumset(A: GroupSet, B: GroupSet) -> set[int]:
@@ -59,6 +60,30 @@ def sumset_operands(draw):
     return A, B, route
 
 
+@st.composite
+def direct_operands(draw):
+    """(A, B) for the direct route over a group of rank 1-3: the smaller set
+    one short of, at or one past a whole number of blocks of
+    SUMSET_BLOCK_CELLS // |big| rows, or a single element; the larger set
+    sometimes a divisor of the budget, sometimes all of G."""
+    rank = draw(st.integers(1, 3))
+    lo, hi = {1: (128, 5000), 2: (12, 70), 3: (6, 17)}[rank]
+    g = FinAbGroup(draw(st.lists(st.integers(lo, hi), min_size=rank, max_size=rank)))
+    big = draw(st.one_of(
+        st.integers(128, g.order),
+        st.just(g.order),
+        st.sampled_from([b for b in (128, 256, 512, 1024, 2048, 4096) if b <= g.order])))
+    rows = max(1, SUMSET_BLOCK_CELLS // big)
+    small = draw(st.one_of(
+        st.just(1),
+        st.builds(lambda k, off: min(big, max(1, k * rows + off)),
+                  st.integers(1, 3), st.integers(-1, 1))))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    A = GroupSet.from_indices(g, rng.choice(g.order, size=small, replace=False))
+    B = GroupSet.from_indices(g, rng.choice(g.order, size=big, replace=False))
+    return A, B
+
+
 class TestSumset:
     def test_wraparound_example(self):
         A = interval16(15, 0, 1)
@@ -107,11 +132,55 @@ class TestSumset:
         assert set(auto.indices()) == pairs_sumset(A, B)
         assert _sumset_route(A.cardinality, B.cardinality, A.group) == route
 
+    @settings(max_examples=120, deadline=None)
+    @given(direct_operands())
+    def test_blocked_direct_route_matches_pairs_oracle(self, operands):
+        A, B = operands
+        direct = sumset(A, B, method="direct")
+        assert set(direct.indices()) == pairs_sumset(A, B)
+        assert sumset(B, A, method="direct") == direct
+
+    def test_block_edges_on_a_small_budget(self, monkeypatch):
+        # several short blocks, the last one partial, on every rank
+        monkeypatch.setattr(addcomb.sets, "SUMSET_BLOCK_CELLS", 7)
+        rng = np.random.default_rng(23)
+        for cycles in ([97], [10, 12], [5, 4, 6]):
+            g = FinAbGroup(cycles)
+            for small, big in ((1, 3), (2, 3), (3, 3), (4, 8), (7, 7), (9, 40), (11, g.order)):
+                A = GroupSet.from_indices(g, rng.choice(g.order, size=small, replace=False))
+                B = GroupSet.from_indices(g, rng.choice(g.order, size=big, replace=False))
+                assert set(sumset(A, B, method="direct").indices()) == pairs_sumset(A, B)
+
+    def test_cache_builds_each_registered_operand_once(self, monkeypatch):
+        rng = np.random.default_rng(31)
+        g = FinAbGroup([12, 20])
+        level = GroupSet(g, rng.random(g.order) < 0.3)
+        others = [GroupSet(g, rng.random(g.order) < 0.2) for _ in range(3)]
+        calls = [(A, S, method) for method in ("direct", "spectral")
+                 for A in others for S in (level, others[0])]
+        expected = [sumset(A, S, method) for A, S, method in calls]
+        coords_built, transformed = [], []
+        coords, rfftn = addcomb.sets._coords, np.fft.rfftn
+        monkeypatch.setattr(addcomb.sets, "_coords",
+                            lambda S: coords_built.append(S) or coords(S))
+        monkeypatch.setattr(np.fft, "rfftn", lambda a, *args, **kwargs: (
+            transformed.append(np.asarray(a).tobytes()) or rfftn(a, *args, **kwargs)))
+        cache = OperandCache([level, others[0]])
+        cache.forget(others[0])
+        assert [sumset(A, S, method, cache=cache) for A, S, method in calls] == expected
+        assert [S is level for S in coords_built].count(True) == 1
+        assert transformed.count(level.mask.astype(np.float64).tobytes()) == 1
+        # once in each of its four spectral sums: forgotten, and passed as
+        # both operands of one of them
+        assert transformed.count(others[0].mask.astype(np.float64).tobytes()) == 4
+        assert len(transformed) == 1 + 4 + 2 + 2
+
     @pytest.mark.parametrize("cycles,small,big,route", [
-        ([2 ** 18], 8193, 24577, "spectral"),  # direct 1.7 s, FFT 0.04 s
-        ([2 ** 18], 10, 100000, "direct"),      # direct 11 ms, FFT 39 ms
-        ([4096], 50, 200, "spectral"),          # direct 0.77 ms, FFT 0.31 ms
+        ([2 ** 18], 8193, 24577, "spectral"),  # direct 0.61 s, FFT 17 ms
+        ([2 ** 18], 10, 100000, "direct"),      # direct 4.0 ms, FFT 23 ms
+        ([4096], 50, 200, "direct"),            # direct 0.078 ms, FFT 0.23 ms
         ([4096], 2, 200, "direct"),
+        ([4096], 256, 1024, "spectral"),        # direct 1.2 ms, FFT 0.15 ms
     ])
     def test_cost_model_routes(self, cycles, small, big, route):
         assert _sumset_route(small, big, FinAbGroup(cycles)) == route
