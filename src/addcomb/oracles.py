@@ -20,12 +20,16 @@ from .sets import GroupSet
 
 def phase_numerators(group: FinAbGroup, m_index: int) -> np.ndarray:
     """Exact phase numerators of character m at every element (int64)."""
+    return phase_numerator_rows(group, [m_index])[0]
+
+
+def phase_numerator_rows(group: FinAbGroup, m_indices) -> np.ndarray:
+    """phase_numerators of several characters: one int64 row per index."""
     M = group.phase_denominator
-    mc = group.decode(m_index)
-    coords = group.coords_table()
-    total = np.zeros(group.order, dtype=np.int64)
-    for m, col, n in zip(mc, coords, group.invariants):
-        total += ((m * col) % n) * (M // n)
+    mc = group.decode_array(np.asarray(m_indices, dtype=np.int64))
+    total = np.zeros((mc.shape[1], group.order), dtype=np.int64)
+    for m, col, n in zip(mc, group.coords_table(), group.invariants):
+        total += ((m[:, None] * col) % n) * (M // n)
     return total % M
 
 

@@ -8,6 +8,12 @@ carries every intermediate verdict: direct containment A-A in B, the
 three-link radius chain, the spectral lower-bound audit, a dimension
 estimate of the Bohr family, and the measure ratio mu(B)/mu(A).
 
+The Bohr distance tables are sieved (bohr.bohr_distance_table): a run
+fixes its radius cap read_cap, the largest radius below 1/2 that any stage
+reads, before its first table, and every table keeps A - A exact. So the
+distances are exact wherever a stage reads them, a ball of radius >= 1/2
+is all of G, and a read between the cap and 1/2 would raise.
+
 Two modes. "paper" uses the literal constants (pigeonhole bound 2^15, ball
 radius 2^-4, the 2^13 (1+C) d' ln^2 d' threshold formula), which degenerate
 at desk scale and are reported as such. "empirical" takes an explicit
@@ -23,8 +29,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bohr import (DIM_GRID_CAP, INCLUSION_SLACK, BohrSet, bohr_distance_table,
-                   bohr_set, dimension_estimate, dyadic_dimension_grid, table_family,
+from . import bohr
+from .bohr import (DIM_GRID_CAP, INCLUSION_SLACK, BohrSet, DistanceTable, bohr_set,
+                   dimension_estimate, dyadic_dimension_grid, table_family,
                    DimensionEstimate)
 from .covering import CoverCertificate, _chang_cover
 from .fourier import transform
@@ -78,6 +85,9 @@ class FreimanConfig:
                     or value < low or (strict and value == low)):
                 raise ValueError(f"{name} must be {kind} {'>' if strict else '>='} {low}, "
                                  f"got {value!r}")
+        # above 1/2 epsilon leaves the paper's range, where _paper_epsilon caps too
+        if self.epsilon is not None and self.epsilon > 0.5:
+            raise ValueError(f"epsilon must be <= 1/2, got {self.epsilon!r}")
 
     def scan_window_end(self) -> int:
         return self.n_max if self.n_max is not None else growth_window_end(self.d)
@@ -103,6 +113,11 @@ class _Run:
     LSpec(lA, eps) <= LSpec(lA, eps) u X <= LSpec(lA, 2 eps). A context
     lives for one call: the public helpers below each make a fresh one and
     run the same stage code as run_freiman.
+
+    Every table is sieved at one radius cap r_cap and keeps A - A exact
+    (see bohr.bohr_distance_table). The helpers read no ball below 1/2 and
+    leave the cap at 1/2; run_freiman fixes the largest radius below 1/2
+    that its stages read (read_cap) before its first table.
     """
 
     def __init__(self, A: GroupSet):
@@ -110,7 +125,14 @@ class _Run:
         self.multiples = Multiples(A)
         self._magnitudes: dict[int, np.ndarray] = {}
         self._difference: GroupSet | None = None
-        self._tables: list[tuple[GroupSet, np.ndarray]] = []
+        self._tables: list[tuple[GroupSet, DistanceTable]] = []
+        self.r_cap = 0.5
+
+    def sieve(self, r_cap: float) -> None:
+        """Cap every table of this run at r_cap; only before the first table."""
+        if self._tables:
+            raise RuntimeError("the radius cap is fixed once a table exists")
+        self.r_cap = r_cap
 
     def spectrum(self, l: int, delta: float) -> Spectrum:
         """LSpec(lA, delta)."""
@@ -127,17 +149,18 @@ class _Run:
                                 else sumset(self.A, neg))
         return self._difference
 
-    def bohr_table(self, freqs: GroupSet) -> np.ndarray:
+    def bohr_table(self, freqs: GroupSet) -> DistanceTable:
         """bohr_distance_table(freqs), computing only the frequencies outside
-        the largest earlier frequency set it contains (a sup over a union is
-        the max of the sups, and each is an exact ratio over one denominator)."""
+        the largest earlier frequency set it contains, and only where that
+        set's table is exact (a sup over a union is the max of the sups)."""
         known = [(f, t) for f, t in self._tables if f.is_subset_of(freqs)]
+        keep = self.difference()
         if known:
             base, table = max(known, key=lambda ft: ft[0].cardinality)
             rest = GroupSet(freqs.group, freqs.mask & ~base.mask)
-            table = np.maximum(table, bohr_distance_table(rest))
+            table = bohr.bohr_distance_table(rest, self.r_cap, keep, base=table)
         else:
-            table = bohr_distance_table(freqs)
+            table = bohr.bohr_distance_table(freqs, self.r_cap, keep)
         self._tables.append((freqs, table))
         return table
 
@@ -309,7 +332,7 @@ def _lowerbound(run: _Run, l: int, epsilon: float, K: float | None) -> Lowerboun
     radius = 2 * epsilon * math.sqrt(2 * K)
     table = run.bohr_table(spec.members)
     AmA = run.difference()
-    worst = float(table[AmA.mask].max())
+    worst = float(table.exact(AmA).max())
     return LowerboundAudit(worst <= radius + INCLUSION_SLACK, l, float(epsilon),
                            float(K), radius, spec.count, worst)
 
@@ -463,11 +486,11 @@ def _chain(run: _Run, l: int, eps: float, K_l: float, ball: BohrSet
     g = run.A.group
     link1 = ChainLink(
         "A-A in Bohr(LSpec(lA,2eps), 2^9 eps)",
-        bool(table2[run.difference().mask].max() <= 2 ** 9 * eps + INCLUSION_SLACK),
+        bool(table2.exact(run.difference()).max() <= 2 ** 9 * eps + INCLUSION_SLACK),
         K_l <= 2 ** 13,  # then 2^9 eps dominates the guaranteed 4 eps sqrt(2 K_l)
     )
-    mid = GroupSet(g, table2 <= 2 ** 9 * eps + INCLUSION_SLACK)
-    tight = GroupSet(g, table2 <= DEFAULT_RADIUS + INCLUSION_SLACK)
+    mid = GroupSet(g, table2.ball(2 ** 9 * eps))
+    tight = GroupSet(g, table2.ball(DEFAULT_RADIUS))
     link2 = ChainLink(
         "Bohr(LSpec(lA,2eps), 2^9 eps) in Bohr(LSpec(lA,2eps), 2^-4)",
         mid.is_subset_of(tight),
@@ -481,12 +504,26 @@ def _chain(run: _Run, l: int, eps: float, K_l: float, ball: BohrSet
     return link1, link2, link3
 
 
+def read_cap(radius: float, eps: float) -> float:
+    """The largest radius below 1/2 that run_freiman reads off a Bohr table.
+
+    The reads are the dimension grid's radius * 2^-j and their doubles (all
+    of the form radius * 2^j with j <= 1), the chain's 2^9 eps and 2^-4.
+    Balls of radius >= 1/2 are all of G, and the audit and chain link 1 read
+    A - A, which every table keeps exact.
+    """
+    grid = math.ldexp(radius, min(1, -1 - math.frexp(radius)[1]))
+    return max(r for r in (grid, 2 ** 9 * eps, DEFAULT_RADIUS) if r < 0.5)
+
+
 def run_freiman(A: GroupSet, config: FreimanConfig) -> FreimanReport:
     """Execute the full containment pipeline and assemble the report.
 
     The stages (growth, pigeonhole, spectrum, cover, audit, ball, chain)
     share one _Run context, so each nA, the transform of lA, A - A and each
-    Bohr distance row are computed once.
+    Bohr distance row are computed once. The tables are sieved at read_cap:
+    an element's exact distance is computed only while it stays within the
+    largest radius below 1/2 that a stage reads, or when it lies in A - A.
     """
     if A.cardinality == 0:
         raise ValueError("run_freiman needs a nonempty set")
@@ -508,12 +545,6 @@ def run_freiman(A: GroupSet, config: FreimanConfig) -> FreimanReport:
     if config.mode == "paper" and spectrum.count <= 1:
         degenerate = True  # the threshold collapsed the spectrum to gamma_0
 
-    # the audit's table over LSpec(lA, eps) is the base of the ball's and the chain's
-    audit = _lowerbound(run, l, min(eps_used, 1.0), None)
-
-    Lambda = spectrum.members
-    if cover.X_set is not None:
-        Lambda = Lambda | cover.X_set
     guaranteed = 4 * eps_used * math.sqrt(2 * K_l)
     if config.radius is not None:
         radius = config.radius
@@ -521,6 +552,14 @@ def run_freiman(A: GroupSet, config: FreimanConfig) -> FreimanReport:
         radius = DEFAULT_RADIUS
     else:
         radius = max(DEFAULT_RADIUS, guaranteed)
+
+    # the audit's table over LSpec(lA, eps) is the base of the ball's and the chain's
+    run.sieve(read_cap(radius, eps_used))
+    audit = _lowerbound(run, l, min(eps_used, 1.0), None)
+
+    Lambda = spectrum.members
+    if cover.X_set is not None:
+        Lambda = Lambda | cover.X_set
     fam = table_family(A.group, run.bohr_table(Lambda))
     ball = BohrSet(Lambda, float(radius), fam(radius))
     grid = dyadic_dimension_grid(fam, radius, cap=config.dim_grid_cap)

@@ -6,15 +6,19 @@ import pytest
 @pytest.fixture
 def record_calls(monkeypatch):
     """record_calls(module, name): rebind module.name wherever an addcomb
-    namespace holds it, and return the list that logs each call's args."""
+    namespace holds it, and return the list that logs each call's args.
+    A list passed as results also collects each call's return value."""
 
-    def record(module, name: str) -> list:
+    def record(module, name: str, results: list | None = None) -> list:
         original = getattr(module, name)
         calls = []
 
         def recording(*args, **kwargs):
             calls.append(args)
-            return original(*args, **kwargs)
+            out = original(*args, **kwargs)
+            if results is not None:
+                results.append(out)
+            return out
 
         for modname, mod in list(sys.modules.items()):
             if modname == "addcomb" or modname.startswith("addcomb."):

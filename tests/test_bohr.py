@@ -1,3 +1,4 @@
+import contextlib
 import math
 
 import numpy as np
@@ -6,10 +7,10 @@ from hypothesis import given, settings, strategies as st
 
 import addcomb.sets
 from addcomb import bohr, verify
-from addcomb.bohr import (bohr_distance_table, bohr_family, bohr_set,
+from addcomb.bohr import (INCLUSION_SLACK, bohr_distance_table, bohr_family, bohr_set,
                           dimension_estimate, dyadic_dimension_grid,
                           nearest_int_dist, nested_bohr_audit, rounding_check,
-                          structured_growth_audit)
+                          structured_growth_audit, table_family)
 from addcomb.groups import FinAbGroup
 from addcomb.oracles import bohr_distance, phase_numerators
 from addcomb.sets import GroupSet, Multiples, negate, sumset
@@ -84,15 +85,19 @@ class TestBohrSet:
             bohr_set(freq_set(g, 1), delta)
 
 
-def oracle_table(freqs):
-    """max over freqs of min(num, M - num) / M, one oracle phase row per frequency."""
+def oracle_numerators(freqs):
+    """max over freqs of min(num, M - num), one oracle phase row per frequency."""
     g = freqs.group
     M = g.phase_denominator
     best = np.zeros(g.order, dtype=np.int64)
     for m in freqs.indices():
         num = phase_numerators(g, int(m))
         best = np.maximum(best, np.minimum(num, M - num))
-    return best / M
+    return best
+
+
+def oracle_table(freqs):
+    return oracle_numerators(freqs) / freqs.group.phase_denominator
 
 
 def assert_matches_oracle(freqs):
@@ -129,6 +134,106 @@ def frequency_sets(draw):
     mask = picks.mask.copy()
     mask[m], mask[neg[m]] = True, False
     return GroupSet(g, mask)
+
+
+@contextlib.contextmanager
+def kernel_constants(share, block_cells):
+    """Run the table kernel with another gather share and block size."""
+    saved = bohr.GATHER_SHARE, bohr.BLOCK_CELLS
+    bohr.GATHER_SHARE, bohr.BLOCK_CELLS = share, block_cells
+    try:
+        yield
+    finally:
+        bohr.GATHER_SHARE, bohr.BLOCK_CELLS = saved
+
+
+@st.composite
+def sieve_cases(draw):
+    """A frequency set with its oracle numerators, a radius cap at an edge of
+    the distance values (0, exactly at a value, 1/M either side of it, 1/2 or
+    above), a kept set, a split of the frequencies into base + rest, and the
+    kernel's gather share and block size (1.0 gathers as soon as anything is
+    sieved; 64 cells compact the survivors after nearly every row)."""
+    freqs = draw(frequency_sets())
+    g = freqs.group
+    M = g.phase_denominator
+    nums = oracle_numerators(freqs)
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    value = int(nums[rng.integers(g.order)])
+    r_cap = {"zero": 0.0, "at": value / M, "below": max(value - 1, 0) / M,
+             "above": (value + 1) / M, "half": 0.5, "beyond": 0.75}[
+        draw(st.sampled_from(["zero", "at", "below", "above", "half", "beyond"]))]
+    keep = GroupSet(g, rng.random(g.order) < draw(st.sampled_from([0.0, 0.02, 0.3])))
+    split = rng.random(g.order) < 0.5
+    share = draw(st.sampled_from([0.0, bohr.GATHER_SHARE, 1.0]))
+    block = draw(st.sampled_from([bohr.BLOCK_CELLS, 64]))
+    return freqs, nums, r_cap, keep, split, share, block
+
+
+class TestSievedTable:
+    @settings(max_examples=150, deadline=None)
+    @given(sieve_cases())
+    def test_matches_oracle_within_the_cap_and_on_kept(self, case):
+        freqs, nums, r_cap, keep, split, share, block = case
+        g = freqs.group
+        M = g.phase_denominator
+        exact = (nums / M <= r_cap + INCLUSION_SLACK) | keep.mask
+        with kernel_constants(share, block):
+            whole = bohr_distance_table(freqs, r_cap, keep)
+            base = bohr_distance_table(GroupSet(g, freqs.mask & split), r_cap, keep)
+            nested = bohr_distance_table(GroupSet(g, freqs.mask & ~split), r_cap, keep,
+                                         base=base)
+        for table in (whole, nested):
+            assert table.dtype == np.float64 and table.r_cap == r_cap
+            assert table.covers == set(freqs.indices().tolist())
+            assert np.array_equal(np.isfinite(table), exact)
+            assert np.array_equal(table[exact], nums[exact] / M)
+            for radius in (0.0, max(0.0, r_cap - 1e-6), r_cap, 0.5, 0.9):
+                assert np.array_equal(table.ball(radius),
+                                      nums / M <= radius + INCLUSION_SLACK)
+
+    @settings(max_examples=60, deadline=None)
+    @given(frequency_sets())
+    def test_cap_at_half_is_the_dense_table(self, freqs):
+        expected = oracle_table(freqs)
+        for r_cap in (0.5, 1.0):
+            table = bohr_distance_table(freqs, r_cap, GroupSet.empty(freqs.group))
+            assert np.array_equal(table, expected)
+
+    def test_reads_between_the_cap_and_half_raise(self):
+        g = FinAbGroup([64])
+        freqs = freq_set(g, 1, 63, 5)
+        table = bohr_distance_table(freqs, 0.1)
+        assert table.ball(0.1).sum() == bohr_set(freqs, 0.1).measure
+        assert table.ball(0.5).all() and table.ball(0.7).all()
+        for radius in (0.1 + 1e-12, 0.3, 0.4999):
+            with pytest.raises(ValueError, match="cap"):
+                table.ball(radius)
+        with pytest.raises(ValueError, match="cap"):
+            table_family(g, table)(0.25)
+        with pytest.raises(ValueError, match="cap"):
+            table.exact(GroupSet.full(g))  # far elements were neither kept nor within
+
+    def test_a_sieved_table_counts_fewer_cells(self):
+        g = FinAbGroup([2 ** 14])
+        freqs = GroupSet.from_indices(g, range(1, 40))
+        dense = bohr_distance_table(freqs)
+        sieved = bohr_distance_table(freqs, 0.05)
+        assert dense.cells == 39 * g.order
+        assert sieved.cells < dense.cells / 4
+        assert np.array_equal(sieved.ball(0.05), dense.ball(0.05))
+
+    def test_rejects_a_mismatched_base_and_a_negative_cap(self):
+        g = FinAbGroup([32])
+        base = bohr_distance_table(freq_set(g, 1), 0.2)
+        with pytest.raises(ValueError, match="base"):
+            bohr_distance_table(freq_set(g, 3), 0.3, base=base)
+        with pytest.raises(ValueError, match="base"):
+            bohr_distance_table(freq_set(FinAbGroup([16]), 3), 0.2, base=base)
+        with pytest.raises(ValueError, match="r_cap"):
+            bohr_distance_table(freq_set(g, 3), -0.1)
+        with pytest.raises(ValueError, match="r_cap"):
+            bohr_distance_table(freq_set(g, 3), math.nan)
 
 
 class TestBohrDistanceTable:

@@ -263,6 +263,16 @@ def test_chang_without_k_prints_error(tmp_path, capsys):
     assert "error: cover --mode chang needs --bprime and --k" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("epsilon", ["0.6", "3.0"])
+def test_freiman_epsilon_above_half_is_usage_error(set_file, capsys, monkeypatch, epsilon):
+    monkeypatch.setattr(addcomb.sets, "sumset", no_work)
+    code = main(["freiman", set_file, "--d", "1.0", "--epsilon", epsilon])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "epsilon must be <= 1/2" in captured.err
+
+
 @pytest.mark.parametrize("config,message", [
     ({"dim_grid_cap": "abc"}, "dim_grid_cap must be an integer >= 0"),
     ({"max_retries": "x"}, "max_retries must be an integer >= 0"),

@@ -1,13 +1,14 @@
 import cmath
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from addcomb.groups import (Character, FinAbGroup, GroupElement,
                             GroupMismatchError, arg_norm,
                             character_arg_norm, eval_character)
-from addcomb.oracles import phase_numerators
+from addcomb.oracles import phase_numerator_rows, phase_numerators
 
 
 def test_encoding_roundtrip():
@@ -149,6 +150,15 @@ def test_phase_numerators_vector_matches_scalar():
         nums = phase_numerators(g, m)
         for x in range(g.order):
             assert nums[x] == g.phase_numerator(m, x)
+
+
+def test_phase_numerator_rows_match_one_character_at_a_time():
+    g = FinAbGroup([6, 4, 5])
+    ms = [0, 1, 7, 23, 119]
+    rows = phase_numerator_rows(g, ms)
+    assert rows.shape == (len(ms), g.order) and rows.dtype == np.int64
+    for row, m in zip(rows, ms):
+        assert np.array_equal(row, phase_numerators(g, m))
 
 
 def test_order_cap():

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -7,8 +8,8 @@ import pytest
 import addcomb
 from addcomb.bohr import bohr_distance_table
 from addcomb.groups import FinAbGroup
-from addcomb.pipeline import (FreimanConfig, bohr_measure_audit, find_l,
-                              lowerbound_audit, measured_growth_exponent,
+from addcomb.pipeline import (FreimanConfig, _Run, bohr_measure_audit, find_l,
+                              lowerbound_audit, measured_growth_exponent, read_cap,
                               run_freiman, spectrum_cover)
 from addcomb.serialize import dumps
 from addcomb.sets import GroupSet, difference, iterate, prog, sumset
@@ -186,6 +187,7 @@ class TestFreimanConfig:
     @pytest.mark.parametrize("field,value", [
         ("d", math.nan), ("d", math.inf), ("d", -1.0), ("d", True), ("d", "1"),
         ("epsilon", math.inf), ("epsilon", 0.0), ("epsilon", math.nan),
+        ("epsilon", 0.5000001), ("epsilon", 3.0),
         ("radius", -1.0), ("radius", 0.0), ("radius", math.inf),
         ("ratio_bound", None), ("ratio_bound", 0.5), ("ratio_bound", math.inf),
         ("C", "a"), ("C", -0.5), ("C", None), ("C", math.nan),
@@ -302,6 +304,61 @@ class TestRunFreiman:
         assert payload["lowerbound_audit"]["holds"] is True
 
 
+# sha256 of dumps(report.to_jsonable()), recorded from the unsieved dense
+# tables: (cycles, A, d, epsilon, digest), one instance per branch of the cap
+SIEVE_DIGESTS = [
+    # radius >= 1/2 (the escaping acceptance run): the grid reads down to 0.47
+    ([256], 2, 1.0, 0.5,
+     "8632c9c8f1749822bc61962eec9d6272171f2cf692e16f1f386e51155667bf93"),
+    # 2^9 eps < 1/2 sets the cap
+    ([4096], 2, 1.0, 0.0005,
+     "522019e648b9f0399e75157f3bfc3dfdb203cb86bf956be4ff861d3a733029d4"),
+    # rank 2
+    ([64, 64], 2, 2.0, 0.001,
+     "338b604af4e333f365cdfe031f0bfc79a1a6f354c296a3ab92fb09c7c11f5cf4"),
+    # the dense-to-gather sieve on a large group
+    ([2 ** 20], 16, 1.0, 0.05,
+     "4e4256bbb7c55eb6ef7ed08b1573892018092a6f0b0175968fe54c9ea4838c6e"),
+]
+
+
+class TestSievedRun:
+    @pytest.mark.parametrize("cycles,r,d,eps,digest", SIEVE_DIGESTS)
+    def test_report_bytes_match_the_dense_tables(self, cycles, r, d, eps, digest):
+        A = GroupSet.linf_ball(FinAbGroup(cycles), r)
+        report = run_freiman(A, FreimanConfig(d=d, epsilon=eps))
+        text = dumps(report.to_jsonable())
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+    def test_cap_is_the_largest_read_below_half(self):
+        # the escaping run reads its grid at 3.79 * 2^-3 = 0.474
+        assert read_cap(3.794733192202055, 0.5) == 3.794733192202055 / 8
+        assert read_cap(0.0625, 0.0005) == 2 ** 9 * 0.0005  # 2^9 eps above 2 * radius
+        assert read_cap(0.0625, 0.05) == 0.125                # 2 * radius
+        assert read_cap(0.3, 0.05) == 0.3                     # 2 * radius >= 1/2
+        assert read_cap(0.25, 0.5) == 0.25
+        assert read_cap(1e-3, 1e-6) == 2 ** -4
+
+    def test_every_read_of_a_run_lies_within_its_cap(self, record_calls):
+        results = []
+        record_calls(addcomb.bohr, "bohr_distance_table", results)
+        report = run_freiman(interval(4096, 16), FreimanConfig(d=1.0, epsilon=0.05))
+        cap = read_cap(report.radius, report.epsilon_used)
+        assert cap < 0.5 and all(t.r_cap == cap for t in results)
+        assert not np.isfinite(results[-1]).all()  # the sieve dropped elements
+        for delta in report.dimension.grid:
+            assert delta <= cap or delta >= 0.5
+        with pytest.raises(ValueError, match="cap"):
+            results[-1].ball((cap + 0.5) / 2)
+
+    def test_the_cap_is_fixed_before_the_first_table(self):
+        run = _Run(interval(256, 2))
+        run.sieve(0.1)
+        run.bohr_table(GroupSet.from_indices(run.A.group, [0, 1, 255]))
+        with pytest.raises(RuntimeError):
+            run.sieve(0.2)
+
+
 class TestRunReuse:
     def test_each_sumset_and_transform_once(self, record_calls):
         A = interval(4096, 16)
@@ -316,8 +373,12 @@ class TestRunReuse:
         assert len(set(sets_transformed)) == len(sets_transformed) == 1
 
     def test_each_bohr_distance_row_once(self, record_calls):
-        tables = record_calls(addcomb.bohr, "bohr_distance_table")
+        results = []
+        tables = record_calls(addcomb.bohr, "bohr_distance_table", results)
         report = run_freiman(interval(4096, 16), FreimanConfig(d=1.0, epsilon=0.05))
         rows = np.concatenate([freqs.indices() for freqs, *_ in tables])
         assert len(np.unique(rows)) == len(rows), "a frequency row was computed twice"
         assert report.cover.spectrum_counts["2eps"] == len(rows)
+        # the first row runs over all of G, later ones only where the sieve
+        # left an element within the cap; unsieved, every row costs |G|
+        assert sum(t.cells for t in results) < len(rows) * 4096 / 2
