@@ -75,6 +75,11 @@ def convolve(f, g, group: FinAbGroup | None = None,
     a set registered with cache (a sets.OperandCache) is transformed once
     per cache. For indicator inputs (GroupSets) values are integers; they
     are snapped back to exact integers unless snap_integers=False.
+
+    The spectral sumset calls this with the operands' cropped indicators as
+    arrays over their bounding box, a group of power-of-two cycles where the
+    convolution is linear, and wraps the result back to G itself; with a
+    registered operand, or with no cycle cropped, it passes the sets over G.
     """
     both_sets = isinstance(f, GroupSet) and isinstance(g, GroupSet)
     grp = f.group if isinstance(f, GroupSet) else (

@@ -8,7 +8,13 @@ the larger one); a coordinate sum is below 2n, so one wrapped subtract
 reduces it, and each block is encoded and marked in one call. The spectral
 route is a real FFT convolution of the two indicators cut at 1/2 (the
 convolution counts representations, so its values are integers and the cut
-is exact). sumset picks the route of lower modelled cost,
+is exact). It runs on the operands' bounding box: on each cycle j, with A's
+projection on an arc of length L_A from a and B's on an arc of length L_B
+from b, the cycle shrinks to the power of two m at or above L_A + L_B - 1
+(and at least 2, the shortest cycle) when m < n_j. There the convolution of the cropped indicators is linear,
+hence exact, and box point k is the sum at a + b + k mod n_j (the
+wrap-back). Other cycles stay whole, and with none shrunk the route is the
+full-grid convolution. sumset picks the route of lower modelled cost,
 
     direct   ~ |small| * (c0 + c1 * |big| * rank)
     spectral ~ c2 * |G| * log2|G| + c3,
@@ -19,7 +25,8 @@ operand times the larger one, while the FFT cost depends on |G| only.
 
 A computation that sums the same sets again and again registers them with
 an OperandCache and passes it to sumset, so each one's coordinates and half
-spectrum are built once per call.
+spectrum are built once per call. A spectral sum with a registered operand
+runs on all of G, so that set keeps its one full-grid half spectrum.
 
 Multiples is the one route to the n-fold sumsets nA: it keeps every
 multiple it has built, reuses known ones, and halves where none fits, so
@@ -224,9 +231,13 @@ def sumset(A: GroupSet, B: GroupSet, method: str = "auto", *,
     """{a + b : a in A, b in B}. Empty inputs give the empty set.
 
     method: "auto" picks the route by size, "direct" forces the blocked
-    outer sum, "spectral" forces the FFT route. Both routes are exact.
+    outer sum, "spectral" forces the FFT route. Both routes are exact. The
+    FFT route convolves on the operands' bounding box, each cycle cropped to
+    a power of two that holds the sum of their arcs, and wraps the result
+    back to G; it uses all of G when no cycle shrinks.
     cache: an OperandCache whose registered operands reuse their stored
-    coordinates or half spectrum instead of building them again.
+    coordinates or half spectrum instead of building them again. A spectral
+    sum with a registered operand runs on all of G.
     """
     _same_group(A, B)
     g = A.group
@@ -238,11 +249,7 @@ def sumset(A: GroupSet, B: GroupSet, method: str = "auto", *,
     if method == "auto":
         method = _sumset_route(small.cardinality, big.cardinality, g)
     if method == "spectral":
-        from . import fourier  # local import; fourier depends on this module
-
-        # the exact counts are integers, so the unsnapped convolution cut at
-        # 1/2 is exact
-        return GroupSet(g, fourier.convolve(A, B, snap_integers=False, cache=cache) >= 0.5)
+        return _spectral_sumset(A, B, cache)
     # direct: every pair at once, in blocks of rows of small against all of big
     small_coords, big_coords = (_coords(S) if cache is None else cache.get(S, "coords", _coords)
                                 for S in (small, big))
@@ -256,6 +263,89 @@ def sumset(A: GroupSet, B: GroupSet, method: str = "auto", *,
         np.minimum(block, block - cycles, out=block)
         mask[g.encode_array(block, reduced=True)] = True
     return GroupSet(g, mask)
+
+
+def _spectral_sumset(A: GroupSet, B: GroupSet, cache: "OperandCache | None") -> GroupSet:
+    """The spectral route: the convolution of the indicators cut at 1/2, on
+    the box of _spectral_box when there is one, else on all of G."""
+    from . import fourier  # local import; fourier depends on this module
+
+    # the exact counts are integers, so the unsnapped convolution cut at 1/2
+    # is exact
+    g = A.group
+    box = _spectral_box(A, B, cache)
+    if box is None:
+        return GroupSet(g, fourier.convolve(A, B, snap_integers=False, cache=cache) >= 0.5)
+    crop_A = _crop(A, [(m, a) for m, a, _ in box])
+    crop_B = crop_A if B is A else _crop(B, [(m, b) for m, _, b in box])
+    counts = fourier.convolve(crop_A, crop_B, FinAbGroup([m for m, _, _ in box]),
+                              snap_integers=False)
+    # box point k on cycle j is the sum with coordinate a_j + b_j + k mod n_j
+    grid = np.zeros(g.invariants[::-1], dtype=bool)
+    sides = [m for m, _, _ in box[::-1]]
+    grid[tuple(slice(m) for m in sides)] = (counts >= 0.5).reshape(sides)
+    grid = np.roll(grid, [a + b for _, a, b in box[::-1]], axis=tuple(range(g.rank)))
+    return GroupSet(g, grid.ravel())
+
+
+def _box_side(length: int) -> int:
+    """The power of two at or above length (at least 2): a cropped cycle's grid."""
+    return 1 << max(1, (length - 1).bit_length())
+
+
+def _spectral_box(A: GroupSet, B: GroupSet, cache: "OperandCache | None"
+                  ) -> list[tuple[int, int, int]] | None:
+    """The grid of the spectral route of A + B: per cycle j, (m, a, b) where
+    A's projection lies on the arc of length L_A from a, B's on the arc of
+    length L_B from b, and m = _box_side(L_A + L_B - 1) is below n_j; else
+    (n_j, 0, 0). None when no cycle shrinks, or when either operand is
+    registered with cache, which keeps its one full-grid half spectrum.
+    """
+    g = A.group
+    if cache is not None and (A in cache or B in cache):
+        return None
+    # a projection on cycle j has at least ceil(|S| n_j / |G|) points
+    shrinkable = [j for j, n in enumerate(g.invariants)
+                  if _box_side((len(A) * n - 1) // g.order + (len(B) * n - 1) // g.order + 1)
+                  < n]
+    if not shrinkable:
+        return None
+    box = [(n, 0, 0) for n in g.invariants]
+    for j in shrinkable:
+        a, la = _arc(A, j)
+        b, lb = (a, la) if B is A else _arc(B, j)
+        m = _box_side(la + lb - 1)
+        if m < g.invariants[j]:
+            box[j] = (m, a, b)
+    return box if any(m < n for (m, _, _), n in zip(box, g.invariants)) else None
+
+
+def _arc(S: GroupSet, j: int) -> tuple[int, int]:
+    """(start, length) of the shortest arc of cycle j holding S's projection."""
+    g = S.group
+    n = g.invariants[j]
+    grid = S.mask.reshape(g.invariants[::-1])  # C order: cycle j is axis rank - 1 - j
+    axes = tuple(i for i in range(g.rank) if i != g.rank - 1 - j)
+    occupied = np.flatnonzero(grid.any(axis=axes) if axes else grid)
+    first, last = int(occupied[0]), int(occupied[-1])
+    # the arc starts after the longest step between cyclically consecutive points
+    steps = occupied[1:] - occupied[:-1]
+    i = int(steps.argmax()) if steps.size else 0
+    if steps.size == 0 or first + n - last >= steps[i]:
+        return first, last - first + 1
+    return int(occupied[i + 1]), n - int(steps[i]) + 1
+
+
+def _crop(S: GroupSet, axes: list[tuple[int, int]]) -> np.ndarray:
+    """S's indicator on the grid of per-cycle (m, start): the m points of cycle
+    j from start, as float64 in the little-endian layout of that grid."""
+    g = S.group
+    grid = S.mask.reshape(g.invariants[::-1])
+    for j, ((m, start), n) in enumerate(zip(axes, g.invariants)):
+        if m < n:
+            grid = np.take(grid, np.arange(start, start + m), axis=g.rank - 1 - j,
+                           mode="wrap")
+    return grid.astype(np.float64).ravel()
 
 
 def _coords(S: GroupSet) -> np.ndarray:
@@ -285,6 +375,9 @@ class OperandCache:
         """Cache S's derived arrays from now on; returns S."""
         self._entries.setdefault(id(S), (S, {}))
         return S
+
+    def __contains__(self, S: GroupSet) -> bool:
+        return id(S) in self._entries
 
     def forget(self, S: GroupSet) -> None:
         """Drop S and its arrays."""
@@ -337,8 +430,8 @@ def prog(T: Sequence[GroupElement], L: int, group: FinAbGroup | None = None) -> 
     for t in T[1:]:
         if t.group != g:
             raise GroupMismatchError("prog generators span different groups")
-    out = GroupSet.singleton(g, 0)
-    for t in T:
+    out = multiples(T[0], L)
+    for t in T[1:]:
         out = sumset(out, multiples(t, L))
     return out
 

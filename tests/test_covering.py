@@ -184,6 +184,16 @@ class TestChangCover:
             if x.index not in chosen:
                 assert not is_dissociated(list(cert.T) + [x], Bp)
 
+    def test_sumset_count(self, record_calls):
+        g = FinAbGroup([256])
+        B = GroupSet.from_indices(g, [0, 40, 80, 120, 160])
+        sums = record_calls(addcomb.sets, "sumset")
+        cert = chang_cover(B, GroupSet.interval(g, 4), 6)
+        assert [t.index for t in cert.T] == [40, 80, 160]
+        # 6B in three, 6B + B', B' - B', Prog(T, 1) in two and the target;
+        # 9 while prog summed {0} with its first generator
+        assert len(sums) == 8
+
     def test_size_bound_under_precondition_random(self):
         rng = np.random.default_rng(47)
         done = 0

@@ -12,7 +12,7 @@ from addcomb.pipeline import (FreimanConfig, _Run, bohr_measure_audit, find_l,
                               lowerbound_audit, measured_growth_exponent, read_cap,
                               run_freiman, spectrum_cover)
 from addcomb.serialize import dumps
-from addcomb.sets import GroupSet, difference, iterate, prog, sumset
+from addcomb.sets import GroupSet, Multiples, difference, iterate, prog, sumset
 from addcomb.spectrum import lspec
 
 
@@ -357,6 +357,35 @@ class TestSievedRun:
         run.bohr_table(GroupSet.from_indices(run.A.group, [0, 1, 255]))
         with pytest.raises(RuntimeError):
             run.sieve(0.2)
+
+
+BOX_DIGESTS = [
+    # recorded while every spectral sumset ran on all of G
+    ([2 ** 16], 512, 1.0, 0.05,
+     "390202c4a6151bf0bd0408f2054849bda1caa91b2822df49f9fdf08c68cfef54"),
+    ([256, 256], 8, 2.0, 0.05,
+     "05b76a6f6d17a4f13a143784195428a3ca93965f5952b0ea914fad3981e8d48f"),
+]
+
+
+class TestLocalizedRun:
+    @pytest.mark.parametrize("cycles,r,d,eps,digest", BOX_DIGESTS)
+    def test_report_bytes_match_the_full_grid(self, cycles, r, d, eps, digest):
+        A = GroupSet.linf_ball(FinAbGroup(cycles), r)
+        report = run_freiman(A, FreimanConfig(d=d, epsilon=eps))
+        text = dumps(report.to_jsonable())
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+    def test_multiples_transform_their_box_not_the_group(self, monkeypatch):
+        sizes, rfftn = [], np.fft.rfftn
+        monkeypatch.setattr(np.fft, "rfftn", lambda a, *args, **kwargs: (
+            sizes.append(np.size(a)) or rfftn(a, *args, **kwargs)))
+        A = interval(2 ** 18, 2048)
+        multiples = Multiples(A)
+        for n in range(2, 9):
+            assert multiples[n] == interval(2 ** 18, 2048 * n)
+        # the widest sum, 4A + 4A, adds two arcs of 16385 points
+        assert sizes and max(sizes) <= 2 ** 16
 
 
 class TestRunReuse:

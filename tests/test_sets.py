@@ -7,8 +7,8 @@ from hypothesis import given, settings, strategies as st
 import addcomb.sets
 from addcomb.groups import FinAbGroup, GroupMismatchError
 from addcomb.sets import (SUMSET_BLOCK_CELLS, GroupSet, GuardExceededError, Multiples,
-                          OperandCache, _sumset_route, difference, growth_profile, iterate,
-                          negate, prog, sumset)
+                          OperandCache, _spectral_box, _sumset_route, difference,
+                          growth_profile, iterate, negate, prog, sumset)
 
 
 def brute_sumset(A: GroupSet, B: GroupSet) -> set[int]:
@@ -82,6 +82,135 @@ def direct_operands(draw):
     A = GroupSet.from_indices(g, rng.choice(g.order, size=small, replace=False))
     B = GroupSet.from_indices(g, rng.choice(g.order, size=big, replace=False))
     return A, B
+
+
+def arc_set(g: FinAbGroup, arcs, rng=None, density: float = 1.0) -> GroupSet:
+    """The product of arcs (start, length), one per cycle, thinned to density
+    by rng with its first and last points on every arc kept."""
+    grid = np.ones(g.invariants[::-1], dtype=bool)
+    if rng is not None:
+        grid &= rng.random(grid.shape) < density
+    for j, ((start, length), n) in enumerate(zip(arcs, g.invariants)):
+        on = np.zeros(n, dtype=bool)
+        on[(start + np.arange(length)) % n] = True
+        shape = [1] * g.rank
+        shape[g.rank - 1 - j] = n
+        grid &= on.reshape(shape)
+    mask = grid.ravel()
+    ends = [np.array([start, start + length - 1]) % n
+            for (start, length), n in zip(arcs, g.invariants)]
+    mask[g.encode_array(np.array(np.meshgrid(*ends, indexing="ij")), reduced=True)] = True
+    return GroupSet(g, mask)
+
+
+@st.composite
+def box_operands(draw):
+    """(A, B) over a group of rank 1-3, each the thinned product of one arc
+    per cycle: short or long, wrapping through 0 or not; B sometimes A."""
+    rank = draw(st.integers(1, 3))
+    top = {1: 3000, 2: 80, 3: 20}[rank]
+    g = FinAbGroup(draw(st.lists(st.integers(2, top), min_size=rank, max_size=rank)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+
+    def operand():
+        arcs = [(draw(st.integers(0, n - 1)),
+                 draw(st.one_of(st.integers(1, min(n, 9)), st.integers(1, n // 3 + 1),
+                                st.integers(1, n))))
+                for n in g.invariants]
+        return arc_set(g, arcs, rng, draw(st.sampled_from([1.0, 0.5, 0.05])))
+
+    A = operand()
+    return A, A if draw(st.booleans()) else operand()
+
+
+def assert_box_route_exact(A: GroupSet, B: GroupSet, box_sides) -> GroupSet:
+    """sumset(A, B, "spectral") on the box of the given sides (None for all
+    of G) equals the pairs oracle and the direct route."""
+    box = _spectral_box(A, B, None)
+    assert (box if box is None else [m for m, _, _ in box]) == box_sides
+    S = sumset(A, B, method="spectral")
+    assert set(S.indices()) == pairs_sumset(A, B)
+    assert S == sumset(A, B, method="direct")
+    return S
+
+
+class TestSpectralBox:
+    @settings(max_examples=250, deadline=None)
+    @given(box_operands())
+    def test_matches_pairs_oracle_and_direct_route(self, operands):
+        A, B = operands
+        S = sumset(A, B, method="spectral")
+        assert set(S.indices()) == pairs_sumset(A, B)
+        assert S == sumset(A, B, method="direct")
+
+    @pytest.mark.parametrize("a,b,side", [
+        ((250, 12), (3, 5), 16),     # A wraps through 0
+        ((240, 16), (200, 40), 64),  # A ends at n - 1; the sum wraps through 0
+        ((255, 1), (255, 2), 2),     # both start at n - 1
+        ((0, 30), (226, 40), 128),   # B ends at n - 1, A starts at 0
+        ((100, 20), (90, 30), 64),   # no wrapping
+    ])
+    def test_arcs_through_the_ends_of_the_cycle(self, a, b, side):
+        g = FinAbGroup([256])
+        S = assert_box_route_exact(arc_set(g, [a]), arc_set(g, [b]), [side])
+        assert len(S) == a[1] + b[1] - 1
+
+    def test_one_cropped_axis_and_one_whole(self):
+        g = FinAbGroup([512, 6])
+        rng = np.random.default_rng(3)
+        A = arc_set(g, [(500, 20), (0, 6)], rng, 0.5)
+        B = arc_set(g, [(7, 9), (4, 3)], rng, 0.5)
+        assert_box_route_exact(A, B, [32, 6])
+        # a whole cycle stays whole, however short the partner's arc on it
+        assert_box_route_exact(A, arc_set(g, [(7, 9), (4, 2)]), [32, 6])
+
+    @pytest.mark.parametrize("la,lb,side", [
+        (9, 8, 16),     # L_A + L_B - 1 a power of two: the sum fills its grid
+        (9, 9, 32),     # one more than a power of two
+        (64, 65, 128),  # exactly n / 2
+        (65, 65, None),  # past n / 2: the cycle stays whole
+    ])
+    def test_sides_at_powers_of_two(self, la, lb, side):
+        g = FinAbGroup([256])
+        rng = np.random.default_rng(la * lb)
+        for starts in ((0, 0), (250, 200), (128, 129)):
+            A = arc_set(g, [(starts[0], la)], rng, 0.3)
+            B = arc_set(g, [(starts[1], lb)], rng, 0.3)
+            assert_box_route_exact(A, B, None if side is None else [side])
+
+    def test_degenerate_operands(self):
+        g = FinAbGroup([64, 32])
+        point = GroupSet.singleton(g, g.encode([63, 31]))
+        assert_box_route_exact(point, point, [2, 2])
+        assert_box_route_exact(point, GroupSet.singleton(g, 5), [2, 2])
+        column = arc_set(g, [(60, 8), (0, 32)])  # a whole second axis
+        assert_box_route_exact(column, point, [8, 32])
+        assert_box_route_exact(column, column, [16, 32])
+        assert_box_route_exact(GroupSet.full(g), point, None)
+
+    def test_operand_passed_twice_is_cropped_and_transformed_once(self, monkeypatch):
+        g = FinAbGroup([4096])
+        A = GroupSet.interval(g, 100)
+        shapes, rfftn = [], np.fft.rfftn
+        monkeypatch.setattr(np.fft, "rfftn", lambda a, *args, **kwargs: (
+            shapes.append(np.shape(a)) or rfftn(a, *args, **kwargs)))
+        assert sumset(A, A, method="spectral") == GroupSet.interval(g, 200)
+        assert shapes == [(512,)]
+
+    def test_registered_operand_keeps_its_full_grid_spectrum(self, monkeypatch):
+        g = FinAbGroup([4096])
+        level = GroupSet.interval(g, 16)
+        partners = [GroupSet.interval(g, 8), GroupSet.interval(g, 40)]
+        transformed, rfftn = [], np.fft.rfftn
+        monkeypatch.setattr(np.fft, "rfftn", lambda a, *args, **kwargs: (
+            transformed.append(np.asarray(a).tobytes()) or rfftn(a, *args, **kwargs)))
+        cache = OperandCache([level])
+        for P in partners:
+            S = sumset(level, P, method="spectral", cache=cache)
+            assert S == GroupSet.interval(g, 16 + len(P) // 2)
+        # each partner passes through uncached, on the full grid too
+        assert len(transformed) == 3 and all(len(b) == 8 * g.order for b in transformed)
+        assert transformed.count(level.mask.astype(np.float64).tobytes()) == 1
 
 
 class TestSumset:

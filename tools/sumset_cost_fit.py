@@ -11,6 +11,11 @@ Times both exact sumset routes on a grid of groups and operand sizes
 by least squares on relative error. Prints one row per timed instance, the
 fitted constants, and the instances on which the fitted model and the
 current SUMSET_COST pick a route slower than the faster one by over 10%.
+
+Then, as a report only (the fit above uses random sets, which fill their
+group), times the spectral route on intervals and boxes of the same sizes:
+the grid points its convolution used (the operands' bounding box, or |G|)
+and its time against a convolution over all of G.
 """
 
 from __future__ import annotations
@@ -21,8 +26,9 @@ import time
 
 import numpy as np
 
+from addcomb.fourier import convolve
 from addcomb.groups import FinAbGroup
-from addcomb.sets import SUMSET_COST, GroupSet, _sumset_route, sumset
+from addcomb.sets import SUMSET_COST, GroupSet, _spectral_box, _sumset_route, sumset
 
 GROUPS = ([256], [4096], [65536], [2 ** 18], [729], [3 ** 11], [64, 64], [81, 81],
           [256, 256], [16, 16, 16], [9, 9, 9], [32, 32, 32])
@@ -41,6 +47,34 @@ def best_of(repeats: int, fn) -> float:
 
 def random_set(rng, g: FinAbGroup, size: int) -> GroupSet:
     return GroupSet.from_indices(g, rng.choice(g.order, size=size, replace=False))
+
+
+def local_set(g: FinAbGroup, size: int) -> GroupSet:
+    """An interval (rank 1) or a box, sides from 0, of about size points."""
+    side = max(1, round(size ** (1 / g.rank)))
+    grid = np.zeros(g.invariants[::-1], dtype=bool)
+    grid[tuple(slice(min(n, side)) for n in g.invariants[::-1])] = True
+    return GroupSet(g, grid.ravel())
+
+
+def box_report(repeats: int) -> None:
+    """Time the spectral route on localized operands of the fit sizes."""
+    print(f"{'group':>14} {'|small|':>8} {'|big|':>8} {'points':>8} {'fft ms':>8} "
+          f"{'all-G ms':>9}")
+    for cycles in GROUPS:
+        g = FinAbGroup(cycles)
+        for frac in BIG_FRACTIONS:
+            B = local_set(g, max(1, int(g.order * frac)))
+            for small in SMALL:
+                A = local_set(g, small)
+                if len(A) > len(B):
+                    continue
+                box = _spectral_box(A, B, None)
+                points = g.order if box is None else math.prod(m for m, _, _ in box)
+                spectral = best_of(repeats, lambda: sumset(A, B, method="spectral"))
+                full = best_of(repeats, lambda: convolve(A, B, snap_integers=False) >= 0.5)
+                print(f"{g!r:>14} {len(A):>8} {len(B):>8} {points:>8} "
+                      f"{spectral * 1e3:>8.3f} {full * 1e3:>9.3f}")
 
 
 def fit(rows: list[tuple[float, ...]], times: list[float]) -> np.ndarray:
@@ -91,6 +125,7 @@ def main() -> None:
         print(f"{label} model: {len(misses)} of {len(samples)} picks over 10% slower")
         for m in misses:
             print("  ", m)
+    box_report(args.repeats)
 
 
 if __name__ == "__main__":
