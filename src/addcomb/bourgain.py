@@ -19,17 +19,32 @@ A family that is still constant twelve ternary levels below the grid is
 treated as eventually constant, and its bottom level gets rho* = 0 (the true
 infimum for e.g. subgroup systems). A step in S_{3^-k} costs at most 2^-k, so
 rho is computed level by level rather than step by step: distances are
-integers in units of 2^-depth, and each round settles every element at the
-least open distance t at once, closing them under the zero-cost core and
-relaxing t + 2^(depth-k) onto their sumset with each distinct level S_{3^-k},
-less the sums of two steps of the next level, which reach the same elements
-at no greater cost. The kept levels (and a core larger than {0}) are
-registered with an OperandCache made for the call, so each is transformed at
-most once however many rounds sum it, and each round's frontier once for all
-the levels it is summed with; a {0} core closes nothing, and the closure is
-skipped. The depth is at most MAX_DEPTH = 31, so
-|G| * 2^depth <= 2^53 under the group order cap, every distance fits int64,
-and rho is exact in float64.
+integers in units of 2^-depth, the level S_k = S_{3^-k} weighs 2^(depth-k),
+and top = 2^depth is the weight of S_0. Each round settles every element at
+the least open distance t at once, closes them under the zero-cost core, and
+relaxes t + w onto their sumset with distinct levels of weight w.
+
+The ball lemma. On an axiom-clean system, subadditivity at (3^-(k+1),
+3^-(k+1)) and nesting give S_{k+1} + S_{k+1} <= S_{2*3^-(k+1)} <= S_k, so two
+steps of weight w reach no further than one of weight 2w, at the same cost.
+Carrying equal steps upward like binary digits, every ball has the closed form
+
+    {dist <= D} = H + c*S_0 + sum of S_k over the bits 2^(depth-k) of D mod top,
+
+with c = floor(D / top) and H the additive closure of the core ({0} without
+one); at D = 2^(depth-k) it reads {rho <= 2^-k} = H + S_{3^-k}. So an element
+y at distance D > 0 is y = x + s with s in S_b, b = D & -D (b = top when top
+divides D), and x at distance exactly D - b, whose lowest set bit is above b
+or which is 0 or a multiple of top: were x nearer, so would y be. Relaxing
+an element settled at t with the levels of weight below t & -t therefore
+finds every distance; only 0 and the multiples of top take every level.
+
+The levels (and a core larger than {0}) are registered with an OperandCache
+made for the call, so each is transformed at most once however many rounds
+sum it, and each round's frontier once for all the levels it is summed with;
+a {0} core closes nothing, and the closure is skipped. The depth is at most
+MAX_DEPTH = 31, so |G| * 2^depth <= 2^53 under the group order cap, every
+distance fits int64, and rho is exact in float64.
 """
 
 from __future__ import annotations
@@ -282,13 +297,18 @@ def birkhoff_metric(system: BourgainSystem) -> BirkhoffMetric:
     chains from 0, found by settling whole distance buckets: distances are
     integers in units of 2^-depth, and each round takes the least unsettled
     distance t, closes its elements under the zero-weight core steps, and
-    relaxes t + 2^(depth-k) onto one sumset with each distinct level S_k,
-    less the steps that two steps of the next level make at the same cost.
-    Each kept level's half spectrum (and coordinate block) is built at most
-    once per call, and each frontier's at most once per round, in a cache
-    dropped on return; a core that is {0}, as on every auto-depth system,
-    gets no closure sumsets. A system has depth <=
-    MAX_DEPTH, so every distance is an integer below 2^53 and
+    relaxes t + w onto one sumset with each distinct level of weight w.
+    The audited axioms give S_{k+1} + S_{k+1} <= S_k (subadditivity, then
+    nesting), so {dist <= D} = H + floor(D / top)*S_0 + the sum of the
+    levels at the bits of D mod top, where top = 2^depth and H closes the
+    core ({0} without one). Hence every element at distance D is one step of
+    weight D & -D from an element at distance exactly D - (D & -D), and a
+    round relaxes only the levels lighter than t & -t; t = 0 and the
+    multiples of top relax every level. Each level's half spectrum (and
+    coordinate block) is built at most once per call, and each frontier's
+    at most once per round, in a cache dropped on return; a core that is
+    {0}, as on every auto-depth system, gets no closure sumsets. A system
+    has depth <= MAX_DEPTH, so every distance is an integer below 2^53 and
     rho = distance * 2^-depth is exact in float64.
     """
     if not system.audit.all_pass:
@@ -300,28 +320,21 @@ def birkhoff_metric(system: BourgainSystem) -> BirkhoffMetric:
     if core is not None:
         rho_star[core.mask] = 0.0
 
-    # The weighted step sets, deep to shallow, with weights in units of
+    # The distinct step levels, deep to shallow, with weights in units of
     # 2^-depth; the core, when attested, is the bottom level at weight 0. A
-    # level equal to the next deeper one costs more for the same steps, so it
-    # is dropped. When the next deeper level S' weighs half as much, a step in
-    # S' + S' costs no more as two steps of S', so only the rest is kept. Each
-    # kept level is registered, so its transform is made at most once.
+    # level equal to the next deeper one costs more for the same steps.
     cache = OperandCache()
     steps: list[tuple[GroupSet, int]] = []
-    deeper, deeper_w = core, 0
+    deeper = core
     for k in reversed(range(depth + 1 if core is None else depth)):
-        S, w = system.levels[Fraction(1, 3 ** k)], 1 << (depth - k)
-        if S == deeper:
-            continue
-        kept = S
-        if 2 * deeper_w == w:
-            kept = GroupSet(g, S.mask & ~sumset(deeper, deeper).mask)
-        if kept:
-            steps.append((cache.register(kept), w))
-        deeper, deeper_w = S, w
+        S = system.levels[Fraction(1, 3 ** k)]
+        if S != deeper:
+            steps.append((cache.register(S), 1 << (depth - k)))
+        deeper = S
     # every level holds 0, so a one-element core is {0} and closes nothing
     closing = cache.register(core) if core is not None and len(core) > 1 else None
 
+    top = 1 << depth
     unreached = np.iinfo(np.int64).max
     dist = np.full(g.order, unreached, dtype=np.int64)
     dist[0] = 0
@@ -339,13 +352,12 @@ def birkhoff_metric(system: BourgainSystem) -> BirkhoffMetric:
             frontier = closed
         dist[frontier.mask] = t
         settled |= frontier.mask
-        # the steps run from cheap to dear, and once t + w cannot beat the
-        # worst open distance, no relaxation can change anything; the frontier
-        # is cached for its own round only
-        worst = int(np.max(dist, where=~settled, initial=-1))
+        # by the ball lemma only the steps lighter than t's lowest set bit
+        # can settle anything; the frontier is cached for its own round only
+        limit = t & -t if t % top else 2 * top
         cache.register(frontier)
         for S, w in steps:
-            if t + w >= worst:
+            if w >= limit:
                 break
             np.minimum(dist, t + w, out=dist,
                        where=sumset(frontier, S, cache=cache).mask)

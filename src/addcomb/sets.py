@@ -228,7 +228,8 @@ def _sumset_route(small: int, big: int, g: FinAbGroup,
 
 def sumset(A: GroupSet, B: GroupSet, method: str = "auto", *,
            cache: "OperandCache | None" = None) -> GroupSet:
-    """{a + b : a in A, b in B}. Empty inputs give the empty set.
+    """{a + b : a in A, b in B}. Empty inputs give the empty set, and a {0}
+    operand gives the other operand itself.
 
     method: "auto" picks the route by size, "direct" forces the blocked
     outer sum, "spectral" forces the FFT route. Both routes are exact. The
@@ -243,6 +244,11 @@ def sumset(A: GroupSet, B: GroupSet, method: str = "auto", *,
     g = A.group
     if A.cardinality == 0 or B.cardinality == 0:
         return GroupSet.empty(g)
+    # {0} + S = S: no route needs to run
+    if A.cardinality == 1 and A.mask[0]:
+        return B
+    if B.cardinality == 1 and B.mask[0]:
+        return A
     if method not in ("auto", "direct", "spectral"):
         raise ValueError(f"unknown sumset method {method!r}")
     small, big = (A, B) if A.cardinality <= B.cardinality else (B, A)

@@ -340,6 +340,39 @@ class TestBirkhoffMetric:
     def test_matches_dijkstra_oracle(self, system):
         assert_matches_dijkstra(system)
 
+    @settings(max_examples=60, deadline=None)
+    @given(clean_systems())
+    def test_balls_have_the_closed_form_of_the_lemma(self, system):
+        # {dist <= D} = H + c*S_0 + the levels at the bits of D mod top, with
+        # c = D // top, H the core's additive closure and S_k of weight
+        # 2^(depth - k); checked at every distance the metric attains
+        g, depth = system.group, system.depth
+        top = 1 << depth
+        H = GroupSet.singleton(g, 0) if system.core is None else system.core
+        while (closed := addcomb.sets.sumset(H, H)) != H:
+            H = closed
+        level = {1 << (depth - k): system.levels[r]
+                 for k, r in enumerate(system.ternary_radii())}
+        balls = {0: H}
+
+        def closed_form(D: int) -> GroupSet:
+            # peel off the lowest bit; the multiples of top peel off S_0
+            if D not in balls:
+                b = D & -D if D % top else top
+                balls[D] = addcomb.sets.sumset(closed_form(D - b), level[b])
+            return balls[D]
+
+        dist = birkhoff_metric(system).rho * top
+        finite = np.isfinite(dist)
+        attained = np.unique(dist[finite]).astype(np.int64).tolist()
+        for D in attained:
+            assert GroupSet(g, finite & (dist <= D)) == closed_form(D), D
+        # and no step of any level leads past the farthest distance
+        assert GroupSet(g, finite) == closed_form(attained[-1] + top)
+        for k, r in enumerate(system.ternary_radii()):
+            assert (GroupSet(g, finite & (dist <= 1 << (depth - k)))
+                    == addcomb.sets.sumset(H, system.levels[r])), k
+
     @pytest.mark.parametrize("name,system", VERIFY_SYSTEMS,
                              ids=[name for name, _ in VERIFY_SYSTEMS])
     def test_matches_dijkstra_on_verify_systems(self, name, system):
@@ -365,18 +398,16 @@ class TestBirkhoffMetric:
         assert system.core == GroupSet.singleton(g, 0)
         sums = record_calls(addcomb.sets, "sumset")
         birkhoff_metric(system)
-        # 905 while every round also closed its frontier under the {0} core
-        assert len(sums) == 776
+        # 905 while every round also closed its frontier under the {0} core,
+        # 776 while each level was cut by the sums of the next deeper one and
+        # every round relaxed with each level up to the worst open distance
+        assert len(sums) == 135
 
     @pytest.mark.parametrize("kind", sorted(CORE_KINDS))
     def test_each_cached_set_transformed_at_most_once(self, monkeypatch, kind):
         system = CORE_KINDS[kind]()
-        ternary = [system.levels[r] for r in reversed(system.ternary_radii())]
-        # the sets the metric may keep: each level, and each level less the
-        # sums of two steps of the next deeper one
-        kept = {float_bytes(S) for S in ternary}
-        kept |= {float_bytes(GroupSet(S.group, S.mask & ~addcomb.sets.sumset(D, D).mask))
-                 for D, S in zip(ternary, ternary[1:])}
+        # the metric's steps are the levels themselves
+        kept = {float_bytes(system.levels[r]) for r in system.ternary_radii()}
         seen = record_transforms(monkeypatch)
         birkhoff_metric(system)
         assert max(seen.count(b) for b in kept) <= 1

@@ -236,6 +236,22 @@ class TestSumset:
         A = GroupSet.from_indices(g, [1])
         assert sumset(A, GroupSet.empty(g)).cardinality == 0
 
+    @pytest.mark.parametrize("method", ["auto", "direct", "spectral"])
+    def test_zero_operand_runs_no_route(self, monkeypatch, method):
+        from addcomb import fourier
+        for name, module in (("_coords", addcomb.sets), ("convolve", fourier)):
+            monkeypatch.setattr(module, name, lambda *a, **k: pytest.fail("a route ran"))
+        rng = np.random.default_rng(41)
+        for cycles in ([2], [97], [10, 12], [5, 4, 6]):
+            g = FinAbGroup(cycles)
+            zero = GroupSet.singleton(g, 0)
+            some = GroupSet(g, rng.random(g.order) < 0.3) | GroupSet.singleton(g, g.order - 1)
+            for S in (zero, some, GroupSet.full(g)):
+                for A, B in ((zero, S), (S, zero)):
+                    out = sumset(A, B, method)
+                    assert out is S
+                    assert set(out.indices()) == pairs_sumset(A, B)
+
     def test_group_mismatch(self):
         with pytest.raises(GroupMismatchError):
             sumset(GroupSet.full(FinAbGroup([4])), GroupSet.full(FinAbGroup([5])))
