@@ -298,15 +298,11 @@ def birkhoff_metric(system: BourgainSystem) -> BirkhoffMetric:
     integers in units of 2^-depth, and each round takes the least unsettled
     distance t, closes its elements under the zero-weight core steps, and
     relaxes t + w onto one sumset with each distinct level of weight w.
-    The audited axioms give S_{k+1} + S_{k+1} <= S_k (subadditivity, then
-    nesting), so {dist <= D} = H + floor(D / top)*S_0 + the sum of the
-    levels at the bits of D mod top, where top = 2^depth and H closes the
-    core ({0} without one). Hence every element at distance D is one step of
-    weight D & -D from an element at distance exactly D - (D & -D), and a
-    round relaxes only the levels lighter than t & -t; t = 0 and the
-    multiples of top relax every level. Each level's half spectrum (and
-    coordinate block) is built at most once per call, and each frontier's
-    at most once per round, in a cache dropped on return; a core that is
+    A round at t relaxes only the levels lighter than t & -t, and t = 0 and
+    the multiples of top = 2^depth relax every level; see the ball lemma in
+    the module docstring. Each level's half spectrum (and coordinate block)
+    is built at most once per call, and each frontier's at most once per
+    round, in a cache dropped on return; a core that is
     {0}, as on every auto-depth system, gets no closure sumsets. A system
     has depth <= MAX_DEPTH, so every distance is an integer below 2^53 and
     rho = distance * 2^-depth is exact in float64.

@@ -241,6 +241,8 @@ def sumset(A: GroupSet, B: GroupSet, method: str = "auto", *,
     sum with a registered operand runs on all of G.
     """
     _same_group(A, B)
+    if method not in ("auto", "direct", "spectral"):
+        raise ValueError(f"unknown sumset method {method!r}")
     g = A.group
     if A.cardinality == 0 or B.cardinality == 0:
         return GroupSet.empty(g)
@@ -249,8 +251,6 @@ def sumset(A: GroupSet, B: GroupSet, method: str = "auto", *,
         return B
     if B.cardinality == 1 and B.mask[0]:
         return A
-    if method not in ("auto", "direct", "spectral"):
-        raise ValueError(f"unknown sumset method {method!r}")
     small, big = (A, B) if A.cardinality <= B.cardinality else (B, A)
     if method == "auto":
         method = _sumset_route(small.cardinality, big.cardinality, g)

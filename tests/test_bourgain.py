@@ -398,9 +398,6 @@ class TestBirkhoffMetric:
         assert system.core == GroupSet.singleton(g, 0)
         sums = record_calls(addcomb.sets, "sumset")
         birkhoff_metric(system)
-        # 905 while every round also closed its frontier under the {0} core,
-        # 776 while each level was cut by the sums of the next deeper one and
-        # every round relaxed with each level up to the worst open distance
         assert len(sums) == 135
 
     @pytest.mark.parametrize("kind", sorted(CORE_KINDS))

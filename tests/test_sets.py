@@ -251,6 +251,8 @@ class TestSumset:
                     out = sumset(A, B, method)
                     assert out is S
                     assert set(out.indices()) == pairs_sumset(A, B)
+            with pytest.raises(ValueError):
+                sumset(zero, some, "bogus")
 
     def test_group_mismatch(self):
         with pytest.raises(GroupMismatchError):
