@@ -3,8 +3,13 @@
 Transforms are taken against the counting measure: f^(gamma_m) =
 sum_x f(x) * conj(gamma_m(x)). On the product-of-cycles encoding this is a
 multidimensional DFT along each cyclic factor, so the transform reshapes to
-the factor grid and calls numpy's FFT. The quadratic evaluation of the
-defining sum is the cross-check `oracles.naive_transform`.
+the factor grid and calls numpy's real FFT. Every function transformed here
+is real, so f^(-gamma) = conj f^(gamma): the real FFT gives the characters
+with first coordinate m_0 <= n_0 / 2, and the conjugate mirror fills the
+rest. A spectrum cut needs only |f^|, which DualFunction.magnitudes
+mirrors from the half spectrum's moduli without building the complex
+values. The quadratic evaluation of the defining sum is the cross-check
+`oracles.naive_transform`.
 
 All quantities handled here are integers or short cosine sums, so indicator
 convolutions are snapped back to exact integers after the FFT round trip.
@@ -12,6 +17,7 @@ convolutions are snapped back to exact integers after the FFT round trip.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -28,20 +34,38 @@ INT_SNAP_TOL = 1e-6
 LOG_FLOAT_CAP = math.log(1e300)
 
 
-@dataclass(frozen=True)
 class DualFunction:
-    """A complex-valued function on the dual group, one value per character."""
+    """A complex-valued function on the dual group, one value per character.
 
-    group: FinAbGroup
-    values: np.ndarray
+    Built from its values, or by transform from the real FFT's half
+    spectrum (m_0 <= n_0 / 2). Then the values are mirrored from the half
+    on first use, and magnitudes() mirrors the half's moduli instead, as
+    |f^(-gamma)| = |f^(gamma)|: a spectrum cut, which reads only the
+    moduli, never builds the complex values. Both ways give the same bits.
+    """
 
-    def __post_init__(self):
-        if self.values.shape != (self.group.order,):
-            raise ValueError("value vector length must equal the group order")
-        self.values.setflags(write=False)
+    __slots__ = ("group", "_values", "_half")
+
+    def __init__(self, group: FinAbGroup, values: np.ndarray | None = None, *,
+                 half: np.ndarray | None = None):
+        if values is not None:
+            if values.shape != (group.order,):
+                raise ValueError("value vector length must equal the group order")
+            values.setflags(write=False)
+        self.group, self._values, self._half = group, values, half
+
+    @property
+    def values(self) -> np.ndarray:
+        if self._values is None:
+            self._values = _mirrored(self._half, self.group)
+            self._values.setflags(write=False)
+            self._half = None
+        return self._values
 
     def magnitudes(self) -> np.ndarray:
-        return np.abs(self.values)
+        if self._values is None:
+            return _mirrored(np.abs(self._half), self.group)
+        return np.abs(self._values)
 
     def __getitem__(self, m: int) -> complex:
         return complex(self.values[m])
@@ -59,10 +83,52 @@ def _as_values(f, group: FinAbGroup | None) -> tuple[FinAbGroup, np.ndarray]:
 
 
 def transform(f, group: FinAbGroup | None = None) -> DualFunction:
-    """Fourier transform of a real function (or set indicator) on G, by the factor-wise FFT."""
+    """Fourier transform of a real function (or set indicator) on G.
+
+    The real FFT of the reversed-grid layout (_half_spectrum) gives the
+    characters with m_0 <= n_0 / 2; _mirror fills the others by the
+    conjugate mirror f^(-gamma) = conj f^(gamma) when the values are read.
+    """
     group, values = _as_values(f, group)
-    grid = values.reshape(group.invariants, order="F")
-    return DualFunction(group, np.fft.fftn(grid).ravel(order="F"))
+    return DualFunction(group, half=_half_spectrum(values, group))
+
+
+def _mirrored(half: np.ndarray, group: FinAbGroup) -> np.ndarray:
+    """The flat values on all of the dual of a function whose half (m_0 <=
+    n_0 / 2, the real FFT's layout) is given, by _mirror."""
+    full = np.empty(_grid_shape(group), dtype=half.dtype)
+    full[..., :half.shape[-1]] = half
+    _mirror(full)
+    return full.ravel()
+
+
+def _mirror(grid: np.ndarray) -> None:
+    """Fill grid[..., m] for m > n / 2 (n = grid.shape[-1]) with the conjugate
+    of the point at minus its coordinates (for a real grid, such as moduli,
+    the point itself).
+
+    On the last axis, -m = n - m runs from n - kept down to 1: a reversed
+    slice. On the other axes the slice is gathered through each cycle's
+    negation permutation (there are none on one cycle). The columns m = 0
+    and m = n / 2 are their own negations, so each is mirrored in turn on
+    the axes before it. Every pair {gamma, -gamma} then holds a value and
+    its exact conjugate, so |f^(gamma)| = |f^(-gamma)| bit for bit.
+    """
+    n = grid.shape[-1]
+    kept = n // 2 + 1
+    source = grid[..., n - kept:0:-1]
+    for axis, length in enumerate(grid.shape[:-1]):
+        source = source.take(_negation(length), axis=axis)
+    np.conjugate(source, out=grid[..., kept:])
+    if grid.ndim > 1:
+        for m in ((0, n // 2) if n % 2 == 0 else (0,)):
+            _mirror(grid[..., m])
+
+
+@functools.lru_cache(maxsize=64)
+def _negation(n: int) -> np.ndarray:
+    """The negation permutation of Z_n, for _mirror's gathers."""
+    return FinAbGroup([n]).negation_permutation()
 
 
 def convolve(f, g, group: FinAbGroup | None = None,
@@ -77,7 +143,7 @@ def convolve(f, g, group: FinAbGroup | None = None,
     are snapped back to exact integers unless snap_integers=False.
 
     The spectral sumset calls this with the operands' cropped indicators as
-    arrays over their bounding box, a group of power-of-two cycles where the
+    arrays over their bounding box, a group of 5-smooth cycles where the
     convolution is linear, and wraps the result back to G itself; with a
     registered operand, or with no cycle cropped, it passes the sets over G.
     """
@@ -109,8 +175,8 @@ def _grid_shape(group: FinAbGroup) -> tuple[int, ...]:
 
 def _half_spectrum(values: np.ndarray, group: FinAbGroup) -> np.ndarray:
     """The real FFT (half spectrum) of a real function on group."""
-    shape = _grid_shape(group)
-    return np.fft.rfftn(values.reshape(shape), axes=tuple(range(len(shape))))
+    # all axes by default: naming them costs numpy several microseconds a call
+    return np.fft.rfftn(values.reshape(_grid_shape(group)))
 
 
 def _spectrum(f, group: FinAbGroup, cache: OperandCache | None) -> np.ndarray:

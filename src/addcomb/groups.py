@@ -128,7 +128,12 @@ class FinAbGroup:
     def negation_permutation(self) -> np.ndarray:
         """Permutation p with p[encode(x)] = encode(-x)."""
         if self._neg_perm is None:
-            self._neg_perm = self.encode_array(-self.coords_table())
+            # index(-x) = sum_j ((-x_j) mod n_j) * stride_j, one outer sum per
+            # cycle from the last (the slowest digit) to the first
+            perm = np.zeros((), dtype=np.int64)
+            for n, s in zip(self.invariants[::-1], self._strides[::-1]):
+                perm = np.add.outer(perm, (-np.arange(n, dtype=np.int64)) % n * s)
+            self._neg_perm = perm.ravel()
             self._neg_perm.setflags(write=False)
         return self._neg_perm
 

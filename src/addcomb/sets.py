@@ -10,23 +10,31 @@ route is a real FFT convolution of the two indicators cut at 1/2 (the
 convolution counts representations, so its values are integers and the cut
 is exact). It runs on the operands' bounding box: on each cycle j, with A's
 projection on an arc of length L_A from a and B's on an arc of length L_B
-from b, the cycle shrinks to the power of two m at or above L_A + L_B - 1
-(and at least 2, the shortest cycle) when m < n_j. There the convolution of the cropped indicators is linear,
-hence exact, and box point k is the sum at a + b + k mod n_j (the
-wrap-back). Other cycles stay whole, and with none shrunk the route is the
-full-grid convolution. sumset picks the route of lower modelled cost,
+from b, the cycle shrinks to m, the least 5-smooth number 2^a 3^b 5^c at
+or above L_A + L_B - 1 (and at least 2, the shortest cycle), when
+m < n_j. numpy's FFT costs about the same per point at 5-smooth lengths
+as at powers of two, and they lie closer together. There the convolution
+of the cropped indicators is linear, hence exact, and box point k is the
+sum at a + b + k mod n_j (the wrap-back). Other cycles stay whole, and
+with none shrunk the route is the full-grid convolution. sumset picks the
+route of lower modelled cost,
 
     direct   ~ |small| * (c0 + c1 * |big| * rank)
-    spectral ~ c2 * |G| * log2|G| + c3,
+    spectral ~ c2 * P * log2 P + c3,   P the FFT's grid points,
 
-with the constants SUMSET_COST fitted by tools/sumset_cost_fit.py. No rule
+with the constants SUMSET_COST fitted by tools/sumset_cost_fit.py. P is
+|G| first. Where that picks direct, the box is planned when the direct
+cost beats both the FFT on the least box the operand sizes allow and one
+O(|G|) pass (c2 * |G|), what planning costs; the FFT is then priced on
+the box's points, and a spectral sum takes the planned box along. No rule
 on |A| * |B| alone can choose well: the direct cost grows with the smaller
-operand times the larger one, while the FFT cost depends on |G| only.
+operand times the larger one, while the FFT cost depends on the grid only.
 
 A computation that sums the same sets again and again registers them with
 an OperandCache and passes it to sumset, so each one's coordinates and half
 spectrum are built once per call. A spectral sum with a registered operand
-runs on all of G, so that set keeps its one full-grid half spectrum.
+runs on all of G, so that set keeps its one full-grid half spectrum, and
+its auto route is never probed for a box.
 
 Multiples is the one route to the n-fold sumsets nA: it keeps every
 multiple it has built, reuses known ones, and halves where none fits, so
@@ -35,6 +43,7 @@ iterate(n, A) is Multiples(A)[n].
 
 from __future__ import annotations
 
+import bisect
 import math
 import numbers
 from dataclasses import dataclass
@@ -42,18 +51,36 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .groups import FinAbGroup, GroupElement, GroupMismatchError
+from .groups import ORDER_CAP, FinAbGroup, GroupElement, GroupMismatchError
 
 #: prog() refuses generator lists longer than this.
 PROG_GUARD = 24
 
 #: Seconds-per-unit constants (c0, c1, c2, c3) of the sumset cost model:
-#: direct ~ |small| * (c0 + c1 * |big| * rank), spectral ~ c2 * |G| log2|G| + c3.
+#: direct ~ |small| * (c0 + c1 * |big| * rank), spectral ~ c2 * P log2 P + c3
+#: on an FFT grid of P points.
 SUMSET_COST = (1.32e-6, 2.63e-9, 2.06e-9, 5.49e-5)
 
 #: Pairs the direct sumset route adds in one block (rows of the smaller
 #: operand against all of the larger one; at least one row per block).
 SUMSET_BLOCK_CELLS = 1 << 14
+
+
+def _smooth_numbers(limit: int) -> list[int]:
+    """The 5-smooth numbers 2^a 3^b 5^c from 2 to limit, ascending."""
+    found = [1]
+    for p in (2, 3, 5):
+        for m in list(found):
+            m *= p
+            while m <= limit:
+                found.append(m)
+                m *= p
+    return sorted(found)[1:]
+
+
+#: The cycle lengths a spectral box can take: the 5-smooth numbers up to
+#: twice the order cap, which bounds L_A + L_B - 1.
+_BOX_SIDES = _smooth_numbers(2 * ORDER_CAP)
 
 
 class GuardExceededError(ValueError):
@@ -218,12 +245,49 @@ def negate(A: GroupSet) -> GroupSet:
 
 
 def _sumset_route(small: int, big: int, g: FinAbGroup,
-                  cost: tuple[float, float, float, float] = SUMSET_COST) -> str:
-    """The route of lower modelled cost (constants c0..c3) for sizes small <= big."""
+                  cost: tuple[float, float, float, float] = SUMSET_COST,
+                  points: int | None = None) -> str:
+    """The route of lower modelled cost (constants c0..c3) for sizes small <= big,
+    with the FFT on a grid of points (all of G by default)."""
     c0, c1, c2, c3 = cost
+    points = g.order if points is None else points
     direct = small * (c0 + c1 * big * g.rank)
-    spectral = c2 * g.order * math.log2(g.order) + c3
+    spectral = c2 * points * math.log2(points) + c3
     return "spectral" if spectral < direct else "direct"
+
+
+def _auto_route(A: GroupSet, B: GroupSet, cache: "OperandCache | None",
+                cost: tuple[float, float, float, float] = SUMSET_COST
+                ) -> tuple[str, list[tuple[int, int, int]] | None]:
+    """(route, box) for sumset's auto method: the full-grid model's route,
+    unless it picks direct for a sum whose FFT would run on a smaller box.
+
+    The box is planned (an O(|G|) probe) only when the modelled direct cost
+    beats both c2 * |G| and the FFT on the least box the operand sizes allow;
+    then the FFT is priced on the box's points, and a spectral pick returns
+    the box so that it is not planned again. A registered operand is never
+    probed: its sums run on all of G.
+    """
+    g = A.group
+    small, big = sorted((len(A), len(B)))
+    if _sumset_route(small, big, g, cost) == "spectral":
+        return "spectral", None
+    c0, c1, c2, c3 = cost
+    # an FFT on any box costs at least c3, so a direct cost below that needs
+    # no least box either
+    if (_registered(A, B, cache) or small * (c0 + c1 * big * g.rank) <= max(c2 * g.order, c3)
+            or _sumset_route(small, big, g, cost,
+                             math.prod(_least_sides(small, big, g))) == "direct"):
+        return "direct", None
+    box = _spectral_box(A, B)
+    if box is not None and _sumset_route(small, big, g, cost,
+                                         math.prod(m for m, _, _ in box)) == "spectral":
+        return "spectral", box
+    return "direct", None
+
+
+def _registered(A: GroupSet, B: GroupSet, cache: "OperandCache | None") -> bool:
+    return cache is not None and (A in cache or B in cache)
 
 
 def sumset(A: GroupSet, B: GroupSet, method: str = "auto", *,
@@ -231,10 +295,12 @@ def sumset(A: GroupSet, B: GroupSet, method: str = "auto", *,
     """{a + b : a in A, b in B}. Empty inputs give the empty set, and a {0}
     operand gives the other operand itself.
 
-    method: "auto" picks the route by size, "direct" forces the blocked
-    outer sum, "spectral" forces the FFT route. Both routes are exact. The
-    FFT route convolves on the operands' bounding box, each cycle cropped to
-    a power of two that holds the sum of their arcs, and wraps the result
+    method: "auto" picks the route of lower modelled cost (_auto_route),
+    pricing the FFT on the box it would use where the full-grid model picks
+    direct; "direct" forces the blocked outer sum, "spectral" forces the FFT
+    route, and neither probes. Both routes are exact. The FFT route
+    convolves on the operands' bounding box, each cycle cropped to the least
+    5-smooth length that holds the sum of their arcs, and wraps the result
     back to G; it uses all of G when no cycle shrinks.
     cache: an OperandCache whose registered operands reuse their stored
     coordinates or half spectrum instead of building them again. A spectral
@@ -251,11 +317,12 @@ def sumset(A: GroupSet, B: GroupSet, method: str = "auto", *,
         return B
     if B.cardinality == 1 and B.mask[0]:
         return A
-    small, big = (A, B) if A.cardinality <= B.cardinality else (B, A)
+    box = None
     if method == "auto":
-        method = _sumset_route(small.cardinality, big.cardinality, g)
+        method, box = _auto_route(A, B, cache)
     if method == "spectral":
-        return _spectral_sumset(A, B, cache)
+        return _spectral_sumset(A, B, cache, box)
+    small, big = (A, B) if A.cardinality <= B.cardinality else (B, A)
     # direct: every pair at once, in blocks of rows of small against all of big
     small_coords, big_coords = (_coords(S) if cache is None else cache.get(S, "coords", _coords)
                                 for S in (small, big))
@@ -271,15 +338,18 @@ def sumset(A: GroupSet, B: GroupSet, method: str = "auto", *,
     return GroupSet(g, mask)
 
 
-def _spectral_sumset(A: GroupSet, B: GroupSet, cache: "OperandCache | None") -> GroupSet:
+def _spectral_sumset(A: GroupSet, B: GroupSet, cache: "OperandCache | None",
+                     box: list[tuple[int, int, int]] | None = None) -> GroupSet:
     """The spectral route: the convolution of the indicators cut at 1/2, on
-    the box of _spectral_box when there is one, else on all of G."""
+    the given box or else the box of _spectral_box when there is one, and on
+    all of G when there is none or an operand is registered with cache."""
     from . import fourier  # local import; fourier depends on this module
 
     # the exact counts are integers, so the unsnapped convolution cut at 1/2
     # is exact
     g = A.group
-    box = _spectral_box(A, B, cache)
+    if box is None and not _registered(A, B, cache):
+        box = _spectral_box(A, B)
     if box is None:
         return GroupSet(g, fourier.convolve(A, B, snap_integers=False, cache=cache) >= 0.5)
     crop_A = _crop(A, [(m, a) for m, a, _ in box])
@@ -295,25 +365,29 @@ def _spectral_sumset(A: GroupSet, B: GroupSet, cache: "OperandCache | None") -> 
 
 
 def _box_side(length: int) -> int:
-    """The power of two at or above length (at least 2): a cropped cycle's grid."""
-    return 1 << max(1, (length - 1).bit_length())
+    """The least 5-smooth number 2^a 3^b 5^c at or above length (at least 2):
+    a cropped cycle's grid."""
+    return _BOX_SIDES[bisect.bisect_left(_BOX_SIDES, length)]
 
 
-def _spectral_box(A: GroupSet, B: GroupSet, cache: "OperandCache | None"
-                  ) -> list[tuple[int, int, int]] | None:
+def _least_sides(a: int, b: int, g: FinAbGroup) -> list[int]:
+    """Per cycle, the least side any box of operands of a and b points can
+    have there (n_j where no such box shrinks the cycle): a projection on
+    cycle j has at least ceil(|S| n_j / |G|) points."""
+    return [min(n, _box_side((a * n - 1) // g.order + (b * n - 1) // g.order + 1))
+            for n in g.invariants]
+
+
+def _spectral_box(A: GroupSet, B: GroupSet) -> list[tuple[int, int, int]] | None:
     """The grid of the spectral route of A + B: per cycle j, (m, a, b) where
     A's projection lies on the arc of length L_A from a, B's on the arc of
     length L_B from b, and m = _box_side(L_A + L_B - 1) is below n_j; else
-    (n_j, 0, 0). None when no cycle shrinks, or when either operand is
-    registered with cache, which keeps its one full-grid half spectrum.
+    (n_j, 0, 0). None when no cycle shrinks. Cycles that the operand sizes
+    alone keep whole (_least_sides) are not scanned.
     """
     g = A.group
-    if cache is not None and (A in cache or B in cache):
-        return None
-    # a projection on cycle j has at least ceil(|S| n_j / |G|) points
-    shrinkable = [j for j, n in enumerate(g.invariants)
-                  if _box_side((len(A) * n - 1) // g.order + (len(B) * n - 1) // g.order + 1)
-                  < n]
+    shrinkable = [j for j, (m, n) in enumerate(zip(_least_sides(len(A), len(B), g),
+                                                   g.invariants)) if m < n]
     if not shrinkable:
         return None
     box = [(n, 0, 0) for n in g.invariants]
@@ -401,8 +475,10 @@ class OperandCache:
 
 
 def difference(A: GroupSet, B: GroupSet) -> GroupSet:
-    """A - B = A + (-B)."""
-    return sumset(A, negate(B))
+    """A - B = A + (-B). A symmetric B is passed itself, so that the spectral
+    route transforms a symmetric set's A - A once."""
+    neg = negate(B)
+    return sumset(A, B if neg == B else neg)
 
 
 def iterate(n: int, A: GroupSet) -> GroupSet:

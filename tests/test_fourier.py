@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from addcomb.fourier import (convolve, moment, moment_detail,
                              moment_lower_bound_audit, parseval_audit,
@@ -27,6 +28,23 @@ def rand_set(rng, g, p=None):
     mask = rng.random(g.order) < (p or rng.uniform(0.05, 0.6))
     mask[int(rng.integers(0, g.order))] = True
     return GroupSet(g, mask)
+
+
+@st.composite
+def mirror_inputs(draw):
+    """(group, values, as_set): a group of rank 1-3 whose cycles are drawn
+    from 2, 3 and other odd and even lengths, and a real function on it,
+    a set indicator when as_set."""
+    rank = draw(st.integers(1, 3))
+    top = {1: 3000, 2: 60, 3: 14}[rank]
+    cycles = draw(st.lists(st.one_of(st.sampled_from([2, 3]), st.integers(2, top)),
+                           min_size=rank, max_size=rank))
+    g = FinAbGroup(cycles)
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    as_set = draw(st.booleans())
+    if as_set:
+        return g, (rng.random(g.order) < rng.uniform(0.02, 0.9)).astype(np.float64), True
+    return g, rng.normal(size=g.order), False
 
 
 class TestTransform:
@@ -60,6 +78,23 @@ class TestTransform:
             naive = naive_transform(f, g).values
             worst = max(worst, float(np.abs(fast - naive).max()))
         assert worst <= 1e-9
+
+    @settings(max_examples=200, deadline=None)
+    @given(mirror_inputs())
+    def test_real_fft_and_mirror_match_the_complex_fft(self, inputs):
+        g, values, as_set = inputs
+        fhat = transform(GroupSet(g, values > 0.5) if as_set else values, g)
+        # moduli mirrored from the half spectrum, before any value is built
+        mags = fhat.magnitudes()
+        want = np.fft.fftn(values.reshape(g.invariants, order="F")).ravel(order="F")
+        assert float(np.abs(fhat.values - want).max()) <= 1e-9 * max(1.0, float(np.abs(want).max()))
+        # the mirror makes |f^(gamma)| = |f^(-gamma)| exact, on every plane,
+        # and both ways to the moduli give the same bits
+        assert np.array_equal(mags, mags[g.negation_permutation()])
+        assert np.array_equal(mags, fhat.magnitudes())
+        assert not fhat.values.flags.writeable
+        with pytest.raises(ValueError):
+            fhat.values[0] = 0.0
 
     def test_real_even_functions_have_real_transform(self):
         g = FinAbGroup([14])

@@ -183,6 +183,12 @@ def test_negation_permutation():
         assert perm[i] == (-g.element(i)).index
 
 
+@pytest.mark.parametrize("cycles", [[2], [7], [12, 5], [2, 3, 4], [3, 3, 2]])
+def test_negation_permutation_on_every_rank(cycles):
+    g = FinAbGroup(cycles)
+    assert np.array_equal(g.negation_permutation(), g.encode_array(-g.coords_table()))
+
+
 def test_group_equality_and_hash():
     assert FinAbGroup([4, 2]) == FinAbGroup([4, 2])
     assert FinAbGroup([4, 2]) != FinAbGroup([2, 4])

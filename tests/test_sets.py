@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 import addcomb.sets
 from addcomb.groups import FinAbGroup, GroupMismatchError
 from addcomb.sets import (SUMSET_BLOCK_CELLS, GroupSet, GuardExceededError, Multiples,
-                          OperandCache, _spectral_box, _sumset_route, difference,
+                          OperandCache, _box_side, _spectral_box, _sumset_route, difference,
                           growth_profile, iterate, negate, prog, sumset)
 
 
@@ -126,7 +126,7 @@ def box_operands(draw):
 def assert_box_route_exact(A: GroupSet, B: GroupSet, box_sides) -> GroupSet:
     """sumset(A, B, "spectral") on the box of the given sides (None for all
     of G) equals the pairs oracle and the direct route."""
-    box = _spectral_box(A, B, None)
+    box = _spectral_box(A, B)
     assert (box if box is None else [m for m, _, _ in box]) == box_sides
     S = sumset(A, B, method="spectral")
     assert set(S.indices()) == pairs_sumset(A, B)
@@ -145,10 +145,10 @@ class TestSpectralBox:
 
     @pytest.mark.parametrize("a,b,side", [
         ((250, 12), (3, 5), 16),     # A wraps through 0
-        ((240, 16), (200, 40), 64),  # A ends at n - 1; the sum wraps through 0
+        ((240, 16), (200, 40), 60),  # A ends at n - 1; the sum wraps through 0
         ((255, 1), (255, 2), 2),     # both start at n - 1
-        ((0, 30), (226, 40), 128),   # B ends at n - 1, A starts at 0
-        ((100, 20), (90, 30), 64),   # no wrapping
+        ((0, 30), (226, 40), 72),    # B ends at n - 1, A starts at 0
+        ((100, 20), (90, 30), 50),   # no wrapping
     ])
     def test_arcs_through_the_ends_of_the_cycle(self, a, b, side):
         g = FinAbGroup([256])
@@ -160,17 +160,19 @@ class TestSpectralBox:
         rng = np.random.default_rng(3)
         A = arc_set(g, [(500, 20), (0, 6)], rng, 0.5)
         B = arc_set(g, [(7, 9), (4, 3)], rng, 0.5)
-        assert_box_route_exact(A, B, [32, 6])
+        assert_box_route_exact(A, B, [30, 6])
         # a whole cycle stays whole, however short the partner's arc on it
-        assert_box_route_exact(A, arc_set(g, [(7, 9), (4, 2)]), [32, 6])
+        assert_box_route_exact(A, arc_set(g, [(7, 9), (4, 2)]), [30, 6])
 
     @pytest.mark.parametrize("la,lb,side", [
-        (9, 8, 16),     # L_A + L_B - 1 a power of two: the sum fills its grid
-        (9, 9, 32),     # one more than a power of two
+        (9, 8, 16),     # L_A + L_B - 1 5-smooth: the sum fills its grid
+        (9, 9, 18),     # one more than a power of two
         (64, 65, 128),  # exactly n / 2
-        (65, 65, None),  # past n / 2: the cycle stays whole
+        (65, 65, 135),  # past n / 2, and a box of 135 = 3^3 * 5 still shrinks
+        (125, 125, 250),  # the largest 5-smooth side below n = 256
+        (126, 126, None),  # 251: no 5-smooth side below n, the cycle stays whole
     ])
-    def test_sides_at_powers_of_two(self, la, lb, side):
+    def test_sides_at_and_past_5_smooth_lengths(self, la, lb, side):
         g = FinAbGroup([256])
         rng = np.random.default_rng(la * lb)
         for starts in ((0, 0), (250, 200), (128, 129)):
@@ -185,7 +187,7 @@ class TestSpectralBox:
         assert_box_route_exact(point, GroupSet.singleton(g, 5), [2, 2])
         column = arc_set(g, [(60, 8), (0, 32)])  # a whole second axis
         assert_box_route_exact(column, point, [8, 32])
-        assert_box_route_exact(column, column, [16, 32])
+        assert_box_route_exact(column, column, [15, 32])
         assert_box_route_exact(GroupSet.full(g), point, None)
 
     def test_operand_passed_twice_is_cropped_and_transformed_once(self, monkeypatch):
@@ -195,7 +197,20 @@ class TestSpectralBox:
         monkeypatch.setattr(np.fft, "rfftn", lambda a, *args, **kwargs: (
             shapes.append(np.shape(a)) or rfftn(a, *args, **kwargs)))
         assert sumset(A, A, method="spectral") == GroupSet.interval(g, 200)
-        assert shapes == [(512,)]
+        assert shapes == [(405,)]
+
+    def test_box_side_is_the_least_5_smooth_length(self):
+        def smooth(m):
+            for p in (2, 3, 5):
+                while m % p == 0:
+                    m //= p
+            return m == 1
+
+        for length in range(1, 5001):
+            want = max(2, length)
+            while not smooth(want):
+                want += 1
+            assert _box_side(length) == want
 
     def test_registered_operand_keeps_its_full_grid_spectrum(self, monkeypatch):
         g = FinAbGroup([4096])
@@ -211,6 +226,52 @@ class TestSpectralBox:
         # each partner passes through uncached, on the full grid too
         assert len(transformed) == 3 and all(len(b) == 8 * g.order for b in transformed)
         assert transformed.count(level.mask.astype(np.float64).tobytes()) == 1
+
+
+class TestAutoRoute:
+    """sumset's auto route probes the box only where the full-grid model picks
+    direct, and hands the planned box to the spectral route."""
+
+    @staticmethod
+    def dual_arcs():
+        # the shape of the 629 + 943 sum of spectra in run_freiman on Z_2^18
+        # (interval 16, eps 0.05): two arcs around 0
+        g = FinAbGroup([2 ** 18])
+        return g, GroupSet.interval(g, 314), GroupSet.interval(g, 471)
+
+    def test_dual_arcs_take_one_convolution_on_their_box(self, record_calls):
+        from addcomb import fourier
+        g, A, B = self.dual_arcs()
+        assert _sumset_route(len(A), len(B), g) == "direct"  # on the full grid
+        calls = record_calls(fourier, "convolve")
+        S = sumset(A, B)
+        assert len(calls) == 1 and calls[0][2].order <= 2048
+        assert S == GroupSet.interval(g, 314 + 471) == sumset(A, B, method="direct")
+        assert set(S.indices()) == pairs_sumset(A, B)
+
+    def test_probed_sum_plans_its_box_once(self, record_calls):
+        g, A, B = self.dual_arcs()
+        planned = record_calls(addcomb.sets, "_spectral_box")
+        sumset(A, B)
+        assert len(planned) == 1
+
+    def test_registered_operand_is_never_probed(self, monkeypatch):
+        g, A, B = self.dual_arcs()
+        monkeypatch.setattr(addcomb.sets, "_spectral_box",
+                            lambda *a: pytest.fail("a registered operand was probed"))
+        want = GroupSet.interval(g, 314 + 471)
+        for registered in (A, B):
+            for method in ("auto", "spectral"):
+                assert sumset(A, B, method, cache=OperandCache([registered])) == want
+
+    def test_forced_methods_never_probe(self, record_calls):
+        g, A, B = self.dual_arcs()
+        planned = record_calls(addcomb.sets, "_spectral_box")
+        assert sumset(A, B, method="direct") == GroupSet.interval(g, 314 + 471)
+        assert planned == []
+        # the spectral route plans its own box, once
+        assert sumset(A, B, method="spectral") == GroupSet.interval(g, 314 + 471)
+        assert len(planned) == 1
 
 
 class TestSumset:
@@ -579,3 +640,14 @@ class TestGroupSetBasics:
         A = GroupSet.from_indices(g, [3, 5])
         D = difference(A, A)
         assert set(D.indices()) == {0, 2, 18}
+
+    def test_symmetric_difference_is_transformed_once(self, monkeypatch):
+        g = FinAbGroup([4096])
+        B = GroupSet.interval(g, 100)
+        shapes, rfftn = [], np.fft.rfftn
+        monkeypatch.setattr(np.fft, "rfftn", lambda a, *args, **kwargs: (
+            shapes.append(np.shape(a)) or rfftn(a, *args, **kwargs)))
+        assert difference(B, B) == GroupSet.interval(g, 200)
+        assert shapes == [(405,)]
+        A = GroupSet.from_indices(g, [7, 4000])
+        assert set(difference(A, B).indices()) == pairs_sumset(A, negate(B))

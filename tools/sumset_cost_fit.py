@@ -9,13 +9,17 @@ Times both exact sumset routes on a grid of groups and operand sizes
     spectral ~ c2 * |G| * log2|G| + c3
 
 by least squares on relative error. Prints one row per timed instance, the
-fitted constants, and the instances on which the fitted model and the
-current SUMSET_COST pick a route slower than the faster one by over 10%.
+fitted constants, and the instances on which sumset's auto route, under the
+fitted constants and under the current SUMSET_COST, picks a route slower
+than the faster one by over 10%. The auto route is the one sumset takes,
+box probe included (addcomb.sets._auto_route).
 
 Then, as a report only (the fit above uses random sets, which fill their
-group), times the spectral route on intervals and boxes of the same sizes:
-the grid points its convolution used (the operands' bounding box, or |G|)
-and its time against a convolution over all of G.
+group), times both routes on intervals and boxes of the same sizes: the
+grid points P the spectral convolution used (the operands' bounding box,
+or |G|), its time beside the current model's c2 * P * log2 P + c3, a
+convolution over all of G, and the direct route. The auto route's picks
+on these sets are checked the same way.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ import numpy as np
 
 from addcomb.fourier import convolve
 from addcomb.groups import FinAbGroup
-from addcomb.sets import SUMSET_COST, GroupSet, _spectral_box, _sumset_route, sumset
+from addcomb.sets import SUMSET_COST, GroupSet, _auto_route, _spectral_box, sumset
 
 GROUPS = ([256], [4096], [65536], [2 ** 18], [729], [3 ** 11], [64, 64], [81, 81],
           [256, 256], [16, 16, 16], [9, 9, 9], [32, 32, 32])
@@ -57,10 +61,25 @@ def local_set(g: FinAbGroup, size: int) -> GroupSet:
     return GroupSet(g, grid.ravel())
 
 
+def misroutes(samples, cost) -> list[str]:
+    """The samples (A, B, direct_s, spectral_s) on which the auto route under
+    cost takes a route over 10% slower than the faster one."""
+    out = []
+    for A, B, d, sp in samples:
+        pick, _ = _auto_route(A, B, None, cost)
+        taken = sp if pick == "spectral" else d
+        if taken > 1.1 * min(d, sp):
+            out.append(f"{A.group!r} {len(A)}x{len(B)}: {pick} {taken * 1e3:.3f} ms "
+                       f"vs best {min(d, sp) * 1e3:.3f} ms")
+    return out
+
+
 def box_report(repeats: int) -> None:
-    """Time the spectral route on localized operands of the fit sizes."""
+    """Time both routes on localized operands of the fit sizes."""
+    c2, c3 = SUMSET_COST[2:]
     print(f"{'group':>14} {'|small|':>8} {'|big|':>8} {'points':>8} {'fft ms':>8} "
-          f"{'all-G ms':>9}")
+          f"{'model ms':>9} {'all-G ms':>9} {'direct ms':>10}")
+    samples = []
     for cycles in GROUPS:
         g = FinAbGroup(cycles)
         for frac in BIG_FRACTIONS:
@@ -69,12 +88,21 @@ def box_report(repeats: int) -> None:
                 A = local_set(g, small)
                 if len(A) > len(B):
                     continue
-                box = _spectral_box(A, B, None)
+                box = _spectral_box(A, B)
                 points = g.order if box is None else math.prod(m for m, _, _ in box)
                 spectral = best_of(repeats, lambda: sumset(A, B, method="spectral"))
                 full = best_of(repeats, lambda: convolve(A, B, snap_integers=False) >= 0.5)
+                direct = best_of(repeats, lambda: sumset(A, B, method="direct"))
+                model = c2 * points * math.log2(points) + c3
+                if len(A) > 1:  # a local set of one point is {0}, which runs no route
+                    samples.append((A, B, direct, spectral))
                 print(f"{g!r:>14} {len(A):>8} {len(B):>8} {points:>8} "
-                      f"{spectral * 1e3:>8.3f} {full * 1e3:>9.3f}")
+                      f"{spectral * 1e3:>8.3f} {model * 1e3:>9.3f} {full * 1e3:>9.3f} "
+                      f"{direct * 1e3:>10.3f}")
+    misses = misroutes(samples, SUMSET_COST)
+    print(f"current model on local sets: {len(misses)} of {len(samples)} picks over 10% slower")
+    for m in misses:
+        print("  ", m)
 
 
 def fit(rows: list[tuple[float, ...]], times: list[float]) -> np.ndarray:
@@ -89,7 +117,7 @@ def main() -> None:
     ap.add_argument("--repeats", type=int, default=3)
     args = ap.parse_args()
     rng = np.random.default_rng(0)
-    samples = []  # (group, small, big, direct_s, spectral_s)
+    samples = []  # (A, B, direct_s, spectral_s)
     print(f"{'group':>14} {'|small|':>8} {'|big|':>8} {'direct ms':>10} {'fft ms':>8}")
     for cycles in GROUPS:
         g = FinAbGroup(cycles)
@@ -101,27 +129,21 @@ def main() -> None:
                 A, B = random_set(rng, g, small), random_set(rng, g, big)
                 direct = best_of(args.repeats, lambda: sumset(A, B, method="direct"))
                 spectral = best_of(args.repeats, lambda: sumset(A, B, method="spectral"))
-                samples.append((g, small, big, direct, spectral))
+                samples.append((A, B, direct, spectral))
                 print(f"{g!r:>14} {small:>8} {big:>8} {direct * 1e3:>10.3f} "
                       f"{spectral * 1e3:>8.3f}")
-    c0, c1 = fit([(s, s * b * g.rank) for g, s, b, _, _ in samples],
+    c0, c1 = fit([(len(A), len(A) * len(B) * A.group.rank) for A, B, _, _ in samples],
                  [d for *_, d, _ in samples])
-    spectral_by_group = {g: [] for g, *_ in samples}
-    for g, *_, sp in samples:
-        spectral_by_group[g].append(sp)
+    spectral_by_group = {A.group: [] for A, *_ in samples}
+    for A, *_, sp in samples:
+        spectral_by_group[A.group].append(sp)
     groups = list(spectral_by_group)
     c2, c3 = fit([(g.order * math.log2(g.order), 1.0) for g in groups],
                  [float(np.median(spectral_by_group[g])) for g in groups])
     fitted = (float(c0), float(c1), float(c2), float(c3))
     print("fitted SUMSET_COST =", tuple(float(f"{c:.3g}") for c in fitted))
     for label, cost in (("fitted", fitted), ("current", SUMSET_COST)):
-        misses = []
-        for g, s, b, d, sp in samples:
-            pick = _sumset_route(s, b, g, cost)
-            taken = sp if pick == "spectral" else d
-            if taken > 1.1 * min(d, sp):
-                misses.append(f"{g!r} {s}x{b}: {pick} {taken * 1e3:.3f} ms "
-                              f"vs best {min(d, sp) * 1e3:.3f} ms")
+        misses = misroutes(samples, cost)
         print(f"{label} model: {len(misses)} of {len(samples)} picks over 10% slower")
         for m in misses:
             print("  ", m)
