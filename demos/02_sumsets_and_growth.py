@@ -4,7 +4,8 @@ The carrier is a dense bit vector per set, so sumsets stay exact whether
 they run through the translate loop or the FFT route.
 """
 
-from addcomb import FinAbGroup, GroupSet, growth_profile, iterate, negate, prog, sumset
+from addcomb import (FinAbGroup, GroupSet, Multiples, growth_profile, iterate, negate,
+                     prog, sumset)
 
 g = FinAbGroup([64])
 A = GroupSet.interval(g, 1)  # {-1, 0, 1}, wrapping around 0
@@ -22,7 +23,7 @@ P = prog([g.element(5), g.element(11)], 1)
 print("Prog({5,11}, 1):", sorted(P.indices()))
 
 # the growth profile checks mu(nA) <= n^d mu(A) row by row
-prof = growth_profile(A, d=1.0, n_max=10)
+prof = growth_profile(Multiples(A), d=1.0, n_max=10)
 for row in prof.rows:
     mark = "ok" if row.satisfied else "VIOLATED"
     print(f"n={row.n:2d}  mu={row.mu_nA:3d}  bound={row.bound:6.1f}  {mark}")
@@ -31,4 +32,4 @@ print("hypothesis satisfied on the window:", prof.satisfied_on_window)
 # a scattered set grows too fast for d = 1
 B = GroupSet.from_indices(g, [0, 1, 5, 23, 40])
 print("scattered set satisfies d=1:",
-      growth_profile(B, d=1.0, n_max=4).satisfied_on_window)
+      growth_profile(Multiples(B), d=1.0, n_max=4).satisfied_on_window)

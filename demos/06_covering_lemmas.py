@@ -28,7 +28,7 @@ print("is {1,2,3} dissociated over {0}:",
 g2 = FinAbGroup([256])
 B2 = GroupSet.from_indices(g2, [0, 40, 80, 120, 160])
 Bp2 = GroupSet.interval(g2, 4)
-cert2 = chang_cover(B2, Bp2, k=6)
+cert2, _, _ = chang_cover(B2, Bp2, k=6)
 print("Chang T:", [t.index for t in cert2.T])
 print("precondition held:", cert2.parameters["precondition_held"])
 print("B inside Prog(T,1) + B'-B':", cert2.containment_verified)

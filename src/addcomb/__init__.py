@@ -20,11 +20,11 @@ from .fourier import (DualFunction, MomentBoundAudit, MomentValue, convolve,
                       parseval_audit, transform)
 from .groups import (Character, FinAbGroup, GroupElement, GroupMismatchError,
                      arg_norm, character_arg_norm, eval_character)
-from .pipeline import (BohrMeasureAudit, FreimanConfig, FreimanReport,
-                       LowerboundAudit, SpectrumCover, bohr_measure_audit,
-                       find_l, lowerbound_audit, run_freiman, spectrum_cover)
-from .sets import (GroupSet, GrowthProfile, GuardExceededError, difference,
-                   growth_profile, iterate, negate, prog, sumset)
+from .pipeline import (FreimanConfig, FreimanReport, FreimanRun, LowerboundAudit,
+                       SpectrumCover, find_l, lowerbound_audit, run_freiman,
+                       spectrum_cover)
+from .sets import (GroupSet, GrowthProfile, GuardExceededError, Multiples,
+                   difference, growth_profile, iterate, negate, prog, sumset)
 from .spectrum import (FindKResult, MomentSplit, Spectrum, claim_audit,
                        find_k, lspec, moment_split, spectral_distance)
 

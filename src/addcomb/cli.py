@@ -18,7 +18,7 @@ from .bourgain import (GRID_DEPTH_CAP, birkhoff_metric, constant_family,
 from .covering import chang_cover, ruzsa_cover
 from .pipeline import FreimanConfig, run_freiman
 from .serialize import dumps, group_from_json, load_set, set_from_json, set_to_json
-from .sets import GroupSet, growth_profile
+from .sets import GroupSet, Multiples, growth_profile
 from .spectrum import lspec
 from .verify import SUITES, run_suite
 
@@ -53,7 +53,7 @@ def _load_config(path: str | None) -> dict:
 def _cmd_analyze(args, cfg) -> int:
     A = load_set(args.set)
     n_max = args.n_max if args.n_max is not None else cfg.get("n_max", 8)
-    profile = growth_profile(A, args.d, n_max)
+    profile = growth_profile(Multiples(A), args.d, n_max)
     _emit({"set": set_to_json(A), "growth_profile": profile.to_jsonable()}, args.out)
     return 0
 
@@ -78,7 +78,7 @@ def _cmd_cover(args, cfg) -> int:
         cert = ruzsa_cover(B)
     else:
         Bp = load_set(args.bprime)
-        cert = chang_cover(B, Bp, args.k)
+        cert = chang_cover(B, Bp, args.k)[0]
     _emit(cert.to_jsonable(), args.out)
     if not cert.containment_verified:
         return 1

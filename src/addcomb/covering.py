@@ -114,22 +114,17 @@ def is_dissociated(T: Sequence[GroupElement], Bp: GroupSet,
     return True
 
 
-def chang_cover(B: GroupSet, Bp: GroupSet, k: int,
-                guard: int = DISSOCIATION_GUARD) -> CoverCertificate:
+def chang_cover(B: GroupSet, Bp: GroupSet, k: int, guard: int = DISSOCIATION_GUARD
+                ) -> tuple[CoverCertificate, GroupSet, GroupSet]:
     """Greedy maximal B'-dissociated subset T of B, with B inside Prog(T,1)+B'-B'.
 
+    Returns (certificate, Prog(T,1), the target Prog(T,1)+B'-B').
     The lemma's precondition mu(kB + B') < 2^k mu(B') is measured first; when
     it holds, |T| <= k is guaranteed and verified. When it fails, T and the
     containment are still returned with the size bound flagged non-applicable.
     The greedy keeps forbidden = (B'-B') + reach(T) up to date, so membership
     tests are O(1) per candidate.
     """
-    return _chang_cover(B, Bp, k, guard)[0]
-
-
-def _chang_cover(B: GroupSet, Bp: GroupSet, k: int, guard: int = DISSOCIATION_GUARD
-                 ) -> tuple[CoverCertificate, GroupSet, GroupSet]:
-    """chang_cover, also returning Prog(T,1) and the target Prog(T,1)+B'-B'."""
     if k < 1:
         raise ValueError(f"chang_cover needs k >= 1, got {k}")
     if B.cardinality == 0 or Bp.cardinality == 0:

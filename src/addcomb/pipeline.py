@@ -8,6 +8,10 @@ carries every intermediate verdict: direct containment A-A in B, the
 three-link radius chain, the spectral lower-bound audit, a dimension
 estimate of the Bohr family, and the measure ratio mu(B)/mu(A).
 
+Each stage has one entry point, which run_freiman calls: growth_profile,
+find_l and measured_growth_exponent take the run's Multiples, and
+spectrum_cover and lowerbound_audit the FreimanRun itself.
+
 The Bohr distance tables are sieved (bohr.bohr_distance_table): a run
 fixes its radius cap read_cap, the largest radius below 1/2 that any stage
 reads, before its first table, and every table keeps A - A exact. So the
@@ -30,15 +34,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import bohr
-from .bohr import (DIM_GRID_CAP, INCLUSION_SLACK, BohrSet, DistanceTable, bohr_set,
+from .bohr import (DIM_GRID_CAP, INCLUSION_SLACK, BohrSet, DistanceTable,
                    dimension_estimate, dyadic_dimension_grid, table_family,
                    DimensionEstimate)
-from .covering import CoverCertificate, _chang_cover
+from .covering import CoverCertificate, chang_cover
 from .fourier import transform
 from .groups import GroupElement
-from .sets import (GroupSet, Multiples, growth_window_end, growth_window_start,
-                   negate, sumset, GrowthProfile)
-from .spectrum import Spectrum, cut_spectrum, lspec
+from .sets import (GroupSet, Multiples, growth_profile, growth_window_end,
+                   growth_window_start, negate, sumset, GrowthProfile)
+from .spectrum import Spectrum, cut_spectrum
 
 DEFAULT_RATIO_BOUND = float(2 ** 15)
 DEFAULT_RADIUS = 2.0 ** -4
@@ -104,23 +108,24 @@ class FreimanConfig:
 # -- the per-run context -----------------------------------------------------------
 
 
-class _Run:
+class FreimanRun:
     """What one Freiman run computes once and every stage reads.
 
     It holds the multiples nA, the magnitudes |1_lA^| of the one transform
     of lA (every spectrum of lA, at any delta, is a threshold of them), A - A
     and the Bohr distance tables of the nested frequency sets
-    LSpec(lA, eps) <= LSpec(lA, eps) u X <= LSpec(lA, 2 eps). A context
-    lives for one call: the public helpers below each make a fresh one and
-    run the same stage code as run_freiman.
+    LSpec(lA, eps) <= LSpec(lA, eps) u X <= LSpec(lA, 2 eps). Each stage
+    given the run reuses what the stages before it computed.
 
     Every table is sieved at one radius cap r_cap and keeps A - A exact
-    (see bohr.bohr_distance_table). The helpers read no ball below 1/2 and
-    leave the cap at 1/2; run_freiman fixes the largest radius below 1/2
-    that its stages read (read_cap) before its first table.
+    (see bohr.bohr_distance_table). Outside run_freiman the cap stays at
+    1/2, as no stage reads a ball below it; run_freiman fixes the largest
+    radius below 1/2 that its stages read (read_cap) before its first table.
     """
 
     def __init__(self, A: GroupSet):
+        if A.cardinality == 0:
+            raise ValueError("a Freiman run needs a nonempty set")
         self.A = A
         self.multiples = Multiples(A)
         self._magnitudes: dict[int, np.ndarray] = {}
@@ -176,15 +181,14 @@ class FindL:
     measures: tuple[int, ...]  # mu(nA) for n = 1..window end
 
 
-def find_l(A: GroupSet, d: float, ratio_bound: float = DEFAULT_RATIO_BOUND
+def find_l(multiples: Multiples, d: float, ratio_bound: float = DEFAULT_RATIO_BOUND
            ) -> FindL | None:
     """Smallest l in the pigeonhole window with mu(lA) <= ratio_bound * mu((l-1)A)."""
-    if A.cardinality == 0:
+    if multiples.A.cardinality == 0:
         raise ValueError("find_l needs a nonempty set")
-    return _find_l(Multiples(A), d, ratio_bound)
-
-
-def _find_l(multiples: Multiples, d: float, ratio_bound: float) -> FindL | None:
+    if isinstance(d, bool) or not isinstance(d, numbers.Real) \
+            or not math.isfinite(d) or d <= 0:
+        raise ValueError(f"find_l needs a finite d > 0, got {d!r}")
     lo = growth_window_start(d, floor=2)
     hi = max(growth_window_end(d), lo)
     measures = tuple(multiples[n].measure for n in range(1, hi + 1))
@@ -195,13 +199,11 @@ def _find_l(multiples: Multiples, d: float, ratio_bound: float) -> FindL | None:
     return None
 
 
-def measured_growth_exponent(A: GroupSet, n_max: int) -> float:
-    """Smallest d' with mu(nA) <= n^{d'} mu(A) over n = 2..n_max (0 when constant)."""
-    return _growth_exponent(Multiples(A), 1, n_max)
-
-
-def _growth_exponent(multiples: Multiples, l: int, n_max: int) -> float:
-    """measured_growth_exponent of lA, read off the multiples (n l)A."""
+def measured_growth_exponent(multiples: Multiples, l: int, n_max: int) -> float:
+    """Smallest d' with mu(n lA) <= n^{d'} mu(lA) for n = 2..n_max (0 when constant)."""
+    if isinstance(n_max, bool) or not isinstance(n_max, numbers.Integral) \
+            or n_max < 2:
+        raise ValueError(f"measured_growth_exponent needs an integer n_max >= 2, got {n_max!r}")
     mu = multiples[l].measure
     out = 0.0
     for n in range(2, n_max + 1):
@@ -246,7 +248,7 @@ class SpectrumCover:
         }
 
 
-def spectrum_cover(A: GroupSet, l: int, epsilon: float) -> SpectrumCover:
+def spectrum_cover(run: FreimanRun, l: int, epsilon: float) -> SpectrumCover:
     """Search the dual Chang parameter r and cover the spectrum of lA.
 
     Candidates are integers r >= 2 with (2r + 1/2) epsilon <= 1; r qualifies
@@ -254,10 +256,6 @@ def spectrum_cover(A: GroupSet, l: int, epsilon: float) -> SpectrumCover:
     qualifies the escape branch is reported (the small-epsilon regime where
     the covering route gives nothing).
     """
-    return _cover(_Run(A), l, epsilon)
-
-
-def _cover(run: _Run, l: int, epsilon: float) -> SpectrumCover:
     if epsilon <= 0:
         raise ValueError(f"spectrum_cover needs epsilon > 0, got {epsilon}")
     S_half = run.spectrum(l, epsilon / 2)
@@ -277,7 +275,7 @@ def _cover(run: _Run, l: int, epsilon: float) -> SpectrumCover:
         return SpectrumCover(epsilon, True, None, r_max, (), None, None,
                              None, None, counts)
     # the Chang target Prog(X,1) + LSpec(eps/2) - LSpec(eps/2) is form_chang's
-    cert, P, target = _chang_cover(S_two.members, S_half.members, chosen)
+    cert, P, target = chang_cover(S_two.members, S_half.members, chosen)
     X = cert.T
     X_set = GroupSet.from_elements(S_one.members.group, list(X))
     form_sum = sumset(S_one.members, S_one.members).is_subset_of(
@@ -311,13 +309,9 @@ class LowerboundAudit:
         }
 
 
-def lowerbound_audit(A: GroupSet, l: int, epsilon: float,
+def lowerbound_audit(run: FreimanRun, l: int, epsilon: float,
                      K: float | None = None) -> LowerboundAudit:
     """Exhaustive membership check of the spectral lower-bound containment."""
-    return _lowerbound(_Run(A), l, epsilon, K)
-
-
-def _lowerbound(run: _Run, l: int, epsilon: float, K: float | None) -> LowerboundAudit:
     if l < 2:
         raise ValueError(f"lowerbound_audit needs l >= 2, got {l}")
     if not 0 < epsilon <= 1:
@@ -326,6 +320,8 @@ def _lowerbound(run: _Run, l: int, epsilon: float, K: float | None) -> Lowerboun
     ratio = lA.measure / lm1A.measure
     if K is None:
         K = ratio
+    elif isinstance(K, bool) or not isinstance(K, numbers.Real) or not math.isfinite(K):
+        raise ValueError(f"lowerbound_audit needs a finite K, got {K!r}")
     elif ratio > K:
         raise ValueError(f"mu(lA) = {lA.measure} exceeds K * mu((l-1)A) = {K * lm1A.measure}")
     spec = run.spectrum(l, epsilon)
@@ -335,35 +331,6 @@ def _lowerbound(run: _Run, l: int, epsilon: float, K: float | None) -> Lowerboun
     worst = float(table.exact(AmA).max())
     return LowerboundAudit(worst <= radius + INCLUSION_SLACK, l, float(epsilon),
                            float(K), radius, spec.count, worst)
-
-
-@dataclass(frozen=True)
-class BohrMeasureAudit:
-    """mu(Bohr(LSpec(A, eps), 1/2pi)) against mu(A), with the fitted exponent."""
-
-    measure: int
-    ratio: float
-    empirical_exponent: float | None  # ln(ratio) / (d ln(d/eps)), None when d <= eps
-    spectrum_count: int
-
-    def to_jsonable(self) -> dict:
-        return {
-            "measure": self.measure, "ratio": self.ratio,
-            "empirical_exponent": self.empirical_exponent,
-            "spectrum_count": self.spectrum_count,
-        }
-
-
-def bohr_measure_audit(A: GroupSet, epsilon: float, d: float) -> BohrMeasureAudit:
-    if A.cardinality == 0:
-        raise ValueError("bohr_measure_audit needs a nonempty set")
-    spec = lspec(A, epsilon)
-    B = bohr_set(spec.members, 1.0 / (2 * math.pi))
-    ratio = B.measure / A.measure
-    exponent = None
-    if d > epsilon and ratio > 0:
-        exponent = math.log(ratio) / (d * math.log(d / epsilon))
-    return BohrMeasureAudit(B.measure, ratio, exponent, spec.count)
 
 
 # -- the end-to-end run ----------------------------------------------------------------
@@ -452,34 +419,34 @@ def _paper_epsilon(d_prime: float, C: float) -> tuple[float, bool]:
     return 1.0 / inv, False
 
 
-def _pigeonhole(run: _Run, config: FreimanConfig) -> tuple[int, float]:
+def _pigeonhole(run: FreimanRun, config: FreimanConfig) -> tuple[int, float]:
     """(l, K_l): the configured l, or the smallest one find_l accepts."""
     if config.l is not None:
         l = config.l
         return l, run.multiples[l].measure / run.multiples[l - 1].measure
-    found = _find_l(run.multiples, config.d, config.ratio_bound)
+    found = find_l(run.multiples, config.d, config.ratio_bound)
     if found is None:
         raise ValueError("no pigeonhole index l in the window; growth hypothesis fails")
     return found.l, found.K_l
 
 
-def _covered(run: _Run, l: int, eps: float, max_retries: int
+def _covered(run: FreimanRun, l: int, eps: float, max_retries: int
              ) -> tuple[SpectrumCover, float, tuple[float, ...]]:
     """The cover at eps, doubling eps on escape; (cover, eps used, eps tried).
 
     When every attempt escapes, the first attempt and its epsilon are kept.
     """
-    first = cover = _cover(run, l, eps)
+    first = cover = spectrum_cover(run, l, eps)
     tried = [eps]
     while cover.escape and len(tried) <= max_retries:
-        cover = _cover(run, l, 2 * tried[-1])
+        cover = spectrum_cover(run, l, 2 * tried[-1])
         tried.append(2 * tried[-1])
     if cover.escape:
         return first, eps, tuple(tried)
     return cover, tried[-1], tuple(tried)
 
 
-def _chain(run: _Run, l: int, eps: float, K_l: float, ball: BohrSet
+def _chain(run: FreimanRun, l: int, eps: float, K_l: float, ball: BohrSet
            ) -> tuple[ChainLink, ChainLink, ChainLink]:
     """The three-link radius chain, each link exhaustive with its own applicability."""
     table2 = run.bohr_table(run.spectrum(l, 2 * eps).members)
@@ -520,19 +487,17 @@ def run_freiman(A: GroupSet, config: FreimanConfig) -> FreimanReport:
     """Execute the full containment pipeline and assemble the report.
 
     The stages (growth, pigeonhole, spectrum, cover, audit, ball, chain)
-    share one _Run context, so each nA, the transform of lA, A - A and each
+    share one FreimanRun, so each nA, the transform of lA, A - A and each
     Bohr distance row are computed once. The tables are sieved at read_cap:
     an element's exact distance is computed only while it stays within the
     largest radius below 1/2 that a stage reads, or when it lies in A - A.
     """
-    if A.cardinality == 0:
-        raise ValueError("run_freiman needs a nonempty set")
-    run = _Run(A)
+    run = FreimanRun(A)
     n_max = config.scan_window_end()
 
-    profile = run.multiples.profile(config.d, n_max)
+    profile = growth_profile(run.multiples, config.d, n_max)
     l, K_l = _pigeonhole(run, config)
-    d_prime = _growth_exponent(run.multiples, l, n_max)
+    d_prime = measured_growth_exponent(run.multiples, l, n_max)
 
     degenerate = False
     if config.mode == "paper":
@@ -555,7 +520,7 @@ def run_freiman(A: GroupSet, config: FreimanConfig) -> FreimanReport:
 
     # the audit's table over LSpec(lA, eps) is the base of the ball's and the chain's
     run.sieve(read_cap(radius, eps_used))
-    audit = _lowerbound(run, l, min(eps_used, 1.0), None)
+    audit = lowerbound_audit(run, l, min(eps_used, 1.0))
 
     Lambda = spectrum.members
     if cover.X_set is not None:

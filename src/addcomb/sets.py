@@ -587,10 +587,10 @@ class Multiples:
         self._known = {1: A}
 
     def __getitem__(self, n: int) -> GroupSet:
+        if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
+            raise ValueError(f"multiples need an integer n >= 1, got {n!r}")
         known = self._known
         if n not in known:
-            if n < 1:
-                raise ValueError(f"multiples need n >= 1, got {n}")
             splits = [m for m in known if m < n and n - m in known]
             m = max(splits, default=n // 2)
             part, rest = self[m], self[n - m]
@@ -598,25 +598,21 @@ class Multiples:
             known[n] = bigger if len(bigger) == self.A.group.order else sumset(part, rest)
         return known[n]
 
-    def profile(self, d: float, n_max: int) -> GrowthProfile:
-        """Check mu(nA) <= n^d * mu(A) for n = 1..n_max; wraparound just saturates."""
-        A = self.A
-        if A.cardinality == 0:
-            raise ValueError("growth_profile needs a nonempty set")
-        if isinstance(n_max, bool) or not isinstance(n_max, numbers.Integral) \
-                or n_max < 2:
-            raise ValueError(f"growth_profile needs an integer n_max >= 2, got {n_max!r}")
-        if isinstance(d, bool) or not isinstance(d, numbers.Real) \
-                or not math.isfinite(d) or d <= 0:
-            raise ValueError(f"growth_profile needs a finite d > 0, got {d!r}")
-        rows = []
-        for n in range(1, n_max + 1):
-            mu = self[n].measure
-            bound = float(n) ** d * A.measure
-            rows.append(GrowthRow(n, mu, bound, mu <= bound))
-        return GrowthProfile(A, d, tuple(rows), growth_window_start(d))
 
-
-def growth_profile(A: GroupSet, d: float, n_max: int) -> GrowthProfile:
+def growth_profile(multiples: Multiples, d: float, n_max: int) -> GrowthProfile:
     """Check mu(nA) <= n^d * mu(A) for n = 1..n_max; wraparound just saturates."""
-    return Multiples(A).profile(d, n_max)
+    A = multiples.A
+    if A.cardinality == 0:
+        raise ValueError("growth_profile needs a nonempty set")
+    if isinstance(n_max, bool) or not isinstance(n_max, numbers.Integral) \
+            or n_max < 2:
+        raise ValueError(f"growth_profile needs an integer n_max >= 2, got {n_max!r}")
+    if isinstance(d, bool) or not isinstance(d, numbers.Real) \
+            or not math.isfinite(d) or d <= 0:
+        raise ValueError(f"growth_profile needs a finite d > 0, got {d!r}")
+    rows = []
+    for n in range(1, n_max + 1):
+        mu = multiples[n].measure
+        bound = float(n) ** d * A.measure
+        rows.append(GrowthRow(n, mu, bound, mu <= bound))
+    return GrowthProfile(A, d, tuple(rows), growth_window_start(d))

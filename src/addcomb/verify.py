@@ -21,7 +21,7 @@ from .bourgain import (birkhoff_metric, constant_family, interval_family,
 from .covering import chang_cover, ruzsa_cover
 from .fourier import convolve, moment_lower_bound_audit, parseval_audit, transform
 from .groups import FinAbGroup
-from .pipeline import FreimanConfig, lowerbound_audit, run_freiman
+from .pipeline import FreimanConfig, FreimanRun, lowerbound_audit, run_freiman
 from .serialize import dumps
 from .sets import GroupSet, Multiples
 from .spectrum import spectral_distance
@@ -219,7 +219,7 @@ def criterion_covering(rng: np.random.Generator) -> CriterionResult:
         nb = int(rng.integers(1, 6))
         B = GroupSet.from_indices(g, rng.integers(0, g.order, size=nb))
         k = int(rng.integers(4, 11))
-        cert = chang_cover(B, Bp, k)
+        cert = chang_cover(B, Bp, k)[0]
         if not cert.parameters["precondition_held"]:
             continue
         chang_done += 1
@@ -289,7 +289,7 @@ def criterion_lowerbound(rng: np.random.Generator) -> CriterionResult:
         A = _random_set(rng, g)
         l = int(rng.integers(2, 4))
         eps = float(rng.uniform(0.05, 1.0))
-        if not lowerbound_audit(A, l, eps).holds:
+        if not lowerbound_audit(FreimanRun(A), l, eps).holds:
             failures += 1
     secs = time.perf_counter() - t0
     return CriterionResult(

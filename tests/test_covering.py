@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 import addcomb.sets
 from addcomb.covering import chang_cover, is_dissociated, ruzsa_cover
 from addcomb.groups import FinAbGroup, GroupMismatchError
-from addcomb.sets import GroupSet, GuardExceededError, difference, iterate
+from addcomb.sets import GroupSet, GuardExceededError, difference, iterate, prog, sumset
 
 
 def brute_dissociated(T, Bp):
@@ -149,7 +149,7 @@ class TestChangCover:
         g = FinAbGroup([64])
         B = GroupSet.interval(g, 4)
         Bp = GroupSet.interval(g, 8)
-        cert = chang_cover(B, Bp, 3)
+        cert, _, _ = chang_cover(B, Bp, 3)
         assert cert.parameters["mu_kB_plus_Bp"] == 41
         assert cert.parameters["precondition_held"]
         # B sits inside B'-B' = {-16..16}, so the greedy finds nothing to add
@@ -160,13 +160,13 @@ class TestChangCover:
         g = FinAbGroup([40])
         B = GroupSet.interval(g, 2)
         Bp = GroupSet.interval(g, 5)
-        cert = chang_cover(B, Bp, 2)
+        cert, _, _ = chang_cover(B, Bp, 2)
         assert cert.T == ()
         assert cert.containment_verified
 
     def test_singleton_b(self):
         g = FinAbGroup([16])
-        cert = chang_cover(GroupSet.singleton(g, 0), GroupSet.interval(g, 1), 1)
+        cert, _, _ = chang_cover(GroupSet.singleton(g, 0), GroupSet.interval(g, 1), 1)
         assert cert.T == ()
         assert cert.containment_verified
 
@@ -174,9 +174,11 @@ class TestChangCover:
         g = FinAbGroup([256])
         B = GroupSet.from_indices(g, [0, 40, 80, 120, 160])
         Bp = GroupSet.interval(g, 4)
-        cert = chang_cover(B, Bp, 6)
+        cert, P, target = chang_cover(B, Bp, 6)
         assert len(cert.T) >= 1
         assert cert.containment_verified
+        assert P == prog(list(cert.T), 1, group=g)
+        assert target == sumset(P, difference(Bp, Bp))
         # greedy output really is dissociated, and maximally so within B
         assert is_dissociated(list(cert.T), Bp)
         chosen = {t.index for t in cert.T}
@@ -188,7 +190,7 @@ class TestChangCover:
         g = FinAbGroup([256])
         B = GroupSet.from_indices(g, [0, 40, 80, 120, 160])
         sums = record_calls(addcomb.sets, "sumset")
-        cert = chang_cover(B, GroupSet.interval(g, 4), 6)
+        cert, _, _ = chang_cover(B, GroupSet.interval(g, 4), 6)
         assert [t.index for t in cert.T] == [40, 80, 160]
         # 6B in three, 6B + B', B' - B', Prog(T, 1) in two and the target;
         # 9 while prog summed {0} with its first generator
@@ -205,7 +207,7 @@ class TestChangCover:
             B = GroupSet.from_indices(
                 g, rng.integers(0, g.order, size=int(rng.integers(1, 5))))
             k = int(rng.integers(4, 10))
-            cert = chang_cover(B, Bp, k)
+            cert, _, _ = chang_cover(B, Bp, k)
             if not cert.parameters["precondition_held"]:
                 continue
             done += 1
@@ -216,7 +218,7 @@ class TestChangCover:
         g = FinAbGroup([128])
         B = GroupSet.from_indices(g, [0, 13, 41, 77, 101])
         Bp = GroupSet.singleton(g, 5)
-        cert = chang_cover(B, Bp, 1)  # 2 * mu(B') tiny: precondition fails
+        cert, _, _ = chang_cover(B, Bp, 1)  # 2 * mu(B') tiny: precondition fails
         assert not cert.parameters["precondition_held"]
         assert cert.containment_verified
         assert not cert.parameters["size_bound_applicable"]
@@ -225,7 +227,7 @@ class TestChangCover:
         g = FinAbGroup([1000])
         B = GroupSet.from_indices(g, [1, 10, 100, 500])
         Bp = GroupSet.singleton(g, 0)
-        cert = chang_cover(B, Bp, 8, guard=3)
+        cert, _, _ = chang_cover(B, Bp, 8, guard=3)
         assert cert.parameters["guard_exceeded"]
         assert not cert.containment_verified  # partial result, flagged
 
@@ -233,8 +235,8 @@ class TestChangCover:
         g = FinAbGroup([100])
         B = GroupSet.from_indices(g, [0, 9, 33, 61, 87])
         Bp = GroupSet.interval(g, 1)
-        t1 = [t.index for t in chang_cover(B, Bp, 5).T]
-        t2 = [t.index for t in chang_cover(B, Bp, 5).T]
+        t1 = [t.index for t in chang_cover(B, Bp, 5)[0].T]
+        t2 = [t.index for t in chang_cover(B, Bp, 5)[0].T]
         assert t1 == t2
 
     def test_rejects_bad_input(self):
@@ -248,7 +250,7 @@ class TestChangCover:
 
     def test_certificate_serialization(self):
         g = FinAbGroup([64])
-        cert = chang_cover(GroupSet.interval(g, 4), GroupSet.interval(g, 8), 3)
+        cert, _, _ = chang_cover(GroupSet.interval(g, 4), GroupSet.interval(g, 8), 3)
         payload = cert.to_jsonable()
         assert payload["kind"] == "chang"
         assert payload["containment_verified"] is True

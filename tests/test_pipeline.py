@@ -8,9 +8,9 @@ import pytest
 import addcomb
 from addcomb.bohr import bohr_distance_table
 from addcomb.groups import FinAbGroup
-from addcomb.pipeline import (FreimanConfig, _Run, bohr_measure_audit, find_l,
-                              lowerbound_audit, measured_growth_exponent, read_cap,
-                              run_freiman, spectrum_cover)
+from addcomb.pipeline import (FreimanConfig, FreimanRun, find_l, lowerbound_audit,
+                              measured_growth_exponent, read_cap, run_freiman,
+                              spectrum_cover)
 from addcomb.serialize import dumps
 from addcomb.sets import GroupSet, Multiples, difference, iterate, prog, sumset
 from addcomb.spectrum import lspec
@@ -24,50 +24,60 @@ class TestFindL:
     def test_subgroup_no_growth(self):
         g = FinAbGroup([64])
         H = GroupSet.from_indices(g, range(0, 64, 8))
-        found = find_l(H, d=1.0)
+        found = find_l(Multiples(H), d=1.0)
         assert found.l == 2
         assert found.K_l == 1.0
 
     def test_interval_example(self):
-        found = find_l(interval(256, 1), d=1.0)
+        found = find_l(Multiples(interval(256, 1)), d=1.0)
         assert found.window == (2, 4)
         assert found.l == 2
         assert found.K_l == pytest.approx(5 / 3)
 
     def test_d2_window(self):
-        found = find_l(interval(256, 1), d=2.0)
+        found = find_l(Multiples(interval(256, 1)), d=2.0)
         assert found.window == (2, max(4, math.ceil(4 * math.log(2))))
         assert found.l == 2
 
     def test_not_found_with_tight_bound(self):
         # every ratio above 1 fails once the bound is 1.0
-        found = find_l(interval(256, 2), d=1.0, ratio_bound=1.0)
+        found = find_l(Multiples(interval(256, 2)), d=1.0, ratio_bound=1.0)
         assert found is None
 
     def test_saturated_levels_qualify(self):
         g = FinAbGroup([16])
         A = GroupSet.interval(g, 5)  # 2A is everything
-        found = find_l(A, d=1.0, ratio_bound=1.5)
+        found = find_l(Multiples(A), d=1.0, ratio_bound=1.5)
         assert found is not None  # ratio hits 1 after saturation
+
+    @pytest.mark.parametrize("d", [math.inf, math.nan, 0.0, -1.0, True, "1"])
+    def test_rejects_d_outside_the_papers_range(self, d):
+        with pytest.raises(ValueError, match="finite d > 0"):
+            find_l(Multiples(interval(256, 1)), d)
 
 
 class TestMeasuredGrowthExponent:
     def test_interval_close_to_one(self):
         A = interval(256, 4)
-        d = measured_growth_exponent(A, 4)
+        d = measured_growth_exponent(Multiples(A), 1, 4)
         assert 0.8 <= d <= 1.0
 
     def test_constant_set_is_zero(self):
         g = FinAbGroup([32])
         H = GroupSet.from_indices(g, range(0, 32, 4))
-        assert measured_growth_exponent(H, 4) == 0.0
+        assert measured_growth_exponent(Multiples(H), 1, 4) == 0.0
+
+    @pytest.mark.parametrize("n_max", [1, 0, True, 2.0])
+    def test_rejects_a_window_without_growth(self, n_max):
+        with pytest.raises(ValueError, match="integer n_max >= 2"):
+            measured_growth_exponent(Multiples(interval(256, 4)), 1, n_max)
 
 
 class TestSpectrumCover:
     def test_saturated_spectra_give_empty_cover(self):
         g = FinAbGroup([32])
         A = GroupSet.singleton(g, 0)
-        cover = spectrum_cover(A, 2, 0.1)
+        cover = spectrum_cover(FreimanRun(A), 2, 0.1)
         assert not cover.escape
         assert cover.X == ()
         assert cover.form_sum_ok and cover.form_chang_ok
@@ -75,7 +85,7 @@ class TestSpectrumCover:
     def test_nontrivial_cover_instance(self):
         # frozen: r = 5 qualifies (23 < 2^5), the dual greedy picks {1, 2}
         A = interval(256, 2)
-        cover = spectrum_cover(A, 2, 0.09)
+        cover = spectrum_cover(FreimanRun(A), 2, 0.09)
         assert not cover.escape
         assert cover.r == 5
         assert sorted(int(x.index) for x in cover.X) == [1, 2]
@@ -90,7 +100,7 @@ class TestSpectrumCover:
 
     def test_x_lands_in_wider_spectrum(self):
         A = interval(256, 2)
-        cover = spectrum_cover(A, 2, 0.09)
+        cover = spectrum_cover(FreimanRun(A), 2, 0.09)
         S2 = lspec(iterate(2, A), 0.18).members
         for x in cover.X:
             assert S2.contains(x)
@@ -99,36 +109,42 @@ class TestSpectrumCover:
         # (2r + 1/2) eps <= 1 admits no r >= 2 once eps > 2/9
         A = interval(64, 2)
         for eps in (0.6, 1.9):
-            cover = spectrum_cover(A, 2, eps)
+            cover = spectrum_cover(FreimanRun(A), 2, eps)
             assert cover.escape
             assert cover.r is None
             assert cover.r_max < 2
 
     def test_rejects_bad_epsilon(self):
         with pytest.raises(ValueError):
-            spectrum_cover(interval(16, 1), 2, 0.0)
+            spectrum_cover(FreimanRun(interval(16, 1)), 2, 0.0)
 
 
 class TestLowerboundAudit:
     def test_subgroup(self):
         g = FinAbGroup([64])
         H = GroupSet.from_indices(g, range(0, 64, 8))
-        assert lowerbound_audit(H, 2, 0.3).holds
+        assert lowerbound_audit(FreimanRun(H), 2, 0.3).holds
 
     def test_interval_z128(self):
-        audit = lowerbound_audit(interval(128, 3), 2, 0.25)
+        audit = lowerbound_audit(FreimanRun(interval(128, 3)), 2, 0.25)
         assert audit.holds
         assert audit.K == pytest.approx(13 / 7)
 
     def test_saturated_radius_trivial(self):
-        audit = lowerbound_audit(interval(128, 3), 2, 1.0)
+        audit = lowerbound_audit(FreimanRun(interval(128, 3)), 2, 1.0)
         assert audit.radius >= 0.5
         assert audit.holds
 
     def test_explicit_k_must_dominate(self):
         A = interval(128, 3)
         with pytest.raises(ValueError):
-            lowerbound_audit(A, 2, 0.5, K=1.0)  # actual ratio 13/7 > 1
+            lowerbound_audit(FreimanRun(A), 2, 0.5, K=1.0)  # actual ratio 13/7 > 1
+
+    @pytest.mark.parametrize("K", [math.inf, math.nan, -math.inf, True, "2"])
+    def test_explicit_k_must_be_finite(self, K):
+        # an infinite K made the radius infinite, so the audit passed vacuously
+        with pytest.raises(ValueError, match="finite K"):
+            lowerbound_audit(FreimanRun(interval(64, 2)), 2, 0.3, K=K)
 
     def test_random_instances(self):
         rng = np.random.default_rng(61)
@@ -140,27 +156,7 @@ class TestLowerboundAudit:
             A = GroupSet(g, mask)
             l = int(rng.integers(2, 4))
             eps = float(rng.uniform(0.05, 1.0))
-            assert lowerbound_audit(A, l, eps).holds
-
-
-class TestBohrMeasureAudit:
-    def test_full_group(self):
-        g = FinAbGroup([64])
-        audit = bohr_measure_audit(GroupSet.full(g), 0.1, 1.0)
-        assert audit.spectrum_count == 1
-        assert audit.ratio == 1.0
-
-    def test_interval_instance(self):
-        # frozen: LSpec(A, 0.5) = {0, +-1, +-2}, Bohr measure 11 on Z_64
-        audit = bohr_measure_audit(interval(64, 2), 0.5, 1.0)
-        assert audit.spectrum_count == 5
-        assert audit.measure == 11
-        assert audit.ratio == pytest.approx(11 / 5)
-
-    def test_full_spectrum_small_ball(self):
-        audit = bohr_measure_audit(interval(64, 2), math.sqrt(2), 1.0)
-        assert audit.spectrum_count == 64
-        assert audit.ratio <= 1.0
+            assert lowerbound_audit(FreimanRun(A), l, eps).holds
 
 
 class TestFreimanConfig:
@@ -352,7 +348,7 @@ class TestSievedRun:
             results[-1].ball((cap + 0.5) / 2)
 
     def test_the_cap_is_fixed_before_the_first_table(self):
-        run = _Run(interval(256, 2))
+        run = FreimanRun(interval(256, 2))
         run.sieve(0.1)
         run.bohr_table(GroupSet.from_indices(run.A.group, [0, 1, 255]))
         with pytest.raises(RuntimeError):
@@ -411,3 +407,19 @@ class TestRunReuse:
         # the first row runs over all of G, later ones only where the sieve
         # left an element within the cap; unsieved, every row costs |G|
         assert sum(t.cells for t in results) < len(rows) * 4096 / 2
+
+    def test_a_run_executes_the_public_stages(self, record_calls):
+        stages = [(addcomb.pipeline, "find_l"), (addcomb.pipeline, "measured_growth_exponent"),
+                  (addcomb.pipeline, "spectrum_cover"), (addcomb.pipeline, "lowerbound_audit"),
+                  (addcomb.covering, "chang_cover"), (addcomb.sets, "growth_profile")]
+        calls = {name: record_calls(module, name) for module, name in stages}
+        run_freiman(interval(4096, 16), FreimanConfig(d=1.0, epsilon=0.05))
+        assert all(calls.values()), {name: len(c) for name, c in calls.items()}
+
+    def test_stages_given_one_run_transform_la_once(self, record_calls):
+        transforms = record_calls(addcomb.fourier, "transform")
+        run = FreimanRun(interval(4096, 16))
+        cover = spectrum_cover(run, 2, 0.05)
+        audit = lowerbound_audit(run, 2, 0.05)
+        assert not cover.escape and audit.holds
+        assert [f.mask.tobytes() for f, *_ in transforms] == [run.multiples[2].mask.tobytes()]

@@ -485,6 +485,12 @@ class TestMultiples:
         with pytest.raises(ValueError):
             Multiples(interval16(0, 1))[0]
 
+    @pytest.mark.parametrize("n", [2.5, 2.0, 1.0, True, "2", -1])
+    def test_rejects_a_non_integer_n(self, n):
+        # a float n used to halve its way down to "n >= 1, got 0.0"
+        with pytest.raises(ValueError, match="integer n >= 1"):
+            Multiples(interval16(0, 1))[n]
+
 
 class TestIterate:
     def test_triple_wraparound(self):
@@ -561,7 +567,7 @@ class TestGrowthProfile:
     def test_interval_linear_growth(self):
         g = FinAbGroup([64])
         A = GroupSet.from_indices(g, [63, 0, 1])
-        prof = growth_profile(A, d=1.0, n_max=12)
+        prof = growth_profile(Multiples(A), d=1.0, n_max=12)
         # mu(nA) = 2n+1 <= 3n for every n >= 1, wraparound only saturates
         for row in prof.rows:
             assert row.mu_nA == min(2 * row.n + 1, 64)
@@ -570,7 +576,7 @@ class TestGrowthProfile:
 
     def test_full_group_saturation(self):
         g = FinAbGroup([10])
-        prof = growth_profile(GroupSet.full(g), d=0.5, n_max=4)
+        prof = growth_profile(Multiples(GroupSet.full(g)), d=0.5, n_max=4)
         assert all(r.mu_nA == 10 for r in prof.rows)
         assert all(r.satisfied for r in prof.rows)
         assert prof.saturated
@@ -578,19 +584,19 @@ class TestGrowthProfile:
     def test_large_d_always_satisfied(self):
         g = FinAbGroup([32])
         A = GroupSet.from_indices(g, [0, 1, 5, 11])
-        prof = growth_profile(A, d=6.0, n_max=6)
+        prof = growth_profile(Multiples(A), d=6.0, n_max=6)
         assert all(r.satisfied for r in prof.rows if r.n >= 2)
 
     def test_window_start(self):
         g = FinAbGroup([32])
         A = GroupSet.from_indices(g, [0, 1])
-        assert growth_profile(A, 1.0, 4).window_start == 1
-        assert growth_profile(A, 3.0, 4).window_start == math.ceil(3 * math.log(3))
+        assert growth_profile(Multiples(A), 1.0, 4).window_start == 1
+        assert growth_profile(Multiples(A), 3.0, 4).window_start == math.ceil(3 * math.log(3))
 
     def test_violation_detected(self):
         g = FinAbGroup([128])
         A = GroupSet.from_indices(g, [0, 1, 17, 40, 77])  # scattered: fast growth
-        prof = growth_profile(A, d=0.3, n_max=4)
+        prof = growth_profile(Multiples(A), d=0.3, n_max=4)
         assert not prof.satisfied_on_window
 
     def test_measures_nondecreasing_and_capped(self):
@@ -599,7 +605,7 @@ class TestGrowthProfile:
         A = GroupSet(g, rng.random(48) < 0.1)
         if A.cardinality == 0:
             A = GroupSet.singleton(g, 3)
-        prof = growth_profile(A, 1.0, 8)
+        prof = growth_profile(Multiples(A), 1.0, 8)
         mus = [r.mu_nA for r in prof.rows]
         assert mus == sorted(mus)
         assert all(m <= g.order for m in mus)
@@ -607,9 +613,9 @@ class TestGrowthProfile:
     def test_rejects_bad_input(self):
         g = FinAbGroup([8])
         with pytest.raises(ValueError):
-            growth_profile(GroupSet.empty(g), 1.0, 4)
+            growth_profile(Multiples(GroupSet.empty(g)), 1.0, 4)
         with pytest.raises(ValueError):
-            growth_profile(GroupSet.full(g), 1.0, 1)
+            growth_profile(Multiples(GroupSet.full(g)), 1.0, 1)
 
 
 class TestGroupSetBasics:
