@@ -425,30 +425,56 @@ def dyadic_dimension_grid(family: Callable[[float], GroupSet], delta: float,
 # -- rounding and nesting (radius rescaling) -----------------------------------------
 
 
-def nearest_int_dist(x: float) -> float:
-    """<x>: distance to the nearest integer, round-half-even at the boundary."""
-    return abs(x - round(x))
+def nearest_int_dist(x):
+    """<x>: distance to the nearest integer, round-half-even at the boundary.
+
+    x is a float or a float array; the result has its shape.
+    """
+    return abs(x - np.rint(x))
 
 
 @dataclass(frozen=True)
 class RoundingCheck:
+    """Python bools for scalar arguments; else bool arrays of their broadcast shape."""
+
     premise: bool      # <r t> <= k delta for all r = 1..k
     conclusion: bool   # <t> <= delta
     applicable: bool   # k delta < 1/3, the regime with a guarantee
 
 
-def rounding_check(t: float, k: int, delta: float) -> RoundingCheck:
+def rounding_check(t, k, delta) -> RoundingCheck:
     """Multiples staying near integers force t itself near an integer.
 
     Whenever the premise holds and k*delta < 1/3, the conclusion must hold.
+    t, k and delta are scalars or arrays that broadcast together. Every
+    entry must have t finite, k an integer >= 1 (not a bool) and delta in
+    (0, 1]; otherwise ValueError names the argument.
     """
-    if k < 1:
-        raise ValueError(f"rounding_check needs k >= 1, got {k}")
-    if not 0 < delta <= 1:
-        raise ValueError(f"rounding_check needs delta in (0, 1], got {delta}")
-    premise = all(nearest_int_dist(r * t) <= k * delta for r in range(1, k + 1))
-    conclusion = nearest_int_dist(t) <= delta
-    return RoundingCheck(premise, conclusion, k * delta < 1 / 3)
+    t_arr, k_arr, delta_arr = np.broadcast_arrays(
+        np.asarray(t, dtype=np.float64), np.asarray(k), np.asarray(delta, dtype=np.float64))
+    bad = ~np.isfinite(t_arr)
+    if bad.any():
+        raise ValueError(f"rounding_check needs a finite t, got {t_arr[bad][0]}")
+    if k_arr.dtype.kind not in "iu":
+        raise ValueError(f"rounding_check needs an integer k, not a bool, got {k!r}")
+    bad = k_arr < 1
+    if bad.any():
+        raise ValueError(f"rounding_check needs k >= 1, got {k_arr[bad][0]}")
+    bad = ~((delta_arr > 0) & (delta_arr <= 1))
+    if bad.any():
+        raise ValueError(f"rounding_check needs delta in (0, 1], got {delta_arr[bad][0]}")
+    bound = k_arr * delta_arr
+    premise = np.ones(bound.shape, dtype=bool)
+    # r runs to the largest k; each entry is held to the r up to its own k
+    for r in range(1, int(k_arr.max(initial=0)) + 1):
+        premise &= (nearest_int_dist(r * t_arr) <= bound) | (r > k_arr)
+        if not premise.any():
+            break
+    conclusion = nearest_int_dist(t_arr) <= delta_arr
+    applicable = bound < 1 / 3
+    if premise.ndim == 0:
+        return RoundingCheck(bool(premise), bool(conclusion), bool(applicable))
+    return RoundingCheck(premise, conclusion, applicable)
 
 
 @dataclass(frozen=True)

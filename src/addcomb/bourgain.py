@@ -3,15 +3,17 @@
 A system samples a monotone radius family on the ternary grid
 {2} u {3^-k} u {2*3^-k} (the dyadic points exist so the growth axiom has
 on-grid pairs) and audits the four axioms: symmetric neighborhood, nesting,
-subadditivity, dyadic growth. Grid radii are kept as exact Fractions; the
-family itself is called with floats. The subadditivity audit checks
-S_r + S_r' inside S_t for every pair r <= r' with r + r' <= 2, where t is
-the least grid radius >= r + r' (found by bisection). For each r it walks r'
-upward, stops at the first sum past 2, and sums S_r + S_r' only when S_r'
-differs from the level before it, so a constant run of levels costs one
-sumset per r. The levels are registered with an OperandCache made for the
-audit and forgotten after the last row that sums them, so each is
-transformed at most once per call.
+subadditivity, dyadic growth. The levels are keyed by exact Fraction
+radii and the family itself is called with floats, but the audits run in
+integer grid units: radius r is the integer r * 3^depth, and the levels sit
+in a list in grid order, so the pair loop adds, compares and bisects plain
+ints. The subadditivity audit checks S_r + S_r' inside S_t for every pair
+r <= r' with r + r' <= 2, where t is the least grid radius >= r + r' (found
+by bisection). For each r it walks r' upward, stops at the first sum past
+2, and sums S_r + S_r' only when S_r' differs from the level before it, so
+a constant run of levels costs one sumset per r. The levels are registered
+with an OperandCache made for the audit and forgotten after the last row
+that sums them, so each is transformed at most once per call.
 
 The metric: rho*(x) = inf{2^-k : x in S_{3^-k}, k >= 0}, and rho is the
 chain infimum, the least total rho*(y) over chains of steps y from 0 to x.
@@ -129,12 +131,13 @@ class BourgainSystem:
         }
 
 
-def _grid_radii(depth: int) -> list[Fraction]:
-    radii = {Fraction(2), Fraction(1)}
+def _grid_units(depth: int) -> list[int]:
+    """The grid radii in units of 3^-depth, ascending."""
+    units = {2 * 3 ** depth, 3 ** depth}
     for k in range(1, depth + 1):
-        radii.add(Fraction(1, 3 ** k))
-        radii.add(Fraction(2, 3 ** k))
-    return sorted(radii)
+        units.add(3 ** (depth - k))
+        units.add(2 * 3 ** (depth - k))
+    return sorted(units)
 
 
 def system_from_balls(family: Callable[[float], GroupSet], d: float,
@@ -167,65 +170,68 @@ def system_from_balls(family: Callable[[float], GroupSet], d: float,
             if family(float(Fraction(1, 3 ** k))) == zero_only:
                 depth = k
                 break
-    levels = {r: family(float(r)) for r in _grid_radii(depth)}
+    scale = 3 ** depth
+    units = _grid_units(depth)
+    radii = [Fraction(u, scale) for u in units]
+    sets = [family(float(r)) for r in radii]
+    names = [f"{float(r):g}" for r in radii]
 
     violations: list[str] = []
-    radii = sorted(levels)
 
     symmetric_ok = True
-    for r in radii:
-        S = levels[r]
+    for S, name in zip(sets, names):
         if not S.contains_zero():
             symmetric_ok = False
-            violations.append(f"level {float(r):g} misses 0")
+            violations.append(f"level {name} misses 0")
         if not S.is_symmetric():
             symmetric_ok = False
-            violations.append(f"level {float(r):g} is not symmetric")
+            violations.append(f"level {name} is not symmetric")
 
     nesting_ok = True
-    for lo, hi in zip(radii, radii[1:]):
-        if not levels[lo].is_subset_of(levels[hi]):
+    for i in range(len(sets) - 1):
+        if not sets[i].is_subset_of(sets[i + 1]):
             nesting_ok = False
-            violations.append(f"nesting fails at {float(lo):g} vs {float(hi):g}")
+            violations.append(f"nesting fails at {names[i]} vs {names[i + 1]}")
 
     subadditive_ok = True
-    two = Fraction(2)
-    # same[j]: the level at radii[j] equals the one below it, so its sums repeat
-    same = [False] + [levels[hi] == levels[lo] for lo, hi in zip(radii, radii[1:])]
-    # row i sums S_radii[i] with the levels above it, so the last row that
+    two = 2 * scale
+    # same[j]: the level at units[j] equals the one below it, so its sums repeat
+    same = [False] + [hi == lo for lo, hi in zip(sets, sets[1:])]
+    # row i sums sets[i] with the levels above it, so the last row that
     # holds a level is the last at which it appears; it is cached until then
-    cache = OperandCache(levels.values())
-    last_row = {id(levels[r]): i for i, r in enumerate(radii)}
-    for i, r1 in enumerate(radii):
-        for j in range(i, len(radii)):
-            r2 = radii[j]
-            s = r1 + r2
+    cache = OperandCache(sets)
+    last_row = {id(S): i for i, S in enumerate(sets)}
+    for i, u1 in enumerate(units):
+        for j in range(i, len(units)):
+            s = u1 + units[j]
             if s > two:
-                break  # the radii are sorted, so every later sum is past 2 too
+                break  # the units are sorted, so every later sum is past 2 too
             if j == i or not same[j]:
-                total = sumset(levels[r1], levels[r2], cache=cache)
-            target = radii[bisect.bisect_left(radii, s)]  # round up to the grid
-            if not total.is_subset_of(levels[target]):
+                total = sumset(sets[i], sets[j], cache=cache)
+            target = bisect.bisect_left(units, s)  # round up to the grid
+            if not total.is_subset_of(sets[target]):
                 subadditive_ok = False
                 violations.append(
-                    f"subadditivity fails: S_{float(r1):g} + S_{float(r2):g} "
-                    f"not in S_{float(target):g}")
-        if last_row[id(levels[r1])] == i:
-            cache.forget(levels[r1])
+                    f"subadditivity fails: S_{names[i]} + S_{names[j]} "
+                    f"not in S_{names[target]}")
+        if last_row[id(sets[i])] == i:
+            cache.forget(sets[i])
 
     growth_ok = True
     bound = 2.0 ** d
-    for r in radii:
-        if 2 * r not in levels:
+    position = {u: i for i, u in enumerate(units)}
+    for i, u in enumerate(units):
+        if 2 * u not in position:
             continue
-        small, big = levels[r].measure, levels[2 * r].measure
+        small, big = sets[i].measure, sets[position[2 * u]].measure
         if small <= 1:
             continue  # single-element floors only measure discreteness
         if big > bound * small * (1 + 1e-12):
             growth_ok = False
             violations.append(
-                f"growth fails at {float(r):g}: {big} > 2^{d:g} * {small}")
+                f"growth fails at {names[i]}: {big} > 2^{d:g} * {small}")
 
+    levels = dict(zip(radii, sets))
     # constant-tail attestation: probe well below the grid
     deep = family(float(Fraction(1, 3 ** (depth + TAIL_PROBE_LEVELS))))
     bottom = levels[Fraction(1, 3 ** depth)]

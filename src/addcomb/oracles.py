@@ -5,6 +5,12 @@ by a faster route, straight from its definition and in time quadratic in
 the group or the set. They exist only to cross-check those routes: the
 verification suites in `verify` and the tests import them, and no
 production module does.
+
+The tables stay literal but are built at once: the phase numerators of a
+batch of characters by one outer product per cycle, and the difference
+table a - a' over A x A by broadcasting the coordinates of A against
+themselves, in row blocks of about DIFFERENCE_BLOCK_CELLS cells so that
+the temporaries stay small.
 """
 
 from __future__ import annotations
@@ -17,6 +23,9 @@ from .fourier import DualFunction, _as_values
 from .groups import Character, FinAbGroup, GroupElement, GroupMismatchError
 from .sets import GroupSet
 
+#: cells of the difference table broadcast at once.
+DIFFERENCE_BLOCK_CELLS = 1 << 16
+
 
 def phase_numerators(group: FinAbGroup, m_index: int) -> np.ndarray:
     """Exact phase numerators of character m at every element (int64)."""
@@ -24,13 +33,23 @@ def phase_numerators(group: FinAbGroup, m_index: int) -> np.ndarray:
 
 
 def phase_numerator_rows(group: FinAbGroup, m_indices) -> np.ndarray:
-    """phase_numerators of several characters: one int64 row per index."""
+    """phase_numerators of several characters: one int64 row per index.
+
+    Each cycle's term ((m_j x_j) mod n_j) * M/n_j is below M, so the rows
+    stay reduced mod M by one conditional subtract per later cycle.
+    """
     M = group.phase_denominator
     mc = group.decode_array(np.asarray(m_indices, dtype=np.int64))
-    total = np.zeros((mc.shape[1], group.order), dtype=np.int64)
+    total = None
     for m, col, n in zip(mc, group.coords_table(), group.invariants):
-        total += ((m[:, None] * col) % n) * (M // n)
-    return total % M
+        term = (m[:, None] * col) % n
+        term *= M // n
+        if total is None:
+            total = term
+        else:
+            total += term
+            np.subtract(total, M, out=total, where=total >= M)
+    return total
 
 
 def naive_transform(f, group: FinAbGroup | None = None) -> DualFunction:
@@ -46,14 +65,15 @@ def naive_transform(f, group: FinAbGroup | None = None) -> DualFunction:
 
 
 def difference_table(A: GroupSet) -> np.ndarray:
-    """The (|A|, |A|) int64 table of a - a' over A x A, one row per a."""
+    """The (|A|, |A|) int64 table of a - a' over A x A: row a, column a'."""
     g = A.group
-    idx = A.indices()
-    other = g.coords_table()[:, g.negation_permutation()[idx]]  # coords of -a'
-    table = np.empty((idx.size, idx.size), dtype=np.int64)
-    for r, a in enumerate(idx):
-        a_coords = np.asarray(g.decode(int(a)), dtype=np.int64)[:, None]
-        table[r] = g.encode_array(a_coords + other)
+    coords = g.coords_table()[:, A.indices()]
+    size = coords.shape[1]
+    table = np.empty((size, size), dtype=np.int64)
+    rows = max(1, DIFFERENCE_BLOCK_CELLS // max(1, size))
+    for start in range(0, size, rows):
+        block = coords[:, start:start + rows, None] - coords[:, None, :]
+        table[start:start + rows] = g.encode_array(block)
     return table
 
 

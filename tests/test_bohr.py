@@ -383,10 +383,57 @@ class TestRoundingCheck:
         assert nearest_int_dist(-1.25) == 0.25
 
     def test_rejects_bad_args(self):
-        with pytest.raises(ValueError):
-            rounding_check(0.1, 0, 0.1)
-        with pytest.raises(ValueError):
-            rounding_check(0.1, 2, 1.5)
+        cases = [
+            (0.1, 0, 0.1, "k"), (0.1, -2, 0.1, "k"), (0.1, 2.5, 0.1, "k"),
+            (0.1, 2.0, 0.1, "k"), (0.1, True, 0.1, "k"), (0.1, np.bool_(True), 0.1, "k"),
+            (0.1, "3", 0.1, "k"), (0.1, np.array([1, 0]), 0.1, "k"),
+            (0.1, np.array([1.0, 2.0]), 0.1, "k"), (0.1, np.array([True, True]), 0.1, "k"),
+            (math.inf, 1, 0.1, "t"), (-math.inf, 1, 0.1, "t"), (math.nan, 1, 0.1, "t"),
+            (np.array([0.1, math.inf]), 1, 0.1, "t"), (np.array([math.nan, 0.1]), 1, 0.1, "t"),
+            (0.1, 2, 1.5, "delta"), (0.1, 2, 0.0, "delta"), (0.1, 2, -0.1, "delta"),
+            (0.1, 2, math.nan, "delta"), (0.1, 2, math.inf, "delta"),
+            (0.1, 2, np.array([0.1, 0.0]), "delta"),
+        ]
+        for t, k, delta, name in cases:
+            with pytest.raises(ValueError, match=rf"rounding_check needs .*\b{name}\b"):
+                rounding_check(t, k, delta)
+
+    def test_arrays_match_scalar_calls_and_the_round_loop(self):
+        def reference(t, k, delta):
+            # the scalar loop with Python's round (half to even)
+            premise = all(abs(r * t - round(r * t)) <= k * delta for r in range(1, k + 1))
+            return premise, abs(t - round(t)) <= delta, k * delta < 1 / 3
+
+        rng = np.random.default_rng(1301)
+        n = 10_000
+        k = rng.integers(1, 9, size=n)
+        delta = np.where(rng.random(n) < 0.8, rng.uniform(1e-4, (1 / 3) / k), rng.uniform(1e-4, 1, n))
+        # half the t near an integer, so the premise holds often
+        t = np.where(rng.random(n) < 0.5, rng.uniform(-3, 3, n),
+                     rng.integers(-3, 4, n) + rng.uniform(-0.05, 0.05, n))
+        # exact ties of round-half-to-even, at t and at 3t = 1/2
+        t[:4], k[:4], delta[:4] = [0.5, -2.5, 1 / 6, 1 / 6], [1, 2, 3, 3], [0.5, 0.25, 1 / 6, 0.1]
+        chk = rounding_check(t, k, delta)
+        fields = (chk.premise, chk.conclusion, chk.applicable)
+        assert all(f.dtype == bool and f.shape == (n,) for f in fields)
+        assert chk.premise.sum() > 1000 and (chk.applicable & ~chk.premise).sum() > 1000
+        for i in range(n):
+            one = rounding_check(float(t[i]), int(k[i]), float(delta[i]))
+            assert all(type(v) is bool for v in (one.premise, one.conclusion, one.applicable))
+            expected = reference(float(t[i]), int(k[i]), float(delta[i]))
+            assert (one.premise, one.conclusion, one.applicable) == expected
+            assert tuple(bool(f[i]) for f in fields) == expected
+
+    def test_arguments_broadcast(self):
+        t = np.array([0.0, 0.05, 0.4])
+        k = np.array([[1], [3]])
+        chk = rounding_check(t, k, 0.06)
+        assert chk.premise.shape == chk.conclusion.shape == chk.applicable.shape == (2, 3)
+        for i in range(2):
+            for j in range(3):
+                one = rounding_check(float(t[j]), int(k[i, 0]), 0.06)
+                assert (one.premise, one.conclusion, one.applicable) == (
+                    chk.premise[i, j], chk.conclusion[i, j], chk.applicable[i, j])
 
 
 class TestNestedBohrAudit:

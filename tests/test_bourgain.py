@@ -170,6 +170,33 @@ def reference_audit(system: BourgainSystem) -> tuple[tuple[bool, ...], list[str]
     return flags, symmetric + nesting + subadditive + growth
 
 
+def fraction_grid(depth: int) -> list[Fraction]:
+    """Reference: the ternary grid {2, 1} u {3^-k, 2*3^-k : 1 <= k <= depth}."""
+    grid = {Fraction(2), Fraction(1)}
+    for k in range(1, depth + 1):
+        grid |= {Fraction(1, 3 ** k), Fraction(2, 3 ** k)}
+    return sorted(grid)
+
+
+Z32, Z64, Z256 = FinAbGroup([32]), FinAbGroup([64]), FinAbGroup([256])
+SUBGROUP_Z256 = GroupSet.from_indices(Z256, range(0, 256, 16))
+# name: (family, keyword arguments, the axiom flags the audit must report)
+AUDIT_FAMILIES = {
+    "nesting": (lambda r: GroupSet.interval(Z32, 1 if r > 0.5 else 3), {"d": 1.0, "K": 2},
+                (True, False, False, True)),
+    # radius 16 sqrt(r) grows too slowly: S_1/9 + S_1/9 is not in S_2/9
+    "subadditivity": (lambda r: GroupSet.interval(Z64, math.floor(16 * math.sqrt(r))),
+                      {"d": 2.0}, (True, True, False, True)),
+    "growth": (interval_family(Z64, 16.0), {"d": 1.0}, (True, True, True, False)),
+    "asymmetric": (constant_family(GroupSet.from_indices(Z32, [0, 1])), {"d": 1.0},
+                   (False, True, False, True)),
+    "constant-depth-20": (constant_family(SUBGROUP_Z256), {"d": 0.0},
+                          (True, True, True, True)),
+    "max-depth": (interval_family(Z64, 16.0), {"d": 1.25, "K": MAX_DEPTH},
+                  (True, True, True, True)),
+}
+
+
 def random_levels_system(rng: np.random.Generator) -> BourgainSystem:
     """A step family like the CLI's "levels" systems: a few random sets, each
     held from its radius up to the next, so long runs of levels are equal."""
@@ -266,6 +293,21 @@ class TestSystemFromBalls:
             assert list(audit.violations) == violations
             failing += not audit.subadditive_ok
         assert failing >= 20
+
+    @pytest.mark.parametrize("name", sorted(AUDIT_FAMILIES))
+    def test_integer_grid_matches_the_fraction_reference(self, name):
+        family, kwargs, flags = AUDIT_FAMILIES[name]
+        system = system_from_balls(family, **kwargs)
+        if name == "constant-depth-20":
+            assert system.depth == 20
+        grid = fraction_grid(system.depth)
+        assert system.radii == grid
+        assert all(system.levels[r] == family(float(r)) for r in grid)
+        audit = system.audit
+        reference_flags, violations = reference_audit(system)
+        assert (audit.symmetric_ok, audit.nesting_ok, audit.subadditive_ok,
+                audit.growth_ok) == reference_flags == flags
+        assert list(audit.violations) == violations
 
     def test_constant_family_sums_once_per_radius(self, record_calls):
         g = FinAbGroup([256])

@@ -145,20 +145,24 @@ def test_character_arg_norm_matches_eval():
 
 
 def test_phase_numerators_vector_matches_scalar():
-    g = FinAbGroup([6, 4])
-    for m in (1, 7, 23):
-        nums = phase_numerators(g, m)
-        for x in range(g.order):
-            assert nums[x] == g.phase_numerator(m, x)
+    for cycles in ([6, 4], [4, 6, 10], [12, 18]):
+        g = FinAbGroup(cycles)
+        for m in (1, 7, 23, g.order - 1):
+            nums = phase_numerators(g, m)
+            for x in range(g.order):
+                assert nums[x] == g.phase_numerator(m, x)
 
 
 def test_phase_numerator_rows_match_one_character_at_a_time():
-    g = FinAbGroup([6, 4, 5])
-    ms = [0, 1, 7, 23, 119]
-    rows = phase_numerator_rows(g, ms)
-    assert rows.shape == (len(ms), g.order) and rows.dtype == np.int64
-    for row, m in zip(rows, ms):
-        assert np.array_equal(row, phase_numerators(g, m))
+    # non-coprime cycles, so every later cycle's term is folded in below M
+    for cycles in ([1000], [6, 4, 5], [4, 6, 10], [12, 18], [2, 2, 8]):
+        g = FinAbGroup(cycles)
+        ms = np.arange(g.order)
+        rows = phase_numerator_rows(g, ms)
+        assert rows.shape == (len(ms), g.order) and rows.dtype == np.int64
+        assert rows.min() >= 0 and rows.max() < g.phase_denominator
+        for row, m in zip(rows, ms):
+            assert np.array_equal(row, phase_numerators(g, int(m)))
 
 
 def test_order_cap():

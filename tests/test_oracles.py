@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import addcomb
+import addcomb.oracles
 from addcomb.fourier import convolve
 from addcomb.groups import FinAbGroup
 from addcomb.oracles import difference_table, pairwise_difference_counts
@@ -45,6 +46,14 @@ def test_difference_counts_match_convolution(cycles):
         assert np.array_equal(counts, np.rint(convolve(A, negate(A))).astype(np.int64))
 
 
+def literal_difference_table(A: GroupSet) -> np.ndarray:
+    """Reference: g.encode of each a - a', one pair at a time."""
+    g = A.group
+    idx = [int(i) for i in A.indices()]
+    return np.array([[g.encode([x - y for x, y in zip(g.decode(a), g.decode(b))])
+                      for b in idx] for a in idx], dtype=np.int64)
+
+
 def test_difference_table_rows():
     g = FinAbGroup([5, 3])
     A = GroupSet.from_indices(g, [0, 4, 7, 13])
@@ -54,3 +63,27 @@ def test_difference_table_rows():
     for r, a in enumerate(idx):
         for c, b in enumerate(idx):
             assert table[r, c] == (g.element(int(a)) - g.element(int(b))).index
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_difference_table_matches_literal_pairs(seed):
+    rng = np.random.default_rng(seed)
+    rank = seed % 3 + 1
+    g = FinAbGroup([int(n) for n in rng.integers(2, {1: 200, 2: 15, 3: 7}[rank], size=rank)])
+    mask = rng.random(g.order) < rng.uniform(0.05, 0.7)
+    sets = [GroupSet(g, mask), GroupSet.singleton(g, int(rng.integers(0, g.order))),
+            GroupSet.full(g)]
+    for A in sets:
+        table = difference_table(A)
+        assert table.dtype == np.int64
+        assert np.array_equal(table, literal_difference_table(A))
+
+
+@pytest.mark.parametrize("block_cells", [1, 7, 100])
+def test_difference_table_blocks_agree(monkeypatch, block_cells):
+    g = FinAbGroup([3, 4, 5])
+    A = GroupSet(g, np.random.default_rng(3).random(g.order) < 0.4)
+    whole = difference_table(A)
+    monkeypatch.setattr(addcomb.oracles, "DIFFERENCE_BLOCK_CELLS", block_cells)
+    assert np.array_equal(difference_table(A), whole)
+    assert np.array_equal(whole, literal_difference_table(A))
