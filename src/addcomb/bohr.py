@@ -364,11 +364,6 @@ class DimensionEstimate:
     def ratios(self) -> list[tuple[float, float]]:
         return [(d, math.log2(m2 / m1)) for d, m1, m2 in self.measures]
 
-    def certified(self, d: float, delta: float) -> bool:
-        """d-dimensional at radius delta: every ratio on the sub-grid (0, delta] is <= d."""
-        sub = [r for dd, r in self.ratios() if dd <= delta]
-        return all(r <= d for r in sub)
-
     def to_jsonable(self) -> dict:
         return {
             "grid": list(self.grid),

@@ -1,19 +1,18 @@
 """Bourgain systems and the Birkhoff pseudo-metric built from them.
 
-A system samples a monotone radius family on the ternary grid
-{2} u {3^-k} u {2*3^-k} (the dyadic points exist so the growth axiom has
-on-grid pairs) and audits the four axioms: symmetric neighborhood, nesting,
-subadditivity, dyadic growth. The levels are keyed by exact Fraction
-radii and the family itself is called with floats, but the audits run in
-integer grid units: radius r is the integer r * 3^depth, and the levels sit
-in a list in grid order, so the pair loop adds, compares and bisects plain
-ints. The subadditivity audit checks S_r + S_r' inside S_t for every pair
-r <= r' with r + r' <= 2, where t is the least grid radius >= r + r' (found
-by bisection). For each r it walks r' upward, stops at the first sum past
-2, and sums S_r + S_r' only when S_r' differs from the level before it, so
-a constant run of levels costs one sumset per r. The levels are registered
-with an OperandCache made for the audit and forgotten after the last row
-that sums them, so each is transformed at most once per call.
+A system samples a monotone radius family on the ternary grid {2} u {3^-k} u
+{2*3^-k} (the dyadic points exist so the growth axiom has on-grid pairs) and
+audits the four axioms: symmetric neighborhood, nesting, subadditivity,
+dyadic growth. A grid radius is the float u / 3^depth of an integer unit u:
+the family is called with it and the levels are keyed by it, in grid order,
+while the audits run on the units, so the pair loop adds, compares and
+bisects plain ints. The subadditivity audit checks S_r + S_r' inside S_t for
+every pair r <= r' with r + r' <= 2, where t is the least grid radius
+>= r + r' (found by bisection). For each r it walks r' upward, stops at the first
+sum past 2, and sums S_r + S_r' only when S_r' differs from the level before
+it, so a constant run of levels costs one sumset per r. The levels are
+registered with an OperandCache made for the audit and forgotten after the
+last row that sums them, so each is transformed at most once per call.
 
 The metric: rho*(x) = inf{2^-k : x in S_{3^-k}, k >= 0}, and rho is the
 chain infimum, the least total rho*(y) over chains of steps y from 0 to x.
@@ -55,7 +54,6 @@ import bisect
 import math
 import numbers
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable
 
 import numpy as np
@@ -98,18 +96,18 @@ class BourgainSystem:
 
     group: FinAbGroup
     d: float
-    levels: dict[Fraction, GroupSet]
+    levels: dict[float, GroupSet]  # radius u / 3^depth -> S_r, in grid order
     audit: SystemAudit
     depth: int                 # K: deepest ternary level 3^-K
     core: GroupSet | None      # attested constant tail, None when not attested
 
     @property
-    def radii(self) -> list[Fraction]:
-        return sorted(self.levels)
+    def radii(self) -> list[float]:
+        return list(self.levels)
 
-    def ternary_radii(self) -> list[Fraction]:
+    def ternary_radii(self) -> list[float]:
         """The rho* levels 3^-k, k = 0..depth, shallow to deep."""
-        return [Fraction(1, 3 ** k) for k in range(self.depth + 1)]
+        return [1 / 3 ** k for k in range(self.depth + 1)]
 
     def to_jsonable(self) -> dict:
         return {
@@ -125,19 +123,14 @@ class BourgainSystem:
                 "violations": list(self.audit.violations),
             },
             "levels": [
-                {"radius": float(r), "measure": self.levels[r].measure}
-                for r in self.radii
+                {"radius": r, "measure": S.measure} for r, S in self.levels.items()
             ],
         }
 
 
 def _grid_units(depth: int) -> list[int]:
-    """The grid radii in units of 3^-depth, ascending."""
-    units = {2 * 3 ** depth, 3 ** depth}
-    for k in range(1, depth + 1):
-        units.add(3 ** (depth - k))
-        units.add(2 * 3 ** (depth - k))
-    return sorted(units)
+    """The grid radii in units of 3^-depth, ascending: 3^j and 2 * 3^j, j <= depth."""
+    return sorted(m * 3 ** j for j in range(depth + 1) for m in (1, 2))
 
 
 def system_from_balls(family: Callable[[float], GroupSet], d: float,
@@ -159,22 +152,21 @@ def system_from_balls(family: Callable[[float], GroupSet], d: float,
         if not 1 <= value <= MAX_DEPTH:
             raise ValueError(f"system_from_balls needs 1 <= {name} <= {MAX_DEPTH}, "
                              f"got {value}")
-    probe = family(float(Fraction(1, 3 ** 0)))
-    group = probe.group
+    group = family(1.0).group
     if K is not None:
         depth = K
     else:
         zero_only = GroupSet.singleton(group, 0)
         depth = cap
         for k in range(cap + 1):
-            if family(float(Fraction(1, 3 ** k))) == zero_only:
+            if family(1 / 3 ** k) == zero_only:
                 depth = k
                 break
     scale = 3 ** depth
     units = _grid_units(depth)
-    radii = [Fraction(u, scale) for u in units]
-    sets = [family(float(r)) for r in radii]
-    names = [f"{float(r):g}" for r in radii]
+    radii = [u / scale for u in units]
+    sets = [family(r) for r in radii]
+    names = [f"{r:g}" for r in radii]
 
     violations: list[str] = []
 
@@ -231,15 +223,14 @@ def system_from_balls(family: Callable[[float], GroupSet], d: float,
             violations.append(
                 f"growth fails at {names[i]}: {big} > 2^{d:g} * {small}")
 
-    levels = dict(zip(radii, sets))
-    # constant-tail attestation: probe well below the grid
-    deep = family(float(Fraction(1, 3 ** (depth + TAIL_PROBE_LEVELS))))
-    bottom = levels[Fraction(1, 3 ** depth)]
-    core = bottom if deep == bottom else None
+    # constant-tail attestation: probe well below the grid, whose unit 1 is
+    # the deepest level 3^-depth
+    bottom = sets[0]
+    core = bottom if family(1 / 3 ** (depth + TAIL_PROBE_LEVELS)) == bottom else None
 
     audit = SystemAudit(symmetric_ok, nesting_ok, subadditive_ok, growth_ok,
                         tuple(violations))
-    return BourgainSystem(group, float(d), levels, audit, depth, core)
+    return BourgainSystem(group, float(d), dict(zip(radii, sets)), audit, depth, core)
 
 
 # -- convenience families -------------------------------------------------------------
@@ -287,6 +278,13 @@ class BirkhoffMetric:
     def ball(self, radius: float) -> GroupSet:
         return GroupSet(self.system.group, self.rho <= radius + RHO_SLACK)
 
+    def factor_two(self) -> tuple[bool, bool]:
+        """(rho <= rho*, rho >= rho*/2) wherever rho* is finite, to 1e-12."""
+        finite = np.isfinite(self.rho_star)
+        rho, rho_star = self.rho[finite], self.rho_star[finite]
+        return (bool(np.all(rho <= rho_star + 1e-12)),
+                bool(np.all(rho >= rho_star / 2 - 1e-12)))
+
     def dump_jsonable(self) -> list:
         """[coordinates, rho*, rho] per element in index order; None for +inf."""
         coords = self.system.group.coords_table().T.tolist()
@@ -303,14 +301,16 @@ def birkhoff_metric(system: BourgainSystem) -> BirkhoffMetric:
     chains from 0, found by settling whole distance buckets: distances are
     integers in units of 2^-depth, and each round takes the least unsettled
     distance t, closes its elements under the zero-weight core steps, and
-    relaxes t + w onto one sumset with each distinct level of weight w.
-    A round at t relaxes only the levels lighter than t & -t, and t = 0 and
+    relaxes t + w onto one sumset with each distinct level of weight w. A
+    round at t relaxes only the levels lighter than t & -t, and t = 0 and
     the multiples of top = 2^depth relax every level; see the ball lemma in
-    the module docstring. Each level's half spectrum (and coordinate block)
-    is built at most once per call, and each frontier's at most once per
-    round, in a cache dropped on return; a core that is
-    {0}, as on every auto-depth system, gets no closure sumsets. A system
-    has depth <= MAX_DEPTH, so every distance is an integer below 2^53 and
+    the module docstring. A round with no such level and no core to close is
+    skipped. An element is settled once t reaches its distance, so dist is
+    the only per-element state. Each level's half spectrum (and coordinate
+    block) is built at most once per call, and each frontier's at most once
+    per round, in a cache dropped on return; a core that is {0}, as on every
+    auto-depth system, gets no closure sumsets. A system has depth <=
+    MAX_DEPTH, so every distance is an integer below 2^53 and
     rho = distance * 2^-depth is exact in float64.
     """
     if not system.audit.all_pass:
@@ -329,7 +329,7 @@ def birkhoff_metric(system: BourgainSystem) -> BirkhoffMetric:
     steps: list[tuple[GroupSet, int]] = []
     deeper = core
     for k in reversed(range(depth + 1 if core is None else depth)):
-        S = system.levels[Fraction(1, 3 ** k)]
+        S = system.levels[1 / 3 ** k]
         if S != deeper:
             steps.append((cache.register(S), 1 << (depth - k)))
         deeper = S
@@ -340,30 +340,29 @@ def birkhoff_metric(system: BourgainSystem) -> BirkhoffMetric:
     unreached = np.iinfo(np.int64).max
     dist = np.full(g.order, unreached, dtype=np.int64)
     dist[0] = 0
-    settled = np.zeros(g.order, dtype=bool)
-    while True:
-        open_dist = np.where(settled, unreached, dist)
-        t = int(open_dist.min())
-        if t == unreached:
-            break
-        frontier = GroupSet(g, open_dist == t)
-        while closing is not None:
-            closed = frontier | sumset(frontier, closing, cache=cache)
-            if closed == frontier:
-                break
-            frontier = closed
-        dist[frontier.mask] = t
-        settled |= frontier.mask
-        # by the ball lemma only the steps lighter than t's lowest set bit
-        # can settle anything; the frontier is cached for its own round only
+    t = 0
+    while t < unreached:
+        # the elements with dist <= t are settled, and dist == t is the
+        # frontier; by the ball lemma only the steps lighter than t's lowest
+        # set bit can settle anything, so a round with none of them and no
+        # core to close does nothing
         limit = t & -t if t % top else 2 * top
-        cache.register(frontier)
-        for S, w in steps:
-            if w >= limit:
-                break
-            np.minimum(dist, t + w, out=dist,
-                       where=sumset(frontier, S, cache=cache).mask)
-        cache.forget(frontier)
+        lighter = [(S, w) for S, w in steps if w < limit]
+        if lighter or closing is not None:
+            frontier = GroupSet(g, dist == t)
+            while closing is not None:
+                closed = frontier | sumset(frontier, closing, cache=cache)
+                if closed == frontier:
+                    break
+                frontier = closed
+            dist[frontier.mask] = t
+            # the frontier is cached for its own round only
+            cache.register(frontier)
+            for S, w in lighter:
+                np.minimum(dist, t + w, out=dist,
+                           where=sumset(frontier, S, cache=cache).mask)
+            cache.forget(frontier)
+        t = int(np.min(dist, where=dist > t, initial=unreached))
     rho = np.where(dist == unreached, np.inf, dist * 2.0 ** -depth)
     return BirkhoffMetric(system, rho_star, rho)
 
@@ -392,24 +391,21 @@ def sandwich_audit(metric: BirkhoffMetric) -> list[SandwichVerdict]:
     attestation exists.
     """
     system = metric.system
+    depth = system.depth
     verdicts = []
-    radii = system.radii
-    ternary = system.ternary_radii()
-    for r in radii:
-        ball = metric.ball(float(r))
-        right_ok = ball.is_subset_of(system.levels[r])
-        quarter = r / 4
-        lower = [q for q in ternary if q <= quarter]
+    for u, (r, S) in zip(_grid_units(depth), system.levels.items()):
+        ball = metric.ball(r)
+        right_ok = ball.is_subset_of(S)
+        # the shallowest ternary level 3^-k at or below r/4 = u / (4 * 3^depth)
+        k = next((k for k in range(depth + 1) if 4 * 3 ** (depth - k) <= u), None)
         note = None
-        if lower:
-            left_set = system.levels[max(lower)]
-            left_ok = left_set.is_subset_of(ball)
+        if k is not None:
+            left_ok = system.levels[1 / 3 ** k].is_subset_of(ball)
         elif system.core is not None:
-            left_set = system.core
-            left_ok = left_set.is_subset_of(ball)
+            left_ok = system.core.is_subset_of(ball)
             note = "delta/4 below grid; used attested core"
         else:
             left_ok = None
             note = "delta/4 below grid and no attested core; left check skipped"
-        verdicts.append(SandwichVerdict(float(r), left_ok, right_ok, note))
+        verdicts.append(SandwichVerdict(r, left_ok, right_ok, note))
     return verdicts

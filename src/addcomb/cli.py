@@ -10,8 +10,6 @@ import argparse
 import json
 import sys
 
-import numpy as np
-
 from .bohr import bohr_set
 from .bourgain import (GRID_DEPTH_CAP, birkhoff_metric, constant_family,
                        interval_family, sandwich_audit, system_from_balls)
@@ -127,9 +125,7 @@ def _cmd_birkhoff(args, cfg) -> int:
     if system.audit.all_pass:
         metric = birkhoff_metric(system)
         verdicts = sandwich_audit(metric)
-        fin = np.isfinite(metric.rho_star)
-        factor2 = bool(np.all(metric.rho[fin] <= metric.rho_star[fin] + 1e-12)
-                       and np.all(metric.rho[fin] >= metric.rho_star[fin] / 2 - 1e-12))
+        factor2 = all(metric.factor_two())
         payload["metric"] = metric.dump_jsonable()
         payload["factor2_ok"] = factor2
         payload["sandwich"] = [

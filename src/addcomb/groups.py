@@ -19,7 +19,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -159,12 +159,6 @@ class FinAbGroup:
                 raise ValueError(f"index {idx} out of range for {self!r}")
             return Character(self, idx)
         return Character(self, self.encode(spec))
-
-    def elements(self) -> Iterator["GroupElement"]:
-        return (GroupElement(self, i) for i in range(self.order))
-
-    def characters(self) -> Iterator["Character"]:
-        return (Character(self, i) for i in range(self.order))
 
     # -- exact phase arithmetic ------------------------------------------------
 

@@ -10,7 +10,8 @@ The tables stay literal but are built at once: the phase numerators of a
 batch of characters by one outer product per cycle, and the difference
 table a - a' over A x A by broadcasting the coordinates of A against
 themselves, in row blocks of about DIFFERENCE_BLOCK_CELLS cells so that
-the temporaries stay small.
+the temporaries stay small. The last difference table is kept for the next
+oracle call on an equal set.
 """
 
 from __future__ import annotations
@@ -64,8 +65,18 @@ def naive_transform(f, group: FinAbGroup | None = None) -> DualFunction:
     return DualFunction(group, out)
 
 
+#: the last difference table built, read-only: (A, block cells, table).
+_last_table: tuple = (None, None, None)
+
+
 def difference_table(A: GroupSet) -> np.ndarray:
-    """The (|A|, |A|) int64 table of a - a' over A x A: row a, column a'."""
+    """The (|A|, |A|) int64 table of a - a' over A x A: row a, column a'.
+
+    Kept until a call on another set or block size, which rebuilds it."""
+    global _last_table
+    if _last_table[:2] == (A, DIFFERENCE_BLOCK_CELLS):
+        return _last_table[2]
+    _last_table = (None, None, None)  # never hold two tables at once
     g = A.group
     coords = g.coords_table()[:, A.indices()]
     size = coords.shape[1]
@@ -74,6 +85,8 @@ def difference_table(A: GroupSet) -> np.ndarray:
     for start in range(0, size, rows):
         block = coords[:, start:start + rows, None] - coords[:, None, :]
         table[start:start + rows] = g.encode_array(block)
+    table.setflags(write=False)
+    _last_table = (A, DIFFERENCE_BLOCK_CELLS, table)
     return table
 
 

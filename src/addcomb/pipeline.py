@@ -112,7 +112,8 @@ class FreimanRun:
     """What one Freiman run computes once and every stage reads.
 
     It holds the multiples nA, the magnitudes |1_lA^| of the one transform
-    of lA (every spectrum of lA, at any delta, is a threshold of them), A - A
+    of lA (every spectrum of lA, at any delta, is a threshold of them), the
+    spectra cut from them at each (l, delta) a stage asked for, A - A
     and the Bohr distance tables of the nested frequency sets
     LSpec(lA, eps) <= LSpec(lA, eps) u X <= LSpec(lA, 2 eps). Each stage
     given the run reuses what the stages before it computed.
@@ -129,6 +130,7 @@ class FreimanRun:
         self.A = A
         self.multiples = Multiples(A)
         self._magnitudes: dict[int, np.ndarray] = {}
+        self._spectra: dict[tuple[int, float], Spectrum] = {}
         self._difference: GroupSet | None = None
         self._tables: list[tuple[GroupSet, DistanceTable]] = []
         self.r_cap = 0.5
@@ -140,11 +142,13 @@ class FreimanRun:
         self.r_cap = r_cap
 
     def spectrum(self, l: int, delta: float) -> Spectrum:
-        """LSpec(lA, delta)."""
-        lA = self.multiples[l]
-        if l not in self._magnitudes:
-            self._magnitudes[l] = transform(lA).magnitudes()
-        return cut_spectrum(lA, self._magnitudes[l], delta)
+        """LSpec(lA, delta), cut once per (l, delta)."""
+        if (l, delta) not in self._spectra:
+            lA = self.multiples[l]
+            if l not in self._magnitudes:
+                self._magnitudes[l] = transform(lA).magnitudes()
+            self._spectra[l, delta] = cut_spectrum(lA, self._magnitudes[l], delta)
+        return self._spectra[l, delta]
 
     def difference(self) -> GroupSet:
         """A - A, which is 2A when A is symmetric."""
@@ -267,7 +271,8 @@ def spectrum_cover(run: FreimanRun, l: int, epsilon: float) -> SpectrumCover:
     r_max = math.floor((1.0 / epsilon - 0.5) / 2.0)
     chosen = None
     for r in range(2, r_max + 1):
-        wide = run.spectrum(l, (2 * r + 0.5) * epsilon)
+        # no other stage reads a wide spectrum, so the run does not keep it
+        wide = cut_spectrum(S_half.source, S_half.magnitudes, (2 * r + 0.5) * epsilon)
         if wide.count < (2 ** r) * S_half.count:
             chosen = r
             break

@@ -542,10 +542,6 @@ class GrowthProfile:
     def satisfied_on_window(self) -> bool:
         return all(r.satisfied for r in self.rows if r.n >= self.window_start)
 
-    @property
-    def saturated(self) -> bool:
-        return self.rows[-1].mu_nA == self.base.group.order
-
     def to_jsonable(self) -> dict:
         return {
             "d": self.d,

@@ -46,10 +46,10 @@ class Spectrum:
                 "threshold": self.threshold}
 
 
-def lspec(A: GroupSet, delta: float, slack: float = THRESHOLD_SLACK) -> Spectrum:
+def lspec(A: GroupSet, delta: float) -> Spectrum:
     """LSpec(A, delta); delta >= sqrt(2) yields the full dual group."""
     _check_cut(A, delta)
-    return cut_spectrum(A, transform(A).magnitudes(), delta, slack)
+    return cut_spectrum(A, transform(A).magnitudes(), delta)
 
 
 def _check_cut(A: GroupSet, delta: float) -> None:
@@ -59,8 +59,7 @@ def _check_cut(A: GroupSet, delta: float) -> None:
         raise ValueError(f"lspec needs a finite delta >= 0, got {delta}")
 
 
-def cut_spectrum(A: GroupSet, magnitudes: np.ndarray, delta: float,
-                 slack: float = THRESHOLD_SLACK) -> Spectrum:
+def cut_spectrum(A: GroupSet, magnitudes: np.ndarray, delta: float) -> Spectrum:
     """LSpec(A, delta) cut from precomputed magnitudes |1_A^|.
 
     Spectra of one set at several deltas are thresholds of one magnitude
@@ -69,7 +68,7 @@ def cut_spectrum(A: GroupSet, magnitudes: np.ndarray, delta: float,
     _check_cut(A, delta)
     mu = float(A.measure)
     threshold = math.sqrt(max(0.0, 1.0 - delta * delta / 2.0)) * mu
-    members = GroupSet(A.group.dual(), magnitudes >= threshold - slack * mu)
+    members = GroupSet(A.group.dual(), magnitudes >= threshold - THRESHOLD_SLACK * mu)
     return Spectrum(A, float(delta), members, magnitudes, threshold)
 
 

@@ -274,10 +274,10 @@ def criterion_birkhoff(rng: np.random.Generator) -> CriterionResult:
             failures.append(f"{name}: axiom audit {system.audit.violations}")
             continue
         metric = birkhoff_metric(system)
-        fin = np.isfinite(metric.rho_star)
-        if not np.all(metric.rho[fin] <= metric.rho_star[fin] + 1e-12):
+        upper_ok, lower_ok = metric.factor_two()
+        if not upper_ok:
             failures.append(f"{name}: rho exceeds rho*")
-        if not np.all(metric.rho[fin] >= metric.rho_star[fin] / 2 - 1e-12):
+        if not lower_ok:
             failures.append(f"{name}: rho below rho*/2")
         for v in sandwich_audit(metric):
             if not v.passed:

@@ -344,13 +344,6 @@ class TestDimensionEstimate:
         with pytest.raises(ValueError):
             dimension_estimate(family, [0.2])
 
-    def test_certified(self):
-        g = FinAbGroup([17, 17])
-        family = lambda r: GroupSet.linf_ball(g, int(round(r)))
-        est = dimension_estimate(family, [1, 2, 3])
-        assert est.certified(2.0, 3.0)
-        assert not est.certified(1.5, 3.0)
-
 
 class TestRoundingCheck:
     def test_example_premise_and_conclusion(self):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import addcomb.bourgain
 import addcomb.sets
 from addcomb import verify
 from addcomb.bohr import bohr_family, dimension_estimate, dyadic_dimension_grid
@@ -143,8 +145,11 @@ VERIFY_SYSTEMS = _birkhoff_systems()
 
 def reference_audit(system: BourgainSystem) -> tuple[tuple[bool, ...], list[str]]:
     """Oracle: the four axiom flags and the violations, every pair summed afresh
-    and every round-up target found by a scan of all radii."""
-    levels, radii, d = system.levels, sorted(system.levels), system.d
+    and every round-up target found by a scan of all radii, in exact Fraction
+    arithmetic on the grid (mapped onto the system's levels by position)."""
+    radii, d = fraction_grid(system.depth), system.d
+    assert len(radii) == len(system.levels)
+    levels = dict(zip(radii, system.levels.values()))
     symmetric, nesting, subadditive, growth = [], [], [], []
     for r in radii:
         if not levels[r].contains_zero():
@@ -248,10 +253,30 @@ class TestSystemFromBalls:
         g = FinAbGroup([64])
         system = system_from_balls(interval_family(g, 16.0), d=1.25)
         radii = set(system.radii)
-        assert Fraction(2) in radii and Fraction(1) in radii
+        assert 2.0 in radii and 1.0 in radii
         for k in range(1, system.depth + 1):
-            assert Fraction(1, 3 ** k) in radii
-            assert Fraction(2, 3 ** k) in radii
+            assert 1 / 3 ** k in radii
+            assert 2 / 3 ** k in radii
+
+    @pytest.mark.parametrize("depth", range(1, MAX_DEPTH + 1))
+    def test_level_keys_are_the_rounded_fractions(self, depth):
+        # every key, and every radius the family is called with on the grid,
+        # is the correctly rounded u / 3^depth, bit for bit
+        g = FinAbGroup([8])
+        called = []
+        zero = GroupSet.singleton(g, 0)
+
+        def family(r):
+            called.append(r)
+            return zero
+
+        system = system_from_balls(family, d=0.0, K=depth)
+        grid = [float(r).hex() for r in fraction_grid(depth)]
+        assert [r.hex() for r in system.radii] == grid
+        assert [r.hex() for r in called[1:-1]] == grid
+        assert [r.hex() for r in system.ternary_radii()] == [
+            float(Fraction(1, 3 ** k)).hex() for k in range(depth + 1)]
+        assert called[-1].hex() == float(Fraction(1, 3 ** (depth + 12))).hex()
 
     def test_explicit_depth(self):
         g = FinAbGroup([64])
@@ -301,8 +326,8 @@ class TestSystemFromBalls:
         if name == "constant-depth-20":
             assert system.depth == 20
         grid = fraction_grid(system.depth)
-        assert system.radii == grid
-        assert all(system.levels[r] == family(float(r)) for r in grid)
+        assert system.radii == [float(r) for r in grid]
+        assert all(S == family(float(r)) for r, S in zip(grid, system.levels.values()))
         audit = system.audit
         reference_flags, violations = reference_audit(system)
         assert (audit.symmetric_ok, audit.nesting_ok, audit.subadditive_ok,
@@ -442,6 +467,27 @@ class TestBirkhoffMetric:
         birkhoff_metric(system)
         assert len(sums) == 135
 
+    def test_frontiers_only_in_rounds_that_relax(self, monkeypatch):
+        # Z_4096 at scale 1024 has depth 7 and top = 128; its core is {0} and
+        # its lightest step S_{3^-6} = {-1, 0, 1} weighs 2, so only the
+        # distances divisible by 4 have a step lighter than their lowest bit
+        g = FinAbGroup([4096])
+        system = system_from_balls(interval_family(g, 1024.0), d=2.0)
+        frontiers = []
+
+        class Recording(GroupSet):
+            def __init__(self, group, mask):
+                super().__init__(group, mask)
+                frontiers.append(self)
+
+        monkeypatch.setattr(addcomb.bourgain, "GroupSet", Recording)
+        dist = birkhoff_metric(system).rho * 128
+        attained = np.unique(dist[np.isfinite(dist)]).astype(np.int64)
+        built = [np.unique(dist[F.mask]) for F in frontiers]
+        assert all(len(b) == 1 for b in built)
+        assert sorted(int(b[0]) for b in built) == [int(t) for t in attained if t % 4 == 0]
+        assert len(frontiers) < len(attained)
+
     @pytest.mark.parametrize("kind", sorted(CORE_KINDS))
     def test_each_cached_set_transformed_at_most_once(self, monkeypatch, kind):
         system = CORE_KINDS[kind]()
@@ -471,6 +517,25 @@ class TestBirkhoffMetric:
         metric = birkhoff_metric(system)
         assert np.all(metric.rho == 0.0)
         assert_matches_dijkstra(system)
+
+    @pytest.mark.parametrize("name,system", VERIFY_SYSTEMS,
+                             ids=[name for name, _ in VERIFY_SYSTEMS])
+    def test_factor_two_matches_the_literal_comparison(self, name, system):
+        def literal(m: BirkhoffMetric) -> tuple[bool, bool]:
+            fin = np.isfinite(m.rho_star)
+            return (bool(np.all(m.rho[fin] <= m.rho_star[fin] + 1e-12)),
+                    bool(np.all(m.rho[fin] >= m.rho_star[fin] / 2 - 1e-12)))
+
+        metric = birkhoff_metric(system)
+        assert metric.factor_two() == literal(metric) == (True, True)
+        x = int(np.flatnonzero(np.isfinite(metric.rho_star))[-1])
+        for value, verdict in ((metric.rho_star[x] + 1e-9, (False, True)),
+                               (metric.rho_star[x] / 2 - 1e-9, (True, False)),
+                               (metric.rho_star[x] + 1e-13, (True, True))):
+            rho = metric.rho.copy()
+            rho[x] = value
+            perturbed = dataclasses.replace(metric, rho=rho)
+            assert perturbed.factor_two() == literal(perturbed) == verdict
 
     def test_factor_two_equivalence(self):
         for system in (

@@ -54,6 +54,17 @@ def literal_difference_table(A: GroupSet) -> np.ndarray:
                       for b in idx] for a in idx], dtype=np.int64)
 
 
+def test_difference_table_is_kept_for_an_equal_set():
+    g = FinAbGroup([3, 4, 5])
+    A = GroupSet(g, np.random.default_rng(4).random(g.order) < 0.4)
+    table = difference_table(A)
+    assert difference_table(GroupSet(g, A.mask.copy())) is table
+    assert not table.flags.writeable
+    other = difference_table(negate(A))
+    assert other is not table and difference_table(A) is not table
+    assert np.array_equal(difference_table(A), table)
+
+
 def test_difference_table_rows():
     g = FinAbGroup([5, 3])
     A = GroupSet.from_indices(g, [0, 4, 7, 13])

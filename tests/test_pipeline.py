@@ -423,3 +423,12 @@ class TestRunReuse:
         audit = lowerbound_audit(run, 2, 0.05)
         assert not cover.escape and audit.holds
         assert [f.mask.tobytes() for f, *_ in transforms] == [run.multiples[2].mask.tobytes()]
+
+    @pytest.mark.parametrize("A,epsilon", [(interval(4096, 16), 0.05), (interval(256, 2), 0.5)])
+    def test_each_spectrum_cut_once(self, record_calls, A, epsilon):
+        cuts = record_calls(addcomb.pipeline, "cut_spectrum")
+        report = run_freiman(A, FreimanConfig(d=1.0, epsilon=epsilon))
+        keys = [(id(lA), delta) for lA, _, delta in cuts]
+        assert len(set(keys)) == len(keys), "a spectrum was cut twice"
+        # the Z_256 run escapes and retries, cutting again at the doubled eps
+        assert len(report.epsilon_retries) == (1 if epsilon == 0.05 else 5)

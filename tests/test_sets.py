@@ -579,7 +579,6 @@ class TestGrowthProfile:
         prof = growth_profile(Multiples(GroupSet.full(g)), d=0.5, n_max=4)
         assert all(r.mu_nA == 10 for r in prof.rows)
         assert all(r.satisfied for r in prof.rows)
-        assert prof.saturated
 
     def test_large_d_always_satisfied(self):
         g = FinAbGroup([32])
