@@ -23,7 +23,9 @@ rho is computed level by level rather than step by step: distances are
 integers in units of 2^-depth, the level S_k = S_{3^-k} weighs 2^(depth-k),
 and top = 2^depth is the weight of S_0. Each round settles every element at
 the least open distance t at once, closes them under the zero-cost core, and
-relaxes t + w onto their sumset with distinct levels of weight w.
+relaxes t + w onto their sumset with distinct levels of weight w. Every
+finite distance is 0 or such a t + w, so the rounds pop t from a heap of the
+distances pushed so far, and G is never scanned for the next one.
 
 The ball lemma. On an axiom-clean system, subadditivity at (3^-(k+1),
 3^-(k+1)) and nesting give S_{k+1} + S_{k+1} <= S_{2*3^-(k+1)} <= S_k, so two
@@ -51,6 +53,7 @@ distance fits int64, and rho is exact in float64.
 from __future__ import annotations
 
 import bisect
+import heapq
 import math
 import numbers
 from dataclasses import dataclass
@@ -299,19 +302,22 @@ def birkhoff_metric(system: BourgainSystem) -> BirkhoffMetric:
     rho* assigns 2^-k at the deepest ternary level containing the element
     (0 on an attested constant core). rho is the least total rho* over
     chains from 0, found by settling whole distance buckets: distances are
-    integers in units of 2^-depth, and each round takes the least unsettled
-    distance t, closes its elements under the zero-weight core steps, and
-    relaxes t + w onto one sumset with each distinct level of weight w. A
-    round at t relaxes only the levels lighter than t & -t, and t = 0 and
-    the multiples of top = 2^depth relax every level; see the ball lemma in
-    the module docstring. A round with no such level and no core to close is
-    skipped. An element is settled once t reaches its distance, so dist is
-    the only per-element state. Each level's half spectrum (and coordinate
-    block) is built at most once per call, and each frontier's at most once
-    per round, in a cache dropped on return; a core that is {0}, as on every
-    auto-depth system, gets no closure sumsets. A system has depth <=
-    MAX_DEPTH, so every distance is an integer below 2^53 and
-    rho = distance * 2^-depth is exact in float64.
+    integers in units of 2^-depth, and each round pops the least distance t
+    from a heap of the distances 0 and t' + w pushed by earlier rounds,
+    closes the elements at t under the zero-weight core steps, and relaxes
+    t + w onto one sumset with each distinct level of weight w, pushing
+    t + w. A round at t relaxes only the levels lighter than t & -t, and
+    t = 0 and the multiples of top = 2^depth relax every level; see the ball
+    lemma in the module docstring. A round with no such level and no core to
+    close touches no per-element state, and one whose distance every
+    element pushed there has since left builds no frontier. An element is
+    settled once t reaches its distance, so dist is the only per-element
+    state. Each level's half spectrum (and coordinate block) is built at
+    most once per call, and each frontier's at most once per round, in a
+    cache dropped on return; a core that is {0}, as on every auto-depth
+    system, gets no closure sumsets. A system has depth <= MAX_DEPTH, so
+    every distance is an integer below 2^53 and rho = distance * 2^-depth
+    is exact in float64.
     """
     if not system.audit.all_pass:
         raise ValueError(f"system failed its axiom audit: {system.audit.violations}")
@@ -340,29 +346,38 @@ def birkhoff_metric(system: BourgainSystem) -> BirkhoffMetric:
     unreached = np.iinfo(np.int64).max
     dist = np.full(g.order, unreached, dtype=np.int64)
     dist[0] = 0
-    t = 0
-    while t < unreached:
+    # every finite distance is 0 or a t + w some round relaxed, so the
+    # distances pushed so far, in a heap, hold the next one
+    pushed = [0]
+    while pushed:
+        t = heapq.heappop(pushed)
+        while pushed and pushed[0] == t:
+            heapq.heappop(pushed)
         # the elements with dist <= t are settled, and dist == t is the
         # frontier; by the ball lemma only the steps lighter than t's lowest
         # set bit can settle anything, so a round with none of them and no
         # core to close does nothing
         limit = t & -t if t % top else 2 * top
         lighter = [(S, w) for S, w in steps if w < limit]
-        if lighter or closing is not None:
-            frontier = GroupSet(g, dist == t)
-            while closing is not None:
+        if not lighter and closing is None:
+            continue
+        at_t = dist == t
+        if not at_t.any():
+            continue  # every element pushed to t was later pushed lower
+        frontier = GroupSet(g, at_t)
+        if closing is not None:
+            while True:
                 closed = frontier | sumset(frontier, closing, cache=cache)
                 if closed == frontier:
                     break
                 frontier = closed
             dist[frontier.mask] = t
-            # the frontier is cached for its own round only
-            cache.register(frontier)
-            for S, w in lighter:
-                np.minimum(dist, t + w, out=dist,
-                           where=sumset(frontier, S, cache=cache).mask)
-            cache.forget(frontier)
-        t = int(np.min(dist, where=dist > t, initial=unreached))
+        # the frontier is cached for its own round only
+        cache.register(frontier)
+        for S, w in lighter:
+            np.minimum(dist, t + w, out=dist, where=sumset(frontier, S, cache=cache).mask)
+            heapq.heappush(pushed, t + w)
+        cache.forget(frontier)
     rho = np.where(dist == unreached, np.inf, dist * 2.0 ** -depth)
     return BirkhoffMetric(system, rho_star, rho)
 

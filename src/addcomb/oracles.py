@@ -3,8 +3,12 @@
 Each function here recomputes a quantity that a production module obtains
 by a faster route, straight from its definition and in time quadratic in
 the group or the set. They exist only to cross-check those routes: the
-verification suites in `verify` and the tests import them, and no
-production module does.
+verification suites in `verify`, the tests and the ladder tools import
+them, and no production module does.
+
+The Birkhoff metric's oracle, dijkstra_rho, settles one element at a time
+from 0 over every step, where the production metric settles whole distance
+buckets by level sumsets.
 
 The tables stay literal but are built at once: the phase numerators of a
 batch of characters by one outer product per cycle, and the difference
@@ -20,6 +24,7 @@ import math
 
 import numpy as np
 
+from .bourgain import BourgainSystem
 from .fourier import DualFunction, _as_values
 from .groups import Character, FinAbGroup, GroupElement, GroupMismatchError
 from .sets import GroupSet
@@ -122,3 +127,33 @@ def bohr_distance(x: GroupElement, y: GroupElement, freqs: GroupSet) -> float:
         num = g.phase_numerator(int(m), z)
         best = max(best, min(num, M - num))
     return best / M
+
+
+def dijkstra_rho(system: BourgainSystem) -> tuple[np.ndarray, np.ndarray]:
+    """(rho*, rho) of a system by a per-element Dijkstra from 0 in float64.
+
+    One argmin per settled element, relaxing every step at once; dyadic
+    weights make the float sums exact below the depth bound.
+    """
+    g = system.group
+    rho_star = np.full(g.order, np.inf)
+    for k, r in enumerate(system.ternary_radii()):
+        rho_star[system.levels[r].mask] = 2.0 ** -k
+    if system.core is not None:
+        rho_star[system.core.mask] = 0.0
+    steps = np.flatnonzero(np.isfinite(rho_star))
+    weights = rho_star[steps]
+    step_coords = g.coords_table()[:, steps]
+    dist = np.full(g.order, np.inf)
+    dist[0] = 0.0
+    done = np.zeros(g.order, dtype=bool)
+    for _ in range(g.order):
+        candidates = np.where(done, np.inf, dist)
+        u = int(np.argmin(candidates))
+        if not np.isfinite(candidates[u]):
+            break
+        done[u] = True
+        nbrs = g.encode_array(np.asarray(g.decode(u), dtype=np.int64)[:, None]
+                              + step_coords)
+        np.minimum.at(dist, nbrs, dist[u] + weights)
+    return rho_star, dist

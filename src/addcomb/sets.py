@@ -34,7 +34,10 @@ A computation that sums the same sets again and again registers them with
 an OperandCache and passes it to sumset, so each one's coordinates and half
 spectrum are built once per call. A spectral sum with a registered operand
 runs on all of G, so that set keeps its one full-grid half spectrum, and
-its auto route is never probed for a box.
+its auto route is never probed for a box. Its FFT is priced by the
+transforms it runs, since c2 is fitted on sums that run all three: the
+inverse, plus the forward transform of each unregistered operand, so k of
+them cost k/3 of c2 * |G| * log2|G|.
 
 Multiples is the one route to the n-fold sumsets nA: it keeps every
 multiple it has built, reuses known ones, and halves where none fits, so
@@ -246,13 +249,14 @@ def negate(A: GroupSet) -> GroupSet:
 
 def _sumset_route(small: int, big: int, g: FinAbGroup,
                   cost: tuple[float, float, float, float] = SUMSET_COST,
-                  points: int | None = None) -> str:
+                  points: int | None = None, transforms: int = 3) -> str:
     """The route of lower modelled cost (constants c0..c3) for sizes small <= big,
-    with the FFT on a grid of points (all of G by default)."""
+    with the FFT on a grid of points (all of G by default) running the given
+    number of its three transforms (c2 is fitted on sums that run all three)."""
     c0, c1, c2, c3 = cost
     points = g.order if points is None else points
     direct = small * (c0 + c1 * big * g.rank)
-    spectral = c2 * points * math.log2(points) + c3
+    spectral = transforms / 3 * c2 * points * math.log2(points) + c3
     return "spectral" if spectral < direct else "direct"
 
 
@@ -262,20 +266,26 @@ def _auto_route(A: GroupSet, B: GroupSet, cache: "OperandCache | None",
     """(route, box) for sumset's auto method: the full-grid model's route,
     unless it picks direct for a sum whose FFT would run on a smaller box.
 
-    The box is planned (an O(|G|) probe) only when the modelled direct cost
-    beats both c2 * |G| and the FFT on the least box the operand sizes allow;
-    then the FFT is priced on the box's points, and a spectral pick returns
-    the box so that it is not planned again. A registered operand is never
-    probed: its sums run on all of G.
+    A sum with an operand registered in cache runs its FFT on all of G and
+    is never probed for a box. Its FFT is priced by the transforms the call
+    runs: the inverse, and the forward transform of each unregistered
+    operand, since cache builds a registered operand's half spectrum at most
+    once per call. Otherwise the box is planned (an O(|G|) probe) only when
+    the modelled direct cost beats both c2 * |G| and the FFT on the least
+    box the operand sizes allow; then the FFT is priced on the box's points,
+    and a spectral pick returns the box so that it is not planned again.
     """
     g = A.group
     small, big = sorted((len(A), len(B)))
+    if _registered(A, B, cache):
+        transforms = 1 + (A not in cache) + (B is not A and B not in cache)
+        return _sumset_route(small, big, g, cost, transforms=transforms), None
     if _sumset_route(small, big, g, cost) == "spectral":
         return "spectral", None
     c0, c1, c2, c3 = cost
     # an FFT on any box costs at least c3, so a direct cost below that needs
     # no least box either
-    if (_registered(A, B, cache) or small * (c0 + c1 * big * g.rank) <= max(c2 * g.order, c3)
+    if (small * (c0 + c1 * big * g.rank) <= max(c2 * g.order, c3)
             or _sumset_route(small, big, g, cost,
                              math.prod(_least_sides(small, big, g))) == "direct"):
         return "direct", None
@@ -297,8 +307,9 @@ def sumset(A: GroupSet, B: GroupSet, method: str = "auto", *,
 
     method: "auto" picks the route of lower modelled cost (_auto_route),
     pricing the FFT on the box it would use where the full-grid model picks
-    direct; "direct" forces the blocked outer sum, "spectral" forces the FFT
-    route, and neither probes. Both routes are exact. The FFT route
+    direct, and by the transforms it runs when an operand is registered;
+    "direct" forces the blocked outer sum, "spectral" forces the FFT route,
+    and neither probes. Both routes are exact. The FFT route
     convolves on the operands' bounding box, each cycle cropped to the least
     5-smooth length that holds the sum of their arcs, and wraps the result
     back to G; it uses all of G when no cycle shrinks.
@@ -439,7 +450,9 @@ class OperandCache:
 
     A registered set keeps each derived array (its coordinate block, its
     half spectrum) from the first time a sumset route needs it, until it is
-    forgotten; other operands pass through uncached. Sets are matched by
+    forgotten; other operands pass through uncached. So a spectral sum
+    transforms a registered operand at most once per call, and sumset's
+    auto route prices only its other transforms. Sets are matched by
     identity and held while registered. The caller makes one cache per call
     and drops it on return, so nothing outlives the computation.
     """

@@ -14,6 +14,7 @@ from addcomb.bourgain import (MAX_DEPTH, BirkhoffMetric, BourgainSystem,
                               birkhoff_metric, constant_family, interval_family,
                               sandwich_audit, subgroup_generated, system_from_balls)
 from addcomb.groups import FinAbGroup
+from addcomb.oracles import dijkstra_rho
 from addcomb.sets import GroupSet, negate
 from addcomb.verify import _birkhoff_systems
 
@@ -37,36 +38,6 @@ def bellman_ford_rho(metric: BirkhoffMetric) -> np.ndarray:
                     dist[v] = nd
                     changed = True
     return np.array([dist[i] for i in range(g.order)])
-
-
-def dijkstra_rho(system: BourgainSystem) -> tuple[np.ndarray, np.ndarray]:
-    """Oracle: (rho*, rho) by a per-element Dijkstra from 0 in float64.
-
-    One argmin per settled element, relaxing every step at once; dyadic
-    weights make the float sums exact below the depth bound.
-    """
-    g = system.group
-    rho_star = np.full(g.order, np.inf)
-    for k, r in enumerate(system.ternary_radii()):
-        rho_star[system.levels[r].mask] = 2.0 ** -k
-    if system.core is not None:
-        rho_star[system.core.mask] = 0.0
-    steps = np.flatnonzero(np.isfinite(rho_star))
-    weights = rho_star[steps]
-    step_coords = g.coords_table()[:, steps]
-    dist = np.full(g.order, np.inf)
-    dist[0] = 0.0
-    done = np.zeros(g.order, dtype=bool)
-    for _ in range(g.order):
-        candidates = np.where(done, np.inf, dist)
-        u = int(np.argmin(candidates))
-        if not np.isfinite(candidates[u]):
-            break
-        done[u] = True
-        nbrs = g.encode_array(np.asarray(g.decode(u), dtype=np.int64)[:, None]
-                              + step_coords)
-        np.minimum.at(dist, nbrs, dist[u] + weights)
-    return rho_star, dist
 
 
 def assert_matches_dijkstra(system: BourgainSystem) -> None:
@@ -482,11 +453,16 @@ class TestBirkhoffMetric:
 
         monkeypatch.setattr(addcomb.bourgain, "GroupSet", Recording)
         dist = birkhoff_metric(system).rho * 128
-        attained = np.unique(dist[np.isfinite(dist)]).astype(np.int64)
+        attained = [int(t) for t in np.unique(dist[np.isfinite(dist)])]
+        # each frontier is nonempty and lies at one distance
         built = [np.unique(dist[F.mask]) for F in frontiers]
         assert all(len(b) == 1 for b in built)
-        assert sorted(int(b[0]) for b in built) == [int(t) for t in attained if t % 4 == 0]
-        assert len(frontiers) < len(attained)
+        built = [int(b[0]) for b in built]
+        # once per relaxing distance: none at an odd multiple of the lightest
+        # weight, though such distances are attained
+        assert len(set(built)) == len(built)
+        assert sorted(built) == [t for t in attained if t % 4 == 0]
+        assert any(t % 4 == 2 for t in attained)
 
     @pytest.mark.parametrize("kind", sorted(CORE_KINDS))
     def test_each_cached_set_transformed_at_most_once(self, monkeypatch, kind):

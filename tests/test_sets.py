@@ -6,9 +6,10 @@ from hypothesis import given, settings, strategies as st
 
 import addcomb.sets
 from addcomb.groups import FinAbGroup, GroupMismatchError
-from addcomb.sets import (SUMSET_BLOCK_CELLS, GroupSet, GuardExceededError, Multiples,
-                          OperandCache, _box_side, _spectral_box, _sumset_route, difference,
-                          growth_profile, iterate, negate, prog, sumset)
+from addcomb.sets import (SUMSET_BLOCK_CELLS, SUMSET_COST, GroupSet, GuardExceededError,
+                          Multiples, OperandCache, _auto_route, _box_side, _spectral_box,
+                          _sumset_route, difference, growth_profile, iterate, negate, prog,
+                          sumset)
 
 
 def brute_sumset(A: GroupSet, B: GroupSet) -> set[int]:
@@ -263,6 +264,62 @@ class TestAutoRoute:
         for registered in (A, B):
             for method in ("auto", "spectral"):
                 assert sumset(A, B, method, cache=OperandCache([registered])) == want
+
+    @staticmethod
+    def unregistered_route(A: GroupSet, B: GroupSet):
+        """Reference: the auto rule for a sum with no registered operand, all
+        three transforms priced, on all of G and then on the planned box."""
+        g = A.group
+        small, big = sorted((len(A), len(B)))
+        c0, c1, c2, c3 = SUMSET_COST
+        if _sumset_route(small, big, g) == "spectral":
+            return "spectral", None
+        if small * (c0 + c1 * big * g.rank) <= max(c2 * g.order, c3):
+            return "direct", None
+        box = _spectral_box(A, B)
+        if box is not None and _sumset_route(small, big, g, points=math.prod(
+                m for m, _, _ in box)) == "spectral":
+            return "spectral", box
+        return "direct", None
+
+    def test_unregistered_picks_are_unchanged(self):
+        rng = np.random.default_rng(15)
+        picks = set()
+        for cycles in ([4096], [2 ** 14], [729], [64, 64], [16, 16, 16]):
+            g = FinAbGroup(cycles)
+            others = OperandCache([GroupSet.interval(g, 3) if g.rank == 1 else GroupSet.full(g)])
+            for frac in (1 / 256, 1 / 32, 1 / 4):
+                big = max(1, int(g.order * frac))
+                for small in (2, 8, 32, 128, 512):
+                    if small > big:
+                        continue
+                    for A, B in ((arc_set(g, [(0, small)] + [(0, 1)] * (g.rank - 1)),
+                                  arc_set(g, [(n - big // 2, big) for n in g.invariants[:1]]
+                                          + [(0, 1)] * (g.rank - 1))),
+                                 (GroupSet.from_indices(g, rng.choice(g.order, small, False)),
+                                  GroupSet.from_indices(g, rng.choice(g.order, big, False)))):
+                        want = self.unregistered_route(A, B)
+                        for cache in (None, OperandCache(), others):
+                            assert _auto_route(A, B, cache) == want
+                        picks.add((want[0], want[1] is not None))
+        # every branch of the rule is exercised
+        assert picks == {("spectral", False), ("spectral", True), ("direct", False)}
+
+    def test_registered_sum_is_priced_by_its_inverse(self, record_calls):
+        from addcomb import fourier
+        g = FinAbGroup([2 ** 14])
+        A, B = GroupSet.interval(g, 32), GroupSet.interval(g, 1024)
+        c0, c1, c2, c3 = SUMSET_COST
+        direct = len(A) * (c0 + c1 * len(B))
+        fft = c2 * g.order * math.log2(g.order)
+        # dearer than one inverse, cheaper than all three transforms
+        assert fft / 3 + c3 < direct < fft + c3
+        assert _sumset_route(len(A), len(B), g) == "direct"
+        calls = record_calls(fourier, "convolve")
+        S = sumset(A, B, cache=OperandCache([A, B]))
+        # one convolution of the sets themselves: on all of G, with no box
+        assert len(calls) == 1 and calls[0][0] is A and calls[0][1] is B
+        assert S == sumset(A, B, method="direct") == GroupSet.interval(g, 32 + 1024)
 
     def test_forced_methods_never_probe(self, record_calls):
         g, A, B = self.dual_arcs()

@@ -1,35 +1,43 @@
 """Time the Birkhoff metric of interval systems up the Z_2^k ladder.
 
-    PYTHONPATH=src python tools/birkhoff_ladder.py [--max-exp 18]
+    PYTHONPATH=src python tools/birkhoff_ladder.py [--max-exp 18] [--check-max-exp 12]
 
 Builds the interval system of Z_2^k (scale 2^k / 4, d = 2, auto depth) with
 system_from_balls and runs birkhoff_metric on it, for k = 10 .. --max-exp.
-Prints, per group, the seconds of each of the two calls, the metric's rounds
-(one per distinct finite distance it settles), and its sumsets by the route
-each call took: "zero" when the result is an operand itself or empty (an
-empty or {0} operand, which runs no route), "spectral" when the call ran
+Prints, per group, the seconds of each of the two calls, the distinct finite
+distances the metric attains, the frontier sets it builds (one per distance
+whose round relaxes a level or closes the core), and the sumsets of each call
+by the route they took: "zero" when the result is an operand itself or empty
+(an empty or {0} operand, which runs no route), "spectral" when the call ran
 fourier.convolve, else "direct". The sumsets are counted through the module
-attribute bourgain.sumset, the one the metric calls.
+attribute bourgain.sumset, the one both calls make, and the frontiers through
+bourgain.GroupSet, which the metric calls only to build them.
+
+With --check-max-exp N, each rung with k <= N also compares the bytes of
+rho* and rho with oracles.dijkstra_rho, the metric's per-element oracle, and
+the tool exits 1 after the ladder if any differ.
 """
 
 from __future__ import annotations
 
 import argparse
+import sys
 import time
 from collections import Counter
 
 import numpy as np
 
-from addcomb import bourgain, fourier
+from addcomb import bourgain, fourier, oracles
 from addcomb.groups import FinAbGroup
 
 ROUTES = ("zero", "direct", "spectral")
 
 
-def timed_metric(system) -> tuple[float, int, Counter]:
-    """(seconds, rounds, sumsets by route) of one birkhoff_metric call."""
+def counted(call):
+    """(seconds, result, sumsets by route, frontiers built) of call()."""
     routes = Counter()
-    sumset, convolve = bourgain.sumset, fourier.convolve
+    frontiers = 0
+    sumset, convolve, group_set = bourgain.sumset, fourier.convolve, bourgain.GroupSet
     convolutions = 0
 
     def counted_convolve(*args, **kwargs):
@@ -46,34 +54,66 @@ def timed_metric(system) -> tuple[float, int, Counter]:
             routes["spectral" if convolutions > before else "direct"] += 1
         return out
 
+    class CountedGroupSet(group_set):
+        __slots__ = ()
+
+        def __init__(self, *args):
+            nonlocal frontiers
+            frontiers += 1
+            super().__init__(*args)
+
     bourgain.sumset, fourier.convolve = counted_sumset, counted_convolve
+    bourgain.GroupSet = CountedGroupSet
     try:
         t0 = time.perf_counter()
-        metric = bourgain.birkhoff_metric(system)
+        out = call()
         seconds = time.perf_counter() - t0
     finally:
-        bourgain.sumset, fourier.convolve = sumset, convolve
-    rounds = len(np.unique(metric.rho[np.isfinite(metric.rho)]))
-    return seconds, rounds, routes
+        bourgain.sumset, fourier.convolve, bourgain.GroupSet = sumset, convolve, group_set
+    return seconds, out, routes, frontiers
 
 
-def main() -> None:
+def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--max-exp", type=int, default=18)
+    ap.add_argument("--check-max-exp", type=int, default=None,
+                    help="compare rho* and rho with the oracle up to Z_2^N")
     args = ap.parse_args()
     if not 10 <= args.max_exp <= 22:
         ap.error("--max-exp must lie in 10..22 (the group order cap is 2^22)")
-    print(f"{'group':>8} {'depth':>5} {'system s':>9} {'metric s':>9} {'rounds':>7} "
-          + " ".join(f"{r:>8}" for r in ROUTES))
+    if args.check_max_exp is not None and not 10 <= args.check_max_exp <= args.max_exp:
+        ap.error("--check-max-exp must lie in 10..--max-exp")
+    routes_head = " ".join(f"{r:>8}" for r in ROUTES)
+    print(f"{'group':>8} {'depth':>5} {'system s':>9} {routes_head} "
+          f"{'metric s':>9} {'dists':>6} {'fronts':>6} {routes_head} {'oracle':>6}")
+    mismatches = []
     for k in range(10, args.max_exp + 1):
         g = FinAbGroup([2 ** k])
-        t0 = time.perf_counter()
-        system = bourgain.system_from_balls(bourgain.interval_family(g, 2 ** k / 4), d=2.0)
-        build_s = time.perf_counter() - t0
-        metric_s, rounds, routes = timed_metric(system)
-        print(f"{'Z_2^' + str(k):>8} {system.depth:>5} {build_s:>9.3f} {metric_s:>9.3f} "
-              f"{rounds:>7} " + " ".join(f"{routes[r]:>8}" for r in ROUTES), flush=True)
+        family = bourgain.interval_family(g, 2 ** k / 4)
+        build_s, system, build_routes, _ = counted(
+            lambda: bourgain.system_from_balls(family, d=2.0))
+        metric_s, metric, metric_routes, frontiers = counted(
+            lambda: bourgain.birkhoff_metric(system))
+        distances = len(np.unique(metric.rho[np.isfinite(metric.rho)]))
+        verdict = "-"
+        if args.check_max_exp is not None and k <= args.check_max_exp:
+            rho_star, rho = oracles.dijkstra_rho(system)
+            same = (metric.rho_star.tobytes() == rho_star.tobytes()
+                    and metric.rho.tobytes() == rho.tobytes())
+            verdict = "same" if same else "DIFF"
+            if not same:
+                mismatches.append(f"Z_2^{k}")
+        print(f"{'Z_2^' + str(k):>8} {system.depth:>5} {build_s:>9.3f} "
+              + " ".join(f"{build_routes[r]:>8}" for r in ROUTES)
+              + f" {metric_s:>9.3f} {distances:>6} {frontiers:>6} "
+              + " ".join(f"{metric_routes[r]:>8}" for r in ROUTES)
+              + f" {verdict:>6}", flush=True)
+    if mismatches:
+        print("rho differs from oracles.dijkstra_rho on " + ", ".join(mismatches),
+              file=sys.stderr)
+        return 1
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())
