@@ -96,7 +96,8 @@ def bohr_distance_table(freqs: GroupSet, r_cap: float = 0.5,
     Elements whose distance is above r_cap come back as inf unless keep
     holds them. With base, a table of other frequencies over the same group
     sieved at the same r_cap and exact on keep, the result is the table of
-    the union: the rows of freqs are evaluated only where base is exact.
+    the union: the rows of freqs are evaluated only where base is exact, and
+    when base covers every row already, the result shares base's distances.
 
     An empty frequency set constrains nothing (sup over the empty set is 0),
     and neither does the trivial character. Since ||-theta|| = ||theta||, a
@@ -119,7 +120,13 @@ def bohr_distance_table(freqs: GroupSet, r_cap: float = 0.5,
             raise ValueError("the base table needs the same group and r_cap")
         covered |= np.array([m in base.covers for m in neg.tolist()], dtype=bool)
     coords = coords[:, ~covered & coords.any(axis=0)]
+    covers = frozenset(idx.tolist()) | (frozenset() if base is None else base.covers)
     start, rows, cells = 0, coords.shape[1], 0
+    if base is not None and not rows:
+        # base covers every row already, so its distances are the union's
+        out = base.view(DistanceTable)
+        out.r_cap, out.cells, out.covers = float(r_cap), 0, covers
+        return out
     best = np.zeros(g.order, dtype=np.int32)
     at = exact = None  # at: the survivors' indices, once best covers only them
     if base is not None and cap is not None and rows:
@@ -157,8 +164,7 @@ def bohr_distance_table(freqs: GroupSet, r_cap: float = 0.5,
         table = np.full(g.order, np.inf)
         table[at] = values
     out = table.view(DistanceTable)
-    out.r_cap, out.cells = float(r_cap), cells
-    out.covers = frozenset(idx.tolist()) | (frozenset() if base is None else base.covers)
+    out.r_cap, out.cells, out.covers = float(r_cap), cells, covers
     return out
 
 

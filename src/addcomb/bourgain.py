@@ -5,14 +5,22 @@ A system samples a monotone radius family on the ternary grid {2} u {3^-k} u
 audits the four axioms: symmetric neighborhood, nesting, subadditivity,
 dyadic growth. A grid radius is the float u / 3^depth of an integer unit u:
 the family is called with it and the levels are keyed by it, in grid order,
-while the audits run on the units, so the pair loop adds, compares and
-bisects plain ints. The subadditivity audit checks S_r + S_r' inside S_t for
+while the audits run on the units, so the pair checks add, compare and
+bisect plain ints. The subadditivity audit checks S_r + S_r' inside S_t for
 every pair r <= r' with r + r' <= 2, where t is the least grid radius
->= r + r' (found by bisection). For each r it walks r' upward, stops at the first
-sum past 2, and sums S_r + S_r' only when S_r' differs from the level before
-it, so a constant run of levels costs one sumset per r. The levels are
-registered with an OperandCache made for the audit and forgotten after the
-last row that sums them, so each is transformed at most once per call.
+>= r + r' (found by bisection). Each row r runs one of two ways, whichever
+is modelled cheaper:
+
+- the pair loop walks r' upward, stops at the first sum past 2, and sums
+  S_r + S_r' only when S_r' differs from the level before it, so a constant
+  run of levels costs one sumset per r. The levels are registered with an
+  OperandCache made for the audit and forgotten after the last row that sums
+  them, so each is transformed at most once per call.
+- one dilation serves the whole row when the family passes nesting. Then
+  L(x) = min{j : x in S_j} has {L <= j} = S_j, so D(x) = min over s in S_r
+  of L(x - s) has {D <= j} = S_r + S_j for every j at once, and each pair is
+  read off the least D outside its target. A family that fails nesting has
+  no such L, so all its rows keep the pair loop.
 
 The metric: rho*(x) = inf{2^-k : x in S_{3^-k}, k >= 0}, and rho is the
 chain infimum, the least total rho*(y) over chains of steps y from 0 to x.
@@ -21,11 +29,7 @@ treated as eventually constant, and its bottom level gets rho* = 0 (the true
 infimum for e.g. subgroup systems). A step in S_{3^-k} costs at most 2^-k, so
 rho is computed level by level rather than step by step: distances are
 integers in units of 2^-depth, the level S_k = S_{3^-k} weighs 2^(depth-k),
-and top = 2^depth is the weight of S_0. Each round settles every element at
-the least open distance t at once, closes them under the zero-cost core, and
-relaxes t + w onto their sumset with distinct levels of weight w. Every
-finite distance is 0 or such a t + w, so the rounds pop t from a heap of the
-distances pushed so far, and G is never scanned for the next one.
+and top = 2^depth is the weight of S_0.
 
 The ball lemma. On an axiom-clean system, subadditivity at (3^-(k+1),
 3^-(k+1)) and nesting give S_{k+1} + S_{k+1} <= S_{2*3^-(k+1)} <= S_k, so two
@@ -35,25 +39,41 @@ Carrying equal steps upward like binary digits, every ball has the closed form
     {dist <= D} = H + c*S_0 + sum of S_k over the bits 2^(depth-k) of D mod top,
 
 with c = floor(D / top) and H the additive closure of the core ({0} without
-one); at D = 2^(depth-k) it reads {rho <= 2^-k} = H + S_{3^-k}. So an element
-y at distance D > 0 is y = x + s with s in S_b, b = D & -D (b = top when top
-divides D), and x at distance exactly D - b, whose lowest set bit is above b
-or which is 0 or a multiple of top: were x nearer, so would y be. Relaxing
-an element settled at t with the levels of weight below t & -t therefore
-finds every distance; only 0 and the multiples of top take every level.
+one); at D = 2^(depth-k) it reads {rho <= 2^-k} = H + S_{3^-k}.
 
-The levels (and a core larger than {0}) are registered with an OperandCache
-made for the call, so each is transformed at most once however many rounds
-sum it, and each round's frontier once for all the levels it is summed with;
-a {0} core closes nothing, and the closure is skipped. The depth is at most
-MAX_DEPTH = 31, so |G| * 2^depth <= 2^53 under the group order cap, every
-distance fits int64, and rho is exact in float64.
+So dist is a min-plus convolution of the levels. It is 0 on H, and each
+distinct level S of weight w, from heavy to light, dilates it once:
+
+    dist <- min(dist, w + min over s in S of dist(. - s)),
+
+except that the heaviest repeats until it reaches nothing new, which gives
+c*S_0. The minimum over using each level or not is the least D whose closed
+form holds x, and every choice is a chain, so the result is rho. A level
+equal to the next deeper one is skipped, since that one reaches the same at
+half the weight; if S_0 is skipped so, the heaviest distinct level takes its
+repeats, for the same reason. Each dilation runs one of two exact ways,
+whichever is modelled cheaper:
+
+- translations: one np.minimum of dist with the translate of dist + w by
+  each nonzero s in S, a strided view of dist tiled twice along each axis,
+  so no translation allocates. They cost about |S| * |G| (TRANSLATE_COST),
+  so the light levels take them.
+- threshold sums: S is added to each level set {dist = v} by sets.sumset,
+  and dist is lowered to v + w on the sum. They cost about one sumset per
+  distinct distance, so the heavy levels, whose dilations see few
+  distances, take them. The levels are registered with an OperandCache made
+  for the call, so each is transformed at most once.
+
+The depth is at most MAX_DEPTH = 31, so |G| * 2^depth <= 2^53 under the
+group order cap, every distance fits int64, and rho is exact in float64.
+Once the heaviest level is done, every distance left to find lies below
+its last layer plus its weight w; when that plus w again is at most 2^30,
+the array narrows to int32, so each translation moves half the memory.
 """
 
 from __future__ import annotations
 
 import bisect
-import heapq
 import math
 import numbers
 from dataclasses import dataclass
@@ -62,7 +82,7 @@ from typing import Callable
 import numpy as np
 
 from .groups import FinAbGroup, GroupElement
-from .sets import GroupSet, OperandCache, sumset
+from .sets import GroupSet, OperandCache, sumset, sumset_seconds
 
 #: default cap on the ternary grid depth.
 GRID_DEPTH_CAP = 20
@@ -77,6 +97,26 @@ TAIL_PROBE_LEVELS = 12
 
 #: slack for comparing exact dyadic rho values against float radii.
 RHO_SLACK = 2.0 ** -45
+
+#: the metric's distance of an element no chain reaches: above every
+#: distance (< 2^53), and a step's weight (<= 2^MAX_DEPTH) added stays in int64.
+UNREACHED = 1 << 62
+
+#: the same in int32, which the metric narrows to when every distance left
+#: to find, plus a step's weight, stays below it.
+NARROW_UNREACHED = 1 << 30
+
+#: Seconds-per-unit constants (c_call, c_byte, c_row) of one translation: the
+#: minimum of an array of |G| items of b bytes with a translate of another
+#: costs about c_call + |G| * (c_byte * b + c_row / n_1), where the first
+#: cycle n_1 is the grid's contiguous axis, so |G| / n_1 is its rows.
+TRANSLATE_COST = (1.2e-6, 4.2e-11, 3.0e-8)
+
+#: Seconds-per-unit constants (c_call, c_elem) of the O(|G|) passes around
+#: one threshold sum (the level set, the sum's mask, the masked minimum or
+#: the subset test), or around the translations of one audit row (the ranks
+#: and their least value per level): about c_call + c_elem * |G|.
+DENSE_COST = (2.0e-5, 1.2e-9)
 
 
 @dataclass(frozen=True)
@@ -196,19 +236,31 @@ def system_from_balls(family: Callable[[float], GroupSet], d: float,
     # holds a level is the last at which it appears; it is cached until then
     cache = OperandCache(sets)
     last_row = {id(S): i for i, S in enumerate(sets)}
+    ranks = None  # the _LevelRanks of the levels, once a row dilates
     for i, u1 in enumerate(units):
-        for j in range(i, len(units)):
-            s = u1 + units[j]
-            if s > two:
-                break  # the units are sorted, so every later sum is past 2 too
-            if j == i or not same[j]:
-                total = sumset(sets[i], sets[j], cache=cache)
-            target = bisect.bisect_left(units, s)  # round up to the grid
-            if not total.is_subset_of(sets[target]):
+        # the units are sorted, so the pairs of row i are j in [i, end)
+        end = bisect.bisect_right(units, two - u1)
+        targets = [bisect.bisect_left(units, u1 + units[j]) for j in range(i, end)]
+        summed = [j for j in range(i, end) if j == i or not same[j]]
+        if nesting_ok and (_translation_seconds(len(sets[i]), group, 1)
+                           + _dense_seconds(group)
+                           < sum(_sum_seconds(len(sets[i]), len(sets[j]), group, 1)
+                                 for j in summed)):
+            ranks = ranks or _LevelRanks(sets)
+            reach = ranks.reach(sets[i])
+            fails = [reach[t + 1] <= j for j, t in zip(range(i, end), targets)]
+        else:
+            fails = []
+            for j, t in zip(range(i, end), targets):
+                if j == i or not same[j]:
+                    total = sumset(sets[i], sets[j], cache=cache)
+                fails.append(not total.is_subset_of(sets[t]))
+        for j, t, fail in zip(range(i, end), targets, fails):
+            if fail:
                 subadditive_ok = False
                 violations.append(
                     f"subadditivity fails: S_{names[i]} + S_{names[j]} "
-                    f"not in S_{names[target]}")
+                    f"not in S_{names[t]}")
         if last_row[id(sets[i])] == i:
             cache.forget(sets[i])
 
@@ -234,6 +286,38 @@ def system_from_balls(family: Callable[[float], GroupSet], d: float,
     audit = SystemAudit(symmetric_ok, nesting_ok, subadditive_ok, growth_ok,
                         tuple(violations))
     return BourgainSystem(group, float(d), dict(zip(radii, sets)), audit, depth, core)
+
+
+class _LevelRanks:
+    """The nested levels S_0 <= S_1 <= ... of an audit as one array,
+    L(x) = min{j : x in S_j} (n, the number of levels, off every level), so
+    that {L <= j} = S_j, and one dilation of L by a set T gives T + S_j =
+    {min over t in T of L(. - t) <= j} for every j at once."""
+
+    def __init__(self, sets: list[GroupSet]):
+        n = len(sets)  # at most 2 * (MAX_DEPTH + 1) < 256
+        self.group, self.n = sets[0].group, n
+        self.level = np.full(self.group.order, n, dtype=np.uint8)
+        for j in reversed(range(n)):
+            self.level[sets[j].mask] = j
+        # the elements ordered by level, and where each level that holds any starts
+        counts = np.bincount(self.level, minlength=n + 1)
+        self.held = np.flatnonzero(counts)
+        self.order = np.argsort(self.level, kind="stable")
+        self.starts = (np.cumsum(counts) - counts)[self.held]
+
+    def reach(self, T: GroupSet) -> list[int]:
+        """reach[t] = the least j with (T + S_j) outside S_(t-1), for t in
+        0..n + 1 (n when there is none): T + S_j <= S_t iff reach[t + 1] > j."""
+        dilated = np.full(self.group.order, self.n, dtype=np.uint8)
+        _translate_min(dilated, self.level, _offsets(T), self.group)
+        lows = np.minimum.reduceat(np.take(dilated, self.order), self.starts)
+        least = [self.n] * (self.n + 2)
+        for level, low in zip(self.held.tolist(), lows.tolist()):
+            least[level] = low
+        for t in reversed(range(self.n + 1)):
+            least[t] = min(least[t], least[t + 1])
+        return least
 
 
 # -- convenience families -------------------------------------------------------------
@@ -301,23 +385,14 @@ def birkhoff_metric(system: BourgainSystem) -> BirkhoffMetric:
 
     rho* assigns 2^-k at the deepest ternary level containing the element
     (0 on an attested constant core). rho is the least total rho* over
-    chains from 0, found by settling whole distance buckets: distances are
-    integers in units of 2^-depth, and each round pops the least distance t
-    from a heap of the distances 0 and t' + w pushed by earlier rounds,
-    closes the elements at t under the zero-weight core steps, and relaxes
-    t + w onto one sumset with each distinct level of weight w, pushing
-    t + w. A round at t relaxes only the levels lighter than t & -t, and
-    t = 0 and the multiples of top = 2^depth relax every level; see the ball
-    lemma in the module docstring. A round with no such level and no core to
-    close touches no per-element state, and one whose distance every
-    element pushed there has since left builds no frontier. An element is
-    settled once t reaches its distance, so dist is the only per-element
-    state. Each level's half spectrum (and coordinate block) is built at
-    most once per call, and each frontier's at most once per round, in a
-    cache dropped on return; a core that is {0}, as on every auto-depth
-    system, gets no closure sumsets. A system has depth <= MAX_DEPTH, so
-    every distance is an integer below 2^53 and rho = distance * 2^-depth
-    is exact in float64.
+    chains from 0, found as the min-plus form of the ball lemma (module
+    docstring): distances in units of 2^-depth start at 0 on the additive
+    closure H of the core, the heaviest distinct level dilates them layer by
+    layer until a layer is empty (a breadth-first search from H), and each
+    lighter distinct level dilates them once. _dilate runs each dilation by
+    translations or by threshold sums, whichever it models cheaper; both are
+    exact. A system has depth <= MAX_DEPTH, so every distance is an integer
+    below 2^53 and rho = distance * 2^-depth is exact in float64.
     """
     if not system.audit.all_pass:
         raise ValueError(f"system failed its axiom audit: {system.audit.violations}")
@@ -328,58 +403,132 @@ def birkhoff_metric(system: BourgainSystem) -> BirkhoffMetric:
     if core is not None:
         rho_star[core.mask] = 0.0
 
-    # The distinct step levels, deep to shallow, with weights in units of
+    # The distinct step levels, heavy to light, with weights in units of
     # 2^-depth; the core, when attested, is the bottom level at weight 0. A
-    # level equal to the next deeper one costs more for the same steps.
-    cache = OperandCache()
+    # level equal to the next deeper one reaches nothing that one does not,
+    # at a higher weight.
     steps: list[tuple[GroupSet, int]] = []
     deeper = core
     for k in reversed(range(depth + 1 if core is None else depth)):
         S = system.levels[1 / 3 ** k]
         if S != deeper:
-            steps.append((cache.register(S), 1 << (depth - k)))
+            steps.insert(0, (S, 1 << (depth - k)))
         deeper = S
-    # every level holds 0, so a one-element core is {0} and closes nothing
-    closing = cache.register(core) if core is not None and len(core) > 1 else None
+    cache = OperandCache(S for S, _ in steps)
 
-    top = 1 << depth
-    unreached = np.iinfo(np.int64).max
+    # every level holds 0, so a one-element core is {0} and closes nothing
+    closure = GroupSet.singleton(g, 0) if core is None else core
+    if len(closure) > 1:
+        while (closed := sumset(closure, closure)) != closure:
+            closure = closed
+    unreached = UNREACHED
     dist = np.full(g.order, unreached, dtype=np.int64)
-    dist[0] = 0
-    # every finite distance is 0 or a t + w some round relaxed, so the
-    # distances pushed so far, in a heap, hold the next one
-    pushed = [0]
-    while pushed:
-        t = heapq.heappop(pushed)
-        while pushed and pushed[0] == t:
-            heapq.heappop(pushed)
-        # the elements with dist <= t are settled, and dist == t is the
-        # frontier; by the ball lemma only the steps lighter than t's lowest
-        # set bit can settle anything, so a round with none of them and no
-        # core to close does nothing
-        limit = t & -t if t % top else 2 * top
-        lighter = [(S, w) for S, w in steps if w < limit]
-        if not lighter and closing is None:
-            continue
-        at_t = dist == t
-        if not at_t.any():
-            continue  # every element pushed to t was later pushed lower
-        frontier = GroupSet(g, at_t)
-        if closing is not None:
-            while True:
-                closed = frontier | sumset(frontier, closing, cache=cache)
-                if closed == frontier:
-                    break
-                frontier = closed
-            dist[frontier.mask] = t
-        # the frontier is cached for its own round only
-        cache.register(frontier)
+    dist[closure.mask] = 0
+    values = [0]  # the distances dist may hold, ascending
+    if steps:
+        # the heaviest step, one layer of distance at a time, until a layer
+        # is empty or all of G is reached
+        (S, w), lighter = steps[0], steps[1:]
+        layer = reached = len(closure)
+        while layer and reached < g.order:
+            _dilate(dist, S, w, values[-1:], layer, cache)
+            layer = int(np.count_nonzero(dist == values[-1] + w))
+            if layer:
+                values.append(values[-1] + w)
+                reached += layer
+        # every level lies in the heaviest, so the lighter ones reach nothing
+        # new, and their weights sum below w: every distance to come is below
+        # values[-1] + w, and int32 holds it when that plus w is at most
+        # NARROW_UNREACHED (the translations then move half the memory)
+        if lighter and values[-1] + 2 * w <= NARROW_UNREACHED:
+            dist = np.where(dist == unreached, NARROW_UNREACHED, dist).astype(np.int32)
+            unreached = NARROW_UNREACHED
         for S, w in lighter:
-            np.minimum(dist, t + w, out=dist, where=sumset(frontier, S, cache=cache).mask)
-            heapq.heappush(pushed, t + w)
-        cache.forget(frontier)
+            values = _dilate(dist, S, w, values, reached, cache)
+            if len(values) > reached:  # more candidates than elements: read them off
+                values = np.unique(dist[dist < unreached]).tolist()
     rho = np.where(dist == unreached, np.inf, dist * 2.0 ** -depth)
     return BirkhoffMetric(system, rho_star, rho)
+
+
+def _dilate(dist: np.ndarray, S: GroupSet, w: int, values: list[int], size: int,
+            cache: OperandCache) -> list[int]:
+    """dist <- min(dist, w + min over s in S of dist(. - s)), in place, where
+    values (ascending) holds every finite value of dist that the dilation
+    must carry, on size elements in all; S is a level, so it holds 0, and it
+    is registered in cache.
+
+    Translations take the minimum of dist with each nonzero translate of
+    dist + w. Threshold sums add S to each level set {dist = v}, from the
+    largest v down, and lower dist to v + w on the sum. The values are all
+    multiples of 2w, or one value, so a sum lowers only elements above
+    v + w, whose level sets are done: each level set is read unchanged.
+    The route of lower modelled cost runs: |S| - 1 translations against one
+    sum per value, on level sets of size / len(values) elements. Returns the
+    values dist may hold afterwards: those whose level set was nonempty,
+    with each plus w.
+    """
+    g = S.group
+    if (_translation_seconds(len(S) - 1, g, dist.itemsize)
+            <= len(values) * _sum_seconds(size // len(values), len(S), g, transforms=2)):
+        _translate_min(dist, dist + w, _offsets(S)[:, 1:], g)  # S's first index is 0
+        kept = values
+    else:
+        kept = []
+        for v in reversed(values):
+            level = GroupSet(g, dist == v)
+            if level:
+                kept.append(v)
+                np.minimum(dist, v + w, out=dist,
+                           where=sumset(level, S, cache=cache).mask)
+    return sorted(kept + [v + w for v in kept])
+
+
+def _offsets(S: GroupSet) -> np.ndarray:
+    """The (rank, |S|) coordinates of S's elements in index order."""
+    return S.group.coords_table()[:, S.indices()]
+
+
+def _translate_min(out: np.ndarray, src: np.ndarray, offsets: np.ndarray,
+                   g: FinAbGroup) -> None:
+    """out <- min(out, src(. - s)) for each column s of offsets, in place.
+
+    src is tiled twice along each axis of G's grid, so that on a cycle of
+    length n, src(x - s) is tile entry n - s + x: each translate is one
+    strided view of the tiles, and a translation allocates nothing.
+    """
+    shape = g.invariants[::-1]  # C order: cycle j is axis rank - 1 - j
+    grid = out.reshape(shape)
+    tiles = src.reshape(shape)
+    for axis in range(g.rank):
+        tiles = np.concatenate((tiles, tiles), axis=axis)
+    # windows[a] is the block of tiles from corner a, the translate by n - a
+    windows = np.ndarray(tuple(n + 1 for n in shape) + shape, tiles.dtype, tiles,
+                         strides=tiles.strides * 2)
+    starts = np.array(shape)[:, None] - offsets[::-1]
+    for start in starts.T.tolist():
+        np.minimum(grid, windows[tuple(start)], out=grid)
+
+
+def _translation_seconds(count: int, g: FinAbGroup, itemsize: int) -> float:
+    """Modelled seconds of count translations of an array of itemsize-byte
+    items over G, with the tiling (TRANSLATE_COST)."""
+    c_call, c_byte, c_row = TRANSLATE_COST
+    each = c_call + g.order * (c_byte * itemsize + c_row / g.invariants[0])
+    return (count + 2 ** g.rank) * each
+
+
+def _sum_seconds(a: int, b: int, g: FinAbGroup, transforms: int) -> float:
+    """Modelled seconds of one threshold sum of sets of a and b elements: the
+    sumset's route (sets.sumset_seconds) and the dense passes around it."""
+    return _dense_seconds(g) + sumset_seconds(min(a, b), max(a, b), g, transforms)
+
+
+def _dense_seconds(g: FinAbGroup) -> float:
+    """Modelled seconds of the O(|G|) passes around one threshold sum, or
+    around the translations of one audit row (DENSE_COST)."""
+    c_call, c_elem = DENSE_COST
+    return c_call + c_elem * g.order
 
 
 # -- the two-sided sandwich audit ----------------------------------------------------

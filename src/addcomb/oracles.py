@@ -7,8 +7,9 @@ verification suites in `verify`, the tests and the ladder tools import
 them, and no production module does.
 
 The Birkhoff metric's oracle, dijkstra_rho, settles one element at a time
-from 0 over every step, where the production metric settles whole distance
-buckets by level sumsets.
+from 0 over every step, where the production metric dilates whole distance
+arrays level by level. It takes the levels as plain sets, so that it
+depends on nothing in the module it checks.
 
 The tables stay literal but are built at once: the phase numerators of a
 batch of characters by one outer product per cycle, and the difference
@@ -21,10 +22,10 @@ oracle call on an equal set.
 from __future__ import annotations
 
 import math
+from typing import Sequence
 
 import numpy as np
 
-from .bourgain import BourgainSystem
 from .fourier import DualFunction, _as_values
 from .groups import Character, FinAbGroup, GroupElement, GroupMismatchError
 from .sets import GroupSet
@@ -129,31 +130,35 @@ def bohr_distance(x: GroupElement, y: GroupElement, freqs: GroupSet) -> float:
     return best / M
 
 
-def dijkstra_rho(system: BourgainSystem) -> tuple[np.ndarray, np.ndarray]:
-    """(rho*, rho) of a system by a per-element Dijkstra from 0 in float64.
+def dijkstra_rho(group: FinAbGroup, levels: Sequence[GroupSet],
+                 core: GroupSet | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """(rho*, rho) of a Bourgain system by a per-element Dijkstra from 0 in
+    float64, given its ternary levels S_{3^-k} for k = 0, 1, ... and its
+    attested core, if any.
 
-    One argmin per settled element, relaxing every step at once; dyadic
-    weights make the float sums exact below the depth bound.
+    rho* is 2^-k at the deepest level holding the element and 0 on the core;
+    every element of finite rho* is a step of that cost. One argmin per
+    settled element, relaxing every step at once; dyadic weights make the
+    float sums exact below the depth bound.
     """
-    g = system.group
-    rho_star = np.full(g.order, np.inf)
-    for k, r in enumerate(system.ternary_radii()):
-        rho_star[system.levels[r].mask] = 2.0 ** -k
-    if system.core is not None:
-        rho_star[system.core.mask] = 0.0
+    rho_star = np.full(group.order, np.inf)
+    for k, S in enumerate(levels):
+        rho_star[S.mask] = 2.0 ** -k
+    if core is not None:
+        rho_star[core.mask] = 0.0
     steps = np.flatnonzero(np.isfinite(rho_star))
     weights = rho_star[steps]
-    step_coords = g.coords_table()[:, steps]
-    dist = np.full(g.order, np.inf)
+    step_coords = group.coords_table()[:, steps]
+    dist = np.full(group.order, np.inf)
     dist[0] = 0.0
-    done = np.zeros(g.order, dtype=bool)
-    for _ in range(g.order):
+    done = np.zeros(group.order, dtype=bool)
+    for _ in range(group.order):
         candidates = np.where(done, np.inf, dist)
         u = int(np.argmin(candidates))
         if not np.isfinite(candidates[u]):
             break
         done[u] = True
-        nbrs = g.encode_array(np.asarray(g.decode(u), dtype=np.int64)[:, None]
-                              + step_coords)
+        nbrs = group.encode_array(np.asarray(group.decode(u), dtype=np.int64)[:, None]
+                                  + step_coords)
         np.minimum.at(dist, nbrs, dist[u] + weights)
     return rho_star, dist

@@ -247,17 +247,31 @@ def negate(A: GroupSet) -> GroupSet:
     return GroupSet(A.group, A.mask[A.group.negation_permutation()])
 
 
+def _route_seconds(small: int, big: int, g: FinAbGroup,
+                   cost: tuple[float, float, float, float] = SUMSET_COST,
+                   points: int | None = None, transforms: int = 3) -> tuple[float, float]:
+    """The modelled (direct, spectral) seconds (constants c0..c3) for sizes
+    small <= big, with the FFT on a grid of points (all of G by default)
+    running the given number of its three transforms (c2 is fitted on sums
+    that run all three)."""
+    c0, c1, c2, c3 = cost
+    points = g.order if points is None else points
+    return (small * (c0 + c1 * big * g.rank),
+            transforms / 3 * c2 * points * math.log2(points) + c3)
+
+
 def _sumset_route(small: int, big: int, g: FinAbGroup,
                   cost: tuple[float, float, float, float] = SUMSET_COST,
                   points: int | None = None, transforms: int = 3) -> str:
-    """The route of lower modelled cost (constants c0..c3) for sizes small <= big,
-    with the FFT on a grid of points (all of G by default) running the given
-    number of its three transforms (c2 is fitted on sums that run all three)."""
-    c0, c1, c2, c3 = cost
-    points = g.order if points is None else points
-    direct = small * (c0 + c1 * big * g.rank)
-    spectral = transforms / 3 * c2 * points * math.log2(points) + c3
+    """The route of lower modelled cost, as priced by _route_seconds."""
+    direct, spectral = _route_seconds(small, big, g, cost, points, transforms)
     return "spectral" if spectral < direct else "direct"
+
+
+def sumset_seconds(small: int, big: int, g: FinAbGroup, transforms: int) -> float:
+    """The modelled seconds of the cheaper full-grid route of a sum of sets of
+    sizes small <= big whose FFT would run the given number of transforms."""
+    return min(_route_seconds(small, big, g, transforms=transforms))
 
 
 def _auto_route(A: GroupSet, B: GroupSet, cache: "OperandCache | None",

@@ -223,6 +223,19 @@ class TestSievedTable:
         assert sieved.cells < dense.cells / 4
         assert np.array_equal(sieved.ball(0.05), dense.ball(0.05))
 
+    def test_a_base_that_covers_every_row_is_the_table(self):
+        # the new frequencies are the trivial character and negatives of the
+        # base's, so no row is left: the base's distances come back, no cells
+        g = FinAbGroup([64])
+        keep = GroupSet.from_indices(g, [7, 30])
+        base = bohr_distance_table(freq_set(g, 1, 5), 0.1, keep)
+        for freqs in (freq_set(g, 0, 63, 59), freq_set(g, 63), GroupSet.empty(g)):
+            table = bohr_distance_table(freqs, 0.1, keep, base=base)
+            union = bohr_distance_table(freqs | freq_set(g, 1, 5), 0.1, keep)
+            assert table.tobytes() == union.tobytes() == base.tobytes()
+            assert table.cells == 0 and table.r_cap == 0.1
+            assert table.covers == base.covers | set(freqs.indices().tolist())
+
     def test_rejects_a_mismatched_base_and_a_negative_cap(self):
         g = FinAbGroup([32])
         base = bohr_distance_table(freq_set(g, 1), 0.2)

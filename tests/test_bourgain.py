@@ -1,6 +1,8 @@
+import contextlib
 import dataclasses
 import math
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -42,9 +44,23 @@ def bellman_ford_rho(metric: BirkhoffMetric) -> np.ndarray:
 
 def assert_matches_dijkstra(system: BourgainSystem) -> None:
     metric = birkhoff_metric(system)
-    rho_star, rho = dijkstra_rho(system)
+    levels = [system.levels[r] for r in system.ternary_radii()]
+    rho_star, rho = dijkstra_rho(system.group, levels, system.core)
     assert metric.rho_star.tobytes() == rho_star.tobytes()
     assert metric.rho.tobytes() == rho.tobytes()
+
+
+ROUTES = ("translations", "sums")
+
+
+@contextlib.contextmanager
+def forced_route(route: str):
+    """Price translations at -inf or +inf, so that every dilation of the
+    metric and every audit row on a nested family translates ("translations"),
+    or none does ("sums": threshold sums and the pair loop)."""
+    price = {"translations": -math.inf, "sums": math.inf}[route]
+    with mock.patch.object(addcomb.bourgain, "_translation_seconds", lambda *args: price):
+        yield
 
 
 def record_transforms(monkeypatch) -> list[bytes]:
@@ -329,10 +345,49 @@ class TestSystemFromBalls:
         assert sum(made) <= 430  # 2894 when every pair is summed afresh
 
     def test_audit_transforms_each_level_once(self, monkeypatch):
+        family = interval_family(FinAbGroup([4096]), 1024.0)
         seen = record_transforms(monkeypatch)
-        system_from_balls(interval_family(FinAbGroup([4096]), 1024.0), d=2.0)
-        # the audit sums nothing but levels
+        with forced_route("sums"):
+            system_from_balls(family, d=2.0)
+        # the pair loop sums nothing but levels
         assert len(seen) >= 5 and len(set(seen)) == len(seen)
+        # and the rows that dilate leave fewer levels to transform
+        seen.clear()
+        system_from_balls(family, d=2.0)
+        assert 1 <= len(seen) < 5 and len(set(seen)) == len(seen)
+
+    @pytest.mark.parametrize("route", ROUTES)
+    def test_audit_matches_all_pairs_oracle_by_route(self, route):
+        rng = np.random.default_rng(1607)
+        failing = nested = 0
+        for _ in range(60):
+            with forced_route(route):
+                system = random_levels_system(rng)
+            audit = system.audit
+            flags, violations = reference_audit(system)
+            assert (audit.symmetric_ok, audit.nesting_ok, audit.subadditive_ok,
+                    audit.growth_ok) == flags
+            assert list(audit.violations) == violations
+            failing += not audit.subadditive_ok
+            nested += audit.nesting_ok and not audit.subadditive_ok
+        # nested families that fail subadditivity are the ones a dilated row
+        # must report
+        assert failing >= 20 and nested >= 5
+
+    @pytest.mark.parametrize("route", ROUTES)
+    @pytest.mark.parametrize("name", sorted(AUDIT_FAMILIES))
+    def test_audit_families_by_route(self, name, route, record_calls):
+        family, kwargs, flags = AUDIT_FAMILIES[name]
+        translated = record_calls(addcomb.bourgain, "_translate_min")
+        with forced_route(route):
+            system = system_from_balls(family, **kwargs)
+        audit = system.audit
+        reference_flags, violations = reference_audit(system)
+        assert (audit.symmetric_ok, audit.nesting_ok, audit.subadditive_ok,
+                audit.growth_ok) == reference_flags == flags
+        assert list(audit.violations) == violations
+        # a family that fails nesting never dilates
+        assert bool(translated) == (route == "translations" and audit.nesting_ok)
 
     def test_audit_transforms_a_constant_family_once(self, monkeypatch):
         g = FinAbGroup([4096])
@@ -377,6 +432,16 @@ class TestBirkhoffMetric:
     @given(clean_systems())
     def test_matches_dijkstra_oracle(self, system):
         assert_matches_dijkstra(system)
+
+    @pytest.mark.parametrize("route", ROUTES)
+    def test_matches_dijkstra_oracle_by_route(self, route):
+        @settings(max_examples=60, deadline=None)
+        @given(clean_systems())
+        def check(system):
+            with forced_route(route):
+                assert_matches_dijkstra(system)
+
+        check()
 
     @settings(max_examples=60, deadline=None)
     @given(clean_systems())
@@ -430,39 +495,46 @@ class TestBirkhoffMetric:
                 "no-core": core is None}[kind]
         assert_matches_dijkstra(system)
 
-    def test_sumset_count_on_z4096_interval_system(self, record_calls):
+    @pytest.mark.parametrize("route", ROUTES)
+    @pytest.mark.parametrize("kind", sorted(CORE_KINDS))
+    def test_matches_dijkstra_by_core_and_route(self, kind, route, record_calls):
+        system = CORE_KINDS[kind]()
+        translated = record_calls(addcomb.bourgain, "_translate_min")
+        sums = record_calls(addcomb.bourgain, "sumset")
+        with forced_route(route):
+            assert_matches_dijkstra(system)
+        # when every dilation translates, only the closure of a subgroup core
+        # sums (once: it is closed already)
+        closure_sums = 1 if kind == "subgroup-core" else 0
+        assert bool(translated) == (route == "translations")
+        assert (len(sums) == closure_sums) == (route == "translations")
+
+    def test_work_counts_on_z4096_interval_system(self, record_calls):
+        # depth 7, top = 128, core {0}: S_0 = [-1024, 1024] reaches G in two
+        # layers by threshold sums (0 and 128); S_1 = [-341, 341] adds its
+        # sum to each of the 3 distances 0, 128, 256; the 5 lighter levels
+        # translate, by |S| - 1 = 226, 74, 24, 8 and 2
         g = FinAbGroup([4096])
         system = system_from_balls(interval_family(g, 1024.0), d=2.0)
         assert system.core == GroupSet.singleton(g, 0)
-        sums = record_calls(addcomb.sets, "sumset")
+        sums = record_calls(addcomb.bourgain, "sumset")
+        translated = record_calls(addcomb.bourgain, "_translate_min")
         birkhoff_metric(system)
-        assert len(sums) == 135
+        assert [(len(A), len(B)) for A, B in sums] == [
+            (1, 2049), (2048, 2049), (2047, 683), (2048, 683), (1, 683)]
+        assert [offsets.shape[1] for _, _, offsets, _ in translated] == [226, 74, 24, 8, 2]
 
-    def test_frontiers_only_in_rounds_that_relax(self, monkeypatch):
-        # Z_4096 at scale 1024 has depth 7 and top = 128; its core is {0} and
-        # its lightest step S_{3^-6} = {-1, 0, 1} weighs 2, so only the
-        # distances divisible by 4 have a step lighter than their lowest bit
+    def test_levels_dilate_heavy_to_light_once(self, record_calls):
+        # the heaviest distinct level once per layer, each lighter one once
         g = FinAbGroup([4096])
         system = system_from_balls(interval_family(g, 1024.0), d=2.0)
-        frontiers = []
-
-        class Recording(GroupSet):
-            def __init__(self, group, mask):
-                super().__init__(group, mask)
-                frontiers.append(self)
-
-        monkeypatch.setattr(addcomb.bourgain, "GroupSet", Recording)
-        dist = birkhoff_metric(system).rho * 128
-        attained = [int(t) for t in np.unique(dist[np.isfinite(dist)])]
-        # each frontier is nonempty and lies at one distance
-        built = [np.unique(dist[F.mask]) for F in frontiers]
-        assert all(len(b) == 1 for b in built)
-        built = [int(b[0]) for b in built]
-        # once per relaxing distance: none at an odd multiple of the lightest
-        # weight, though such distances are attained
-        assert len(set(built)) == len(built)
-        assert sorted(built) == [t for t in attained if t % 4 == 0]
-        assert any(t % 4 == 2 for t in attained)
+        dilations = record_calls(addcomb.bourgain, "_dilate")
+        birkhoff_metric(system)
+        weights = [w for _, _, w, _, _, _ in dilations]
+        assert weights == [128, 128] + [64, 32, 16, 8, 4, 2]
+        # the level of weight w = 2^(7 - k) is S_{3^-k}
+        assert all(S is system.levels[1 / 3 ** (8 - w.bit_length())]
+                   for _, S, w, _, _, _ in dilations)
 
     @pytest.mark.parametrize("kind", sorted(CORE_KINDS))
     def test_each_cached_set_transformed_at_most_once(self, monkeypatch, kind):
@@ -472,9 +544,21 @@ class TestBirkhoffMetric:
         seen = record_transforms(monkeypatch)
         birkhoff_metric(system)
         assert max(seen.count(b) for b in kept) <= 1
-        if kind != "subgroup-core":
-            # nothing closes the frontiers, and each is cached for its round
-            assert len(set(seen)) == len(seen)
+
+    @pytest.mark.parametrize("route", ROUTES)
+    def test_unreached_cosets_beside_lighter_levels(self, route):
+        # intervals on the first cycle of Z_64 x Z_3: chains stay in the
+        # subgroup Z_64 x {0}, so two cosets are unreached while the lighter
+        # levels still dilate (over the narrowed distance array)
+        g = FinAbGroup([64, 3])
+        axis = g.coords_table()[1] == 0
+        system = system_from_balls(
+            lambda r: GroupSet(g, GroupSet.linf_ball(g, math.floor(16 * r + 1e-12)).mask & axis),
+            d=2.0)
+        assert system.audit.all_pass and system.depth == 3
+        with forced_route(route):
+            assert_matches_dijkstra(system)
+        assert np.isinf(birkhoff_metric(system).rho).sum() == 128
 
     def test_explicit_shallow_depth_has_no_core(self):
         g = FinAbGroup([64])

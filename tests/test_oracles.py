@@ -98,3 +98,10 @@ def test_difference_table_blocks_agree(monkeypatch, block_cells):
     monkeypatch.setattr(addcomb.oracles, "DIFFERENCE_BLOCK_CELLS", block_cells)
     assert np.array_equal(difference_table(A), whole)
     assert np.array_equal(whole, literal_difference_table(A))
+
+
+def test_the_metric_oracle_imports_no_metric():
+    # dijkstra_rho takes plain sets, so it certifies bourgain without using it
+    modules = {node.module for node in ast.walk(ast.parse((PACKAGE / "oracles.py").read_text()))
+               if isinstance(node, ast.ImportFrom)}
+    assert "bourgain" not in {m.split(".")[-1] for m in modules if m}

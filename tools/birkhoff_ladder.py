@@ -5,13 +5,14 @@
 Builds the interval system of Z_2^k (scale 2^k / 4, d = 2, auto depth) with
 system_from_balls and runs birkhoff_metric on it, for k = 10 .. --max-exp.
 Prints, per group, the seconds of each of the two calls, the distinct finite
-distances the metric attains, the frontier sets it builds (one per distance
-whose round relaxes a level or closes the core), and the sumsets of each call
-by the route they took: "zero" when the result is an operand itself or empty
-(an empty or {0} operand, which runs no route), "spectral" when the call ran
-fourier.convolve, else "direct". The sumsets are counted through the module
-attribute bourgain.sumset, the one both calls make, and the frontiers through
-bourgain.GroupSet, which the metric calls only to build them.
+distances the metric attains, and each call's work by route: "trans", the
+translations of its dilations (one np.minimum of a |G| array with a
+translate each), and its threshold sums by the route they took: "zero" when
+the result is an operand itself or empty (an empty or {0} operand, which
+runs no route), "spectral" when the call ran fourier.convolve, else
+"direct". The sums are counted through the module attribute
+bourgain.sumset, the one both calls make, and the translations through
+bourgain._translate_min.
 
 With --check-max-exp N, each rung with k <= N also compares the bytes of
 rho* and rho with oracles.dijkstra_rho, the metric's per-element oracle, and
@@ -30,14 +31,14 @@ import numpy as np
 from addcomb import bourgain, fourier, oracles
 from addcomb.groups import FinAbGroup
 
-ROUTES = ("zero", "direct", "spectral")
+WORK = ("trans", "zero", "direct", "spectral")
 
 
 def counted(call):
-    """(seconds, result, sumsets by route, frontiers built) of call()."""
-    routes = Counter()
-    frontiers = 0
-    sumset, convolve, group_set = bourgain.sumset, fourier.convolve, bourgain.GroupSet
+    """(seconds, result, work) of call(): its sums by route and its
+    translations ("trans")."""
+    work = Counter()
+    sumset, convolve, translate_min = bourgain.sumset, fourier.convolve, bourgain._translate_min
     convolutions = 0
 
     def counted_convolve(*args, **kwargs):
@@ -49,28 +50,25 @@ def counted(call):
         before = convolutions
         out = sumset(A, B, *args, **kwargs)
         if out is A or out is B or len(out) == 0:
-            routes["zero"] += 1
+            work["zero"] += 1
         else:
-            routes["spectral" if convolutions > before else "direct"] += 1
+            work["spectral" if convolutions > before else "direct"] += 1
         return out
 
-    class CountedGroupSet(group_set):
-        __slots__ = ()
-
-        def __init__(self, *args):
-            nonlocal frontiers
-            frontiers += 1
-            super().__init__(*args)
+    def counted_translate_min(out, src, offsets, group):
+        work["trans"] += offsets.shape[1]
+        return translate_min(out, src, offsets, group)
 
     bourgain.sumset, fourier.convolve = counted_sumset, counted_convolve
-    bourgain.GroupSet = CountedGroupSet
+    bourgain._translate_min = counted_translate_min
     try:
         t0 = time.perf_counter()
         out = call()
         seconds = time.perf_counter() - t0
     finally:
-        bourgain.sumset, fourier.convolve, bourgain.GroupSet = sumset, convolve, group_set
-    return seconds, out, routes, frontiers
+        bourgain.sumset, fourier.convolve = sumset, convolve
+        bourgain._translate_min = translate_min
+    return seconds, out, work
 
 
 def main() -> int:
@@ -83,30 +81,30 @@ def main() -> int:
         ap.error("--max-exp must lie in 10..22 (the group order cap is 2^22)")
     if args.check_max_exp is not None and not 10 <= args.check_max_exp <= args.max_exp:
         ap.error("--check-max-exp must lie in 10..--max-exp")
-    routes_head = " ".join(f"{r:>8}" for r in ROUTES)
-    print(f"{'group':>8} {'depth':>5} {'system s':>9} {routes_head} "
-          f"{'metric s':>9} {'dists':>6} {'fronts':>6} {routes_head} {'oracle':>6}")
+    work_head = " ".join(f"{r:>8}" for r in WORK)
+    print(f"{'group':>8} {'depth':>5} {'system s':>9} {work_head} "
+          f"{'metric s':>9} {'dists':>6} {work_head} {'oracle':>6}")
     mismatches = []
     for k in range(10, args.max_exp + 1):
         g = FinAbGroup([2 ** k])
         family = bourgain.interval_family(g, 2 ** k / 4)
-        build_s, system, build_routes, _ = counted(
+        build_s, system, build_work = counted(
             lambda: bourgain.system_from_balls(family, d=2.0))
-        metric_s, metric, metric_routes, frontiers = counted(
-            lambda: bourgain.birkhoff_metric(system))
+        metric_s, metric, metric_work = counted(lambda: bourgain.birkhoff_metric(system))
         distances = len(np.unique(metric.rho[np.isfinite(metric.rho)]))
         verdict = "-"
         if args.check_max_exp is not None and k <= args.check_max_exp:
-            rho_star, rho = oracles.dijkstra_rho(system)
+            levels = [system.levels[r] for r in system.ternary_radii()]
+            rho_star, rho = oracles.dijkstra_rho(g, levels, system.core)
             same = (metric.rho_star.tobytes() == rho_star.tobytes()
                     and metric.rho.tobytes() == rho.tobytes())
             verdict = "same" if same else "DIFF"
             if not same:
                 mismatches.append(f"Z_2^{k}")
         print(f"{'Z_2^' + str(k):>8} {system.depth:>5} {build_s:>9.3f} "
-              + " ".join(f"{build_routes[r]:>8}" for r in ROUTES)
-              + f" {metric_s:>9.3f} {distances:>6} {frontiers:>6} "
-              + " ".join(f"{metric_routes[r]:>8}" for r in ROUTES)
+              + " ".join(f"{build_work[r]:>8}" for r in WORK)
+              + f" {metric_s:>9.3f} {distances:>6} "
+              + " ".join(f"{metric_work[r]:>8}" for r in WORK)
               + f" {verdict:>6}", flush=True)
     if mismatches:
         print("rho differs from oracles.dijkstra_rho on " + ", ".join(mismatches),
