@@ -7,7 +7,7 @@ integer-valued and snapped back to exact integers after the FFT round trip.
 
 import numpy as np
 
-from addcomb import (FinAbGroup, GroupSet, convolve, moment,
+from addcomb import (FinAbGroup, GroupSet, convolve, moment_detail,
                      moment_lower_bound_audit, parseval_audit, sumset,
                      transform)
 from addcomb.oracles import naive_transform
@@ -37,4 +37,4 @@ for k in (1, 2, 3):
     a = moment_lower_bound_audit(A, k)
     print(f"k={k}: moment={a.moment:10.3f} >= bound={a.bound:10.3f}  holds={a.holds}")
 print("moment(A, 2) equals sum of squared convolution values:",
-      moment(A, 2), "=", float(np.sum(conv ** 2)))
+      moment_detail(A, 2).value, "=", float(np.sum(conv ** 2)))

@@ -2,13 +2,12 @@
 
 A Bohr set pins every frequency's phase within delta of zero. Its measure
 profile over a dyadic radius grid gives the empirical ball dimension, and
-two exact identities are audited: the k-fold rescaling equality and the
-structured-frequency growth ratio.
+the k-fold rescaling equality is audited exactly.
 """
 
 from addcomb import (FinAbGroup, GroupSet, bohr_family, bohr_set,
                      dimension_estimate, dyadic_dimension_grid, nested_bohr_audit,
-                     rounding_check, structured_growth_audit)
+                     rounding_check)
 from addcomb.oracles import bohr_distance
 
 g = FinAbGroup([64])
@@ -36,9 +35,3 @@ print("rounding check (premise, conclusion):", chk.premise, chk.conclusion)
 # Bohr(k Lambda, k delta) = Bohr(Lambda, delta) whenever k delta < 1/3
 audit = nested_bohr_audit(GroupSet.from_indices(g, [0, 1]), k=3, delta=0.1)
 print("rescaled Bohr sets equal:", audit.equal)
-
-# growth of a Bohr set whose frequency set is covered by a progression
-Gamma = GroupSet.from_indices(g, [0, 1, 2, 62, 63])
-X = GroupSet.from_indices(g, [3])
-growth = structured_growth_audit(Gamma, X, 1 / 16)
-print(f"covering hypothesis: {growth.hypothesis}, doubling ratio: {growth.ratio}")

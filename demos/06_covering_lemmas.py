@@ -5,8 +5,7 @@ certificates whose containments are verified exhaustively, so a run is a
 proof for its instance.
 """
 
-from addcomb import (FinAbGroup, GroupSet, chang_cover, is_dissociated,
-                     ruzsa_cover)
+from addcomb import FinAbGroup, GroupSet, chang_cover, ruzsa_cover
 
 g = FinAbGroup([32])
 B = GroupSet.interval(g, 2)
@@ -16,13 +15,6 @@ cert = ruzsa_cover(B)
 print("Ruzsa T:", [t.index for t in cert.T])
 print("2B-2B covered:", cert.containment_verified)
 print("doubling exponent:", round(cert.parameters["doubling_k"], 4))
-
-# dissociation: no nonzero -1/0/1 combination of T may land in B' - B'
-Bp = GroupSet.singleton(g, 0)
-print("is {1,3} dissociated over {0}:",
-      is_dissociated([g.element(1), g.element(3)], Bp))
-print("is {1,2,3} dissociated over {0}:",
-      is_dissociated([g.element(1), g.element(2), g.element(3)], Bp))
 
 # Chang: under mu(kB + B') < 2^k mu(B'), a k-element dissociated set covers B
 g2 = FinAbGroup([256])

@@ -33,7 +33,7 @@ import numpy as np
 
 from .groups import FinAbGroup
 from .serialize import set_to_json
-from .sets import GroupSet, Multiples, prog, sumset
+from .sets import GroupSet, Multiples
 
 INCLUSION_SLACK = 1e-9
 
@@ -510,41 +510,3 @@ def nested_bohr_audit(Lambda: GroupSet, k: int, delta: float,
     left = bohr_set(kLambda, k * delta, families)
     right = bohr_set(Lambda, delta, families)
     return NestedBohrAudit(left.members == right.members, None, left, right)
-
-
-# -- growth of Bohr sets with structured frequency sets -------------------------------
-
-
-@dataclass(frozen=True)
-class StructuredGrowthAudit:
-    """Doubling ratio of Bohr(Gamma u X, .) under the covering hypothesis on Gamma."""
-
-    hypothesis: bool            # Gamma + Gamma inside Prog(X,1) + Gamma (in the dual)
-    ratio: float                # mu(Bohr(Gamma u X, 2 delta)) / mu(Bohr(Gamma u X, delta))
-    empirical_constant: float | None  # ln(ratio) / (|X| ln |X|), |X| >= 2 only
-    applicable: bool            # hypothesis held, so the ratio is meaningful
-    mu_small: int
-    mu_big: int
-
-
-def structured_growth_audit(Gamma: GroupSet, X: GroupSet,
-                            delta: float) -> StructuredGrowthAudit:
-    """Measure the Bohr doubling ratio and test the frequency-covering hypothesis."""
-    if not 0 < delta <= 2 ** -4:
-        raise ValueError(f"structured_growth_audit needs delta in (0, 1/16], got {delta}")
-    if not Gamma.contains_zero():
-        raise ValueError("Gamma must contain the trivial character")
-    if not Gamma.is_symmetric():
-        raise ValueError("Gamma must be symmetric")
-    covering = sumset(prog(X.elements(), 1, group=X.group), Gamma)
-    hypothesis = sumset(Gamma, Gamma).is_subset_of(covering)
-    union = Gamma | X
-    fam = bohr_family(union)
-    small = fam(delta)
-    big = fam(2 * delta)
-    ratio = big.measure / small.measure
-    const = None
-    if X.cardinality >= 2:
-        const = math.log(ratio) / (X.cardinality * math.log(X.cardinality))
-    return StructuredGrowthAudit(hypothesis, ratio, const, hypothesis,
-                                 small.measure, big.measure)

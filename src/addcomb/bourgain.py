@@ -144,10 +144,6 @@ class BourgainSystem:
     depth: int                 # K: deepest ternary level 3^-K
     core: GroupSet | None      # attested constant tail, None when not attested
 
-    @property
-    def radii(self) -> list[float]:
-        return list(self.levels)
-
     def ternary_radii(self) -> list[float]:
         """The rho* levels 3^-k, k = 0..depth, shallow to deep."""
         return [1 / 3 ** k for k in range(self.depth + 1)]
@@ -327,6 +323,8 @@ def interval_family(group: FinAbGroup, scale: float) -> Callable[[float], GroupS
     """delta -> {x : |x|_circ <= floor(scale * delta)} on a cyclic group."""
     if group.rank != 1:
         raise ValueError("interval_family needs a cyclic group")
+    if not (math.isfinite(scale) and scale >= 0):
+        raise ValueError(f"interval_family needs a finite scale >= 0, got {scale}")
 
     def family(delta: float) -> GroupSet:
         return GroupSet.linf_ball(group, int(math.floor(scale * delta + 1e-12)))

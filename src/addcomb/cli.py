@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from .bohr import bohr_set
@@ -102,6 +103,10 @@ def _system_from_file(path: str, cfg: dict):
         levels = sorted(
             ((float(lv["radius"]), set_from_json(lv["set"])) for lv in obj["levels"]),
             key=lambda p: p[0])
+        for r, _ in levels:
+            if not (math.isfinite(r) and r >= 0):
+                raise ValueError(f"system file needs each level radius finite and >= 0, "
+                                 f"got {r}")
         if not levels:
             raise ValueError("system file has an empty levels list")
 

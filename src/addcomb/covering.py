@@ -11,12 +11,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
 from .groups import GroupElement, GroupMismatchError
-from .sets import GroupSet, GuardExceededError, difference, iterate, prog, sumset
+from .sets import GroupSet, difference, iterate, prog, sumset
 
 #: dissociated-set growth guard; greedy stops and flags past this size.
 DISSOCIATION_GUARD = 20
@@ -85,35 +84,6 @@ def ruzsa_cover(B: GroupSet) -> CoverCertificate:
     )
 
 
-def _signed_step(forbidden: GroupSet, x: GroupElement) -> GroupSet:
-    """forbidden | (forbidden + x) | (forbidden - x): one generator joins reach."""
-    return forbidden | forbidden.translate(x) | forbidden.translate(-x)
-
-
-def is_dissociated(T: Sequence[GroupElement], Bp: GroupSet,
-                   guard: int = DISSOCIATION_GUARD) -> bool:
-    """True when the 0/1-combination translates of T by B' are pairwise disjoint.
-
-    Equivalent difference form: no nonzero {-1,0,1} combination of T lies in
-    B'-B'. Empty T is vacuously dissociated. The test is the Chang greedy's
-    own: t_i must avoid (B'-B') + reach({t_j : j < i}). A combination whose
-    last nonzero coefficient sits at i lies in B'-B' exactly when +-t_i does
-    lie in that set, since B'-B' and every reach set are symmetric.
-    """
-    if len(T) > guard:
-        raise GuardExceededError(f"|T| = {len(T)} exceeds dissociation guard {guard}")
-    g = Bp.group
-    for t in T:
-        if t.group != g:
-            raise GroupMismatchError("generators must live over the group of B'")
-    forbidden = difference(Bp, Bp)  # (B'-B') + reach({}), reach({}) = {0}
-    for t in T:
-        if t in forbidden:
-            return False
-        forbidden = _signed_step(forbidden, t)
-    return True
-
-
 def chang_cover(B: GroupSet, Bp: GroupSet, k: int, guard: int = DISSOCIATION_GUARD
                 ) -> tuple[CoverCertificate, GroupSet, GroupSet]:
     """Greedy maximal B'-dissociated subset T of B, with B inside Prog(T,1)+B'-B'.
@@ -146,7 +116,8 @@ def chang_cover(B: GroupSet, Bp: GroupSet, k: int, guard: int = DISSOCIATION_GUA
             guard_exceeded = True
             break
         T.append(int(x))
-        forbidden = _signed_step(forbidden, GroupElement(g, int(x)))
+        t = GroupElement(g, int(x))  # joins reach: add forbidden + t and forbidden - t
+        forbidden = forbidden | forbidden.translate(t) | forbidden.translate(-t)
 
     elems = tuple(GroupElement(g, i) for i in T)
     P = prog(list(elems), 1, group=g)

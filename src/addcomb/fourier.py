@@ -67,9 +67,6 @@ class DualFunction:
             return _mirrored(np.abs(self._half), self.group)
         return np.abs(self._values)
 
-    def __getitem__(self, m: int) -> complex:
-        return complex(self.values[m])
-
 
 def _as_values(f, group: FinAbGroup | None) -> tuple[FinAbGroup, np.ndarray]:
     if isinstance(f, GroupSet):
@@ -228,6 +225,7 @@ def normalized_powers(magnitudes: np.ndarray, mu: float, k: int) -> np.ndarray:
 
 
 def moment_detail(A: GroupSet, k: int) -> MomentValue:
+    """(1/|G|) sum_gamma |1_A^(gamma)|^{2k}, with its log for k past float range."""
     if k < 1:
         raise ValueError(f"moment needs k >= 1, got {k}")
     if A.cardinality == 0:
@@ -239,11 +237,6 @@ def moment_detail(A: GroupSet, k: int) -> MomentValue:
     return MomentValue(capped_exp(log_value), log_value, log_value > LOG_FLOAT_CAP)
 
 
-def moment(A: GroupSet, k: int) -> float:
-    """(1/|G|) sum_gamma |1_A^(gamma)|^{2k}; +inf when beyond float range."""
-    return moment_detail(A, k).value
-
-
 @dataclass(frozen=True)
 class MomentBoundAudit:
     """moment(A,k) against the Cauchy-Schwarz floor mu(A)^{2k} / mu(kA)."""
@@ -253,15 +246,6 @@ class MomentBoundAudit:
     holds: bool
     log_moment: float
     log_bound: float
-
-    def to_jsonable(self) -> dict:
-        return {
-            "moment": None if math.isinf(self.moment) else self.moment,
-            "bound": None if math.isinf(self.bound) else self.bound,
-            "holds": self.holds,
-            "log_moment": self.log_moment,
-            "log_bound": self.log_bound,
-        }
 
 
 def moment_lower_bound_audit(A: GroupSet, k: int) -> MomentBoundAudit:

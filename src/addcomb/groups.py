@@ -16,7 +16,6 @@ bit for bit across platforms.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -217,37 +216,8 @@ class GroupElement(_Indexed):
 
 
 class Character(_Indexed):
-    """A character of a FinAbGroup: index m evaluates to exp(2*pi*i*sum m_j x_j/n_j)."""
-
-    def __call__(self, x: GroupElement) -> complex:
-        return eval_character(self, x)
+    """A character of a FinAbGroup: index m takes x to exp(2*pi*i*sum m_j x_j/n_j),
+    whose exact phase is FinAbGroup.phase_numerator(m, x) / phase_denominator."""
 
     def __repr__(self) -> str:
         return f"chi{self.coords}@{self.group!r}"
-
-
-def eval_character(gamma: Character, x: GroupElement) -> complex:
-    """Unit-modulus value of the character at x, from the exact phase."""
-    _require_same_group(gamma, x)
-    g = gamma.group
-    num = g.phase_numerator(gamma.index, x.index)
-    return cmath.exp(2j * math.pi * num / g.phase_denominator)
-
-
-def arg_norm(z: complex, tol: float = 1e-9) -> float:
-    """(2*pi)^{-1} |Arg z| for unit-modulus z, with Arg in (-pi, pi].
-
-    The result lies in [0, 1/2]; raises if |z| deviates from 1 beyond tol.
-    """
-    mod = abs(z)
-    if abs(mod - 1.0) > tol:
-        raise ValueError(f"arg_norm needs a unit-modulus value, got |z| = {mod}")
-    return abs(cmath.phase(z)) / (2 * math.pi)
-
-
-def character_arg_norm(gamma: Character, x: GroupElement) -> float:
-    """Exact ||gamma(x)||: distance of the phase fraction to the nearest integer."""
-    _require_same_group(gamma, x)
-    g = gamma.group
-    num = g.phase_numerator(gamma.index, x.index)
-    return min(num, g.phase_denominator - num) / g.phase_denominator

@@ -87,7 +87,7 @@ _BOX_SIDES = _smooth_numbers(2 * ORDER_CAP)
 
 
 class GuardExceededError(ValueError):
-    """An enumeration guard (prog generators, dissociated-set size) was hit."""
+    """prog was asked to enumerate more generators than its guard allows."""
 
 
 class GroupSet:
@@ -174,15 +174,8 @@ class GroupSet:
     def indices(self) -> np.ndarray:
         return np.flatnonzero(self.mask)
 
-    def elements(self) -> list[GroupElement]:
-        return [GroupElement(self.group, int(i)) for i in self.indices()]
-
     def coords_list(self) -> list[tuple[int, ...]]:
         return [self.group.decode(int(i)) for i in self.indices()]
-
-    def contains(self, x: GroupElement | int) -> bool:
-        idx = x.index if isinstance(x, GroupElement) else int(x)
-        return bool(self.mask[idx])
 
     def contains_zero(self) -> bool:
         return bool(self.mask[0])
@@ -201,8 +194,9 @@ class GroupSet:
     def __hash__(self):
         return hash((self.group, self.mask.tobytes()))
 
-    def __contains__(self, x) -> bool:
-        return self.contains(x)
+    def __contains__(self, x: GroupElement | int) -> bool:
+        idx = x.index if isinstance(x, GroupElement) else int(x)
+        return bool(self.mask[idx])
 
     def __len__(self) -> int:
         return self._card

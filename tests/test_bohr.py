@@ -10,7 +10,7 @@ from addcomb import bohr, verify
 from addcomb.bohr import (INCLUSION_SLACK, bohr_distance_table, bohr_family, bohr_set,
                           dimension_estimate, dyadic_dimension_grid,
                           nearest_int_dist, nested_bohr_audit, rounding_check,
-                          structured_growth_audit, table_family)
+                          table_family)
 from addcomb.groups import FinAbGroup
 from addcomb.oracles import bohr_distance, phase_numerators
 from addcomb.sets import GroupSet, Multiples, negate, sumset
@@ -501,47 +501,3 @@ class TestNestedBohrAudit:
             k = int(rng.integers(2, 5))
             delta = float(rng.uniform(0.01, (1 / 3) / k * 0.99))
             assert nested_bohr_audit(Lam, k, delta).equal is True
-
-
-class TestStructuredGrowthAudit:
-    def test_full_dual_ratio_one(self):
-        g = FinAbGroup([16])
-        audit = structured_growth_audit(GroupSet.full(g), freq_set(g, 0), 1 / 16)
-        assert audit.ratio == 1.0
-
-    def test_z16_example(self):
-        # Gamma = {0, +-1, +-2}, X = {3}: {-4..4} inside {-3,0,3} + {-2..2}
-        g = FinAbGroup([16])
-        Gamma = GroupSet.from_indices(g, [0, 1, 2, 14, 15])
-        X = freq_set(g, 3)
-        audit = structured_growth_audit(Gamma, X, 1 / 16)
-        assert audit.hypothesis
-        # frozen from the exhaustive Bohr enumeration oracle
-        assert audit.mu_small == 1 and audit.mu_big == 1
-        assert audit.ratio == 1.0
-
-    def test_trivial_x_closure_criterion(self):
-        g = FinAbGroup([16])
-        H = GroupSet.from_indices(g, [0, 4, 8, 12])  # closed under addition
-        assert structured_growth_audit(H, freq_set(g, 0), 1 / 16).hypothesis
-        open_set = GroupSet.from_indices(g, [0, 1, 15])  # 1+1=2 escapes
-        assert not structured_growth_audit(open_set, freq_set(g, 0), 1 / 16).hypothesis
-
-    def test_empirical_constant_reported(self):
-        g = FinAbGroup([64])
-        Gamma = GroupSet.from_indices(g, [0, 1, 63])
-        X = freq_set(g, 2, 5)
-        audit = structured_growth_audit(Gamma, X, 1 / 32)
-        if audit.ratio > 1:
-            assert audit.empirical_constant == pytest.approx(
-                math.log(audit.ratio) / (2 * math.log(2)))
-
-    def test_preconditions(self):
-        g = FinAbGroup([16])
-        sym = GroupSet.from_indices(g, [0, 1, 15])
-        with pytest.raises(ValueError):
-            structured_growth_audit(sym, freq_set(g, 0), 0.2)  # delta too big
-        with pytest.raises(ValueError):
-            structured_growth_audit(freq_set(g, 1, 15), freq_set(g, 0), 1 / 16)  # no 0
-        with pytest.raises(ValueError):
-            structured_growth_audit(freq_set(g, 0, 1), freq_set(g, 0), 1 / 16)  # asym

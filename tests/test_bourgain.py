@@ -239,7 +239,7 @@ class TestSystemFromBalls:
     def test_grid_contains_dyadic_audit_points(self):
         g = FinAbGroup([64])
         system = system_from_balls(interval_family(g, 16.0), d=1.25)
-        radii = set(system.radii)
+        radii = set(system.levels)
         assert 2.0 in radii and 1.0 in radii
         for k in range(1, system.depth + 1):
             assert 1 / 3 ** k in radii
@@ -259,7 +259,7 @@ class TestSystemFromBalls:
 
         system = system_from_balls(family, d=0.0, K=depth)
         grid = [float(r).hex() for r in fraction_grid(depth)]
-        assert [r.hex() for r in system.radii] == grid
+        assert [r.hex() for r in system.levels] == grid
         assert [r.hex() for r in called[1:-1]] == grid
         assert [r.hex() for r in system.ternary_radii()] == [
             float(Fraction(1, 3 ** k)).hex() for k in range(depth + 1)]
@@ -313,7 +313,7 @@ class TestSystemFromBalls:
         if name == "constant-depth-20":
             assert system.depth == 20
         grid = fraction_grid(system.depth)
-        assert system.radii == [float(r) for r in grid]
+        assert list(system.levels) == [float(r) for r in grid]
         assert all(S == family(float(r)) for r, S in zip(grid, system.levels.values()))
         audit = system.audit
         reference_flags, violations = reference_audit(system)
@@ -326,8 +326,8 @@ class TestSystemFromBalls:
         H = subgroup_generated(g, [g.element(16)])
         sums = record_calls(addcomb.sets, "sumset")
         system = system_from_balls(constant_family(H), d=0.0)
-        assert system.audit.all_pass and len(system.radii) == 42
-        assert len(sums) <= len(system.radii)
+        assert system.audit.all_pass and len(system.levels) == 42
+        assert len(sums) <= len(system.levels)
 
     def test_sumset_budget_on_verify_systems(self, record_calls, monkeypatch):
         sums = record_calls(addcomb.sets, "sumset")
@@ -395,7 +395,7 @@ class TestSystemFromBalls:
         seen = record_transforms(monkeypatch)
         system = system_from_balls(constant_family(H), d=0.0)
         # every one of the 42 rows sums H + H on the spectral route
-        assert system.audit.all_pass and len(system.radii) == 42
+        assert system.audit.all_pass and len(system.levels) == 42
         assert seen == [float_bytes(H)]
 
 
@@ -690,7 +690,7 @@ class TestSandwichAudit:
         system = system_from_balls(interval_family(g, 16.0), d=1.25)
         metric = birkhoff_metric(system)
         verdicts = sandwich_audit(metric)
-        assert len(verdicts) == len(system.radii)
+        assert len(verdicts) == len(system.levels)
 
 
 def verdicts_by_delta(metric):
@@ -719,4 +719,21 @@ class TestSubgroupGenerated:
         g = FinAbGroup([6, 4])
         H = subgroup_generated(g, [g.element((3, 0)), g.element((0, 2))])
         assert H.measure == 4
-        assert H.contains(g.element((3, 2)))
+        assert g.element((3, 2)) in H
+
+
+class TestIntervalFamily:
+    def test_balls_floor_the_scaled_radius(self):
+        g = FinAbGroup([64])
+        family = interval_family(g, 16.0)
+        assert family(1 / 3) == GroupSet.interval(g, 5)
+        assert interval_family(g, 0.0)(1.0) == GroupSet.singleton(g, 0)
+
+    @pytest.mark.parametrize("scale", [-3.0, math.inf, -math.inf, math.nan])
+    def test_bad_scale_rejected(self, scale):
+        with pytest.raises(ValueError, match="needs a finite scale >= 0"):
+            interval_family(FinAbGroup([64]), scale)
+
+    def test_needs_a_cyclic_group(self):
+        with pytest.raises(ValueError, match="cyclic"):
+            interval_family(FinAbGroup([8, 8]), 2.0)

@@ -168,6 +168,27 @@ def test_birkhoff_bad_system_parameters_are_usage_errors(tmp_path, capsys, field
     assert captured.err.startswith("error: ") and message in captured.err
 
 
+_C64 = '{"cycles": [64]}'
+
+
+@pytest.mark.parametrize("text,message", [
+    # JSON reads 1e400 as inf
+    ('{"interval": {"group": %s, "scale": 1e400}}' % _C64, "needs a finite scale >= 0"),
+    ('{"interval": {"group": %s, "scale": -3}}' % _C64, "needs a finite scale >= 0"),
+    ('{"levels": [{"radius": 1.0, "set": {"group": %s, "interval": 4}},'
+     ' {"radius": NaN, "set": {"group": %s, "interval": 0}}]}' % (_C64, _C64),
+     "needs each level radius finite and >= 0"),
+], ids=["scale-inf", "scale-negative", "radius-nan"])
+def test_birkhoff_bad_system_values_are_usage_errors(tmp_path, capsys, text, message):
+    system = tmp_path / "system.json"
+    system.write_text(text)
+    code = main(["birkhoff", "--system", str(system)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and message in captured.err
+
+
 def test_birkhoff_failed_audit_reports_without_metric(tmp_path, capsys):
     system = tmp_path / "system.json"
     system.write_text(dumps(

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import addcomb.sets
-from addcomb.covering import chang_cover, is_dissociated, ruzsa_cover
+from addcomb.covering import chang_cover, ruzsa_cover
 from addcomb.groups import FinAbGroup, GroupMismatchError
-from addcomb.sets import GroupSet, GuardExceededError, difference, iterate, prog, sumset
+from addcomb.sets import GroupSet, difference, iterate, prog, sumset
 
 
 def brute_dissociated(T, Bp):
@@ -23,63 +23,6 @@ def brute_dissociated(T, Bp):
         if total.index in Dp:
             return False
     return True
-
-
-class TestIsDissociated:
-    def test_empty_is_vacuous(self):
-        g = FinAbGroup([16])
-        assert is_dissociated([], GroupSet.singleton(g, 0))
-
-    def test_distinct_subset_sums(self):
-        g = FinAbGroup([16])
-        Bp = GroupSet.singleton(g, 0)
-        assert is_dissociated([g.element(1), g.element(3)], Bp)
-
-    def test_collision_detected(self):
-        g = FinAbGroup([16])
-        Bp = GroupSet.singleton(g, 0)
-        assert not is_dissociated([g.element(1), g.element(2), g.element(3)], Bp)
-
-    def test_matches_brute_force(self):
-        rng = np.random.default_rng(19)
-        for _ in range(40):
-            g = FinAbGroup([int(rng.integers(8, 64))])
-            T = [g.element(int(i)) for i in rng.integers(0, g.order,
-                                                         size=int(rng.integers(1, 5)))]
-            Bp = GroupSet.from_indices(g, rng.integers(0, g.order,
-                                                       size=int(rng.integers(1, 5))))
-            assert is_dissociated(T, Bp) == brute_dissociated(T, Bp)
-
-    @settings(max_examples=150, deadline=None)
-    @given(data=st.data())
-    def test_matches_brute_force_with_duplicates_and_zero(self, data):
-        cycles = data.draw(st.lists(st.integers(2, 9), min_size=1, max_size=3))
-        g = FinAbGroup(cycles)
-        element = st.integers(0, g.order - 1)
-        T = data.draw(st.lists(element, max_size=4))
-        if T and data.draw(st.booleans()):  # a duplicate or 0 somewhere in T
-            T.insert(data.draw(st.integers(0, len(T))), data.draw(st.sampled_from([0] + T)))
-        Bp = GroupSet.from_indices(g, data.draw(st.lists(element, min_size=1, max_size=4)))
-        T = [g.element(int(i)) for i in T]
-        assert is_dissociated(T, Bp) == brute_dissociated(T, Bp)
-
-    def test_antitone_in_bprime(self):
-        g = FinAbGroup([64])
-        T = [g.element(1), g.element(10)]
-        small = GroupSet.singleton(g, 0)
-        big = GroupSet.interval(g, 6)
-        assert is_dissociated(T, small)
-        assert not is_dissociated(T, big)  # 10 - 1 = 9 lands in B'-B' = {-12..12}
-
-    def test_guard(self):
-        g = FinAbGroup([4, 4, 4])
-        with pytest.raises(GuardExceededError):
-            is_dissociated([g.element(1)] * 21, GroupSet.singleton(g, 0))
-
-    def test_group_mismatch(self):
-        with pytest.raises(GroupMismatchError):
-            is_dissociated([FinAbGroup([4]).element(1)],
-                           GroupSet.singleton(FinAbGroup([6]), 0))
 
 
 class TestRuzsaCover:
@@ -180,11 +123,27 @@ class TestChangCover:
         assert P == prog(list(cert.T), 1, group=g)
         assert target == sumset(P, difference(Bp, Bp))
         # greedy output really is dissociated, and maximally so within B
-        assert is_dissociated(list(cert.T), Bp)
+        assert brute_dissociated(list(cert.T), Bp)
         chosen = {t.index for t in cert.T}
-        for x in B.elements():
-            if x.index not in chosen:
-                assert not is_dissociated(list(cert.T) + [x], Bp)
+        for x in B.indices():
+            if int(x) not in chosen:
+                assert not brute_dissociated(list(cert.T) + [g.element(int(x))], Bp)
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_greedy_is_maximal_dissociated_by_brute_force(self, data):
+        cycles = data.draw(st.lists(st.integers(2, 9), min_size=1, max_size=3))
+        g = FinAbGroup(cycles)
+        element = st.integers(0, g.order - 1)
+        B = GroupSet.from_indices(g, data.draw(st.lists(element, min_size=1, max_size=6)))
+        Bp = GroupSet.from_indices(g, data.draw(st.lists(element, min_size=1, max_size=4)))
+        cert, _, _ = chang_cover(B, Bp, data.draw(st.integers(1, 3)))
+        T = list(cert.T)
+        assert brute_dissociated(T, Bp)
+        chosen = {t.index for t in T}
+        for x in B.indices():
+            if int(x) not in chosen:
+                assert not brute_dissociated(T + [g.element(int(x))], Bp)
 
     def test_sumset_count(self, record_calls):
         g = FinAbGroup([256])

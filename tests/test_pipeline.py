@@ -103,7 +103,7 @@ class TestSpectrumCover:
         cover = spectrum_cover(FreimanRun(A), 2, 0.09)
         S2 = lspec(iterate(2, A), 0.18).members
         for x in cover.X:
-            assert S2.contains(x)
+            assert x in S2
 
     def test_escape_branch_when_epsilon_large(self):
         # (2r + 1/2) eps <= 1 admits no r >= 2 once eps > 2/9

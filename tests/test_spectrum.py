@@ -7,8 +7,7 @@ import pytest
 from addcomb import oracles
 from addcomb.groups import FinAbGroup
 from addcomb.sets import GroupSet
-from addcomb.spectrum import (claim_audit, find_k, lspec, moment_split,
-                              spectral_distance)
+from addcomb.spectrum import lspec, spectral_distance
 
 
 def interval(g, r):
@@ -40,7 +39,7 @@ class TestLspec:
             mask = rng.random(g.order) < 0.3
             mask[2] = True
             A = GroupSet(g, mask)
-            assert lspec(A, 0.01).members.contains(0)
+            assert 0 in lspec(A, 0.01).members
 
     def test_symmetric_members(self):
         rng = np.random.default_rng(6)
@@ -137,106 +136,3 @@ class TestSpectralDistance:
                 for z in chars:
                     assert dxy <= (spectral_distance(x, z, A)
                                    + spectral_distance(z, y, A) + 1e-9)
-
-
-class TestMomentSplit:
-    def test_singleton_all_inside(self):
-        g = FinAbGroup([10])
-        split = moment_split(GroupSet.singleton(g, 0), 0.5, 5)
-        assert split.inside == pytest.approx(split.total)
-        assert split.meets_half and split.tail_ok
-
-    def test_interval_instance_flags(self):
-        g = FinAbGroup([32])
-        split = moment_split(interval(g, 2), 0.5, 20)
-        # frozen from the exhaustive character-sum oracle
-        assert split.meets_half
-        assert split.tail_ok
-
-    def test_tail_inequality_random(self):
-        rng = np.random.default_rng(41)
-        for _ in range(25):
-            g = FinAbGroup([int(rng.integers(6, 200))])
-            mask = rng.random(g.order) < rng.uniform(0.05, 0.5)
-            mask[0] = True
-            A = GroupSet(g, mask)
-            split = moment_split(A, float(rng.uniform(0.05, 0.5)), int(rng.integers(1, 30)))
-            assert split.inside <= split.total * (1 + 1e-9)
-            assert split.tail_ok
-
-    def test_invariants_in_log_space(self):
-        g = FinAbGroup([64])
-        split = moment_split(interval(g, 8), 0.3, 400)
-        assert split.log_space
-        assert split.tail_ok
-        assert split.log_inside <= split.log_total + 1e-9
-
-    def test_rejects_bad_eta(self):
-        g = FinAbGroup([8])
-        with pytest.raises(ValueError):
-            moment_split(GroupSet.full(g), 0.7, 2)
-
-
-class TestFindK:
-    def test_half_eta_d1_exact(self):
-        # exact integer oracle: smallest k >= 2 with 2k * 7^{k-1} <= 8^{k-1}
-        want = None
-        for k in range(2, 200):
-            if 2 * k * 7 ** (k - 1) <= 8 ** (k - 1):
-                want = k
-                break
-        assert want == 33
-        res = find_k(0.5, 1.0)
-        assert res.k == 33
-        assert res.window_start == 2
-
-    def test_degenerate_d_floor(self):
-        res = find_k(0.5, 1e-9)
-        assert res.window_start == 2
-        # the condition first holds at k = 7: (7/8)^{k-1} <= 1/2 as k^d -> 1
-        assert res.k == 7
-
-    def test_monotone_in_eta(self):
-        assert find_k(0.25, 1.0).k >= find_k(0.5, 1.0).k
-        assert find_k(0.1, 2.0).k >= find_k(0.3, 2.0).k
-
-    def test_window_start_scales(self):
-        res = find_k(0.5, 4.0)
-        assert res.window_start == max(2, math.ceil(4 * math.log(4)))
-        assert res.k >= res.window_start
-
-    def test_cap_reports_not_found(self):
-        res = find_k(0.5, 1.0, cap=5)
-        assert res.k is None
-        assert res.cap == 5
-        assert not res.found
-
-    def test_calibration_ratio(self):
-        res = find_k(0.5, 2.0)
-        want = res.k * 0.25 / (2.0 * math.log(2.0 / 0.5))
-        assert res.calibration_ratio == pytest.approx(want)
-        assert find_k(0.5, 0.4).calibration_ratio is None
-
-    def test_rejects_bad_args(self):
-        with pytest.raises(ValueError):
-            find_k(0.7, 1.0)
-        with pytest.raises(ValueError):
-            find_k(0.5, 0.0)
-
-
-class TestClaimAudit:
-    def test_interval_meets_half(self):
-        # growth hypothesis holds for the interval (mu(kA) = min(4k+1, 64) <= 5k);
-        # the split at the witness exponent must put half the mass inside
-        g = FinAbGroup([64])
-        A = interval(g, 2)
-        res, split = claim_audit(A, 0.5, 1.0)
-        assert res.k == 33
-        assert split is not None
-        assert split.meets_half
-        assert split.tail_ok
-
-    def test_not_found_gives_no_split(self):
-        g = FinAbGroup([16])
-        res, split = claim_audit(GroupSet.full(g), 0.5, 1.0, cap=3)
-        assert res.k is None and split is None
