@@ -31,7 +31,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .groups import FinAbGroup
+from .groups import FinAbGroup, _check_number
 from .serialize import set_to_json
 from .sets import GroupSet, Multiples
 
@@ -347,8 +347,7 @@ def bohr_set(freqs: GroupSet, delta: float,
     filled in as it goes, so a caller that cuts one frequency set at many
     radii builds its distance table once.
     """
-    if not (math.isfinite(delta) and delta >= 0):
-        raise ValueError(f"bohr_set needs a finite delta >= 0, got {delta}")
+    _check_number(delta, "bohr_set", "delta", 0)
     families = {} if families is None else families
     if freqs not in families:
         families[freqs] = bohr_family(freqs)
@@ -367,14 +366,11 @@ class DimensionEstimate:
     empirical_dim: float
     excluded: tuple[float, ...]                # zero-measure radii, flagged out
 
-    def ratios(self) -> list[tuple[float, float]]:
-        return [(d, math.log2(m2 / m1)) for d, m1, m2 in self.measures]
-
     def to_jsonable(self) -> dict:
         return {
             "grid": list(self.grid),
             "measures": [list(m) for m in self.measures],
-            "ratios": [[d, r] for d, r in self.ratios()],
+            "ratios": [[d, math.log2(m2 / m1)] for d, m1, m2 in self.measures],
             "empirical_dim": self.empirical_dim,
             "excluded": list(self.excluded),
         }

@@ -75,14 +75,13 @@ from __future__ import annotations
 
 import bisect
 import math
-import numbers
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable
 
 import numpy as np
 
-from .groups import FinAbGroup, GroupElement
-from .sets import GroupSet, OperandCache, sumset, sumset_seconds
+from .groups import FinAbGroup, GroupElement, _check_number
+from .sets import GroupSet, OperandCache, _coords, sumset, sumset_seconds
 
 #: default cap on the ternary grid depth.
 GRID_DEPTH_CAP = 20
@@ -154,13 +153,7 @@ class BourgainSystem:
             "d": self.d,
             "depth": self.depth,
             "core_attested": self.core is not None,
-            "audit": {
-                "symmetric_ok": self.audit.symmetric_ok,
-                "nesting_ok": self.audit.nesting_ok,
-                "subadditive_ok": self.audit.subadditive_ok,
-                "growth_ok": self.audit.growth_ok,
-                "violations": list(self.audit.violations),
-            },
+            "audit": asdict(self.audit),
             "levels": [
                 {"radius": r, "measure": S.measure} for r, S in self.levels.items()
             ],
@@ -181,16 +174,11 @@ def system_from_balls(family: Callable[[float], GroupSet], d: float,
     >= 0; anything else raises ValueError. Audit failures do not raise; they
     are recorded on the system, which is then only usable for diagnostics.
     """
-    if not (math.isfinite(d) and d >= 0):
-        raise ValueError(f"system_from_balls needs a finite d >= 0, got {d}")
+    _check_number(d, "system_from_balls", "d", 0)
     for name, value in (("K", K), ("cap", cap)):
-        if value is None:
-            continue
-        if not isinstance(value, numbers.Integral) or isinstance(value, bool):
-            raise ValueError(f"system_from_balls needs an integer {name}, got {value!r}")
-        if not 1 <= value <= MAX_DEPTH:
-            raise ValueError(f"system_from_balls needs 1 <= {name} <= {MAX_DEPTH}, "
-                             f"got {value}")
+        if value is not None:
+            _check_number(value, "system_from_balls", name, 1, high=MAX_DEPTH,
+                          integral=True)
     group = family(1.0).group
     if K is not None:
         depth = K
@@ -240,7 +228,7 @@ def system_from_balls(family: Callable[[float], GroupSet], d: float,
         summed = [j for j in range(i, end) if j == i or not same[j]]
         if nesting_ok and (_translation_seconds(len(sets[i]), group, 1)
                            + _dense_seconds(group)
-                           < sum(_sum_seconds(len(sets[i]), len(sets[j]), group, 1)
+                           < sum(_sum_seconds(len(sets[i]), len(sets[j]), group)
                                  for j in summed)):
             ranks = ranks or _LevelRanks(sets)
             reach = ranks.reach(sets[i])
@@ -306,7 +294,7 @@ class _LevelRanks:
         """reach[t] = the least j with (T + S_j) outside S_(t-1), for t in
         0..n + 1 (n when there is none): T + S_j <= S_t iff reach[t + 1] > j."""
         dilated = np.full(self.group.order, self.n, dtype=np.uint8)
-        _translate_min(dilated, self.level, _offsets(T), self.group)
+        _translate_min(dilated, self.level, _coords(T), self.group)
         lows = np.minimum.reduceat(np.take(dilated, self.order), self.starts)
         least = [self.n] * (self.n + 2)
         for level, low in zip(self.held.tolist(), lows.tolist()):
@@ -323,8 +311,7 @@ def interval_family(group: FinAbGroup, scale: float) -> Callable[[float], GroupS
     """delta -> {x : |x|_circ <= floor(scale * delta)} on a cyclic group."""
     if group.rank != 1:
         raise ValueError("interval_family needs a cyclic group")
-    if not (math.isfinite(scale) and scale >= 0):
-        raise ValueError(f"interval_family needs a finite scale >= 0, got {scale}")
+    _check_number(scale, "interval_family", "scale", 0)
 
     def family(delta: float) -> GroupSet:
         return GroupSet.linf_ball(group, int(math.floor(scale * delta + 1e-12)))
@@ -468,8 +455,8 @@ def _dilate(dist: np.ndarray, S: GroupSet, w: int, values: list[int], size: int,
     """
     g = S.group
     if (_translation_seconds(len(S) - 1, g, dist.itemsize)
-            <= len(values) * _sum_seconds(size // len(values), len(S), g, transforms=2)):
-        _translate_min(dist, dist + w, _offsets(S)[:, 1:], g)  # S's first index is 0
+            <= len(values) * _sum_seconds(size // len(values), len(S), g)):
+        _translate_min(dist, dist + w, _coords(S)[:, 1:], g)  # S's first index is 0
         kept = values
     else:
         kept = []
@@ -480,11 +467,6 @@ def _dilate(dist: np.ndarray, S: GroupSet, w: int, values: list[int], size: int,
                 np.minimum(dist, v + w, out=dist,
                            where=sumset(level, S, cache=cache).mask)
     return sorted(kept + [v + w for v in kept])
-
-
-def _offsets(S: GroupSet) -> np.ndarray:
-    """The (rank, |S|) coordinates of S's elements in index order."""
-    return S.group.coords_table()[:, S.indices()]
 
 
 def _translate_min(out: np.ndarray, src: np.ndarray, offsets: np.ndarray,
@@ -516,10 +498,10 @@ def _translation_seconds(count: int, g: FinAbGroup, itemsize: int) -> float:
     return (count + 2 ** g.rank) * each
 
 
-def _sum_seconds(a: int, b: int, g: FinAbGroup, transforms: int) -> float:
+def _sum_seconds(a: int, b: int, g: FinAbGroup) -> float:
     """Modelled seconds of one threshold sum of sets of a and b elements: the
     sumset's route (sets.sumset_seconds) and the dense passes around it."""
-    return _dense_seconds(g) + sumset_seconds(min(a, b), max(a, b), g, transforms)
+    return _dense_seconds(g) + sumset_seconds(min(a, b), max(a, b), g)
 
 
 def _dense_seconds(g: FinAbGroup) -> float:

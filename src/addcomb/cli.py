@@ -8,13 +8,14 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
+from dataclasses import asdict
 
 from .bohr import bohr_set
 from .bourgain import (GRID_DEPTH_CAP, birkhoff_metric, constant_family,
                        interval_family, sandwich_audit, system_from_balls)
 from .covering import chang_cover, ruzsa_cover
+from .groups import _check_number
 from .pipeline import FreimanConfig, run_freiman
 from .serialize import dumps, group_from_json, load_set, set_from_json, set_to_json
 from .sets import GroupSet, Multiples, growth_profile
@@ -30,9 +31,11 @@ def _emit(payload: dict, out: str | None) -> None:
     sys.stdout.write(text)
 
 
+#: The FreimanConfig fields a --config file may set.
+_FREIMAN_KEYS = ("n_max", "ratio_bound", "C", "max_retries", "dim_grid_cap")
+
 #: The keys a --config file may set; any other key is an error.
-_CONFIG_KEYS = ("n_max", "ratio_bound", "C", "max_retries", "dim_grid_cap",
-               "bourgain_depth_cap")
+_CONFIG_KEYS = _FREIMAN_KEYS + ("bourgain_depth_cap",)
 
 
 def _load_config(path: str | None) -> dict:
@@ -90,23 +93,18 @@ def _cmd_cover(args, cfg) -> int:
 def _system_from_file(path: str, cfg: dict):
     with open(path) as fh:
         obj = json.load(fh)
-    d = float(obj.get("d", 1.0))
-    depth = obj.get("K")
-    cap = cfg.get("bourgain_depth_cap", GRID_DEPTH_CAP)
     if "interval" in obj:
         spec = obj["interval"]
         group = group_from_json(spec["group"])
-        fam = interval_family(group, float(spec["scale"]))
+        fam = interval_family(group, spec["scale"])
     elif "constant" in obj:
         fam = constant_family(set_from_json(obj["constant"]))
     elif "levels" in obj:
+        for lv in obj["levels"]:
+            _check_number(lv["radius"], "system file level", "radius", 0)
         levels = sorted(
-            ((float(lv["radius"]), set_from_json(lv["set"])) for lv in obj["levels"]),
+            ((lv["radius"], set_from_json(lv["set"])) for lv in obj["levels"]),
             key=lambda p: p[0])
-        for r, _ in levels:
-            if not (math.isfinite(r) and r >= 0):
-                raise ValueError(f"system file needs each level radius finite and >= 0, "
-                                 f"got {r}")
         if not levels:
             raise ValueError("system file has an empty levels list")
 
@@ -120,7 +118,8 @@ def _system_from_file(path: str, cfg: dict):
             return best
     else:
         raise ValueError("system file needs 'interval', 'constant', or 'levels'")
-    return system_from_balls(fam, d, K=depth, cap=cap)
+    return system_from_balls(fam, obj.get("d", 1.0), K=obj.get("K"),
+                             cap=cfg.get("bourgain_depth_cap", GRID_DEPTH_CAP))
 
 
 def _cmd_birkhoff(args, cfg) -> int:
@@ -133,10 +132,7 @@ def _cmd_birkhoff(args, cfg) -> int:
         factor2 = all(metric.factor_two())
         payload["metric"] = metric.dump_jsonable()
         payload["factor2_ok"] = factor2
-        payload["sandwich"] = [
-            {"delta": v.delta, "left_ok": v.left_ok, "right_ok": v.right_ok,
-             "note": v.note} for v in verdicts
-        ]
+        payload["sandwich"] = [asdict(v) for v in verdicts]
         if not factor2 or not all(v.passed for v in verdicts):
             code = 1
     else:
@@ -153,11 +149,7 @@ def _cmd_freiman(args, cfg) -> int:
         epsilon=args.epsilon,
         l=args.l,
         radius=args.radius,
-        ratio_bound=cfg.get("ratio_bound", FreimanConfig.ratio_bound),
-        C=cfg.get("C", FreimanConfig.C),
-        max_retries=cfg.get("max_retries", FreimanConfig.max_retries),
-        n_max=cfg.get("n_max"),
-        dim_grid_cap=cfg.get("dim_grid_cap", FreimanConfig.dim_grid_cap),
+        **{key: cfg[key] for key in _FREIMAN_KEYS if key in cfg},
     )
     report = run_freiman(A, config)
     _emit(report.to_jsonable(), args.out)

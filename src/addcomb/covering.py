@@ -84,7 +84,7 @@ def ruzsa_cover(B: GroupSet) -> CoverCertificate:
     )
 
 
-def chang_cover(B: GroupSet, Bp: GroupSet, k: int, guard: int = DISSOCIATION_GUARD
+def chang_cover(B: GroupSet, Bp: GroupSet, k: int
                 ) -> tuple[CoverCertificate, GroupSet, GroupSet]:
     """Greedy maximal B'-dissociated subset T of B, with B inside Prog(T,1)+B'-B'.
 
@@ -112,7 +112,7 @@ def chang_cover(B: GroupSet, Bp: GroupSet, k: int, guard: int = DISSOCIATION_GUA
     for x in B.indices():
         if forbidden.mask[x]:
             continue
-        if len(T) >= guard:
+        if len(T) >= DISSOCIATION_GUARD:
             guard_exceeded = True
             break
         T.append(int(x))

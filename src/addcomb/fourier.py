@@ -219,11 +219,6 @@ def capped_exp(log_value: float) -> float:
     return math.exp(log_value) if log_value <= LOG_FLOAT_CAP else math.inf
 
 
-def normalized_powers(magnitudes: np.ndarray, mu: float, k: int) -> np.ndarray:
-    """(|1_A^|/mu(A))^{2k} per character, the ratio clamped at 1 (fp noise at gamma_0)."""
-    return np.minimum(magnitudes / mu, 1.0) ** (2 * k)
-
-
 def moment_detail(A: GroupSet, k: int) -> MomentValue:
     """(1/|G|) sum_gamma |1_A^(gamma)|^{2k}, with its log for k past float range."""
     if k < 1:
@@ -231,8 +226,10 @@ def moment_detail(A: GroupSet, k: int) -> MomentValue:
     if A.cardinality == 0:
         raise ValueError("moment needs a nonempty set")
     mu = float(A.measure)
-    # S = (1/|G|) sum_gamma (|1_A^|/mu)^{2k} lies in [1/|G|, 1]
-    S = float(np.sum(normalized_powers(transform(A).magnitudes(), mu, k))) / A.group.order
+    # S = (1/|G|) sum_gamma (|1_A^|/mu)^{2k} lies in [1/|G|, 1]; the ratio is
+    # clamped at 1 (fp noise at gamma_0)
+    powers = np.minimum(transform(A).magnitudes() / mu, 1.0) ** (2 * k)
+    S = float(np.sum(powers)) / A.group.order
     log_value = 2 * k * math.log(mu) + math.log(S)
     return MomentValue(capped_exp(log_value), log_value, log_value > LOG_FLOAT_CAP)
 

@@ -17,6 +17,7 @@ bit for bit across platforms.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -37,6 +38,28 @@ def _require_same_group(a, b) -> None:
         raise GroupMismatchError(
             f"incompatible operands: {a.group} vs {b.group}"
         )
+
+
+def _check_number(value, caller: str, name: str, low, *, strict: bool = False,
+                  high=None, integral: bool = False) -> None:
+    """Reject a number arriving from outside that is not usable as name.
+
+    value must be an integer when integral, else a finite real; a bool or a
+    string is neither. It must lie at or above low (above it when strict)
+    and, when high is given, at or below high. Otherwise ValueError names
+    caller and name, and states the rule.
+    """
+    if (isinstance(value, bool)
+            or not isinstance(value, numbers.Integral if integral else numbers.Real)
+            or not (isinstance(value, numbers.Integral) or math.isfinite(value))
+            or value < low or (strict and value == low)
+            or (high is not None and value > high)):
+        kind = "an integer" if integral else "a finite"
+        if high is None:
+            rule = f"{kind} {name} {'>' if strict else '>='} {low}"
+        else:
+            rule = f"{kind} {name} and needs {low} {'<' if strict else '<='} {name} <= {high}"
+        raise ValueError(f"{caller} needs {rule}, got {value!r}")
 
 
 class FinAbGroup:
@@ -144,20 +167,18 @@ class FinAbGroup:
 
     def element(self, spec) -> "GroupElement":
         """Element from a raw index or a coordinate sequence."""
-        if isinstance(spec, (int, np.integer)):
-            idx = int(spec)
-            if not 0 <= idx < self.order:
-                raise ValueError(f"index {idx} out of range for {self!r}")
-            return GroupElement(self, idx)
-        return GroupElement(self, self.encode(spec))
+        return GroupElement(self, self._index(spec))
 
     def character(self, spec) -> "Character":
+        return Character(self, self._index(spec))
+
+    def _index(self, spec) -> int:
         if isinstance(spec, (int, np.integer)):
             idx = int(spec)
             if not 0 <= idx < self.order:
                 raise ValueError(f"index {idx} out of range for {self!r}")
-            return Character(self, idx)
-        return Character(self, self.encode(spec))
+            return idx
+        return self.encode(spec)
 
     # -- exact phase arithmetic ------------------------------------------------
 

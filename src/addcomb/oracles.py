@@ -34,13 +34,9 @@ from .sets import GroupSet
 DIFFERENCE_BLOCK_CELLS = 1 << 16
 
 
-def phase_numerators(group: FinAbGroup, m_index: int) -> np.ndarray:
-    """Exact phase numerators of character m at every element (int64)."""
-    return phase_numerator_rows(group, [m_index])[0]
-
-
 def phase_numerator_rows(group: FinAbGroup, m_indices) -> np.ndarray:
-    """phase_numerators of several characters: one int64 row per index.
+    """Exact phase numerators of several characters at every element: one
+    int64 row per index.
 
     Each cycle's term ((m_j x_j) mod n_j) * M/n_j is below M, so the rows
     stay reduced mod M by one conditional subtract per later cycle.
@@ -66,7 +62,7 @@ def naive_transform(f, group: FinAbGroup | None = None) -> DualFunction:
     M = group.phase_denominator
     out = np.empty(group.order, dtype=np.complex128)
     for m in range(group.order):
-        num = phase_numerators(group, m)
+        num = phase_numerator_rows(group, [m])[0]
         out[m] = np.sum(values * np.exp(-2j * np.pi * num / M))
     return DualFunction(group, out)
 
@@ -108,7 +104,7 @@ def spectral_distance(gamma: Character, gamma2: Character, A: GroupSet) -> float
     if gamma.group != gamma2.group or gamma.group != A.group:
         raise GroupMismatchError("characters and set must share one group")
     g = A.group
-    num = phase_numerators(g, (gamma - gamma2).index)
+    num = phase_numerator_rows(g, [(gamma - gamma2).index])[0]
     vals = np.exp(1j * (2.0 * np.pi * num / g.phase_denominator))
     total = float(np.sum(np.abs(1.0 - vals[difference_table(A)]) ** 2))
     return math.sqrt(total) / A.measure

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -39,7 +39,7 @@ from .bohr import (DIM_GRID_CAP, INCLUSION_SLACK, BohrSet, DistanceTable,
                    DimensionEstimate)
 from .covering import CoverCertificate, chang_cover
 from .fourier import transform
-from .groups import GroupElement
+from .groups import GroupElement, _check_number
 from .sets import (GroupSet, Multiples, growth_profile, growth_window_end,
                    growth_window_start, negate, sumset, GrowthProfile)
 from .spectrum import Spectrum, cut_spectrum
@@ -95,14 +95,6 @@ class FreimanConfig:
 
     def scan_window_end(self) -> int:
         return self.n_max if self.n_max is not None else growth_window_end(self.d)
-
-    def to_jsonable(self) -> dict:
-        return {
-            "d": self.d, "mode": self.mode, "epsilon": self.epsilon,
-            "l": self.l, "radius": self.radius, "ratio_bound": self.ratio_bound,
-            "C": self.C, "max_retries": self.max_retries,
-            "n_max": self.n_max, "dim_grid_cap": self.dim_grid_cap,
-        }
 
 
 # -- the per-run context -----------------------------------------------------------
@@ -190,9 +182,7 @@ def find_l(multiples: Multiples, d: float, ratio_bound: float = DEFAULT_RATIO_BO
     """Smallest l in the pigeonhole window with mu(lA) <= ratio_bound * mu((l-1)A)."""
     if multiples.A.cardinality == 0:
         raise ValueError("find_l needs a nonempty set")
-    if isinstance(d, bool) or not isinstance(d, numbers.Real) \
-            or not math.isfinite(d) or d <= 0:
-        raise ValueError(f"find_l needs a finite d > 0, got {d!r}")
+    _check_number(d, "find_l", "d", 0, strict=True)
     lo = growth_window_start(d, floor=2)
     hi = max(growth_window_end(d), lo)
     measures = tuple(multiples[n].measure for n in range(1, hi + 1))
@@ -205,9 +195,7 @@ def find_l(multiples: Multiples, d: float, ratio_bound: float = DEFAULT_RATIO_BO
 
 def measured_growth_exponent(multiples: Multiples, l: int, n_max: int) -> float:
     """Smallest d' with mu(n lA) <= n^{d'} mu(lA) for n = 2..n_max (0 when constant)."""
-    if isinstance(n_max, bool) or not isinstance(n_max, numbers.Integral) \
-            or n_max < 2:
-        raise ValueError(f"measured_growth_exponent needs an integer n_max >= 2, got {n_max!r}")
+    _check_number(n_max, "measured_growth_exponent", "n_max", 2, integral=True)
     mu = multiples[l].measure
     out = 0.0
     for n in range(2, n_max + 1):
@@ -305,37 +293,20 @@ class LowerboundAudit:
     spectrum_count: int
     max_distance: float  # worst Bohr distance of an element of A-A
 
-    def to_jsonable(self) -> dict:
-        return {
-            "holds": self.holds, "l": self.l, "epsilon": self.epsilon,
-            "K": self.K, "radius": self.radius,
-            "spectrum_count": self.spectrum_count,
-            "max_distance": self.max_distance,
-        }
 
-
-def lowerbound_audit(run: FreimanRun, l: int, epsilon: float,
-                     K: float | None = None) -> LowerboundAudit:
-    """Exhaustive membership check of the spectral lower-bound containment."""
-    if l < 2:
-        raise ValueError(f"lowerbound_audit needs l >= 2, got {l}")
-    if not 0 < epsilon <= 1:
-        raise ValueError(f"lowerbound_audit needs epsilon in (0, 1], got {epsilon}")
-    lA, lm1A = run.multiples[l], run.multiples[l - 1]
-    ratio = lA.measure / lm1A.measure
-    if K is None:
-        K = ratio
-    elif isinstance(K, bool) or not isinstance(K, numbers.Real) or not math.isfinite(K):
-        raise ValueError(f"lowerbound_audit needs a finite K, got {K!r}")
-    elif ratio > K:
-        raise ValueError(f"mu(lA) = {lA.measure} exceeds K * mu((l-1)A) = {K * lm1A.measure}")
+def lowerbound_audit(run: FreimanRun, l: int, epsilon: float) -> LowerboundAudit:
+    """Exhaustive membership check of the spectral lower-bound containment,
+    with K the measured ratio mu(lA) / mu((l-1)A)."""
+    _check_number(l, "lowerbound_audit", "l", 2, integral=True)
+    _check_number(epsilon, "lowerbound_audit", "epsilon", 0, strict=True, high=1)
+    K = run.multiples[l].measure / run.multiples[l - 1].measure
     spec = run.spectrum(l, epsilon)
     radius = 2 * epsilon * math.sqrt(2 * K)
     table = run.bohr_table(spec.members)
     AmA = run.difference()
     worst = float(table.exact(AmA).max())
     return LowerboundAudit(worst <= radius + INCLUSION_SLACK, l, float(epsilon),
-                           float(K), radius, spec.count, worst)
+                           K, radius, spec.count, worst)
 
 
 # -- the end-to-end run ----------------------------------------------------------------
@@ -346,9 +317,6 @@ class ChainLink:
     name: str
     holds: bool
     applicable: bool
-
-    def to_jsonable(self) -> dict:
-        return {"name": self.name, "holds": self.holds, "applicable": self.applicable}
 
 
 @dataclass(frozen=True)
@@ -383,7 +351,7 @@ class FreimanReport:
 
     def to_jsonable(self) -> dict:
         return {
-            "config": self.config.to_jsonable(),
+            "config": asdict(self.config),
             "group": {"cycles": list(self.group_cycles)},
             "mu_A": self.mu_A,
             "A_symmetric": self.A_symmetric,
@@ -406,8 +374,8 @@ class FreimanReport:
             "mu_B": self.ball.measure,
             "ball_frequency_count": self.ball.frequencies.cardinality,
             "containment": self.containment,
-            "chain": [c.to_jsonable() for c in self.chain],
-            "lowerbound_audit": self.lowerbound.to_jsonable(),
+            "chain": [asdict(c) for c in self.chain],
+            "lowerbound_audit": asdict(self.lowerbound),
             "empirical_dim": self.dimension.empirical_dim,
             "dimension_estimate": self.dimension.to_jsonable(),
             "measure_ratio": self.measure_ratio,

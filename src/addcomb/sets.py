@@ -34,10 +34,7 @@ A computation that sums the same sets again and again registers them with
 an OperandCache and passes it to sumset, so each one's coordinates and half
 spectrum are built once per call. A spectral sum with a registered operand
 runs on all of G, so that set keeps its one full-grid half spectrum, and
-its auto route is never probed for a box. Its FFT is priced by the
-transforms it runs, since c2 is fitted on sums that run all three: the
-inverse, plus the forward transform of each unregistered operand, so k of
-them cost k/3 of c2 * |G| * log2|G|.
+its auto route is the full-grid model's pick, never probed for a box.
 
 Multiples is the one route to the n-fold sumsets nA: it keeps every
 multiple it has built, reuses known ones, and halves where none fits, so
@@ -48,13 +45,13 @@ from __future__ import annotations
 
 import bisect
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .groups import ORDER_CAP, FinAbGroup, GroupElement, GroupMismatchError
+from .groups import (ORDER_CAP, Character, FinAbGroup, GroupElement, GroupMismatchError,
+                     _check_number, _require_same_group)
 
 #: prog() refuses generator lists longer than this.
 PROG_GUARD = 24
@@ -184,7 +181,7 @@ class GroupSet:
         return bool(np.array_equal(self.mask, self.mask[self.group.negation_permutation()]))
 
     def is_subset_of(self, other: "GroupSet") -> bool:
-        _same_group(self, other)
+        _require_same_group(self, other)
         return not np.any(self.mask & ~other.mask)
 
     def __eq__(self, other) -> bool:
@@ -194,9 +191,15 @@ class GroupSet:
     def __hash__(self):
         return hash((self.group, self.mask.tobytes()))
 
-    def __contains__(self, x: GroupElement | int) -> bool:
-        idx = x.index if isinstance(x, GroupElement) else int(x)
-        return bool(self.mask[idx])
+    def __contains__(self, x: GroupElement | Character | int) -> bool:
+        """Membership of an element or character of this set's group (the
+        indexing is self-dual), or of an index 0..|G| - 1."""
+        if isinstance(x, (GroupElement, Character)):
+            _require_same_group(self, x)
+            return bool(self.mask[x.index])
+        _check_number(x, "GroupSet membership", "index", 0, high=self.group.order - 1,
+                      integral=True)
+        return bool(self.mask[x])
 
     def __len__(self) -> int:
         return self._card
@@ -207,13 +210,13 @@ class GroupSet:
     # -- boolean algebra ---------------------------------------------------------
 
     def union(self, other: "GroupSet") -> "GroupSet":
-        _same_group(self, other)
+        _require_same_group(self, other)
         return GroupSet(self.group, self.mask | other.mask)
 
     __or__ = union
 
     def intersection(self, other: "GroupSet") -> "GroupSet":
-        _same_group(self, other)
+        _require_same_group(self, other)
         return GroupSet(self.group, self.mask & other.mask)
 
     __and__ = intersection
@@ -228,11 +231,6 @@ class GroupSet:
         return GroupSet(g, arr.ravel(order="F"))
 
 
-def _same_group(a: GroupSet, b: GroupSet) -> None:
-    if a.group != b.group:
-        raise GroupMismatchError(f"sets over different groups: {a.group!r} vs {b.group!r}")
-
-
 # -- Minkowski arithmetic ----------------------------------------------------------
 
 
@@ -243,29 +241,25 @@ def negate(A: GroupSet) -> GroupSet:
 
 def _route_seconds(small: int, big: int, g: FinAbGroup,
                    cost: tuple[float, float, float, float] = SUMSET_COST,
-                   points: int | None = None, transforms: int = 3) -> tuple[float, float]:
+                   points: int | None = None) -> tuple[float, float]:
     """The modelled (direct, spectral) seconds (constants c0..c3) for sizes
-    small <= big, with the FFT on a grid of points (all of G by default)
-    running the given number of its three transforms (c2 is fitted on sums
-    that run all three)."""
+    small <= big, with the FFT on a grid of points (all of G by default)."""
     c0, c1, c2, c3 = cost
     points = g.order if points is None else points
-    return (small * (c0 + c1 * big * g.rank),
-            transforms / 3 * c2 * points * math.log2(points) + c3)
+    return small * (c0 + c1 * big * g.rank), c2 * points * math.log2(points) + c3
 
 
 def _sumset_route(small: int, big: int, g: FinAbGroup,
                   cost: tuple[float, float, float, float] = SUMSET_COST,
-                  points: int | None = None, transforms: int = 3) -> str:
+                  points: int | None = None) -> str:
     """The route of lower modelled cost, as priced by _route_seconds."""
-    direct, spectral = _route_seconds(small, big, g, cost, points, transforms)
+    direct, spectral = _route_seconds(small, big, g, cost, points)
     return "spectral" if spectral < direct else "direct"
 
 
-def sumset_seconds(small: int, big: int, g: FinAbGroup, transforms: int) -> float:
-    """The modelled seconds of the cheaper full-grid route of a sum of sets of
-    sizes small <= big whose FFT would run the given number of transforms."""
-    return min(_route_seconds(small, big, g, transforms=transforms))
+def sumset_seconds(small: int, big: int, g: FinAbGroup) -> float:
+    """The modelled seconds of the cheaper full-grid route for sizes small <= big."""
+    return min(_route_seconds(small, big, g))
 
 
 def _auto_route(A: GroupSet, B: GroupSet, cache: "OperandCache | None",
@@ -274,22 +268,18 @@ def _auto_route(A: GroupSet, B: GroupSet, cache: "OperandCache | None",
     """(route, box) for sumset's auto method: the full-grid model's route,
     unless it picks direct for a sum whose FFT would run on a smaller box.
 
-    A sum with an operand registered in cache runs its FFT on all of G and
-    is never probed for a box. Its FFT is priced by the transforms the call
-    runs: the inverse, and the forward transform of each unregistered
-    operand, since cache builds a registered operand's half spectrum at most
-    once per call. Otherwise the box is planned (an O(|G|) probe) only when
-    the modelled direct cost beats both c2 * |G| and the FFT on the least
-    box the operand sizes allow; then the FFT is priced on the box's points,
-    and a spectral pick returns the box so that it is not planned again.
+    A sum with an operand registered in cache runs its FFT on all of G, so
+    it takes the full-grid model's route and is never probed for a box.
+    Otherwise the box is planned (an O(|G|) probe) only when the modelled
+    direct cost beats both c2 * |G| and the FFT on the least box the operand
+    sizes allow; then the FFT is priced on the box's points, and a spectral
+    pick returns the box so that it is not planned again.
     """
     g = A.group
     small, big = sorted((len(A), len(B)))
-    if _registered(A, B, cache):
-        transforms = 1 + (A not in cache) + (B is not A and B not in cache)
-        return _sumset_route(small, big, g, cost, transforms=transforms), None
-    if _sumset_route(small, big, g, cost) == "spectral":
-        return "spectral", None
+    route = _sumset_route(small, big, g, cost)
+    if route == "spectral" or _registered(A, B, cache):
+        return route, None
     c0, c1, c2, c3 = cost
     # an FFT on any box costs at least c3, so a direct cost below that needs
     # no least box either
@@ -315,7 +305,7 @@ def sumset(A: GroupSet, B: GroupSet, method: str = "auto", *,
 
     method: "auto" picks the route of lower modelled cost (_auto_route),
     pricing the FFT on the box it would use where the full-grid model picks
-    direct, and by the transforms it runs when an operand is registered;
+    direct and no operand is registered;
     "direct" forces the blocked outer sum, "spectral" forces the FFT route,
     and neither probes. Both routes are exact. The FFT route
     convolves on the operands' bounding box, each cycle cropped to the least
@@ -325,7 +315,7 @@ def sumset(A: GroupSet, B: GroupSet, method: str = "auto", *,
     coordinates or half spectrum instead of building them again. A spectral
     sum with a registered operand runs on all of G.
     """
-    _same_group(A, B)
+    _require_same_group(A, B)
     if method not in ("auto", "direct", "spectral"):
         raise ValueError(f"unknown sumset method {method!r}")
     g = A.group
@@ -459,10 +449,9 @@ class OperandCache:
     A registered set keeps each derived array (its coordinate block, its
     half spectrum) from the first time a sumset route needs it, until it is
     forgotten; other operands pass through uncached. So a spectral sum
-    transforms a registered operand at most once per call, and sumset's
-    auto route prices only its other transforms. Sets are matched by
-    identity and held while registered. The caller makes one cache per call
-    and drops it on return, so nothing outlives the computation.
+    transforms a registered operand at most once per call. Sets are matched
+    by identity and held while registered. The caller makes one cache per
+    call and drops it on return, so nothing outlives the computation.
     """
 
     __slots__ = ("_entries",)
@@ -604,8 +593,7 @@ class Multiples:
         self._known = {1: A}
 
     def __getitem__(self, n: int) -> GroupSet:
-        if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
-            raise ValueError(f"multiples need an integer n >= 1, got {n!r}")
+        _check_number(n, "Multiples", "n", 1, integral=True)
         known = self._known
         if n not in known:
             splits = [m for m in known if m < n and n - m in known]
@@ -621,12 +609,8 @@ def growth_profile(multiples: Multiples, d: float, n_max: int) -> GrowthProfile:
     A = multiples.A
     if A.cardinality == 0:
         raise ValueError("growth_profile needs a nonempty set")
-    if isinstance(n_max, bool) or not isinstance(n_max, numbers.Integral) \
-            or n_max < 2:
-        raise ValueError(f"growth_profile needs an integer n_max >= 2, got {n_max!r}")
-    if isinstance(d, bool) or not isinstance(d, numbers.Real) \
-            or not math.isfinite(d) or d <= 0:
-        raise ValueError(f"growth_profile needs a finite d > 0, got {d!r}")
+    _check_number(n_max, "growth_profile", "n_max", 2, integral=True)
+    _check_number(d, "growth_profile", "d", 0, strict=True)
     rows = []
     for n in range(1, n_max + 1):
         mu = multiples[n].measure

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fourier import transform
-from .groups import Character, GroupMismatchError
+from .groups import Character, GroupMismatchError, _check_number
 from .serialize import set_to_json
 from .sets import GroupSet
 
@@ -56,8 +56,7 @@ def lspec(A: GroupSet, delta: float) -> Spectrum:
 def _check_cut(A: GroupSet, delta: float) -> None:
     if A.cardinality == 0:
         raise ValueError("lspec needs a nonempty set")
-    if not (math.isfinite(delta) and delta >= 0):
-        raise ValueError(f"lspec needs a finite delta >= 0, got {delta}")
+    _check_number(delta, "lspec", "delta", 0)
 
 
 def cut_spectrum(A: GroupSet, magnitudes: np.ndarray, delta: float) -> Spectrum:

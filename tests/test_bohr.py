@@ -12,7 +12,7 @@ from addcomb.bohr import (INCLUSION_SLACK, bohr_distance_table, bohr_family, boh
                           nearest_int_dist, nested_bohr_audit, rounding_check,
                           table_family)
 from addcomb.groups import FinAbGroup
-from addcomb.oracles import bohr_distance, phase_numerators
+from addcomb.oracles import bohr_distance, phase_numerator_rows
 from addcomb.sets import GroupSet, Multiples, negate, sumset
 
 
@@ -91,7 +91,7 @@ def oracle_numerators(freqs):
     M = g.phase_denominator
     best = np.zeros(g.order, dtype=np.int64)
     for m in freqs.indices():
-        num = phase_numerators(g, int(m))
+        num = phase_numerator_rows(g, [int(m)])[0]
         best = np.maximum(best, np.minimum(num, M - num))
     return best
 

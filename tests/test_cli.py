@@ -177,8 +177,13 @@ _C64 = '{"cycles": [64]}'
     ('{"interval": {"group": %s, "scale": -3}}' % _C64, "needs a finite scale >= 0"),
     ('{"levels": [{"radius": 1.0, "set": {"group": %s, "interval": 4}},'
      ' {"radius": NaN, "set": {"group": %s, "interval": 0}}]}' % (_C64, _C64),
-     "needs each level radius finite and >= 0"),
-], ids=["scale-inf", "scale-negative", "radius-nan"])
+     "system file level needs a finite radius >= 0"),
+    ('{"d": true, "interval": {"group": %s, "scale": 16}}' % _C64,
+     "system_from_balls needs a finite d >= 0"),
+    ('{"interval": {"group": %s, "scale": "16"}}' % _C64, "needs a finite scale >= 0"),
+    ('{"levels": [{"radius": true, "set": {"group": %s, "interval": 4}}]}' % _C64,
+     "system file level needs a finite radius >= 0"),
+], ids=["scale-inf", "scale-negative", "radius-nan", "d-true", "scale-string", "radius-true"])
 def test_birkhoff_bad_system_values_are_usage_errors(tmp_path, capsys, text, message):
     system = tmp_path / "system.json"
     system.write_text(text)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import addcomb.covering
 import addcomb.sets
 from addcomb.covering import chang_cover, ruzsa_cover
 from addcomb.groups import FinAbGroup, GroupMismatchError
@@ -182,11 +183,12 @@ class TestChangCover:
         assert cert.containment_verified
         assert not cert.parameters["size_bound_applicable"]
 
-    def test_guard_flagged(self):
+    def test_guard_flagged(self, monkeypatch):
         g = FinAbGroup([1000])
         B = GroupSet.from_indices(g, [1, 10, 100, 500])
         Bp = GroupSet.singleton(g, 0)
-        cert, _, _ = chang_cover(B, Bp, 8, guard=3)
+        monkeypatch.setattr(addcomb.covering, "DISSOCIATION_GUARD", 3)
+        cert, _, _ = chang_cover(B, Bp, 8)
         assert cert.parameters["guard_exceeded"]
         assert not cert.containment_verified  # partial result, flagged
 

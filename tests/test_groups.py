@@ -1,9 +1,16 @@
+import math
+
 import numpy as np
 import pytest
 
+from addcomb.bohr import bohr_set
+from addcomb.bourgain import interval_family, system_from_balls
 from addcomb.groups import (Character, FinAbGroup, GroupElement,
                             GroupMismatchError)
-from addcomb.oracles import phase_numerator_rows, phase_numerators
+from addcomb.oracles import phase_numerator_rows
+from addcomb.pipeline import FreimanRun, find_l, lowerbound_audit, measured_growth_exponent
+from addcomb.sets import GroupSet, Multiples, growth_profile
+from addcomb.spectrum import lspec
 
 
 def test_encoding_roundtrip():
@@ -102,7 +109,7 @@ def test_phase_numerators_vector_matches_scalar():
     for cycles in ([6, 4], [4, 6, 10], [12, 18]):
         g = FinAbGroup(cycles)
         for m in (1, 7, 23, g.order - 1):
-            nums = phase_numerators(g, m)
+            nums = phase_numerator_rows(g, [m])[0]
             for x in range(g.order):
                 assert nums[x] == g.phase_numerator(m, x)
 
@@ -116,7 +123,7 @@ def test_phase_numerator_rows_match_one_character_at_a_time():
         assert rows.shape == (len(ms), g.order) and rows.dtype == np.int64
         assert rows.min() >= 0 and rows.max() < g.phase_denominator
         for row, m in zip(rows, ms):
-            assert np.array_equal(row, phase_numerators(g, int(m)))
+            assert np.array_equal(row, phase_numerator_rows(g, [int(m)])[0])
 
 
 def test_order_cap():
@@ -152,3 +159,40 @@ def test_group_equality_and_hash():
     assert FinAbGroup([4, 2]) != FinAbGroup([2, 4])
     assert hash(FinAbGroup([8])) == hash(FinAbGroup([8]))
     assert FinAbGroup([6]).dual() == FinAbGroup([6])
+
+
+_Z64 = FinAbGroup([64])
+_A = GroupSet.interval(_Z64, 2)
+
+#: Every entry point that checks a number arriving from outside, with the
+#: field it names and one value out of its range.
+NUMBER_CHECKS = {
+    "find_l": (lambda v: find_l(Multiples(_A), v), "d", 0),
+    "growth_profile-d": (lambda v: growth_profile(Multiples(_A), v, 4), "d", 0),
+    "growth_profile-n_max": (lambda v: growth_profile(Multiples(_A), 1.0, v), "n_max", 1),
+    "measured_growth_exponent": (lambda v: measured_growth_exponent(Multiples(_A), 1, v),
+                                 "n_max", 1),
+    "lowerbound_audit-l": (lambda v: lowerbound_audit(FreimanRun(_A), v, 0.5), "l", 1),
+    "lowerbound_audit-epsilon": (lambda v: lowerbound_audit(FreimanRun(_A), 2, v),
+                                 "epsilon", 1.5),
+    "Multiples": (lambda v: Multiples(_A)[v], "n", 0),
+    "system_from_balls-d": (lambda v: system_from_balls(interval_family(_Z64, 16.0), v),
+                            "d", -1),
+    "system_from_balls-K": (lambda v: system_from_balls(interval_family(_Z64, 16.0), 1.0,
+                                                        K=v), "K", 32),
+    "system_from_balls-cap": (lambda v: system_from_balls(interval_family(_Z64, 16.0), 1.0,
+                                                          cap=v), "cap", 0),
+    "interval_family": (lambda v: interval_family(_Z64, v), "scale", -1),
+    "bohr_set": (lambda v: bohr_set(_A, v), "delta", -1),
+    "lspec": (lambda v: lspec(_A, v), "delta", -1),
+}
+
+
+@pytest.mark.parametrize("entry,value", [
+    pytest.param(entry, value, id=f"{entry}-{value!r}")
+    for entry, (_, _, out_of_range) in NUMBER_CHECKS.items()
+    for value in (True, "1", math.nan, math.inf, out_of_range)])
+def test_numbers_from_outside_are_checked(entry, value):
+    call, field, _ = NUMBER_CHECKS[entry]
+    with pytest.raises(ValueError, match=rf"needs .*\b{field}\b"):
+        call(value)

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -135,17 +136,6 @@ class TestLowerboundAudit:
         assert audit.radius >= 0.5
         assert audit.holds
 
-    def test_explicit_k_must_dominate(self):
-        A = interval(128, 3)
-        with pytest.raises(ValueError):
-            lowerbound_audit(FreimanRun(A), 2, 0.5, K=1.0)  # actual ratio 13/7 > 1
-
-    @pytest.mark.parametrize("K", [math.inf, math.nan, -math.inf, True, "2"])
-    def test_explicit_k_must_be_finite(self, K):
-        # an infinite K made the radius infinite, so the audit passed vacuously
-        with pytest.raises(ValueError, match="finite K"):
-            lowerbound_audit(FreimanRun(interval(64, 2)), 2, 0.3, K=K)
-
     def test_random_instances(self):
         rng = np.random.default_rng(61)
         for _ in range(40):
@@ -198,7 +188,7 @@ class TestFreimanConfig:
     def test_accepts_range_edges_without_coercion(self):
         cfg = FreimanConfig(d=1, epsilon=0.5, radius=0.1, l=2, ratio_bound=1,
                             C=0, max_retries=0, n_max=2, dim_grid_cap=0)
-        assert cfg.to_jsonable() == {
+        assert asdict(cfg) == {
             "d": 1, "mode": "empirical", "epsilon": 0.5, "l": 2, "radius": 0.1,
             "ratio_bound": 1, "C": 0, "max_retries": 0, "n_max": 2, "dim_grid_cap": 0}
         assert type(cfg.d) is int and type(cfg.ratio_bound) is int

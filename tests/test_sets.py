@@ -305,20 +305,28 @@ class TestAutoRoute:
         # every branch of the rule is exercised
         assert picks == {("spectral", False), ("spectral", True), ("direct", False)}
 
-    def test_registered_sum_is_priced_by_its_inverse(self, record_calls):
+    def test_registered_sum_takes_the_full_grid_route(self, record_calls):
         from addcomb import fourier
         g = FinAbGroup([2 ** 14])
         A, B = GroupSet.interval(g, 32), GroupSet.interval(g, 1024)
         c0, c1, c2, c3 = SUMSET_COST
         direct = len(A) * (c0 + c1 * len(B))
         fft = c2 * g.order * math.log2(g.order)
-        # dearer than one inverse, cheaper than all three transforms
+        # dearer than one inverse, cheaper than all three transforms: with both
+        # operands registered the FFT runs only the inverse, and the sum is
+        # still priced like an unregistered one, so it runs direct
         assert fft / 3 + c3 < direct < fft + c3
         assert _sumset_route(len(A), len(B), g) == "direct"
+        dense = [GroupSet.from_indices(g, range(0, g.order, step)) for step in (3, 5)]
+        assert _sumset_route(len(dense[0]), len(dense[1]), g) == "spectral"
+        planned = record_calls(addcomb.sets, "_spectral_box")
         calls = record_calls(fourier, "convolve")
+        for X, Y in ((A, B), dense):
+            for registered in ([X], [Y], [X, Y]):
+                assert _auto_route(X, Y, OperandCache(registered)) == (
+                    _sumset_route(len(X), len(Y), g), None)
         S = sumset(A, B, cache=OperandCache([A, B]))
-        # one convolution of the sets themselves: on all of G, with no box
-        assert len(calls) == 1 and calls[0][0] is A and calls[0][1] is B
+        assert planned == [] and calls == []
         assert S == sumset(A, B, method="direct") == GroupSet.interval(g, 32 + 1024)
 
     def test_forced_methods_never_probe(self, record_calls):
@@ -483,6 +491,37 @@ class TestNegate:
         g = FinAbGroup([6, 5])
         A = GroupSet(g, rng.random(g.order) < 0.3)
         assert negate(negate(A)) == A
+
+
+class TestMembership:
+    def test_element_of_another_group_raises(self):
+        A = GroupSet.interval(FinAbGroup([64]), 3)
+        with pytest.raises(GroupMismatchError):
+            FinAbGroup([4, 4]).element((3, 0)) in A
+
+    def test_character_of_another_group_raises(self):
+        A = GroupSet.interval(FinAbGroup([64]), 3)
+        with pytest.raises(GroupMismatchError):
+            FinAbGroup([16]).character(1) in A
+
+    def test_character_of_the_same_group_is_read_by_its_index(self):
+        from addcomb.spectrum import lspec
+        g = FinAbGroup([64])
+        members = lspec(GroupSet.interval(g, 3), 0.5).members
+        assert g.character(0) in members and g.character(32) not in members
+        assert [m in members for m in range(g.order)] == members.mask.tolist()
+
+    @pytest.mark.parametrize("index", [-1, -64, 64, 1000])
+    def test_index_outside_the_group_raises(self, index):
+        A = GroupSet.interval(FinAbGroup([64]), 3)
+        with pytest.raises(ValueError, match="index"):
+            index in A
+
+    def test_element_and_index_in_range(self):
+        g = FinAbGroup([64])
+        A = GroupSet.interval(g, 3)
+        assert g.element(61) in A and 3 in A and np.int64(63) in A
+        assert g.element(4) not in A and 60 not in A
 
 
 def pairs_multiple(n: int, A: GroupSet) -> GroupSet:

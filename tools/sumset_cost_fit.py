@@ -14,14 +14,7 @@ fitted constants and under the current SUMSET_COST, picks a route slower
 than the faster one by over 10%. The auto route is the one sumset takes,
 box probe included (addcomb.sets._auto_route).
 
-Then, as a report only, times the same random sums with operands
-registered in an OperandCache whose arrays are already built: the spectral
-route with 0, 1 and 2 operands cached (all on the full grid), per group the
-median beside the price k/3 * c2 * |G| * log2|G| + c3 that _auto_route
-gives a sum running k of the three transforms, and the picks of the auto
-route under such a cache that are over 10% slower than the faster route.
-
-Then, also as a report only (the fit above uses random sets, which fill their
+Then, as a report only (the fit above uses random sets, which fill their
 group), times both routes on intervals and boxes of the same sizes: the
 grid points P the spectral convolution used (the operands' bounding box,
 or |G|), its time beside the current model's c2 * P * log2 P + c3, a
@@ -39,8 +32,7 @@ import numpy as np
 
 from addcomb.fourier import convolve
 from addcomb.groups import FinAbGroup
-from addcomb.sets import (SUMSET_COST, GroupSet, OperandCache, _auto_route, _spectral_box,
-                          sumset)
+from addcomb.sets import SUMSET_COST, GroupSet, _auto_route, _spectral_box, sumset
 
 GROUPS = ([256], [4096], [65536], [2 ** 18], [729], [3 ** 11], [64, 64], [81, 81],
           [256, 256], [16, 16, 16], [9, 9, 9], [32, 32, 32])
@@ -80,45 +72,6 @@ def misroutes(samples, cost) -> list[str]:
             out.append(f"{A.group!r} {len(A)}x{len(B)}: {pick} {taken * 1e3:.3f} ms "
                        f"vs best {min(d, sp) * 1e3:.3f} ms")
     return out
-
-
-def cached_best_of(repeats: int, A: GroupSet, B: GroupSet, registered, method: str) -> float:
-    """best_of one sumset(A, B, method) under a cache holding the registered
-    sets, their arrays built by one untimed call first."""
-    cache = OperandCache(registered)
-    sumset(A, B, method, cache=cache)
-    return best_of(repeats, lambda: sumset(A, B, method, cache=cache))
-
-
-def cache_report(samples, repeats: int) -> None:
-    """Time the fit's random sums with 0, 1 and 2 operands cached."""
-    c2, c3 = SUMSET_COST[2:]
-    print(f"{'group':>14} {'sums':>5} " + " ".join(
-        f"{f'{cached} cached ms':>15} {f'{3 - cached}/3 price':>9}" for cached in range(3)))
-    by_group: dict = {}
-    misses = {1: [], 2: []}
-    for A, B, _, spectral in samples:
-        spectral_cached = {0: spectral}
-        for cached, registered in ((1, [B]), (2, [A, B])):
-            spectral_cached[cached] = cached_best_of(repeats, A, B, registered, "spectral")
-            direct = cached_best_of(repeats, A, B, registered, "direct")
-            pick, _ = _auto_route(A, B, OperandCache(registered))
-            taken = spectral_cached[cached] if pick == "spectral" else direct
-            best = min(direct, spectral_cached[cached])
-            if taken > 1.1 * best:
-                misses[cached].append(f"{A.group!r} {len(A)}x{len(B)}: {pick} "
-                                      f"{taken * 1e3:.3f} ms vs best {best * 1e3:.3f} ms")
-        by_group.setdefault(A.group, []).append(spectral_cached)
-    for g, rows in by_group.items():
-        fft = c2 * g.order * math.log2(g.order)
-        print(f"{g!r:>14} {len(rows):>5} " + " ".join(
-            f"{float(np.median([r[cached] for r in rows])) * 1e3:>15.3f} "
-            f"{((3 - cached) / 3 * fft + c3) * 1e3:>9.3f}" for cached in range(3)))
-    for cached, lines in misses.items():
-        print(f"current model, {cached} operand(s) cached: {len(lines)} of {len(samples)} "
-              "picks over 10% slower")
-        for m in lines:
-            print("  ", m)
 
 
 def box_report(repeats: int) -> None:
@@ -194,7 +147,6 @@ def main() -> None:
         print(f"{label} model: {len(misses)} of {len(samples)} picks over 10% slower")
         for m in misses:
             print("  ", m)
-    cache_report(samples, args.repeats)
     box_report(args.repeats)
 
 
