@@ -19,13 +19,14 @@ print("distance of 7 from 0:", bohr_distance(g.element(7), g.zero, freqs))
 
 # empirical dimension of the one-frequency family: an interval, so about 1
 fam = bohr_family(GroupSet.from_indices(g, [1]))
-grid = dyadic_dimension_grid(fam, 0.25)
-est = dimension_estimate(fam, grid)
+measure = lambda r: fam(r).measure
+grid = dyadic_dimension_grid(measure, 0.25)
+est = dimension_estimate(measure, grid)
 print("interval-like Bohr family dimension:", round(est.empirical_dim, 4))
 
 # word-metric squares in Z_17^2 measure close to 2
 g2 = FinAbGroup([17, 17])
-est2 = dimension_estimate(lambda r: GroupSet.linf_ball(g2, int(r)), [1, 2, 3])
+est2 = dimension_estimate(lambda r: GroupSet.linf_ball(g2, int(r)).measure, [1, 2, 3])
 print("word balls in Z_17^2 dimension:", round(est2.empirical_dim, 4))
 
 # rounding: multiples near integers force the base point near an integer

@@ -16,11 +16,18 @@ cap), so the rows are int32.
 
 A table may be sieved at a radius cap r_cap. Every ball of radius >= 1/2 is
 all of G, so a caller that reads no radius in (r_cap, 1/2) needs the exact
-distance only of the elements within r_cap, and of the few it keeps. The
-rows then run as outer sums over all of G only while a large share of G is
-still within r_cap; the remaining rows gather the same digit tables at the
-survivors alone, and each element is dropped once its running maximum
-passes r_cap. Reading a sieved table at a radius in (r_cap, 1/2) raises.
+distance only of the elements within r_cap, and of the few it keeps. A
+16-bit pre-sieve first finds those survivors cheaply: each digit table is
+scaled to 2^16 units and floored, so a row over all of G is one uint16 outer
+sum (which wraps mod 2^16 for free) and one compare. Each of a phase's
+2 * rank floored digits loses less than one unit, so an element is cleared
+only when its coarse circle distance passes floor(cap * 2^16 / M) + 2 * rank
+units, which no element within the cap reaches. The pre-sieve stops once
+fewer than STOP_SHARE of G is alive. If GATHER_SHARE or more is still alive,
+the exact rows run over all of G; otherwise the exact numerators are
+gathered from the same digit tables at the survivors alone, row-major, and
+each element is dropped once its running maximum passes the cap. Reading a
+sieved table at a radius in (r_cap, 1/2) raises.
 """
 
 from __future__ import annotations
@@ -44,10 +51,14 @@ DIM_GRID_CAP = 40
 #: and a sieve compacts its survivors after each block).
 BLOCK_CELLS = 1 << 20
 
-#: A sieved table evaluates its rows over all of G while at least this share
-#: of G is within r_cap or kept, and gathers them at the survivors after
-#: that (set from tools/bohr_sieve_ladder.py).
+#: A sieved table evaluates its exact rows over all of G while at least this
+#: share of G survives the 16-bit pre-sieve, and gathers them at the
+#: survivors alone below it (set from tools/bohr_sieve_ladder.py).
 GATHER_SHARE = 0.25
+
+#: The 16-bit pre-sieve stops once fewer than this share of G is alive (set
+#: from tools/bohr_sieve_ladder.py).
+STOP_SHARE = 0.08
 
 
 class DistanceTable(np.ndarray):
@@ -57,27 +68,43 @@ class DistanceTable(np.ndarray):
     readers' own test) or kept holds its exact ratio num / M. Every other
     element holds inf, which says only that its distance is above r_cap.
     With r_cap >= 1/2 nothing is sieved. covers holds the indices of the
-    frequencies the table is over, and cells counts the phases (one row at
-    one element) that the table's call evaluated.
+    frequencies the table is over. The table's call evaluated cells exact
+    int32 phases and coarse_cells 16-bit ones (a phase is one row at one
+    element); only a sieved table runs 16-bit rows.
     """
 
     r_cap: float
     covers: frozenset[int] | None
     cells: int
+    coarse_cells: int
 
     def __array_finalize__(self, obj):
         self.r_cap = getattr(obj, "r_cap", 0.5)
         self.covers = getattr(obj, "covers", None)
         self.cells = getattr(obj, "cells", 0)
+        self.coarse_cells = getattr(obj, "coarse_cells", 0)
 
     def ball(self, radius: float) -> np.ndarray:
         """The mask {x : dist(x) <= radius}; radii in (r_cap, 1/2) raise."""
-        if radius >= 0.5:
+        if self._whole(radius):
             return np.ones(self.shape, dtype=bool)
+        return self.view(np.ndarray) <= radius + INCLUSION_SLACK
+
+    def measure(self, radius: float) -> int:
+        """mu(ball(radius)), counted on the table itself (inf, an element past
+        the cap, compares false); radii in (r_cap, 1/2) raise."""
+        if self._whole(radius):
+            return self.size
+        return int(np.count_nonzero(self.view(np.ndarray) <= radius + INCLUSION_SLACK))
+
+    def _whole(self, radius: float) -> bool:
+        """Whether the ball of radius is all of G; raises between r_cap and 1/2."""
+        if radius >= 0.5:
+            return True
         if radius > self.r_cap:
             raise ValueError(f"radius {radius} lies between the table's cap "
                              f"{self.r_cap} and 1/2")
-        return self.view(np.ndarray) <= radius + INCLUSION_SLACK
+        return False
 
     def exact(self, members: GroupSet) -> np.ndarray:
         """The exact distances of members, which must all be kept or within r_cap."""
@@ -121,62 +148,80 @@ def bohr_distance_table(freqs: GroupSet, r_cap: float = 0.5,
         covered |= np.array([m in base.covers for m in neg.tolist()], dtype=bool)
     coords = coords[:, ~covered & coords.any(axis=0)]
     covers = frozenset(idx.tolist()) | (frozenset() if base is None else base.covers)
-    start, rows, cells = 0, coords.shape[1], 0
+    rows, coarse_rows, at = coords.shape[1], 0, None
     if base is not None and not rows:
         # base covers every row already, so its distances are the union's
         out = base.view(DistanceTable)
-        out.r_cap, out.cells, out.covers = float(r_cap), 0, covers
+        out.r_cap, out.cells, out.coarse_cells, out.covers = float(r_cap), 0, 0, covers
         return out
-    best = np.zeros(g.order, dtype=np.int32)
-    at = exact = None  # at: the survivors' indices, once best covers only them
-    if base is not None and cap is not None and rows:
-        exact = np.isfinite(base.view(np.ndarray))
-        if np.count_nonzero(exact) < GATHER_SHARE * g.order:
-            at = np.flatnonzero(exact)
-    # while sieving, dense blocks start at one row and double, so the
-    # survivors are counted after few rows
-    size = 1 if cap is not None else max(1, BLOCK_CELLS // g.order)
-    while at is None and start < rows:
-        block = coords[:, start:start + size]
-        _fold(best, _phase_sums(g, block), M, axis=0)
-        cells += block.shape[1] * g.order
-        start += block.shape[1]
-        size = min(2 * size, max(1, BLOCK_CELLS // g.order))
-        if cap is not None and start < rows:
-            alive = _within(best, cap, kept)
-            if exact is not None:
-                alive &= exact
+    if cap is not None and rows:
+        alive = (np.ones(g.order, dtype=bool) if base is None
+                 else np.isfinite(base.view(np.ndarray)))
+        # rows of independent uniform phases would each keep 2 r_cap of G; when
+        # even they would leave GATHER_SHARE alive, the exact rows run densely
+        if np.count_nonzero(alive) * (2 * r_cap) ** rows < GATHER_SHARE * g.order:
+            coarse_rows = _presieve(g, coords, cap, alive)
+            if kept is not None:
+                alive |= kept  # where base is inf, the max with it stays inf
             if np.count_nonzero(alive) < GATHER_SHARE * g.order:
                 at = np.flatnonzero(alive)
     if at is None:
+        best = np.zeros(g.order, dtype=np.int32)
+        step = max(1, BLOCK_CELLS // g.order)
+        for start in range(0, rows, step):
+            _fold(best, _phase_sums(g, coords[:, start:start + step]), M)
+        cells = rows * g.order
         table = best / M
         if base is not None:
             np.maximum(table, base.view(np.ndarray), out=table)
         if cap is not None and best.max() > cap:
             table[~_within(best, cap, kept)] = np.inf
     else:
-        at, best, gathered = _sieve(g, coords[:, start:], at, best[at],
-                                    None if kept is None else kept[at], cap)
-        cells += gathered
+        # the rows the pre-sieve did not reach go first: they drop the most
+        at, best, cells = _sieve(g, np.roll(coords, -coarse_rows, axis=1), at,
+                                 None if kept is None else kept[at], cap)
         values = best / M
         if base is not None:
             np.maximum(values, base.view(np.ndarray)[at], out=values)
         table = np.full(g.order, np.inf)
         table[at] = values
     out = table.view(DistanceTable)
-    out.r_cap, out.cells, out.covers = float(r_cap), cells, covers
+    out.r_cap, out.covers = float(r_cap), covers
+    out.cells, out.coarse_cells = cells, coarse_rows * g.order
     return out
 
 
-def _sieve(g: FinAbGroup, coords: np.ndarray, at: np.ndarray, best: np.ndarray,
-           held: np.ndarray | None, cap: np.int32) -> tuple[np.ndarray, np.ndarray, int]:
-    """Fold the rows coords into the running numerators best of the elements
-    at, gathered in blocks of about BLOCK_CELLS cells; before each block and
-    after the last, drop every element past cap that held does not mark.
-    Returns the survivors, their numerators and the cells evaluated."""
+def _presieve(g: FinAbGroup, coords: np.ndarray, cap: np.int32, alive: np.ndarray) -> int:
+    """Clear in alive each element whose 16-bit phase on a row of coords lies
+    more than floor(cap * 2^16 / M) + 2 * rank units from 0 (a margin no
+    element within the cap passes; see the module docstring), until fewer
+    than STOP_SHARE of G is alive. Returns the number of rows run; blocks
+    start at one row and double."""
+    M = g.phase_denominator
+    slack = (int(cap) << 16) // M + 2 * g.rank
+    if 2 * slack >= 0xFFFF:  # every coarse distance passes
+        return 0
+    top = np.uint16(2 * slack)
+    start, size, rows = 0, 1, coords.shape[1]
+    while start < rows and np.count_nonzero(alive) >= STOP_SHARE * g.order:
+        block = coords[:, start:start + size]
+        alive &= _coarse_sums(g, block, slack).max(axis=0) <= top
+        start += block.shape[1]
+        size = min(2 * size, max(1, BLOCK_CELLS // g.order))
+    return start
+
+
+def _sieve(g: FinAbGroup, coords: np.ndarray, at: np.ndarray, held: np.ndarray | None,
+           cap: np.int32) -> tuple[np.ndarray, np.ndarray, int]:
+    """The numerators over the rows coords of the elements at, gathered in
+    blocks that start at one row and double up to about BLOCK_CELLS cells;
+    before each block and after the last, drop every element past cap that
+    held does not mark. Returns the survivors, their numerators and the
+    cells evaluated."""
     M = g.phase_denominator
     digits = _digits(g, at)
-    start, cells = 0, 0
+    best = np.zeros(at.size, dtype=np.int32)
+    start, size, cells = 0, 1, 0
     while True:
         alive = _within(best, cap, held)
         if not alive.all():
@@ -185,10 +230,11 @@ def _sieve(g: FinAbGroup, coords: np.ndarray, at: np.ndarray, best: np.ndarray,
             digits = [(a[alive], b[alive]) for a, b in digits]
         if start == coords.shape[1] or not at.size:
             return at, best, cells
-        block = coords[:, start:start + max(1, BLOCK_CELLS // at.size)]
-        _fold(best, _gathered_sums(g, block, digits), M, axis=1)
+        block = coords[:, start:start + size]
+        _fold(best, _gathered_sums(g, block, digits), M)
         cells += block.shape[1] * at.size
         start += block.shape[1]
+        size = min(2 * size, max(1, BLOCK_CELLS // at.size))
 
 
 def _cap_numerator(r_cap: float, M: int) -> np.int32 | None:
@@ -213,8 +259,8 @@ def _within(best: np.ndarray, cap: np.int32, kept: np.ndarray | None) -> np.ndar
     return alive
 
 
-def _fold(best: np.ndarray, u: np.ndarray, M: int, axis: int) -> None:
-    """best = max(best, the circle-norm numerators of u over its row axis).
+def _fold(best: np.ndarray, u: np.ndarray, M: int) -> None:
+    """best = max(best, the circle-norm numerators of u over its rows, axis 0).
 
     An entry s of u in [0, 2M) stands for r = s mod M. w = |s - M| is r or
     M - r, so the numerator d = min(r, M - r) = min(w, M - w) satisfies
@@ -227,7 +273,7 @@ def _fold(best: np.ndarray, u: np.ndarray, M: int, axis: int) -> None:
     u <<= 1
     u -= top
     np.abs(u, out=u)
-    d = u.min(axis=axis)
+    d = u.min(axis=0)
     np.subtract(top, d, out=d)
     d >>= 1
     np.maximum(best, d, out=best)
@@ -279,15 +325,34 @@ def _digits(g: FinAbGroup, at: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]
 
 
 def _gathered_sums(g: FinAbGroup, mc: np.ndarray, digits) -> np.ndarray:
-    """_phase_sums at the elements whose digits are given, element-major: a
-    (len, k) array, gathered from the digit tables one k-long row at a time."""
+    """_phase_sums at the elements whose digits are given: a (k, len) array,
+    gathered from the digit tables one row at a time."""
     M = g.phase_denominator
     total = None
     for m, n, (a, b) in zip(mc, g.invariants, digits):
         hi, lo = _digit_tables(m, n, M)
-        row = np.take(np.ascontiguousarray(hi.T), a, axis=0)
-        row += np.take(np.ascontiguousarray(lo.T), b, axis=0)
+        row = np.take(hi, a, axis=1)
+        row += np.take(lo, b, axis=1)
         total = row if total is None else _mod(row, M) + _mod(total, M)
+    return total
+
+
+def _coarse_sums(g: FinAbGroup, mc: np.ndarray, shift: int) -> np.ndarray:
+    """_phase_sums in 2^16 units, plus shift: a (k, order) uint16 array.
+
+    Each digit v becomes floor(v * 2^16 / M), and shift joins the first
+    cycle's low digits. Every operand is uint16, so the outer sums wrap
+    mod 2^16 with no reduction step.
+    """
+    M = g.phase_denominator
+    total = None
+    for m, n in zip(mc, g.invariants):
+        hi, lo = _digit_tables(m, n, M)
+        hi = ((hi.astype(np.int64) << 16) // M).astype(np.uint16)
+        lo = (((lo.astype(np.int64) << 16) // M + shift) & 0xFFFF).astype(np.uint16)
+        shift = 0  # the first cycle's low digits carried it
+        row = _outer_sum(hi, lo)[:, :n]
+        total = row if total is None else _outer_sum(row, total)
     return total
 
 
@@ -376,41 +441,48 @@ class DimensionEstimate:
         }
 
 
-def dimension_estimate(family: Callable[[float], GroupSet],
+def dimension_estimate(measure: Callable[[float], int],
                        grid: Sequence[float]) -> DimensionEstimate:
     """Empirical ball dimension of a monotone radius family on a grid.
 
-    Zero-measure grid points are excluded and flagged; a measure decreasing
-    in the radius violates the monotonicity precondition and raises.
+    measure maps a radius to the measure of its ball: DistanceTable.measure,
+    or lambda r: family(r).measure for a family of sets. Each grid point
+    reads it at delta and at 2 delta, so on a dyadic grid most radii are
+    read twice here and once more by dyadic_dimension_grid; a cached measure
+    (functools.cache) counts each radius once. Zero-measure grid points are
+    excluded and flagged; a measure decreasing in the radius violates the
+    monotonicity precondition and raises.
     """
     used, measures, excluded = [], [], []
     for delta in grid:
-        b1 = family(delta)
-        if b1.measure == 0:
+        m1 = measure(delta)
+        if m1 == 0:
             excluded.append(float(delta))
             continue
-        b2 = family(2 * delta)
-        if b2.measure < b1.measure:
+        m2 = measure(2 * delta)
+        if m2 < m1:
             raise ValueError(f"family is not monotone at radius {delta}")
         used.append(float(delta))
-        measures.append((float(delta), b1.measure, b2.measure))
+        measures.append((float(delta), m1, m2))
     if not measures:
         raise ValueError("no grid point had positive measure")
     dim = max(math.log2(m2 / m1) for _, m1, m2 in measures)
     return DimensionEstimate(tuple(used), tuple(measures), dim, tuple(excluded))
 
 
-def dyadic_dimension_grid(family: Callable[[float], GroupSet], delta: float,
+def dyadic_dimension_grid(measure: Callable[[float], int], delta: float,
                           cap: int = DIM_GRID_CAP) -> list[float]:
     """Default grid delta * 2^{-j}: descend while mu > 1, stop at the cap.
 
-    The first level whose ball shrinks to a single element (or empties) is
-    excluded; at desk scale those bottom ratios only measure discreteness.
+    measure maps a radius to the measure of its ball, as in
+    dimension_estimate, and is read once per level. The first level whose
+    ball shrinks to a single element (or empties) is excluded; at desk
+    scale those bottom ratios only measure discreteness.
     """
     grid = []
     d = float(delta)
     for _ in range(cap + 1):
-        if family(d).measure <= 1:
+        if measure(d) <= 1:
             break
         grid.append(d)
         d /= 2.0

@@ -44,14 +44,15 @@ def _check_number(value, caller: str, name: str, low, *, strict: bool = False,
                   high=None, integral: bool = False) -> None:
     """Reject a number arriving from outside that is not usable as name.
 
-    value must be an integer when integral, else a finite real; a bool or a
-    string is neither. It must lie at or above low (above it when strict)
-    and, when high is given, at or below high. Otherwise ValueError names
-    caller and name, and states the rule.
+    value must be an integer when integral, else a finite real (an integer
+    too large for a float is not one); a bool or a string is neither. It must
+    lie at or above low (above it when strict) and, when high is given, at
+    or below high. Otherwise ValueError names caller and name, and states
+    the rule.
     """
     if (isinstance(value, bool)
             or not isinstance(value, numbers.Integral if integral else numbers.Real)
-            or not (isinstance(value, numbers.Integral) or math.isfinite(value))
+            or not (integral or _finite(value))
             or value < low or (strict and value == low)
             or (high is not None and value > high)):
         kind = "an integer" if integral else "a finite"
@@ -60,6 +61,14 @@ def _check_number(value, caller: str, name: str, low, *, strict: bool = False,
         else:
             rule = f"{kind} {name} and needs {low} {'<' if strict else '<='} {name} <= {high}"
         raise ValueError(f"{caller} needs {rule}, got {value!r}")
+
+
+def _finite(value: numbers.Real) -> bool:
+    """Whether value converts to a finite float."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
 
 
 class FinAbGroup:

@@ -27,6 +27,7 @@ the radius the spectral lower bound actually guarantees for A - A.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import asdict, dataclass, field
@@ -35,7 +36,7 @@ import numpy as np
 
 from . import bohr
 from .bohr import (DIM_GRID_CAP, INCLUSION_SLACK, BohrSet, DistanceTable,
-                   dimension_estimate, dyadic_dimension_grid, table_family,
+                   dimension_estimate, dyadic_dimension_grid,
                    DimensionEstimate)
 from .covering import CoverCertificate, chang_cover
 from .fourier import transform
@@ -498,9 +499,11 @@ def run_freiman(A: GroupSet, config: FreimanConfig) -> FreimanReport:
     Lambda = spectrum.members
     if cover.X_set is not None:
         Lambda = Lambda | cover.X_set
-    fam = table_family(A.group, run.bohr_table(Lambda))
-    ball = BohrSet(Lambda, float(radius), fam(radius))
-    grid = dyadic_dimension_grid(fam, radius, cap=config.dim_grid_cap)
+    table = run.bohr_table(Lambda)
+    ball = BohrSet(Lambda, float(radius), GroupSet(A.group, table.ball(radius)))
+    # the grid and the estimate read most radii more than once: count each once
+    measure = functools.cache(table.measure)
+    grid = dyadic_dimension_grid(measure, radius, cap=config.dim_grid_cap)
 
     return FreimanReport(
         config=config,
@@ -526,6 +529,6 @@ def run_freiman(A: GroupSet, config: FreimanConfig) -> FreimanReport:
         containment=run.difference().is_subset_of(ball.members),
         chain=_chain(run, l, eps_used, K_l, ball),
         lowerbound=audit,
-        dimension=dimension_estimate(fam, grid),
+        dimension=dimension_estimate(measure, grid),
         measure_ratio=ball.measure / A.measure,
     )

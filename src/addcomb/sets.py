@@ -129,17 +129,12 @@ class GroupSet:
 
     @classmethod
     def from_elements(cls, group: FinAbGroup, elems: Iterable[GroupElement]) -> "GroupSet":
-        idx = []
-        for e in elems:
-            if e.group != group:
-                raise GroupMismatchError(f"element of {e.group!r} in set over {group!r}")
-            idx.append(e.index)
-        return cls.from_indices(group, idx)
+        return cls.from_indices(group, [_index_in(group, e, "GroupSet.from_elements")
+                                        for e in elems])
 
     @classmethod
     def singleton(cls, group: FinAbGroup, element: GroupElement | int) -> "GroupSet":
-        idx = element.index if isinstance(element, GroupElement) else int(element)
-        return cls.from_indices(group, [idx])
+        return cls.from_indices(group, [_index_in(group, element, "GroupSet.singleton")])
 
     @classmethod
     def linf_ball(cls, group: FinAbGroup, r: int) -> "GroupSet":
@@ -194,12 +189,7 @@ class GroupSet:
     def __contains__(self, x: GroupElement | Character | int) -> bool:
         """Membership of an element or character of this set's group (the
         indexing is self-dual), or of an index 0..|G| - 1."""
-        if isinstance(x, (GroupElement, Character)):
-            _require_same_group(self, x)
-            return bool(self.mask[x.index])
-        _check_number(x, "GroupSet membership", "index", 0, high=self.group.order - 1,
-                      integral=True)
-        return bool(self.mask[x])
+        return bool(self.mask[_index_in(self.group, x, "GroupSet membership")])
 
     def __len__(self) -> int:
         return self._card
@@ -223,12 +213,24 @@ class GroupSet:
 
     def translate(self, a: GroupElement | int) -> "GroupSet":
         """The translate a + A (exact index permutation via axis rolls)."""
-        idx = a.index if isinstance(a, GroupElement) else int(a)
+        idx = _index_in(self.group, a, "GroupSet.translate")
         g = self.group
         shape = g.invariants
         arr = self.mask.reshape(shape, order="F")
         arr = np.roll(arr, g.decode(idx), axis=tuple(range(g.rank)))
         return GroupSet(g, arr.ravel(order="F"))
+
+
+def _index_in(group: FinAbGroup, x: GroupElement | Character | int, caller: str) -> int:
+    """The index of x in group: x is an element or a character of group (the
+    indexing is self-dual), or an index 0..|G| - 1. A member of another group
+    raises GroupMismatchError, any other value ValueError."""
+    if isinstance(x, (GroupElement, Character)):
+        if x.group != group:
+            raise GroupMismatchError(f"{caller}: {x!r} is not a member of {group!r}")
+        return x.index
+    _check_number(x, caller, "index", 0, high=group.order - 1, integral=True)
+    return int(x)
 
 
 # -- Minkowski arithmetic ----------------------------------------------------------

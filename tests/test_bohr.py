@@ -137,14 +137,15 @@ def frequency_sets(draw):
 
 
 @contextlib.contextmanager
-def kernel_constants(share, block_cells):
-    """Run the table kernel with another gather share and block size."""
-    saved = bohr.GATHER_SHARE, bohr.BLOCK_CELLS
-    bohr.GATHER_SHARE, bohr.BLOCK_CELLS = share, block_cells
+def kernel_constants(share, stop, block_cells):
+    """Run the table kernel with another gather share, pre-sieve stop share
+    and block size."""
+    saved = bohr.GATHER_SHARE, bohr.STOP_SHARE, bohr.BLOCK_CELLS
+    bohr.GATHER_SHARE, bohr.STOP_SHARE, bohr.BLOCK_CELLS = share, stop, block_cells
     try:
         yield
     finally:
-        bohr.GATHER_SHARE, bohr.BLOCK_CELLS = saved
+        bohr.GATHER_SHARE, bohr.STOP_SHARE, bohr.BLOCK_CELLS = saved
 
 
 @st.composite
@@ -152,8 +153,11 @@ def sieve_cases(draw):
     """A frequency set with its oracle numerators, a radius cap at an edge of
     the distance values (0, exactly at a value, 1/M either side of it, 1/2 or
     above), a kept set, a split of the frequencies into base + rest, and the
-    kernel's gather share and block size (1.0 gathers as soon as anything is
-    sieved; 64 cells compact the survivors after nearly every row)."""
+    kernel's gather share, stop share and block size. A gather share of 1.0
+    gathers as soon as anything is sieved, and 0.0 runs every exact row over
+    all of G. A stop share of 0.0 runs every 16-bit row, and 1.0 stops the
+    pre-sieve at its first drop. 64 cells compact the survivors after nearly
+    every row."""
     freqs = draw(frequency_sets())
     g = freqs.group
     M = g.phase_denominator
@@ -166,19 +170,20 @@ def sieve_cases(draw):
     keep = GroupSet(g, rng.random(g.order) < draw(st.sampled_from([0.0, 0.02, 0.3])))
     split = rng.random(g.order) < 0.5
     share = draw(st.sampled_from([0.0, bohr.GATHER_SHARE, 1.0]))
+    stop = draw(st.sampled_from([0.0, bohr.STOP_SHARE, 1.0]))
     block = draw(st.sampled_from([bohr.BLOCK_CELLS, 64]))
-    return freqs, nums, r_cap, keep, split, share, block
+    return freqs, nums, r_cap, keep, split, share, stop, block
 
 
 class TestSievedTable:
     @settings(max_examples=150, deadline=None)
     @given(sieve_cases())
     def test_matches_oracle_within_the_cap_and_on_kept(self, case):
-        freqs, nums, r_cap, keep, split, share, block = case
+        freqs, nums, r_cap, keep, split, share, stop, block = case
         g = freqs.group
         M = g.phase_denominator
         exact = (nums / M <= r_cap + INCLUSION_SLACK) | keep.mask
-        with kernel_constants(share, block):
+        with kernel_constants(share, stop, block):
             whole = bohr_distance_table(freqs, r_cap, keep)
             base = bohr_distance_table(GroupSet(g, freqs.mask & split), r_cap, keep)
             nested = bohr_distance_table(GroupSet(g, freqs.mask & ~split), r_cap, keep,
@@ -219,9 +224,48 @@ class TestSievedTable:
         freqs = GroupSet.from_indices(g, range(1, 40))
         dense = bohr_distance_table(freqs)
         sieved = bohr_distance_table(freqs, 0.05)
-        assert dense.cells == 39 * g.order
+        assert dense.cells == 39 * g.order and dense.coarse_cells == 0
+        # the 16-bit pre-sieve ran some rows over all of G, and is counted apart
+        assert sieved.coarse_cells > 0 and sieved.coarse_cells % g.order == 0
         assert sieved.cells < dense.cells / 4
         assert np.array_equal(sieved.ball(0.05), dense.ball(0.05))
+
+    @pytest.mark.parametrize("branch", ["gather", "dense fallback", "dense", "base gather"])
+    def test_each_branch_matches_the_oracle(self, branch):
+        # in Z_3 x Z_9 (M = 9, so the cap 0.4 sieves at 3/9) the characters of
+        # order 3 keep every distance at 1/3 or below, and the cap drops nothing;
+        # the interval's frequencies in Z_4096 drop most elements at 0.05
+        small, large = FinAbGroup([3, 9]), FinAbGroup([4096])
+        order_three = GroupSet.from_coords(small, [(a, b) for a in range(3) for b in (0, 3, 6)])
+        freqs, r_cap, share, stop = {
+            "gather": (GroupSet.from_indices(large, range(1, 40)), 0.05, 0.25, 0.1),
+            "dense fallback": (order_three, 0.4, 1.0, 0.0),
+            "dense": (GroupSet.from_indices(large, range(1, 40)), 0.05, 0.0, 0.1),
+            "base gather": (GroupSet.from_indices(large, range(1, 40)), 0.05, 0.25, 0.1),
+        }[branch]
+        g = freqs.group
+        keep = GroupSet.from_indices(g, [0, 7, g.order - 1])
+        base = None
+        if branch == "base gather":
+            # the base leaves fewer than the stop share, so no 16-bit row runs
+            base = bohr_distance_table(freq_set(g, 40), r_cap, keep)
+            assert np.isfinite(base).mean() < stop
+        with kernel_constants(share, stop, bohr.BLOCK_CELLS):
+            table = bohr_distance_table(freqs, r_cap, keep, base=base)
+        nums = oracle_numerators(freqs if base is None else freqs | freq_set(g, 40))
+        M = g.phase_denominator
+        exact = (nums / M <= r_cap + INCLUSION_SLACK) | keep.mask
+        assert np.array_equal(np.isfinite(table), exact)
+        assert np.array_equal(table[exact], nums[exact] / M)
+        if branch == "dense fallback":
+            # the pre-sieve ran every row and kept all of G, so the exact rows ran densely
+            assert table.coarse_cells == table.cells == 4 * g.order  # 8 = 4 pairs +-gamma
+        elif branch == "dense":
+            assert table.coarse_cells == 0 and table.cells == 39 * g.order
+        elif branch == "gather":
+            assert 0 < table.coarse_cells < 39 * g.order and table.cells < 39 * g.order
+        else:
+            assert table.coarse_cells == 0 and 0 < table.cells < 39 * g.order / 10
 
     def test_a_base_that_covers_every_row_is_the_table(self):
         # the new frequencies are the trivial character and negatives of the
@@ -247,6 +291,52 @@ class TestSievedTable:
             bohr_distance_table(freq_set(g, 3), -0.1)
         with pytest.raises(ValueError, match="r_cap"):
             bohr_distance_table(freq_set(g, 3), math.nan)
+
+
+class TestPresieve:
+    """The 16-bit pass clears an element only when its exact distance passes the cap."""
+
+    @pytest.mark.parametrize("cycles", [[3, 5, 7], [35, 63], [2, 2, 2, 2, 2], [4, 6, 10],
+                                        [1000], [2 ** 12]], ids=str)
+    def test_coarse_distances_lose_at_most_two_units_per_cycle(self, cycles):
+        # every character at every element: floored to 2^16 units, the coarse
+        # circle distance never passes floor(num * 2^16 / M) + 2 * rank
+        g = FinAbGroup(cycles)
+        M = g.phase_denominator
+        for start in range(0, g.order, 64):
+            block = list(range(start, min(start + 64, g.order)))
+            u = bohr._coarse_sums(g, g.decode_array(np.array(block)), 0).astype(np.int64)
+            coarse = np.minimum(u, (1 << 16) - u)
+            num = phase_numerator_rows(g, block)
+            bound = (np.minimum(num, M - num) << 16) // M + 2 * g.rank
+            assert (coarse <= bound).all()
+
+    @pytest.mark.parametrize("cycles", [[3, 5, 7], [35, 63], [6, 10, 14]], ids=str)
+    def test_no_element_within_the_cap_or_kept_is_dropped(self, cycles):
+        # caps exactly at each distance value of the table and 1/M either side
+        g = FinAbGroup(cycles)
+        M = g.phase_denominator
+        rng = np.random.default_rng(sum(cycles))
+        dropped = 0
+        for size in (1, 3, 12):
+            freqs = GroupSet.from_indices(g, rng.integers(1, g.order, size=size))
+            keep = GroupSet(g, rng.random(g.order) < 0.05)
+            nums = oracle_numerators(freqs)
+            coords = g.decode_array(freqs.indices())
+            for num in {v + e for v in np.unique(nums).tolist() for e in (-1, 0, 1)}:
+                cap = bohr._cap_numerator(num / M, M)
+                if num < 0 or cap is None:  # below 0, or every element passes
+                    continue
+                alive = np.ones(g.order, dtype=bool)
+                with kernel_constants(bohr.GATHER_SHARE, 0.0, bohr.BLOCK_CELLS):
+                    assert bohr._presieve(g, coords, cap, alive) == coords.shape[1]
+                    table = bohr_distance_table(freqs, num / M, keep)
+                assert alive[nums <= cap].all()
+                dropped += np.count_nonzero(~alive)
+                exact = (nums <= cap) | keep.mask
+                assert np.array_equal(np.isfinite(table), exact)
+                assert np.array_equal(table[exact], nums[exact] / M)
+        assert dropped > 0
 
 
 class TestBohrDistanceTable:
@@ -306,14 +396,14 @@ class TestDimensionEstimate:
     def test_constant_family_is_zero_dimensional(self):
         g = FinAbGroup([32])
         H = GroupSet.from_indices(g, range(0, 32, 4))
-        est = dimension_estimate(lambda r: H, [0.1, 0.2, 0.4])
+        est = dimension_estimate(lambda r: H.measure, [0.1, 0.2, 0.4])
         assert est.empirical_dim == 0.0
 
     def test_word_balls_in_z17_squared(self):
         # closed-form counts (2r+1)^2: ratios below 4, above 2.46
         g = FinAbGroup([17, 17])
-        family = lambda r: GroupSet.linf_ball(g, int(round(r)))
-        est = dimension_estimate(family, [1, 2, 3])
+        measure = lambda r: GroupSet.linf_ball(g, int(round(r))).measure
+        est = dimension_estimate(measure, [1, 2, 3])
         assert [m for _, m, _ in est.measures] == [9, 25, 49]
         assert [m2 for _, _, m2 in est.measures] == [25, 81, 169]
         assert est.empirical_dim == pytest.approx(math.log2(169 / 49))
@@ -322,9 +412,9 @@ class TestDimensionEstimate:
     def test_bohr_interval_family_near_one_dimensional(self):
         # oracle: mu(Bohr({1}, d)) = 2*floor(64 d) + 1 on Z_64
         g = FinAbGroup([64])
-        fam = bohr_family(freq_set(g, 1))
-        grid = dyadic_dimension_grid(fam, 0.25)
-        est = dimension_estimate(fam, grid)
+        table = bohr_distance_table(freq_set(g, 1))
+        grid = dyadic_dimension_grid(table.measure, 0.25)
+        est = dimension_estimate(table.measure, grid)
         for delta, m1, _ in est.measures:
             assert m1 == min(64, 2 * math.floor(64 * delta) + 1)
         assert abs(est.empirical_dim - 1.0) <= 0.3
@@ -332,30 +422,28 @@ class TestDimensionEstimate:
     def test_grid_excludes_single_element_floor(self):
         g = FinAbGroup([64])
         fam = bohr_family(freq_set(g, 1))
-        grid = dyadic_dimension_grid(fam, 0.25)
+        grid = dyadic_dimension_grid(lambda r: fam(r).measure, 0.25)
         assert all(fam(d).measure > 1 for d in grid)
 
     def test_zero_measure_points_flagged(self):
         g = FinAbGroup([32])
         base = GroupSet.interval(g, 3)
 
-        def family(r):
-            if r < 0.1:
-                return GroupSet.empty(g)
-            return base
+        def measure(r):
+            return 0 if r < 0.1 else base.measure
 
-        est = dimension_estimate(family, [0.05, 0.2, 0.3])
+        est = dimension_estimate(measure, [0.05, 0.2, 0.3])
         assert est.excluded == (0.05,)
         assert est.empirical_dim == 0.0
 
     def test_non_monotone_family_raises(self):
         g = FinAbGroup([16])
 
-        def family(r):
-            return GroupSet.interval(g, 3 if r < 0.3 else 1)
+        def measure(r):
+            return GroupSet.interval(g, 3 if r < 0.3 else 1).measure
 
         with pytest.raises(ValueError):
-            dimension_estimate(family, [0.2])
+            dimension_estimate(measure, [0.2])
 
 
 class TestRoundingCheck:

@@ -703,9 +703,9 @@ class TestMetricBallDimension:
         g = FinAbGroup([128])
         d = 2.0
         metric = birkhoff_metric(system_from_balls(interval_family(g, 32.0), d=d))
-        fam = metric.ball
-        grid = dyadic_dimension_grid(fam, 1.0)
-        est = dimension_estimate(fam, grid)
+        measure = lambda r: metric.ball(r).measure
+        grid = dyadic_dimension_grid(measure, 1.0)
+        est = dimension_estimate(measure, grid)
         assert est.empirical_dim <= 2 * d + 2
 
 

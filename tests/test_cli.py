@@ -183,7 +183,11 @@ _C64 = '{"cycles": [64]}'
     ('{"interval": {"group": %s, "scale": "16"}}' % _C64, "needs a finite scale >= 0"),
     ('{"levels": [{"radius": true, "set": {"group": %s, "interval": 4}}]}' % _C64,
      "system file level needs a finite radius >= 0"),
-], ids=["scale-inf", "scale-negative", "radius-nan", "d-true", "scale-string", "radius-true"])
+    # JSON reads 1 and 400 zeros as an int that no float holds
+    ('{"interval": {"group": %s, "scale": 1%s}}' % (_C64, "0" * 400),
+     "needs a finite scale >= 0"),
+], ids=["scale-inf", "scale-negative", "radius-nan", "d-true", "scale-string", "radius-true",
+        "scale-huge-int"])
 def test_birkhoff_bad_system_values_are_usage_errors(tmp_path, capsys, text, message):
     system = tmp_path / "system.json"
     system.write_text(text)

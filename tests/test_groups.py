@@ -196,3 +196,11 @@ def test_numbers_from_outside_are_checked(entry, value):
     call, field, _ = NUMBER_CHECKS[entry]
     with pytest.raises(ValueError, match=rf"needs .*\b{field}\b"):
         call(value)
+
+
+@pytest.mark.parametrize("entry", ["find_l", "growth_profile-d", "system_from_balls-d",
+                                   "interval_family", "bohr_set", "lspec"])
+def test_an_integer_no_float_holds_is_not_finite(entry):
+    call, field, _ = NUMBER_CHECKS[entry]
+    with pytest.raises(ValueError, match=rf"needs a finite {field}\b"):
+        call(10 ** 400)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import addcomb
-from addcomb.bohr import bohr_distance_table
+from addcomb.bohr import DistanceTable, bohr_distance_table
 from addcomb.groups import FinAbGroup
 from addcomb.pipeline import (FreimanConfig, FreimanRun, find_l, lowerbound_audit,
                               measured_growth_exponent, read_cap, run_freiman,
@@ -397,6 +397,27 @@ class TestRunReuse:
         # the first row runs over all of G, later ones only where the sieve
         # left an element within the cap; unsieved, every row costs |G|
         assert sum(t.cells for t in results) < len(rows) * 4096 / 2
+
+    @pytest.mark.parametrize("A,epsilon", [(interval(4096, 16), 0.05), (interval(256, 2), 0.5)])
+    def test_each_dimension_radius_is_counted_once(self, monkeypatch, A, epsilon):
+        counts, measure = [], DistanceTable.measure
+
+        def recording(table, radius):
+            out = measure(table, radius)
+            counts.append((radius, out, int(table.ball(radius).sum())))
+            return out
+
+        monkeypatch.setattr(DistanceTable, "measure", recording)
+        report = run_freiman(A, FreimanConfig(d=1.0, epsilon=epsilon))
+        radii = [r for r, _, _ in counts]
+        assert len(set(radii)) == len(radii), "a radius was counted twice"
+        assert all(m == b for _, m, b in counts)
+        # the grid, its doubles and the level below the grid that stopped it
+        grid = report.dimension.grid + report.dimension.excluded
+        assert len(radii) <= len(grid) + 2
+        read = {r: m for r, m, _ in counts}
+        for delta, m1, m2 in report.dimension.measures:
+            assert (read[delta], read[2 * delta]) == (m1, m2)
 
     def test_a_run_executes_the_public_stages(self, record_calls):
         stages = [(addcomb.pipeline, "find_l"), (addcomb.pipeline, "measured_growth_exponent"),

@@ -523,6 +523,33 @@ class TestMembership:
         assert g.element(61) in A and 3 in A and np.int64(63) in A
         assert g.element(4) not in A and 60 not in A
 
+    @pytest.mark.parametrize("read", ["singleton", "translate", "from_elements"])
+    def test_every_index_read_rejects_a_member_of_another_group(self, read):
+        # (3, 1) in Z_4^2 has index 7: read as an index, it would shift by 7
+        g = FinAbGroup([64])
+        A = GroupSet.interval(g, 3)
+        foreign = FinAbGroup([4, 4]).element((3, 1))
+        calls = {"singleton": lambda: GroupSet.singleton(g, foreign),
+                 "translate": lambda: A.translate(foreign),
+                 "from_elements": lambda: GroupSet.from_elements(g, [g.element(1), foreign])}
+        with pytest.raises(GroupMismatchError, match=read):
+            calls[read]()
+
+    @pytest.mark.parametrize("index", [-1, 64, True, 2.0])
+    def test_singleton_and_translate_reject_a_bad_index(self, index):
+        g = FinAbGroup([64])
+        with pytest.raises(ValueError, match="index"):
+            GroupSet.singleton(g, index)
+        with pytest.raises(ValueError, match="index"):
+            GroupSet.interval(g, 3).translate(index)
+
+    def test_singleton_and_translate_read_elements_and_indices_alike(self):
+        g = FinAbGroup([8, 6])
+        A = GroupSet.from_coords(g, [(0, 0), (7, 5)])
+        for t in (g.element((3, 2)), g.encode([3, 2]), np.int64(g.encode([3, 2]))):
+            assert GroupSet.singleton(g, t).coords_list() == [(3, 2)]
+            assert sorted(A.translate(t).coords_list()) == [(2, 1), (3, 2)]
+
 
 def pairs_multiple(n: int, A: GroupSet) -> GroupSet:
     """Oracle: nA as n - 1 all-pairs sums with A."""

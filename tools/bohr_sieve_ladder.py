@@ -5,12 +5,13 @@
 
 Runs run_freiman on the interval {-16..16} of Z_2^k (d = 1, epsilon = 0.05)
 for k = 16 .. --max-exp, once for each value of bohr.GATHER_SHARE in
---shares (a share of 0 never gathers: every row runs over all of G and the
-sieve only cuts the result). Prints, per run, the best wall seconds of
---repeats, the seconds inside bohr_distance_table, the phases the tables
-evaluated per element of G (cells / |G|), and mu(B). The table calls are
-counted through the module attribute bohr.bohr_distance_table, the one the
-pipeline calls.
+--shares (a share of 0 never gathers: every exact row runs over all of G
+and the sieve only cuts the result). Prints, per run, the best wall seconds
+of --repeats, the seconds inside bohr_distance_table, the phases the tables
+evaluated per element of G, split into the 16-bit pre-sieve's phases
+(coarse_cells / |G|) and the exact int32 ones (cells / |G|), and mu(B). The
+table calls are counted through the module attribute
+bohr.bohr_distance_table, the one the pipeline calls.
 """
 
 from __future__ import annotations
@@ -27,16 +28,17 @@ from addcomb.sets import GroupSet
 CONFIG = FreimanConfig(d=1.0, epsilon=0.05)
 
 
-def timed_run(A: GroupSet) -> tuple[float, float, int, int]:
-    """(wall s, table s, cells, mu(B)) of one run_freiman call."""
-    table_s, cells = 0.0, 0
+def timed_run(A: GroupSet) -> tuple[float, float, int, int, int]:
+    """(wall s, table s, 16-bit cells, exact cells, mu(B)) of one run_freiman call."""
+    table_s, coarse, cells = 0.0, 0, 0
     table = bohr.bohr_distance_table
 
     def counted(*args, **kwargs):
-        nonlocal table_s, cells
+        nonlocal table_s, coarse, cells
         t0 = time.perf_counter()
         out = table(*args, **kwargs)
         table_s += time.perf_counter() - t0
+        coarse += out.coarse_cells
         cells += out.cells
         return out
 
@@ -47,7 +49,7 @@ def timed_run(A: GroupSet) -> tuple[float, float, int, int]:
         wall = time.perf_counter() - t0
     finally:
         bohr.bohr_distance_table = table
-    return wall, table_s, cells, report.ball.measure
+    return wall, table_s, coarse, cells, report.ball.measure
 
 
 def main() -> None:
@@ -61,7 +63,8 @@ def main() -> None:
     if args.repeats < 1:
         ap.error("--repeats must be at least 1")
     default = bohr.GATHER_SHARE
-    print(f"{'group':>8} {'share':>6} {'wall s':>8} {'table s':>8} {'cells/|G|':>10} {'mu(B)':>7}")
+    print(f"{'group':>8} {'share':>6} {'wall s':>8} {'table s':>8} {'16-bit/|G|':>10} "
+          f"{'exact/|G|':>10} {'mu(B)':>7}")
     try:
         for k in range(16, args.max_exp + 1):
             A = GroupSet.interval(FinAbGroup([2 ** k]), 16)
@@ -70,9 +73,9 @@ def main() -> None:
                 best = (math.inf,)
                 for _ in range(args.repeats):
                     best = min(best, timed_run(A))
-                wall, table_s, cells, mu_B = best
+                wall, table_s, coarse, cells, mu_B = best
                 print(f"{'Z_2^' + str(k):>8} {share:>6.3g} {wall:>8.3f} {table_s:>8.3f} "
-                      f"{cells / 2 ** k:>10.2f} {mu_B:>7}", flush=True)
+                      f"{coarse / 2 ** k:>10.2f} {cells / 2 ** k:>10.2f} {mu_B:>7}", flush=True)
     finally:
         bohr.GATHER_SHARE = default
 
