@@ -8,19 +8,13 @@ the family is called with it and the levels are keyed by it, in grid order,
 while the audits run on the units, so the pair checks add, compare and
 bisect plain ints. The subadditivity audit checks S_r + S_r' inside S_t for
 every pair r <= r' with r + r' <= 2, where t is the least grid radius
->= r + r' (found by bisection). Each row r runs one of two ways, whichever
-is modelled cheaper:
-
-- the pair loop walks r' upward, stops at the first sum past 2, and sums
-  S_r + S_r' only when S_r' differs from the level before it, so a constant
-  run of levels costs one sumset per r. The levels are registered with an
-  OperandCache made for the audit and forgotten after the last row that sums
-  them, so each is transformed at most once per call.
-- one dilation serves the whole row when the family passes nesting. Then
-  L(x) = min{j : x in S_j} has {L <= j} = S_j, so D(x) = min over s in S_r
-  of L(x - s) has {D <= j} = S_r + S_j for every j at once, and each pair is
-  read off the least D outside its target. A family that fails nesting has
-  no such L, so all its rows keep the pair loop.
+>= r + r' (found by bisection). On a family that passes nesting,
+L(x) = min{j : x in S_j} has {L <= j} = S_j, so D(x) = min over s in S_r of
+L(x - s) has {D <= j} = S_r + S_j for every j at once: each row r is one
+dilation, each pair is read off the least D outside its target, and a row
+whose level equals the one below it reuses that row's. A family that fails
+nesting has no such L, so each row walks r' upward, stops at the first sum
+past 2, and sums S_r + S_r' only when S_r' differs from the level before it.
 
 The metric: rho*(x) = inf{2^-k : x in S_{3^-k}, k >= 0}, and rho is the
 chain infimum, the least total rho*(y) over chains of steps y from 0 to x.
@@ -51,24 +45,26 @@ c*S_0. The minimum over using each level or not is the least D whose closed
 form holds x, and every choice is a chain, so the result is rho. A level
 equal to the next deeper one is skipped, since that one reaches the same at
 half the weight; if S_0 is skipped so, the heaviest distinct level takes its
-repeats, for the same reason. Each dilation runs one of two exact ways,
-whichever is modelled cheaper:
+repeats, for the same reason.
 
-- translations: one np.minimum of dist with the translate of dist + w by
-  each nonzero s in S, a strided view of dist tiled twice along each axis,
-  so no translation allocates. They cost about |S| * |G| (TRANSLATE_COST),
-  so the light levels take them.
-- threshold sums: S is added to each level set {dist = v} by sets.sumset,
-  and dist is lowered to v + w on the sum. They cost about one sumset per
-  distinct distance, so the heavy levels, whose dilations see few
-  distances, take them. The levels are registered with an OperandCache made
-  for the call, so each is transformed at most once.
+Every dilation, of the metric and of the audit, is one window minimum
+(_window_min). S is cut into runs of consecutive columns along cycle 0, the
+grid's contiguous axis; a run through the last column n_0 - 1 goes on at
+column 0 of its row. The minimum over a run of L columns from column a is
+W_L(. - a), where W_L(y) = min over j < L of src(y - j) along cycle 0. So
+each distinct run length costs one window minimum, and each run one
+translation: a strided view of W_L tiled twice along the last two axes of
+the grid, rolled first along any earlier ones. The window
+minima come from W_1 = src by doubling, W_2k(y) = min(W_k(y), W_k(y - k)),
+and one last shifted minimum per length, so all the lengths of a call share
+about log2 of the longest in passes over the grid. Rows that S holds whole
+take the minimum of src over each row, one rank lower.
 
 The depth is at most MAX_DEPTH = 31, so |G| * 2^depth <= 2^53 under the
 group order cap, every distance fits int64, and rho is exact in float64.
 Once the heaviest level is done, every distance left to find lies below
 its last layer plus its weight w; when that plus w again is at most 2^30,
-the array narrows to int32, so each translation moves half the memory.
+the array narrows to int32, so each pass moves half the memory.
 """
 
 from __future__ import annotations
@@ -81,7 +77,7 @@ from typing import Callable
 import numpy as np
 
 from .groups import FinAbGroup, GroupElement, _check_number
-from .sets import GroupSet, OperandCache, _coords, sumset, sumset_seconds
+from .sets import GroupSet, sumset
 
 #: default cap on the ternary grid depth.
 GRID_DEPTH_CAP = 20
@@ -104,18 +100,6 @@ UNREACHED = 1 << 62
 #: the same in int32, which the metric narrows to when every distance left
 #: to find, plus a step's weight, stays below it.
 NARROW_UNREACHED = 1 << 30
-
-#: Seconds-per-unit constants (c_call, c_byte, c_row) of one translation: the
-#: minimum of an array of |G| items of b bytes with a translate of another
-#: costs about c_call + |G| * (c_byte * b + c_row / n_1), where the first
-#: cycle n_1 is the grid's contiguous axis, so |G| / n_1 is its rows.
-TRANSLATE_COST = (1.2e-6, 4.2e-11, 3.0e-8)
-
-#: Seconds-per-unit constants (c_call, c_elem) of the O(|G|) passes around
-#: one threshold sum (the level set, the sum's mask, the masked minimum or
-#: the subset test), or around the translations of one audit row (the ranks
-#: and their least value per level): about c_call + c_elem * |G|.
-DENSE_COST = (2.0e-5, 1.2e-9)
 
 
 @dataclass(frozen=True)
@@ -214,30 +198,23 @@ def system_from_balls(family: Callable[[float], GroupSet], d: float,
 
     subadditive_ok = True
     two = 2 * scale
-    # same[j]: the level at units[j] equals the one below it, so its sums repeat
+    # same[j]: the level at units[j] equals the one below it, so its row's
+    # dilation, or its sums in a row, repeat the one before
     same = [False] + [hi == lo for lo, hi in zip(sets, sets[1:])]
-    # row i sums sets[i] with the levels above it, so the last row that
-    # holds a level is the last at which it appears; it is cached until then
-    cache = OperandCache(sets)
-    last_row = {id(S): i for i, S in enumerate(sets)}
-    ranks = None  # the _LevelRanks of the levels, once a row dilates
+    ranks = _LevelRanks(sets) if nesting_ok else None
     for i, u1 in enumerate(units):
         # the units are sorted, so the pairs of row i are j in [i, end)
         end = bisect.bisect_right(units, two - u1)
         targets = [bisect.bisect_left(units, u1 + units[j]) for j in range(i, end)]
-        summed = [j for j in range(i, end) if j == i or not same[j]]
-        if nesting_ok and (_translation_seconds(len(sets[i]), group, 1)
-                           + _dense_seconds(group)
-                           < sum(_sum_seconds(len(sets[i]), len(sets[j]), group)
-                                 for j in summed)):
-            ranks = ranks or _LevelRanks(sets)
-            reach = ranks.reach(sets[i])
+        if ranks is not None:
+            if not same[i]:
+                reach = ranks.reach(sets[i])
             fails = [reach[t + 1] <= j for j, t in zip(range(i, end), targets)]
         else:
             fails = []
             for j, t in zip(range(i, end), targets):
                 if j == i or not same[j]:
-                    total = sumset(sets[i], sets[j], cache=cache)
+                    total = sumset(sets[i], sets[j])
                 fails.append(not total.is_subset_of(sets[t]))
         for j, t, fail in zip(range(i, end), targets, fails):
             if fail:
@@ -245,8 +222,6 @@ def system_from_balls(family: Callable[[float], GroupSet], d: float,
                 violations.append(
                     f"subadditivity fails: S_{names[i]} + S_{names[j]} "
                     f"not in S_{names[t]}")
-        if last_row[id(sets[i])] == i:
-            cache.forget(sets[i])
 
     growth_ok = True
     bound = 2.0 ** d
@@ -294,7 +269,7 @@ class _LevelRanks:
         """reach[t] = the least j with (T + S_j) outside S_(t-1), for t in
         0..n + 1 (n when there is none): T + S_j <= S_t iff reach[t + 1] > j."""
         dilated = np.full(self.group.order, self.n, dtype=np.uint8)
-        _translate_min(dilated, self.level, _coords(T), self.group)
+        _window_min(dilated, self.level, T)
         lows = np.minimum.reduceat(np.take(dilated, self.order), self.starts)
         least = [self.n] * (self.n + 2)
         for level, low in zip(self.held.tolist(), lows.tolist()):
@@ -374,10 +349,9 @@ def birkhoff_metric(system: BourgainSystem) -> BirkhoffMetric:
     docstring): distances in units of 2^-depth start at 0 on the additive
     closure H of the core, the heaviest distinct level dilates them layer by
     layer until a layer is empty (a breadth-first search from H), and each
-    lighter distinct level dilates them once. _dilate runs each dilation by
-    translations or by threshold sums, whichever it models cheaper; both are
-    exact. A system has depth <= MAX_DEPTH, so every distance is an integer
-    below 2^53 and rho = distance * 2^-depth is exact in float64.
+    lighter distinct level dilates them once, each dilation one
+    _window_min. A system has depth <= MAX_DEPTH, so every distance is an
+    integer below 2^53 and rho = distance * 2^-depth is exact in float64.
     """
     if not system.audit.all_pass:
         raise ValueError(f"system failed its axiom audit: {system.audit.violations}")
@@ -399,7 +373,6 @@ def birkhoff_metric(system: BourgainSystem) -> BirkhoffMetric:
         if S != deeper:
             steps.insert(0, (S, 1 << (depth - k)))
         deeper = S
-    cache = OperandCache(S for S, _ in steps)
 
     # every level holds 0, so a one-element core is {0} and closes nothing
     closure = GroupSet.singleton(g, 0) if core is None else core
@@ -409,106 +382,136 @@ def birkhoff_metric(system: BourgainSystem) -> BirkhoffMetric:
     unreached = UNREACHED
     dist = np.full(g.order, unreached, dtype=np.int64)
     dist[closure.mask] = 0
-    values = [0]  # the distances dist may hold, ascending
     if steps:
         # the heaviest step, one layer of distance at a time, until a layer
-        # is empty or all of G is reached
+        # is empty or all of G is reached; last is the last layer's distance
         (S, w), lighter = steps[0], steps[1:]
         layer = reached = len(closure)
+        last = 0
         while layer and reached < g.order:
-            _dilate(dist, S, w, values[-1:], layer, cache)
-            layer = int(np.count_nonzero(dist == values[-1] + w))
+            _window_min(dist, dist + w, S)
+            layer = int(np.count_nonzero(dist == last + w))
             if layer:
-                values.append(values[-1] + w)
+                last += w
                 reached += layer
         # every level lies in the heaviest, so the lighter ones reach nothing
         # new, and their weights sum below w: every distance to come is below
-        # values[-1] + w, and int32 holds it when that plus w is at most
-        # NARROW_UNREACHED (the translations then move half the memory)
-        if lighter and values[-1] + 2 * w <= NARROW_UNREACHED:
+        # last + w, and int32 holds it when that plus w is at most
+        # NARROW_UNREACHED (each pass then moves half the memory)
+        if lighter and last + 2 * w <= NARROW_UNREACHED:
             dist = np.where(dist == unreached, NARROW_UNREACHED, dist).astype(np.int32)
             unreached = NARROW_UNREACHED
         for S, w in lighter:
-            values = _dilate(dist, S, w, values, reached, cache)
-            if len(values) > reached:  # more candidates than elements: read them off
-                values = np.unique(dist[dist < unreached]).tolist()
+            _window_min(dist, dist + w, S)
     rho = np.where(dist == unreached, np.inf, dist * 2.0 ** -depth)
     return BirkhoffMetric(system, rho_star, rho)
 
 
-def _dilate(dist: np.ndarray, S: GroupSet, w: int, values: list[int], size: int,
-            cache: OperandCache) -> list[int]:
-    """dist <- min(dist, w + min over s in S of dist(. - s)), in place, where
-    values (ascending) holds every finite value of dist that the dilation
-    must carry, on size elements in all; S is a level, so it holds 0, and it
-    is registered in cache.
+def _window_min(out: np.ndarray, src: np.ndarray, S: GroupSet) -> None:
+    """out <- min(out, min over s in S of src(. - s)), in place, for integer
+    arrays out and src over S's group (the module docstring's runs)."""
+    shape = S.group.invariants[::-1]  # C order: cycle 0 is the last axis
+    _grid_window_min(out.reshape(shape), src.reshape(shape), S.indices())
 
-    Translations take the minimum of dist with each nonzero translate of
-    dist + w. Threshold sums add S to each level set {dist = v}, from the
-    largest v down, and lower dist to v + w on the sum. The values are all
-    multiples of 2w, or one value, so a sum lowers only elements above
-    v + w, whose level sets are done: each level set is read unchanged.
-    The route of lower modelled cost runs: |S| - 1 translations against one
-    sum per value, on level sets of size / len(values) elements. Returns the
-    values dist may hold afterwards: those whose level set was nonempty,
-    with each plus w.
+
+def _grid_window_min(out: np.ndarray, src: np.ndarray, idx: np.ndarray) -> None:
+    """_window_min on grids whose last axis is cycle 0, for the set of
+    ascending flat indices idx.
+
+    Each run is one view of its window minimum tiled twice along the last
+    two axes, the translate by (row, column) on them being the block of the
+    tiles from corner shape - (row, column); so the tiles hold at most
+    4 |G| items, as the window buffers do, whatever the rank. Along the
+    axes before those, the window minimum is first rolled by the run's
+    offset, once per distinct offset.
     """
-    g = S.group
-    if (_translation_seconds(len(S) - 1, g, dist.itemsize)
-            <= len(values) * _sum_seconds(size // len(values), len(S), g)):
-        _translate_min(dist, dist + w, _coords(S)[:, 1:], g)  # S's first index is 0
-        kept = values
-    else:
-        kept = []
-        for v in reversed(values):
-            level = GroupSet(g, dist == v)
-            if level:
-                kept.append(v)
-                np.minimum(dist, v + w, out=dist,
-                           where=sumset(level, S, cache=cache).mask)
-    return sorted(kept + [v + w for v in kept])
+    if not idx.size:
+        return
+    shape, n = out.shape, out.shape[-1]
+    rolled = max(len(shape) - 2, 0)
+    whole, corners = _runs(idx, shape, rolled)
+    if whole.size and len(shape) == 1:  # S is all of G
+        np.minimum(out, src.min(), out=out)
+    elif whole.size:
+        low = np.full(shape[:-1], np.iinfo(out.dtype).max, dtype=out.dtype)
+        _grid_window_min(low, src.min(axis=-1), whole)
+        np.minimum(out, low[..., None], out=out)
+    if not corners:
+        return
+    tiles = np.empty(shape[:rolled] + tuple(2 * m for m in shape[rolled:]), dtype=out.dtype)
+    block = tiles[(slice(None),) * rolled + tuple(slice(m) for m in shape[rolled:])]
+    windows = np.ndarray(tuple(m + 1 for m in shape[rolled:]) + shape, tiles.dtype, tiles,
+                         strides=tiles.strides[rolled:] + tiles.strides)
+    win = np.empty(shape, dtype=out.dtype) if rolled else block
+    # ext is src led by its last pad columns, ext[..., pad + y] = src(y) for
+    # y >= -pad, so each doubling is one shifted minimum; after it,
+    # ext[..., pad + y] = W_width(y) for y >= width - 1 - pad, and every read
+    # below stays there, since L - 1 <= pad
+    pad = max(corners) - 1
+    ext = np.empty(shape[:-1] + (n + pad,), dtype=out.dtype)
+    ext[..., :pad] = src[..., n - pad:]
+    ext[..., pad:] = src
+    spare = np.empty_like(ext)
+    width = 1
+    for L in sorted(corners):
+        while 2 * width <= L:
+            np.minimum(ext[..., width:], ext[..., :-width], out=spare[..., width:])
+            ext, spare = spare, ext
+            width *= 2
+        # W_L(y) = min(W_width(y), W_width(y - (L - width)))
+        back = pad - (L - width)
+        np.minimum(ext[..., pad:], ext[..., back:back + n], out=win)
+        for offset, group in corners[L].items():
+            if rolled:
+                shifted = win
+                for axis, c in enumerate(offset):
+                    if c:
+                        shifted = np.roll(shifted, c, axis)
+                block[...] = shifted
+            # copy the block to the other tiles, one tiled axis at a time
+            for axis in range(rolled, len(shape)):
+                done = (slice(None),) * axis
+                rest = tuple(slice(k) for k in shape[axis + 1:])
+                m = shape[axis]
+                tiles[done + (slice(m, None),) + rest] = tiles[done + (slice(m),) + rest]
+            for corner in group:
+                np.minimum(out, windows[corner], out=out)
 
 
-def _translate_min(out: np.ndarray, src: np.ndarray, offsets: np.ndarray,
-                   g: FinAbGroup) -> None:
-    """out <- min(out, src(. - s)) for each column s of offsets, in place.
-
-    src is tiled twice along each axis of G's grid, so that on a cycle of
-    length n, src(x - s) is tile entry n - s + x: each translate is one
-    strided view of the tiles, and a translation allocates nothing.
-    """
-    shape = g.invariants[::-1]  # C order: cycle j is axis rank - 1 - j
-    grid = out.reshape(shape)
-    tiles = src.reshape(shape)
-    for axis in range(g.rank):
-        tiles = np.concatenate((tiles, tiles), axis=axis)
-    # windows[a] is the block of tiles from corner a, the translate by n - a
-    windows = np.ndarray(tuple(n + 1 for n in shape) + shape, tiles.dtype, tiles,
-                         strides=tiles.strides * 2)
-    starts = np.array(shape)[:, None] - offsets[::-1]
-    for start in starts.T.tolist():
-        np.minimum(grid, windows[tuple(start)], out=grid)
-
-
-def _translation_seconds(count: int, g: FinAbGroup, itemsize: int) -> float:
-    """Modelled seconds of count translations of an array of itemsize-byte
-    items over G, with the tiling (TRANSLATE_COST)."""
-    c_call, c_byte, c_row = TRANSLATE_COST
-    each = c_call + g.order * (c_byte * itemsize + c_row / g.invariants[0])
-    return (count + 2 ** g.rank) * each
-
-
-def _sum_seconds(a: int, b: int, g: FinAbGroup) -> float:
-    """Modelled seconds of one threshold sum of sets of a and b elements: the
-    sumset's route (sets.sumset_seconds) and the dense passes around it."""
-    return _dense_seconds(g) + sumset_seconds(min(a, b), max(a, b), g)
-
-
-def _dense_seconds(g: FinAbGroup) -> float:
-    """Modelled seconds of the O(|G|) passes around one threshold sum, or
-    around the translations of one audit row (DENSE_COST)."""
-    c_call, c_elem = DENSE_COST
-    return c_call + c_elem * g.order
+def _runs(idx: np.ndarray, shape: tuple[int, ...], rolled: int
+          ) -> tuple[np.ndarray, dict[int, dict[tuple, list[tuple]]]]:
+    """The runs along the last axis of the set of ascending flat indices idx
+    on a grid of this shape: (the rows it holds whole, and for each other
+    run length, by the run's offset along the first rolled axes, the tile
+    corners of its runs). A run ending at the last column goes on at
+    column 0 of its row."""
+    n = shape[-1]
+    # a run starts where an index does not follow the one before it, or at
+    # column 0
+    cut = np.ones(idx.size + 1, dtype=bool)
+    cut[1:-1] = (idx[1:] - idx[:-1] != 1) | (idx[1:] % n == 0)
+    bounds = np.flatnonzero(cut)
+    rows: dict[int, list[list[int]]] = {}  # row -> its runs [column, length]
+    for start, length in zip(idx[bounds[:-1]].tolist(), np.diff(bounds).tolist()):
+        row, col = divmod(start, n)
+        rows.setdefault(row, []).append([col, length])
+    whole, corners = [], {}
+    for row, runs in rows.items():
+        if runs[0][1] == n:
+            whole.append(row)
+            continue
+        if len(runs) > 1 and runs[0][0] == 0 and sum(runs[-1]) == n:
+            col, length = runs.pop()
+            runs[0] = [col, length + runs[0][1]]
+        at = []  # the row's coordinates, outermost first
+        for m in shape[-2::-1]:
+            row, c = divmod(row, m)
+            at.insert(0, c)
+        offset = tuple(at[:rolled])
+        lead = tuple(m - c for m, c in zip(shape[rolled:-1], at[rolled:]))
+        for col, length in runs:
+            corners.setdefault(length, {}).setdefault(offset, []).append(lead + (n - col,))
+    return np.array(whole, dtype=np.int64), corners
 
 
 # -- the two-sided sandwich audit ----------------------------------------------------

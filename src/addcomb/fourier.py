@@ -25,7 +25,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .groups import FinAbGroup, GroupMismatchError
-from .sets import GroupSet, OperandCache
+from .sets import GroupSet
 
 #: |value - nearest integer| below this snaps indicator convolutions to ints.
 INT_SNAP_TOL = 1e-6
@@ -129,32 +129,26 @@ def _negation(n: int) -> np.ndarray:
 
 
 def convolve(f, g, group: FinAbGroup | None = None,
-             snap_integers: bool | None = None, *,
-             cache: OperandCache | None = None) -> np.ndarray:
+             snap_integers: bool | None = None) -> np.ndarray:
     """(f * g)(x) = sum_{x'} f(x') g(x - x'), exact circular convolution.
 
     Both inputs are real, so the product runs through the real FFT (half
-    the spectrum). An input passed as both f and g is transformed once, and
-    a set registered with cache (a sets.OperandCache) is transformed once
-    per cache. For indicator inputs (GroupSets) values are integers; they
-    are snapped back to exact integers unless snap_integers=False.
+    the spectrum), and an input passed as both f and g is transformed once.
+    For indicator inputs (GroupSets) values are integers; they are snapped
+    back to exact integers unless snap_integers=False.
 
     The spectral sumset calls this with the operands' cropped indicators as
     arrays over their bounding box, a group of 5-smooth cycles where the
-    convolution is linear, and wraps the result back to G itself; with a
-    registered operand, or with no cycle cropped, it passes the sets over G.
+    convolution is linear, and wraps the result back to G itself; with no
+    cycle cropped, it passes the sets over G.
     """
     both_sets = isinstance(f, GroupSet) and isinstance(g, GroupSet)
     grp = f.group if isinstance(f, GroupSet) else (
         group if group is not None else getattr(g, "group", None))
     if grp is None:
         raise ValueError("array input needs an explicit group")
-    fg = _spectrum(f, grp, cache)
-    gg = fg if g is f else _spectrum(g, grp, cache)
-    if cache is None:
-        fg *= gg  # fg is this call's own array
-    else:
-        fg = fg * gg  # either spectrum may be the cache's
+    fg = _spectrum(f, grp)
+    fg *= fg if g is f else _spectrum(g, grp)
     shape = _grid_shape(grp)
     out = np.fft.irfftn(fg, s=shape, axes=tuple(range(len(shape)))).ravel()
     if snap_integers or (snap_integers is None and both_sets):
@@ -176,14 +170,10 @@ def _half_spectrum(values: np.ndarray, group: FinAbGroup) -> np.ndarray:
     return np.fft.rfftn(values.reshape(_grid_shape(group)))
 
 
-def _spectrum(f, group: FinAbGroup, cache: OperandCache | None) -> np.ndarray:
-    """f's half spectrum over group; a set is looked up in cache when one is given."""
-    if isinstance(f, GroupSet):
-        if f.group != group:
-            raise GroupMismatchError("convolve needs functions over one group")
-        if cache is not None:
-            return cache.get(f, "half_spectrum",
-                             lambda S: _half_spectrum(S.mask.astype(np.float64), S.group))
+def _spectrum(f, group: FinAbGroup) -> np.ndarray:
+    """f's half spectrum over group."""
+    if isinstance(f, GroupSet) and f.group != group:
+        raise GroupMismatchError("convolve needs functions over one group")
     return _half_spectrum(_as_values(f, group)[1], group)
 
 

@@ -40,7 +40,7 @@ from .bohr import (DIM_GRID_CAP, INCLUSION_SLACK, BohrSet, DistanceTable,
                    DimensionEstimate)
 from .covering import CoverCertificate, chang_cover
 from .fourier import transform
-from .groups import GroupElement, _check_number
+from .groups import GroupElement, _check_number, _finite
 from .sets import (GroupSet, Multiples, growth_profile, growth_window_end,
                    growth_window_start, negate, sumset, GrowthProfile)
 from .spectrum import Spectrum, cut_spectrum
@@ -86,7 +86,7 @@ class FreimanConfig:
             kind = "an integer" if integral else "a finite number"
             if (not isinstance(value, numbers.Integral if integral else numbers.Real)
                     or isinstance(value, bool)
-                    or not (isinstance(value, numbers.Integral) or math.isfinite(value))
+                    or not (integral or _finite(value))
                     or value < low or (strict and value == low)):
                 raise ValueError(f"{name} must be {kind} {'>' if strict else '>='} {low}, "
                                  f"got {value!r}")

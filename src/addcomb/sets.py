@@ -30,12 +30,6 @@ the box's points, and a spectral sum takes the planned box along. No rule
 on |A| * |B| alone can choose well: the direct cost grows with the smaller
 operand times the larger one, while the FFT cost depends on the grid only.
 
-A computation that sums the same sets again and again registers them with
-an OperandCache and passes it to sumset, so each one's coordinates and half
-spectrum are built once per call. A spectral sum with a registered operand
-runs on all of G, so that set keeps its one full-grid half spectrum, and
-its auto route is the full-grid model's pick, never probed for a box.
-
 Multiples is the one route to the n-fold sumsets nA: it keeps every
 multiple it has built, reuses known ones, and halves where none fits, so
 iterate(n, A) is Multiples(A)[n].
@@ -241,46 +235,32 @@ def negate(A: GroupSet) -> GroupSet:
     return GroupSet(A.group, A.mask[A.group.negation_permutation()])
 
 
-def _route_seconds(small: int, big: int, g: FinAbGroup,
-                   cost: tuple[float, float, float, float] = SUMSET_COST,
-                   points: int | None = None) -> tuple[float, float]:
-    """The modelled (direct, spectral) seconds (constants c0..c3) for sizes
-    small <= big, with the FFT on a grid of points (all of G by default)."""
-    c0, c1, c2, c3 = cost
-    points = g.order if points is None else points
-    return small * (c0 + c1 * big * g.rank), c2 * points * math.log2(points) + c3
-
-
 def _sumset_route(small: int, big: int, g: FinAbGroup,
                   cost: tuple[float, float, float, float] = SUMSET_COST,
                   points: int | None = None) -> str:
-    """The route of lower modelled cost, as priced by _route_seconds."""
-    direct, spectral = _route_seconds(small, big, g, cost, points)
-    return "spectral" if spectral < direct else "direct"
+    """The route of lower modelled cost (constants c0..c3) for sizes
+    small <= big, with the FFT on a grid of points (all of G by default)."""
+    c0, c1, c2, c3 = cost
+    points = g.order if points is None else points
+    direct = small * (c0 + c1 * big * g.rank)
+    return "spectral" if c2 * points * math.log2(points) + c3 < direct else "direct"
 
 
-def sumset_seconds(small: int, big: int, g: FinAbGroup) -> float:
-    """The modelled seconds of the cheaper full-grid route for sizes small <= big."""
-    return min(_route_seconds(small, big, g))
-
-
-def _auto_route(A: GroupSet, B: GroupSet, cache: "OperandCache | None",
+def _auto_route(A: GroupSet, B: GroupSet,
                 cost: tuple[float, float, float, float] = SUMSET_COST
                 ) -> tuple[str, list[tuple[int, int, int]] | None]:
     """(route, box) for sumset's auto method: the full-grid model's route,
     unless it picks direct for a sum whose FFT would run on a smaller box.
 
-    A sum with an operand registered in cache runs its FFT on all of G, so
-    it takes the full-grid model's route and is never probed for a box.
-    Otherwise the box is planned (an O(|G|) probe) only when the modelled
-    direct cost beats both c2 * |G| and the FFT on the least box the operand
-    sizes allow; then the FFT is priced on the box's points, and a spectral
-    pick returns the box so that it is not planned again.
+    The box is planned (an O(|G|) probe) only when the modelled direct cost
+    beats both c2 * |G| and the FFT on the least box the operand sizes
+    allow; then the FFT is priced on the box's points, and a spectral pick
+    returns the box so that it is not planned again.
     """
     g = A.group
     small, big = sorted((len(A), len(B)))
     route = _sumset_route(small, big, g, cost)
-    if route == "spectral" or _registered(A, B, cache):
+    if route == "spectral":
         return route, None
     c0, c1, c2, c3 = cost
     # an FFT on any box costs at least c3, so a direct cost below that needs
@@ -296,26 +276,17 @@ def _auto_route(A: GroupSet, B: GroupSet, cache: "OperandCache | None",
     return "direct", None
 
 
-def _registered(A: GroupSet, B: GroupSet, cache: "OperandCache | None") -> bool:
-    return cache is not None and (A in cache or B in cache)
-
-
-def sumset(A: GroupSet, B: GroupSet, method: str = "auto", *,
-           cache: "OperandCache | None" = None) -> GroupSet:
+def sumset(A: GroupSet, B: GroupSet, method: str = "auto") -> GroupSet:
     """{a + b : a in A, b in B}. Empty inputs give the empty set, and a {0}
     operand gives the other operand itself.
 
     method: "auto" picks the route of lower modelled cost (_auto_route),
     pricing the FFT on the box it would use where the full-grid model picks
-    direct and no operand is registered;
-    "direct" forces the blocked outer sum, "spectral" forces the FFT route,
-    and neither probes. Both routes are exact. The FFT route
+    direct; "direct" forces the blocked outer sum, "spectral" forces the FFT
+    route, and neither probes. Both routes are exact. The FFT route
     convolves on the operands' bounding box, each cycle cropped to the least
     5-smooth length that holds the sum of their arcs, and wraps the result
     back to G; it uses all of G when no cycle shrinks.
-    cache: an OperandCache whose registered operands reuse their stored
-    coordinates or half spectrum instead of building them again. A spectral
-    sum with a registered operand runs on all of G.
     """
     _require_same_group(A, B)
     if method not in ("auto", "direct", "spectral"):
@@ -330,13 +301,12 @@ def sumset(A: GroupSet, B: GroupSet, method: str = "auto", *,
         return A
     box = None
     if method == "auto":
-        method, box = _auto_route(A, B, cache)
+        method, box = _auto_route(A, B)
     if method == "spectral":
-        return _spectral_sumset(A, B, cache, box)
+        return _spectral_sumset(A, B, box)
     small, big = (A, B) if A.cardinality <= B.cardinality else (B, A)
     # direct: every pair at once, in blocks of rows of small against all of big
-    small_coords, big_coords = (_coords(S) if cache is None else cache.get(S, "coords", _coords)
-                                for S in (small, big))
+    small_coords, big_coords = _coords(small), _coords(big)
     cycles = np.array(g.invariants, dtype=np.uint32)[:, None, None]
     mask = np.zeros(g.order, dtype=bool)
     rows = max(1, SUMSET_BLOCK_CELLS // big.cardinality)
@@ -349,20 +319,20 @@ def sumset(A: GroupSet, B: GroupSet, method: str = "auto", *,
     return GroupSet(g, mask)
 
 
-def _spectral_sumset(A: GroupSet, B: GroupSet, cache: "OperandCache | None",
+def _spectral_sumset(A: GroupSet, B: GroupSet,
                      box: list[tuple[int, int, int]] | None = None) -> GroupSet:
     """The spectral route: the convolution of the indicators cut at 1/2, on
     the given box or else the box of _spectral_box when there is one, and on
-    all of G when there is none or an operand is registered with cache."""
+    all of G when there is none."""
     from . import fourier  # local import; fourier depends on this module
 
     # the exact counts are integers, so the unsnapped convolution cut at 1/2
     # is exact
     g = A.group
-    if box is None and not _registered(A, B, cache):
+    if box is None:
         box = _spectral_box(A, B)
     if box is None:
-        return GroupSet(g, fourier.convolve(A, B, snap_integers=False, cache=cache) >= 0.5)
+        return GroupSet(g, fourier.convolve(A, B, snap_integers=False) >= 0.5)
     crop_A = _crop(A, [(m, a) for m, a, _ in box])
     crop_B = crop_A if B is A else _crop(B, [(m, b) for m, _, b in box])
     counts = fourier.convolve(crop_A, crop_B, FinAbGroup([m for m, _, _ in box]),
@@ -442,48 +412,6 @@ def _crop(S: GroupSet, axes: list[tuple[int, int]]) -> np.ndarray:
 def _coords(S: GroupSet) -> np.ndarray:
     """The (rank, |S|) uint32 coordinates of the elements of S."""
     return S.group.coords_table()[:, S.indices()].astype(np.uint32, order="C")
-
-
-class OperandCache:
-    """Per-call store of what sumset builds from its operands, for sets that
-    one computation sums again and again.
-
-    A registered set keeps each derived array (its coordinate block, its
-    half spectrum) from the first time a sumset route needs it, until it is
-    forgotten; other operands pass through uncached. So a spectral sum
-    transforms a registered operand at most once per call. Sets are matched
-    by identity and held while registered. The caller makes one cache per
-    call and drops it on return, so nothing outlives the computation.
-    """
-
-    __slots__ = ("_entries",)
-
-    def __init__(self, sets: Iterable[GroupSet] = ()):
-        self._entries: dict[int, tuple[GroupSet, dict]] = {}
-        for S in sets:
-            self.register(S)
-
-    def register(self, S: GroupSet) -> GroupSet:
-        """Cache S's derived arrays from now on; returns S."""
-        self._entries.setdefault(id(S), (S, {}))
-        return S
-
-    def __contains__(self, S: GroupSet) -> bool:
-        return id(S) in self._entries
-
-    def forget(self, S: GroupSet) -> None:
-        """Drop S and its arrays."""
-        self._entries.pop(id(S), None)
-
-    def get(self, S: GroupSet, key: str, build):
-        """build(S), stored under key when S is registered."""
-        entry = self._entries.get(id(S))
-        if entry is None:
-            return build(S)
-        store = entry[1]
-        if key not in store:
-            store[key] = build(S)
-        return store[key]
 
 
 def difference(A: GroupSet, B: GroupSet) -> GroupSet:

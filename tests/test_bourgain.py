@@ -1,6 +1,7 @@
 import contextlib
 import dataclasses
 import math
+import tracemalloc
 from fractions import Fraction
 from unittest import mock
 
@@ -12,7 +13,7 @@ import addcomb.bourgain
 import addcomb.sets
 from addcomb import verify
 from addcomb.bohr import bohr_family, dimension_estimate, dyadic_dimension_grid
-from addcomb.bourgain import (MAX_DEPTH, BirkhoffMetric, BourgainSystem,
+from addcomb.bourgain import (MAX_DEPTH, BirkhoffMetric, BourgainSystem, _window_min,
                               birkhoff_metric, constant_family, interval_family,
                               sandwich_audit, subgroup_generated, system_from_balls)
 from addcomb.groups import FinAbGroup
@@ -55,12 +56,16 @@ ROUTES = ("translations", "sums")
 
 @contextlib.contextmanager
 def forced_route(route: str):
-    """Price translations at -inf or +inf, so that every dilation of the
-    metric and every audit row on a nested family translates ("translations"),
-    or none does ("sums": threshold sums and the pair loop)."""
-    price = {"translations": -math.inf, "sums": math.inf}[route]
-    with mock.patch.object(addcomb.bourgain, "_translation_seconds", lambda *args: price):
+    """The audit's route for every row: "translations" leaves it as it is, one
+    dilation (window minima and their translations) per row of a nested
+    family; "sums" withholds the level ranks, so every row runs the pair
+    loop of sumsets, as the rows of a family that fails nesting do. The
+    metric has one route and is not affected."""
+    if route == "translations":
         yield
+    else:
+        with mock.patch.object(addcomb.bourgain, "_LevelRanks", lambda sets: None):
+            yield
 
 
 def record_transforms(monkeypatch) -> list[bytes]:
@@ -342,19 +347,21 @@ class TestSystemFromBalls:
         monkeypatch.setattr(verify, "system_from_balls", counted)
         _birkhoff_systems()
         assert len(made) == 12
-        assert sum(made) <= 430  # 2894 when every pair is summed afresh
+        # every system is nested, so every row dilates and none sums
+        assert sum(made) == 0
 
-    def test_audit_transforms_each_level_once(self, monkeypatch):
+    def test_audit_transforms_each_level_once(self, monkeypatch, record_calls):
+        # at most once, and in fact never: every row of a nested family is one
+        # dilation, and a row whose level equals the one below it reuses that
         family = interval_family(FinAbGroup([4096]), 1024.0)
         seen = record_transforms(monkeypatch)
-        with forced_route("sums"):
-            system_from_balls(family, d=2.0)
-        # the pair loop sums nothing but levels
-        assert len(seen) >= 5 and len(set(seen)) == len(seen)
-        # and the rows that dilate leave fewer levels to transform
-        seen.clear()
-        system_from_balls(family, d=2.0)
-        assert 1 <= len(seen) < 5 and len(set(seen)) == len(seen)
+        dilations = record_calls(addcomb.bourgain, "_window_min")
+        system = system_from_balls(family, d=2.0)
+        assert seen == []
+        sets = list(system.levels.values())
+        distinct = 1 + sum(hi != lo for lo, hi in zip(sets, sets[1:]))
+        assert [S for _, _, S in dilations] == list(dict.fromkeys(sets))
+        assert len(dilations) == distinct < len(sets)
 
     @pytest.mark.parametrize("route", ROUTES)
     def test_audit_matches_all_pairs_oracle_by_route(self, route):
@@ -378,25 +385,28 @@ class TestSystemFromBalls:
     @pytest.mark.parametrize("name", sorted(AUDIT_FAMILIES))
     def test_audit_families_by_route(self, name, route, record_calls):
         family, kwargs, flags = AUDIT_FAMILIES[name]
-        translated = record_calls(addcomb.bourgain, "_translate_min")
+        dilated = record_calls(addcomb.bourgain, "_window_min")
+        summed = record_calls(addcomb.bourgain, "sumset")
         with forced_route(route):
             system = system_from_balls(family, **kwargs)
+        # a family that fails nesting never dilates, and one that dilates sums nothing
+        dilating = route == "translations" and system.audit.nesting_ok
+        assert bool(dilated) == dilating != bool(summed)
         audit = system.audit
         reference_flags, violations = reference_audit(system)
         assert (audit.symmetric_ok, audit.nesting_ok, audit.subadditive_ok,
                 audit.growth_ok) == reference_flags == flags
         assert list(audit.violations) == violations
-        # a family that fails nesting never dilates
-        assert bool(translated) == (route == "translations" and audit.nesting_ok)
 
-    def test_audit_transforms_a_constant_family_once(self, monkeypatch):
+    def test_audit_transforms_a_constant_family_once(self, monkeypatch, record_calls):
+        # at most once, and in fact never: the 42 rows share one dilation
         g = FinAbGroup([4096])
         H = GroupSet.from_indices(g, range(0, 4096, 4))
         seen = record_transforms(monkeypatch)
+        dilations = record_calls(addcomb.bourgain, "_window_min")
         system = system_from_balls(constant_family(H), d=0.0)
-        # every one of the 42 rows sums H + H on the spectral route
         assert system.audit.all_pass and len(system.levels) == 42
-        assert seen == [float_bytes(H)]
+        assert seen == [] and len(dilations) == 1
 
 
 class TestBirkhoffMetric:
@@ -435,13 +445,14 @@ class TestBirkhoffMetric:
 
     @pytest.mark.parametrize("route", ROUTES)
     def test_matches_dijkstra_oracle_by_route(self, route):
+        # the systems are drawn, and audited, on the forced route
         @settings(max_examples=60, deadline=None)
         @given(clean_systems())
         def check(system):
-            with forced_route(route):
-                assert_matches_dijkstra(system)
+            assert_matches_dijkstra(system)
 
-        check()
+        with forced_route(route):
+            check()
 
     @settings(max_examples=60, deadline=None)
     @given(clean_systems())
@@ -498,52 +509,66 @@ class TestBirkhoffMetric:
     @pytest.mark.parametrize("route", ROUTES)
     @pytest.mark.parametrize("kind", sorted(CORE_KINDS))
     def test_matches_dijkstra_by_core_and_route(self, kind, route, record_calls):
-        system = CORE_KINDS[kind]()
-        translated = record_calls(addcomb.bourgain, "_translate_min")
-        sums = record_calls(addcomb.bourgain, "sumset")
+        reference = CORE_KINDS[kind]().audit
+        dilated = record_calls(addcomb.bourgain, "_window_min")
         with forced_route(route):
-            assert_matches_dijkstra(system)
-        # when every dilation translates, only the closure of a subgroup core
-        # sums (once: it is closed already)
-        closure_sums = 1 if kind == "subgroup-core" else 0
-        assert bool(translated) == (route == "translations")
-        assert (len(sums) == closure_sums) == (route == "translations")
+            system = CORE_KINDS[kind]()
+        assert system.audit == reference
+        assert bool(dilated) == (route == "translations")
+        sums = record_calls(addcomb.bourgain, "sumset")
+        assert_matches_dijkstra(system)
+        # the metric sums only for the closure of a subgroup core (once: it
+        # is closed already)
+        assert len(sums) == (1 if kind == "subgroup-core" else 0)
 
-    def test_work_counts_on_z4096_interval_system(self, record_calls):
+    def test_work_counts_on_z4096_interval_system(self, record_calls, monkeypatch):
         # depth 7, top = 128, core {0}: S_0 = [-1024, 1024] reaches G in two
-        # layers by threshold sums (0 and 128); S_1 = [-341, 341] adds its
-        # sum to each of the 3 distances 0, 128, 256; the 5 lighter levels
-        # translate, by |S| - 1 = 226, 74, 24, 8 and 2
+        # layers, and the 6 lighter levels dilate once each. Every level is
+        # one run through column 0, so each dilation is one window minimum
+        # and one translation, and nothing is summed or transformed
         g = FinAbGroup([4096])
         system = system_from_balls(interval_family(g, 1024.0), d=2.0)
         assert system.core == GroupSet.singleton(g, 0)
         sums = record_calls(addcomb.bourgain, "sumset")
-        translated = record_calls(addcomb.bourgain, "_translate_min")
+        seen = record_transforms(monkeypatch)
+        translations = []
+        minimum = np.minimum
+
+        def counted(*args, **kwargs):
+            # a translation lowers the dilated array in place
+            if kwargs.get("out") is args[0]:
+                translations.append(args[1])
+            return minimum(*args, **kwargs)
+
+        monkeypatch.setattr(np, "minimum", counted)
+        dilations = record_calls(addcomb.bourgain, "_window_min")
         birkhoff_metric(system)
-        assert [(len(A), len(B)) for A, B in sums] == [
-            (1, 2049), (2048, 2049), (2047, 683), (2048, 683), (1, 683)]
-        assert [offsets.shape[1] for _, _, offsets, _ in translated] == [226, 74, 24, 8, 2]
+        assert [len(S) for _, _, S in dilations] == [2049, 2049, 683, 227, 75, 25, 9, 3]
+        assert len(translations) == len(dilations)
+        assert sums == [] and seen == []
 
     def test_levels_dilate_heavy_to_light_once(self, record_calls):
         # the heaviest distinct level once per layer, each lighter one once
         g = FinAbGroup([4096])
         system = system_from_balls(interval_family(g, 1024.0), d=2.0)
-        dilations = record_calls(addcomb.bourgain, "_dilate")
+        dilations = record_calls(addcomb.bourgain, "_window_min")
         birkhoff_metric(system)
-        weights = [w for _, _, w, _, _, _ in dilations]
+        # each dilation reads dist + w, and dist(0) = 0
+        weights = [int(src[0]) for _, src, _ in dilations]
         assert weights == [128, 128] + [64, 32, 16, 8, 4, 2]
         # the level of weight w = 2^(7 - k) is S_{3^-k}
         assert all(S is system.levels[1 / 3 ** (8 - w.bit_length())]
-                   for _, S, w, _, _, _ in dilations)
+                   for (_, _, S), w in zip(dilations, weights))
 
     @pytest.mark.parametrize("kind", sorted(CORE_KINDS))
     def test_each_cached_set_transformed_at_most_once(self, monkeypatch, kind):
         system = CORE_KINDS[kind]()
-        # the metric's steps are the levels themselves
+        # the metric's steps are the levels themselves, and it dilates by
+        # window minima, so it transforms none of them
         kept = {float_bytes(system.levels[r]) for r in system.ternary_radii()}
         seen = record_transforms(monkeypatch)
         birkhoff_metric(system)
-        assert max(seen.count(b) for b in kept) <= 1
+        assert not kept & set(seen)
 
     @pytest.mark.parametrize("route", ROUTES)
     def test_unreached_cosets_beside_lighter_levels(self, route):
@@ -552,12 +577,13 @@ class TestBirkhoffMetric:
         # levels still dilate (over the narrowed distance array)
         g = FinAbGroup([64, 3])
         axis = g.coords_table()[1] == 0
-        system = system_from_balls(
-            lambda r: GroupSet(g, GroupSet.linf_ball(g, math.floor(16 * r + 1e-12)).mask & axis),
-            d=2.0)
-        assert system.audit.all_pass and system.depth == 3
         with forced_route(route):
-            assert_matches_dijkstra(system)
+            system = system_from_balls(
+                lambda r: GroupSet(g, GroupSet.linf_ball(g, math.floor(16 * r + 1e-12)).mask
+                                   & axis),
+                d=2.0)
+        assert system.audit.all_pass and system.depth == 3
+        assert_matches_dijkstra(system)
         assert np.isinf(birkhoff_metric(system).rho).sum() == 128
 
     def test_explicit_shallow_depth_has_no_core(self):
@@ -661,6 +687,85 @@ class TestBirkhoffMetric:
         coords, rho_star, rho = dump[1]
         assert coords == [1] and rho_star is None and rho is None
         assert dump[0] == [[0], 0.0, 0.0]
+
+
+def window_sets(g: FinAbGroup, rng: np.random.Generator, count: int):
+    """{0}, G, the empty set, a run through the last and first columns of
+    every row, and count seeded sets, a third of them with whole rows."""
+    n = g.invariants[0]
+    cols, rows = g.coords_table()[0], np.arange(g.order) // n
+    yield from (GroupSet.singleton(g, 0), GroupSet.full(g), GroupSet.empty(g),
+                GroupSet(g, np.isin(cols, [n - 2, n - 1, 0])))
+    for i in range(count):
+        mask = rng.random(g.order) < rng.uniform(0.1, 0.9)
+        if i % 3 == 0:
+            mask |= np.isin(rows, rng.choice(g.order // n, size=2))
+        yield GroupSet(g, mask)
+
+
+class TestWindowMin:
+    """_window_min against its definition, min over s in S of src(x - s)."""
+
+    @staticmethod
+    def literal(out: np.ndarray, src: np.ndarray, S: GroupSet) -> np.ndarray:
+        g = S.group
+        coords = g.coords_table()
+        want = out.copy()
+        for s in S.indices():
+            # src(x - s) at every x
+            np.minimum(want, src[g.encode_array(coords - coords[:, s:s + 1])], out=want)
+        return want
+
+    # the last two axes of the grid are tiled; earlier ones (rank 3 and 4
+    # here) are rolled
+    @pytest.mark.parametrize("cycles", [[7], [12], [4, 6], [2, 3, 5], [3, 2, 2, 2]])
+    def test_matches_the_definition(self, cycles):
+        g = FinAbGroup(cycles)
+        rng = np.random.default_rng(sum(cycles))
+        if g.order <= 12:  # every subset
+            sets = [GroupSet.from_indices(g, [x for x in range(g.order) if m >> x & 1])
+                    for m in range(1 << g.order)]
+        else:
+            sets = list(window_sets(g, rng, 300))
+        for S in sets:
+            for dtype in (np.uint8, np.int32, np.int64):
+                top = np.iinfo(dtype).max
+                src = rng.integers(0, top, size=g.order, endpoint=True).astype(dtype)
+                out = rng.integers(0, top, size=g.order, endpoint=True).astype(dtype)
+                want, kept = self.literal(out, src, S), src.copy()
+                _window_min(out, src, S)
+                assert out.dtype == dtype and np.array_equal(out, want), (S.indices(), dtype)
+                assert np.array_equal(src, kept)
+
+    def test_tiles_stay_linear_in_the_rank(self):
+        # Z_2^12 and a set with offsets along every axis: tiles doubled along
+        # all 12 axes would hold 2^12 |G| items
+        g = FinAbGroup([2] * 12)
+        S = GroupSet.from_coords(g, [[0] * 12, [1] * 12, [1, 0] * 6, [0, 1] * 6])
+        src = np.arange(g.order, dtype=np.int64)
+        out = src.copy()
+        tracemalloc.start()
+        try:
+            _window_min(out, src, S)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(out, self.literal(src.copy(), src, S))
+        assert peak < 16 * g.order * src.itemsize
+
+    def test_runs_are_read_off_the_rows(self, record_calls):
+        # Z_4 x Z_6: a row with a run wrapping through column 0, a row whose
+        # first and last runs do not meet, and two whole rows, which go one
+        # rank lower as one run of the rows of Z_6
+        g = FinAbGroup([4, 6])
+        S = GroupSet.from_coords(g, [(3, 0), (0, 0), (1, 0), (0, 1), (2, 1)]
+                                 + [(c, r) for r in (3, 4) for c in range(4)])
+        lower = record_calls(addcomb.bourgain, "_grid_window_min")
+        src = np.arange(g.order, dtype=np.int64)[::-1].copy()
+        out = np.full(g.order, g.order, dtype=np.int64)
+        _window_min(out, src, S)
+        assert np.array_equal(out, self.literal(np.full(g.order, g.order), src, S))
+        assert [idx.tolist() for _, _, idx in lower] == [S.indices().tolist(), [3, 4]]
 
 
 class TestSandwichAudit:

@@ -310,6 +310,9 @@ def test_freiman_epsilon_above_half_is_usage_error(set_file, capsys, monkeypatch
     ({"n_max": 2.5}, "n_max must be an integer >= 2"),
     ({"C": "a"}, "C must be a finite number >= 0"),
     ({"max_retries": -3}, "max_retries must be an integer >= 0"),
+    # integers that no float holds
+    ({"C": 10 ** 400}, "C must be a finite number >= 0"),
+    ({"ratio_bound": 10 ** 400}, "ratio_bound must be a finite number >= 1"),
 ])
 def test_bad_freiman_config_is_usage_error(set_file, tmp_path, capsys, config, message):
     cfg = tmp_path / "cfg.json"

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 import addcomb.sets
 from addcomb.groups import FinAbGroup, GroupMismatchError
 from addcomb.sets import (SUMSET_BLOCK_CELLS, SUMSET_COST, GroupSet, GuardExceededError,
-                          Multiples, OperandCache, _auto_route, _box_side, _spectral_box,
+                          Multiples, _auto_route, _box_side, _spectral_box,
                           _sumset_route, difference, growth_profile, iterate, negate, prog,
                           sumset)
 
@@ -213,20 +213,6 @@ class TestSpectralBox:
                 want += 1
             assert _box_side(length) == want
 
-    def test_registered_operand_keeps_its_full_grid_spectrum(self, monkeypatch):
-        g = FinAbGroup([4096])
-        level = GroupSet.interval(g, 16)
-        partners = [GroupSet.interval(g, 8), GroupSet.interval(g, 40)]
-        transformed, rfftn = [], np.fft.rfftn
-        monkeypatch.setattr(np.fft, "rfftn", lambda a, *args, **kwargs: (
-            transformed.append(np.asarray(a).tobytes()) or rfftn(a, *args, **kwargs)))
-        cache = OperandCache([level])
-        for P in partners:
-            S = sumset(level, P, method="spectral", cache=cache)
-            assert S == GroupSet.interval(g, 16 + len(P) // 2)
-        # each partner passes through uncached, on the full grid too
-        assert len(transformed) == 3 and all(len(b) == 8 * g.order for b in transformed)
-        assert transformed.count(level.mask.astype(np.float64).tobytes()) == 1
 
 
 class TestAutoRoute:
@@ -256,19 +242,10 @@ class TestAutoRoute:
         sumset(A, B)
         assert len(planned) == 1
 
-    def test_registered_operand_is_never_probed(self, monkeypatch):
-        g, A, B = self.dual_arcs()
-        monkeypatch.setattr(addcomb.sets, "_spectral_box",
-                            lambda *a: pytest.fail("a registered operand was probed"))
-        want = GroupSet.interval(g, 314 + 471)
-        for registered in (A, B):
-            for method in ("auto", "spectral"):
-                assert sumset(A, B, method, cache=OperandCache([registered])) == want
-
     @staticmethod
-    def unregistered_route(A: GroupSet, B: GroupSet):
-        """Reference: the auto rule for a sum with no registered operand, all
-        three transforms priced, on all of G and then on the planned box."""
+    def reference_route(A: GroupSet, B: GroupSet):
+        """Reference: the auto rule, all three transforms priced, on all of G
+        and then on the planned box."""
         g = A.group
         small, big = sorted((len(A), len(B)))
         c0, c1, c2, c3 = SUMSET_COST
@@ -287,7 +264,6 @@ class TestAutoRoute:
         picks = set()
         for cycles in ([4096], [2 ** 14], [729], [64, 64], [16, 16, 16]):
             g = FinAbGroup(cycles)
-            others = OperandCache([GroupSet.interval(g, 3) if g.rank == 1 else GroupSet.full(g)])
             for frac in (1 / 256, 1 / 32, 1 / 4):
                 big = max(1, int(g.order * frac))
                 for small in (2, 8, 32, 128, 512):
@@ -298,36 +274,11 @@ class TestAutoRoute:
                                           + [(0, 1)] * (g.rank - 1))),
                                  (GroupSet.from_indices(g, rng.choice(g.order, small, False)),
                                   GroupSet.from_indices(g, rng.choice(g.order, big, False)))):
-                        want = self.unregistered_route(A, B)
-                        for cache in (None, OperandCache(), others):
-                            assert _auto_route(A, B, cache) == want
+                        want = self.reference_route(A, B)
+                        assert _auto_route(A, B) == want
                         picks.add((want[0], want[1] is not None))
         # every branch of the rule is exercised
         assert picks == {("spectral", False), ("spectral", True), ("direct", False)}
-
-    def test_registered_sum_takes_the_full_grid_route(self, record_calls):
-        from addcomb import fourier
-        g = FinAbGroup([2 ** 14])
-        A, B = GroupSet.interval(g, 32), GroupSet.interval(g, 1024)
-        c0, c1, c2, c3 = SUMSET_COST
-        direct = len(A) * (c0 + c1 * len(B))
-        fft = c2 * g.order * math.log2(g.order)
-        # dearer than one inverse, cheaper than all three transforms: with both
-        # operands registered the FFT runs only the inverse, and the sum is
-        # still priced like an unregistered one, so it runs direct
-        assert fft / 3 + c3 < direct < fft + c3
-        assert _sumset_route(len(A), len(B), g) == "direct"
-        dense = [GroupSet.from_indices(g, range(0, g.order, step)) for step in (3, 5)]
-        assert _sumset_route(len(dense[0]), len(dense[1]), g) == "spectral"
-        planned = record_calls(addcomb.sets, "_spectral_box")
-        calls = record_calls(fourier, "convolve")
-        for X, Y in ((A, B), dense):
-            for registered in ([X], [Y], [X, Y]):
-                assert _auto_route(X, Y, OperandCache(registered)) == (
-                    _sumset_route(len(X), len(Y), g), None)
-        S = sumset(A, B, cache=OperandCache([A, B]))
-        assert planned == [] and calls == []
-        assert S == sumset(A, B, method="direct") == GroupSet.interval(g, 32 + 1024)
 
     def test_forced_methods_never_probe(self, record_calls):
         g, A, B = self.dual_arcs()
@@ -423,30 +374,6 @@ class TestSumset:
                 A = GroupSet.from_indices(g, rng.choice(g.order, size=small, replace=False))
                 B = GroupSet.from_indices(g, rng.choice(g.order, size=big, replace=False))
                 assert set(sumset(A, B, method="direct").indices()) == pairs_sumset(A, B)
-
-    def test_cache_builds_each_registered_operand_once(self, monkeypatch):
-        rng = np.random.default_rng(31)
-        g = FinAbGroup([12, 20])
-        level = GroupSet(g, rng.random(g.order) < 0.3)
-        others = [GroupSet(g, rng.random(g.order) < 0.2) for _ in range(3)]
-        calls = [(A, S, method) for method in ("direct", "spectral")
-                 for A in others for S in (level, others[0])]
-        expected = [sumset(A, S, method) for A, S, method in calls]
-        coords_built, transformed = [], []
-        coords, rfftn = addcomb.sets._coords, np.fft.rfftn
-        monkeypatch.setattr(addcomb.sets, "_coords",
-                            lambda S: coords_built.append(S) or coords(S))
-        monkeypatch.setattr(np.fft, "rfftn", lambda a, *args, **kwargs: (
-            transformed.append(np.asarray(a).tobytes()) or rfftn(a, *args, **kwargs)))
-        cache = OperandCache([level, others[0]])
-        cache.forget(others[0])
-        assert [sumset(A, S, method, cache=cache) for A, S, method in calls] == expected
-        assert [S is level for S in coords_built].count(True) == 1
-        assert transformed.count(level.mask.astype(np.float64).tobytes()) == 1
-        # once in each of its four spectral sums: forgotten, and passed as
-        # both operands of one of them
-        assert transformed.count(others[0].mask.astype(np.float64).tobytes()) == 4
-        assert len(transformed) == 1 + 4 + 2 + 2
 
     @pytest.mark.parametrize("cycles,small,big,route", [
         ([2 ** 18], 8193, 24577, "spectral"),  # direct 0.61 s, FFT 17 ms

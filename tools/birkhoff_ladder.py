@@ -5,14 +5,14 @@
 Builds the interval system of Z_2^k (scale 2^k / 4, d = 2, auto depth) with
 system_from_balls and runs birkhoff_metric on it, for k = 10 .. --max-exp.
 Prints, per group, the seconds of each of the two calls, the distinct finite
-distances the metric attains, and each call's work by route: "trans", the
-translations of its dilations (one np.minimum of a |G| array with a
-translate each), and its threshold sums by the route they took: "zero" when
-the result is an operand itself or empty (an empty or {0} operand, which
-runs no route), "spectral" when the call ran fourier.convolve, else
-"direct". The sums are counted through the module attribute
-bourgain.sumset, the one both calls make, and the translations through
-bourgain._translate_min.
+distances the metric attains, and each call's work: "dil", its dilations
+(bourgain._window_min calls); "runs", the translations they made, one per
+run of a level along cycle 0; "passes", their other minima over the grid,
+the window minima's doubling and last shifted minimum per run length; and
+"sums", its sumsets (bourgain.sumset calls). The runs and passes are
+counted by rebinding bourgain's numpy to a view of numpy whose minimum
+counts its calls: a translation lowers its first operand in place, any
+other minimum is a pass.
 
 With --check-max-exp N, each rung with k <= N also compares the bytes of
 rho* and rho with oracles.dijkstra_rho, the metric's per-element oracle, and
@@ -24,50 +24,55 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+import types
 from collections import Counter
 
 import numpy as np
 
-from addcomb import bourgain, fourier, oracles
+from addcomb import bourgain, oracles
 from addcomb.groups import FinAbGroup
 
-WORK = ("trans", "zero", "direct", "spectral")
+WORK = ("dil", "runs", "passes", "sums")
+
+
+class CountedMinimum:
+    """np.minimum, counting each call as a run (out is the first operand)
+    or a pass; other attributes are np.minimum's."""
+
+    def __init__(self, work: Counter):
+        self.work = work
+
+    def __call__(self, a, b, out=None):
+        self.work["runs" if out is a else "passes"] += 1
+        return np.minimum(a, b, out=out)
+
+    def __getattr__(self, name):
+        return getattr(np.minimum, name)
 
 
 def counted(call):
-    """(seconds, result, work) of call(): its sums by route and its
-    translations ("trans")."""
+    """(seconds, result, work) of call(), with its work as in WORK."""
     work = Counter()
-    sumset, convolve, translate_min = bourgain.sumset, fourier.convolve, bourgain._translate_min
-    convolutions = 0
+    view = types.ModuleType("numpy")
+    view.__dict__.update(vars(np))
+    view.minimum = CountedMinimum(work)
+    sumset, window_min = bourgain.sumset, bourgain._window_min
 
-    def counted_convolve(*args, **kwargs):
-        nonlocal convolutions
-        convolutions += 1
-        return convolve(*args, **kwargs)
+    def counted_sumset(*args, **kwargs):
+        work["sums"] += 1
+        return sumset(*args, **kwargs)
 
-    def counted_sumset(A, B, *args, **kwargs):
-        before = convolutions
-        out = sumset(A, B, *args, **kwargs)
-        if out is A or out is B or len(out) == 0:
-            work["zero"] += 1
-        else:
-            work["spectral" if convolutions > before else "direct"] += 1
-        return out
+    def counted_window_min(*args, **kwargs):
+        work["dil"] += 1
+        return window_min(*args, **kwargs)
 
-    def counted_translate_min(out, src, offsets, group):
-        work["trans"] += offsets.shape[1]
-        return translate_min(out, src, offsets, group)
-
-    bourgain.sumset, fourier.convolve = counted_sumset, counted_convolve
-    bourgain._translate_min = counted_translate_min
+    bourgain.np, bourgain.sumset, bourgain._window_min = view, counted_sumset, counted_window_min
     try:
         t0 = time.perf_counter()
         out = call()
         seconds = time.perf_counter() - t0
     finally:
-        bourgain.sumset, fourier.convolve = sumset, convolve
-        bourgain._translate_min = translate_min
+        bourgain.np, bourgain.sumset, bourgain._window_min = np, sumset, window_min
     return seconds, out, work
 
 
@@ -81,7 +86,7 @@ def main() -> int:
         ap.error("--max-exp must lie in 10..22 (the group order cap is 2^22)")
     if args.check_max_exp is not None and not 10 <= args.check_max_exp <= args.max_exp:
         ap.error("--check-max-exp must lie in 10..--max-exp")
-    work_head = " ".join(f"{r:>8}" for r in WORK)
+    work_head = " ".join(f"{r:>7}" for r in WORK)
     print(f"{'group':>8} {'depth':>5} {'system s':>9} {work_head} "
           f"{'metric s':>9} {'dists':>6} {work_head} {'oracle':>6}")
     mismatches = []
@@ -102,9 +107,9 @@ def main() -> int:
             if not same:
                 mismatches.append(f"Z_2^{k}")
         print(f"{'Z_2^' + str(k):>8} {system.depth:>5} {build_s:>9.3f} "
-              + " ".join(f"{build_work[r]:>8}" for r in WORK)
+              + " ".join(f"{build_work[r]:>7}" for r in WORK)
               + f" {metric_s:>9.3f} {distances:>6} "
-              + " ".join(f"{metric_work[r]:>8}" for r in WORK)
+              + " ".join(f"{metric_work[r]:>7}" for r in WORK)
               + f" {verdict:>6}", flush=True)
     if mismatches:
         print("rho differs from oracles.dijkstra_rho on " + ", ".join(mismatches),

@@ -66,7 +66,7 @@ def misroutes(samples, cost) -> list[str]:
     cost takes a route over 10% slower than the faster one."""
     out = []
     for A, B, d, sp in samples:
-        pick, _ = _auto_route(A, B, None, cost)
+        pick, _ = _auto_route(A, B, cost)
         taken = sp if pick == "spectral" else d
         if taken > 1.1 * min(d, sp):
             out.append(f"{A.group!r} {len(A)}x{len(B)}: {pick} {taken * 1e3:.3f} ms "
