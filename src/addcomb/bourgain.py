@@ -12,9 +12,12 @@ every pair r <= r' with r + r' <= 2, where t is the least grid radius
 L(x) = min{j : x in S_j} has {L <= j} = S_j, so D(x) = min over s in S_r of
 L(x - s) has {D <= j} = S_r + S_j for every j at once: each row r is one
 dilation, each pair is read off the least D outside its target, and a row
-whose level equals the one below it reuses that row's. A family that fails
-nesting has no such L, so each row walks r' upward, stops at the first sum
-past 2, and sums S_r + S_r' only when S_r' differs from the level before it.
+whose level equals the one below it reuses that row's. A row's pairs read D
+only from its own level up to its last pair's, so the levels outside that
+span are merged first; a row past r = 1 has no pair and is skipped. A
+family that fails nesting has no such L, so each row walks r' upward,
+stops at the first sum past 2, and sums S_r + S_r' only when S_r' differs
+from the level before it.
 
 The metric: rho*(x) = inf{2^-k : x in S_{3^-k}, k >= 0}, and rho is the
 chain infimum, the least total rho*(y) over chains of steps y from 0 to x.
@@ -59,6 +62,16 @@ minima come from W_1 = src by doubling, W_2k(y) = min(W_k(y), W_k(y - k)),
 and one last shifted minimum per length, so all the lengths of a call share
 about log2 of the longest in passes over the grid. Rows that S holds whole
 take the minimum of src over each row, one rank lower.
+
+A set of many short runs, such as a subgroup 2G, would cost one pass over
+the grid per run, about |G|^2 / 2 operations. A translation is |G|
+operations and a sum by FFT three real transforms of about 5/2 |G| log2 |G|
+each (the radix-2 count), so a set of more than 7.5 log2 |G| runs (cut at
+column 0, whole rows not counted) per value of src that can lower out
+(those below the largest of out) is dilated by threshold sums instead: each such value v
+lowers out to v on {src = v} + S (sets.sumset). Both ways are exact. The
+heaviest level of the metric dilates only its last layer, so its sums
+read one value each.
 
 The depth is at most MAX_DEPTH = 31, so |G| * 2^depth <= 2^53 under the
 group order cap, every distance fits int64, and rho is exact in float64.
@@ -205,10 +218,12 @@ def system_from_balls(family: Callable[[float], GroupSet], d: float,
     for i, u1 in enumerate(units):
         # the units are sorted, so the pairs of row i are j in [i, end)
         end = bisect.bisect_right(units, two - u1)
+        if end <= i:
+            break  # no pairs here, nor in any later row
         targets = [bisect.bisect_left(units, u1 + units[j]) for j in range(i, end)]
         if ranks is not None:
             if not same[i]:
-                reach = ranks.reach(sets[i])
+                reach = ranks.reach(sets[i], i, end)
             fails = [reach[t + 1] <= j for j, t in zip(range(i, end), targets)]
         else:
             fails = []
@@ -265,13 +280,16 @@ class _LevelRanks:
         self.order = np.argsort(self.level, kind="stable")
         self.starts = (np.cumsum(counts) - counts)[self.held]
 
-    def reach(self, T: GroupSet) -> list[int]:
-        """reach[t] = the least j with (T + S_j) outside S_(t-1), for t in
-        0..n + 1 (n when there is none): T + S_j <= S_t iff reach[t + 1] > j."""
-        dilated = np.full(self.group.order, self.n, dtype=np.uint8)
-        _window_min(dilated, self.level, T)
+    def reach(self, T: GroupSet, lo: int, end: int) -> list[int]:
+        """reach[t] = the least j in lo..end - 1 with (T + S_j) outside
+        S_(t-1), for t in 0..n + 1 (end when there is none): for such j,
+        T + S_j <= S_t iff reach[t + 1] > j. The levels below lo and from end
+        on are not told apart, so a dilation by threshold sums sums only
+        the levels a row's pairs could."""
+        dilated = np.full(self.group.order, end, dtype=np.uint8)
+        _window_min(dilated, np.maximum(self.level, lo), T)
         lows = np.minimum.reduceat(np.take(dilated, self.order), self.starts)
-        least = [self.n] * (self.n + 2)
+        least = [end] * (self.n + 2)
         for level, low in zip(self.held.tolist(), lows.tolist()):
             least[level] = low
         for t in reversed(range(self.n + 1)):
@@ -389,7 +407,8 @@ def birkhoff_metric(system: BourgainSystem) -> BirkhoffMetric:
         layer = reached = len(closure)
         last = 0
         while layer and reached < g.order:
-            _window_min(dist, dist + w, S)
+            # the layers before the last were dilated already
+            _window_min(dist, np.where(dist == last, last + w, unreached), S)
             layer = int(np.count_nonzero(dist == last + w))
             if layer:
                 last += w
@@ -423,21 +442,42 @@ def _grid_window_min(out: np.ndarray, src: np.ndarray, idx: np.ndarray) -> None:
     tiles from corner shape - (row, column); so the tiles hold at most
     4 |G| items, as the window buffers do, whatever the rank. Along the
     axes before those, the window minimum is first rolled by the run's
-    offset, once per distinct offset.
+    offset, once per distinct offset. A set of more than 7.5 log2 |G| runs
+    per value of src that can lower out takes the threshold sums instead
+    (the module docstring).
     """
     if not idx.size:
         return
     shape, n = out.shape, out.shape[-1]
-    rolled = max(len(shape) - 2, 0)
-    whole, corners = _runs(idx, shape, rolled)
+    # a run starts where an index does not follow the one before it, or at
+    # column 0; the rows S holds whole are the runs of n columns
+    cut = np.ones(idx.size + 1, dtype=bool)
+    cut[1:-1] = (idx[1:] - idx[:-1] != 1) | (idx[1:] % n == 0)
+    bounds = np.flatnonzero(cut)
+    starts, lengths = idx[bounds[:-1]], np.diff(bounds)
+    part = lengths < n
+    # a translation is |G| operations, a sum by FFT three real transforms
+    # of about 5/2 |G| log2 |G| each (the radix-2 count)
+    pieces, passes = int(np.count_nonzero(part)), 7.5 * math.log2(out.size)
+    if pieces > passes:
+        # the distinct values that can lower out (np.unique would import
+        # numpy.ma, about 1 MB more resident)
+        below = np.sort(src[src < out.max()], axis=None)
+        values = below[np.concatenate(([True], below[1:] != below[:-1]))] if below.size else below
+        if pieces > passes * values.size:
+            _threshold_min(out, src, idx, values.tolist())
+            return
+    whole = starts[~part] // n
     if whole.size and len(shape) == 1:  # S is all of G
         np.minimum(out, src.min(), out=out)
     elif whole.size:
-        low = np.full(shape[:-1], np.iinfo(out.dtype).max, dtype=out.dtype)
+        low = np.full(shape[:-1], out.max(), dtype=out.dtype)
         _grid_window_min(low, src.min(axis=-1), whole)
         np.minimum(out, low[..., None], out=out)
-    if not corners:
+    if whole.size == starts.size:
         return
+    rolled = max(len(shape) - 2, 0)
+    corners = _runs(starts[part], lengths[part], shape, rolled)
     tiles = np.empty(shape[:rolled] + tuple(2 * m for m in shape[rolled:]), dtype=out.dtype)
     block = tiles[(slice(None),) * rolled + tuple(slice(m) for m in shape[rolled:])]
     windows = np.ndarray(tuple(m + 1 for m in shape[rolled:]) + shape, tiles.dtype, tiles,
@@ -478,28 +518,20 @@ def _grid_window_min(out: np.ndarray, src: np.ndarray, idx: np.ndarray) -> None:
                 np.minimum(out, windows[corner], out=out)
 
 
-def _runs(idx: np.ndarray, shape: tuple[int, ...], rolled: int
-          ) -> tuple[np.ndarray, dict[int, dict[tuple, list[tuple]]]]:
-    """The runs along the last axis of the set of ascending flat indices idx
-    on a grid of this shape: (the rows it holds whole, and for each other
-    run length, by the run's offset along the first rolled axes, the tile
-    corners of its runs). A run ending at the last column goes on at
-    column 0 of its row."""
+def _runs(starts: np.ndarray, lengths: np.ndarray, shape: tuple[int, ...], rolled: int
+          ) -> dict[int, dict[tuple, list[tuple]]]:
+    """The runs along the last axis of a grid of this shape, from their
+    flat starts and lengths, ascending, none a whole row: for each run
+    length, by the run's offset along the first rolled axes, the tile
+    corners of its runs. A run ending at the last column goes on at column
+    0 of its row."""
     n = shape[-1]
-    # a run starts where an index does not follow the one before it, or at
-    # column 0
-    cut = np.ones(idx.size + 1, dtype=bool)
-    cut[1:-1] = (idx[1:] - idx[:-1] != 1) | (idx[1:] % n == 0)
-    bounds = np.flatnonzero(cut)
     rows: dict[int, list[list[int]]] = {}  # row -> its runs [column, length]
-    for start, length in zip(idx[bounds[:-1]].tolist(), np.diff(bounds).tolist()):
+    for start, length in zip(starts.tolist(), lengths.tolist()):
         row, col = divmod(start, n)
         rows.setdefault(row, []).append([col, length])
-    whole, corners = [], {}
+    corners = {}
     for row, runs in rows.items():
-        if runs[0][1] == n:
-            whole.append(row)
-            continue
         if len(runs) > 1 and runs[0][0] == 0 and sum(runs[-1]) == n:
             col, length = runs.pop()
             runs[0] = [col, length + runs[0][1]]
@@ -511,7 +543,20 @@ def _runs(idx: np.ndarray, shape: tuple[int, ...], rolled: int
         lead = tuple(m - c for m, c in zip(shape[rolled:-1], at[rolled:]))
         for col, length in runs:
             corners.setdefault(length, {}).setdefault(offset, []).append(lead + (n - col,))
-    return np.array(whole, dtype=np.int64), corners
+    return corners
+
+
+def _threshold_min(out: np.ndarray, src: np.ndarray, idx: np.ndarray,
+                   values: list[int]) -> None:
+    """_grid_window_min by threshold sums: out <- min(out, v) on
+    {src = v} + S for each v in values, S the set of flat indices idx."""
+    g = FinAbGroup(out.shape[::-1])
+    mask = np.zeros(out.size, dtype=bool)
+    mask[idx] = True
+    S = GroupSet(g, mask)
+    for v in values:
+        total = sumset(GroupSet(g, (src == v).reshape(-1)), S)
+        np.minimum(out, v, out=out, where=total.mask.reshape(out.shape))
 
 
 # -- the two-sided sandwich audit ----------------------------------------------------

@@ -13,8 +13,8 @@ import addcomb.bourgain
 import addcomb.sets
 from addcomb import verify
 from addcomb.bohr import bohr_family, dimension_estimate, dyadic_dimension_grid
-from addcomb.bourgain import (MAX_DEPTH, BirkhoffMetric, BourgainSystem, _window_min,
-                              birkhoff_metric, constant_family, interval_family,
+from addcomb.bourgain import (MAX_DEPTH, BirkhoffMetric, BourgainSystem, _threshold_min,
+                              _window_min, birkhoff_metric, constant_family, interval_family,
                               sandwich_audit, subgroup_generated, system_from_balls)
 from addcomb.groups import FinAbGroup
 from addcomb.oracles import dijkstra_rho
@@ -351,17 +351,19 @@ class TestSystemFromBalls:
         assert sum(made) == 0
 
     def test_audit_transforms_each_level_once(self, monkeypatch, record_calls):
-        # at most once, and in fact never: every row of a nested family is one
-        # dilation, and a row whose level equals the one below it reuses that
+        # at most once, and in fact never: every row of a nested family that
+        # has a pair (r + r <= 2, so r <= 1) is one dilation, and a row whose
+        # level equals the one below it reuses that
         family = interval_family(FinAbGroup([4096]), 1024.0)
         seen = record_transforms(monkeypatch)
         dilations = record_calls(addcomb.bourgain, "_window_min")
         system = system_from_balls(family, d=2.0)
         assert seen == []
-        sets = list(system.levels.values())
-        distinct = 1 + sum(hi != lo for lo, hi in zip(sets, sets[1:]))
-        assert [S for _, _, S in dilations] == list(dict.fromkeys(sets))
-        assert len(dilations) == distinct < len(sets)
+        rows = [S for r, S in system.levels.items() if r <= 1]
+        distinct = 1 + sum(hi != lo for lo, hi in zip(rows, rows[1:]))
+        assert len(rows) == len(system.levels) - 1
+        assert [S for _, _, S in dilations] == list(dict.fromkeys(rows))
+        assert len(dilations) == distinct < len(rows)
 
     @pytest.mark.parametrize("route", ROUTES)
     def test_audit_matches_all_pairs_oracle_by_route(self, route):
@@ -399,14 +401,43 @@ class TestSystemFromBalls:
         assert list(audit.violations) == violations
 
     def test_audit_transforms_a_constant_family_once(self, monkeypatch, record_calls):
-        # at most once, and in fact never: the 42 rows share one dilation
+        # the 42 rows share one dilation; H is 1024 runs of one column, more
+        # than 7.5 log2 |G| = 90, so that dilation is one threshold sum, H + H,
+        # whose transforms read H
         g = FinAbGroup([4096])
         H = GroupSet.from_indices(g, range(0, 4096, 4))
         seen = record_transforms(monkeypatch)
         dilations = record_calls(addcomb.bourgain, "_window_min")
+        sums = record_calls(addcomb.bourgain, "sumset")
         system = system_from_balls(constant_family(H), d=0.0)
         assert system.audit.all_pass and len(system.levels) == 42
-        assert seen == [] and len(dilations) == 1
+        assert len(dilations) == len(sums) == 1
+        assert set(seen) == {float_bytes(H)}
+
+    @pytest.mark.parametrize("cycles", [[1 << 16], [2, 1 << 15]])
+    def test_many_run_levels_cost_a_few_sums(self, cycles, record_calls):
+        # H = {x : x_last even} is 2^15 runs of one column of Z_2^16, or 2^15
+        # whole rows of Z_2 x Z_2^15 over 2^14 runs one rank lower. One
+        # translation per run would be 2^15 passes over G per dilation; the
+        # threshold sums make one sum per value of the dilated array instead
+        g = FinAbGroup(cycles)
+        H = GroupSet(g, g.coords_table()[-1] % 2 == 0)
+        zero = GroupSet.singleton(g, 0)
+        runs = record_calls(addcomb.bourgain, "_runs")
+        sums = record_calls(addcomb.bourgain, "sumset")
+        constant = system_from_balls(constant_family(H), d=0.0)
+        assert constant.audit.all_pass and len(sums) == 1
+        step = system_from_balls(lambda r: H if r >= 1 else zero, d=0.0, K=3)
+        assert step.audit.all_pass and len(sums) == 2
+        # the constant system's core is H, closed already (one sum); the step
+        # system's core is {0}, and its one step level H takes two layers,
+        # of 1 and |H| - 1 elements, one sum each
+        rho = birkhoff_metric(constant).rho
+        assert np.array_equal(rho == 0, H.mask) and len(sums) == 3
+        rho = birkhoff_metric(step).rho
+        assert np.array_equal(np.isfinite(rho), H.mask) and len(sums) == 5
+        # the one translation made: the step system's rows of {0}, by 0
+        assert [starts.tolist() for starts, *_ in runs] == [[0]]
 
 
 class TestBirkhoffMetric:
@@ -553,8 +584,10 @@ class TestBirkhoffMetric:
         system = system_from_balls(interval_family(g, 1024.0), d=2.0)
         dilations = record_calls(addcomb.bourgain, "_window_min")
         birkhoff_metric(system)
-        # each dilation reads dist + w, and dist(0) = 0
-        weights = [int(src[0]) for _, src, _ in dilations]
+        # the heaviest step's dilations read its last layer (0, then 128)
+        # plus w; the lighter ones read dist + w, and dist(0) = 0
+        assert [int(src.min()) for _, src, _ in dilations[:2]] == [128, 256]
+        weights = [128, 128] + [int(src[0]) for _, src, _ in dilations[2:]]
         assert weights == [128, 128] + [64, 32, 16, 8, 4, 2]
         # the level of weight w = 2^(7 - k) is S_{3^-k}
         assert all(S is system.levels[1 / 3 ** (8 - w.bit_length())]
@@ -736,6 +769,35 @@ class TestWindowMin:
                 _window_min(out, src, S)
                 assert out.dtype == dtype and np.array_equal(out, want), (S.indices(), dtype)
                 assert np.array_equal(src, kept)
+
+    @pytest.mark.parametrize("cycles", [[7], [12], [4, 6], [2, 3, 5], [3, 2, 2, 2]])
+    def test_threshold_sums_match_the_definition(self, cycles):
+        g = FinAbGroup(cycles)
+        rng = np.random.default_rng(sum(cycles) + 1)
+        for S in window_sets(g, rng, 40):
+            for dtype in (np.uint8, np.int32, np.int64):
+                src = rng.integers(0, 5, size=g.order).astype(dtype)
+                out = rng.integers(0, 6, size=g.order).astype(dtype)
+                want = self.literal(out, src, S)
+                grid = g.invariants[::-1]
+                _threshold_min(out.reshape(grid), src.reshape(grid), S.indices(),
+                               np.unique(src).tolist())
+                assert np.array_equal(out, want), (S.indices(), dtype)
+
+    @pytest.mark.parametrize("top, summed", [(1, True), (2, True), (3, False)])
+    def test_runs_per_value_choose_the_sums(self, top, summed, record_calls):
+        # the even elements of Z_256 are 128 runs; the values of src that
+        # can lower out are those below its largest, top, and the sums take
+        # over past 7.5 log2 256 = 60 runs per value
+        g = FinAbGroup([256])
+        S = GroupSet.from_indices(g, range(0, 256, 2))
+        src = (np.arange(256) % 3).astype(np.uint8)
+        out = np.full(256, top, dtype=np.uint8)
+        want = self.literal(out, src, S)
+        sums = record_calls(addcomb.bourgain, "_threshold_min")
+        _window_min(out, src, S)
+        assert np.array_equal(out, want)
+        assert [values for *_, values in sums] == ([list(range(top))] if summed else [])
 
     def test_tiles_stay_linear_in_the_rank(self):
         # Z_2^12 and a set with offsets along every axis: tiles doubled along

@@ -7,12 +7,11 @@ system_from_balls and runs birkhoff_metric on it, for k = 10 .. --max-exp.
 Prints, per group, the seconds of each of the two calls, the distinct finite
 distances the metric attains, and each call's work: "dil", its dilations
 (bourgain._window_min calls); "runs", the translations they made, one per
-run of a level along cycle 0; "passes", their other minima over the grid,
-the window minima's doubling and last shifted minimum per run length; and
-"sums", its sumsets (bourgain.sumset calls). The runs and passes are
-counted by rebinding bourgain's numpy to a view of numpy whose minimum
-counts its calls: a translation lowers its first operand in place, any
-other minimum is a pass.
+run of a level along cycle 0 (the tile corners bourgain._runs returns);
+"passes", their other minima over the grid, the window minima's doubling
+(log2 of the longest run, rounded down) and one last shifted minimum per
+distinct run length; and "sums", its sumsets (bourgain.sumset calls), the
+threshold sums of the dilations included.
 
 With --check-max-exp N, each rung with k <= N also compares the bytes of
 rho* and rho with oracles.dijkstra_rho, the metric's per-element oracle, and
@@ -24,7 +23,6 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-import types
 from collections import Counter
 
 import numpy as np
@@ -35,28 +33,10 @@ from addcomb.groups import FinAbGroup
 WORK = ("dil", "runs", "passes", "sums")
 
 
-class CountedMinimum:
-    """np.minimum, counting each call as a run (out is the first operand)
-    or a pass; other attributes are np.minimum's."""
-
-    def __init__(self, work: Counter):
-        self.work = work
-
-    def __call__(self, a, b, out=None):
-        self.work["runs" if out is a else "passes"] += 1
-        return np.minimum(a, b, out=out)
-
-    def __getattr__(self, name):
-        return getattr(np.minimum, name)
-
-
 def counted(call):
     """(seconds, result, work) of call(), with its work as in WORK."""
     work = Counter()
-    view = types.ModuleType("numpy")
-    view.__dict__.update(vars(np))
-    view.minimum = CountedMinimum(work)
-    sumset, window_min = bourgain.sumset, bourgain._window_min
+    sumset, window_min, runs = bourgain.sumset, bourgain._window_min, bourgain._runs
 
     def counted_sumset(*args, **kwargs):
         work["sums"] += 1
@@ -66,13 +46,21 @@ def counted(call):
         work["dil"] += 1
         return window_min(*args, **kwargs)
 
-    bourgain.np, bourgain.sumset, bourgain._window_min = view, counted_sumset, counted_window_min
+    def counted_runs(*args, **kwargs):
+        corners = runs(*args, **kwargs)
+        work["runs"] += sum(len(group) for by_offset in corners.values()
+                            for group in by_offset.values())
+        work["passes"] += max(corners).bit_length() - 1 + len(corners)
+        return corners
+
+    bourgain.sumset, bourgain._window_min, bourgain._runs = (
+        counted_sumset, counted_window_min, counted_runs)
     try:
         t0 = time.perf_counter()
         out = call()
         seconds = time.perf_counter() - t0
     finally:
-        bourgain.np, bourgain.sumset, bourgain._window_min = np, sumset, window_min
+        bourgain.sumset, bourgain._window_min, bourgain._runs = sumset, window_min, runs
     return seconds, out, work
 
 
