@@ -83,6 +83,7 @@ the array narrows to int32, so each pass moves half the memory.
 from __future__ import annotations
 
 import bisect
+import functools
 import math
 from dataclasses import asdict, dataclass
 from typing import Callable
@@ -176,6 +177,8 @@ def system_from_balls(family: Callable[[float], GroupSet], d: float,
         if value is not None:
             _check_number(value, "system_from_balls", name, 1, high=MAX_DEPTH,
                           integral=True)
+    # 1.0 and the depth probe's 1/3^k are grid radii too, as the same floats
+    family = functools.cache(family)
     group = family(1.0).group
     if K is not None:
         depth = K
@@ -319,14 +322,15 @@ def constant_family(S: GroupSet) -> Callable[[float], GroupSet]:
 
 def subgroup_generated(group: FinAbGroup, generators: list[GroupElement]) -> GroupSet:
     """The subgroup generated by the given elements (closure under addition)."""
-    H = GroupSet.singleton(group, 0)
-    gens = GroupSet.from_elements(group, generators)
-    step = gens | GroupSet.from_elements(group, [-t for t in generators])
-    while True:
-        nxt = sumset(H, H | step)
-        if nxt == H:
-            return H
-        H = nxt
+    return _closure(GroupSet.from_elements(group, [group.zero, *generators]))
+
+
+def _closure(S: GroupSet) -> GroupSet:
+    """The subgroup generated by S, which holds 0: S doubled until a sum adds
+    nothing, in about log2 of its diameter sums ({0} takes none)."""
+    while len(S) > 1 and (doubled := sumset(S, S)) != S:
+        S = doubled
+    return S
 
 
 # -- the Birkhoff metric ---------------------------------------------------------------
@@ -393,10 +397,7 @@ def birkhoff_metric(system: BourgainSystem) -> BirkhoffMetric:
         deeper = S
 
     # every level holds 0, so a one-element core is {0} and closes nothing
-    closure = GroupSet.singleton(g, 0) if core is None else core
-    if len(closure) > 1:
-        while (closed := sumset(closure, closure)) != closure:
-            closure = closed
+    closure = GroupSet.singleton(g, 0) if core is None else _closure(core)
     unreached = UNREACHED
     dist = np.full(g.order, unreached, dtype=np.int64)
     dist[closure.mask] = 0

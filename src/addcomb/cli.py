@@ -90,18 +90,26 @@ def _cmd_cover(args, cfg) -> int:
     return 0
 
 
+def _json(kind: type, value, what: str):
+    """value, which must be a JSON object (kind dict) or list (kind list)."""
+    if not isinstance(value, kind):
+        raise ValueError(f"{what} must be a JSON {'list' if kind is list else 'object'}, "
+                         f"got {value!r}")
+    return value
+
+
 def _system_from_file(path: str, cfg: dict):
     with open(path) as fh:
-        obj = json.load(fh)
+        obj = _json(dict, json.load(fh), "system file")
     if "interval" in obj:
-        spec = obj["interval"]
-        group = group_from_json(spec["group"])
-        fam = interval_family(group, spec["scale"])
+        spec = _json(dict, obj["interval"], "system file interval")
+        fam = interval_family(group_from_json(spec.get("group")), spec.get("scale"))
     elif "constant" in obj:
         fam = constant_family(set_from_json(obj["constant"]))
     elif "levels" in obj:
-        for lv in obj["levels"]:
-            _check_number(lv["radius"], "system file level", "radius", 0)
+        for lv in _json(list, obj["levels"], "system file levels"):
+            _check_number(_json(dict, lv, "system file level").get("radius"),
+                          "system file level", "radius", 0)
         levels = sorted(
             ((lv["radius"], set_from_json(lv["set"])) for lv in obj["levels"]),
             key=lambda p: p[0])

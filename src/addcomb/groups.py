@@ -82,11 +82,11 @@ class FinAbGroup:
                  "_strides", "_coords", "_neg_perm")
 
     def __init__(self, cycles: Sequence[int]):
+        for n in cycles:
+            _check_number(n, "FinAbGroup", "cycle length", 2, integral=True)
         cycles = tuple(int(n) for n in cycles)
         if not cycles:
             raise ValueError("need at least one cycle length")
-        if any(n < 2 for n in cycles):
-            raise ValueError(f"cycle lengths must be >= 2, got {cycles}")
         order = math.prod(cycles)
         if order > ORDER_CAP:
             raise ValueError(f"group order {order} exceeds cap {ORDER_CAP}")

@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -40,7 +39,7 @@ from .bohr import (DIM_GRID_CAP, INCLUSION_SLACK, BohrSet, DistanceTable,
                    DimensionEstimate)
 from .covering import CoverCertificate, chang_cover
 from .fourier import transform
-from .groups import GroupElement, _check_number, _finite
+from .groups import GroupElement, _check_number
 from .sets import (GroupSet, Multiples, growth_profile, growth_window_end,
                    growth_window_start, negate, sumset, GrowthProfile)
 from .spectrum import Spectrum, cut_spectrum
@@ -81,18 +80,10 @@ class FreimanConfig:
                 ("max_retries", True, 0, False), ("n_max", True, 2, False),
                 ("dim_grid_cap", True, 0, False)):
             value = getattr(self, name)
-            if value is None and name in ("epsilon", "radius", "l", "n_max"):
-                continue
-            kind = "an integer" if integral else "a finite number"
-            if (not isinstance(value, numbers.Integral if integral else numbers.Real)
-                    or isinstance(value, bool)
-                    or not (integral or _finite(value))
-                    or value < low or (strict and value == low)):
-                raise ValueError(f"{name} must be {kind} {'>' if strict else '>='} {low}, "
-                                 f"got {value!r}")
-        # above 1/2 epsilon leaves the paper's range, where _paper_epsilon caps too
-        if self.epsilon is not None and self.epsilon > 0.5:
-            raise ValueError(f"epsilon must be <= 1/2, got {self.epsilon!r}")
+            if value is not None or name not in ("epsilon", "radius", "l", "n_max"):
+                # epsilon above 1/2 leaves the paper's range (_paper_epsilon caps there)
+                _check_number(value, "FreimanConfig", name, low, strict=strict,
+                              high=0.5 if name == "epsilon" else None, integral=integral)
 
     def scan_window_end(self) -> int:
         return self.n_max if self.n_max is not None else growth_window_end(self.d)

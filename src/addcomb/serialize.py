@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 from typing import Any
 
-from .groups import FinAbGroup
+from .groups import FinAbGroup, _check_number
 from .sets import GroupSet
 
 
@@ -23,7 +23,7 @@ def group_to_json(group: FinAbGroup) -> dict:
 
 
 def group_from_json(obj: dict) -> FinAbGroup:
-    if not isinstance(obj, dict) or "cycles" not in obj:
+    if not isinstance(obj, dict) or not isinstance(obj.get("cycles"), list):
         raise ValueError("group literal must be an object with a 'cycles' list")
     return FinAbGroup(obj["cycles"])
 
@@ -40,13 +40,14 @@ def set_from_json(obj: dict) -> GroupSet:
         raise ValueError("set literal must be an object with a 'group'")
     group = group_from_json(obj["group"])
     if "interval" in obj:
-        return GroupSet.interval(group, int(obj["interval"]))
-    if "elements" not in obj:
-        raise ValueError("set literal needs 'elements' or 'interval'")
-    elements = obj["elements"]
-    coords = []
-    for e in elements:
-        coords.append([e] if isinstance(e, int) else list(e))
+        _check_number(obj["interval"], "set literal", "interval", 0, integral=True)
+        return GroupSet.interval(group, obj["interval"])
+    if not isinstance(obj.get("elements"), list):
+        raise ValueError("set literal needs an 'elements' list or an 'interval'")
+    coords = [e if isinstance(e, list) else [e] for e in obj["elements"]]
+    for c in coords:
+        for x, n in zip(c, group.invariants):
+            _check_number(x, "set literal", "coordinate", 0, high=n - 1, integral=True)
     return GroupSet.from_coords(group, coords)
 
 

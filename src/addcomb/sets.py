@@ -20,15 +20,14 @@ with none shrunk the route is the full-grid convolution. sumset picks the
 route of lower modelled cost,
 
     direct   ~ |small| * (c0 + c1 * |big| * rank)
-    spectral ~ c2 * P * log2 P + c3,   P the FFT's grid points,
+    spectral ~ c2 * P * log2 P + c3,   P the points of the FFT's box,
 
-with the constants SUMSET_COST fitted by tools/sumset_cost_fit.py. P is
-|G| first. Where that picks direct, the box is planned when the direct
-cost beats both the FFT on the least box the operand sizes allow and one
-O(|G|) pass (c2 * |G|), what planning costs; the FFT is then priced on
-the box's points, and a spectral sum takes the planned box along. No rule
-on |A| * |B| alone can choose well: the direct cost grows with the smaller
-operand times the larger one, while the FFT cost depends on the grid only.
+with the constants SUMSET_COST fitted by tools/sumset_cost_fit.py. The box
+is planned only when the FFT on the least box the operand sizes allow is
+priced below the direct route, from each operand's coordinates, read once
+per sum and shared with the direct route. No rule on |A| * |B| alone can
+choose well: the direct cost grows with the smaller operand times the
+larger one, while the FFT cost depends on the grid only.
 
 Multiples is the one route to the n-fold sumsets nA: it keeps every
 multiple it has built, reuses known ones, and halves where none fits, so
@@ -248,42 +247,32 @@ def _sumset_route(small: int, big: int, g: FinAbGroup,
 
 def _auto_route(A: GroupSet, B: GroupSet,
                 cost: tuple[float, float, float, float] = SUMSET_COST
-                ) -> tuple[str, list[tuple[int, int, int]] | None]:
-    """(route, box) for sumset's auto method: the full-grid model's route,
-    unless it picks direct for a sum whose FFT would run on a smaller box.
-
-    The box is planned (an O(|G|) probe) only when the modelled direct cost
-    beats both c2 * |G| and the FFT on the least box the operand sizes
-    allow; then the FFT is priced on the box's points, and a spectral pick
-    returns the box so that it is not planned again.
-    """
+                ) -> tuple[str, list[tuple[int, int, int]] | None, tuple | None]:
+    """(route, box, coords) for sumset's auto method: the direct route or the
+    FFT on the box it would use, whichever is priced lower. The box is planned
+    only when the FFT on the least box the sizes allow (_least_sides) is
+    priced below the direct route, from coords (_coords), which the direct
+    route then adds; coords is None where none were read."""
     g = A.group
     small, big = sorted((len(A), len(B)))
-    route = _sumset_route(small, big, g, cost)
-    if route == "spectral":
-        return route, None
-    c0, c1, c2, c3 = cost
-    # an FFT on any box costs at least c3, so a direct cost below that needs
-    # no least box either
-    if (small * (c0 + c1 * big * g.rank) <= max(c2 * g.order, c3)
-            or _sumset_route(small, big, g, cost,
-                             math.prod(_least_sides(small, big, g))) == "direct"):
-        return "direct", None
-    box = _spectral_box(A, B)
-    if box is not None and _sumset_route(small, big, g, cost,
-                                         math.prod(m for m, _, _ in box)) == "spectral":
-        return "spectral", box
-    return "direct", None
+    sides = _least_sides(small, big, g)
+    if _sumset_route(small, big, g, cost, math.prod(sides)) == "direct":
+        return "direct", None, None
+    if sides == list(g.invariants):  # no cycle can shrink: nothing to plan
+        return "spectral", None, None
+    coords = _coords(A, B)
+    box = _spectral_box(A, B, coords)
+    points = g.order if box is None else math.prod(m for m, _, _ in box)
+    return _sumset_route(small, big, g, cost, points), box, coords
 
 
 def sumset(A: GroupSet, B: GroupSet, method: str = "auto") -> GroupSet:
     """{a + b : a in A, b in B}. Empty inputs give the empty set, and a {0}
     operand gives the other operand itself.
 
-    method: "auto" picks the route of lower modelled cost (_auto_route),
-    pricing the FFT on the box it would use where the full-grid model picks
-    direct; "direct" forces the blocked outer sum, "spectral" forces the FFT
-    route, and neither probes. Both routes are exact. The FFT route
+    method: "auto" picks the route of lower modelled cost (_auto_route), the
+    FFT priced on the box it would use; "direct" forces the blocked outer
+    sum and "spectral" the FFT route. Both routes are exact. The FFT route
     convolves on the operands' bounding box, each cycle cropped to the least
     5-smooth length that holds the sum of their arcs, and wraps the result
     back to G; it uses all of G when no cycle shrinks.
@@ -299,19 +288,21 @@ def sumset(A: GroupSet, B: GroupSet, method: str = "auto") -> GroupSet:
         return B
     if B.cardinality == 1 and B.mask[0]:
         return A
-    box = None
+    coords = None
     if method == "auto":
-        method, box = _auto_route(A, B)
+        method, box, coords = _auto_route(A, B)
+    elif method == "spectral":
+        box = _spectral_box(A, B)
     if method == "spectral":
         return _spectral_sumset(A, B, box)
-    small, big = (A, B) if A.cardinality <= B.cardinality else (B, A)
     # direct: every pair at once, in blocks of rows of small against all of big
-    small_coords, big_coords = _coords(small), _coords(big)
+    coords_A, coords_B = coords or _coords(A, B)
+    small, big = sorted((coords_A, coords_B), key=lambda c: c.shape[1])
     cycles = np.array(g.invariants, dtype=np.uint32)[:, None, None]
     mask = np.zeros(g.order, dtype=bool)
-    rows = max(1, SUMSET_BLOCK_CELLS // big.cardinality)
-    for start in range(0, small.cardinality, rows):
-        block = small_coords[:, start:start + rows, None] + big_coords[:, None, :]
+    rows = max(1, SUMSET_BLOCK_CELLS // big.shape[1])
+    for start in range(0, small.shape[1], rows):
+        block = small[:, start:start + rows, None] + big[:, None, :]
         # a coordinate sum s < 2n is s or s - n mod n; below n, s - n wraps
         # past s in uint32, so the minimum is the reduced coordinate
         np.minimum(block, block - cycles, out=block)
@@ -320,17 +311,14 @@ def sumset(A: GroupSet, B: GroupSet, method: str = "auto") -> GroupSet:
 
 
 def _spectral_sumset(A: GroupSet, B: GroupSet,
-                     box: list[tuple[int, int, int]] | None = None) -> GroupSet:
+                     box: list[tuple[int, int, int]] | None) -> GroupSet:
     """The spectral route: the convolution of the indicators cut at 1/2, on
-    the given box or else the box of _spectral_box when there is one, and on
-    all of G when there is none."""
+    the given box (_spectral_box), or on all of G when it is None."""
     from . import fourier  # local import; fourier depends on this module
 
     # the exact counts are integers, so the unsnapped convolution cut at 1/2
     # is exact
     g = A.group
-    if box is None:
-        box = _spectral_box(A, B)
     if box is None:
         return GroupSet(g, fourier.convolve(A, B, snap_integers=False) >= 0.5)
     crop_A = _crop(A, [(m, a) for m, a, _ in box])
@@ -359,35 +347,38 @@ def _least_sides(a: int, b: int, g: FinAbGroup) -> list[int]:
             for n in g.invariants]
 
 
-def _spectral_box(A: GroupSet, B: GroupSet) -> list[tuple[int, int, int]] | None:
+def _spectral_box(A: GroupSet, B: GroupSet,
+                  coords: tuple[np.ndarray, np.ndarray] | None = None
+                  ) -> list[tuple[int, int, int]] | None:
     """The grid of the spectral route of A + B: per cycle j, (m, a, b) where
     A's projection lies on the arc of length L_A from a, B's on the arc of
     length L_B from b, and m = _box_side(L_A + L_B - 1) is below n_j; else
     (n_j, 0, 0). None when no cycle shrinks. Cycles that the operand sizes
-    alone keep whole (_least_sides) are not scanned.
+    alone keep whole (_least_sides) are not scanned; coords (_coords) is
+    read only when one can shrink, unless it is given.
     """
     g = A.group
     shrinkable = [j for j, (m, n) in enumerate(zip(_least_sides(len(A), len(B), g),
                                                    g.invariants)) if m < n]
     if not shrinkable:
         return None
+    coords_A, coords_B = coords or _coords(A, B)
     box = [(n, 0, 0) for n in g.invariants]
     for j in shrinkable:
-        a, la = _arc(A, j)
-        b, lb = (a, la) if B is A else _arc(B, j)
+        a, la = _arc(coords_A, g, j)
+        b, lb = (a, la) if B is A else _arc(coords_B, g, j)
         m = _box_side(la + lb - 1)
         if m < g.invariants[j]:
             box[j] = (m, a, b)
     return box if any(m < n for (m, _, _), n in zip(box, g.invariants)) else None
 
 
-def _arc(S: GroupSet, j: int) -> tuple[int, int]:
-    """(start, length) of the shortest arc of cycle j holding S's projection."""
-    g = S.group
+def _arc(coords: np.ndarray, g: FinAbGroup, j: int) -> tuple[int, int]:
+    """(start, length) of the shortest arc of cycle j holding the projection
+    of a set with these coordinates (one side of _coords)."""
     n = g.invariants[j]
-    grid = S.mask.reshape(g.invariants[::-1])  # C order: cycle j is axis rank - 1 - j
-    axes = tuple(i for i in range(g.rank) if i != g.rank - 1 - j)
-    occupied = np.flatnonzero(grid.any(axis=axes) if axes else grid)
+    # on rank 1 the coordinates are the set's sorted indices
+    occupied = coords[0] if g.rank == 1 else np.flatnonzero(np.bincount(coords[j], minlength=n))
     first, last = int(occupied[0]), int(occupied[-1])
     # the arc starts after the longest step between cyclically consecutive points
     steps = occupied[1:] - occupied[:-1]
@@ -409,9 +400,16 @@ def _crop(S: GroupSet, axes: list[tuple[int, int]]) -> np.ndarray:
     return grid.astype(np.float64).ravel()
 
 
-def _coords(S: GroupSet) -> np.ndarray:
-    """The (rank, |S|) uint32 coordinates of the elements of S."""
-    return S.group.coords_table()[:, S.indices()].astype(np.uint32, order="C")
+def _coords(A: GroupSet, B: GroupSet) -> tuple[np.ndarray, np.ndarray]:
+    """The (rank, |S|) uint32 coordinates of the elements of A and of B, in
+    index order: one read of each operand's indices (one in all when B is A).
+    On rank 1 an element's coordinate is its index."""
+    read = []
+    for S in (A,) if B is A else (A, B):
+        idx = S.indices()
+        read.append((idx[None] if S.group.rank == 1
+                     else np.take(S.group.coords_table(), idx, axis=1)).astype(np.uint32))
+    return read[0], read[-1]
 
 
 def difference(A: GroupSet, B: GroupSet) -> GroupSet:

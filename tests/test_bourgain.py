@@ -253,7 +253,8 @@ class TestSystemFromBalls:
     @pytest.mark.parametrize("depth", range(1, MAX_DEPTH + 1))
     def test_level_keys_are_the_rounded_fractions(self, depth):
         # every key, and every radius the family is called with on the grid,
-        # is the correctly rounded u / 3^depth, bit for bit
+        # is the correctly rounded u / 3^depth, bit for bit; each radius is
+        # sampled once, 1.0 (the group's probe) first
         g = FinAbGroup([8])
         called = []
         zero = GroupSet.singleton(g, 0)
@@ -265,7 +266,8 @@ class TestSystemFromBalls:
         system = system_from_balls(family, d=0.0, K=depth)
         grid = [float(r).hex() for r in fraction_grid(depth)]
         assert [r.hex() for r in system.levels] == grid
-        assert [r.hex() for r in called[1:-1]] == grid
+        assert [r.hex() for r in called[:-1]] == [(1.0).hex()] + [
+            r for r in grid if r != (1.0).hex()]
         assert [r.hex() for r in system.ternary_radii()] == [
             float(Fraction(1, 3 ** k)).hex() for k in range(depth + 1)]
         assert called[-1].hex() == float(Fraction(1, 3 ** (depth + 12))).hex()

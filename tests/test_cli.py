@@ -186,12 +186,43 @@ _C64 = '{"cycles": [64]}'
     # JSON reads 1 and 400 zeros as an int that no float holds
     ('{"interval": {"group": %s, "scale": 1%s}}' % (_C64, "0" * 400),
      "needs a finite scale >= 0"),
+    # malformed shapes
+    ("5", "system file must be a JSON object, got 5"),
+    ('{"interval": 5}', "system file interval must be a JSON object, got 5"),
+    ('{"levels": 7}', "system file levels must be a JSON list, got 7"),
+    ('{"levels": [3]}', "system file level must be a JSON object, got 3"),
 ], ids=["scale-inf", "scale-negative", "radius-nan", "d-true", "scale-string", "radius-true",
-        "scale-huge-int"])
+        "scale-huge-int", "number", "interval-number", "levels-number", "level-number"])
 def test_birkhoff_bad_system_values_are_usage_errors(tmp_path, capsys, text, message):
     system = tmp_path / "system.json"
     system.write_text(text)
     code = main(["birkhoff", "--system", str(system)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and message in captured.err
+
+
+@pytest.mark.parametrize("literal,message", [
+    ({"group": {"cycles": [8.7]}, "interval": 1},
+     "FinAbGroup needs an integer cycle length >= 2, got 8.7"),
+    ({"group": {"cycles": 8}, "interval": 1}, "group literal must be an object with a 'cycles'"),
+    ({"group": {"cycles": [8]}, "interval": 2.9}, "set literal needs an integer interval >= 0"),
+    ({"group": {"cycles": [8]}, "interval": True}, "set literal needs an integer interval >= 0"),
+    ({"group": {"cycles": [8]}, "interval": -3}, "set literal needs an integer interval >= 0"),
+    ({"group": {"cycles": [8]}, "elements": [[1.5]]},
+     "set literal needs an integer coordinate and needs 0 <= coordinate <= 7, got 1.5"),
+    ({"group": {"cycles": [8, 4]}, "elements": [[0, True]]},
+     "set literal needs an integer coordinate and needs 0 <= coordinate <= 3, got True"),
+    ({"group": {"cycles": [8]}, "elements": 5}, "set literal needs an 'elements' list"),
+], ids=["cycle-float", "cycles-number", "interval-float", "interval-true", "interval-negative",
+        "coordinate-float", "coordinate-true", "elements-number"])
+def test_malformed_set_literal_is_usage_error(tmp_path, capsys, monkeypatch, literal, message):
+    # each value is refused as it is read, never converted
+    monkeypatch.setattr(addcomb.spectrum, "transform", no_work)
+    path = tmp_path / "A.json"
+    path.write_text(json.dumps(literal))
+    code = main(["spectrum", str(path), "--delta", "0.5"])
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
@@ -300,20 +331,32 @@ def test_freiman_epsilon_above_half_is_usage_error(set_file, capsys, monkeypatch
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
-    assert captured.err.startswith("error: ") and "epsilon must be <= 1/2" in captured.err
+    assert captured.err.startswith("error: ") and "needs 0 < epsilon <= 0.5" in captured.err
 
 
-@pytest.mark.parametrize("config,message", [
-    ({"dim_grid_cap": "abc"}, "dim_grid_cap must be an integer >= 0"),
-    ({"max_retries": "x"}, "max_retries must be an integer >= 0"),
-    ({"ratio_bound": None}, "ratio_bound must be a finite number >= 1"),
-    ({"n_max": 2.5}, "n_max must be an integer >= 2"),
-    ({"C": "a"}, "C must be a finite number >= 0"),
-    ({"max_retries": -3}, "max_retries must be an integer >= 0"),
+_BAD_CONFIGS = [  # (config, the rule it breaks, what the error says)
+    ({"dim_grid_cap": "abc"}, "dim_grid_cap must be an integer >= 0",
+     "FreimanConfig needs an integer dim_grid_cap >= 0, got 'abc'"),
+    ({"max_retries": "x"}, "max_retries must be an integer >= 0",
+     "FreimanConfig needs an integer max_retries >= 0, got 'x'"),
+    ({"ratio_bound": None}, "ratio_bound must be a finite number >= 1",
+     "FreimanConfig needs a finite ratio_bound >= 1, got None"),
+    ({"n_max": 2.5}, "n_max must be an integer >= 2",
+     "FreimanConfig needs an integer n_max >= 2, got 2.5"),
+    ({"C": "a"}, "C must be a finite number >= 0", "FreimanConfig needs a finite C >= 0"),
+    ({"max_retries": -3}, "max_retries must be an integer >= 0",
+     "FreimanConfig needs an integer max_retries >= 0, got -3"),
     # integers that no float holds
-    ({"C": 10 ** 400}, "C must be a finite number >= 0"),
-    ({"ratio_bound": 10 ** 400}, "ratio_bound must be a finite number >= 1"),
-])
+    ({"C": 10 ** 400}, "C must be a finite number >= 0", "FreimanConfig needs a finite C >= 0"),
+    ({"ratio_bound": 10 ** 400}, "ratio_bound must be a finite number >= 1",
+     "FreimanConfig needs a finite ratio_bound >= 1"),
+]
+
+
+# each case's id states the rule its config breaks
+@pytest.mark.parametrize("config,message", [
+    pytest.param(config, message, id=f"config{i}-{rule}")
+    for i, (config, rule, message) in enumerate(_BAD_CONFIGS)])
 def test_bad_freiman_config_is_usage_error(set_file, tmp_path, capsys, config, message):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(config))

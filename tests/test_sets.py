@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 import addcomb.sets
 from addcomb.groups import FinAbGroup, GroupMismatchError
 from addcomb.sets import (SUMSET_BLOCK_CELLS, SUMSET_COST, GroupSet, GuardExceededError,
-                          Multiples, _auto_route, _box_side, _spectral_box,
+                          Multiples, _auto_route, _box_side, _least_sides, _spectral_box,
                           _sumset_route, difference, growth_profile, iterate, negate, prog,
                           sumset)
 
@@ -216,8 +216,9 @@ class TestSpectralBox:
 
 
 class TestAutoRoute:
-    """sumset's auto route probes the box only where the full-grid model picks
-    direct, and hands the planned box to the spectral route."""
+    """sumset's auto route prices the direct route against the FFT on the box
+    it would use, plans that box only where the least box the sizes allow
+    could win, and hands the planned box to the spectral route."""
 
     @staticmethod
     def dual_arcs():
@@ -242,29 +243,60 @@ class TestAutoRoute:
         sumset(A, B)
         assert len(planned) == 1
 
+    def test_sum_priced_below_c2_times_the_order_takes_its_box(self, record_calls):
+        # on Z_2^20 the direct cost of 629 + 629 is modelled at 1.87 ms, below
+        # c2 * |G| = 2.16 ms, and the FFT on its box of 1280 points at 0.08 ms
+        from addcomb import fourier
+        g = FinAbGroup([2 ** 20])
+        A, B = GroupSet.interval(g, 314), GroupSet.interval(g, 314)
+        calls = record_calls(fourier, "convolve")
+        S = sumset(A, B)
+        assert [c[2].order for c in calls] == [1280]
+        assert S == GroupSet.interval(g, 628)
+
+    def test_each_operand_is_read_once_per_sum(self, monkeypatch):
+        g = FinAbGroup([2 ** 18])
+        rng = np.random.default_rng(7)
+        spread = [GroupSet.from_indices(g, rng.choice(g.order, size, False))
+                  for size in (32, 1024)]
+        _, arc, other = self.dual_arcs()
+        wants = {}
+        for A, B, route in ((*spread, "direct"), (arc, other, "spectral"),
+                            (arc, arc, "spectral")):
+            picked, _, coords = _auto_route(A, B)
+            assert picked == route and coords is not None  # planned
+            wants[A, B] = sumset(A, B, method="direct")
+        reads, indices = [], GroupSet.indices
+        monkeypatch.setattr(GroupSet, "indices", lambda S: reads.append(S) or indices(S))
+        for (A, B), want in wants.items():
+            reads.clear()
+            assert sumset(A, B) == want
+            assert reads == ([A] if B is A else [A, B])
+
     @staticmethod
     def reference_route(A: GroupSet, B: GroupSet):
-        """Reference: the auto rule, all three transforms priced, on all of G
-        and then on the planned box."""
+        """Reference: the auto rule in one stage, as (route, box, planned):
+        the FFT priced on the least box the sizes allow and, only where that
+        beats the direct cost, on the planned box."""
         g = A.group
         small, big = sorted((len(A), len(B)))
         c0, c1, c2, c3 = SUMSET_COST
-        if _sumset_route(small, big, g) == "spectral":
-            return "spectral", None
-        if small * (c0 + c1 * big * g.rank) <= max(c2 * g.order, c3):
-            return "direct", None
+        direct = small * (c0 + c1 * big * g.rank)
+        least = _least_sides(small, big, g)
+        if c2 * math.prod(least) * math.log2(math.prod(least)) + c3 >= direct:
+            return "direct", None, False
         box = _spectral_box(A, B)
-        if box is not None and _sumset_route(small, big, g, points=math.prod(
-                m for m, _, _ in box)) == "spectral":
-            return "spectral", box
-        return "direct", None
+        points = g.order if box is None else math.prod(m for m, _, _ in box)
+        route = "spectral" if c2 * points * math.log2(points) + c3 < direct else "direct"
+        return route, box, least != list(g.invariants)
 
     def test_unregistered_picks_are_unchanged(self):
         rng = np.random.default_rng(15)
         picks = set()
         for cycles in ([4096], [2 ** 14], [729], [64, 64], [16, 16, 16]):
             g = FinAbGroup(cycles)
-            for frac in (1 / 256, 1 / 32, 1 / 4):
+            # at 3/4 the operand sizes alone keep a cycle of 729 whole
+            for frac in (1 / 256, 1 / 32, 1 / 4, 3 / 4):
                 big = max(1, int(g.order * frac))
                 for small in (2, 8, 32, 128, 512):
                     if small > big:
@@ -274,18 +306,21 @@ class TestAutoRoute:
                                           + [(0, 1)] * (g.rank - 1))),
                                  (GroupSet.from_indices(g, rng.choice(g.order, small, False)),
                                   GroupSet.from_indices(g, rng.choice(g.order, big, False)))):
+                        route, box, coords = _auto_route(A, B)
                         want = self.reference_route(A, B)
-                        assert _auto_route(A, B) == want
-                        picks.add((want[0], want[1] is not None))
-        # every branch of the rule is exercised
-        assert picks == {("spectral", False), ("spectral", True), ("direct", False)}
+                        assert (route, box, coords is not None) == want
+                        picks.add((route, box is not None, want[2]))
+        # every outcome of the rule is exercised
+        assert picks == {("direct", False, False), ("direct", False, True),
+                         ("spectral", False, False), ("spectral", False, True),
+                         ("spectral", True, True)}
 
     def test_forced_methods_never_probe(self, record_calls):
         g, A, B = self.dual_arcs()
         planned = record_calls(addcomb.sets, "_spectral_box")
         assert sumset(A, B, method="direct") == GroupSet.interval(g, 314 + 471)
         assert planned == []
-        # the spectral route plans its own box, once
+        # a forced spectral sum plans its box once, before the route runs
         assert sumset(A, B, method="spectral") == GroupSet.interval(g, 314 + 471)
         assert len(planned) == 1
 

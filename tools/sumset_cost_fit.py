@@ -11,8 +11,10 @@ Times both exact sumset routes on a grid of groups and operand sizes
 by least squares on relative error. Prints one row per timed instance, the
 fitted constants, and the instances on which sumset's auto route, under the
 fitted constants and under the current SUMSET_COST, picks a route slower
-than the faster one by over 10%. The auto route is the one sumset takes,
-box probe included (addcomb.sets._auto_route).
+than the faster one by over 10%. The auto route is the one sumset takes:
+the direct route or the FFT on the box it would use, that box planned
+only where the least box the operand sizes allow could win
+(addcomb.sets._auto_route).
 
 Then, as a report only (the fit above uses random sets, which fill their
 group), times both routes on intervals and boxes of the same sizes: the
@@ -66,7 +68,7 @@ def misroutes(samples, cost) -> list[str]:
     cost takes a route over 10% slower than the faster one."""
     out = []
     for A, B, d, sp in samples:
-        pick, _ = _auto_route(A, B, cost)
+        pick = _auto_route(A, B, cost)[0]
         taken = sp if pick == "spectral" else d
         if taken > 1.1 * min(d, sp):
             out.append(f"{A.group!r} {len(A)}x{len(B)}: {pick} {taken * 1e3:.3f} ms "
