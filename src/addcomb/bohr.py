@@ -14,6 +14,10 @@ of sqrt(n)-long tables per cycle Z_n, so no full-length modulo is taken;
 entries stay below 2M for M = lcm(n_1..n_k) <= |G| <= 2^22 (the group order
 cap), so the rows are int32.
 
+Each call builds its digit tables once, for all of its rows, and every
+pass (the dense rows, the 16-bit pre-sieve and the exact gather) reads
+them; member_distances gathers the rows at a few elements alone.
+
 A table may be sieved at a radius cap r_cap. Every ball of radius >= 1/2 is
 all of G, so a caller that reads no radius in (r_cap, 1/2) needs the exact
 distance only of the elements within r_cap, and of the few it keeps. A
@@ -26,8 +30,13 @@ units, which no element within the cap reaches. The pre-sieve stops once
 fewer than STOP_SHARE of G is alive. If GATHER_SHARE or more is still alive,
 the exact rows run over all of G; otherwise the exact numerators are
 gathered from the same digit tables at the survivors alone, row-major, and
-each element is dropped once its running maximum passes the cap. Reading a
-sieved table at a radius in (r_cap, 1/2) raises.
+each element is dropped once its running maximum passes the cap. The
+DistanceTable holds the int32 numerators of its exact elements: all of G,
+or the sorted indices of the survivors when fewer than GATHER_SHARE of G
+survive, so its balls, measures and exact reads cost as many steps as it
+has survivors. A table may be built on a base table of other frequencies
+capped at r_cap or above, and is then evaluated where the base holds
+numerators. Reading a sieved table at a radius in (r_cap, 1/2) raises.
 """
 
 from __future__ import annotations
@@ -40,7 +49,7 @@ import numpy as np
 
 from .groups import FinAbGroup, _check_number
 from .serialize import set_to_json
-from .sets import GroupSet, Multiples
+from .sets import INDEX_COST, GroupSet, Multiples
 
 INCLUSION_SLACK = 1e-9
 
@@ -61,58 +70,124 @@ GATHER_SHARE = 0.25
 STOP_SHARE = 0.08
 
 
-class DistanceTable(np.ndarray):
-    """Bohr distances to 0, one float64 per element of G, exact up to r_cap.
+class DistanceTable:
+    """Bohr distances to 0 over G, exact up to r_cap.
 
-    An element x within the cap (num / M <= r_cap + INCLUSION_SLACK, the
-    readers' own test) or kept holds its exact ratio num / M. Every other
-    element holds inf, which says only that its distance is above r_cap.
-    With r_cap >= 1/2 nothing is sieved. covers holds the indices of the
-    frequencies the table is over. The table's call evaluated cells exact
-    int32 phases and coarse_cells 16-bit ones (a phase is one row at one
-    element); only a sieved table runs 16-bit rows.
+    num holds the int32 numerators (a distance is num / M, M the group's
+    phase denominator) of the table's exact elements: every element of G
+    when at is None (a dense table), else the elements at, sorted indices
+    (the survivors of a sieved table). An element is exact when its distance
+    is within r_cap (num / M <= r_cap + INCLUSION_SLACK, the readers' own
+    test) or the table keeps it; a dense table holds the numerators of the
+    others too, but they read as above the cap. With r_cap >= 1/2 nothing is
+    sieved. covers holds the indices of the frequencies the table is over.
+    The table's call evaluated cells exact int32 phases and coarse_cells
+    16-bit ones (a phase is one row at one element); only a sieved table
+    runs 16-bit rows.
     """
 
-    r_cap: float
-    covers: frozenset[int] | None
-    cells: int
-    coarse_cells: int
+    __slots__ = ("group", "r_cap", "covers", "cells", "coarse_cells", "num", "at",
+                 "_cap", "_kept", "_sorted")
 
-    def __array_finalize__(self, obj):
-        self.r_cap = getattr(obj, "r_cap", 0.5)
-        self.covers = getattr(obj, "covers", None)
-        self.cells = getattr(obj, "cells", 0)
-        self.coarse_cells = getattr(obj, "coarse_cells", 0)
+    def __init__(self, group: FinAbGroup, r_cap: float, covers: frozenset[int],
+                 num: np.ndarray, at: np.ndarray | None = None,
+                 kept: GroupSet | None = None, cells: int = 0, coarse_cells: int = 0):
+        self.group, self.r_cap, self.covers = group, float(r_cap), covers
+        self.num, self.at, self._kept = num, at, kept
+        self.cells, self.coarse_cells = cells, coarse_cells
+        self._cap = _cap_numerator(r_cap, group.phase_denominator)
+        self._sorted = None
 
-    def ball(self, radius: float) -> np.ndarray:
-        """The mask {x : dist(x) <= radius}; radii in (r_cap, 1/2) raise."""
-        if self._whole(radius):
-            return np.ones(self.shape, dtype=bool)
-        return self.view(np.ndarray) <= radius + INCLUSION_SLACK
+    @property
+    def size(self) -> int:
+        """|G|, the elements the table is over."""
+        return self.group.order
+
+    def ball(self, radius: float) -> GroupSet:
+        """{x : dist(x) <= radius}; radii in (r_cap, 1/2) raise."""
+        g = self.group
+        k = self._numerator(radius)
+        if k is None:
+            return GroupSet.full(g)
+        inside = self.num <= k
+        if self.at is None:
+            return GroupSet(g, inside)
+        return GroupSet.from_sorted(g, self.at[inside])
 
     def measure(self, radius: float) -> int:
-        """mu(ball(radius)), counted on the table itself (inf, an element past
-        the cap, compares false); radii in (r_cap, 1/2) raise."""
-        if self._whole(radius):
+        """mu(ball(radius)), counted on the numerators: a dense table counts
+        them, a sieved one sorts them once and bisects; radii in (r_cap, 1/2)
+        raise."""
+        k = self._numerator(radius)
+        if k is None:
             return self.size
-        return int(np.count_nonzero(self.view(np.ndarray) <= radius + INCLUSION_SLACK))
+        if self.at is None:
+            return int(np.count_nonzero(self.num <= k))
+        if self._sorted is None:
+            self._sorted = np.sort(self.num)
+        return int(np.searchsorted(self._sorted, k, side="right"))
 
-    def _whole(self, radius: float) -> bool:
-        """Whether the ball of radius is all of G; raises between r_cap and 1/2."""
+    def _numerator(self, radius: float) -> np.int32 | None:
+        """The largest numerator within radius (_cap_numerator), None when the
+        ball is all of G; raises between r_cap and 1/2."""
         if radius >= 0.5:
-            return True
+            return None
         if radius > self.r_cap:
             raise ValueError(f"radius {radius} lies between the table's cap "
                              f"{self.r_cap} and 1/2")
-        return False
+        return _cap_numerator(radius, self.group.phase_denominator)
 
     def exact(self, members: GroupSet) -> np.ndarray:
-        """The exact distances of members, which must all be kept or within r_cap."""
-        values = self.view(np.ndarray)[members.mask]
-        if not np.isfinite(values).all():
+        """The exact distances of members in index order; each member must be
+        kept or within r_cap."""
+        idx = members.indices()
+        if self.at is None:
+            num = self.num[idx]
+            over = idx[num > self._cap] if self._cap is not None else idx[:0]
+            held = not over.size or (self._kept is not None
+                                     and self._kept.has_indices(over).all())
+        else:
+            pos = np.searchsorted(self.at, idx)
+            held = not idx.size or (pos[-1] < self.at.size
+                                    and np.array_equal(self.at[pos], idx))
+            num = self.num[pos] if held else None
+        if not held:
             raise ValueError("an element above the table's cap was neither kept nor "
                              "within it")
-        return values
+        return num / self.group.phase_denominator
+
+    def distances(self) -> np.ndarray:
+        """Every element's distance as float64, inf where it is not exact
+        (above the cap and not kept)."""
+        M = self.group.phase_denominator
+        if self.at is not None:
+            out = np.full(self.size, np.inf)
+            out[self.at] = self.num / M
+            return out
+        out = self.num / M
+        if self._cap is not None:
+            over = self.num > self._cap
+            if self._kept is not None:
+                over &= ~self._kept.mask
+            out[over] = np.inf
+        return out
+
+
+def member_distances(freqs: GroupSet, members: GroupSet) -> np.ndarray:
+    """max_{gamma in freqs} ||gamma(x)|| for each x in members, in index
+    order, as exact ratios: bohr_distance_table's rows gathered at members
+    alone. As in a table, fewer than GATHER_SHARE of G are gathered; and
+    rows over G that cost less than the fixed part of an operation on
+    indices (sets.INDEX_COST) run densely."""
+    g = freqs.group
+    tables = _digit_rows(g, _rows(freqs))
+    cells = len(tables[0][0]) * g.order
+    if len(members) >= GATHER_SHARE * g.order or cells <= INDEX_COST[0]:
+        return _dense(g, tables, np.zeros(g.order, dtype=np.int32))[members.mask] / (
+            g.phase_denominator)
+    _, best, _ = _sieve(g, tables, members.indices(), None, None,
+                        np.zeros(len(members), dtype=np.int32))
+    return best / g.phase_denominator
 
 
 def bohr_distance_table(freqs: GroupSet, r_cap: float = 0.5,
@@ -120,11 +195,12 @@ def bohr_distance_table(freqs: GroupSet, r_cap: float = 0.5,
                         base: DistanceTable | None = None) -> DistanceTable:
     """max_{gamma in freqs} ||gamma(x)|| for every x, as exact ratios.
 
-    Elements whose distance is above r_cap come back as inf unless keep
-    holds them. With base, a table of other frequencies over the same group
-    sieved at the same r_cap and exact on keep, the result is the table of
-    the union: the rows of freqs are evaluated only where base is exact, and
-    when base covers every row already, the result shares base's distances.
+    Elements whose distance is above r_cap are not exact unless keep holds
+    them. With base, a table of other frequencies over the same group
+    sieved at a cap at or above r_cap, the result is the table of the union:
+    the rows of freqs are evaluated only where base holds numerators (all of
+    G, or its survivors), and when base covers every row already and holds
+    all of G or has the same cap, the result shares base's numerators.
 
     An empty frequency set constrains nothing (sup over the empty set is 0),
     and neither does the trivial character. Since ||-theta|| = ||theta||, a
@@ -135,105 +211,126 @@ def bohr_distance_table(freqs: GroupSet, r_cap: float = 0.5,
     if not r_cap >= 0:
         raise ValueError(f"bohr_distance_table needs r_cap >= 0, got {r_cap}")
     g = freqs.group
+    if base is not None and (base.group != g or not base.r_cap >= r_cap):
+        raise ValueError("the base table needs the same group and a cap at or above r_cap")
     M = g.phase_denominator
     cap = _cap_numerator(r_cap, M)
-    kept = None if keep is None or cap is None else keep.mask
+    kept = None if cap is None else keep
+    covers = frozenset(freqs.indices().tolist()) | (
+        frozenset() if base is None else base.covers)
+    coords = _rows(freqs, frozenset() if base is None else base.covers)
+    rows = coords.shape[1]
+    if base is not None and not rows and (base.at is None or base.r_cap == r_cap):
+        # base covers every row already, so its distances are the union's (a
+        # dense base's numerators read down to r_cap)
+        return DistanceTable(g, r_cap, covers, base.num, base.at,
+                             kept if base.at is None else None)
+    tables = _digit_rows(g, coords)
+    # the elements the exact rows are gathered at, with their numerators so
+    # far (None: every element of G, densely)
+    at, best, coarse_rows = None, None, 0
+    if cap is not None and base is not None and base.at is not None:
+        at, best = base.at, base.num.copy()
+    elif cap is not None:
+        alive = np.ones(g.order, dtype=bool) if base is None else base.num <= cap
+        if kept is not None:
+            alive |= kept.mask
+        # rows of independent uniform phases would each keep 2 r_cap of G; when
+        # even they would leave GATHER_SHARE alive, the exact rows run densely
+        if rows and np.count_nonzero(alive) * (2 * r_cap) ** rows < GATHER_SHARE * g.order:
+            coarse_rows = _presieve(g, tables, cap, alive)
+            if kept is not None:
+                alive |= kept.mask
+        if np.count_nonzero(alive) < GATHER_SHARE * g.order:
+            at = np.flatnonzero(alive)
+            best = np.zeros(at.size, dtype=np.int32) if base is None else base.num[at]
+    if at is None:
+        best = _dense(g, tables, np.zeros(g.order, dtype=np.int32) if base is None
+                      else base.num.copy())
+        cells = rows * g.order
+        if cap is not None and best.max() > cap:
+            inside = _within(best, cap, None if kept is None else kept.mask)
+            if np.count_nonzero(inside) < GATHER_SHARE * g.order:
+                at = np.flatnonzero(inside)
+                best = best[at]
+    else:
+        # the rows the pre-sieve did not reach go first: they drop the most
+        held = None if kept is None else kept.has_indices(at)
+        tables = [(np.roll(hi, -coarse_rows, axis=0), np.roll(lo, -coarse_rows, axis=0))
+                  for hi, lo in tables]
+        at, best, cells = _sieve(g, tables, at, held, cap, best)
+    return DistanceTable(g, r_cap, covers, best, at, None if at is not None else kept,
+                         cells, coarse_rows * g.order)
+
+
+def _rows(freqs: GroupSet, covered_by: frozenset[int] = frozenset()) -> np.ndarray:
+    """The coordinates (rank, rows) of the frequencies of freqs that need a
+    row: one per pair {gamma, -gamma} whose negative is not in covered_by,
+    none for the trivial character."""
+    g = freqs.group
     idx = freqs.indices()
     coords = g.decode_array(idx)
     neg = g.encode_array(-coords)
-    covered = freqs.mask[neg] & (neg < idx)
-    if base is not None:
-        if base.covers is None or base.shape != (g.order,) or base.r_cap != r_cap:
-            raise ValueError("the base table needs the same group and r_cap")
-        covered |= np.array([m in base.covers for m in neg.tolist()], dtype=bool)
-    coords = coords[:, ~covered & coords.any(axis=0)]
-    covers = frozenset(idx.tolist()) | (frozenset() if base is None else base.covers)
-    rows, coarse_rows, at = coords.shape[1], 0, None
-    if base is not None and not rows:
-        # base covers every row already, so its distances are the union's
-        out = base.view(DistanceTable)
-        out.r_cap, out.cells, out.coarse_cells, out.covers = float(r_cap), 0, 0, covers
-        return out
-    if cap is not None and rows:
-        alive = (np.ones(g.order, dtype=bool) if base is None
-                 else np.isfinite(base.view(np.ndarray)))
-        # rows of independent uniform phases would each keep 2 r_cap of G; when
-        # even they would leave GATHER_SHARE alive, the exact rows run densely
-        if np.count_nonzero(alive) * (2 * r_cap) ** rows < GATHER_SHARE * g.order:
-            coarse_rows = _presieve(g, coords, cap, alive)
-            if kept is not None:
-                alive |= kept  # where base is inf, the max with it stays inf
-            if np.count_nonzero(alive) < GATHER_SHARE * g.order:
-                at = np.flatnonzero(alive)
-    if at is None:
-        best = np.zeros(g.order, dtype=np.int32)
-        step = max(1, BLOCK_CELLS // g.order)
-        for start in range(0, rows, step):
-            _fold(best, _phase_sums(g, coords[:, start:start + step]), M)
-        cells = rows * g.order
-        table = best / M
-        if base is not None:
-            np.maximum(table, base.view(np.ndarray), out=table)
-        if cap is not None and best.max() > cap:
-            table[~_within(best, cap, kept)] = np.inf
-    else:
-        # the rows the pre-sieve did not reach go first: they drop the most
-        at, best, cells = _sieve(g, np.roll(coords, -coarse_rows, axis=1), at,
-                                 None if kept is None else kept[at], cap)
-        values = best / M
-        if base is not None:
-            np.maximum(values, base.view(np.ndarray)[at], out=values)
-        table = np.full(g.order, np.inf)
-        table[at] = values
-    out = table.view(DistanceTable)
-    out.r_cap, out.covers = float(r_cap), covers
-    out.cells, out.coarse_cells = cells, coarse_rows * g.order
-    return out
+    covered = freqs.has_indices(neg) & (neg < idx)
+    if covered_by:
+        covered |= np.array([m in covered_by for m in neg.tolist()], dtype=bool)
+    return coords[:, ~covered & coords.any(axis=0)]
 
 
-def _presieve(g: FinAbGroup, coords: np.ndarray, cap: np.int32, alive: np.ndarray) -> int:
-    """Clear in alive each element whose 16-bit phase on a row of coords lies
-    more than floor(cap * 2^16 / M) + 2 * rank units from 0 (a margin no
-    element within the cap passes; see the module docstring), until fewer
-    than STOP_SHARE of G is alive. Returns the number of rows run; blocks
-    start at one row and double."""
+def _dense(g: FinAbGroup, tables, best: np.ndarray) -> np.ndarray:
+    """best (one numerator per element of G) folded with the rows of the
+    digit tables (_digit_rows), in blocks of about BLOCK_CELLS cells."""
+    step = max(1, BLOCK_CELLS // g.order)
+    for start in range(0, len(tables[0][0]), step):
+        _fold(best, _phase_sums(g, _block(tables, start, start + step)), g.phase_denominator)
+    return best
+
+
+def _presieve(g: FinAbGroup, tables, cap: np.int32, alive: np.ndarray) -> int:
+    """Clear in alive each element whose 16-bit phase on a row of the digit
+    tables (_digit_rows) lies more than floor(cap * 2^16 / M) + 2 * rank
+    units from 0 (a margin no element within the cap passes; see the module
+    docstring), until fewer than STOP_SHARE of G is alive. Returns the
+    number of rows run; blocks start at one row and double."""
     M = g.phase_denominator
     slack = (int(cap) << 16) // M + 2 * g.rank
     if 2 * slack >= 0xFFFF:  # every coarse distance passes
         return 0
     top = np.uint16(2 * slack)
-    start, size, rows = 0, 1, coords.shape[1]
+    start, size, rows = 0, 1, len(tables[0][0])
     while start < rows and np.count_nonzero(alive) >= STOP_SHARE * g.order:
-        block = coords[:, start:start + size]
+        block = _block(tables, start, start + size)
         alive &= _coarse_sums(g, block, slack).max(axis=0) <= top
-        start += block.shape[1]
+        start += len(block[0][0])
         size = min(2 * size, max(1, BLOCK_CELLS // g.order))
     return start
 
 
-def _sieve(g: FinAbGroup, coords: np.ndarray, at: np.ndarray, held: np.ndarray | None,
-           cap: np.int32) -> tuple[np.ndarray, np.ndarray, int]:
-    """The numerators over the rows coords of the elements at, gathered in
+def _sieve(g: FinAbGroup, tables, at: np.ndarray, held: np.ndarray | None,
+           cap: np.int32 | None, best: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+    """The numerators over the rows of the digit tables (_digit_rows) of the
+    elements at, folded into best (their numerators so far), gathered in
     blocks that start at one row and double up to about BLOCK_CELLS cells;
-    before each block and after the last, drop every element past cap that
-    held does not mark. Returns the survivors, their numerators and the
-    cells evaluated."""
+    before each block and after the last, drop every element past cap (none
+    when cap is None) that held does not mark. Returns the survivors, their
+    numerators and the cells evaluated. With no cap the blocks start full."""
     M = g.phase_denominator
     digits = _digits(g, at)
-    best = np.zeros(at.size, dtype=np.int32)
-    start, size, cells = 0, 1, 0
+    start, cells, rows = 0, 0, len(tables[0][0])
+    size = 1 if cap is not None else max(1, BLOCK_CELLS // max(at.size, 1))
     while True:
-        alive = _within(best, cap, held)
-        if not alive.all():
-            at, best = at[alive], best[alive]
-            held = None if held is None else held[alive]
-            digits = [(a[alive], b[alive]) for a, b in digits]
-        if start == coords.shape[1] or not at.size:
+        if cap is not None:
+            alive = _within(best, cap, held)
+            if not alive.all():
+                at, best = at[alive], best[alive]
+                held = None if held is None else held[alive]
+                digits = [(a[alive], b[alive]) for a, b in digits]
+        if start == rows or not at.size:
             return at, best, cells
-        block = coords[:, start:start + size]
+        block = _block(tables, start, start + size)
         _fold(best, _gathered_sums(g, block, digits), M)
-        cells += block.shape[1] * at.size
-        start += block.shape[1]
+        cells += len(block[0][0]) * at.size
+        start += len(block[0][0])
         size = min(2 * size, max(1, BLOCK_CELLS // at.size))
 
 
@@ -279,22 +376,33 @@ def _fold(best: np.ndarray, u: np.ndarray, M: int) -> None:
     np.maximum(best, d, out=best)
 
 
-def _digit_tables(m: np.ndarray, n: int, M: int) -> tuple[np.ndarray, np.ndarray]:
-    """Phase tables of the multipliers m (k,) on one cycle Z_n.
+def _digit_rows(g: FinAbGroup, mc: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per cycle Z_n, the phase tables (hi, lo) of the characters with
+    coordinates mc (rank, k), built once per table call.
 
     Coordinate x = a*B + b (B = ceil(sqrt(n))) has phase (m*B*a mod n +
-    m*b mod n) * M/n = hi[:, a] + lo[:, b], with both tables in [0, M).
+    m*b mod n) * M/n = hi[:, a] + lo[:, b], with both tables int32 in [0, M)
+    and one row per character.
     """
-    B = math.isqrt(n - 1) + 1
-    m = m[:, None]
-    hi = (m * B * np.arange(-(-n // B)) % n * (M // n)).astype(np.int32)
-    lo = (m * np.arange(B) % n * (M // n)).astype(np.int32)
-    return hi, lo
+    M = g.phase_denominator
+    out = []
+    for m, n in zip(mc, g.invariants):
+        B = math.isqrt(n - 1) + 1
+        m = m[:, None]
+        hi = (m * B * np.arange(-(-n // B)) % n * (M // n)).astype(np.int32)
+        lo = (m * np.arange(B) % n * (M // n)).astype(np.int32)
+        out.append((hi, lo))
+    return out
 
 
-def _phase_sums(g: FinAbGroup, mc: np.ndarray) -> np.ndarray:
-    """Phase numerators of the characters with coordinates mc (rank, k) at
-    every element, plus 0 or M: a (k, order) array with entries in [0, 2M).
+def _block(tables, start: int, stop: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Rows start..stop - 1 of the digit tables."""
+    return [(hi[start:stop], lo[start:stop]) for hi, lo in tables]
+
+
+def _phase_sums(g: FinAbGroup, tables) -> np.ndarray:
+    """Phase numerators of the characters of the digit tables (_digit_rows)
+    at every element, plus 0 or M: a (k, order) array with entries in [0, 2M).
 
     Each cycle's row is the outer sum of its digit tables (padded to
     ceil(n/B)*B and cut back to n), coordinate 0 fastest; each sum that
@@ -302,8 +410,7 @@ def _phase_sums(g: FinAbGroup, mc: np.ndarray) -> np.ndarray:
     """
     M = g.phase_denominator
     total = None
-    for m, n in zip(mc, g.invariants):
-        hi, lo = _digit_tables(m, n, M)
+    for (hi, lo), n in zip(tables, g.invariants):
         row = _outer_sum(hi, lo)[:, :n]
         total = row if total is None else _outer_sum(_mod(row, M), _mod(total, M))
     return total
@@ -324,20 +431,19 @@ def _digits(g: FinAbGroup, at: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]
     return out
 
 
-def _gathered_sums(g: FinAbGroup, mc: np.ndarray, digits) -> np.ndarray:
+def _gathered_sums(g: FinAbGroup, tables, digits) -> np.ndarray:
     """_phase_sums at the elements whose digits are given: a (k, len) array,
     gathered from the digit tables one row at a time."""
     M = g.phase_denominator
     total = None
-    for m, n, (a, b) in zip(mc, g.invariants, digits):
-        hi, lo = _digit_tables(m, n, M)
+    for (hi, lo), (a, b) in zip(tables, digits):
         row = np.take(hi, a, axis=1)
         row += np.take(lo, b, axis=1)
         total = row if total is None else _mod(row, M) + _mod(total, M)
     return total
 
 
-def _coarse_sums(g: FinAbGroup, mc: np.ndarray, shift: int) -> np.ndarray:
+def _coarse_sums(g: FinAbGroup, tables, shift: int) -> np.ndarray:
     """_phase_sums in 2^16 units, plus shift: a (k, order) uint16 array.
 
     Each digit v becomes floor(v * 2^16 / M), and shift joins the first
@@ -346,8 +452,7 @@ def _coarse_sums(g: FinAbGroup, mc: np.ndarray, shift: int) -> np.ndarray:
     """
     M = g.phase_denominator
     total = None
-    for m, n in zip(mc, g.invariants):
-        hi, lo = _digit_tables(m, n, M)
+    for (hi, lo), n in zip(tables, g.invariants):
         hi = ((hi.astype(np.int64) << 16) // M).astype(np.uint16)
         lo = (((lo.astype(np.int64) << 16) // M + shift) & 0xFFFF).astype(np.uint16)
         shift = 0  # the first cycle's low digits carried it
@@ -369,19 +474,7 @@ def _mod(s: np.ndarray, M: int) -> np.ndarray:
 
 def bohr_family(freqs: GroupSet) -> Callable[[float], GroupSet]:
     """radius -> Bohr(freqs, radius), sharing one distance table."""
-    return table_family(freqs.group, bohr_distance_table(freqs))
-
-
-def table_family(g: FinAbGroup, table: DistanceTable) -> Callable[[float], GroupSet]:
-    """radius -> the Bohr set cut from a precomputed distance table over g.
-
-    A radius between the table's cap and 1/2 raises (DistanceTable.ball).
-    """
-
-    def family(radius: float) -> GroupSet:
-        return GroupSet(g, table.ball(radius))
-
-    return family
+    return bohr_distance_table(freqs).ball
 
 
 @dataclass(frozen=True)

@@ -12,11 +12,15 @@ Each stage has one entry point, which run_freiman calls: growth_profile,
 find_l and measured_growth_exponent take the run's Multiples, and
 spectrum_cover and lowerbound_audit the FreimanRun itself.
 
-The Bohr distance tables are sieved (bohr.bohr_distance_table): a run
-fixes its radius cap read_cap, the largest radius below 1/2 that any stage
-reads, before its first table, and every table keeps A - A exact. So the
-distances are exact wherever a stage reads them, a ball of radius >= 1/2
-is all of G, and a read between the cap and 1/2 would raise.
+Each Bohr distance table is sieved for its own readers
+(bohr.bohr_distance_table), and every table keeps A - A exact. The ball's
+table over Lambda = LSpec(lA, eps) u X is capped at read_cap, the largest
+radius below 1/2 that the ball, the dimension grid or the chain reads; the
+chain's table over LSpec(lA, 2 eps) is built on it at chain_cap, the largest
+radius the chain reads. The lower-bound audit reads only A - A, so its
+maximum is gathered there (bohr.member_distances) and it builds no table.
+So the distances are exact wherever a stage reads them, a ball of radius
+>= 1/2 is all of G, and a read between a table's cap and 1/2 would raise.
 
 Two modes. "paper" uses the literal constants (pigeonhole bound 2^15, ball
 radius 2^-4, the 2^13 (1+C) d' ln^2 d' threshold formula), which degenerate
@@ -99,13 +103,11 @@ class FreimanRun:
     of lA (every spectrum of lA, at any delta, is a threshold of them), the
     spectra cut from them at each (l, delta) a stage asked for, A - A
     and the Bohr distance tables of the nested frequency sets
-    LSpec(lA, eps) <= LSpec(lA, eps) u X <= LSpec(lA, 2 eps). Each stage
-    given the run reuses what the stages before it computed.
+    LSpec(lA, eps) u X <= LSpec(lA, 2 eps). Each stage given the run reuses
+    what the stages before it computed.
 
-    Every table is sieved at one radius cap r_cap and keeps A - A exact
-    (see bohr.bohr_distance_table). Outside run_freiman the cap stays at
-    1/2, as no stage reads a ball below it; run_freiman fixes the largest
-    radius below 1/2 that its stages read (read_cap) before its first table.
+    Each table is sieved at the radius cap its caller reads up to and keeps
+    A - A exact (see bohr.bohr_distance_table).
     """
 
     def __init__(self, A: GroupSet):
@@ -117,13 +119,6 @@ class FreimanRun:
         self._spectra: dict[tuple[int, float], Spectrum] = {}
         self._difference: GroupSet | None = None
         self._tables: list[tuple[GroupSet, DistanceTable]] = []
-        self.r_cap = 0.5
-
-    def sieve(self, r_cap: float) -> None:
-        """Cap every table of this run at r_cap; only before the first table."""
-        if self._tables:
-            raise RuntimeError("the radius cap is fixed once a table exists")
-        self.r_cap = r_cap
 
     def spectrum(self, l: int, delta: float) -> Spectrum:
         """LSpec(lA, delta), cut once per (l, delta)."""
@@ -142,18 +137,20 @@ class FreimanRun:
                                 else sumset(self.A, neg))
         return self._difference
 
-    def bohr_table(self, freqs: GroupSet) -> DistanceTable:
-        """bohr_distance_table(freqs), computing only the frequencies outside
-        the largest earlier frequency set it contains, and only where that
-        set's table is exact (a sup over a union is the max of the sups)."""
-        known = [(f, t) for f, t in self._tables if f.is_subset_of(freqs)]
+    def bohr_table(self, freqs: GroupSet, r_cap: float) -> DistanceTable:
+        """bohr_distance_table(freqs, r_cap) keeping A - A, computing only the
+        frequencies outside the largest earlier frequency set it contains
+        whose table is capped at r_cap or above, and only where that table
+        holds numerators (a sup over a union is the max of the sups)."""
+        known = [(f, t) for f, t in self._tables
+                 if t.r_cap >= r_cap and f.is_subset_of(freqs)]
         keep = self.difference()
         if known:
             base, table = max(known, key=lambda ft: ft[0].cardinality)
             rest = GroupSet(freqs.group, freqs.mask & ~base.mask)
-            table = bohr.bohr_distance_table(rest, self.r_cap, keep, base=table)
+            table = bohr.bohr_distance_table(rest, r_cap, keep, base=table)
         else:
-            table = bohr.bohr_distance_table(freqs, self.r_cap, keep)
+            table = bohr.bohr_distance_table(freqs, r_cap, keep)
         self._tables.append((freqs, table))
         return table
 
@@ -288,15 +285,14 @@ class LowerboundAudit:
 
 def lowerbound_audit(run: FreimanRun, l: int, epsilon: float) -> LowerboundAudit:
     """Exhaustive membership check of the spectral lower-bound containment,
-    with K the measured ratio mu(lA) / mu((l-1)A)."""
+    with K the measured ratio mu(lA) / mu((l-1)A). Only A - A is read, so
+    its distances are gathered there and no table is built."""
     _check_number(l, "lowerbound_audit", "l", 2, integral=True)
     _check_number(epsilon, "lowerbound_audit", "epsilon", 0, strict=True, high=1)
     K = run.multiples[l].measure / run.multiples[l - 1].measure
     spec = run.spectrum(l, epsilon)
     radius = 2 * epsilon * math.sqrt(2 * K)
-    table = run.bohr_table(spec.members)
-    AmA = run.difference()
-    worst = float(table.exact(AmA).max())
+    worst = float(bohr.member_distances(spec.members, run.difference()).max())
     return LowerboundAudit(worst <= radius + INCLUSION_SLACK, l, float(epsilon),
                            K, radius, spec.count, worst)
 
@@ -413,16 +409,17 @@ def _covered(run: FreimanRun, l: int, eps: float, max_retries: int
 
 def _chain(run: FreimanRun, l: int, eps: float, K_l: float, ball: BohrSet
            ) -> tuple[ChainLink, ChainLink, ChainLink]:
-    """The three-link radius chain, each link exhaustive with its own applicability."""
-    table2 = run.bohr_table(run.spectrum(l, 2 * eps).members)
-    g = run.A.group
+    """The three-link radius chain, each link exhaustive with its own
+    applicability, read off a table over LSpec(lA, 2 eps) capped at
+    chain_cap(eps)."""
+    table2 = run.bohr_table(run.spectrum(l, 2 * eps).members, chain_cap(eps))
     link1 = ChainLink(
         "A-A in Bohr(LSpec(lA,2eps), 2^9 eps)",
         bool(table2.exact(run.difference()).max() <= 2 ** 9 * eps + INCLUSION_SLACK),
         K_l <= 2 ** 13,  # then 2^9 eps dominates the guaranteed 4 eps sqrt(2 K_l)
     )
-    mid = GroupSet(g, table2.ball(2 ** 9 * eps))
-    tight = GroupSet(g, table2.ball(DEFAULT_RADIUS))
+    mid = table2.ball(2 ** 9 * eps)
+    tight = table2.ball(DEFAULT_RADIUS)
     link2 = ChainLink(
         "Bohr(LSpec(lA,2eps), 2^9 eps) in Bohr(LSpec(lA,2eps), 2^-4)",
         mid.is_subset_of(tight),
@@ -436,16 +433,23 @@ def _chain(run: FreimanRun, l: int, eps: float, K_l: float, ball: BohrSet
     return link1, link2, link3
 
 
+def chain_cap(eps: float) -> float:
+    """The largest radius below 1/2 that the chain reads off its table: 2^9
+    eps or 2^-4. Link 1 reads A - A, which every table keeps exact."""
+    return max(r for r in (2 ** 9 * eps, DEFAULT_RADIUS) if r < 0.5)
+
+
 def read_cap(radius: float, eps: float) -> float:
-    """The largest radius below 1/2 that run_freiman reads off a Bohr table.
+    """The largest radius below 1/2 that run_freiman reads off the ball's
+    table or off a table built on it.
 
     The reads are the dimension grid's radius * 2^-j and their doubles (all
-    of the form radius * 2^j with j <= 1), the chain's 2^9 eps and 2^-4.
-    Balls of radius >= 1/2 are all of G, and the audit and chain link 1 read
-    A - A, which every table keeps exact.
+    of the form radius * 2^j with j <= 1) and the chain's (chain_cap). Balls
+    of radius >= 1/2 are all of G, and chain link 1 reads A - A, which every
+    table keeps exact.
     """
     grid = math.ldexp(radius, min(1, -1 - math.frexp(radius)[1]))
-    return max(r for r in (grid, 2 ** 9 * eps, DEFAULT_RADIUS) if r < 0.5)
+    return max(chain_cap(eps), grid if grid < 0.5 else 0)
 
 
 def run_freiman(A: GroupSet, config: FreimanConfig) -> FreimanReport:
@@ -453,9 +457,10 @@ def run_freiman(A: GroupSet, config: FreimanConfig) -> FreimanReport:
 
     The stages (growth, pigeonhole, spectrum, cover, audit, ball, chain)
     share one FreimanRun, so each nA, the transform of lA, A - A and each
-    Bohr distance row are computed once. The tables are sieved at read_cap:
-    an element's exact distance is computed only while it stays within the
-    largest radius below 1/2 that a stage reads, or when it lies in A - A.
+    Bohr distance row over G are computed once. Each table is sieved at the
+    largest radius below 1/2 that its readers read (read_cap, chain_cap): an
+    element's exact distance is computed only while it stays within that
+    cap, or when it lies in A - A.
     """
     run = FreimanRun(A)
     n_max = config.scan_window_end()
@@ -483,15 +488,14 @@ def run_freiman(A: GroupSet, config: FreimanConfig) -> FreimanReport:
     else:
         radius = max(DEFAULT_RADIUS, guaranteed)
 
-    # the audit's table over LSpec(lA, eps) is the base of the ball's and the chain's
-    run.sieve(read_cap(radius, eps_used))
     audit = lowerbound_audit(run, l, min(eps_used, 1.0))
 
     Lambda = spectrum.members
     if cover.X_set is not None:
         Lambda = Lambda | cover.X_set
-    table = run.bohr_table(Lambda)
-    ball = BohrSet(Lambda, float(radius), GroupSet(A.group, table.ball(radius)))
+    # the ball's table is the base of the chain's, whose cap is at or below it
+    table = run.bohr_table(Lambda, read_cap(radius, eps_used))
+    ball = BohrSet(Lambda, float(radius), table.ball(radius))
     # the grid and the estimate read most radii more than once: count each once
     measure = functools.cache(table.measure)
     grid = dyadic_dimension_grid(measure, radius, cap=config.dim_grid_cap)

@@ -1,7 +1,19 @@
-"""Dense subsets of a finite abelian group with Minkowski arithmetic.
+"""Subsets of a finite abelian group with Minkowski arithmetic.
 
-A GroupSet is a bit vector over the canonical element enumeration. Sumsets
-run through one of two exact routes. The direct route adds the uint32
+A GroupSet is a bit vector over the canonical element enumeration, the
+canonical form for serialization and for the FFT, or, when it holds a
+small share of a large group, its sorted indices, with the bit vector built
+on first read. The form is picked from what the input shows, the set's
+size s and the group's order: an operation on sorted indices costs about
+INDEX_COST = (fixed, per index) points of a pass over a mask, so a set takes
+them when fixed + per_index * s < |G| (_sparse), and groups below 2^14
+always take the mask. Such a set answers its cardinality, ==, subset
+checks, membership, negation and symmetry from its indices alone; a
+direct sum of few pairs and a spectral sum of few points build their
+result as indices too. Negation on a mask reverses every axis of the grid
+and rolls it by one.
+
+Sumsets run through one of two exact routes. The direct route adds the uint32
 coordinates of every pair at once, as one numpy outer sum per block of
 about SUMSET_BLOCK_CELLS pairs (rows of the smaller operand against all of
 the larger one); a coordinate sum is below 2n, so one wrapped subtract
@@ -15,7 +27,9 @@ or above L_A + L_B - 1 (and at least 2, the shortest cycle), when
 m < n_j. numpy's FFT costs about the same per point at 5-smooth lengths
 as at powers of two, and they lie closer together. There the convolution
 of the cropped indicators is linear, hence exact, and box point k is the
-sum at a + b + k mod n_j (the wrap-back). Other cycles stay whole, and
+sum at a + b + k mod n_j (the wrap-back: a sum of few points is mapped
+to its indices, a larger one rolled onto a mask; operands read through
+their indices are cropped from their coordinates). Other cycles stay whole, and
 with none shrunk the route is the full-grid convolution. sumset picks the
 route of lower modelled cost,
 
@@ -37,6 +51,8 @@ iterate(n, A) is Multiples(A)[n].
 from __future__ import annotations
 
 import bisect
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -53,6 +69,14 @@ PROG_GUARD = 24
 #: direct ~ |small| * (c0 + c1 * |big| * rank), spectral ~ c2 * P log2 P + c3
 #: on an FFT grid of P points.
 SUMSET_COST = (1.32e-6, 2.63e-9, 2.06e-9, 5.49e-5)
+
+#: The cost, in points of one pass over a bool mask, of one operation on a
+#: set's sorted indices: a fixed part (about 8 numpy calls, each of a fixed
+#: cost near that of a 2048-point pass) and a part per index (a sort step of
+#: about log2 |G| compares and the gathers of an encode, about 32 points).
+#: A set of s points is read through its indices when that is below |G|
+#: (_sparse), so groups below 2^14 always take the mask.
+INDEX_COST = (8 * 2048, 32)
 
 #: Pairs the direct sumset route adds in one block (rows of the smaller
 #: operand against all of the larger one; at least one row per block).
@@ -81,26 +105,41 @@ class GuardExceededError(ValueError):
 
 
 class GroupSet:
-    """A subset of a FinAbGroup (or of its dual) as a dense bool mask.
+    """A subset of a FinAbGroup (or of its dual): a bool mask, or the sorted
+    indices of a set that holds a small share of the group (_sparse), which
+    builds its mask on first read and keeps its indices once read.
 
     mu(A) is the cardinality, the counting-measure convention.
     """
 
-    __slots__ = ("group", "mask", "_card")
+    __slots__ = ("group", "_mask", "_idx", "_card")
 
     def __init__(self, group: FinAbGroup, mask: np.ndarray):
         if mask.shape != (group.order,):
             raise ValueError(f"mask length {mask.shape} != group order {group.order}")
         self.group = group
-        self.mask = mask.astype(bool, copy=False)
-        self.mask.setflags(write=False)
-        self._card = int(np.count_nonzero(self.mask))
+        self._mask = mask.astype(bool, copy=False)
+        self._mask.setflags(write=False)
+        self._idx = None
+        self._card = int(np.count_nonzero(self._mask))
 
     # -- constructors --------------------------------------------------------
 
     @classmethod
+    def from_sorted(cls, group: FinAbGroup, idx: np.ndarray) -> "GroupSet":
+        """The set of the strictly increasing int64 indices idx (not checked):
+        held as those indices when they are a small share of the group
+        (_sparse), else as its mask."""
+        if not _sparse(idx.size, group):
+            return cls(group, _scatter(group, idx))
+        S = cls.__new__(cls)
+        S.group, S._mask, S._idx, S._card = group, None, idx, idx.size
+        idx.setflags(write=False)
+        return S
+
+    @classmethod
     def empty(cls, group: FinAbGroup) -> "GroupSet":
-        return cls(group, np.zeros(group.order, dtype=bool))
+        return cls.from_sorted(group, np.empty(0, dtype=np.int64))
 
     @classmethod
     def full(cls, group: FinAbGroup) -> "GroupSet":
@@ -108,13 +147,12 @@ class GroupSet:
 
     @classmethod
     def from_indices(cls, group: FinAbGroup, indices: Iterable[int]) -> "GroupSet":
-        mask = np.zeros(group.order, dtype=bool)
         idx = np.asarray(list(indices), dtype=np.int64)
-        if idx.size:
-            if idx.min() < 0 or idx.max() >= group.order:
-                raise ValueError("element index out of range")
-            mask[idx] = True
-        return cls(group, mask)
+        if idx.size and (idx.min() < 0 or idx.max() >= group.order):
+            raise ValueError("element index out of range")
+        if _sparse(idx.size, group):
+            return cls.from_sorted(group, _unique(idx))
+        return cls(group, _scatter(group, idx))
 
     @classmethod
     def from_coords(cls, group: FinAbGroup, coords: Iterable[Sequence[int]]) -> "GroupSet":
@@ -148,6 +186,14 @@ class GroupSet:
     # -- queries ---------------------------------------------------------------
 
     @property
+    def mask(self) -> np.ndarray:
+        """The read-only bool mask over the group's indices."""
+        if self._mask is None:
+            self._mask = _scatter(self.group, self._idx)
+            self._mask.setflags(write=False)
+        return self._mask
+
+    @property
     def cardinality(self) -> int:
         return self._card
 
@@ -157,32 +203,62 @@ class GroupSet:
         return self._card
 
     def indices(self) -> np.ndarray:
-        return np.flatnonzero(self.mask)
+        """The sorted element indices; a small set keeps them (read-only)."""
+        if self._idx is not None:
+            return self._idx
+        idx = np.flatnonzero(self._mask)
+        if _sparse(self._card, self.group):
+            idx.setflags(write=False)
+            self._idx = idx
+        return idx
+
+    def has_indices(self, idx: np.ndarray) -> np.ndarray:
+        """Which of the indices idx are in the set, as a bool array."""
+        if self._mask is not None:
+            return self._mask[idx]
+        own = self._idx
+        pos = np.minimum(np.searchsorted(own, idx), max(own.size - 1, 0))
+        return own[pos] == idx if own.size else np.zeros(np.shape(idx), dtype=bool)
 
     def coords_list(self) -> list[tuple[int, ...]]:
         return [self.group.decode(int(i)) for i in self.indices()]
 
     def contains_zero(self) -> bool:
-        return bool(self.mask[0])
+        if self._mask is not None:
+            return bool(self._mask[0])
+        return bool(self._card and self._idx[0] == 0)
 
     def is_symmetric(self) -> bool:
-        return bool(np.array_equal(self.mask, self.mask[self.group.negation_permutation()]))
+        if _sparse(self._card, self.group):
+            idx = self.indices()
+            return bool(np.array_equal(_negated_indices(self.group, idx), idx))
+        return bool(np.array_equal(self.mask, _negated_mask(self)))
 
     def is_subset_of(self, other: "GroupSet") -> bool:
         _require_same_group(self, other)
+        if self._card > other._card:
+            return False
+        if _sparse(self._card, self.group):
+            return bool(other.has_indices(self.indices()).all())
         return not np.any(self.mask & ~other.mask)
 
     def __eq__(self, other) -> bool:
-        return (isinstance(other, GroupSet) and self.group == other.group
-                and np.array_equal(self.mask, other.mask))
+        if not (isinstance(other, GroupSet) and self._card == other._card
+                and self.group == other.group):
+            return False
+        # equal cardinalities take the same path on both sides
+        if _sparse(self._card, self.group):
+            return bool(np.array_equal(self.indices(), other.indices()))
+        return bool(np.array_equal(self.mask, other.mask))
 
     def __hash__(self):
-        return hash((self.group, self.mask.tobytes()))
+        form = self.indices() if _sparse(self._card, self.group) else self.mask
+        return hash((self.group, form.tobytes()))
 
     def __contains__(self, x: GroupElement | Character | int) -> bool:
         """Membership of an element or character of this set's group (the
         indexing is self-dual), or of an index 0..|G| - 1."""
-        return bool(self.mask[_index_in(self.group, x, "GroupSet membership")])
+        return bool(self.has_indices(_index_in(self.group, x, "GroupSet membership")))
 
     def __len__(self) -> int:
         return self._card
@@ -208,10 +284,55 @@ class GroupSet:
         """The translate a + A (exact index permutation via axis rolls)."""
         idx = _index_in(self.group, a, "GroupSet.translate")
         g = self.group
-        shape = g.invariants
-        arr = self.mask.reshape(shape, order="F")
+        arr = self.mask.reshape(g.invariants, order="F")
         arr = np.roll(arr, g.decode(idx), axis=tuple(range(g.rank)))
         return GroupSet(g, arr.ravel(order="F"))
+
+
+def _sparse(points: int, g: FinAbGroup) -> bool:
+    """Whether an operation on points sorted indices costs less than a pass
+    over the mask of g (INDEX_COST)."""
+    fixed, per_index = INDEX_COST
+    return fixed + per_index * points < g.order
+
+
+def _scatter(g: FinAbGroup, idx: np.ndarray) -> np.ndarray:
+    """The bool mask over g of the indices idx."""
+    mask = np.zeros(g.order, dtype=bool)
+    mask[idx] = True
+    return mask
+
+
+def _unique(idx: np.ndarray) -> np.ndarray:
+    """The distinct values of idx, ascending (a sort and one compare)."""
+    idx = np.sort(idx)
+    return idx[np.concatenate(([True], idx[1:] != idx[:-1]))] if idx.size else idx
+
+
+def _negated_indices(g: FinAbGroup, idx: np.ndarray) -> np.ndarray:
+    """The sorted indices of -x for the elements x at idx."""
+    return np.sort(g.encode_array(-g.decode_array(idx)))
+
+
+def _negated_mask(S: "GroupSet") -> np.ndarray:
+    """The mask of -S. On each cycle -x keeps 0 and reverses 1..n-1: every
+    axis of the grid is reversed and rolled by one, one slice copy per
+    corner of the {0}, {1..n-1} split of the axes (_negation_slices)."""
+    g = S.group
+    grid = S.mask.reshape(g.invariants[::-1])
+    out = np.empty_like(grid)
+    for dst, src in _negation_slices(g.rank):
+        out[dst] = grid[src]
+    return out.ravel()
+
+
+@functools.cache
+def _negation_slices(rank: int) -> list[tuple[tuple[slice, ...], tuple[slice, ...]]]:
+    """(destination, source) slices of _negated_mask: per axis, index 0 from
+    0 and indices 1..n-1 from n-1..1."""
+    return [(tuple(slice(1, None) if c else slice(0, 1) for c in corner),
+             tuple(slice(None, 0, -1) if c else slice(0, 1) for c in corner))
+            for corner in itertools.product((False, True), repeat=rank)]
 
 
 def _index_in(group: FinAbGroup, x: GroupElement | Character | int, caller: str) -> int:
@@ -231,7 +352,9 @@ def _index_in(group: FinAbGroup, x: GroupElement | Character | int, caller: str)
 
 def negate(A: GroupSet) -> GroupSet:
     """{-a : a in A}; an involution, fixes symmetric sets."""
-    return GroupSet(A.group, A.mask[A.group.negation_permutation()])
+    if _sparse(len(A), A.group):
+        return GroupSet.from_sorted(A.group, _negated_indices(A.group, A.indices()))
+    return GroupSet(A.group, _negated_mask(A))
 
 
 def _sumset_route(small: int, big: int, g: FinAbGroup,
@@ -284,9 +407,9 @@ def sumset(A: GroupSet, B: GroupSet, method: str = "auto") -> GroupSet:
     if A.cardinality == 0 or B.cardinality == 0:
         return GroupSet.empty(g)
     # {0} + S = S: no route needs to run
-    if A.cardinality == 1 and A.mask[0]:
+    if A.cardinality == 1 and A.contains_zero():
         return B
-    if B.cardinality == 1 and B.mask[0]:
+    if B.cardinality == 1 and B.contains_zero():
         return A
     coords = None
     if method == "auto":
@@ -294,26 +417,36 @@ def sumset(A: GroupSet, B: GroupSet, method: str = "auto") -> GroupSet:
     elif method == "spectral":
         box = _spectral_box(A, B)
     if method == "spectral":
-        return _spectral_sumset(A, B, box)
+        return _spectral_sumset(A, B, box, coords)
     # direct: every pair at once, in blocks of rows of small against all of big
     coords_A, coords_B = coords or _coords(A, B)
     small, big = sorted((coords_A, coords_B), key=lambda c: c.shape[1])
     cycles = np.array(g.invariants, dtype=np.uint32)[:, None, None]
-    mask = np.zeros(g.order, dtype=bool)
+    # few pairs are sorted into the sum's indices, many marked on a mask
+    sparse = _sparse(small.shape[1] * big.shape[1], g)
+    hits = [] if sparse else np.zeros(g.order, dtype=bool)
     rows = max(1, SUMSET_BLOCK_CELLS // big.shape[1])
     for start in range(0, small.shape[1], rows):
         block = small[:, start:start + rows, None] + big[:, None, :]
         # a coordinate sum s < 2n is s or s - n mod n; below n, s - n wraps
         # past s in uint32, so the minimum is the reduced coordinate
         np.minimum(block, block - cycles, out=block)
-        mask[g.encode_array(block, reduced=True)] = True
-    return GroupSet(g, mask)
+        index = g.encode_array(block, reduced=True)
+        if sparse:
+            hits.append(index.ravel())
+        else:
+            hits[index] = True
+    if sparse:
+        return GroupSet.from_sorted(g, _unique(np.concatenate(hits)))
+    return GroupSet(g, hits)
 
 
-def _spectral_sumset(A: GroupSet, B: GroupSet,
-                     box: list[tuple[int, int, int]] | None) -> GroupSet:
+def _spectral_sumset(A: GroupSet, B: GroupSet, box: list[tuple[int, int, int]] | None,
+                     coords: tuple[np.ndarray, np.ndarray] | None = None) -> GroupSet:
     """The spectral route: the convolution of the indicators cut at 1/2, on
-    the given box (_spectral_box), or on all of G when it is None."""
+    the given box (_spectral_box), or on all of G when it is None, with the
+    operands' coordinates (_coords) when they were read. A sum of few points is read off the box as indices, a larger one rolled
+    from it onto a mask."""
     from . import fourier  # local import; fourier depends on this module
 
     # the exact counts are integers, so the unsnapped convolution cut at 1/2
@@ -321,15 +454,21 @@ def _spectral_sumset(A: GroupSet, B: GroupSet,
     g = A.group
     if box is None:
         return GroupSet(g, fourier.convolve(A, B, snap_integers=False) >= 0.5)
-    crop_A = _crop(A, [(m, a) for m, a, _ in box])
-    crop_B = crop_A if B is A else _crop(B, [(m, b) for m, _, b in box])
-    counts = fourier.convolve(crop_A, crop_B, FinAbGroup([m for m, _, _ in box]),
-                              snap_integers=False)
+    coords_A, coords_B = coords or (None, None)
+    crop_A = _crop(A, [(m, a) for m, a, _ in box], coords_A)
+    crop_B = crop_A if B is A else _crop(B, [(m, b) for m, _, b in box], coords_B)
+    sides = FinAbGroup([m for m, _, _ in box])
+    hit = fourier.convolve(crop_A, crop_B, sides, snap_integers=False) >= 0.5
     # box point k on cycle j is the sum with coordinate a_j + b_j + k mod n_j
+    offsets = [a + b for _, a, b in box]
+    if _sparse(int(np.count_nonzero(hit)), g):
+        at = sides.decode_array(np.flatnonzero(hit))
+        at += np.array(offsets, dtype=np.int64)[:, None]
+        return GroupSet.from_sorted(g, np.sort(g.encode_array(at)))
     grid = np.zeros(g.invariants[::-1], dtype=bool)
-    sides = [m for m, _, _ in box[::-1]]
-    grid[tuple(slice(m) for m in sides)] = (counts >= 0.5).reshape(sides)
-    grid = np.roll(grid, [a + b for _, a, b in box[::-1]], axis=tuple(range(g.rank)))
+    grid[tuple(slice(m) for m in sides.invariants[::-1])] = hit.reshape(
+        sides.invariants[::-1])
+    grid = np.roll(grid, offsets[::-1], axis=tuple(range(g.rank)))
     return GroupSet(g, grid.ravel())
 
 
@@ -388,10 +527,22 @@ def _arc(coords: np.ndarray, g: FinAbGroup, j: int) -> tuple[int, int]:
     return int(occupied[i + 1]), n - int(steps[i]) + 1
 
 
-def _crop(S: GroupSet, axes: list[tuple[int, int]]) -> np.ndarray:
+def _crop(S: GroupSet, axes: list[tuple[int, int]], coords: np.ndarray | None = None
+          ) -> np.ndarray:
     """S's indicator on the grid of per-cycle (m, start): the m points of cycle
-    j from start, as float64 in the little-endian layout of that grid."""
+    j from start, as float64 in the little-endian layout of that grid. A
+    set read through its indices (_sparse) is scattered from its
+    coordinates (one side of _coords), when given, instead of cut from its
+    mask."""
     g = S.group
+    if coords is not None and _sparse(len(S), g):
+        flat = np.zeros(math.prod(m for m, _ in axes))
+        at, stride = np.zeros(coords.shape[1], dtype=np.int64), 1
+        for (m, start), c, n in zip(axes, coords, g.invariants):
+            at += (c.astype(np.int64) - start) % n * stride
+            stride *= m
+        flat[at] = 1.0
+        return flat
     grid = S.mask.reshape(g.invariants[::-1])
     for j, ((m, start), n) in enumerate(zip(axes, g.invariants)):
         if m < n:

@@ -9,8 +9,7 @@ import addcomb.sets
 from addcomb import bohr, verify
 from addcomb.bohr import (INCLUSION_SLACK, bohr_distance_table, bohr_family, bohr_set,
                           dimension_estimate, dyadic_dimension_grid,
-                          nearest_int_dist, nested_bohr_audit, rounding_check,
-                          table_family)
+                          nearest_int_dist, nested_bohr_audit, rounding_check)
 from addcomb.groups import FinAbGroup
 from addcomb.oracles import bohr_distance, phase_numerator_rows
 from addcomb.sets import GroupSet, Multiples, negate, sumset
@@ -101,7 +100,7 @@ def oracle_table(freqs):
 
 
 def assert_matches_oracle(freqs):
-    table, expected = bohr_distance_table(freqs), oracle_table(freqs)
+    table, expected = bohr_distance_table(freqs).distances(), oracle_table(freqs)
     assert table.dtype == expected.dtype
     assert np.array_equal(table, expected)
 
@@ -189,12 +188,13 @@ class TestSievedTable:
             nested = bohr_distance_table(GroupSet(g, freqs.mask & ~split), r_cap, keep,
                                          base=base)
         for table in (whole, nested):
-            assert table.dtype == np.float64 and table.r_cap == r_cap
+            view = table.distances()
+            assert view.dtype == np.float64 and table.r_cap == r_cap
             assert table.covers == set(freqs.indices().tolist())
-            assert np.array_equal(np.isfinite(table), exact)
-            assert np.array_equal(table[exact], nums[exact] / M)
+            assert np.array_equal(np.isfinite(view), exact)
+            assert np.array_equal(view[exact], nums[exact] / M)
             for radius in (0.0, max(0.0, r_cap - 1e-6), r_cap, 0.5, 0.9):
-                assert np.array_equal(table.ball(radius),
+                assert np.array_equal(table.ball(radius).mask,
                                       nums / M <= radius + INCLUSION_SLACK)
 
     @settings(max_examples=60, deadline=None)
@@ -203,19 +203,17 @@ class TestSievedTable:
         expected = oracle_table(freqs)
         for r_cap in (0.5, 1.0):
             table = bohr_distance_table(freqs, r_cap, GroupSet.empty(freqs.group))
-            assert np.array_equal(table, expected)
+            assert np.array_equal(table.distances(), expected)
 
     def test_reads_between_the_cap_and_half_raise(self):
         g = FinAbGroup([64])
         freqs = freq_set(g, 1, 63, 5)
         table = bohr_distance_table(freqs, 0.1)
-        assert table.ball(0.1).sum() == bohr_set(freqs, 0.1).measure
-        assert table.ball(0.5).all() and table.ball(0.7).all()
-        for radius in (0.1 + 1e-12, 0.3, 0.4999):
+        assert table.ball(0.1).measure == bohr_set(freqs, 0.1).measure
+        assert table.ball(0.5) == table.ball(0.7) == GroupSet.full(g)
+        for radius in (0.1 + 1e-12, 0.25, 0.3, 0.4999):
             with pytest.raises(ValueError, match="cap"):
                 table.ball(radius)
-        with pytest.raises(ValueError, match="cap"):
-            table_family(g, table)(0.25)
         with pytest.raises(ValueError, match="cap"):
             table.exact(GroupSet.full(g))  # far elements were neither kept nor within
 
@@ -228,7 +226,7 @@ class TestSievedTable:
         # the 16-bit pre-sieve ran some rows over all of G, and is counted apart
         assert sieved.coarse_cells > 0 and sieved.coarse_cells % g.order == 0
         assert sieved.cells < dense.cells / 4
-        assert np.array_equal(sieved.ball(0.05), dense.ball(0.05))
+        assert sieved.ball(0.05) == dense.ball(0.05)
 
     @pytest.mark.parametrize("branch", ["gather", "dense fallback", "dense", "base gather"])
     def test_each_branch_matches_the_oracle(self, branch):
@@ -249,14 +247,15 @@ class TestSievedTable:
         if branch == "base gather":
             # the base leaves fewer than the stop share, so no 16-bit row runs
             base = bohr_distance_table(freq_set(g, 40), r_cap, keep)
-            assert np.isfinite(base).mean() < stop
+            assert np.isfinite(base.distances()).mean() < stop
         with kernel_constants(share, stop, bohr.BLOCK_CELLS):
             table = bohr_distance_table(freqs, r_cap, keep, base=base)
         nums = oracle_numerators(freqs if base is None else freqs | freq_set(g, 40))
         M = g.phase_denominator
         exact = (nums / M <= r_cap + INCLUSION_SLACK) | keep.mask
-        assert np.array_equal(np.isfinite(table), exact)
-        assert np.array_equal(table[exact], nums[exact] / M)
+        view = table.distances()
+        assert np.array_equal(np.isfinite(view), exact)
+        assert np.array_equal(view[exact], nums[exact] / M)
         if branch == "dense fallback":
             # the pre-sieve ran every row and kept all of G, so the exact rows ran densely
             assert table.coarse_cells == table.cells == 4 * g.order  # 8 = 4 pairs +-gamma
@@ -276,7 +275,8 @@ class TestSievedTable:
         for freqs in (freq_set(g, 0, 63, 59), freq_set(g, 63), GroupSet.empty(g)):
             table = bohr_distance_table(freqs, 0.1, keep, base=base)
             union = bohr_distance_table(freqs | freq_set(g, 1, 5), 0.1, keep)
-            assert table.tobytes() == union.tobytes() == base.tobytes()
+            assert (table.distances().tobytes() == union.distances().tobytes()
+                    == base.distances().tobytes())
             assert table.cells == 0 and table.r_cap == 0.1
             assert table.covers == base.covers | set(freqs.indices().tolist())
 
@@ -305,7 +305,8 @@ class TestPresieve:
         M = g.phase_denominator
         for start in range(0, g.order, 64):
             block = list(range(start, min(start + 64, g.order)))
-            u = bohr._coarse_sums(g, g.decode_array(np.array(block)), 0).astype(np.int64)
+            tables = bohr._digit_rows(g, g.decode_array(np.array(block)))
+            u = bohr._coarse_sums(g, tables, 0).astype(np.int64)
             coarse = np.minimum(u, (1 << 16) - u)
             num = phase_numerator_rows(g, block)
             bound = (np.minimum(num, M - num) << 16) // M + 2 * g.rank
@@ -329,13 +330,14 @@ class TestPresieve:
                     continue
                 alive = np.ones(g.order, dtype=bool)
                 with kernel_constants(bohr.GATHER_SHARE, 0.0, bohr.BLOCK_CELLS):
-                    assert bohr._presieve(g, coords, cap, alive) == coords.shape[1]
-                    table = bohr_distance_table(freqs, num / M, keep)
+                    assert (bohr._presieve(g, bohr._digit_rows(g, coords), cap, alive)
+                            == coords.shape[1])
+                    view = bohr_distance_table(freqs, num / M, keep).distances()
                 assert alive[nums <= cap].all()
                 dropped += np.count_nonzero(~alive)
                 exact = (nums <= cap) | keep.mask
-                assert np.array_equal(np.isfinite(table), exact)
-                assert np.array_equal(table[exact], nums[exact] / M)
+                assert np.array_equal(np.isfinite(view), exact)
+                assert np.array_equal(view[exact], nums[exact] / M)
         assert dropped > 0
 
 
@@ -589,3 +591,73 @@ class TestNestedBohrAudit:
             k = int(rng.integers(2, 5))
             delta = float(rng.uniform(0.01, (1 / 3) / k * 0.99))
             assert nested_bohr_audit(Lam, k, delta).equal is True
+
+
+class TestSurvivorsTable:
+    """A sieved table holds the int32 numerators of its exact elements, all
+    of G or its sorted survivors; every read matches oracles.bohr_distance."""
+
+    @staticmethod
+    def oracle(freqs):
+        g = freqs.group
+        return np.array([bohr_distance(g.element(x), g.zero, freqs) for x in range(g.order)])
+
+    @staticmethod
+    def assert_reads(table, dist, keep, r_cap):
+        g = table.group
+        kept = np.zeros(g.order, dtype=bool) if keep is None else keep.mask
+        exact = (dist <= r_cap + INCLUSION_SLACK) | kept
+        view = table.distances()
+        assert table.num.dtype == np.int32 and table.r_cap == r_cap
+        if table.at is not None:
+            assert np.array_equal(table.at, np.flatnonzero(exact))
+        assert np.array_equal(np.isfinite(view), exact)
+        assert np.array_equal(view[exact], dist[exact])
+        for radius in (0.0, r_cap / 3, r_cap, 0.5, 0.8):
+            if r_cap < radius < 0.5:
+                continue
+            ball = dist <= radius + INCLUSION_SLACK
+            assert np.array_equal(table.ball(radius).mask, ball)
+            assert table.measure(radius) == np.count_nonzero(ball)
+        members = GroupSet(g, exact & (np.arange(g.order) % 3 == 0))
+        assert np.array_equal(table.exact(members), dist[members.mask])
+
+    @pytest.mark.parametrize("cycles", [[97], [12, 10], [6, 6, 4]], ids=str)
+    def test_reads_match_the_oracle_at_every_cap(self, cycles):
+        g = FinAbGroup(cycles)
+        rng = np.random.default_rng(len(cycles))
+        freqs = GroupSet.from_indices(g, rng.integers(1, g.order, size=3))
+        dist = self.oracle(freqs)
+        between = float(np.median(dist))
+        dense = set()
+        for r_cap in (0.0, between, 0.5, 0.7):
+            for keep in (None, GroupSet(g, rng.random(g.order) < 0.1)):
+                table = bohr_distance_table(freqs, r_cap, keep)
+                dense.add(table.at is None)
+                self.assert_reads(table, dist, keep, r_cap)
+        assert dense == {True, False}  # both forms were read
+
+    @pytest.mark.parametrize("cycles", [[97], [12, 10], [6, 6, 4]], ids=str)
+    def test_a_base_with_a_higher_cap(self, cycles):
+        # the base's cap is above the table's: its survivors (or all of G at
+        # cap 1/2 and above) are read down to the table's own cap
+        g = FinAbGroup(cycles)
+        rng = np.random.default_rng(10 + len(cycles))
+        inner = GroupSet.from_indices(g, rng.integers(1, g.order, size=2))
+        outer = inner | GroupSet.from_indices(g, rng.integers(1, g.order, size=2))
+        dist = self.oracle(outer)
+        low = float(np.quantile(dist, 0.2))
+        for keep in (None, GroupSet(g, rng.random(g.order) < 0.1)):
+            for high in (float(np.quantile(self.oracle(inner), 0.6)), 0.5):
+                base = bohr_distance_table(inner, high, keep)
+                table = bohr_distance_table(outer, low, keep, base=base)
+                assert table.covers == set(outer.indices().tolist())
+                self.assert_reads(table, dist, keep, low)
+                # no row left (the negatives of the base's frequencies): the
+                # base read down to the lower cap
+                recapped = bohr_distance_table(negate(inner), low, keep, base=base)
+                assert recapped.cells == 0
+                self.assert_reads(recapped, self.oracle(inner), keep, low)
+            with pytest.raises(ValueError, match="base"):
+                bohr_distance_table(outer, 0.45, keep,
+                                    base=bohr_distance_table(inner, 0.4, keep))

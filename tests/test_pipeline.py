@@ -9,9 +9,9 @@ import pytest
 import addcomb
 from addcomb.bohr import DistanceTable, bohr_distance_table
 from addcomb.groups import FinAbGroup
-from addcomb.pipeline import (FreimanConfig, FreimanRun, find_l, lowerbound_audit,
-                              measured_growth_exponent, read_cap, run_freiman,
-                              spectrum_cover)
+from addcomb.pipeline import (FreimanConfig, FreimanRun, chain_cap, find_l,
+                              lowerbound_audit, measured_growth_exponent, read_cap,
+                              run_freiman, spectrum_cover)
 from addcomb.serialize import dumps
 from addcomb.sets import GroupSet, Multiples, difference, iterate, prog, sumset
 from addcomb.spectrum import lspec
@@ -228,7 +228,7 @@ class TestRunFreiman:
         rep = run_freiman(A, FreimanConfig(d=1.0, mode="empirical", epsilon=0.5))
         AmA = difference(A, A)
         table = bohr_distance_table(rep.ball.frequencies)
-        assert float(table[AmA.mask].max()) <= rep.radius + 1e-9
+        assert float(table.distances()[AmA.mask].max()) <= rep.radius + 1e-9
 
     def test_deterministic_reports(self):
         A = interval(256, 2)
@@ -305,6 +305,9 @@ SIEVE_DIGESTS = [
     # the dense-to-gather sieve on a large group
     ([2 ** 20], 16, 1.0, 0.05,
      "4e4256bbb7c55eb6ef7ed08b1573892018092a6f0b0175968fe54c9ea4838c6e"),
+    # the group order cap, recorded while every table of a run had one cap
+    ([2 ** 22], 16, 1.0, 0.05,
+     "79858a58bf393e0e843f18d7ad3da677304d6849c5b2225f54fbc89889acc3cb"),
 ]
 
 
@@ -325,24 +328,43 @@ class TestSievedRun:
         assert read_cap(0.25, 0.5) == 0.25
         assert read_cap(1e-3, 1e-6) == 2 ** -4
 
-    def test_every_read_of_a_run_lies_within_its_cap(self, record_calls):
-        results = []
+    def test_every_read_of_a_run_lies_within_its_cap(self, record_calls, monkeypatch):
+        # every read lies within the cap of the table it reads, or at 1/2 and above
+        results, reads = [], []
         record_calls(addcomb.bohr, "bohr_distance_table", results)
+        for name in ("ball", "measure"):
+            method = getattr(DistanceTable, name)
+            monkeypatch.setattr(DistanceTable, name, lambda table, radius, method=method: (
+                reads.append((table, radius)) or method(table, radius)))
         report = run_freiman(interval(4096, 16), FreimanConfig(d=1.0, epsilon=0.05))
-        cap = read_cap(report.radius, report.epsilon_used)
-        assert cap < 0.5 and all(t.r_cap == cap for t in results)
-        assert not np.isfinite(results[-1]).all()  # the sieve dropped elements
+        eps = report.epsilon_used
+        # the ball's table at read_cap; the chain's, built on it, at its own cap
+        caps = [t.r_cap for t in results]
+        assert caps == [read_cap(report.radius, eps), chain_cap(eps)] and max(caps) < 0.5
+        assert not np.isfinite(results[-1].distances()).all()  # the sieve dropped elements
+        assert {id(t) for t, _ in reads} == {id(t) for t in results}
+        for table, radius in reads:
+            assert radius <= table.r_cap or radius >= 0.5
         for delta in report.dimension.grid:
-            assert delta <= cap or delta >= 0.5
+            assert delta <= caps[0] or delta >= 0.5
         with pytest.raises(ValueError, match="cap"):
-            results[-1].ball((cap + 0.5) / 2)
+            results[-1].ball((caps[-1] + 0.5) / 2)
 
-    def test_the_cap_is_fixed_before_the_first_table(self):
+    def test_a_base_needs_a_cap_at_or_above_the_table(self, monkeypatch):
+        bases, table = [], addcomb.bohr.bohr_distance_table
+        monkeypatch.setattr(addcomb.bohr, "bohr_distance_table", lambda *args, base=None, **kw: (
+            bases.append(base) or table(*args, base=base, **kw)))
         run = FreimanRun(interval(256, 2))
-        run.sieve(0.1)
-        run.bohr_table(GroupSet.from_indices(run.A.group, [0, 1, 255]))
-        with pytest.raises(RuntimeError):
-            run.sieve(0.2)
+        g = run.A.group
+        low = run.bohr_table(GroupSet.from_indices(g, [0, 1, 255]), 0.1)
+        # the table at 0.1 cannot serve a table at 0.2, so it is built afresh
+        high = run.bohr_table(GroupSet.from_indices(g, [0, 1, 3, 253, 255]), 0.2)
+        # both could serve one at 0.05: the one of more frequencies does
+        freqs = GroupSet.from_indices(g, [0, 1, 3, 7, 249, 253, 255])
+        lower = run.bohr_table(freqs, 0.05)
+        assert bases == [None, None, high] and low.r_cap == 0.1
+        fresh = table(freqs, 0.05, run.difference())
+        assert np.array_equal(lower.distances(), fresh.distances())
 
 
 BOX_DIGESTS = [
@@ -404,7 +426,7 @@ class TestRunReuse:
 
         def recording(table, radius):
             out = measure(table, radius)
-            counts.append((radius, out, int(table.ball(radius).sum())))
+            counts.append((radius, out, table.ball(radius).measure))
             return out
 
         monkeypatch.setattr(DistanceTable, "measure", recording)

@@ -1,3 +1,4 @@
+import contextlib
 import math
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import addcomb.sets
-from addcomb.groups import FinAbGroup, GroupMismatchError
+from addcomb.groups import ORDER_CAP, FinAbGroup, GroupMismatchError
 from addcomb.sets import (SUMSET_BLOCK_CELLS, SUMSET_COST, GroupSet, GuardExceededError,
                           Multiples, _auto_route, _box_side, _least_sides, _spectral_box,
                           _sumset_route, difference, growth_profile, iterate, negate, prog,
@@ -270,8 +271,9 @@ class TestAutoRoute:
         monkeypatch.setattr(GroupSet, "indices", lambda S: reads.append(S) or indices(S))
         for (A, B), want in wants.items():
             reads.clear()
-            assert sumset(A, B) == want
+            S = sumset(A, B)
             assert reads == ([A] if B is A else [A, B])
+            assert S == want  # == reads the indices of S and want
 
     @staticmethod
     def reference_route(A: GroupSet, B: GroupSet):
@@ -741,3 +743,90 @@ class TestGroupSetBasics:
         assert shapes == [(405,)]
         A = GroupSet.from_indices(g, [7, 4000])
         assert set(difference(A, B).indices()) == pairs_sumset(A, negate(B))
+
+
+class TestIndexForm:
+    """A set held as its sorted indices answers every operation as its mask
+    does: each is run with the index path forced on and forced off."""
+
+    @staticmethod
+    @contextlib.contextmanager
+    def path(indexed: bool):
+        # a fixed cost of 0 takes the indices for every set, one past the
+        # order cap never does
+        saved = addcomb.sets.INDEX_COST
+        addcomb.sets.INDEX_COST = (0, 0) if indexed else (2 * ORDER_CAP, 0)
+        try:
+            yield
+        finally:
+            addcomb.sets.INDEX_COST = saved
+
+    @staticmethod
+    def masks(g: FinAbGroup, rng) -> list[np.ndarray]:
+        """Random sets of three densities, arcs through column 0 on every
+        cycle, a box off 0, the empty set, {0} and G."""
+        out = [np.zeros(g.order, dtype=bool), np.eye(1, g.order, dtype=bool)[0],
+               np.ones(g.order, dtype=bool)]
+        out += [rng.random(g.order) < p for p in (0.002, 0.02, 0.4)]
+        for length in (1, 3, 9):
+            out.append(arc_set(g, [(n - length // 2 - 1, length) for n in g.invariants]).mask)
+        out.append(arc_set(g, [(2, 5)] * g.rank, rng, 0.5).mask)
+        return out
+
+    @classmethod
+    def reads(cls, g: FinAbGroup, masks: list[np.ndarray], rng) -> list:
+        """Every read of every set and pair, on sets built afresh (half from
+        masks, half from indices), as canonical bytes and Python values."""
+        made = [GroupSet(g, m.copy()) if i % 2 else GroupSet.from_indices(g, np.flatnonzero(m))
+                for i, m in enumerate(masks)]
+        probe = rng.integers(0, g.order, size=8).tolist() + [0, g.order - 1]
+        t = g.element(int(rng.integers(g.order)))
+        out = []
+        for A in made:
+            out += [A, A.contains_zero(), A.is_symmetric(), negate(A), A.translate(t),
+                    [x in A for x in probe], hash(A) == hash(GroupSet(g, A.mask.copy()))]
+            for B in made:
+                out += [A == B, A.is_subset_of(B), A | B, A & B, sumset(A, B),
+                        sumset(A, B, method="spectral")]
+                if len(A) * len(B) <= 1 << 16:
+                    out.append(sumset(A, B, method="direct"))
+        # a set read as its size, its mask and its indices
+        return [(len(x), x.mask.tobytes(), x.indices().tolist()) if isinstance(x, GroupSet)
+                else x for x in out]
+
+    @pytest.mark.parametrize("cycles", [[2 ** 16], [64, 64], [16, 16, 16]], ids=str)
+    def test_index_path_matches_mask_path(self, cycles):
+        g = FinAbGroup(cycles)
+        masks = self.masks(g, np.random.default_rng(len(cycles)))
+        results = []
+        for indexed in (True, False):
+            with self.path(indexed):
+                results.append(self.reads(g, masks, np.random.default_rng(5)))
+        assert results[0] == results[1]
+
+    def test_forms_follow_the_share_of_the_group(self):
+        g = FinAbGroup([2 ** 16])
+        fixed, per_index = addcomb.sets.INDEX_COST
+        most = (g.order - fixed - 1) // per_index  # the largest set the rule indexes
+        for size, indexed in ((0, True), (most, True), (most + 1, False)):
+            S = GroupSet.from_indices(g, range(size))
+            assert (S._mask is None) == indexed and len(S) == size
+        # a set built from a mask keeps its indices once read, if it is small
+        for size, kept in ((most, True), (most + 1, False)):
+            S = GroupSet(g, np.arange(g.order) < size)
+            S.indices()
+            assert (S._idx is not None) == kept
+        # groups below INDEX_COST's fixed part always take the mask
+        assert GroupSet.empty(FinAbGroup([fixed]))._mask is not None
+
+    def test_small_sums_and_negations_never_read_the_mask(self):
+        # on Z_2^18, the 129 + 65 sum of freiman_spectral and its negation
+        g = FinAbGroup([2 ** 18])
+        A = GroupSet.from_indices(g, [x % g.order for x in range(-64, 65)])
+        B = GroupSet.from_indices(g, [x % g.order for x in range(-32, 33)])
+        S, D = sumset(A, B), negate(GroupSet.from_indices(g, [1, 5, g.order - 2]))
+        assert all(X._mask is None for X in (A, B, S, D))
+        assert S == GroupSet.from_indices(g, [x % g.order for x in range(-96, 97)])
+        assert S.is_symmetric()
+        assert D.indices().tolist() == [2, g.order - 5, g.order - 1]
+        assert all(X._mask is None for X in (A, B, S, D))

@@ -7,11 +7,13 @@ Runs run_freiman on the interval {-16..16} of Z_2^k (d = 1, epsilon = 0.05)
 for k = 16 .. --max-exp, once for each value of bohr.GATHER_SHARE in
 --shares (a share of 0 never gathers: every exact row runs over all of G
 and the sieve only cuts the result). Prints, per run, the best wall seconds
-of --repeats, the seconds inside bohr_distance_table, the phases the tables
-evaluated per element of G, split into the 16-bit pre-sieve's phases
-(coarse_cells / |G|) and the exact int32 ones (cells / |G|), and mu(B). The
-table calls are counted through the module attribute
-bohr.bohr_distance_table, the one the pipeline calls.
+of --repeats, the seconds inside bohr_distance_table and mu(B), then one
+line per table the run built, in call order (the ball's, then the chain's
+on it): its radius cap, the elements it holds numerators of (its survivors,
+or |G| for a dense table), and the phases it evaluated per element of G,
+split into the 16-bit pre-sieve's phases (coarse_cells / |G|) and the exact
+int32 ones (cells / |G|). The table calls are counted through the module
+attribute bohr.bohr_distance_table, the one the pipeline calls.
 """
 
 from __future__ import annotations
@@ -28,18 +30,17 @@ from addcomb.sets import GroupSet
 CONFIG = FreimanConfig(d=1.0, epsilon=0.05)
 
 
-def timed_run(A: GroupSet) -> tuple[float, float, int, int, int]:
-    """(wall s, table s, 16-bit cells, exact cells, mu(B)) of one run_freiman call."""
-    table_s, coarse, cells = 0.0, 0, 0
+def timed_run(A: GroupSet) -> tuple[float, float, int, list[bohr.DistanceTable]]:
+    """(wall s, table s, mu(B), the tables built) of one run_freiman call."""
+    table_s, tables = 0.0, []
     table = bohr.bohr_distance_table
 
     def counted(*args, **kwargs):
-        nonlocal table_s, coarse, cells
+        nonlocal table_s
         t0 = time.perf_counter()
         out = table(*args, **kwargs)
         table_s += time.perf_counter() - t0
-        coarse += out.coarse_cells
-        cells += out.cells
+        tables.append(out)
         return out
 
     bohr.bohr_distance_table = counted
@@ -49,7 +50,7 @@ def timed_run(A: GroupSet) -> tuple[float, float, int, int, int]:
         wall = time.perf_counter() - t0
     finally:
         bohr.bohr_distance_table = table
-    return wall, table_s, coarse, cells, report.ball.measure
+    return wall, table_s, report.ball.measure, tables
 
 
 def main() -> None:
@@ -63,8 +64,8 @@ def main() -> None:
     if args.repeats < 1:
         ap.error("--repeats must be at least 1")
     default = bohr.GATHER_SHARE
-    print(f"{'group':>8} {'share':>6} {'wall s':>8} {'table s':>8} {'16-bit/|G|':>10} "
-          f"{'exact/|G|':>10} {'mu(B)':>7}")
+    print(f"{'group':>8} {'share':>6} {'wall s':>8} {'table s':>8} {'mu(B)':>7} "
+          f"{'cap':>8} {'survivors':>9} {'16-bit/|G|':>10} {'exact/|G|':>10}")
     try:
         for k in range(16, args.max_exp + 1):
             A = GroupSet.interval(FinAbGroup([2 ** k]), 16)
@@ -72,10 +73,14 @@ def main() -> None:
                 bohr.GATHER_SHARE = share
                 best = (math.inf,)
                 for _ in range(args.repeats):
-                    best = min(best, timed_run(A))
-                wall, table_s, coarse, cells, mu_B = best
+                    best = min(best, timed_run(A), key=lambda run: run[0])
+                wall, table_s, mu_B, tables = best
                 print(f"{'Z_2^' + str(k):>8} {share:>6.3g} {wall:>8.3f} {table_s:>8.3f} "
-                      f"{coarse / 2 ** k:>10.2f} {cells / 2 ** k:>10.2f} {mu_B:>7}", flush=True)
+                      f"{mu_B:>7}", flush=True)
+                for t in tables:
+                    held = t.size if t.at is None else t.at.size
+                    print(f"{'':>41} {t.r_cap:>8.4g} {held:>9} {t.coarse_cells / 2 ** k:>10.2f} "
+                          f"{t.cells / 2 ** k:>10.2f}", flush=True)
     finally:
         bohr.GATHER_SHARE = default
 
