@@ -16,7 +16,7 @@ cap), so the rows are int32.
 
 Each call builds its digit tables once, for all of its rows, and every
 pass (the dense rows, the 16-bit pre-sieve and the exact gather) reads
-them; member_distances gathers the rows at a few elements alone.
+them.
 
 A table may be sieved at a radius cap r_cap. Every ball of radius >= 1/2 is
 all of G, so a caller that reads no radius in (r_cap, 1/2) needs the exact
@@ -36,7 +36,7 @@ or the sorted indices of the survivors when fewer than GATHER_SHARE of G
 survive, so its balls, measures and exact reads cost as many steps as it
 has survivors. A table may be built on a base table of other frequencies
 capped at r_cap or above, and is then evaluated where the base holds
-numerators. Reading a sieved table at a radius in (r_cap, 1/2) raises.
+numerators; a base held as survivors must hold every kept element. Reading a sieved table at a radius in (r_cap, 1/2) raises.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ import numpy as np
 
 from .groups import FinAbGroup, _check_number
 from .serialize import set_to_json
-from .sets import INDEX_COST, GroupSet, Multiples
+from .sets import GroupSet, Multiples
 
 INCLUSION_SLACK = 1e-9
 
@@ -147,9 +147,8 @@ class DistanceTable:
             held = not over.size or (self._kept is not None
                                      and self._kept.has_indices(over).all())
         else:
-            pos = np.searchsorted(self.at, idx)
-            held = not idx.size or (pos[-1] < self.at.size
-                                    and np.array_equal(self.at[pos], idx))
+            pos = _positions(self.at, idx)
+            held = pos is not None
             num = self.num[pos] if held else None
         if not held:
             raise ValueError("an element above the table's cap was neither kept nor "
@@ -173,23 +172,6 @@ class DistanceTable:
         return out
 
 
-def member_distances(freqs: GroupSet, members: GroupSet) -> np.ndarray:
-    """max_{gamma in freqs} ||gamma(x)|| for each x in members, in index
-    order, as exact ratios: bohr_distance_table's rows gathered at members
-    alone. As in a table, fewer than GATHER_SHARE of G are gathered; and
-    rows over G that cost less than the fixed part of an operation on
-    indices (sets.INDEX_COST) run densely."""
-    g = freqs.group
-    tables = _digit_rows(g, _rows(freqs))
-    cells = len(tables[0][0]) * g.order
-    if len(members) >= GATHER_SHARE * g.order or cells <= INDEX_COST[0]:
-        return _dense(g, tables, np.zeros(g.order, dtype=np.int32))[members.mask] / (
-            g.phase_denominator)
-    _, best, _ = _sieve(g, tables, members.indices(), None, None,
-                        np.zeros(len(members), dtype=np.int32))
-    return best / g.phase_denominator
-
-
 def bohr_distance_table(freqs: GroupSet, r_cap: float = 0.5,
                         keep: GroupSet | None = None,
                         base: DistanceTable | None = None) -> DistanceTable:
@@ -199,8 +181,9 @@ def bohr_distance_table(freqs: GroupSet, r_cap: float = 0.5,
     them. With base, a table of other frequencies over the same group
     sieved at a cap at or above r_cap, the result is the table of the union:
     the rows of freqs are evaluated only where base holds numerators (all of
-    G, or its survivors), and when base covers every row already and holds
-    all of G or has the same cap, the result shares base's numerators.
+    G, or its survivors, which must then hold every element of keep), and
+    when base covers every row already and holds all of G or has the same
+    cap, the result shares base's numerators.
 
     An empty frequency set constrains nothing (sup over the empty set is 0),
     and neither does the trivial character. Since ||-theta|| = ||theta||, a
@@ -216,6 +199,9 @@ def bohr_distance_table(freqs: GroupSet, r_cap: float = 0.5,
     M = g.phase_denominator
     cap = _cap_numerator(r_cap, M)
     kept = None if cap is None else keep
+    if (kept is not None and base is not None and base.at is not None
+            and _positions(base.at, kept.indices()) is None):
+        raise ValueError("a base held as survivors needs to hold every kept element")
     covers = frozenset(freqs.indices().tolist()) | (
         frozenset() if base is None else base.covers)
     coords = _rows(freqs, frozenset() if base is None else base.covers)
@@ -332,6 +318,15 @@ def _sieve(g: FinAbGroup, tables, at: np.ndarray, held: np.ndarray | None,
         cells += len(block[0][0]) * at.size
         start += len(block[0][0])
         size = min(2 * size, max(1, BLOCK_CELLS // at.size))
+
+
+def _positions(at: np.ndarray, idx: np.ndarray) -> np.ndarray | None:
+    """The positions of the sorted indices idx in the sorted indices at, or
+    None when at misses one of them."""
+    pos = np.searchsorted(at, idx)
+    if idx.size and (pos[-1] == at.size or not np.array_equal(at[pos], idx)):
+        return None
+    return pos
 
 
 def _cap_numerator(r_cap: float, M: int) -> np.int32 | None:

@@ -13,14 +13,15 @@ find_l and measured_growth_exponent take the run's Multiples, and
 spectrum_cover and lowerbound_audit the FreimanRun itself.
 
 Each Bohr distance table is sieved for its own readers
-(bohr.bohr_distance_table), and every table keeps A - A exact. The ball's
-table over Lambda = LSpec(lA, eps) u X is capped at read_cap, the largest
-radius below 1/2 that the ball, the dimension grid or the chain reads; the
-chain's table over LSpec(lA, 2 eps) is built on it at chain_cap, the largest
-radius the chain reads. The lower-bound audit reads only A - A, so its
-maximum is gathered there (bohr.member_distances) and it builds no table.
-So the distances are exact wherever a stage reads them, a ball of radius
->= 1/2 is all of G, and a read between a table's cap and 1/2 would raise.
+(bohr.bohr_distance_table), and every table keeps A - A exact. run_freiman
+builds the table over LSpec(lA, eps) at read_cap, the largest radius below
+1/2 that the ball, the dimension grid or the chain reads, and every later
+table on it: the audit's, which reads only A - A, at cap 0 (it has no row
+left), the ball's over Lambda = LSpec(lA, eps) u X at read_cap, and the
+chain's over LSpec(lA, 2 eps) at chain_cap, the largest radius the chain
+reads. So each row runs once, the distances are exact wherever a stage
+reads them, a ball of radius >= 1/2 is all of G, and a read between a
+table's cap and 1/2 would raise.
 
 Two modes. "paper" uses the literal constants (pigeonhole bound 2^15, ball
 radius 2^-4, the 2^13 (1+C) d' ln^2 d' threshold formula), which degenerate
@@ -103,8 +104,8 @@ class FreimanRun:
     of lA (every spectrum of lA, at any delta, is a threshold of them), the
     spectra cut from them at each (l, delta) a stage asked for, A - A
     and the Bohr distance tables of the nested frequency sets
-    LSpec(lA, eps) u X <= LSpec(lA, 2 eps). Each stage given the run reuses
-    what the stages before it computed.
+    LSpec(lA, eps) <= LSpec(lA, eps) u X <= LSpec(lA, 2 eps). Each stage
+    given the run reuses what the stages before it computed.
 
     Each table is sieved at the radius cap its caller reads up to and keeps
     A - A exact (see bohr.bohr_distance_table).
@@ -286,13 +287,15 @@ class LowerboundAudit:
 def lowerbound_audit(run: FreimanRun, l: int, epsilon: float) -> LowerboundAudit:
     """Exhaustive membership check of the spectral lower-bound containment,
     with K the measured ratio mu(lA) / mu((l-1)A). Only A - A is read, so
-    its distances are gathered there and no table is built."""
+    its table is capped at 0: it reuses an earlier table of the run, or
+    computes its rows where the pre-sieve leaves A - A and the elements at
+    distance 0."""
     _check_number(l, "lowerbound_audit", "l", 2, integral=True)
     _check_number(epsilon, "lowerbound_audit", "epsilon", 0, strict=True, high=1)
     K = run.multiples[l].measure / run.multiples[l - 1].measure
     spec = run.spectrum(l, epsilon)
     radius = 2 * epsilon * math.sqrt(2 * K)
-    worst = float(bohr.member_distances(spec.members, run.difference()).max())
+    worst = float(run.bohr_table(spec.members, 0.0).exact(run.difference()).max())
     return LowerboundAudit(worst <= radius + INCLUSION_SLACK, l, float(epsilon),
                            K, radius, spec.count, worst)
 
@@ -488,13 +491,16 @@ def run_freiman(A: GroupSet, config: FreimanConfig) -> FreimanReport:
     else:
         radius = max(DEFAULT_RADIUS, guaranteed)
 
+    # the spectrum's table is the base of the audit's and the ball's, and the
+    # ball's of the chain's, whose caps are at or below it
+    cap = read_cap(radius, eps_used)
+    run.bohr_table(spectrum.members, cap)
     audit = lowerbound_audit(run, l, min(eps_used, 1.0))
 
     Lambda = spectrum.members
     if cover.X_set is not None:
         Lambda = Lambda | cover.X_set
-    # the ball's table is the base of the chain's, whose cap is at or below it
-    table = run.bohr_table(Lambda, read_cap(radius, eps_used))
+    table = run.bohr_table(Lambda, cap)
     ball = BohrSet(Lambda, float(radius), table.ball(radius))
     # the grid and the estimate read most radii more than once: count each once
     measure = functools.cache(table.measure)

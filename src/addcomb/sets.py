@@ -51,8 +51,6 @@ iterate(n, A) is Multiples(A)[n].
 from __future__ import annotations
 
 import bisect
-import functools
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -316,23 +314,10 @@ def _negated_indices(g: FinAbGroup, idx: np.ndarray) -> np.ndarray:
 
 def _negated_mask(S: "GroupSet") -> np.ndarray:
     """The mask of -S. On each cycle -x keeps 0 and reverses 1..n-1: every
-    axis of the grid is reversed and rolled by one, one slice copy per
-    corner of the {0}, {1..n-1} split of the axes (_negation_slices)."""
+    axis of the grid is reversed and rolled by one."""
     g = S.group
     grid = S.mask.reshape(g.invariants[::-1])
-    out = np.empty_like(grid)
-    for dst, src in _negation_slices(g.rank):
-        out[dst] = grid[src]
-    return out.ravel()
-
-
-@functools.cache
-def _negation_slices(rank: int) -> list[tuple[tuple[slice, ...], tuple[slice, ...]]]:
-    """(destination, source) slices of _negated_mask: per axis, index 0 from
-    0 and indices 1..n-1 from n-1..1."""
-    return [(tuple(slice(1, None) if c else slice(0, 1) for c in corner),
-             tuple(slice(None, 0, -1) if c else slice(0, 1) for c in corner))
-            for corner in itertools.product((False, True), repeat=rank)]
+    return np.roll(np.flip(grid), 1, axis=tuple(range(g.rank))).ravel()
 
 
 def _index_in(group: FinAbGroup, x: GroupElement | Character | int, caller: str) -> int:

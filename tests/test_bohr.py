@@ -661,3 +661,24 @@ class TestSurvivorsTable:
             with pytest.raises(ValueError, match="base"):
                 bohr_distance_table(outer, 0.45, keep,
                                     base=bohr_distance_table(inner, 0.4, keep))
+
+    @pytest.mark.parametrize("cycles", [[97], [12, 10], [6, 6, 4]], ids=str)
+    def test_a_sieved_base_holds_every_kept_element(self, cycles):
+        # a base held as survivors has no numerator for an element it dropped,
+        # so a table that keeps one cannot be built on it
+        g = FinAbGroup(cycles)
+        rng = np.random.default_rng(20 + len(cycles))
+        inner = GroupSet.from_indices(g, rng.integers(1, g.order, size=2))
+        outer = inner | GroupSet.from_indices(g, rng.integers(1, g.order, size=2))
+        dist = self.oracle(inner)
+        cap = 0.0
+        far = GroupSet.from_indices(g, [int(np.argmax(dist))])
+        base = bohr_distance_table(inner, cap)
+        assert base.at is not None  # held as survivors
+        for freqs in (outer, negate(inner)):
+            with pytest.raises(ValueError, match="kept"):
+                bohr_distance_table(freqs, cap, far, base=base)
+        # a base that keeps the element, or a dense one, serves
+        for base in (bohr_distance_table(inner, cap, far), bohr_distance_table(inner, 0.5)):
+            table = bohr_distance_table(outer, cap, far, base=base)
+            self.assert_reads(table, self.oracle(outer), far, cap)

@@ -338,15 +338,18 @@ class TestSievedRun:
                 reads.append((table, radius)) or method(table, radius)))
         report = run_freiman(interval(4096, 16), FreimanConfig(d=1.0, epsilon=0.05))
         eps = report.epsilon_used
-        # the ball's table at read_cap; the chain's, built on it, at its own cap
+        # the spectrum's table at read_cap, the audit's at 0, the ball's at
+        # read_cap and the chain's at its own cap
+        cap = read_cap(report.radius, eps)
         caps = [t.r_cap for t in results]
-        assert caps == [read_cap(report.radius, eps), chain_cap(eps)] and max(caps) < 0.5
+        assert caps == [cap, 0.0, cap, chain_cap(eps)] and max(caps) < 0.5
         assert not np.isfinite(results[-1].distances()).all()  # the sieve dropped elements
-        assert {id(t) for t, _ in reads} == {id(t) for t in results}
+        # the audit reads A - A alone; the ball, the grid and the chain read balls
+        assert {id(t) for t, _ in reads} == {id(t) for t in results[2:]}
         for table, radius in reads:
             assert radius <= table.r_cap or radius >= 0.5
         for delta in report.dimension.grid:
-            assert delta <= caps[0] or delta >= 0.5
+            assert delta <= cap or delta >= 0.5
         with pytest.raises(ValueError, match="cap"):
             results[-1].ball((caps[-1] + 0.5) / 2)
 
@@ -412,10 +415,17 @@ class TestRunReuse:
     def test_each_bohr_distance_row_once(self, record_calls):
         results = []
         tables = record_calls(addcomb.bohr, "bohr_distance_table", results)
+        # every phase row any reader of a Bohr distance reads is built here
+        built = record_calls(addcomb.bohr, "_digit_rows")
         report = run_freiman(interval(4096, 16), FreimanConfig(d=1.0, epsilon=0.05))
         rows = np.concatenate([freqs.indices() for freqs, *_ in tables])
         assert len(np.unique(rows)) == len(rows), "a frequency row was computed twice"
         assert report.cover.spectrum_counts["2eps"] == len(rows)
+        g = report.spectrum.members.group
+        phases = np.concatenate([g.encode_array(mc) for _, mc in built])
+        assert len(np.unique(phases)) == len(phases), "a phase row was built twice"
+        spec2 = GroupSet.from_indices(g, rows.tolist())
+        assert len(phases) == addcomb.bohr._rows(spec2).shape[1]
         # the first row runs over all of G, later ones only where the sieve
         # left an element within the cap; unsieved, every row costs |G|
         assert sum(t.cells for t in results) < len(rows) * 4096 / 2
