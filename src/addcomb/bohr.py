@@ -36,7 +36,8 @@ or the sorted indices of the survivors when fewer than GATHER_SHARE of G
 survive, so its balls, measures and exact reads cost as many steps as it
 has survivors. A table may be built on a base table of other frequencies
 capped at r_cap or above, and is then evaluated where the base holds
-numerators; a base held as survivors must hold every kept element. Reading a sieved table at a radius in (r_cap, 1/2) raises.
+numerators; a base held as survivors must hold every kept element.
+Reading a sieved table at a radius in (r_cap, 1/2) raises.
 """
 
 from __future__ import annotations

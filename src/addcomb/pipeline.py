@@ -16,12 +16,12 @@ Each Bohr distance table is sieved for its own readers
 (bohr.bohr_distance_table), and every table keeps A - A exact. run_freiman
 builds the table over LSpec(lA, eps) at read_cap, the largest radius below
 1/2 that the ball, the dimension grid or the chain reads, and every later
-table on it: the audit's, which reads only A - A, at cap 0 (it has no row
-left), the ball's over Lambda = LSpec(lA, eps) u X at read_cap, and the
-chain's over LSpec(lA, 2 eps) at chain_cap, the largest radius the chain
-reads. So each row runs once, the distances are exact wherever a stage
-reads them, a ball of radius >= 1/2 is all of G, and a read between a
-table's cap and 1/2 would raise.
+table on it: the audit's, which reads only A - A, at cap 0 (with no row
+left unless eps > 1), and the ball's over Lambda = LSpec(lA, eps) u X at
+read_cap; the chain's over LSpec(lA, 2 eps) is built on the ball's at
+chain_cap, the largest radius the chain reads. So each row runs once, the
+distances are exact wherever a stage reads them, a ball of radius >= 1/2
+is all of G, and a read between a table's cap and 1/2 would raise.
 
 Two modes. "paper" uses the literal constants (pigeonhole bound 2^15, ball
 radius 2^-4, the 2^13 (1+C) d' ln^2 d' threshold formula), which degenerate
