@@ -30,14 +30,17 @@ units, which no element within the cap reaches. The pre-sieve stops once
 fewer than STOP_SHARE of G is alive. If GATHER_SHARE or more is still alive,
 the exact rows run over all of G; otherwise the exact numerators are
 gathered from the same digit tables at the survivors alone, row-major, and
-each element is dropped once its running maximum passes the cap. The
-DistanceTable holds the int32 numerators of its exact elements: all of G,
-or the sorted indices of the survivors when fewer than GATHER_SHARE of G
-survive, so its balls, measures and exact reads cost as many steps as it
-has survivors. A table may be built on a base table of other frequencies
-capped at r_cap or above, and is then evaluated where the base holds
-numerators; a base held as survivors must hold every kept element.
-Reading a sieved table at a radius in (r_cap, 1/2) raises.
+each element is dropped once its running maximum passes the cap.
+
+A DistanceTable is exact at every element it holds, up to the cap it
+states. A table whose rows ran over all of G holds every element and
+states the cap 1/2; only a table gathered at survivors holds fewer (their
+sorted indices), so its balls, measures and exact reads cost as many steps
+as it has survivors, and reading it at a radius in (r_cap, 1/2) or at an
+element it does not hold raises. A table may be built on a base table of
+other frequencies, dense or capped at r_cap or above, and is then evaluated
+where the base holds numerators; a base held as survivors must hold every
+kept element.
 """
 
 from __future__ import annotations
@@ -66,38 +69,32 @@ BLOCK_CELLS = 1 << 20
 #: survivors alone below it (set from tools/bohr_sieve_ladder.py).
 GATHER_SHARE = 0.25
 
-#: The 16-bit pre-sieve stops once fewer than this share of G is alive (set
-#: from tools/bohr_sieve_ladder.py).
+#: The 16-bit pre-sieve stops once fewer than this share of G is alive (no
+#: recorded sweep set it; tools/bohr_sieve_ladder.py sweeps GATHER_SHARE only).
 STOP_SHARE = 0.08
 
 
 class DistanceTable:
-    """Bohr distances to 0 over G, exact up to r_cap.
+    """Bohr distances to 0 over G, exact at every element held, up to r_cap.
 
     num holds the int32 numerators (a distance is num / M, M the group's
-    phase denominator) of the table's exact elements: every element of G
-    when at is None (a dense table), else the elements at, sorted indices
-    (the survivors of a sieved table). An element is exact when its distance
-    is within r_cap (num / M <= r_cap + INCLUSION_SLACK, the readers' own
-    test) or the table keeps it; a dense table holds the numerators of the
-    others too, but they read as above the cap. With r_cap >= 1/2 nothing is
-    sieved. covers holds the indices of the frequencies the table is over.
-    The table's call evaluated cells exact int32 phases and coarse_cells
-    16-bit ones (a phase is one row at one element); only a sieved table
-    runs 16-bit rows.
+    phase denominator) of the elements the table holds: every element of G
+    when at is None (a dense table, whose cap is 1/2), else the elements
+    at, sorted indices (the survivors of a sieved table: every element
+    within r_cap, and those it keeps). covers holds the indices of the
+    frequencies the table is over. The table's call evaluated cells exact
+    int32 phases and coarse_cells 16-bit ones (a phase is one row at one
+    element); only a sieved table runs 16-bit rows.
     """
 
-    __slots__ = ("group", "r_cap", "covers", "cells", "coarse_cells", "num", "at",
-                 "_cap", "_kept", "_sorted")
+    __slots__ = ("group", "r_cap", "covers", "cells", "coarse_cells", "num", "at")
 
     def __init__(self, group: FinAbGroup, r_cap: float, covers: frozenset[int],
                  num: np.ndarray, at: np.ndarray | None = None,
-                 kept: GroupSet | None = None, cells: int = 0, coarse_cells: int = 0):
-        self.group, self.r_cap, self.covers = group, float(r_cap), covers
-        self.num, self.at, self._kept = num, at, kept
+                 cells: int = 0, coarse_cells: int = 0):
+        self.group, self.covers, self.num, self.at = group, covers, num, at
+        self.r_cap = 0.5 if at is None else float(r_cap)
         self.cells, self.coarse_cells = cells, coarse_cells
-        self._cap = _cap_numerator(r_cap, group.phase_denominator)
-        self._sorted = None
 
     @property
     def size(self) -> int:
@@ -116,17 +113,10 @@ class DistanceTable:
         return GroupSet.from_sorted(g, self.at[inside])
 
     def measure(self, radius: float) -> int:
-        """mu(ball(radius)), counted on the numerators: a dense table counts
-        them, a sieved one sorts them once and bisects; radii in (r_cap, 1/2)
+        """mu(ball(radius)), counted on the numerators; radii in (r_cap, 1/2)
         raise."""
         k = self._numerator(radius)
-        if k is None:
-            return self.size
-        if self.at is None:
-            return int(np.count_nonzero(self.num <= k))
-        if self._sorted is None:
-            self._sorted = np.sort(self.num)
-        return int(np.searchsorted(self._sorted, k, side="right"))
+        return self.size if k is None else int(np.count_nonzero(self.num <= k))
 
     def _numerator(self, radius: float) -> np.int32 | None:
         """The largest numerator within radius (_cap_numerator), None when the
@@ -139,37 +129,22 @@ class DistanceTable:
         return _cap_numerator(radius, self.group.phase_denominator)
 
     def exact(self, members: GroupSet) -> np.ndarray:
-        """The exact distances of members in index order; each member must be
-        kept or within r_cap."""
+        """The exact distances of members in index order; a sieved table
+        raises for a member it does not hold."""
         idx = members.indices()
-        if self.at is None:
-            num = self.num[idx]
-            over = idx[num > self._cap] if self._cap is not None else idx[:0]
-            held = not over.size or (self._kept is not None
-                                     and self._kept.has_indices(over).all())
-        else:
-            pos = _positions(self.at, idx)
-            held = pos is not None
-            num = self.num[pos] if held else None
-        if not held:
-            raise ValueError("an element above the table's cap was neither kept nor "
-                             "within it")
-        return num / self.group.phase_denominator
+        if self.at is not None:
+            idx = _positions(self.at, idx)
+            if idx is None:
+                raise ValueError("the table holds no distance for an element above its cap")
+        return self.num[idx] / self.group.phase_denominator
 
     def distances(self) -> np.ndarray:
-        """Every element's distance as float64, inf where it is not exact
-        (above the cap and not kept)."""
+        """Every element's distance as float64, inf where the table holds none."""
         M = self.group.phase_denominator
-        if self.at is not None:
-            out = np.full(self.size, np.inf)
-            out[self.at] = self.num / M
-            return out
-        out = self.num / M
-        if self._cap is not None:
-            over = self.num > self._cap
-            if self._kept is not None:
-                over &= ~self._kept.mask
-            out[over] = np.inf
+        if self.at is None:
+            return self.num / M
+        out = np.full(self.size, np.inf)
+        out[self.at] = self.num / M
         return out
 
 
@@ -178,13 +153,14 @@ def bohr_distance_table(freqs: GroupSet, r_cap: float = 0.5,
                         base: DistanceTable | None = None) -> DistanceTable:
     """max_{gamma in freqs} ||gamma(x)|| for every x, as exact ratios.
 
-    Elements whose distance is above r_cap are not exact unless keep holds
-    them. With base, a table of other frequencies over the same group
-    sieved at a cap at or above r_cap, the result is the table of the union:
-    the rows of freqs are evaluated only where base holds numerators (all of
-    G, or its survivors, which must then hold every element of keep), and
-    when base covers every row already and holds all of G or has the same
-    cap, the result shares base's numerators.
+    The result holds every element within r_cap and every element of keep;
+    when its rows ran over all of G it holds them all, at cap 1/2. With
+    base, a table of other frequencies over the same group that is dense or
+    capped at r_cap or above, the result is the table of the union: the rows
+    of freqs are evaluated only where base holds numerators (all of G, or
+    its survivors, which must then hold every element of keep), and when
+    base covers every row already, the result holds base's numerators at
+    base's cap.
 
     An empty frequency set constrains nothing (sup over the empty set is 0),
     and neither does the trivial character. Since ||-theta|| = ||theta||, a
@@ -195,39 +171,35 @@ def bohr_distance_table(freqs: GroupSet, r_cap: float = 0.5,
     if not r_cap >= 0:
         raise ValueError(f"bohr_distance_table needs r_cap >= 0, got {r_cap}")
     g = freqs.group
-    if base is not None and (base.group != g or not base.r_cap >= r_cap):
+    if base is not None and (base.group != g or not base.r_cap >= min(r_cap, 0.5)):
         raise ValueError("the base table needs the same group and a cap at or above r_cap")
-    M = g.phase_denominator
-    cap = _cap_numerator(r_cap, M)
-    kept = None if cap is None else keep
-    if (kept is not None and base is not None and base.at is not None
-            and _positions(base.at, kept.indices()) is None):
+    sieved = base is not None and base.at is not None
+    if sieved and keep is not None and _positions(base.at, keep.indices()) is None:
         raise ValueError("a base held as survivors needs to hold every kept element")
     covers = frozenset(freqs.indices().tolist()) | (
         frozenset() if base is None else base.covers)
     coords = _rows(freqs, frozenset() if base is None else base.covers)
     rows = coords.shape[1]
-    if base is not None and not rows and (base.at is None or base.r_cap == r_cap):
-        # base covers every row already, so its distances are the union's (a
-        # dense base's numerators read down to r_cap)
-        return DistanceTable(g, r_cap, covers, base.num, base.at,
-                             kept if base.at is None else None)
+    if base is not None and not rows:
+        # base covers every row already, so its distances are the union's
+        return DistanceTable(g, base.r_cap, covers, base.num, base.at)
     tables = _digit_rows(g, coords)
+    cap = _cap_numerator(r_cap, g.phase_denominator)
     # the elements the exact rows are gathered at, with their numerators so
     # far (None: every element of G, densely)
     at, best, coarse_rows = None, None, 0
-    if cap is not None and base is not None and base.at is not None:
+    if sieved:
         at, best = base.at, base.num.copy()
     elif cap is not None:
         alive = np.ones(g.order, dtype=bool) if base is None else base.num <= cap
-        if kept is not None:
-            alive |= kept.mask
+        if keep is not None:
+            alive |= keep.mask
         # rows of independent uniform phases would each keep 2 r_cap of G; when
         # even they would leave GATHER_SHARE alive, the exact rows run densely
-        if rows and np.count_nonzero(alive) * (2 * r_cap) ** rows < GATHER_SHARE * g.order:
+        if np.count_nonzero(alive) * (2 * r_cap) ** rows < GATHER_SHARE * g.order:
             coarse_rows = _presieve(g, tables, cap, alive)
-            if kept is not None:
-                alive |= kept.mask
+            if keep is not None:
+                alive |= keep.mask
         if np.count_nonzero(alive) < GATHER_SHARE * g.order:
             at = np.flatnonzero(alive)
             best = np.zeros(at.size, dtype=np.int32) if base is None else base.num[at]
@@ -235,19 +207,13 @@ def bohr_distance_table(freqs: GroupSet, r_cap: float = 0.5,
         best = _dense(g, tables, np.zeros(g.order, dtype=np.int32) if base is None
                       else base.num.copy())
         cells = rows * g.order
-        if cap is not None and best.max() > cap:
-            inside = _within(best, cap, None if kept is None else kept.mask)
-            if np.count_nonzero(inside) < GATHER_SHARE * g.order:
-                at = np.flatnonzero(inside)
-                best = best[at]
     else:
         # the rows the pre-sieve did not reach go first: they drop the most
-        held = None if kept is None else kept.has_indices(at)
+        held = None if keep is None else keep.has_indices(at)
         tables = [(np.roll(hi, -coarse_rows, axis=0), np.roll(lo, -coarse_rows, axis=0))
                   for hi, lo in tables]
         at, best, cells = _sieve(g, tables, at, held, cap, best)
-    return DistanceTable(g, r_cap, covers, best, at, None if at is not None else kept,
-                         cells, coarse_rows * g.order)
+    return DistanceTable(g, r_cap, covers, best, at, cells, coarse_rows * g.order)
 
 
 def _rows(freqs: GroupSet, covered_by: frozenset[int] = frozenset()) -> np.ndarray:
@@ -277,41 +243,40 @@ def _presieve(g: FinAbGroup, tables, cap: np.int32, alive: np.ndarray) -> int:
     """Clear in alive each element whose 16-bit phase on a row of the digit
     tables (_digit_rows) lies more than floor(cap * 2^16 / M) + 2 * rank
     units from 0 (a margin no element within the cap passes; see the module
-    docstring), until fewer than STOP_SHARE of G is alive. Returns the
-    number of rows run; blocks start at one row and double."""
+    docstring), in blocks of about BLOCK_CELLS cells, until fewer than
+    STOP_SHARE of G is alive. Returns the number of rows run."""
     M = g.phase_denominator
     slack = (int(cap) << 16) // M + 2 * g.rank
     if 2 * slack >= 0xFFFF:  # every coarse distance passes
         return 0
     top = np.uint16(2 * slack)
-    start, size, rows = 0, 1, len(tables[0][0])
+    start, step, rows = 0, max(1, BLOCK_CELLS // g.order), len(tables[0][0])
     while start < rows and np.count_nonzero(alive) >= STOP_SHARE * g.order:
-        block = _block(tables, start, start + size)
+        block = _block(tables, start, start + step)
         alive &= _coarse_sums(g, block, slack).max(axis=0) <= top
         start += len(block[0][0])
-        size = min(2 * size, max(1, BLOCK_CELLS // g.order))
     return start
 
 
 def _sieve(g: FinAbGroup, tables, at: np.ndarray, held: np.ndarray | None,
-           cap: np.int32 | None, best: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+           cap: np.int32, best: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
     """The numerators over the rows of the digit tables (_digit_rows) of the
     elements at, folded into best (their numerators so far), gathered in
     blocks that start at one row and double up to about BLOCK_CELLS cells;
-    before each block and after the last, drop every element past cap (none
-    when cap is None) that held does not mark. Returns the survivors, their
-    numerators and the cells evaluated. With no cap the blocks start full."""
+    before each block and after the last, drop every element past cap that
+    held does not mark. Returns the survivors, their numerators and the
+    cells evaluated."""
     M = g.phase_denominator
     digits = _digits(g, at)
-    start, cells, rows = 0, 0, len(tables[0][0])
-    size = 1 if cap is not None else max(1, BLOCK_CELLS // max(at.size, 1))
+    start, cells, rows, size = 0, 0, len(tables[0][0]), 1
     while True:
-        if cap is not None:
-            alive = _within(best, cap, held)
-            if not alive.all():
-                at, best = at[alive], best[alive]
-                held = None if held is None else held[alive]
-                digits = [(a[alive], b[alive]) for a, b in digits]
+        alive = best <= cap
+        if held is not None:
+            alive |= held
+        if not alive.all():
+            at, best = at[alive], best[alive]
+            held = None if held is None else held[alive]
+            digits = [(a[alive], b[alive]) for a, b in digits]
         if start == rows or not at.size:
             return at, best, cells
         block = _block(tables, start, start + size)
@@ -342,14 +307,6 @@ def _cap_numerator(r_cap: float, M: int) -> np.int32 | None:
     while k >= 0 and k / M > t:
         k -= 1
     return None if k >= M // 2 else np.int32(k)
-
-
-def _within(best: np.ndarray, cap: np.int32, kept: np.ndarray | None) -> np.ndarray:
-    """Which numerators pass the cap, or belong to kept elements."""
-    alive = best <= cap
-    if kept is not None:
-        alive |= kept
-    return alive
 
 
 def _fold(best: np.ndarray, u: np.ndarray, M: int) -> None:

@@ -14,14 +14,14 @@ spectrum_cover and lowerbound_audit the FreimanRun itself.
 
 Each Bohr distance table is sieved for its own readers
 (bohr.bohr_distance_table), and every table keeps A - A exact. run_freiman
-builds the table over LSpec(lA, eps) at read_cap, the largest radius below
-1/2 that the ball, the dimension grid or the chain reads, and every later
-table on it: the audit's, which reads only A - A, at cap 0 (with no row
-left unless eps > 1), and the ball's over Lambda = LSpec(lA, eps) u X at
-read_cap; the chain's over LSpec(lA, 2 eps) is built on the ball's at
-chain_cap, the largest radius the chain reads. So each row runs once, the
-distances are exact wherever a stage reads them, a ball of radius >= 1/2
-is all of G, and a read between a table's cap and 1/2 would raise.
+builds three: the table over LSpec(lA, eps) at read_cap, the largest radius
+below 1/2 that the ball, the dimension grid or the chain reads; the ball's
+over Lambda = LSpec(lA, eps) u X on it at read_cap; and the chain's over
+LSpec(lA, 2 eps) on the ball's at chain_cap, the largest radius the chain
+reads. The audit reads only A - A, off the spectrum's table. So each row
+runs once, the distances are exact wherever a stage reads them, a ball of
+radius >= 1/2 is all of G, and a read between a sieved table's cap and 1/2
+would raise.
 
 Two modes. "paper" uses the literal constants (pigeonhole bound 2^15, ball
 radius 2^-4, the 2^13 (1+C) d' ln^2 d' threshold formula), which degenerate
@@ -138,11 +138,19 @@ class FreimanRun:
                                 else sumset(self.A, neg))
         return self._difference
 
-    def bohr_table(self, freqs: GroupSet, r_cap: float) -> DistanceTable:
+    def bohr_table(self, freqs: GroupSet, r_cap: float | None) -> DistanceTable:
         """bohr_distance_table(freqs, r_cap) keeping A - A, computing only the
         frequencies outside the largest earlier frequency set it contains
         whose table is capped at r_cap or above, and only where that table
-        holds numerators (a sup over a union is the max of the sups)."""
+        holds numerators (a sup over a union is the max of the sups).
+
+        r_cap None serves a reader of A - A alone: it returns an earlier
+        table over freqs at any cap, or builds the unsieved one."""
+        if r_cap is None:
+            same = [t for f, t in self._tables if f == freqs]
+            if same:
+                return same[0]
+            r_cap = 0.5
         known = [(f, t) for f, t in self._tables
                  if t.r_cap >= r_cap and f.is_subset_of(freqs)]
         keep = self.difference()
@@ -286,16 +294,15 @@ class LowerboundAudit:
 
 def lowerbound_audit(run: FreimanRun, l: int, epsilon: float) -> LowerboundAudit:
     """Exhaustive membership check of the spectral lower-bound containment,
-    with K the measured ratio mu(lA) / mu((l-1)A). Only A - A is read, so
-    its table is capped at 0: it reuses an earlier table of the run, or
-    computes its rows where the pre-sieve leaves A - A and the elements at
-    distance 0."""
+    with K the measured ratio mu(lA) / mu((l-1)A). Only A - A is read,
+    which every table of the run keeps, so any table of the run over the
+    spectrum serves; without one, the unsieved table is built."""
     _check_number(l, "lowerbound_audit", "l", 2, integral=True)
     _check_number(epsilon, "lowerbound_audit", "epsilon", 0, strict=True, high=1)
     K = run.multiples[l].measure / run.multiples[l - 1].measure
     spec = run.spectrum(l, epsilon)
     radius = 2 * epsilon * math.sqrt(2 * K)
-    worst = float(run.bohr_table(spec.members, 0.0).exact(run.difference()).max())
+    worst = float(run.bohr_table(spec.members, None).exact(run.difference()).max())
     return LowerboundAudit(worst <= radius + INCLUSION_SLACK, l, float(epsilon),
                            K, radius, spec.count, worst)
 
@@ -491,8 +498,8 @@ def run_freiman(A: GroupSet, config: FreimanConfig) -> FreimanReport:
     else:
         radius = max(DEFAULT_RADIUS, guaranteed)
 
-    # the spectrum's table is the base of the audit's and the ball's, and the
-    # ball's of the chain's, whose caps are at or below it
+    # the audit reads the spectrum's table, which is the ball's base, and the
+    # ball's is the chain's, whose caps are at or below it
     cap = read_cap(radius, eps_used)
     run.bohr_table(spectrum.members, cap)
     audit = lowerbound_audit(run, l, min(eps_used, 1.0))

@@ -135,6 +135,18 @@ def frequency_sets(draw):
     return GroupSet(g, mask)
 
 
+@st.composite
+def small_frequency_sets(draw):
+    """Nonempty frequency sets over groups of rank 1-2 and order at most
+    36^2, small enough for the scalar oracle at every element."""
+    cycles = draw(st.lists(st.sampled_from([c for c in CYCLES if c <= 36]),
+                           min_size=1, max_size=2))
+    g = FinAbGroup(cycles)
+    size = draw(st.integers(1, 8))
+    return GroupSet.from_indices(g, draw(st.lists(st.integers(0, g.order - 1),
+                                                  min_size=size, max_size=size)))
+
+
 @contextlib.contextmanager
 def kernel_constants(share, stop, block_cells):
     """Run the table kernel with another gather share, pre-sieve stop share
@@ -178,6 +190,8 @@ class TestSievedTable:
     @settings(max_examples=150, deadline=None)
     @given(sieve_cases())
     def test_matches_oracle_within_the_cap_and_on_kept(self, case):
+        # a sieved table holds the elements within the cap and the kept ones;
+        # a dense one holds every element, at cap 1/2
         freqs, nums, r_cap, keep, split, share, stop, block = case
         g = freqs.group
         M = g.phase_denominator
@@ -189,10 +203,12 @@ class TestSievedTable:
                                          base=base)
         for table in (whole, nested):
             view = table.distances()
-            assert view.dtype == np.float64 and table.r_cap == r_cap
+            held = np.ones(g.order, dtype=bool) if table.at is None else exact
+            assert view.dtype == np.float64
+            assert table.r_cap == (0.5 if table.at is None else r_cap)
             assert table.covers == set(freqs.indices().tolist())
-            assert np.array_equal(np.isfinite(view), exact)
-            assert np.array_equal(view[exact], nums[exact] / M)
+            assert np.array_equal(np.isfinite(view), held)
+            assert np.array_equal(view[held], nums[held] / M)
             for radius in (0.0, max(0.0, r_cap - 1e-6), r_cap, 0.5, 0.9):
                 assert np.array_equal(table.ball(radius).mask,
                                       nums / M <= radius + INCLUSION_SLACK)
@@ -252,17 +268,23 @@ class TestSievedTable:
             table = bohr_distance_table(freqs, r_cap, keep, base=base)
         nums = oracle_numerators(freqs if base is None else freqs | freq_set(g, 40))
         M = g.phase_denominator
-        exact = (nums / M <= r_cap + INCLUSION_SLACK) | keep.mask
+        # a gathered table holds the elements within the cap and the kept ones,
+        # a dense one every element
+        held = (nums / M <= r_cap + INCLUSION_SLACK) | keep.mask
+        if branch in ("dense fallback", "dense"):
+            held[:] = True
         view = table.distances()
-        assert np.array_equal(np.isfinite(view), exact)
-        assert np.array_equal(view[exact], nums[exact] / M)
+        assert np.array_equal(np.isfinite(view), held)
+        assert np.array_equal(view[held], nums[held] / M)
+        assert (table.at is None) == (branch in ("dense fallback", "dense"))
         if branch == "dense fallback":
             # the pre-sieve ran every row and kept all of G, so the exact rows ran densely
             assert table.coarse_cells == table.cells == 4 * g.order  # 8 = 4 pairs +-gamma
         elif branch == "dense":
             assert table.coarse_cells == 0 and table.cells == 39 * g.order
         elif branch == "gather":
-            assert 0 < table.coarse_cells < 39 * g.order and table.cells < 39 * g.order
+            # 4096-point rows: the pre-sieve's first block holds all 39
+            assert table.coarse_cells == 39 * g.order and table.cells < 39 * g.order
         else:
             assert table.coarse_cells == 0 and 0 < table.cells < 39 * g.order / 10
 
@@ -281,12 +303,22 @@ class TestSievedTable:
             assert table.covers == base.covers | set(freqs.indices().tolist())
 
     def test_rejects_a_mismatched_base_and_a_negative_cap(self):
+        # a dense base states cap 1/2 and serves every cap; a sieved one only
+        # caps at or below its own
         g = FinAbGroup([32])
-        base = bohr_distance_table(freq_set(g, 1), 0.2)
+        with kernel_constants(1.0, bohr.STOP_SHARE, bohr.BLOCK_CELLS):
+            base = bohr_distance_table(freq_set(g, 1), 0.2)
+        assert base.at is not None
         with pytest.raises(ValueError, match="base"):
             bohr_distance_table(freq_set(g, 3), 0.3, base=base)
-        with pytest.raises(ValueError, match="base"):
-            bohr_distance_table(freq_set(FinAbGroup([16]), 3), 0.2, base=base)
+        dense = bohr_distance_table(freq_set(g, 1), 0.2)
+        assert dense.at is None and dense.r_cap == 0.5
+        for r_cap in (0.3, 0.75):
+            table = bohr_distance_table(freq_set(g, 3), r_cap, base=dense)
+            assert np.array_equal(table.distances(), oracle_table(freq_set(g, 1, 3)))
+        for other in (base, dense):
+            with pytest.raises(ValueError, match="base"):
+                bohr_distance_table(freq_set(FinAbGroup([16]), 3), 0.2, base=other)
         with pytest.raises(ValueError, match="r_cap"):
             bohr_distance_table(freq_set(g, 3), -0.1)
         with pytest.raises(ValueError, match="r_cap"):
@@ -335,9 +367,13 @@ class TestPresieve:
                     view = bohr_distance_table(freqs, num / M, keep).distances()
                 assert alive[nums <= cap].all()
                 dropped += np.count_nonzero(~alive)
-                exact = (nums <= cap) | keep.mask
-                assert np.array_equal(np.isfinite(view), exact)
-                assert np.array_equal(view[exact], nums[exact] / M)
+                # a gathered table holds the elements within the cap and the
+                # kept ones, a dense one every element
+                held = (nums <= cap) | keep.mask
+                if np.isfinite(view).all():
+                    held[:] = True
+                assert np.array_equal(np.isfinite(view), held)
+                assert np.array_equal(view[held], nums[held] / M)
         assert dropped > 0
 
 
@@ -594,8 +630,8 @@ class TestNestedBohrAudit:
 
 
 class TestSurvivorsTable:
-    """A sieved table holds the int32 numerators of its exact elements, all
-    of G or its sorted survivors; every read matches oracles.bohr_distance."""
+    """A table holds the int32 numerators of all of G (dense, at cap 1/2) or
+    of its sorted survivors; every read matches oracles.bohr_distance."""
 
     @staticmethod
     def oracle(freqs):
@@ -604,22 +640,28 @@ class TestSurvivorsTable:
 
     @staticmethod
     def assert_reads(table, dist, keep, r_cap):
+        # a sieved table at r_cap holds the elements within it and the kept
+        # ones; a dense one holds every element and reads every radius
         g = table.group
         kept = np.zeros(g.order, dtype=bool) if keep is None else keep.mask
-        exact = (dist <= r_cap + INCLUSION_SLACK) | kept
+        held = (dist <= r_cap + INCLUSION_SLACK) | kept
         view = table.distances()
-        assert table.num.dtype == np.int32 and table.r_cap == r_cap
-        if table.at is not None:
-            assert np.array_equal(table.at, np.flatnonzero(exact))
-        assert np.array_equal(np.isfinite(view), exact)
-        assert np.array_equal(view[exact], dist[exact])
-        for radius in (0.0, r_cap / 3, r_cap, 0.5, 0.8):
-            if r_cap < radius < 0.5:
+        assert table.num.dtype == np.int32
+        if table.at is None:
+            held[:] = True
+            assert table.r_cap == 0.5
+        else:
+            assert table.r_cap == r_cap
+            assert np.array_equal(table.at, np.flatnonzero(held))
+        assert np.array_equal(np.isfinite(view), held)
+        assert np.array_equal(view[held], dist[held])
+        for radius in (0.0, r_cap / 3, r_cap, 0.3, 0.5, 0.8):
+            if table.r_cap < radius < 0.5:
                 continue
             ball = dist <= radius + INCLUSION_SLACK
             assert np.array_equal(table.ball(radius).mask, ball)
             assert table.measure(radius) == np.count_nonzero(ball)
-        members = GroupSet(g, exact & (np.arange(g.order) % 3 == 0))
+        members = GroupSet(g, held & (np.arange(g.order) % 3 == 0))
         assert np.array_equal(table.exact(members), dist[members.mask])
 
     @pytest.mark.parametrize("cycles", [[97], [12, 10], [6, 6, 4]], ids=str)
@@ -647,20 +689,70 @@ class TestSurvivorsTable:
         outer = inner | GroupSet.from_indices(g, rng.integers(1, g.order, size=2))
         dist = self.oracle(outer)
         low = float(np.quantile(dist, 0.2))
+        forms = set()
         for keep in (None, GroupSet(g, rng.random(g.order) < 0.1)):
             for high in (float(np.quantile(self.oracle(inner), 0.6)), 0.5):
-                base = bohr_distance_table(inner, high, keep)
+                # a gather share of 1 gathers the base whenever its cap sieves
+                with kernel_constants(1.0, bohr.STOP_SHARE, bohr.BLOCK_CELLS):
+                    base = bohr_distance_table(inner, high, keep)
+                forms.add(base.at is None)
                 table = bohr_distance_table(outer, low, keep, base=base)
                 assert table.covers == set(outer.indices().tolist())
                 self.assert_reads(table, dist, keep, low)
                 # no row left (the negatives of the base's frequencies): the
-                # base read down to the lower cap
+                # base's numerators, read at the base's cap
                 recapped = bohr_distance_table(negate(inner), low, keep, base=base)
-                assert recapped.cells == 0
-                self.assert_reads(recapped, self.oracle(inner), keep, low)
+                assert recapped.cells == 0 and recapped.r_cap == base.r_cap
+                self.assert_reads(recapped, self.oracle(inner), keep, high)
+            with kernel_constants(1.0, bohr.STOP_SHARE, bohr.BLOCK_CELLS):
+                lower = bohr_distance_table(inner, 0.4, keep)
+            assert lower.at is not None
             with pytest.raises(ValueError, match="base"):
-                bohr_distance_table(outer, 0.45, keep,
-                                    base=bohr_distance_table(inner, 0.4, keep))
+                bohr_distance_table(outer, 0.45, keep, base=lower)
+        assert forms == {True, False}  # sieved and dense bases were read
+
+    @settings(max_examples=40, deadline=None)
+    @given(small_frequency_sets(), st.sampled_from([0.0, 0.05, 0.25, 0.5, 0.75]),
+           st.booleans(), st.integers(0, 2 ** 32 - 1))
+    def test_a_dense_table_is_exact_everywhere(self, freqs, r_cap, on_base, seed):
+        # whatever cap it was asked for, a table whose rows ran over all of G
+        # holds every distance and answers every radius
+        g = freqs.group
+        M = g.phase_denominator
+        dist = self.oracle(freqs)
+        split = np.random.default_rng(seed).random(g.order) < 0.5
+        with kernel_constants(0.0, bohr.STOP_SHARE, bohr.BLOCK_CELLS):  # never gathers
+            if on_base:
+                base = bohr_distance_table(GroupSet(g, freqs.mask & split), r_cap)
+                assert base.at is None and base.r_cap == 0.5
+                table = bohr_distance_table(GroupSet(g, freqs.mask & ~split), r_cap, base=base)
+            else:
+                table = bohr_distance_table(freqs, r_cap)
+        assert table.at is None and table.r_cap == 0.5
+        assert np.array_equal(table.distances(), dist)
+        assert np.array_equal(table.exact(GroupSet.full(g)), dist)
+        values = np.unique(dist).tolist()
+        for radius in values + [v + 0.5 / M for v in values] + [0.25, 0.4999, 0.5, 0.9]:
+            ball = dist <= radius + INCLUSION_SLACK
+            assert np.array_equal(table.ball(radius).mask, ball)
+            assert table.measure(radius) == np.count_nonzero(ball)
+
+    @pytest.mark.parametrize("cycles", [[97], [12, 10], [6, 6, 4]], ids=str)
+    def test_no_row_left_holds_a_sieved_base(self, cycles):
+        # the trivial character and the negatives of the base's frequencies add
+        # no row: the table holds the base's numerators and survivors, at the
+        # base's higher cap
+        g = FinAbGroup(cycles)
+        rng = np.random.default_rng(30 + len(cycles))
+        inner = GroupSet.from_indices(g, rng.integers(1, g.order, size=2))
+        keep = GroupSet(g, rng.random(g.order) < 0.1)
+        with kernel_constants(1.0, bohr.STOP_SHARE, bohr.BLOCK_CELLS):
+            base = bohr_distance_table(inner, 0.3, keep)
+        assert base.at is not None
+        table = bohr_distance_table(negate(inner) | freq_set(g, 0), 0.1, keep, base=base)
+        assert table.num is base.num and table.at is base.at
+        assert table.r_cap == 0.3 and table.cells == table.coarse_cells == 0
+        self.assert_reads(table, self.oracle(inner), keep, 0.3)
 
     @pytest.mark.parametrize("cycles", [[97], [12, 10], [6, 6, 4]], ids=str)
     def test_a_sieved_base_holds_every_kept_element(self, cycles):

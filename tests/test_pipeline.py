@@ -336,22 +336,56 @@ class TestSievedRun:
             method = getattr(DistanceTable, name)
             monkeypatch.setattr(DistanceTable, name, lambda table, radius, method=method: (
                 reads.append((table, radius)) or method(table, radius)))
-        report = run_freiman(interval(4096, 16), FreimanConfig(d=1.0, epsilon=0.05))
+        report = run_freiman(interval(2 ** 14, 16), FreimanConfig(d=1.0, epsilon=0.05))
         eps = report.epsilon_used
-        # the spectrum's table at read_cap, the audit's at 0, the ball's at
-        # read_cap and the chain's at its own cap
+        # three tables: the spectrum's (its rows ran over all of G here, so it
+        # states cap 1/2), the ball's at read_cap and the chain's at its own
+        # cap; the audit builds none
         cap = read_cap(report.radius, eps)
         caps = [t.r_cap for t in results]
-        assert caps == [cap, 0.0, cap, chain_cap(eps)] and max(caps) < 0.5
+        assert caps == [0.5, cap, chain_cap(eps)] and max(caps[1:]) < 0.5
+        assert [t.at is None for t in results] == [True, False, False]
         assert not np.isfinite(results[-1].distances()).all()  # the sieve dropped elements
         # the audit reads A - A alone; the ball, the grid and the chain read balls
-        assert {id(t) for t, _ in reads} == {id(t) for t in results[2:]}
+        assert {id(t) for t, _ in reads} == {id(t) for t in results[1:]}
         for table, radius in reads:
             assert radius <= table.r_cap or radius >= 0.5
         for delta in report.dimension.grid:
             assert delta <= cap or delta >= 0.5
         with pytest.raises(ValueError, match="cap"):
             results[-1].ball((caps[-1] + 0.5) / 2)
+
+    def test_the_audit_reads_the_spectrums_table(self, record_calls, monkeypatch):
+        # inside a run the audit is served the spectrum's table object itself
+        results, served = [], []
+        record_calls(addcomb.bohr, "bohr_distance_table", results)
+        bohr_table = FreimanRun.bohr_table
+
+        def recording(run, freqs, r_cap):
+            built = len(results)
+            table = bohr_table(run, freqs, r_cap)
+            served.append((freqs, r_cap, table, len(results) - built))
+            return table
+
+        monkeypatch.setattr(FreimanRun, "bohr_table", recording)
+        report = run_freiman(interval(2 ** 14, 16), FreimanConfig(d=1.0, epsilon=0.05))
+        cap, eps = read_cap(report.radius, report.epsilon_used), report.epsilon_used
+        assert [(r, n) for _, r, _, n in served] == [
+            (cap, 1), (None, 0), (cap, 1), (chain_cap(eps), 1)]
+        assert served[1][0] == served[0][0] == report.spectrum.members
+        assert served[1][2] is served[0][2] is results[0]
+
+    def test_an_audit_outside_a_run_builds_one_unsieved_table(self, record_calls):
+        results = []
+        calls = record_calls(addcomb.bohr, "bohr_distance_table", results)
+        run = FreimanRun(interval(512, 5))
+        audit = lowerbound_audit(run, 2, 0.1)
+        assert audit.holds and len(calls) == 1
+        assert results[0].at is None and results[0].r_cap == 0.5
+        # asked again, the run serves the same table and lists it once
+        assert lowerbound_audit(run, 2, 0.1) == audit and len(calls) == 1
+        assert run.bohr_table(run.spectrum(2, 0.1).members, None) is results[0]
+        assert [t for _, t in run._tables] == results
 
     def test_a_base_needs_a_cap_at_or_above_the_table(self, monkeypatch):
         bases, table = [], addcomb.bohr.bohr_distance_table
