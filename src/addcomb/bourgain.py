@@ -91,7 +91,7 @@ from typing import Callable
 import numpy as np
 
 from .groups import FinAbGroup, GroupElement, _check_number
-from .sets import GroupSet, sumset
+from .sets import GroupSet, _unique, sumset
 
 #: default cap on the ternary grid depth.
 GRID_DEPTH_CAP = 20
@@ -461,10 +461,8 @@ def _grid_window_min(out: np.ndarray, src: np.ndarray, idx: np.ndarray) -> None:
     # of about 5/2 |G| log2 |G| each (the radix-2 count)
     pieces, passes = int(np.count_nonzero(part)), 7.5 * math.log2(out.size)
     if pieces > passes:
-        # the distinct values that can lower out (np.unique would import
-        # numpy.ma, about 1 MB more resident)
-        below = np.sort(src[src < out.max()], axis=None)
-        values = below[np.concatenate(([True], below[1:] != below[:-1]))] if below.size else below
+        # the distinct values that can lower out
+        values = _unique(src[src < out.max()])
         if pieces > passes * values.size:
             _threshold_min(out, src, idx, values.tolist())
             return
@@ -552,9 +550,7 @@ def _threshold_min(out: np.ndarray, src: np.ndarray, idx: np.ndarray,
     """_grid_window_min by threshold sums: out <- min(out, v) on
     {src = v} + S for each v in values, S the set of flat indices idx."""
     g = FinAbGroup(out.shape[::-1])
-    mask = np.zeros(out.size, dtype=bool)
-    mask[idx] = True
-    S = GroupSet(g, mask)
+    S = GroupSet.from_sorted(g, idx)
     for v in values:
         total = sumset(GroupSet(g, (src == v).reshape(-1)), S)
         np.minimum(out, v, out=out, where=total.mask.reshape(out.shape))

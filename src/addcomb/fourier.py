@@ -17,14 +17,13 @@ convolutions are snapped back to exact integers after the FFT round trip.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .groups import FinAbGroup, GroupMismatchError
+from .groups import FinAbGroup, GroupMismatchError, negated_grid
 from .sets import GroupSet
 
 #: |value - nearest integer| below this snaps indicator convolutions to ints.
@@ -105,27 +104,19 @@ def _mirror(grid: np.ndarray) -> None:
     the point itself).
 
     On the last axis, -m = n - m runs from n - kept down to 1: a reversed
-    slice. On the other axes the slice is gathered through each cycle's
-    negation permutation (there are none on one cycle). The columns m = 0
-    and m = n / 2 are their own negations, so each is mirrored in turn on
-    the axes before it. Every pair {gamma, -gamma} then holds a value and
+    slice. The other axes are negated by groups.negated_grid, one slice
+    copy each (there are none on one cycle). The columns m = 0 and m = n / 2
+    are their own negations, so each is mirrored in turn on the axes before
+    it. Every pair {gamma, -gamma} then holds a value and
     its exact conjugate, so |f^(gamma)| = |f^(-gamma)| bit for bit.
     """
     n = grid.shape[-1]
     kept = n // 2 + 1
-    source = grid[..., n - kept:0:-1]
-    for axis, length in enumerate(grid.shape[:-1]):
-        source = source.take(_negation(length), axis=axis)
+    source = negated_grid(grid[..., n - kept:0:-1], range(grid.ndim - 1))
     np.conjugate(source, out=grid[..., kept:])
     if grid.ndim > 1:
         for m in ((0, n // 2) if n % 2 == 0 else (0,)):
             _mirror(grid[..., m])
-
-
-@functools.lru_cache(maxsize=64)
-def _negation(n: int) -> np.ndarray:
-    """The negation permutation of Z_n, for _mirror's gathers."""
-    return FinAbGroup([n]).negation_permutation()
 
 
 def convolve(f, g, group: FinAbGroup | None = None,
@@ -139,8 +130,9 @@ def convolve(f, g, group: FinAbGroup | None = None,
 
     The spectral sumset calls this with the operands' cropped indicators as
     arrays over their bounding box, a group of 5-smooth cycles where the
-    convolution is linear, and wraps the result back to G itself; with no
-    cycle cropped, it passes the sets over G.
+    convolution is linear, and wraps the result back to G itself. A box of
+    whole cycles is G: the arrays are the indicators over G and the result
+    is the sum's mask, with no wrap-back.
     """
     both_sets = isinstance(f, GroupSet) and isinstance(g, GroupSet)
     grp = f.group if isinstance(f, GroupSet) else (

@@ -63,6 +63,17 @@ def _check_number(value, caller: str, name: str, low, *, strict: bool = False,
         raise ValueError(f"{caller} needs {rule}, got {value!r}")
 
 
+def negated_grid(grid: np.ndarray, axes) -> np.ndarray:
+    """grid at minus its coordinates along axes, each axis a cycle: index 0
+    stays and 1..n-1 reverse, one slice copy per axis (negation_permutation
+    on flat indices)."""
+    for axis in axes:
+        lead = (slice(None),) * axis
+        grid = np.concatenate((grid[lead + (slice(1),)], grid[lead + (slice(None, 0, -1),)]),
+                              axis=axis)
+    return grid
+
+
 def _finite(value: numbers.Real) -> bool:
     """Whether value converts to a finite float."""
     try:

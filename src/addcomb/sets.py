@@ -10,8 +10,8 @@ them when fixed + per_index * s < |G| (_sparse), and groups below 2^14
 always take the mask. Such a set answers its cardinality, ==, subset
 checks, membership, negation and symmetry from its indices alone; a
 direct sum of few pairs and a spectral sum of few points build their
-result as indices too. Negation on a mask reverses every axis of the grid
-and rolls it by one.
+result as indices too. Negation on a mask keeps index 0 of every axis of
+the grid and reverses the rest (groups.negated_grid).
 
 Sumsets run through one of two exact routes. The direct route adds the uint32
 coordinates of every pair at once, as one numpy outer sum per block of
@@ -29,9 +29,9 @@ as at powers of two, and they lie closer together. There the convolution
 of the cropped indicators is linear, hence exact, and box point k is the
 sum at a + b + k mod n_j (the wrap-back: a sum of few points is mapped
 to its indices, a larger one rolled onto a mask; operands read through
-their indices are cropped from their coordinates). Other cycles stay whole, and
-with none shrunk the route is the full-grid convolution. sumset picks the
-route of lower modelled cost,
+their indices are cropped from their coordinates). Other cycles stay
+whole; a box of whole cycles is G itself, whose convolution is the sum's
+mask with no wrap-back. sumset picks the route of lower modelled cost,
 
     direct   ~ |small| * (c0 + c1 * |big| * rank)
     spectral ~ c2 * P * log2 P + c3,   P the points of the FFT's box,
@@ -41,7 +41,9 @@ is planned only when the FFT on the least box the operand sizes allow is
 priced below the direct route, from each operand's coordinates, read once
 per sum and shared with the direct route. No rule on |A| * |B| alone can
 choose well: the direct cost grows with the smaller operand times the
-larger one, while the FFT cost depends on the grid only.
+larger one, while the FFT cost depends on the grid only. Tests and tools
+force a route by rebinding SUMSET_COST, read at call time (a set form, by
+rebinding INDEX_COST).
 
 Multiples is the one route to the n-fold sumsets nA: it keeps every
 multiple it has built, reuses known ones, and halves where none fits, so
@@ -58,7 +60,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .groups import (ORDER_CAP, Character, FinAbGroup, GroupElement, GroupMismatchError,
-                     _check_number, _require_same_group)
+                     _check_number, _require_same_group, negated_grid)
 
 #: prog() refuses generator lists longer than this.
 PROG_GUARD = 24
@@ -145,7 +147,15 @@ class GroupSet:
 
     @classmethod
     def from_indices(cls, group: FinAbGroup, indices: Iterable[int]) -> "GroupSet":
-        idx = np.asarray(list(indices), dtype=np.int64)
+        """The set of the given integer indices 0..|G| - 1: an integer ndarray
+        is checked by dtype, other input index by index (no bool, float or str)."""
+        if not (isinstance(indices, np.ndarray) and indices.dtype.kind in "iu"):
+            indices = list(indices)
+            for x in indices:
+                if type(x) is not int:
+                    _check_number(x, "GroupSet.from_indices", "index", 0,
+                                  high=group.order - 1, integral=True)
+        idx = np.asarray(indices, dtype=np.int64)
         if idx.size and (idx.min() < 0 or idx.max() >= group.order):
             raise ValueError("element index out of range")
         if _sparse(idx.size, group):
@@ -302,7 +312,8 @@ def _scatter(g: FinAbGroup, idx: np.ndarray) -> np.ndarray:
 
 
 def _unique(idx: np.ndarray) -> np.ndarray:
-    """The distinct values of idx, ascending (a sort and one compare)."""
+    """The distinct values of idx, ascending (a sort and one compare;
+    np.unique would import numpy.ma, about 1 MB more resident)."""
     idx = np.sort(idx)
     return idx[np.concatenate(([True], idx[1:] != idx[:-1]))] if idx.size else idx
 
@@ -313,11 +324,9 @@ def _negated_indices(g: FinAbGroup, idx: np.ndarray) -> np.ndarray:
 
 
 def _negated_mask(S: "GroupSet") -> np.ndarray:
-    """The mask of -S. On each cycle -x keeps 0 and reverses 1..n-1: every
-    axis of the grid is reversed and rolled by one."""
+    """The mask of -S (groups.negated_grid on every axis of the grid)."""
     g = S.group
-    grid = S.mask.reshape(g.invariants[::-1])
-    return np.roll(np.flip(grid), 1, axis=tuple(range(g.rank))).ravel()
+    return negated_grid(S.mask.reshape(g.invariants[::-1]), range(g.rank)).ravel()
 
 
 def _index_in(group: FinAbGroup, x: GroupElement | Character | int, caller: str) -> int:
@@ -342,52 +351,37 @@ def negate(A: GroupSet) -> GroupSet:
     return GroupSet(A.group, _negated_mask(A))
 
 
-def _sumset_route(small: int, big: int, g: FinAbGroup,
-                  cost: tuple[float, float, float, float] = SUMSET_COST,
-                  points: int | None = None) -> str:
-    """The route of lower modelled cost (constants c0..c3) for sizes
-    small <= big, with the FFT on a grid of points (all of G by default)."""
-    c0, c1, c2, c3 = cost
-    points = g.order if points is None else points
+def _sumset_route(small: int, big: int, g: FinAbGroup, points: int) -> str:
+    """The route of lower modelled cost (SUMSET_COST, read at call time) for
+    sizes small <= big, with the FFT on a grid of points."""
+    c0, c1, c2, c3 = SUMSET_COST
     direct = small * (c0 + c1 * big * g.rank)
     return "spectral" if c2 * points * math.log2(points) + c3 < direct else "direct"
 
 
-def _auto_route(A: GroupSet, B: GroupSet,
-                cost: tuple[float, float, float, float] = SUMSET_COST
-                ) -> tuple[str, list[tuple[int, int, int]] | None, tuple | None]:
-    """(route, box, coords) for sumset's auto method: the direct route or the
-    FFT on the box it would use, whichever is priced lower. The box is planned
-    only when the FFT on the least box the sizes allow (_least_sides) is
-    priced below the direct route, from coords (_coords), which the direct
-    route then adds; coords is None where none were read."""
+def _auto_route(A: GroupSet, B: GroupSet) -> tuple[str, list | None, tuple | None]:
+    """(route, box, coords) for sumset: the direct route or the FFT on the
+    box it would use (_spectral_box), whichever is priced lower. The box is
+    planned only when the FFT on the least box the sizes allow (_least_sides)
+    is priced below the direct route, from coords (_coords), which the
+    direct route then adds; coords is None where none were read."""
     g = A.group
     small, big = sorted((len(A), len(B)))
     sides = _least_sides(small, big, g)
-    if _sumset_route(small, big, g, cost, math.prod(sides)) == "direct":
+    if _sumset_route(small, big, g, math.prod(sides)) == "direct":
         return "direct", None, None
-    if sides == list(g.invariants):  # no cycle can shrink: nothing to plan
-        return "spectral", None, None
-    coords = _coords(A, B)
-    box = _spectral_box(A, B, coords)
-    points = g.order if box is None else math.prod(m for m, _, _ in box)
-    return _sumset_route(small, big, g, cost, points), box, coords
+    # where no cycle can shrink there is nothing to plan: the box is G
+    coords = None if sides == list(g.invariants) else _coords(A, B)
+    box = _spectral_box(A, B, coords, sides)
+    return _sumset_route(small, big, g, math.prod(m for m, _, _ in box)), box, coords
 
 
-def sumset(A: GroupSet, B: GroupSet, method: str = "auto") -> GroupSet:
+def sumset(A: GroupSet, B: GroupSet) -> GroupSet:
     """{a + b : a in A, b in B}. Empty inputs give the empty set, and a {0}
-    operand gives the other operand itself.
-
-    method: "auto" picks the route of lower modelled cost (_auto_route), the
-    FFT priced on the box it would use; "direct" forces the blocked outer
-    sum and "spectral" the FFT route. Both routes are exact. The FFT route
-    convolves on the operands' bounding box, each cycle cropped to the least
-    5-smooth length that holds the sum of their arcs, and wraps the result
-    back to G; it uses all of G when no cycle shrinks.
-    """
+    operand gives the other operand itself. Otherwise the route of lower
+    modelled cost runs (_auto_route): the blocked outer sum, or the FFT on
+    the operands' bounding box (_spectral_sumset). Both routes are exact."""
     _require_same_group(A, B)
-    if method not in ("auto", "direct", "spectral"):
-        raise ValueError(f"unknown sumset method {method!r}")
     g = A.group
     if A.cardinality == 0 or B.cardinality == 0:
         return GroupSet.empty(g)
@@ -396,12 +390,8 @@ def sumset(A: GroupSet, B: GroupSet, method: str = "auto") -> GroupSet:
         return B
     if B.cardinality == 1 and B.contains_zero():
         return A
-    coords = None
-    if method == "auto":
-        method, box, coords = _auto_route(A, B)
-    elif method == "spectral":
-        box = _spectral_box(A, B)
-    if method == "spectral":
+    route, box, coords = _auto_route(A, B)
+    if route == "spectral":
         return _spectral_sumset(A, B, box, coords)
     # direct: every pair at once, in blocks of rows of small against all of big
     coords_A, coords_B = coords or _coords(A, B)
@@ -426,35 +416,35 @@ def sumset(A: GroupSet, B: GroupSet, method: str = "auto") -> GroupSet:
     return GroupSet(g, hits)
 
 
-def _spectral_sumset(A: GroupSet, B: GroupSet, box: list[tuple[int, int, int]] | None,
-                     coords: tuple[np.ndarray, np.ndarray] | None = None) -> GroupSet:
-    """The spectral route: the convolution of the indicators cut at 1/2, on
-    the given box (_spectral_box), or on all of G when it is None, with the
-    operands' coordinates (_coords) when they were read. A sum of few points is read off the box as indices, a larger one rolled
-    from it onto a mask."""
+def _spectral_sumset(A: GroupSet, B: GroupSet, box: list[tuple[int, int, int]],
+                     coords: tuple[np.ndarray, np.ndarray] | None) -> GroupSet:
+    """The spectral route: the convolution of the indicators cropped to the
+    box (_spectral_box), cut at 1/2, with the operands' coordinates (_coords)
+    when they were read. A box of whole cycles is G, whose convolution is
+    the sum's mask. Otherwise a sum of few points is read off the box as
+    indices, a larger one rolled from it onto a mask."""
     from . import fourier  # local import; fourier depends on this module
 
-    # the exact counts are integers, so the unsnapped convolution cut at 1/2
-    # is exact
     g = A.group
-    if box is None:
-        return GroupSet(g, fourier.convolve(A, B, snap_integers=False) >= 0.5)
     coords_A, coords_B = coords or (None, None)
     crop_A = _crop(A, [(m, a) for m, a, _ in box], coords_A)
     crop_B = crop_A if B is A else _crop(B, [(m, b) for m, _, b in box], coords_B)
-    sides = FinAbGroup([m for m, _, _ in box])
-    hit = fourier.convolve(crop_A, crop_B, sides, snap_integers=False) >= 0.5
+    sides = [m for m, _, _ in box]
+    grid = g if sides == list(g.invariants) else FinAbGroup(sides)
+    # the exact counts are integers, so the unsnapped convolution cut at 1/2
+    # is exact
+    hit = fourier.convolve(crop_A, crop_B, grid, snap_integers=False) >= 0.5
+    if grid is g:
+        return GroupSet(g, hit)
     # box point k on cycle j is the sum with coordinate a_j + b_j + k mod n_j
     offsets = [a + b for _, a, b in box]
     if _sparse(int(np.count_nonzero(hit)), g):
-        at = sides.decode_array(np.flatnonzero(hit))
+        at = grid.decode_array(np.flatnonzero(hit))
         at += np.array(offsets, dtype=np.int64)[:, None]
         return GroupSet.from_sorted(g, np.sort(g.encode_array(at)))
-    grid = np.zeros(g.invariants[::-1], dtype=bool)
-    grid[tuple(slice(m) for m in sides.invariants[::-1])] = hit.reshape(
-        sides.invariants[::-1])
-    grid = np.roll(grid, offsets[::-1], axis=tuple(range(g.rank)))
-    return GroupSet(g, grid.ravel())
+    out = np.zeros(g.invariants[::-1], dtype=bool)
+    out[tuple(slice(m) for m in sides[::-1])] = hit.reshape(sides[::-1])
+    return GroupSet(g, np.roll(out, offsets[::-1], axis=tuple(range(g.rank))).ravel())
 
 
 def _box_side(length: int) -> int:
@@ -471,30 +461,24 @@ def _least_sides(a: int, b: int, g: FinAbGroup) -> list[int]:
             for n in g.invariants]
 
 
-def _spectral_box(A: GroupSet, B: GroupSet,
-                  coords: tuple[np.ndarray, np.ndarray] | None = None
-                  ) -> list[tuple[int, int, int]] | None:
+def _spectral_box(A: GroupSet, B: GroupSet, coords: tuple[np.ndarray, np.ndarray] | None,
+                  sides: list[int]) -> list[tuple[int, int, int]]:
     """The grid of the spectral route of A + B: per cycle j, (m, a, b) where
     A's projection lies on the arc of length L_A from a, B's on the arc of
     length L_B from b, and m = _box_side(L_A + L_B - 1) is below n_j; else
-    (n_j, 0, 0). None when no cycle shrinks. Cycles that the operand sizes
-    alone keep whole (_least_sides) are not scanned; coords (_coords) is
-    read only when one can shrink, unless it is given.
-    """
+    (n_j, 0, 0), a whole cycle. Only the cycles the least sides
+    (_least_sides) can shrink are scanned, through coords (_coords), which
+    is None when there are none."""
     g = A.group
-    shrinkable = [j for j, (m, n) in enumerate(zip(_least_sides(len(A), len(B), g),
-                                                   g.invariants)) if m < n]
-    if not shrinkable:
-        return None
-    coords_A, coords_B = coords or _coords(A, B)
     box = [(n, 0, 0) for n in g.invariants]
-    for j in shrinkable:
-        a, la = _arc(coords_A, g, j)
-        b, lb = (a, la) if B is A else _arc(coords_B, g, j)
-        m = _box_side(la + lb - 1)
-        if m < g.invariants[j]:
-            box[j] = (m, a, b)
-    return box if any(m < n for (m, _, _), n in zip(box, g.invariants)) else None
+    for j, (least, n) in enumerate(zip(sides, g.invariants)):
+        if least < n:
+            a, la = _arc(coords[0], g, j)
+            b, lb = (a, la) if B is A else _arc(coords[1], g, j)
+            m = _box_side(la + lb - 1)
+            if m < n:
+                box[j] = (m, a, b)
+    return box
 
 
 def _arc(coords: np.ndarray, g: FinAbGroup, j: int) -> tuple[int, int]:

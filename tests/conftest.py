@@ -1,6 +1,11 @@
+import contextlib
 import sys
 
 import pytest
+
+#: A sumset cost model (c0, c1, c2, c3) under which the named route is free
+#: and the other is not.
+FREE_ROUTE = {"direct": (0.0, 0.0, 1.0, 1.0), "spectral": (1.0, 1.0, 0.0, 0.0)}
 
 
 @pytest.fixture
@@ -28,3 +33,19 @@ def record_calls(monkeypatch):
         return calls
 
     return record
+
+
+@pytest.fixture(scope="session")
+def forced_route():
+    """forced_route(route): a context in which every addcomb.sets.sumset that
+    runs a route takes route ("direct" or "spectral"), by rebinding
+    sets.SUMSET_COST, which the route rule reads at call time. It holds no
+    state, so hypothesis tests may use it."""
+
+    @contextlib.contextmanager
+    def force(route: str):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr("addcomb.sets.SUMSET_COST", FREE_ROUTE[route])
+            yield
+
+    return force
