@@ -19,6 +19,7 @@ print("spectrum size:", report.spectrum.count)
 print("ball radius:", round(report.radius, 6),
       "(guaranteed:", round(report.guaranteed_radius, 6), ")")
 print("containment A-A in B:", report.containment)
+print("vacuous (B is all of G, or its radius is at least 1/2):", report.vacuous)
 print("empirical dimension of the ball family:",
       round(report.dimension.empirical_dim, 4))
 print("measure ratio mu(B)/mu(A):", report.measure_ratio)

@@ -36,21 +36,22 @@ import functools
 import math
 from dataclasses import asdict, dataclass, field
 
-import numpy as np
-
 from . import bohr
 from .bohr import (DIM_GRID_CAP, INCLUSION_SLACK, BohrSet, DistanceTable,
                    dimension_estimate, dyadic_dimension_grid,
                    DimensionEstimate)
 from .covering import CoverCertificate, chang_cover
-from .fourier import transform
 from .groups import GroupElement, _check_number
 from .sets import (GroupSet, Multiples, growth_profile, growth_window_end,
                    growth_window_start, negate, sumset, GrowthProfile)
-from .spectrum import Spectrum, cut_spectrum
+from .spectrum import Spectrum, SpectrumIndex, cut_spectrum, spectrum_index
 
 DEFAULT_RATIO_BOUND = float(2 ** 15)
 DEFAULT_RADIUS = 2.0 ** -4
+
+#: The widest cut the cover search reads, (2r + 1/2) eps <= 1: a run's index
+#: of lA serves every cut at or below it.
+INDEX_DELTA = 1.0
 
 
 @dataclass(frozen=True)
@@ -100,12 +101,14 @@ class FreimanConfig:
 class FreimanRun:
     """What one Freiman run computes once and every stage reads.
 
-    It holds the multiples nA, the magnitudes |1_lA^| of the one transform
-    of lA (every spectrum of lA, at any delta, is a threshold of them), the
-    spectra cut from them at each (l, delta) a stage asked for, A - A
-    and the Bohr distance tables of the nested frequency sets
-    LSpec(lA, eps) <= LSpec(lA, eps) u X <= LSpec(lA, 2 eps). Each stage
-    given the run reuses what the stages before it computed.
+    It holds the multiples nA, one spectrum index of each lA a stage asked
+    for (spectrum.spectrum_index at INDEX_DELTA: the characters of lA
+    whose modulus meets the cut rule at delta = 1, and their moduli, from
+    the full transform or a coarse transform and a certified zoom), the
+    spectra cut from it at each (l, delta) a stage asked for, A - A and the
+    Bohr distance tables of the nested frequency sets LSpec(lA, eps) <=
+    LSpec(lA, eps) u X <= LSpec(lA, 2 eps). Each stage given the run reuses
+    what the stages before it computed.
 
     Each table is sieved at the radius cap its caller reads up to and keeps
     A - A exact (see bohr.bohr_distance_table).
@@ -116,18 +119,25 @@ class FreimanRun:
             raise ValueError("a Freiman run needs a nonempty set")
         self.A = A
         self.multiples = Multiples(A)
-        self._magnitudes: dict[int, np.ndarray] = {}
+        self._indices: dict[int, SpectrumIndex] = {}
         self._spectra: dict[tuple[int, float], Spectrum] = {}
         self._difference: GroupSet | None = None
         self._tables: list[tuple[GroupSet, DistanceTable]] = []
 
+    def index(self, l: int, delta: float) -> SpectrumIndex:
+        """The index of lA that serves a cut at delta: built once at
+        INDEX_DELTA, and once more at delta when a cut wider than the index
+        serves is asked for (an escape retry with 2 eps > 1)."""
+        index = self._indices.get(l)
+        if index is None or not index.serves(delta):
+            index = spectrum_index(self.multiples[l], max(delta, INDEX_DELTA))
+            self._indices[l] = index
+        return index
+
     def spectrum(self, l: int, delta: float) -> Spectrum:
         """LSpec(lA, delta), cut once per (l, delta)."""
         if (l, delta) not in self._spectra:
-            lA = self.multiples[l]
-            if l not in self._magnitudes:
-                self._magnitudes[l] = transform(lA).magnitudes()
-            self._spectra[l, delta] = cut_spectrum(lA, self._magnitudes[l], delta)
+            self._spectra[l, delta] = cut_spectrum(self.index(l, delta), delta)
         return self._spectra[l, delta]
 
     def difference(self) -> GroupSet:
@@ -258,7 +268,8 @@ def spectrum_cover(run: FreimanRun, l: int, epsilon: float) -> SpectrumCover:
     chosen = None
     for r in range(2, r_max + 1):
         # no other stage reads a wide spectrum, so the run does not keep it
-        wide = cut_spectrum(S_half.source, S_half.magnitudes, (2 * r + 0.5) * epsilon)
+        delta = (2 * r + 0.5) * epsilon
+        wide = cut_spectrum(run.index(l, delta), delta)
         if wide.count < (2 ** r) * S_half.count:
             chosen = r
             break
@@ -336,6 +347,7 @@ class FreimanReport:
     epsilon_retries: tuple[float, ...]
     escape_flagged: bool
     degenerate: bool
+    vacuous: bool  # the ball is all of G or its radius is >= 1/2
     cover: SpectrumCover
     spectrum: Spectrum
     radius: float
@@ -364,6 +376,7 @@ class FreimanReport:
             "epsilon_retries": list(self.epsilon_retries),
             "escape_flagged": self.escape_flagged,
             "degenerate": self.degenerate,
+            "vacuous": self.vacuous,
             "cover": self.cover.to_jsonable(),
             "spectrum_count": self.spectrum.count,
             "spectrum_threshold": self.spectrum.threshold,
@@ -466,11 +479,11 @@ def run_freiman(A: GroupSet, config: FreimanConfig) -> FreimanReport:
     """Execute the full containment pipeline and assemble the report.
 
     The stages (growth, pigeonhole, spectrum, cover, audit, ball, chain)
-    share one FreimanRun, so each nA, the transform of lA, A - A and each
-    Bohr distance row over G are computed once. Each table is sieved at the
-    largest radius below 1/2 that its readers read (read_cap, chain_cap): an
-    element's exact distance is computed only while it stays within that
-    cap, or when it lies in A - A.
+    share one FreimanRun, so each nA, the spectrum index of lA, A - A and
+    each Bohr distance row over G are computed once. Each table is sieved
+    at the largest radius below 1/2 that its readers read (read_cap,
+    chain_cap): an element's exact distance is computed only while it stays
+    within that cap, or when it lies in A - A.
     """
     run = FreimanRun(A)
     n_max = config.scan_window_end()
@@ -529,6 +542,7 @@ def run_freiman(A: GroupSet, config: FreimanConfig) -> FreimanReport:
         epsilon_retries=retries,
         escape_flagged=cover.escape,
         degenerate=degenerate,
+        vacuous=ball.measure == A.group.order or radius >= 0.5,
         cover=cover,
         spectrum=spectrum,
         radius=float(radius),

@@ -177,12 +177,30 @@ class GroupSet:
 
     @classmethod
     def linf_ball(cls, group: FinAbGroup, r: int) -> "GroupSet":
-        """{x : every coordinate is within r of 0 on its cycle} (sup word metric)."""
-        coords = group.coords_table()
-        mask = np.ones(group.order, dtype=bool)
-        for col, n in zip(coords, group.invariants):
-            mask &= np.minimum(col, n - col) <= r
-        return cls(group, mask)
+        """{x : every coordinate is within r of 0 on its cycle} (sup word metric).
+
+        The product of one arc {-r..r} per cycle, with no pass over
+        coords_table: a small product (_sparse) is the outer sum of the
+        arcs' sorted index steps, slowest cycle first, which comes out
+        sorted; a larger one the outer product of the cycles' masks, each
+        cleared off its arc by one slice write."""
+        r = math.floor(r)
+        if r < 0:
+            return cls.empty(group)
+        sides = [min(n, 2 * r + 1) for n in group.invariants]
+        if _sparse(math.prod(sides), group):
+            idx = np.zeros(1, dtype=np.int64)
+            for n, side, stride in zip(group.invariants[::-1], sides[::-1],
+                                       group._strides[::-1]):
+                arc = np.arange(-r, r + 1) % n if side < n else np.arange(n)
+                idx = np.add.outer(idx, np.sort(arc) * stride).ravel()
+            return cls.from_sorted(group, idx)
+        grid = None
+        for n in group.invariants[::-1]:
+            cycle = np.ones(n, dtype=bool)
+            cycle[r + 1:n - r] = False
+            grid = cycle if grid is None else np.logical_and.outer(grid, cycle)
+        return cls(group, grid.ravel())
 
     @classmethod
     def interval(cls, group: FinAbGroup, r: int) -> "GroupSet":

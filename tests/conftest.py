@@ -1,4 +1,5 @@
 import contextlib
+import math
 import sys
 
 import pytest
@@ -6,6 +7,11 @@ import pytest
 #: A sumset cost model (c0, c1, c2, c3) under which the named route is free
 #: and the other is not.
 FREE_ROUTE = {"direct": (0.0, 0.0, 1.0, 1.0), "spectral": (1.0, 1.0, 0.0, 0.0)}
+
+#: Prices (fixed part, exponential, multiply-add) of spectrum.GRID_COST under
+#: which the named grid wins the count: no zoom is cheaper than the full
+#: transform, or every admissible zoom is.
+FORCED_GRID = {"full": (math.inf,) * 3, "zoom": (0.0,) * 3}
 
 
 @pytest.fixture
@@ -46,6 +52,23 @@ def forced_route():
     def force(route: str):
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr("addcomb.sets.SUMSET_COST", FREE_ROUTE[route])
+            yield
+
+    return force
+
+
+@pytest.fixture(scope="session")
+def forced_grid():
+    """forced_grid(grid): a context in which every spectrum.spectrum_index
+    takes the full transform ("full") or, wherever some coarse grid admits
+    a zoom, the zoom on the smallest such grid ("zoom"), by rebinding
+    spectrum.GRID_COST, which the grid rule reads at call time. It holds no
+    state, so hypothesis tests may use it."""
+
+    @contextlib.contextmanager
+    def force(grid: str):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr("addcomb.spectrum.GRID_COST", FORCED_GRID[grid])
             yield
 
     return force

@@ -290,8 +290,19 @@ class TestRunFreiman:
         assert payload["lowerbound_audit"]["holds"] is True
 
 
-# sha256 of dumps(report.to_jsonable()), recorded from the unsieved dense
-# tables: (cycles, A, d, epsilon, digest), one instance per branch of the cap
+def report_digest(report) -> str:
+    """sha256 of dumps(report.to_jsonable()) without the vacuous flag, which
+    the report gained after these digests were recorded; the flag itself
+    is checked against its rule."""
+    payload = report.to_jsonable()
+    vacuous = payload.pop("vacuous")
+    assert vacuous == (report.ball.measure == report.ball.members.group.order
+                       or report.radius >= 0.5)
+    return hashlib.sha256(dumps(payload).encode()).hexdigest()
+
+
+# report_digest, recorded from the unsieved dense tables: (cycles, A, d,
+# epsilon, digest), one instance per branch of the cap
 SIEVE_DIGESTS = [
     # radius >= 1/2 (the escaping acceptance run): the grid reads down to 0.47
     ([256], 2, 1.0, 0.5,
@@ -316,8 +327,7 @@ class TestSievedRun:
     def test_report_bytes_match_the_dense_tables(self, cycles, r, d, eps, digest):
         A = GroupSet.linf_ball(FinAbGroup(cycles), r)
         report = run_freiman(A, FreimanConfig(d=d, epsilon=eps))
-        text = dumps(report.to_jsonable())
-        assert hashlib.sha256(text.encode()).hexdigest() == digest
+        assert report_digest(report) == digest
 
     def test_cap_is_the_largest_read_below_half(self):
         # the escaping run reads its grid at 3.79 * 2^-3 = 0.474
@@ -405,7 +415,7 @@ class TestSievedRun:
 
 
 BOX_DIGESTS = [
-    # recorded while every spectral sumset ran on all of G
+    # report_digest, recorded while every spectral sumset ran on all of G
     ([2 ** 16], 512, 1.0, 0.05,
      "390202c4a6151bf0bd0408f2054849bda1caa91b2822df49f9fdf08c68cfef54"),
     ([256, 256], 8, 2.0, 0.05,
@@ -418,8 +428,7 @@ class TestLocalizedRun:
     def test_report_bytes_match_the_full_grid(self, cycles, r, d, eps, digest):
         A = GroupSet.linf_ball(FinAbGroup(cycles), r)
         report = run_freiman(A, FreimanConfig(d=d, epsilon=eps))
-        text = dumps(report.to_jsonable())
-        assert hashlib.sha256(text.encode()).hexdigest() == digest
+        assert report_digest(report) == digest
 
     def test_multiples_transform_their_box_not_the_group(self, monkeypatch):
         sizes, rfftn = [], np.fft.rfftn
@@ -431,6 +440,42 @@ class TestLocalizedRun:
             assert multiples[n] == interval(2 ** 18, 2048 * n)
         # the widest sum, 4A + 4A, adds two arcs of 16385 points
         assert sizes and max(sizes) <= 2 ** 16
+
+
+# (A, d, epsilon, escapes): rank 1-3, orders 2^14 - 2^16, each admitting a zoom
+GRID_RUNS = [
+    (interval(2 ** 14, 16), 1.0, 0.05, False),
+    (interval(2 ** 16, 16), 1.0, 0.02, False),
+    (GroupSet.linf_ball(FinAbGroup([128, 128]), 1), 2.0, 0.03, False),
+    (GroupSet.from_coords(FinAbGroup([256, 8, 8]),
+                          [(x, y, 0) for x in range(-2, 3) for y in (0, 1)]), 1.0, 0.05, False),
+    (GroupSet.from_coords(FinAbGroup([64, 32, 32]),
+                          [(x, 0, z) for x in range(-1, 2) for z in range(-1, 2)]), 2.0, 0.02,
+     False),
+    # escapes: the retry's cut at 2 eps = 2 widens the index, on the full grid
+    (interval(2 ** 14, 2), 1.0, 0.5, True),
+]
+
+
+class TestSpectrumGrid:
+    @pytest.mark.parametrize("A,d,eps,escapes", GRID_RUNS)
+    def test_report_bytes_are_the_same_on_both_grids(self, record_calls, forced_grid,
+                                                      A, d, eps, escapes):
+        indices, texts = [], {}
+        record_calls(addcomb.pipeline, "spectrum_index", indices)
+        cycles = A.group.invariants
+        for grid in ("full", "zoom"):
+            indices.clear()
+            with forced_grid(grid):
+                report = run_freiman(A, FreimanConfig(d=d, epsilon=eps))
+            texts[grid] = dumps(report.to_jsonable())
+            grids = [index.grid for index in indices]
+            assert report.escape_flagged == escapes
+            assert len(grids) == (2 if escapes else 1)
+            # the zoom ran where forced; a cut at threshold 0 takes the full grid
+            assert grids[0] == cycles if grid == "full" else grids[0] != cycles
+            assert grids[1:] == [cycles] * (len(grids) - 1)
+        assert texts["full"] == texts["zoom"]
 
 
 class TestRunReuse:
@@ -493,19 +538,36 @@ class TestRunReuse:
         run_freiman(interval(4096, 16), FreimanConfig(d=1.0, epsilon=0.05))
         assert all(calls.values()), {name: len(c) for name, c in calls.items()}
 
-    def test_stages_given_one_run_transform_la_once(self, record_calls):
+    def test_stages_given_one_run_transform_la_once(self, record_calls, forced_grid):
+        # one index of lA serves every stage, from one transform: of lA over
+        # G, or of its crop over the zoom's coarse grid
         transforms = record_calls(addcomb.fourier, "transform")
-        run = FreimanRun(interval(4096, 16))
-        cover = spectrum_cover(run, 2, 0.05)
-        audit = lowerbound_audit(run, 2, 0.05)
-        assert not cover.escape and audit.holds
-        assert [f.mask.tobytes() for f, *_ in transforms] == [run.multiples[2].mask.tobytes()]
+        indices = record_calls(addcomb.pipeline, "spectrum_index")
+        for grid in ("full", "zoom"):
+            transforms.clear()
+            indices.clear()
+            with forced_grid(grid):
+                run = FreimanRun(interval(2 ** 14, 16))
+                cover = spectrum_cover(run, 2, 0.05)
+                audit = lowerbound_audit(run, 2, 0.05)
+            assert not cover.escape and audit.holds
+            assert indices == [(run.multiples[2], 1.0)]
+            assert len(transforms) == 1
+            if grid == "full":
+                assert transforms[0] == (run.multiples[2],)
+            else:
+                assert transforms[0][1].order < 2 ** 14
 
     @pytest.mark.parametrize("A,epsilon", [(interval(4096, 16), 0.05), (interval(256, 2), 0.5)])
     def test_each_spectrum_cut_once(self, record_calls, A, epsilon):
         cuts = record_calls(addcomb.pipeline, "cut_spectrum")
+        indices = record_calls(addcomb.pipeline, "spectrum_index")
         report = run_freiman(A, FreimanConfig(d=1.0, epsilon=epsilon))
-        keys = [(id(lA), delta) for lA, _, delta in cuts]
+        keys = [(id(index.source), delta) for index, delta in cuts]
         assert len(set(keys)) == len(keys), "a spectrum was cut twice"
-        # the Z_256 run escapes and retries, cutting again at the doubled eps
+        # the Z_256 run escapes and retries, cutting again at the doubled eps;
+        # its cut at 2 eps = 2 is wider than the index at delta = 1 serves, so
+        # that index is built once more at delta = 2, which serves every wider cut
         assert len(report.epsilon_retries) == (1 if epsilon == 0.05 else 5)
+        lA = Multiples(A)[report.l]
+        assert indices == ([(lA, 1.0)] if epsilon == 0.05 else [(lA, 1.0), (lA, 2.0)])

@@ -5,10 +5,13 @@
 
 Runs run_freiman on the interval {-16..16} of Z_2^k (d = 1, epsilon = 0.05)
 for k = 16 .. --max-exp, once for each value of bohr.GATHER_SHARE in
---shares. A share of 0 never gathers, so every table stays dense: its exact
-rows run over all of G and it holds every element at cap 1/2. Prints, per
-run, the best wall seconds of --repeats, the seconds inside
-bohr_distance_table and mu(B), then one line per table the run built, in
+--shares, each on the spectrum grid the run picks (a zoom, at these sizes)
+and again with the full transform forced (spectrum.GRID_COST rebound so
+that no zoom is cheaper). A share of 0 never gathers, so every table stays
+dense: its exact rows run over all of G and it holds every element at cap
+1/2. Prints, per run, the share, the grid of the index of lA, the best wall
+seconds of --repeats, the seconds inside bohr_distance_table and mu(B),
+then one line per table the run built, in
 call order (the spectrum's, the ball's on it, then the chain's on the
 ball's): its radius cap, the elements it holds numerators of (its
 survivors, or |G| for a dense table), and the phases it evaluated per
@@ -16,9 +19,10 @@ element of G, split into the 16-bit pre-sieve's phases (coarse_cells / |G|)
 and the exact int32 ones (cells / |G|). The table calls are counted through
 the module attribute bohr.bohr_distance_table, the one the pipeline calls.
 
-Exits 1 when two shares give a group different mu(B) or different report
-bytes (serialize.dumps of the report), so `--shares 0 0.25` cross-checks
-the dense route against the gathered one end to end.
+Exits 1 when two shares or the two grids give a group different mu(B) or
+different report bytes (serialize.dumps of the report), so `--shares 0
+0.25` cross-checks the dense route against the gathered one, and every run
+the zoom against the full transform, end to end.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ import math
 import sys
 import time
 
-from addcomb import bohr
+from addcomb import bohr, pipeline, spectrum
 from addcomb.groups import FinAbGroup
 from addcomb.pipeline import FreimanConfig, run_freiman
 from addcomb.serialize import dumps
@@ -36,12 +40,17 @@ from addcomb.sets import GroupSet
 
 CONFIG = FreimanConfig(d=1.0, epsilon=0.05)
 
+#: spectrum.GRID_COST for each grid: the count's own prices, or prices
+#: under which no zoom is cheaper than the full transform.
+GRIDS = {"picked": spectrum.GRID_COST, "full": (math.inf,) * 3}
 
-def timed_run(A: GroupSet) -> tuple[float, float, int, str, list[bohr.DistanceTable]]:
-    """(wall s, table s, mu(B), report bytes, the tables built) of one
-    run_freiman call."""
-    table_s, tables = 0.0, []
-    table = bohr.bohr_distance_table
+
+def timed_run(A: GroupSet) -> tuple[float, float, int, str, list[bohr.DistanceTable],
+                                   tuple[int, ...]]:
+    """(wall s, table s, mu(B), report bytes, the tables built, the grid of
+    the index of lA) of one run_freiman call."""
+    table_s, tables, grids = 0.0, [], []
+    table, index = bohr.bohr_distance_table, pipeline.spectrum_index
 
     def counted(*args, **kwargs):
         nonlocal table_s
@@ -51,14 +60,20 @@ def timed_run(A: GroupSet) -> tuple[float, float, int, str, list[bohr.DistanceTa
         tables.append(out)
         return out
 
-    bohr.bohr_distance_table = counted
+    def recorded(*args, **kwargs):
+        out = index(*args, **kwargs)
+        grids.append(out.grid)
+        return out
+
+    bohr.bohr_distance_table, pipeline.spectrum_index = counted, recorded
     try:
         t0 = time.perf_counter()
         report = run_freiman(A, CONFIG)
         wall = time.perf_counter() - t0
     finally:
-        bohr.bohr_distance_table = table
-    return wall, table_s, report.ball.measure, dumps(report.to_jsonable()), tables
+        bohr.bohr_distance_table, pipeline.spectrum_index = table, index
+    return (wall, table_s, report.ball.measure, dumps(report.to_jsonable()), tables,
+            grids[0])
 
 
 def main() -> int:
@@ -72,31 +87,33 @@ def main() -> int:
     if args.repeats < 1:
         ap.error("--repeats must be at least 1")
     default, differ = bohr.GATHER_SHARE, False
-    print(f"{'group':>8} {'share':>6} {'wall s':>8} {'table s':>8} {'mu(B)':>7} "
+    print(f"{'group':>8} {'share':>6} {'grid':>8} {'wall s':>8} {'table s':>8} {'mu(B)':>7} "
           f"{'cap':>8} {'survivors':>9} {'16-bit/|G|':>10} {'exact/|G|':>10}")
     try:
         for k in range(16, args.max_exp + 1):
             A = GroupSet.interval(FinAbGroup([2 ** k]), 16)
             outputs = set()
             for share in args.shares:
-                bohr.GATHER_SHARE = share
-                best = (math.inf,)
-                for _ in range(args.repeats):
-                    best = min(best, timed_run(A), key=lambda run: run[0])
-                wall, table_s, mu_B, text, tables = best
-                outputs.add((mu_B, text))
-                print(f"{'Z_2^' + str(k):>8} {share:>6.3g} {wall:>8.3f} {table_s:>8.3f} "
-                      f"{mu_B:>7}", flush=True)
-                for t in tables:
-                    held = t.size if t.at is None else t.at.size
-                    print(f"{'':>41} {t.r_cap:>8.4g} {held:>9} {t.coarse_cells / 2 ** k:>10.2f} "
-                          f"{t.cells / 2 ** k:>10.2f}", flush=True)
+                for cost in GRIDS.values():
+                    bohr.GATHER_SHARE, spectrum.GRID_COST = share, cost
+                    best = (math.inf,)
+                    for _ in range(args.repeats):
+                        best = min(best, timed_run(A), key=lambda run: run[0])
+                    wall, table_s, mu_B, text, tables, grid = best
+                    outputs.add((mu_B, text))
+                    print(f"{'Z_2^' + str(k):>8} {share:>6.3g} {'x'.join(map(str, grid)):>8} "
+                          f"{wall:>8.3f} {table_s:>8.3f} {mu_B:>7}", flush=True)
+                    for t in tables:
+                        held = t.size if t.at is None else t.at.size
+                        print(f"{'':>50} {t.r_cap:>8.4g} {held:>9} "
+                              f"{t.coarse_cells / 2 ** k:>10.2f} {t.cells / 2 ** k:>10.2f}",
+                              flush=True)
             if len(outputs) > 1:
                 differ = True
-                print(f"Z_2^{k}: the shares give different mu(B) or report bytes",
+                print(f"Z_2^{k}: the shares or the grids give different mu(B) or report bytes",
                       file=sys.stderr)
     finally:
-        bohr.GATHER_SHARE = default
+        bohr.GATHER_SHARE, spectrum.GRID_COST = default, GRIDS["picked"]
     return 1 if differ else 0
 
 
