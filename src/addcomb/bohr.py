@@ -9,31 +9,42 @@ at once; `oracles.bohr_distance` evaluates one distance frequency by
 frequency and is its cross-check.
 
 The table takes one phase row per pair {gamma, -gamma} in the frequency set
-(||-theta|| = ||theta||). Each row comes from short digit tables, one pair
-of sqrt(n)-long tables per cycle Z_n, so no full-length modulo is taken;
-entries stay below 2M for M = lcm(n_1..n_k) <= |G| <= 2^22 (the group order
-cap), so the rows are int32.
+(||-theta|| = ||theta||). Every pass over G runs on the half domain x_0 <=
+n_0 / 2, the layout of the real FFT's half spectrum: one element of each
+pair {x, -x} (both when x_0 is 0 or n_0 / 2). This is exact, as ||gamma(-x)||
+and ||gamma(x)|| have the same integer numerator. A dense table is mirrored
+back to G by groups.mirrored, the reversed-slice copies that fill the half
+spectrum; survivors come back as x and -x, each held only when it lies
+within the cap or is kept, so a kept set need not be symmetric.
 
-Each call builds its digit tables once, for all of its rows, and every
-pass (the dense rows, the 16-bit pre-sieve and the exact gather) reads
-them.
+A pass over the half takes its rows from short digit tables, one pair of
+sqrt(L)-long tables per cycle Z_n (L = n_0 // 2 + 1 on the first cycle, n
+on the others), so no full-length modulo is taken; entries stay below 2M
+for M = lcm(n_1..n_k) <= |G| <= 2^22 (the group order cap), so the rows are
+int32. A call builds its digit tables once, and only when a row runs over
+the half: the dense rows, the 16-bit pre-sieve and the gather of the
+pre-sieve's survivors read them. A call that runs no row over G (a table on
+a base held as survivors, or one whose base leaves few enough elements
+alive that no pre-sieve row runs) builds none: it takes the exact phases
+sum_j m_j x_j M/n_j mod M in int64 at its survivors alone.
 
 A table may be sieved at a radius cap r_cap. Every ball of radius >= 1/2 is
 all of G, so a caller that reads no radius in (r_cap, 1/2) needs the exact
 distance only of the elements within r_cap, and of the few it keeps. A
 16-bit pre-sieve first finds those survivors cheaply: each digit table is
-scaled to 2^16 units and floored, so a row over all of G is one uint16 outer
-sum (which wraps mod 2^16 for free) and one compare. Each of a phase's
-2 * rank floored digits loses less than one unit, so an element is cleared
-only when its coarse circle distance passes floor(cap * 2^16 / M) + 2 * rank
-units, which no element within the cap reaches. The pre-sieve stops once
-fewer than STOP_SHARE of G is alive. If GATHER_SHARE or more is still alive,
-the exact rows run over all of G; otherwise the exact numerators are
-gathered from the same digit tables at the survivors alone, row-major, and
-each element is dropped once its running maximum passes the cap.
+scaled to 2^16 units and floored, so a row over the half is one uint16
+outer sum (which wraps mod 2^16 for free) and one compare. Each of a
+phase's 2 * rank floored digits loses less than one unit, so an element is
+cleared only when its coarse circle distance passes floor(cap * 2^16 / M) +
+2 * rank units, which no element within the cap reaches. The pre-sieve
+stops once fewer than STOP_SHARE of the half is alive. If GATHER_SHARE or
+more is still alive, the exact rows run over the whole half; otherwise the
+exact numerators are gathered at the survivors alone, row-major in blocks
+that double, and each element is dropped once its running maximum passes
+the cap.
 
 A DistanceTable is exact at every element it holds, up to the cap it
-states. A table whose rows ran over all of G holds every element and
+states. A table whose rows ran over the whole half holds every element and
 states the cap 1/2; only a table gathered at survivors holds fewer (their
 sorted indices), so its balls, measures and exact reads cost as many steps
 as it has survivors, and reading it at a radius in (r_cap, 1/2) or at an
@@ -47,11 +58,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .groups import FinAbGroup, _check_number
+from .groups import FinAbGroup, _check_number, mirrored, negated_grid
 from .serialize import set_to_json
 from .sets import GroupSet, Multiples
 
@@ -64,14 +76,20 @@ DIM_GRID_CAP = 40
 #: and a sieve compacts its survivors after each block).
 BLOCK_CELLS = 1 << 20
 
-#: A sieved table evaluates its exact rows over all of G while at least this
-#: share of G survives the 16-bit pre-sieve, and gathers them at the
-#: survivors alone below it (set from tools/bohr_sieve_ladder.py).
+#: A sieved table evaluates its exact rows over the whole half domain while
+#: at least this share of it survives the 16-bit pre-sieve, and gathers them
+#: at the survivors alone below it (set from tools/bohr_sieve_ladder.py).
+#: Spot-checked on the half-domain kernel, 2 cores: the freiman_spectral +
+#: freiman_growth instances (sum of best-of-7 walls) took 59-62 / 61-62 /
+#: 62-63 / 61-64 / 75-83 ms at 0.125 / 0.25 / 0.375 / 0.5 / 0.0625, the
+#: Z_2^22 interval r = 16 run 0.13-0.15 / 0.135-0.141 / 0.14-0.15 / 0.13-0.14 / 6-7 s.
 GATHER_SHARE = 0.25
 
-#: The 16-bit pre-sieve stops once fewer than this share of G is alive. Swept on
-#: 2 cores: the freiman_spectral + freiman_growth instances took 104 / 106 / 108 ms
-#: at 0.08 / 0.25 / 0, the Z_2^22 interval r = 16 run 0.43-0.50 / 0.47-0.61 / 4.3-5.5 s.
+#: The 16-bit pre-sieve stops once fewer than this share of the half domain is
+#: alive. Swept on 2 cores: the freiman_spectral + freiman_growth instances took
+#: 104 / 106 / 108 ms at 0.08 / 0.25 / 0, the Z_2^22 interval r = 16 run
+#: 0.43-0.50 / 0.47-0.61 / 4.3-5.5 s; on the half-domain kernel 60-62 / 61-63 /
+#: 64-68 ms and 0.135-0.141 / 0.149-0.154 / 1.70-1.77 s.
 STOP_SHARE = 0.08
 
 
@@ -181,40 +199,57 @@ def bohr_distance_table(freqs: GroupSet, r_cap: float = 0.5,
         frozenset() if base is None else base.covers)
     coords = _rows(freqs, frozenset() if base is None else base.covers)
     rows = coords.shape[1]
-    if base is not None and not rows:
-        # base covers every row already, so its distances are the union's
-        return DistanceTable(g, base.r_cap, covers, base.num, base.at)
-    tables = _digit_rows(g, coords)
+    if not rows:
+        # base covers every row already, so its distances are the union's;
+        # with no base, every distance is 0
+        if base is not None:
+            return DistanceTable(g, base.r_cap, covers, base.num, base.at)
+        return DistanceTable(g, r_cap, covers, np.zeros(g.order, dtype=np.int32))
     cap = _cap_numerator(r_cap, g.phase_denominator)
-    # the elements the exact rows are gathered at, with their numerators so
-    # far (None: every element of G, densely)
-    at, best, coarse_rows = None, None, 0
     if sieved:
-        at, best = base.at, base.num.copy()
-    elif cap is not None:
-        alive = np.ones(g.order, dtype=bool) if base is None else base.num <= cap
+        # no row runs over G: exact phases at the base's survivors
+        held = None if keep is None else keep.has_indices(base.at)
+        at, best, cells = _sieve(g, partial(_direct_sums, g, coords),
+                                 _weights(g, base.at, g.invariants), base.at, held, cap,
+                                 base.num.copy(), rows)
+        return DistanceTable(g, r_cap, covers, best, at, cells)
+    # every pass over G runs on the half domain x_0 <= n_0 / 2, one element
+    # of each pair {x, -x} (both when x_0 is 0 or n_0 / 2)
+    half = (g.invariants[0] // 2 + 1,) + g.invariants[1:]
+    size = math.prod(half)
+    best = np.zeros(size, dtype=np.int32) if base is None else (
+        base.num.reshape(g.invariants[::-1])[..., :half[0]].flatten())
+    at, tables, coarse_rows, kept = None, None, 0, None
+    if cap is not None:
+        alive = best <= cap
         if keep is not None:
-            alive |= keep.mask
+            kept = _folded(g, keep.mask)
+            alive |= kept
         # rows of independent uniform phases would each keep 2 r_cap of G; when
         # even they would leave GATHER_SHARE alive, the exact rows run densely
-        if np.count_nonzero(alive) * (2 * r_cap) ** rows < GATHER_SHARE * g.order:
-            coarse_rows = _presieve(g, tables, cap, alive)
-            if keep is not None:
-                alive |= keep.mask
-        if np.count_nonzero(alive) < GATHER_SHARE * g.order:
+        if np.count_nonzero(alive) * (2 * r_cap) ** rows < GATHER_SHARE * size:
+            tables, coarse_rows = _presieve(g, coords, half, cap, alive)
+            if kept is not None:
+                alive |= kept
+        if np.count_nonzero(alive) < GATHER_SHARE * size:
             at = np.flatnonzero(alive)
-            best = np.zeros(at.size, dtype=np.int32) if base is None else base.num[at]
     if at is None:
-        best = _dense(g, tables, np.zeros(g.order, dtype=np.int32) if base is None
-                      else base.num.copy())
-        cells = rows * g.order
+        if tables is None:
+            tables = _digit_rows(g, coords, half)
+        best = mirrored(_dense(g, tables, half, best).reshape(half[::-1]), g)
+        return DistanceTable(g, r_cap, covers, best, None, rows * size, coarse_rows * size)
+    held = None if kept is None else kept[at]
+    if tables is None:
+        # no row ran over G, so no digit table is built
+        sums, state = partial(_direct_sums, g, coords), _weights(g, at, half)
     else:
         # the rows the pre-sieve did not reach go first: they drop the most
-        held = None if keep is None else keep.has_indices(at)
         tables = [(np.roll(hi, -coarse_rows, axis=0), np.roll(lo, -coarse_rows, axis=0))
                   for hi, lo in tables]
-        at, best, cells = _sieve(g, tables, at, held, cap, best)
-    return DistanceTable(g, r_cap, covers, best, at, cells, coarse_rows * g.order)
+        sums, state = partial(_gathered_sums, g, tables), _digits(at, half)
+    at, best, cells = _sieve(g, sums, state, at, held, cap, best[at], rows)
+    at, best = _unfolded(g, half, at, best, cap, keep)
+    return DistanceTable(g, r_cap, covers, best, at, cells, coarse_rows * size)
 
 
 def _rows(freqs: GroupSet, covered_by: frozenset[int] = frozenset()) -> np.ndarray:
@@ -231,45 +266,95 @@ def _rows(freqs: GroupSet, covered_by: frozenset[int] = frozenset()) -> np.ndarr
     return coords[:, ~covered & coords.any(axis=0)]
 
 
-def _dense(g: FinAbGroup, tables, best: np.ndarray) -> np.ndarray:
-    """best (one numerator per element of G) folded with the rows of the
-    digit tables (_digit_rows), in blocks of about BLOCK_CELLS cells."""
-    step = max(1, BLOCK_CELLS // g.order)
+def _folded(g: FinAbGroup, mask: np.ndarray) -> np.ndarray:
+    """The half domain's mask of the elements x with x or -x in mask.
+
+    The half's -x are the points at columns 0 and n_0 - 1 down to n_0 - kept
+    + 1 of the reversed factor grid with every axis negated
+    (groups.negated_grid), where 0 stays and the rest reverse.
+    """
+    n = g.invariants[0]
+    kept = n // 2 + 1
+    grid = mask.reshape(g.invariants[::-1])
+    out = negated_grid(np.concatenate((grid[..., :1], grid[..., n - kept + 1:]), axis=-1),
+                       range(g.rank))
+    out |= grid[..., :kept]
+    return out.ravel()
+
+
+def _unfolded(g: FinAbGroup, half: tuple[int, ...], at: np.ndarray, best: np.ndarray,
+              cap: np.int32, keep: GroupSet | None) -> tuple[np.ndarray, np.ndarray]:
+    """The elements at of the half domain, with their numerators best, back
+    on G: each x and its -x (which has the same numerator) where -x lies
+    outside the half, held when within cap or in keep, as sorted indices
+    and their numerators.
+
+    The x come in increasing order and the -x, reversed, in increasing runs
+    (a single run when G is one cycle), which a stable sort merges in about
+    linear time.
+    An element past cap survived the sieve as kept (x or -x is in keep), so
+    keep is read only there.
+    """
+    coords = np.stack(_coordinates(at, half))
+    outside = (coords[0] > 0) & (2 * coords[0] < g.invariants[0])
+    idx = np.concatenate((g.encode_array(coords, reduced=True),
+                          g.encode_array(-coords[:, outside])[::-1]))
+    num = np.concatenate((best, best[outside][::-1]))
+    far = np.flatnonzero(num > cap)
+    if far.size:
+        held = np.ones(idx.size, dtype=bool)
+        held[far] = keep.has_indices(idx[far])
+        idx, num = idx[held], num[held]
+    order = np.argsort(idx, kind="stable")
+    return idx[order], num[order]
+
+
+def _dense(g: FinAbGroup, tables, lengths: tuple[int, ...], best: np.ndarray) -> np.ndarray:
+    """best (one numerator per element of the domain of cycle lengths
+    lengths) folded with the rows of the digit tables (_digit_rows), in
+    blocks of about BLOCK_CELLS cells."""
+    step = max(1, BLOCK_CELLS // best.size)
     for start in range(0, len(tables[0][0]), step):
-        _fold(best, _phase_sums(g, _block(tables, start, start + step)), g.phase_denominator)
+        _fold(best, _phase_sums(g, _block(tables, start, start + step), lengths),
+              g.phase_denominator)
     return best
 
 
-def _presieve(g: FinAbGroup, tables, cap: np.int32, alive: np.ndarray) -> int:
-    """Clear in alive each element whose 16-bit phase on a row of the digit
-    tables (_digit_rows) lies more than floor(cap * 2^16 / M) + 2 * rank
-    units from 0 (a margin no element within the cap passes; see the module
-    docstring), in blocks of about BLOCK_CELLS cells, until fewer than
-    STOP_SHARE of G is alive. Returns the number of rows run."""
+def _presieve(g: FinAbGroup, coords: np.ndarray, lengths: tuple[int, ...], cap: np.int32,
+              alive: np.ndarray) -> tuple[list | None, int]:
+    """Clear in alive (over the domain of cycle lengths lengths) each element
+    whose 16-bit phase on a row of the characters with coordinates coords
+    lies more than floor(cap * 2^16 / M) + 2 * rank units from 0 (a margin
+    no element within the cap passes; see the module docstring), in blocks
+    of about BLOCK_CELLS cells, until fewer than STOP_SHARE of the domain is
+    alive. Returns the digit tables (_digit_rows), built only when a row
+    runs, and the number of rows run."""
     M = g.phase_denominator
     slack = (int(cap) << 16) // M + 2 * g.rank
     if 2 * slack >= 0xFFFF:  # every coarse distance passes
-        return 0
+        return None, 0
     top = np.uint16(2 * slack)
-    start, step, rows = 0, max(1, BLOCK_CELLS // g.order), len(tables[0][0])
-    while start < rows and np.count_nonzero(alive) >= STOP_SHARE * g.order:
+    tables, start, step, rows = None, 0, max(1, BLOCK_CELLS // alive.size), coords.shape[1]
+    while start < rows and np.count_nonzero(alive) >= STOP_SHARE * alive.size:
+        if tables is None:
+            tables = _digit_rows(g, coords, lengths)
         block = _block(tables, start, start + step)
-        alive &= _coarse_sums(g, block, slack).max(axis=0) <= top
+        alive &= _coarse_sums(g, block, lengths, slack).max(axis=0) <= top
         start += len(block[0][0])
-    return start
+    return tables, start
 
 
-def _sieve(g: FinAbGroup, tables, at: np.ndarray, held: np.ndarray | None,
-           cap: np.int32, best: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
-    """The numerators over the rows of the digit tables (_digit_rows) of the
-    elements at, folded into best (their numerators so far), gathered in
-    blocks that start at one row and double up to about BLOCK_CELLS cells;
-    before each block and after the last, drop every element past cap that
-    held does not mark. Returns the survivors, their numerators and the
-    cells evaluated."""
-    M = g.phase_denominator
-    digits = _digits(g, at)
-    start, cells, rows, size = 0, 0, len(tables[0][0]), 1
+def _sieve(g: FinAbGroup, sums, state: list[np.ndarray], at: np.ndarray,
+           held: np.ndarray | None, cap: np.int32, best: np.ndarray,
+           rows: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """The numerators over rows 0..rows - 1 of the elements at, folded into
+    best (their numerators so far), in blocks that start at one row and
+    double up to about BLOCK_CELLS cells: sums(start, stop, state) gives rows
+    start..stop - 1 of the phase sums at the elements whose per-element
+    arrays state holds. Before each block and after the last, drop every
+    element past cap that held does not mark. Returns the survivors, their
+    numerators and the cells evaluated."""
+    start, cells, size = 0, 0, 1
     while True:
         alive = best <= cap
         if held is not None:
@@ -277,13 +362,13 @@ def _sieve(g: FinAbGroup, tables, at: np.ndarray, held: np.ndarray | None,
         if not alive.all():
             at, best = at[alive], best[alive]
             held = None if held is None else held[alive]
-            digits = [(a[alive], b[alive]) for a, b in digits]
+            state = [s[alive] for s in state]
         if start == rows or not at.size:
             return at, best, cells
-        block = _block(tables, start, start + size)
-        _fold(best, _gathered_sums(g, block, digits), M)
-        cells += len(block[0][0]) * at.size
-        start += len(block[0][0])
+        stop = min(start + size, rows)
+        _fold(best, sums(start, stop, state), g.phase_denominator)
+        cells += (stop - start) * at.size
+        start = stop
         size = min(2 * size, max(1, BLOCK_CELLS // at.size))
 
 
@@ -330,20 +415,23 @@ def _fold(best: np.ndarray, u: np.ndarray, M: int) -> None:
     np.maximum(best, d, out=best)
 
 
-def _digit_rows(g: FinAbGroup, mc: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+def _digit_rows(g: FinAbGroup, mc: np.ndarray,
+                lengths: tuple[int, ...]) -> list[tuple[np.ndarray, np.ndarray]]:
     """Per cycle Z_n, the phase tables (hi, lo) of the characters with
-    coordinates mc (rank, k), built once per table call.
+    coordinates mc (rank, k) at the coordinates 0..L - 1 (L the cycle's
+    entry of lengths: n, or n_0 // 2 + 1 on the half domain), built once per
+    table call.
 
-    Coordinate x = a*B + b (B = ceil(sqrt(n))) has phase (m*B*a mod n +
+    Coordinate x = a*B + b (B = ceil(sqrt(L))) has phase (m*B*a mod n +
     m*b mod n) * M/n = hi[:, a] + lo[:, b], with both tables int32 in [0, M)
     and one row per character.
     """
     M = g.phase_denominator
     out = []
-    for m, n in zip(mc, g.invariants):
-        B = math.isqrt(n - 1) + 1
+    for m, n, L in zip(mc, g.invariants, lengths):
+        B = math.isqrt(L - 1) + 1
         m = m[:, None]
-        hi = (m * B * np.arange(-(-n // B)) % n * (M // n)).astype(np.int32)
+        hi = (m * B * np.arange(-(-L // B)) % n * (M // n)).astype(np.int32)
         lo = (m * np.arange(B) % n * (M // n)).astype(np.int32)
         out.append((hi, lo))
     return out
@@ -354,51 +442,80 @@ def _block(tables, start: int, stop: int) -> list[tuple[np.ndarray, np.ndarray]]
     return [(hi[start:stop], lo[start:stop]) for hi, lo in tables]
 
 
-def _phase_sums(g: FinAbGroup, tables) -> np.ndarray:
+def _phase_sums(g: FinAbGroup, tables, lengths: tuple[int, ...]) -> np.ndarray:
     """Phase numerators of the characters of the digit tables (_digit_rows)
-    at every element, plus 0 or M: a (k, order) array with entries in [0, 2M).
+    at every element of the domain of cycle lengths lengths, plus 0 or M: a
+    (k, size) array with entries in [0, 2M).
 
     Each cycle's row is the outer sum of its digit tables (padded to
-    ceil(n/B)*B and cut back to n), coordinate 0 fastest; each sum that
+    ceil(L/B)*B and cut back to L), coordinate 0 fastest; each sum that
     feeds another is brought back into [0, M) by one conditional subtract.
     """
     M = g.phase_denominator
     total = None
-    for (hi, lo), n in zip(tables, g.invariants):
-        row = _outer_sum(hi, lo)[:, :n]
+    for (hi, lo), L in zip(tables, lengths):
+        row = _outer_sum(hi, lo)[:, :L]
         total = row if total is None else _outer_sum(_mod(row, M), _mod(total, M))
     return total
 
 
-def _digits(g: FinAbGroup, at: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Per cycle, the digits (a, b) of the coordinates x = a*B + b of the
-    elements at, in int32 (first coordinate fastest, as in the indexing)."""
+def _coordinates(at: np.ndarray, lengths: tuple[int, ...]) -> list[np.ndarray]:
+    """Per cycle, the int32 coordinates of the elements at of the domain of
+    cycle lengths lengths (first coordinate fastest, as in the indexing)."""
     rest = at.astype(np.int32)
     out = []
-    for n in g.invariants:
-        B = math.isqrt(n - 1) + 1
-        quot = rest // n
-        x = rest - quot * n
-        a = x // B
-        out.append((a, x - a * B))
+    for L in lengths:
+        quot = rest // L
+        out.append(rest - quot * L)
         rest = quot
     return out
 
 
-def _gathered_sums(g: FinAbGroup, tables, digits) -> np.ndarray:
-    """_phase_sums at the elements whose digits are given: a (k, len) array,
-    gathered from the digit tables one row at a time."""
+def _digits(at: np.ndarray, lengths: tuple[int, ...]) -> list[np.ndarray]:
+    """The digits a_0, b_0, a_1, b_1, ... of the coordinates x = a*B + b of
+    the elements at (B as in _digit_rows), in int32."""
+    out = []
+    for x, L in zip(_coordinates(at, lengths), lengths):
+        B = math.isqrt(L - 1) + 1
+        a = x // B
+        out += [a, x - a * B]
+    return out
+
+
+def _gathered_sums(g: FinAbGroup, tables, start: int, stop: int,
+                   digits: list[np.ndarray]) -> np.ndarray:
+    """_phase_sums of rows start..stop - 1 of the digit tables at the
+    elements whose digits (_digits) are given: a (k, len) array, gathered
+    one row at a time."""
     M = g.phase_denominator
     total = None
-    for (hi, lo), (a, b) in zip(tables, digits):
+    for (hi, lo), a, b in zip(_block(tables, start, stop), digits[::2], digits[1::2]):
         row = np.take(hi, a, axis=1)
         row += np.take(lo, b, axis=1)
         total = row if total is None else _mod(row, M) + _mod(total, M)
     return total
 
 
-def _coarse_sums(g: FinAbGroup, tables, shift: int) -> np.ndarray:
-    """_phase_sums in 2^16 units, plus shift: a (k, order) uint16 array.
+def _weights(g: FinAbGroup, at: np.ndarray, lengths: tuple[int, ...]) -> list[np.ndarray]:
+    """Per cycle Z_n, x * M/n (int64) for the coordinates x of the elements
+    at of the domain of cycle lengths lengths."""
+    M = g.phase_denominator
+    return [x.astype(np.int64) * (M // n)
+            for x, n in zip(_coordinates(at, lengths), g.invariants)]
+
+
+def _direct_sums(g: FinAbGroup, mc: np.ndarray, start: int, stop: int,
+                 weights: list[np.ndarray]) -> np.ndarray:
+    """The exact phase numerators sum_j m_j * x_j * M/n_j mod M of the
+    characters with coordinates mc[:, start:stop] at the elements whose
+    weights (_weights) are given: a (k, len) int32 array in [0, M), from no
+    digit table. Each product is below 2^44, so the sums stay exact in int64."""
+    total = sum(m[:, None] * w for m, w in zip(mc[:, start:stop], weights))
+    return (total % g.phase_denominator).astype(np.int32)
+
+
+def _coarse_sums(g: FinAbGroup, tables, lengths: tuple[int, ...], shift: int) -> np.ndarray:
+    """_phase_sums in 2^16 units, plus shift: a (k, size) uint16 array.
 
     Each digit v becomes floor(v * 2^16 / M), and shift joins the first
     cycle's low digits. Every operand is uint16, so the outer sums wrap
@@ -406,11 +523,11 @@ def _coarse_sums(g: FinAbGroup, tables, shift: int) -> np.ndarray:
     """
     M = g.phase_denominator
     total = None
-    for (hi, lo), n in zip(tables, g.invariants):
+    for (hi, lo), L in zip(tables, lengths):
         hi = ((hi.astype(np.int64) << 16) // M).astype(np.uint16)
         lo = (((lo.astype(np.int64) << 16) // M + shift) & 0xFFFF).astype(np.uint16)
         shift = 0  # the first cycle's low digits carried it
-        row = _outer_sum(hi, lo)[:, :n]
+        row = _outer_sum(hi, lo)[:, :L]
         total = row if total is None else _outer_sum(row, total)
     return total
 

@@ -26,7 +26,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .groups import FinAbGroup, GroupMismatchError, negated_grid
+from .groups import FinAbGroup, GroupMismatchError, mirrored
 from .sets import GroupSet
 
 #: |value - nearest integer| below this snaps indicator convolutions to ints.
@@ -59,14 +59,14 @@ class DualFunction:
     @property
     def values(self) -> np.ndarray:
         if self._values is None:
-            self._values = _mirrored(self._half, self.group)
+            self._values = mirrored(self._half, self.group)
             self._values.setflags(write=False)
             self._half = None
         return self._values
 
     def magnitudes(self) -> np.ndarray:
         if self._values is None:
-            return _mirrored(np.abs(self._half), self.group)
+            return mirrored(np.abs(self._half), self.group)
         return np.abs(self._values)
 
 
@@ -85,41 +85,11 @@ def transform(f, group: FinAbGroup | None = None) -> DualFunction:
     """Fourier transform of a real function (or set indicator) on G.
 
     The real FFT of the reversed-grid layout (_half_spectrum) gives the
-    characters with m_0 <= n_0 / 2; _mirror fills the others by the
+    characters with m_0 <= n_0 / 2; groups.mirrored fills the others by the
     conjugate mirror f^(-gamma) = conj f^(gamma) when the values are read.
     """
     group, values = _as_values(f, group)
     return DualFunction(group, half=_half_spectrum(values, group))
-
-
-def _mirrored(half: np.ndarray, group: FinAbGroup) -> np.ndarray:
-    """The flat values on all of the dual of a function whose half (m_0 <=
-    n_0 / 2, the real FFT's layout) is given, by _mirror."""
-    full = np.empty(_grid_shape(group), dtype=half.dtype)
-    full[..., :half.shape[-1]] = half
-    _mirror(full)
-    return full.ravel()
-
-
-def _mirror(grid: np.ndarray) -> None:
-    """Fill grid[..., m] for m > n / 2 (n = grid.shape[-1]) with the conjugate
-    of the point at minus its coordinates (for a real grid, such as moduli,
-    the point itself).
-
-    On the last axis, -m = n - m runs from n - kept down to 1: a reversed
-    slice. The other axes are negated by groups.negated_grid, one slice
-    copy each (there are none on one cycle). The columns m = 0 and m = n / 2
-    are their own negations, so each is mirrored in turn on the axes before
-    it. Every pair {gamma, -gamma} then holds a value and
-    its exact conjugate, so |f^(gamma)| = |f^(-gamma)| bit for bit.
-    """
-    n = grid.shape[-1]
-    kept = n // 2 + 1
-    source = negated_grid(grid[..., n - kept:0:-1], range(grid.ndim - 1))
-    np.conjugate(source, out=grid[..., kept:])
-    if grid.ndim > 1:
-        for m in ((0, n // 2) if n % 2 == 0 else (0,)):
-            _mirror(grid[..., m])
 
 
 def convolve(f, g, group: FinAbGroup | None = None,

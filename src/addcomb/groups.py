@@ -74,6 +74,38 @@ def negated_grid(grid: np.ndarray, axes) -> np.ndarray:
     return grid
 
 
+def mirrored(half: np.ndarray, group: "FinAbGroup") -> np.ndarray:
+    """The flat values on all of group of a function with f(-x) = conj f(x)
+    (an int one is even), given on its half x_0 <= n_0 / 2 as a grid of the
+    reversed factor shape (coordinate 0 last, as the real FFT's half
+    spectrum is laid out), by _mirror."""
+    full = np.empty(group.invariants[::-1], dtype=half.dtype)
+    full[..., :half.shape[-1]] = half
+    _mirror(full)
+    return full.ravel()
+
+
+def _mirror(grid: np.ndarray) -> None:
+    """Fill grid[..., m] for m > n / 2 (n = grid.shape[-1]) with the conjugate
+    of the point at minus its coordinates (for a real or int grid, such as
+    moduli or distance numerators, the point itself).
+
+    On the last axis, -m = n - m runs from n - kept down to 1: a reversed
+    slice. The other axes are negated by negated_grid, one slice copy each
+    (there are none on one cycle). The columns m = 0 and m = n / 2 are their
+    own negations, so each is mirrored in turn on the axes before it. Every
+    pair {x, -x} then holds a value and its exact conjugate, so |f(x)| =
+    |f(-x)| bit for bit.
+    """
+    n = grid.shape[-1]
+    kept = n // 2 + 1
+    source = negated_grid(grid[..., n - kept:0:-1], range(grid.ndim - 1))
+    np.conjugate(source, out=grid[..., kept:])
+    if grid.ndim > 1:
+        for m in ((0, n // 2) if n % 2 == 0 else (0,)):
+            _mirror(grid[..., m])
+
+
 def _finite(value: numbers.Real) -> bool:
     """Whether value converts to a finite float."""
     try:

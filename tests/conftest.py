@@ -72,3 +72,22 @@ def forced_grid():
             yield
 
     return force
+
+
+@pytest.fixture(scope="session")
+def kernel_constants():
+    """kernel_constants(share, stop, block_cells): a context in which every
+    bohr.bohr_distance_table runs with another gather share, pre-sieve stop
+    share and block size, by rebinding bohr.GATHER_SHARE, bohr.STOP_SHARE and
+    bohr.BLOCK_CELLS, which the kernel reads at call time. It holds no
+    state, so hypothesis tests may use it."""
+
+    @contextlib.contextmanager
+    def force(share: float, stop: float, block_cells: int):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr("addcomb.bohr.GATHER_SHARE", share)
+            patch.setattr("addcomb.bohr.STOP_SHARE", stop)
+            patch.setattr("addcomb.bohr.BLOCK_CELLS", block_cells)
+            yield
+
+    return force

@@ -1,4 +1,3 @@
-import contextlib
 import math
 
 import numpy as np
@@ -95,6 +94,11 @@ def oracle_numerators(freqs):
     return best
 
 
+def half_order(g):
+    """The elements x of g with x_0 <= n_0 / 2, where a table's rows over G run."""
+    return g.order // g.invariants[0] * (g.invariants[0] // 2 + 1)
+
+
 def oracle_table(freqs):
     return oracle_numerators(freqs) / freqs.group.phase_denominator
 
@@ -147,18 +151,6 @@ def small_frequency_sets(draw):
                                                   min_size=size, max_size=size)))
 
 
-@contextlib.contextmanager
-def kernel_constants(share, stop, block_cells):
-    """Run the table kernel with another gather share, pre-sieve stop share
-    and block size."""
-    saved = bohr.GATHER_SHARE, bohr.STOP_SHARE, bohr.BLOCK_CELLS
-    bohr.GATHER_SHARE, bohr.STOP_SHARE, bohr.BLOCK_CELLS = share, stop, block_cells
-    try:
-        yield
-    finally:
-        bohr.GATHER_SHARE, bohr.STOP_SHARE, bohr.BLOCK_CELLS = saved
-
-
 @st.composite
 def sieve_cases(draw):
     """A frequency set with its oracle numerators, a radius cap at an edge of
@@ -186,10 +178,84 @@ def sieve_cases(draw):
     return freqs, nums, r_cap, keep, split, share, stop, block
 
 
+#: first cycle lengths n_0, even (the half x_0 <= n_0 / 2 that a table's rows
+#: over G run on ends at the self-negated column n_0 / 2) and odd
+FIRST_CYCLES = [2, 4, 6, 10, 12, 16, 3, 5, 7, 9, 15, 25]
+
+
+@st.composite
+def half_domain_cases(draw):
+    """A frequency set over a group of rank 1-3 whose first cycle is even or
+    odd, the numerators of its distances by the scalar oracle at every
+    element, a radius cap at a distance value or 1/M either side of it, a
+    kept set that holds some x but not -x, a base (none, dense, held as
+    survivors, or covering every row) on a random part of the frequencies,
+    and the kernel's gather share, stop share and block size."""
+    rank = draw(st.integers(1, 3))
+    g = FinAbGroup([draw(st.sampled_from(FIRST_CYCLES))]
+                   + draw(st.lists(st.sampled_from([2, 3, 4, 5, 6]),
+                                   min_size=rank - 1, max_size=rank - 1)))
+    M = g.phase_denominator
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    freqs = GroupSet.from_indices(g, rng.integers(0, g.order, size=draw(st.integers(1, 6))))
+    nums = np.array([round(bohr_distance(g.element(x), g.zero, freqs) * M)
+                     for x in range(g.order)])
+    value = int(nums[rng.integers(g.order)]) + draw(st.sampled_from([-1, 0, 1]))
+    keep = rng.random(g.order) < draw(st.sampled_from([0.0, 0.05, 0.3]))
+    lone = int(rng.integers(g.order))
+    keep[g.negation_permutation()[lone]], keep[lone] = False, True
+    split = rng.random(g.order) < 0.5
+    base = draw(st.sampled_from(["none", "dense", "survivors", "covering"]))
+    share = draw(st.sampled_from([0.0, bohr.GATHER_SHARE, 1.0]))
+    stop = draw(st.sampled_from([0.0, bohr.STOP_SHARE, 1.0]))
+    block = draw(st.sampled_from([bohr.BLOCK_CELLS, 64]))
+    return (freqs, nums, max(value, 0) / M, GroupSet(g, keep), split, base,
+            (share, stop, block))
+
+
+class TestHalfDomain:
+    """A table's rows over G run on one element of each pair {x, -x}; its
+    survivors come back as x and -x, and it holds exactly the elements
+    within its cap or kept."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(half_domain_cases())
+    def test_held_elements_and_numerators_match_the_scalar_oracle(self, kernel_constants,
+                                                                   case):
+        freqs, nums, r_cap, keep, split, base_kind, constants = case
+        g = freqs.group
+        M = g.phase_denominator
+        inner = GroupSet(g, freqs.mask & split)
+        with kernel_constants(*constants):
+            if base_kind == "none":
+                table = bohr_distance_table(freqs, r_cap, keep)
+            elif base_kind == "covering":
+                # negatives and the trivial character: no row is left
+                base = bohr_distance_table(freqs, r_cap, keep)
+                table = bohr_distance_table(negate(freqs) | freq_set(g, 0), r_cap, keep,
+                                            base=base)
+                assert table.num is base.num and table.at is base.at
+            else:
+                with kernel_constants(1.0, constants[1], constants[2]):
+                    base = bohr_distance_table(inner, 0.5 if base_kind == "dense" else r_cap,
+                                               keep)
+                table = bohr_distance_table(GroupSet(g, freqs.mask & ~split), r_cap, keep,
+                                            base=base)
+        assert table.num.dtype == np.int32
+        if table.at is None:
+            assert table.r_cap == 0.5
+            assert np.array_equal(table.num, nums)
+        else:
+            held = (nums / M <= r_cap + INCLUSION_SLACK) | keep.mask
+            assert table.r_cap == r_cap and table.at.dtype == np.int64
+            assert np.array_equal(table.at, np.flatnonzero(held))
+            assert np.array_equal(table.num, nums[held])
+
+
 class TestSievedTable:
     @settings(max_examples=150, deadline=None)
     @given(sieve_cases())
-    def test_matches_oracle_within_the_cap_and_on_kept(self, case):
+    def test_matches_oracle_within_the_cap_and_on_kept(self, kernel_constants, case):
         # a sieved table holds the elements within the cap and the kept ones;
         # a dense one holds every element, at cap 1/2
         freqs, nums, r_cap, keep, split, share, stop, block = case
@@ -238,14 +304,16 @@ class TestSievedTable:
         freqs = GroupSet.from_indices(g, range(1, 40))
         dense = bohr_distance_table(freqs)
         sieved = bohr_distance_table(freqs, 0.05)
-        assert dense.cells == 39 * g.order and dense.coarse_cells == 0
-        # the 16-bit pre-sieve ran some rows over all of G, and is counted apart
-        assert sieved.coarse_cells > 0 and sieved.coarse_cells % g.order == 0
+        # the rows over G run on the half x_0 <= n / 2, one of each {x, -x}
+        half = half_order(g)
+        assert dense.cells == 39 * half and dense.coarse_cells == 0
+        # the 16-bit pre-sieve ran some rows over the half, and is counted apart
+        assert sieved.coarse_cells > 0 and sieved.coarse_cells % half == 0
         assert sieved.cells < dense.cells / 4
         assert sieved.ball(0.05) == dense.ball(0.05)
 
     @pytest.mark.parametrize("branch", ["gather", "dense fallback", "dense", "base gather"])
-    def test_each_branch_matches_the_oracle(self, branch):
+    def test_each_branch_matches_the_oracle(self, kernel_constants, branch):
         # in Z_3 x Z_9 (M = 9, so the cap 0.4 sieves at 3/9) the characters of
         # order 3 keep every distance at 1/3 or below, and the cap drops nothing;
         # the interval's frequencies in Z_4096 drop most elements at 0.05
@@ -277,15 +345,19 @@ class TestSievedTable:
         assert np.array_equal(np.isfinite(view), held)
         assert np.array_equal(view[held], nums[held] / M)
         assert (table.at is None) == (branch in ("dense fallback", "dense"))
+        # the rows over G run on the half x_0 <= n_0 / 2, one of each {x, -x}:
+        # 2 * 9 of Z_3 x Z_9's 27 elements, 2049 of Z_4096's
+        half = half_order(g)
         if branch == "dense fallback":
             # the pre-sieve ran every row and kept all of G, so the exact rows ran densely
-            assert table.coarse_cells == table.cells == 4 * g.order  # 8 = 4 pairs +-gamma
+            assert table.coarse_cells == table.cells == 4 * half  # 8 = 4 pairs +-gamma
         elif branch == "dense":
-            assert table.coarse_cells == 0 and table.cells == 39 * g.order
+            assert table.coarse_cells == 0 and table.cells == 39 * half
         elif branch == "gather":
-            # 4096-point rows: the pre-sieve's first block holds all 39
-            assert table.coarse_cells == 39 * g.order and table.cells < 39 * g.order
+            # 2049-point rows: the pre-sieve's first block holds all 39
+            assert table.coarse_cells == 39 * half and table.cells < 39 * half
         else:
+            # direct phases at the base's survivors, which hold both of each pair
             assert table.coarse_cells == 0 and 0 < table.cells < 39 * g.order / 10
 
     def test_a_base_that_covers_every_row_is_the_table(self):
@@ -302,7 +374,7 @@ class TestSievedTable:
             assert table.cells == 0 and table.r_cap == 0.1
             assert table.covers == base.covers | set(freqs.indices().tolist())
 
-    def test_rejects_a_mismatched_base_and_a_negative_cap(self):
+    def test_rejects_a_mismatched_base_and_a_negative_cap(self, kernel_constants):
         # a dense base states cap 1/2 and serves every cap; a sieved one only
         # caps at or below its own
         g = FinAbGroup([32])
@@ -331,21 +403,26 @@ class TestPresieve:
     @pytest.mark.parametrize("cycles", [[3, 5, 7], [35, 63], [2, 2, 2, 2, 2], [4, 6, 10],
                                         [1000], [2 ** 12]], ids=str)
     def test_coarse_distances_lose_at_most_two_units_per_cycle(self, cycles):
-        # every character at every element: floored to 2^16 units, the coarse
-        # circle distance never passes floor(num * 2^16 / M) + 2 * rank
+        # every character at every element of G, and of the half x_0 <= n_0 / 2
+        # (whose digit tables split a shorter first coordinate): floored to
+        # 2^16 units, the coarse circle distance never passes
+        # floor(num * 2^16 / M) + 2 * rank
         g = FinAbGroup(cycles)
         M = g.phase_denominator
+        half = (g.invariants[0] // 2 + 1,) + g.invariants[1:]
         for start in range(0, g.order, 64):
             block = list(range(start, min(start + 64, g.order)))
-            tables = bohr._digit_rows(g, g.decode_array(np.array(block)))
-            u = bohr._coarse_sums(g, tables, 0).astype(np.int64)
-            coarse = np.minimum(u, (1 << 16) - u)
             num = phase_numerator_rows(g, block)
             bound = (np.minimum(num, M - num) << 16) // M + 2 * g.rank
-            assert (coarse <= bound).all()
+            on_half = bound.reshape(len(block), *g.invariants[::-1])[..., :half[0]]
+            for lengths, limit in ((g.invariants, bound), (half, on_half)):
+                tables = bohr._digit_rows(g, g.decode_array(np.array(block)), lengths)
+                u = bohr._coarse_sums(g, tables, lengths, 0).astype(np.int64)
+                coarse = np.minimum(u, (1 << 16) - u)
+                assert (coarse <= limit.reshape(len(block), -1)).all()
 
     @pytest.mark.parametrize("cycles", [[3, 5, 7], [35, 63], [6, 10, 14]], ids=str)
-    def test_no_element_within_the_cap_or_kept_is_dropped(self, cycles):
+    def test_no_element_within_the_cap_or_kept_is_dropped(self, kernel_constants, cycles):
         # caps exactly at each distance value of the table and 1/M either side
         g = FinAbGroup(cycles)
         M = g.phase_denominator
@@ -362,8 +439,7 @@ class TestPresieve:
                     continue
                 alive = np.ones(g.order, dtype=bool)
                 with kernel_constants(bohr.GATHER_SHARE, 0.0, bohr.BLOCK_CELLS):
-                    assert (bohr._presieve(g, bohr._digit_rows(g, coords), cap, alive)
-                            == coords.shape[1])
+                    assert bohr._presieve(g, coords, g.invariants, cap, alive)[1] == coords.shape[1]
                     view = bohr_distance_table(freqs, num / M, keep).distances()
                 assert alive[nums <= cap].all()
                 dropped += np.count_nonzero(~alive)
@@ -680,7 +756,7 @@ class TestSurvivorsTable:
         assert dense == {True, False}  # both forms were read
 
     @pytest.mark.parametrize("cycles", [[97], [12, 10], [6, 6, 4]], ids=str)
-    def test_a_base_with_a_higher_cap(self, cycles):
+    def test_a_base_with_a_higher_cap(self, kernel_constants, cycles):
         # the base's cap is above the table's: its survivors (or all of G at
         # cap 1/2 and above) are read down to the table's own cap
         g = FinAbGroup(cycles)
@@ -714,7 +790,7 @@ class TestSurvivorsTable:
     @settings(max_examples=40, deadline=None)
     @given(small_frequency_sets(), st.sampled_from([0.0, 0.05, 0.25, 0.5, 0.75]),
            st.booleans(), st.integers(0, 2 ** 32 - 1))
-    def test_a_dense_table_is_exact_everywhere(self, freqs, r_cap, on_base, seed):
+    def test_a_dense_table_is_exact_everywhere(self, kernel_constants, freqs, r_cap, on_base, seed):
         # whatever cap it was asked for, a table whose rows ran over all of G
         # holds every distance and answers every radius
         g = freqs.group
@@ -738,7 +814,7 @@ class TestSurvivorsTable:
             assert table.measure(radius) == np.count_nonzero(ball)
 
     @pytest.mark.parametrize("cycles", [[97], [12, 10], [6, 6, 4]], ids=str)
-    def test_no_row_left_holds_a_sieved_base(self, cycles):
+    def test_no_row_left_holds_a_sieved_base(self, kernel_constants, cycles):
         # the trivial character and the negatives of the base's frequencies add
         # no row: the table holds the base's numerators and survivors, at the
         # base's higher cap

@@ -478,6 +478,34 @@ class TestSpectrumGrid:
         assert texts["full"] == texts["zoom"]
 
 
+#: bohr.GATHER_SHARE, STOP_SHARE and BLOCK_CELLS, each forced to either side
+#: of its crossover: gather never or whenever anything is sieved, run every
+#: 16-bit row or stop the pre-sieve at its first drop, one row per block
+KERNEL_SIDES = {
+    "never gather": (0.0, addcomb.bohr.STOP_SHARE, addcomb.bohr.BLOCK_CELLS),
+    "always gather": (1.0, addcomb.bohr.STOP_SHARE, addcomb.bohr.BLOCK_CELLS),
+    "every 16-bit row": (addcomb.bohr.GATHER_SHARE, 0.0, addcomb.bohr.BLOCK_CELLS),
+    "first drop": (addcomb.bohr.GATHER_SHARE, 1.0, addcomb.bohr.BLOCK_CELLS),
+    "one row per block": (addcomb.bohr.GATHER_SHARE, addcomb.bohr.STOP_SHARE, 1),
+}
+
+
+class TestBohrKernelConstants:
+    @pytest.mark.parametrize("A,d,eps,escapes", GRID_RUNS)
+    def test_report_bytes_are_the_same_under_every_kernel_constant(
+            self, record_calls, kernel_constants, A, d, eps, escapes):
+        tables = []
+        record_calls(addcomb.bohr, "bohr_distance_table", tables)
+        config = FreimanConfig(d=d, epsilon=eps)
+        text = dumps(run_freiman(A, config).to_jsonable())
+        for side, constants in KERNEL_SIDES.items():
+            tables.clear()
+            with kernel_constants(*constants):
+                assert dumps(run_freiman(A, config).to_jsonable()) == text, side
+            if side == "never gather":
+                assert all(t.at is None for t in tables)
+
+
 class TestRunReuse:
     def test_each_sumset_and_transform_once(self, record_calls):
         A = interval(4096, 16)
@@ -494,14 +522,16 @@ class TestRunReuse:
     def test_each_bohr_distance_row_once(self, record_calls):
         results = []
         tables = record_calls(addcomb.bohr, "bohr_distance_table", results)
-        # every phase row any reader of a Bohr distance reads is built here
+        # every phase row any reader of a Bohr distance reads is built here:
+        # as digit tables for a pass over G, or as direct phases at survivors
         built = record_calls(addcomb.bohr, "_digit_rows")
+        direct = record_calls(addcomb.bohr, "_direct_sums")
         report = run_freiman(interval(4096, 16), FreimanConfig(d=1.0, epsilon=0.05))
         rows = np.concatenate([freqs.indices() for freqs, *_ in tables])
         assert len(np.unique(rows)) == len(rows), "a frequency row was computed twice"
         assert report.cover.spectrum_counts["2eps"] == len(rows)
         g = report.spectrum.members.group
-        phases = np.concatenate([g.encode_array(mc) for _, mc in built])
+        phases = np.concatenate([g.encode_array(mc) for _, mc, *_ in built + direct])
         assert len(np.unique(phases)) == len(phases), "a phase row was built twice"
         spec2 = GroupSet.from_indices(g, rows.tolist())
         assert len(phases) == addcomb.bohr._rows(spec2).shape[1]
