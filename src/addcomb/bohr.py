@@ -78,7 +78,7 @@ BLOCK_CELLS = 1 << 20
 
 #: A sieved table evaluates its exact rows over the whole half domain while
 #: at least this share of it survives the 16-bit pre-sieve, and gathers them
-#: at the survivors alone below it (set from tools/bohr_sieve_ladder.py).
+#: at the survivors alone below it (set from tools/ladder.py's bohr section).
 #: Spot-checked on the half-domain kernel, 2 cores: the freiman_spectral +
 #: freiman_growth instances (sum of best-of-7 walls) took 59-62 / 61-62 /
 #: 62-63 / 61-64 / 75-83 ms at 0.125 / 0.25 / 0.375 / 0.5 / 0.0625, the

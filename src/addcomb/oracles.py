@@ -3,7 +3,7 @@
 Each function here recomputes a quantity that a production module obtains
 by a faster route, straight from its definition and in time quadratic in
 the group or the set. They exist only to cross-check those routes: the
-verification suites in `verify`, the tests and the ladder tools import
+verification suites in `verify`, the tests and tools/ladder.py import
 them, and no production module does.
 
 The Birkhoff metric's oracle, dijkstra_rho, settles one element at a time

@@ -36,7 +36,7 @@ mask with no wrap-back. sumset picks the route of lower modelled cost,
     direct   ~ |small| * (c0 + c1 * |big| * rank)
     spectral ~ c2 * P * log2 P + c3,   P the points of the FFT's box,
 
-with the constants SUMSET_COST fitted by tools/sumset_cost_fit.py. The box
+with the constants SUMSET_COST fitted by tools/ladder.py (sumset). The box
 is planned only when the FFT on the least box the operand sizes allow is
 priced below the direct route, from each operand's coordinates, read once
 per sum and shared with the direct route. No rule on |A| * |B| alone can

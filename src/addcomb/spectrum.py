@@ -158,8 +158,8 @@ def spectrum_index(S: GroupSet, delta: float) -> SpectrumIndex:
     """The index of S's characters that serves every cut at delta or below,
     on the grid of least operation count (the full grid or a zoom)."""
     _check_cut(S, delta)
-    grid = _zoom_grid(S, _threshold(S, delta))
-    return _full_index(S, delta) if grid is None else _zoomed_index(S, delta, grid)
+    zoom = _zoom_grid(S, _threshold(S, delta))
+    return _full_index(S, delta) if zoom is None else _zoomed_index(S, delta, *zoom)
 
 
 def _full_index(S: GroupSet, delta: float) -> SpectrumIndex:
@@ -204,9 +204,18 @@ def _divisor_at_least(n: int, x: float) -> int:
     return divisors[bisect.bisect_left(divisors, max(2, x))]
 
 
-def _zoom_grid(S: GroupSet, threshold: float) -> tuple[int, ...] | None:
-    """The coarse grid of the zoom of least operation count (GRID_COST), or
-    None when no zoom costs less than the full transform."""
+def _arcs(S: GroupSet) -> tuple[np.ndarray, list[tuple[int, int]]]:
+    """S's coordinates (one side of _coords) and the (start, length) of its
+    arc on each cycle (_arc): the one read of S a zoom makes."""
+    coords = _coords(S, S)[0]
+    return coords, [_arc(coords, S.group, j) for j in range(S.group.rank)]
+
+
+def _zoom_grid(S: GroupSet, threshold: float) -> tuple[
+        tuple[int, ...], np.ndarray, list[tuple[int, int]]] | None:
+    """The coarse grid of the zoom of least operation count (GRID_COST), with
+    the read of S it was chosen from (_arcs), or None when no zoom costs
+    less than the full transform."""
     g, mu = S.group, S.cardinality
     fixed, per_exp, per_mac = GRID_COST
     best, chosen, rho = g.order * math.log2(g.order), None, 1
@@ -218,13 +227,12 @@ def _zoom_grid(S: GroupSet, threshold: float) -> tuple[int, ...] | None:
     if best <= fixed or all(math.pi * mu * ((mu * n - 1) // g.order) / n >= threshold
                             for n in g.invariants):
         return None
-    coords = _coords(S, S)[0]
-    arcs = [_arc(coords, g, j) for j in range(g.rank)]
+    coords, arcs = _arcs(S)
     while True:
         grid = tuple(_divisor_at_least(n, min(n, rho * length))
                      for n, (_, length) in zip(g.invariants, arcs))
         if grid == g.invariants:
-            return chosen
+            return None if chosen is None else (chosen, coords, arcs)
         rho *= 2
         # a kept cell's true coarse modulus is at least this
         floor = _keep_level(mu, threshold, grid, arcs, g) - transform_error_bound(
@@ -246,14 +254,14 @@ def _roots(phases: np.ndarray, n: int) -> np.ndarray:
     return np.exp(phases * (-2j * math.pi / n))
 
 
-def _zoomed_index(S: GroupSet, delta: float, grid: tuple[int, ...]) -> SpectrumIndex:
+def _zoomed_index(S: GroupSet, delta: float, grid: tuple[int, ...], coords: np.ndarray,
+                  arcs: list[tuple[int, int]]) -> SpectrumIndex:
     """The index by the zoom on grid (Q_j dividing n_j, at least S's arc
-    length on cycle j): the coarse transform of S cropped to its arcs, then
-    direct sums at the characters of every cell it keeps."""
+    length on cycle j), given S's coordinates and arcs (_arcs): the coarse
+    transform of S cropped to its arcs, then direct sums at the characters
+    of every cell it keeps."""
     g, mu = S.group, S.cardinality
     threshold = _threshold(S, delta)
-    coords = _coords(S, S)[0]
-    arcs = [_arc(coords, g, j) for j in range(g.rank)]
     coarse_group = FinAbGroup(grid)
     coarse = transform(_crop(S, [(q, a) for q, (a, _) in zip(grid, arcs)], coords),
                        coarse_group).magnitudes()

@@ -221,11 +221,22 @@ class TestSpectrumIndex:
         # between the coarse points 1024 and 1536, at the edge of the cell of 1536
         g = FinAbGroup([5 * 2 ** 12])
         S = GroupSet.from_indices(g, [0, 16])
-        index, full = spectrum._zoomed_index(S, 1.0, (40,)), spectrum._full_index(S, 1.0)
+        index = spectrum._zoomed_index(S, 1.0, (40,), *spectrum._arcs(S))
+        full = spectrum._full_index(S, 1.0)
         assert cell_of(np.array([1280]), g, (40,))[0] == 1536
         assert 1280 in index.at
         assert np.array_equal(index.at, full.at)
         assert np.allclose(index.moduli, full.moduli, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("cycles, sides", [([2 ** 14], [9]), ([128, 128], [3, 5])])
+    def test_a_zoomed_index_reads_the_coordinates_once(self, forced_grid, record_calls,
+                                                       cycles, sides):
+        g = FinAbGroup(cycles)
+        S = GroupSet.from_coords(g, np.ndindex(*sides))
+        reads = record_calls(spectrum, "_coords")
+        with forced_grid("zoom"):
+            assert spectrum_index(S, 0.5).grid != g.invariants
+        assert len(reads) == 1
 
     def test_a_cut_wider_than_the_index_raises(self):
         S = interval(FinAbGroup([4096]), 8)
