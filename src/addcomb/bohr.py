@@ -14,8 +14,7 @@ n_0 / 2, the layout of the real FFT's half spectrum: one element of each
 pair {x, -x} (both when x_0 is 0 or n_0 / 2). This is exact, as ||gamma(-x)||
 and ||gamma(x)|| have the same integer numerator. A dense table is mirrored
 back to G by groups.mirrored, the reversed-slice copies that fill the half
-spectrum; survivors come back as x and -x, each held only when it lies
-within the cap or is kept, so a kept set need not be symmetric.
+spectrum; survivors come back as x and -x.
 
 A pass over the half takes its rows from short digit tables, one pair of
 sqrt(L)-long tables per cycle Z_n (L = n_0 // 2 + 1 on the first cycle, n
@@ -26,32 +25,31 @@ the half: the dense rows, the 16-bit pre-sieve and the gather of the
 pre-sieve's survivors read them. A call that runs no row over G (a table on
 a base held as survivors, or one whose base leaves few enough elements
 alive that no pre-sieve row runs) builds none: it takes the exact phases
-sum_j m_j x_j M/n_j mod M in int64 at its survivors alone.
+sum_j m_j x_j M/n_j mod M in int64 at its survivors alone. worst_distance
+takes the same direct phases at a few given elements (A - A in a Freiman
+run), and builds no table.
 
 A table may be sieved at a radius cap r_cap. Every ball of radius >= 1/2 is
 all of G, so a caller that reads no radius in (r_cap, 1/2) needs the exact
-distance only of the elements within r_cap, and of the few it keeps. A
-16-bit pre-sieve first finds those survivors cheaply: each digit table is
-scaled to 2^16 units and floored, so a row over the half is one uint16
-outer sum (which wraps mod 2^16 for free) and one compare. Each of a
-phase's 2 * rank floored digits loses less than one unit, so an element is
-cleared only when its coarse circle distance passes floor(cap * 2^16 / M) +
-2 * rank units, which no element within the cap reaches. The pre-sieve
-stops once fewer than STOP_SHARE of the half is alive. If GATHER_SHARE or
-more is still alive, the exact rows run over the whole half; otherwise the
-exact numerators are gathered at the survivors alone, row-major in blocks
-that double, and each element is dropped once its running maximum passes
-the cap.
+distance only of the elements within r_cap. A 16-bit pre-sieve first finds
+those survivors cheaply: each digit table is scaled to 2^16 units and
+floored, so a row over the half is one uint16 outer sum (which wraps mod
+2^16 for free) and one compare. Each of a phase's 2 * rank floored digits
+loses less than one unit, so an element is cleared only when its coarse
+circle distance passes floor(cap * 2^16 / M) + 2 * rank units, which no
+element within the cap reaches. The pre-sieve stops once fewer than
+STOP_SHARE of the half is alive. If GATHER_SHARE or more is still alive,
+the exact rows run over the whole half; otherwise the exact numerators are
+gathered at the survivors alone, row-major in blocks that double, and each
+element is dropped once its running maximum passes the cap.
 
-A DistanceTable is exact at every element it holds, up to the cap it
-states. A table whose rows ran over the whole half holds every element and
-states the cap 1/2; only a table gathered at survivors holds fewer (their
-sorted indices), so its balls, measures and exact reads cost as many steps
-as it has survivors, and reading it at a radius in (r_cap, 1/2) or at an
-element it does not hold raises. A table may be built on a base table of
-other frequencies, dense or capped at r_cap or above, and is then evaluated
-where the base holds numerators; a base held as survivors must hold every
-kept element.
+A DistanceTable is exact at every element it holds. A table whose rows ran
+over the whole half holds every element and states the cap 1/2; only a
+table gathered at survivors holds fewer: exactly the elements within its
+cap (their sorted indices), so its balls and measures cost as many steps as
+it has survivors, and reading it at a radius in (r_cap, 1/2) raises. A
+table may be built on a base table of other frequencies, dense or capped at
+r_cap or above, and is then evaluated where the base holds numerators.
 """
 
 from __future__ import annotations
@@ -63,7 +61,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .groups import FinAbGroup, _check_number, mirrored, negated_grid
+from .groups import FinAbGroup, _check_number, mirrored
 from .serialize import set_to_json
 from .sets import GroupSet, Multiples
 
@@ -99,8 +97,8 @@ class DistanceTable:
     num holds the int32 numerators (a distance is num / M, M the group's
     phase denominator) of the elements the table holds: every element of G
     when at is None (a dense table, whose cap is 1/2), else the elements
-    at, sorted indices (the survivors of a sieved table: every element
-    within r_cap, and those it keeps). covers holds the indices of the
+    at, sorted indices (the survivors of a sieved table: exactly the
+    elements within r_cap). covers holds the indices of the
     frequencies the table is over. The table's call evaluated cells exact
     int32 phases and coarse_cells 16-bit ones (a phase is one row at one
     element); only a sieved table runs 16-bit rows.
@@ -147,16 +145,6 @@ class DistanceTable:
                              f"{self.r_cap} and 1/2")
         return _cap_numerator(radius, self.group.phase_denominator)
 
-    def exact(self, members: GroupSet) -> np.ndarray:
-        """The exact distances of members in index order; a sieved table
-        raises for a member it does not hold."""
-        idx = members.indices()
-        if self.at is not None:
-            idx = _positions(self.at, idx)
-            if idx is None:
-                raise ValueError("the table holds no distance for an element above its cap")
-        return self.num[idx] / self.group.phase_denominator
-
     def distances(self) -> np.ndarray:
         """Every element's distance as float64, inf where the table holds none."""
         M = self.group.phase_denominator
@@ -168,18 +156,16 @@ class DistanceTable:
 
 
 def bohr_distance_table(freqs: GroupSet, r_cap: float = 0.5,
-                        keep: GroupSet | None = None,
                         base: DistanceTable | None = None) -> DistanceTable:
     """max_{gamma in freqs} ||gamma(x)|| for every x, as exact ratios.
 
-    The result holds every element within r_cap and every element of keep;
-    when its rows ran over all of G it holds them all, at cap 1/2. With
-    base, a table of other frequencies over the same group that is dense or
-    capped at r_cap or above, the result is the table of the union: the rows
-    of freqs are evaluated only where base holds numerators (all of G, or
-    its survivors, which must then hold every element of keep), and when
-    base covers every row already, the result holds base's numerators at
-    base's cap.
+    The result holds exactly the elements within r_cap, or, when its rows
+    ran over all of G, every element at cap 1/2. With base, a table of other
+    frequencies over the same group that is dense or capped at r_cap or
+    above, the result is the table of the union: the rows of freqs are
+    evaluated only where base holds numerators (all of G, or its
+    survivors), and when base covers every row already, the result holds
+    base's numerators at base's cap.
 
     An empty frequency set constrains nothing (sup over the empty set is 0),
     and neither does the trivial character. Since ||-theta|| = ||theta||, a
@@ -192,9 +178,6 @@ def bohr_distance_table(freqs: GroupSet, r_cap: float = 0.5,
     g = freqs.group
     if base is not None and (base.group != g or not base.r_cap >= min(r_cap, 0.5)):
         raise ValueError("the base table needs the same group and a cap at or above r_cap")
-    sieved = base is not None and base.at is not None
-    if sieved and keep is not None and _positions(base.at, keep.indices()) is None:
-        raise ValueError("a base held as survivors needs to hold every kept element")
     covers = frozenset(freqs.indices().tolist()) | (
         frozenset() if base is None else base.covers)
     coords = _rows(freqs, frozenset() if base is None else base.covers)
@@ -206,11 +189,10 @@ def bohr_distance_table(freqs: GroupSet, r_cap: float = 0.5,
             return DistanceTable(g, base.r_cap, covers, base.num, base.at)
         return DistanceTable(g, r_cap, covers, np.zeros(g.order, dtype=np.int32))
     cap = _cap_numerator(r_cap, g.phase_denominator)
-    if sieved:
+    if base is not None and base.at is not None:
         # no row runs over G: exact phases at the base's survivors
-        held = None if keep is None else keep.has_indices(base.at)
         at, best, cells = _sieve(g, partial(_direct_sums, g, coords),
-                                 _weights(g, base.at, g.invariants), base.at, held, cap,
+                                 _weights(g, base.at, g.invariants), base.at, cap,
                                  base.num.copy(), rows)
         return DistanceTable(g, r_cap, covers, best, at, cells)
     # every pass over G runs on the half domain x_0 <= n_0 / 2, one element
@@ -219,18 +201,13 @@ def bohr_distance_table(freqs: GroupSet, r_cap: float = 0.5,
     size = math.prod(half)
     best = np.zeros(size, dtype=np.int32) if base is None else (
         base.num.reshape(g.invariants[::-1])[..., :half[0]].flatten())
-    at, tables, coarse_rows, kept = None, None, 0, None
+    at, tables, coarse_rows = None, None, 0
     if cap is not None:
         alive = best <= cap
-        if keep is not None:
-            kept = _folded(g, keep.mask)
-            alive |= kept
         # rows of independent uniform phases would each keep 2 r_cap of G; when
         # even they would leave GATHER_SHARE alive, the exact rows run densely
         if np.count_nonzero(alive) * (2 * r_cap) ** rows < GATHER_SHARE * size:
             tables, coarse_rows = _presieve(g, coords, half, cap, alive)
-            if kept is not None:
-                alive |= kept
         if np.count_nonzero(alive) < GATHER_SHARE * size:
             at = np.flatnonzero(alive)
     if at is None:
@@ -238,7 +215,6 @@ def bohr_distance_table(freqs: GroupSet, r_cap: float = 0.5,
             tables = _digit_rows(g, coords, half)
         best = mirrored(_dense(g, tables, half, best).reshape(half[::-1]), g)
         return DistanceTable(g, r_cap, covers, best, None, rows * size, coarse_rows * size)
-    held = None if kept is None else kept[at]
     if tables is None:
         # no row ran over G, so no digit table is built
         sums, state = partial(_direct_sums, g, coords), _weights(g, at, half)
@@ -247,9 +223,22 @@ def bohr_distance_table(freqs: GroupSet, r_cap: float = 0.5,
         tables = [(np.roll(hi, -coarse_rows, axis=0), np.roll(lo, -coarse_rows, axis=0))
                   for hi, lo in tables]
         sums, state = partial(_gathered_sums, g, tables), _digits(at, half)
-    at, best, cells = _sieve(g, sums, state, at, held, cap, best[at], rows)
-    at, best = _unfolded(g, half, at, best, cap, keep)
+    at, best, cells = _sieve(g, sums, state, at, cap, best[at], rows)
+    at, best = _unfolded(g, half, at, best)
     return DistanceTable(g, r_cap, covers, best, at, cells, coarse_rows * size)
+
+
+def worst_distance(freqs: GroupSet, members: GroupSet) -> float:
+    """max_{x in members} max_{gamma in freqs} ||gamma(x)||, exact: the
+    table's direct phases (_direct_sums) at members alone, one row per pair
+    {gamma, -gamma}; 0 when no character of freqs is nontrivial."""
+    g = freqs.group
+    coords, at = _rows(freqs), members.indices()
+    # a cap at M / 2, the largest numerator, drops no element
+    _, best, _ = _sieve(g, partial(_direct_sums, g, coords), _weights(g, at, g.invariants),
+                        at, np.int32(g.phase_denominator // 2),
+                        np.zeros(at.size, dtype=np.int32), coords.shape[1])
+    return float(best.max(initial=0)) / g.phase_denominator
 
 
 def _rows(freqs: GroupSet, covered_by: frozenset[int] = frozenset()) -> np.ndarray:
@@ -266,45 +255,21 @@ def _rows(freqs: GroupSet, covered_by: frozenset[int] = frozenset()) -> np.ndarr
     return coords[:, ~covered & coords.any(axis=0)]
 
 
-def _folded(g: FinAbGroup, mask: np.ndarray) -> np.ndarray:
-    """The half domain's mask of the elements x with x or -x in mask.
-
-    The half's -x are the points at columns 0 and n_0 - 1 down to n_0 - kept
-    + 1 of the reversed factor grid with every axis negated
-    (groups.negated_grid), where 0 stays and the rest reverse.
-    """
-    n = g.invariants[0]
-    kept = n // 2 + 1
-    grid = mask.reshape(g.invariants[::-1])
-    out = negated_grid(np.concatenate((grid[..., :1], grid[..., n - kept + 1:]), axis=-1),
-                       range(g.rank))
-    out |= grid[..., :kept]
-    return out.ravel()
-
-
-def _unfolded(g: FinAbGroup, half: tuple[int, ...], at: np.ndarray, best: np.ndarray,
-              cap: np.int32, keep: GroupSet | None) -> tuple[np.ndarray, np.ndarray]:
+def _unfolded(g: FinAbGroup, half: tuple[int, ...], at: np.ndarray, best: np.ndarray
+              ) -> tuple[np.ndarray, np.ndarray]:
     """The elements at of the half domain, with their numerators best, back
     on G: each x and its -x (which has the same numerator) where -x lies
-    outside the half, held when within cap or in keep, as sorted indices
-    and their numerators.
+    outside the half, as sorted indices and their numerators.
 
     The x come in increasing order and the -x, reversed, in increasing runs
     (a single run when G is one cycle), which a stable sort merges in about
     linear time.
-    An element past cap survived the sieve as kept (x or -x is in keep), so
-    keep is read only there.
     """
     coords = np.stack(_coordinates(at, half))
     outside = (coords[0] > 0) & (2 * coords[0] < g.invariants[0])
     idx = np.concatenate((g.encode_array(coords, reduced=True),
                           g.encode_array(-coords[:, outside])[::-1]))
     num = np.concatenate((best, best[outside][::-1]))
-    far = np.flatnonzero(num > cap)
-    if far.size:
-        held = np.ones(idx.size, dtype=bool)
-        held[far] = keep.has_indices(idx[far])
-        idx, num = idx[held], num[held]
     order = np.argsort(idx, kind="stable")
     return idx[order], num[order]
 
@@ -345,23 +310,19 @@ def _presieve(g: FinAbGroup, coords: np.ndarray, lengths: tuple[int, ...], cap: 
 
 
 def _sieve(g: FinAbGroup, sums, state: list[np.ndarray], at: np.ndarray,
-           held: np.ndarray | None, cap: np.int32, best: np.ndarray,
-           rows: int) -> tuple[np.ndarray, np.ndarray, int]:
+           cap: np.int32, best: np.ndarray, rows: int) -> tuple[np.ndarray, np.ndarray, int]:
     """The numerators over rows 0..rows - 1 of the elements at, folded into
     best (their numerators so far), in blocks that start at one row and
     double up to about BLOCK_CELLS cells: sums(start, stop, state) gives rows
     start..stop - 1 of the phase sums at the elements whose per-element
     arrays state holds. Before each block and after the last, drop every
-    element past cap that held does not mark. Returns the survivors, their
-    numerators and the cells evaluated."""
+    element past cap. Returns the survivors, their numerators and the cells
+    evaluated."""
     start, cells, size = 0, 0, 1
     while True:
         alive = best <= cap
-        if held is not None:
-            alive |= held
         if not alive.all():
             at, best = at[alive], best[alive]
-            held = None if held is None else held[alive]
             state = [s[alive] for s in state]
         if start == rows or not at.size:
             return at, best, cells
@@ -370,15 +331,6 @@ def _sieve(g: FinAbGroup, sums, state: list[np.ndarray], at: np.ndarray,
         cells += (stop - start) * at.size
         start = stop
         size = min(2 * size, max(1, BLOCK_CELLS // at.size))
-
-
-def _positions(at: np.ndarray, idx: np.ndarray) -> np.ndarray | None:
-    """The positions of the sorted indices idx in the sorted indices at, or
-    None when at misses one of them."""
-    pos = np.searchsorted(at, idx)
-    if idx.size and (pos[-1] == at.size or not np.array_equal(at[pos], idx)):
-        return None
-    return pos
 
 
 def _cap_numerator(r_cap: float, M: int) -> np.int32 | None:

@@ -12,16 +12,18 @@ Each stage has one entry point, which run_freiman calls: growth_profile,
 find_l and measured_growth_exponent take the run's Multiples, and
 spectrum_cover and lowerbound_audit the FreimanRun itself.
 
-Each Bohr distance table is sieved for its own readers
-(bohr.bohr_distance_table), and every table keeps A - A exact. run_freiman
-builds three: the table over LSpec(lA, eps) at read_cap, the largest radius
-below 1/2 that the ball, the dimension grid or the chain reads; the ball's
-over Lambda = LSpec(lA, eps) u X on it at read_cap; and the chain's over
+run_freiman is one straight line: the pigeonhole l, the cover at eps
+(doubled on escape while it stays at or below 1/2, so every cut it reads
+has delta <= 1 and one index of lA serves them all), the audit, the ball,
+the dimension grid and the chain. It builds three Bohr distance tables, each
+handed its base and sieved for its own readers (bohr.bohr_distance_table):
+the table over LSpec(lA, eps) at read_cap, the largest radius below 1/2
+that the ball, the dimension grid or the chain reads; the ball's over
+Lambda = LSpec(lA, eps) u X on it at read_cap; and the chain's over
 LSpec(lA, 2 eps) on the ball's at chain_cap, the largest radius the chain
-reads. The audit reads only A - A, off the spectrum's table. So each row
-runs once, the distances are exact wherever a stage reads them, a ball of
-radius >= 1/2 is all of G, and a read between a sieved table's cap and 1/2
-would raise.
+reads. So each row over G runs once, a ball of radius >= 1/2 is all of G,
+and a read between a sieved table's cap and 1/2 would raise. The audit and
+chain link 1 read only A - A, by bohr.worst_distance at its elements.
 
 Two modes. "paper" uses the literal constants (pigeonhole bound 2^15, ball
 radius 2^-4, the 2^13 (1+C) d' ln^2 d' threshold formula), which degenerate
@@ -49,8 +51,8 @@ from .spectrum import Spectrum, SpectrumIndex, cut_spectrum, spectrum_index
 DEFAULT_RATIO_BOUND = float(2 ** 15)
 DEFAULT_RADIUS = 2.0 ** -4
 
-#: The widest cut the cover search reads, (2r + 1/2) eps <= 1: a run's index
-#: of lA serves every cut at or below it.
+#: The widest cut a run reads: the cover search's (2r + 1/2) eps <= 1, and
+#: 2 eps <= 1. A run's index of lA serves every cut at or below it.
 INDEX_DELTA = 1.0
 
 
@@ -105,13 +107,9 @@ class FreimanRun:
     for (spectrum.spectrum_index at INDEX_DELTA: the characters of lA
     whose modulus meets the cut rule at delta = 1, and their moduli, from
     the full transform or a coarse transform and a certified zoom), the
-    spectra cut from it at each (l, delta) a stage asked for, A - A and the
-    Bohr distance tables of the nested frequency sets LSpec(lA, eps) <=
-    LSpec(lA, eps) u X <= LSpec(lA, 2 eps). Each stage given the run reuses
-    what the stages before it computed.
-
-    Each table is sieved at the radius cap its caller reads up to and keeps
-    A - A exact (see bohr.bohr_distance_table).
+    spectra cut from it at each (l, delta) a stage asked for, and A - A.
+    Each stage given the run reuses what the stages before it computed.
+    The Bohr tables are not held: run_freiman hands each its base.
     """
 
     def __init__(self, A: GroupSet):
@@ -122,22 +120,17 @@ class FreimanRun:
         self._indices: dict[int, SpectrumIndex] = {}
         self._spectra: dict[tuple[int, float], Spectrum] = {}
         self._difference: GroupSet | None = None
-        self._tables: list[tuple[GroupSet, DistanceTable]] = []
 
-    def index(self, l: int, delta: float) -> SpectrumIndex:
-        """The index of lA that serves a cut at delta: built once at
-        INDEX_DELTA, and once more at delta when a cut wider than the index
-        serves is asked for (an escape retry with 2 eps > 1)."""
-        index = self._indices.get(l)
-        if index is None or not index.serves(delta):
-            index = spectrum_index(self.multiples[l], max(delta, INDEX_DELTA))
-            self._indices[l] = index
-        return index
+    def index(self, l: int) -> SpectrumIndex:
+        """The index of lA at INDEX_DELTA, built once."""
+        if l not in self._indices:
+            self._indices[l] = spectrum_index(self.multiples[l], INDEX_DELTA)
+        return self._indices[l]
 
     def spectrum(self, l: int, delta: float) -> Spectrum:
-        """LSpec(lA, delta), cut once per (l, delta)."""
+        """LSpec(lA, delta), cut once per (l, delta) at delta <= INDEX_DELTA."""
         if (l, delta) not in self._spectra:
-            self._spectra[l, delta] = cut_spectrum(self.index(l, delta), delta)
+            self._spectra[l, delta] = cut_spectrum(self.index(l), delta)
         return self._spectra[l, delta]
 
     def difference(self) -> GroupSet:
@@ -148,30 +141,18 @@ class FreimanRun:
                                 else sumset(self.A, neg))
         return self._difference
 
-    def bohr_table(self, freqs: GroupSet, r_cap: float | None) -> DistanceTable:
-        """bohr_distance_table(freqs, r_cap) keeping A - A, computing only the
-        frequencies outside the largest earlier frequency set it contains
-        whose table is capped at r_cap or above, and only where that table
-        holds numerators (a sup over a union is the max of the sups).
-
-        r_cap None serves a reader of A - A alone: it returns an earlier
-        table over freqs at any cap, or builds the unsieved one."""
-        if r_cap is None:
-            same = [t for f, t in self._tables if f == freqs]
-            if same:
-                return same[0]
-            r_cap = 0.5
-        known = [(f, t) for f, t in self._tables
-                 if t.r_cap >= r_cap and f.is_subset_of(freqs)]
-        keep = self.difference()
-        if known:
-            base, table = max(known, key=lambda ft: ft[0].cardinality)
-            rest = GroupSet(freqs.group, freqs.mask & ~base.mask)
-            table = bohr.bohr_distance_table(rest, r_cap, keep, base=table)
-        else:
-            table = bohr.bohr_distance_table(freqs, r_cap, keep)
-        self._tables.append((freqs, table))
-        return table
+    @staticmethod
+    def bohr_table(freqs: GroupSet, r_cap: float, base: DistanceTable | None = None
+                   ) -> DistanceTable:
+        """bohr_distance_table(freqs, r_cap) on base, a table over a subset of
+        freqs capped at r_cap or above: only the frequencies base does not
+        cover get rows, and only where base holds numerators (a sup over a
+        union is the max of the sups)."""
+        if base is None:
+            return bohr.bohr_distance_table(freqs, r_cap)
+        rest = freqs.mask.copy()
+        rest[list(base.covers)] = False
+        return bohr.bohr_distance_table(GroupSet(freqs.group, rest), r_cap, base=base)
 
 
 # -- pigeonhole index -------------------------------------------------------------
@@ -254,10 +235,10 @@ def spectrum_cover(run: FreimanRun, l: int, epsilon: float) -> SpectrumCover:
     Candidates are integers r >= 2 with (2r + 1/2) epsilon <= 1; r qualifies
     when nu(LSpec(lA, (2r+1/2) eps)) < 2^r nu(LSpec(lA, eps/2)). When no r
     qualifies the escape branch is reported (the small-epsilon regime where
-    the covering route gives nothing).
+    the covering route gives nothing). epsilon lies in (0, 1/2], the
+    paper's range, so every cut lies at delta <= 1.
     """
-    if epsilon <= 0:
-        raise ValueError(f"spectrum_cover needs epsilon > 0, got {epsilon}")
+    _check_number(epsilon, "spectrum_cover", "epsilon", 0, strict=True, high=0.5)
     S_half = run.spectrum(l, epsilon / 2)
     S_one = run.spectrum(l, epsilon)
     S_two = run.spectrum(l, 2 * epsilon)
@@ -269,7 +250,7 @@ def spectrum_cover(run: FreimanRun, l: int, epsilon: float) -> SpectrumCover:
     for r in range(2, r_max + 1):
         # no other stage reads a wide spectrum, so the run does not keep it
         delta = (2 * r + 0.5) * epsilon
-        wide = cut_spectrum(run.index(l, delta), delta)
+        wide = cut_spectrum(run.index(l), delta)
         if wide.count < (2 ** r) * S_half.count:
             chosen = r
             break
@@ -305,15 +286,14 @@ class LowerboundAudit:
 
 def lowerbound_audit(run: FreimanRun, l: int, epsilon: float) -> LowerboundAudit:
     """Exhaustive membership check of the spectral lower-bound containment,
-    with K the measured ratio mu(lA) / mu((l-1)A). Only A - A is read,
-    which every table of the run keeps, so any table of the run over the
-    spectrum serves; without one, the unsieved table is built."""
+    with K the measured ratio mu(lA) / mu((l-1)A). Only A - A is read
+    (bohr.worst_distance), so no table is built."""
     _check_number(l, "lowerbound_audit", "l", 2, integral=True)
     _check_number(epsilon, "lowerbound_audit", "epsilon", 0, strict=True, high=1)
     K = run.multiples[l].measure / run.multiples[l - 1].measure
     spec = run.spectrum(l, epsilon)
     radius = 2 * epsilon * math.sqrt(2 * K)
-    worst = float(run.bohr_table(spec.members, None).exact(run.difference()).max())
+    worst = bohr.worst_distance(spec.members, run.difference())
     return LowerboundAudit(worst <= radius + INCLUSION_SLACK, l, float(epsilon),
                            K, radius, spec.count, worst)
 
@@ -416,13 +396,14 @@ def _pigeonhole(run: FreimanRun, config: FreimanConfig) -> tuple[int, float]:
 
 def _covered(run: FreimanRun, l: int, eps: float, max_retries: int
              ) -> tuple[SpectrumCover, float, tuple[float, ...]]:
-    """The cover at eps, doubling eps on escape; (cover, eps used, eps tried).
+    """The cover at eps, doubling eps on escape while it stays at or below
+    1/2; (cover, eps used, eps tried).
 
     When every attempt escapes, the first attempt and its epsilon are kept.
     """
     first = cover = spectrum_cover(run, l, eps)
     tried = [eps]
-    while cover.escape and len(tried) <= max_retries:
+    while cover.escape and len(tried) <= max_retries and 2 * tried[-1] <= 0.5:
         cover = spectrum_cover(run, l, 2 * tried[-1])
         tried.append(2 * tried[-1])
     if cover.escape:
@@ -430,15 +411,18 @@ def _covered(run: FreimanRun, l: int, eps: float, max_retries: int
     return cover, tried[-1], tuple(tried)
 
 
-def _chain(run: FreimanRun, l: int, eps: float, K_l: float, ball: BohrSet
-           ) -> tuple[ChainLink, ChainLink, ChainLink]:
+def _chain(run: FreimanRun, l: int, eps: float, K_l: float, ball: BohrSet,
+           base: DistanceTable) -> tuple[ChainLink, ChainLink, ChainLink]:
     """The three-link radius chain, each link exhaustive with its own
-    applicability, read off a table over LSpec(lA, 2 eps) capped at
-    chain_cap(eps)."""
-    table2 = run.bohr_table(run.spectrum(l, 2 * eps).members, chain_cap(eps))
+    applicability: link 1 at A - A (bohr.worst_distance), links 2 and 3 off
+    a table over LSpec(lA, 2 eps) capped at chain_cap(eps), built on base
+    (the ball's table, over a subset of LSpec(lA, 2 eps) at a cap at or
+    above chain_cap)."""
+    spec2 = run.spectrum(l, 2 * eps).members
+    table2 = run.bohr_table(spec2, chain_cap(eps), base)
     link1 = ChainLink(
         "A-A in Bohr(LSpec(lA,2eps), 2^9 eps)",
-        bool(table2.exact(run.difference()).max() <= 2 ** 9 * eps + INCLUSION_SLACK),
+        bohr.worst_distance(spec2, run.difference()) <= 2 ** 9 * eps + INCLUSION_SLACK,
         K_l <= 2 ** 13,  # then 2^9 eps dominates the guaranteed 4 eps sqrt(2 K_l)
     )
     mid = table2.ball(2 ** 9 * eps)
@@ -458,7 +442,7 @@ def _chain(run: FreimanRun, l: int, eps: float, K_l: float, ball: BohrSet
 
 def chain_cap(eps: float) -> float:
     """The largest radius below 1/2 that the chain reads off its table: 2^9
-    eps or 2^-4. Link 1 reads A - A, which every table keeps exact."""
+    eps or 2^-4."""
     return max(r for r in (2 ** 9 * eps, DEFAULT_RADIUS) if r < 0.5)
 
 
@@ -468,8 +452,7 @@ def read_cap(radius: float, eps: float) -> float:
 
     The reads are the dimension grid's radius * 2^-j and their doubles (all
     of the form radius * 2^j with j <= 1) and the chain's (chain_cap). Balls
-    of radius >= 1/2 are all of G, and chain link 1 reads A - A, which every
-    table keeps exact.
+    of radius >= 1/2 are all of G.
     """
     grid = math.ldexp(radius, min(1, -1 - math.frexp(radius)[1]))
     return max(chain_cap(eps), grid if grid < 0.5 else 0)
@@ -479,11 +462,12 @@ def run_freiman(A: GroupSet, config: FreimanConfig) -> FreimanReport:
     """Execute the full containment pipeline and assemble the report.
 
     The stages (growth, pigeonhole, spectrum, cover, audit, ball, chain)
-    share one FreimanRun, so each nA, the spectrum index of lA, A - A and
-    each Bohr distance row over G are computed once. Each table is sieved
-    at the largest radius below 1/2 that its readers read (read_cap,
+    share one FreimanRun, so each nA, the spectrum index of lA and A - A
+    are computed once, and each table is handed the one before it as its
+    base, so each Bohr distance row over G is computed once. Each table is
+    sieved at the largest radius below 1/2 that its readers read (read_cap,
     chain_cap): an element's exact distance is computed only while it stays
-    within that cap, or when it lies in A - A.
+    within that cap.
     """
     run = FreimanRun(A)
     n_max = config.scan_window_end()
@@ -511,16 +495,15 @@ def run_freiman(A: GroupSet, config: FreimanConfig) -> FreimanReport:
     else:
         radius = max(DEFAULT_RADIUS, guaranteed)
 
-    # the audit reads the spectrum's table, which is the ball's base, and the
-    # ball's is the chain's, whose caps are at or below it
-    cap = read_cap(radius, eps_used)
-    run.bohr_table(spectrum.members, cap)
-    audit = lowerbound_audit(run, l, min(eps_used, 1.0))
+    audit = lowerbound_audit(run, l, eps_used)
 
+    # the spectrum's table is the ball's base, and the ball's is the chain's,
+    # whose cap is at or below it (X lies in LSpec(lA, 2 eps))
+    cap = read_cap(radius, eps_used)
     Lambda = spectrum.members
     if cover.X_set is not None:
         Lambda = Lambda | cover.X_set
-    table = run.bohr_table(Lambda, cap)
+    table = run.bohr_table(Lambda, cap, run.bohr_table(spectrum.members, cap))
     ball = BohrSet(Lambda, float(radius), table.ball(radius))
     # the grid and the estimate read most radii more than once: count each once
     measure = functools.cache(table.measure)
@@ -549,7 +532,7 @@ def run_freiman(A: GroupSet, config: FreimanConfig) -> FreimanReport:
         guaranteed_radius=guaranteed,
         ball=ball,
         containment=run.difference().is_subset_of(ball.members),
-        chain=_chain(run, l, eps_used, K_l, ball),
+        chain=_chain(run, l, eps_used, K_l, ball, table),
         lowerbound=audit,
         dimension=dimension_estimate(measure, grid),
         measure_ratio=ball.measure / A.measure,

@@ -15,9 +15,8 @@ Every spectrum is cut by one rule (cut_spectrum): gamma is a member when
 |1_S^(gamma)| >= threshold - THRESHOLD_SLACK * mu(S). It reads a
 SpectrumIndex: the sorted characters whose modulus meets the rule at the
 index's own threshold, with their moduli, so a cut at any delta up to the
-index's reads the index alone. lspec cuts the index of the full transform
-(fourier.transform). spectrum_index, which a Freiman run calls once per
-set, picks its grid.
+index's reads the index alone. spectrum_index, which lspec calls once per
+cut and a Freiman run once per set, picks its grid.
 
 The zoom. Let S lie, on each cycle Z_{n_j}, in the arc of L_j points from
 a_j, and let Q_j >= L_j divide n_j, h_j = n_j / Q_j. S's indicator cropped
@@ -123,10 +122,9 @@ class SpectrumIndex:
 
 
 def lspec(A: GroupSet, delta: float) -> Spectrum:
-    """LSpec(A, delta) from the full transform; delta >= sqrt(2) yields the
-    full dual group."""
-    _check_cut(A, delta)
-    return cut_spectrum(_full_index(A, delta), delta)
+    """LSpec(A, delta), cut from the index spectrum_index builds at delta;
+    delta >= sqrt(2) yields the full dual group."""
+    return cut_spectrum(spectrum_index(A, delta), delta)
 
 
 def _check_cut(A: GroupSet, delta: float) -> None:

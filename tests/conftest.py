@@ -4,14 +4,29 @@ import sys
 
 import pytest
 
-#: A sumset cost model (c0, c1, c2, c3) under which the named route is free
-#: and the other is not.
-FREE_ROUTE = {"direct": (0.0, 0.0, 1.0, 1.0), "spectral": (1.0, 1.0, 0.0, 0.0)}
+from addcomb.groups import ORDER_CAP
 
-#: Prices (fixed part, exponential, multiply-add) of spectrum.GRID_COST under
-#: which the named grid wins the count: no zoom is cheaper than the full
-#: transform, or every admissible zoom is.
-FORCED_GRID = {"full": (math.inf,) * 3, "zoom": (0.0,) * 3}
+#: Each tuned crossover constant, by the name forced() takes it under: the
+#: module attribute the library reads at call time, and its two sides.
+CROSSOVERS = {
+    # sumset: the named route is free and the other is not
+    "route": ("addcomb.sets.SUMSET_COST", {"direct": (0.0, 0.0, 1.0, 1.0),
+                                           "spectral": (1.0, 1.0, 0.0, 0.0)}),
+    # the spectrum index: no zoom is cheaper than the full transform, or
+    # every admissible zoom is
+    "grid": ("addcomb.spectrum.GRID_COST", {"full": (math.inf,) * 3, "zoom": (0.0,) * 3}),
+    # GroupSet's form: a pass over the mask is never cheaper (every set holds
+    # its sorted indices), or always (one past the order cap)
+    "index": ("addcomb.sets.INDEX_COST", {"indices": (0, 0), "mask": (2 * ORDER_CAP, 0)}),
+    # a Bohr table's exact rows run over the whole half domain, or are
+    # gathered whenever anything is sieved
+    "gather": ("addcomb.bohr.GATHER_SHARE", {"never": 0.0, "always": 1.0}),
+    # the 16-bit pre-sieve runs every row, or stops at its first drop
+    "stop": ("addcomb.bohr.STOP_SHARE", {"every row": 0.0, "first drop": 1.0}),
+    # one row per block (survivors compacted after every row), or every row in
+    # one block
+    "block": ("addcomb.bohr.BLOCK_CELLS", {"one row": 1, "one block": 1 << 40}),
+}
 
 
 @pytest.fixture
@@ -42,52 +57,20 @@ def record_calls(monkeypatch):
 
 
 @pytest.fixture(scope="session")
-def forced_route():
-    """forced_route(route): a context in which every addcomb.sets.sumset that
-    runs a route takes route ("direct" or "spectral"), by rebinding
-    sets.SUMSET_COST, which the route rule reads at call time. It holds no
-    state, so hypothesis tests may use it."""
+def forced():
+    """forced(**sides): a context in which each crossover of CROSSOVERS
+    named by a keyword takes the named side (None leaves it as it is), by
+    rebinding the attribute the library reads at call time, e.g.
+    forced(route="direct") or forced(gather="always", stop="first drop").
+    It holds no state, so hypothesis tests may use it."""
 
     @contextlib.contextmanager
-    def force(route: str):
+    def force(**sides):
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr("addcomb.sets.SUMSET_COST", FREE_ROUTE[route])
-            yield
-
-    return force
-
-
-@pytest.fixture(scope="session")
-def forced_grid():
-    """forced_grid(grid): a context in which every spectrum.spectrum_index
-    takes the full transform ("full") or, wherever some coarse grid admits
-    a zoom, the zoom on the smallest such grid ("zoom"), by rebinding
-    spectrum.GRID_COST, which the grid rule reads at call time. It holds no
-    state, so hypothesis tests may use it."""
-
-    @contextlib.contextmanager
-    def force(grid: str):
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr("addcomb.spectrum.GRID_COST", FORCED_GRID[grid])
-            yield
-
-    return force
-
-
-@pytest.fixture(scope="session")
-def kernel_constants():
-    """kernel_constants(share, stop, block_cells): a context in which every
-    bohr.bohr_distance_table runs with another gather share, pre-sieve stop
-    share and block size, by rebinding bohr.GATHER_SHARE, bohr.STOP_SHARE and
-    bohr.BLOCK_CELLS, which the kernel reads at call time. It holds no
-    state, so hypothesis tests may use it."""
-
-    @contextlib.contextmanager
-    def force(share: float, stop: float, block_cells: int):
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr("addcomb.bohr.GATHER_SHARE", share)
-            patch.setattr("addcomb.bohr.STOP_SHARE", stop)
-            patch.setattr("addcomb.bohr.BLOCK_CELLS", block_cells)
+            for name, side in sides.items():
+                if side is not None:
+                    target, values = CROSSOVERS[name]
+                    patch.setattr(target, values[side])
             yield
 
     return force

@@ -8,7 +8,8 @@ import addcomb.sets
 from addcomb import bohr, verify
 from addcomb.bohr import (INCLUSION_SLACK, bohr_distance_table, bohr_family, bohr_set,
                           dimension_estimate, dyadic_dimension_grid,
-                          nearest_int_dist, nested_bohr_audit, rounding_check)
+                          nearest_int_dist, nested_bohr_audit, rounding_check,
+                          worst_distance)
 from addcomb.groups import FinAbGroup
 from addcomb.oracles import bohr_distance, phase_numerator_rows
 from addcomb.sets import GroupSet, Multiples, negate, sumset
@@ -155,12 +156,8 @@ def small_frequency_sets(draw):
 def sieve_cases(draw):
     """A frequency set with its oracle numerators, a radius cap at an edge of
     the distance values (0, exactly at a value, 1/M either side of it, 1/2 or
-    above), a kept set, a split of the frequencies into base + rest, and the
-    kernel's gather share, stop share and block size. A gather share of 1.0
-    gathers as soon as anything is sieved, and 0.0 runs every exact row over
-    all of G. A stop share of 0.0 runs every 16-bit row, and 1.0 stops the
-    pre-sieve at its first drop. 64 cells compact the survivors after nearly
-    every row."""
+    above), a split of the frequencies into base + rest, and the kernel's
+    sides (kernel_sides)."""
     freqs = draw(frequency_sets())
     g = freqs.group
     M = g.phase_denominator
@@ -170,12 +167,21 @@ def sieve_cases(draw):
     r_cap = {"zero": 0.0, "at": value / M, "below": max(value - 1, 0) / M,
              "above": (value + 1) / M, "half": 0.5, "beyond": 0.75}[
         draw(st.sampled_from(["zero", "at", "below", "above", "half", "beyond"]))]
-    keep = GroupSet(g, rng.random(g.order) < draw(st.sampled_from([0.0, 0.02, 0.3])))
     split = rng.random(g.order) < 0.5
-    share = draw(st.sampled_from([0.0, bohr.GATHER_SHARE, 1.0]))
-    stop = draw(st.sampled_from([0.0, bohr.STOP_SHARE, 1.0]))
-    block = draw(st.sampled_from([bohr.BLOCK_CELLS, 64]))
-    return freqs, nums, r_cap, keep, split, share, stop, block
+    return freqs, nums, r_cap, split, draw(kernel_sides())
+
+
+@st.composite
+def kernel_sides(draw):
+    """Sides of the Bohr kernel's constants for forced(): each left as it is
+    or forced to a side. Gathering always does so as soon as anything is
+    sieved, and never runs every exact row over all of G; a stop share of
+    "every row" runs every 16-bit row, and "first drop" stops the pre-sieve
+    at its first drop; one row per block compacts the survivors after every
+    row, and one block runs every row at once."""
+    return dict(gather=draw(st.sampled_from([None, "never", "always"])),
+                stop=draw(st.sampled_from([None, "every row", "first drop"])),
+                block=draw(st.sampled_from([None, "one row", "one block"])))
 
 
 #: first cycle lengths n_0, even (the half x_0 <= n_0 / 2 that a table's rows
@@ -188,9 +194,8 @@ def half_domain_cases(draw):
     """A frequency set over a group of rank 1-3 whose first cycle is even or
     odd, the numerators of its distances by the scalar oracle at every
     element, a radius cap at a distance value or 1/M either side of it, a
-    kept set that holds some x but not -x, a base (none, dense, held as
-    survivors, or covering every row) on a random part of the frequencies,
-    and the kernel's gather share, stop share and block size."""
+    base (none, dense, held as survivors, or covering every row) on a random
+    part of the frequencies, and the kernel's sides (kernel_sides)."""
     rank = draw(st.integers(1, 3))
     g = FinAbGroup([draw(st.sampled_from(FIRST_CYCLES))]
                    + draw(st.lists(st.sampled_from([2, 3, 4, 5, 6]),
@@ -201,52 +206,42 @@ def half_domain_cases(draw):
     nums = np.array([round(bohr_distance(g.element(x), g.zero, freqs) * M)
                      for x in range(g.order)])
     value = int(nums[rng.integers(g.order)]) + draw(st.sampled_from([-1, 0, 1]))
-    keep = rng.random(g.order) < draw(st.sampled_from([0.0, 0.05, 0.3]))
-    lone = int(rng.integers(g.order))
-    keep[g.negation_permutation()[lone]], keep[lone] = False, True
     split = rng.random(g.order) < 0.5
     base = draw(st.sampled_from(["none", "dense", "survivors", "covering"]))
-    share = draw(st.sampled_from([0.0, bohr.GATHER_SHARE, 1.0]))
-    stop = draw(st.sampled_from([0.0, bohr.STOP_SHARE, 1.0]))
-    block = draw(st.sampled_from([bohr.BLOCK_CELLS, 64]))
-    return (freqs, nums, max(value, 0) / M, GroupSet(g, keep), split, base,
-            (share, stop, block))
+    return freqs, nums, max(value, 0) / M, split, base, draw(kernel_sides())
 
 
 class TestHalfDomain:
     """A table's rows over G run on one element of each pair {x, -x}; its
     survivors come back as x and -x, and it holds exactly the elements
-    within its cap or kept."""
+    within its cap."""
 
     @settings(max_examples=120, deadline=None)
     @given(half_domain_cases())
-    def test_held_elements_and_numerators_match_the_scalar_oracle(self, kernel_constants,
-                                                                   case):
-        freqs, nums, r_cap, keep, split, base_kind, constants = case
+    def test_held_elements_and_numerators_match_the_scalar_oracle(self, forced, case):
+        freqs, nums, r_cap, split, base_kind, sides = case
         g = freqs.group
         M = g.phase_denominator
         inner = GroupSet(g, freqs.mask & split)
-        with kernel_constants(*constants):
+        with forced(**sides):
             if base_kind == "none":
-                table = bohr_distance_table(freqs, r_cap, keep)
+                table = bohr_distance_table(freqs, r_cap)
             elif base_kind == "covering":
                 # negatives and the trivial character: no row is left
-                base = bohr_distance_table(freqs, r_cap, keep)
-                table = bohr_distance_table(negate(freqs) | freq_set(g, 0), r_cap, keep,
-                                            base=base)
+                base = bohr_distance_table(freqs, r_cap)
+                table = bohr_distance_table(negate(freqs) | freq_set(g, 0), r_cap, base=base)
                 assert table.num is base.num and table.at is base.at
             else:
-                with kernel_constants(1.0, constants[1], constants[2]):
-                    base = bohr_distance_table(inner, 0.5 if base_kind == "dense" else r_cap,
-                                               keep)
-                table = bohr_distance_table(GroupSet(g, freqs.mask & ~split), r_cap, keep,
+                with forced(gather="always"):
+                    base = bohr_distance_table(inner, 0.5 if base_kind == "dense" else r_cap)
+                table = bohr_distance_table(GroupSet(g, freqs.mask & ~split), r_cap,
                                             base=base)
         assert table.num.dtype == np.int32
         if table.at is None:
             assert table.r_cap == 0.5
             assert np.array_equal(table.num, nums)
         else:
-            held = (nums / M <= r_cap + INCLUSION_SLACK) | keep.mask
+            held = nums / M <= r_cap + INCLUSION_SLACK
             assert table.r_cap == r_cap and table.at.dtype == np.int64
             assert np.array_equal(table.at, np.flatnonzero(held))
             assert np.array_equal(table.num, nums[held])
@@ -255,18 +250,17 @@ class TestHalfDomain:
 class TestSievedTable:
     @settings(max_examples=150, deadline=None)
     @given(sieve_cases())
-    def test_matches_oracle_within_the_cap_and_on_kept(self, kernel_constants, case):
-        # a sieved table holds the elements within the cap and the kept ones;
-        # a dense one holds every element, at cap 1/2
-        freqs, nums, r_cap, keep, split, share, stop, block = case
+    def test_matches_oracle_within_the_cap_and_on_kept(self, forced, case):
+        # a sieved table holds exactly the elements within the cap; a dense
+        # one holds every element, at cap 1/2
+        freqs, nums, r_cap, split, sides = case
         g = freqs.group
         M = g.phase_denominator
-        exact = (nums / M <= r_cap + INCLUSION_SLACK) | keep.mask
-        with kernel_constants(share, stop, block):
-            whole = bohr_distance_table(freqs, r_cap, keep)
-            base = bohr_distance_table(GroupSet(g, freqs.mask & split), r_cap, keep)
-            nested = bohr_distance_table(GroupSet(g, freqs.mask & ~split), r_cap, keep,
-                                         base=base)
+        exact = nums / M <= r_cap + INCLUSION_SLACK
+        with forced(**sides):
+            whole = bohr_distance_table(freqs, r_cap)
+            base = bohr_distance_table(GroupSet(g, freqs.mask & split), r_cap)
+            nested = bohr_distance_table(GroupSet(g, freqs.mask & ~split), r_cap, base=base)
         for table in (whole, nested):
             view = table.distances()
             held = np.ones(g.order, dtype=bool) if table.at is None else exact
@@ -284,7 +278,7 @@ class TestSievedTable:
     def test_cap_at_half_is_the_dense_table(self, freqs):
         expected = oracle_table(freqs)
         for r_cap in (0.5, 1.0):
-            table = bohr_distance_table(freqs, r_cap, GroupSet.empty(freqs.group))
+            table = bohr_distance_table(freqs, r_cap)
             assert np.array_equal(table.distances(), expected)
 
     def test_reads_between_the_cap_and_half_raise(self):
@@ -296,8 +290,6 @@ class TestSievedTable:
         for radius in (0.1 + 1e-12, 0.25, 0.3, 0.4999):
             with pytest.raises(ValueError, match="cap"):
                 table.ball(radius)
-        with pytest.raises(ValueError, match="cap"):
-            table.exact(GroupSet.full(g))  # far elements were neither kept nor within
 
     def test_a_sieved_table_counts_fewer_cells(self):
         g = FinAbGroup([2 ** 14])
@@ -313,32 +305,32 @@ class TestSievedTable:
         assert sieved.ball(0.05) == dense.ball(0.05)
 
     @pytest.mark.parametrize("branch", ["gather", "dense fallback", "dense", "base gather"])
-    def test_each_branch_matches_the_oracle(self, kernel_constants, branch):
+    def test_each_branch_matches_the_oracle(self, forced, branch):
         # in Z_3 x Z_9 (M = 9, so the cap 0.4 sieves at 3/9) the characters of
         # order 3 keep every distance at 1/3 or below, and the cap drops nothing;
         # the interval's frequencies in Z_4096 drop most elements at 0.05
         small, large = FinAbGroup([3, 9]), FinAbGroup([4096])
         order_three = GroupSet.from_coords(small, [(a, b) for a in range(3) for b in (0, 3, 6)])
-        freqs, r_cap, share, stop = {
-            "gather": (GroupSet.from_indices(large, range(1, 40)), 0.05, 0.25, 0.1),
-            "dense fallback": (order_three, 0.4, 1.0, 0.0),
-            "dense": (GroupSet.from_indices(large, range(1, 40)), 0.05, 0.0, 0.1),
-            "base gather": (GroupSet.from_indices(large, range(1, 40)), 0.05, 0.25, 0.1),
+        interval = GroupSet.from_indices(large, range(1, 40))
+        freqs, r_cap, sides = {
+            "gather": (interval, 0.05, {}),
+            "dense fallback": (order_three, 0.4, dict(gather="always", stop="every row")),
+            "dense": (interval, 0.05, dict(gather="never")),
+            "base gather": (interval, 0.05, {}),
         }[branch]
         g = freqs.group
-        keep = GroupSet.from_indices(g, [0, 7, g.order - 1])
         base = None
         if branch == "base gather":
-            # the base leaves fewer than the stop share, so no 16-bit row runs
-            base = bohr_distance_table(freq_set(g, 40), r_cap, keep)
-            assert np.isfinite(base.distances()).mean() < stop
-        with kernel_constants(share, stop, bohr.BLOCK_CELLS):
-            table = bohr_distance_table(freqs, r_cap, keep, base=base)
+            # the base is held as survivors, a tenth of G, so no row runs over G
+            base = bohr_distance_table(freq_set(g, 40), r_cap)
+            assert base.at is not None and np.isfinite(base.distances()).mean() < 0.1
+        with forced(**sides):
+            table = bohr_distance_table(freqs, r_cap, base=base)
         nums = oracle_numerators(freqs if base is None else freqs | freq_set(g, 40))
         M = g.phase_denominator
-        # a gathered table holds the elements within the cap and the kept ones,
-        # a dense one every element
-        held = (nums / M <= r_cap + INCLUSION_SLACK) | keep.mask
+        # a gathered table holds exactly the elements within the cap, a dense
+        # one every element
+        held = nums / M <= r_cap + INCLUSION_SLACK
         if branch in ("dense fallback", "dense"):
             held[:] = True
         view = table.distances()
@@ -364,21 +356,20 @@ class TestSievedTable:
         # the new frequencies are the trivial character and negatives of the
         # base's, so no row is left: the base's distances come back, no cells
         g = FinAbGroup([64])
-        keep = GroupSet.from_indices(g, [7, 30])
-        base = bohr_distance_table(freq_set(g, 1, 5), 0.1, keep)
+        base = bohr_distance_table(freq_set(g, 1, 5), 0.1)
         for freqs in (freq_set(g, 0, 63, 59), freq_set(g, 63), GroupSet.empty(g)):
-            table = bohr_distance_table(freqs, 0.1, keep, base=base)
-            union = bohr_distance_table(freqs | freq_set(g, 1, 5), 0.1, keep)
+            table = bohr_distance_table(freqs, 0.1, base=base)
+            union = bohr_distance_table(freqs | freq_set(g, 1, 5), 0.1)
             assert (table.distances().tobytes() == union.distances().tobytes()
                     == base.distances().tobytes())
             assert table.cells == 0 and table.r_cap == 0.1
             assert table.covers == base.covers | set(freqs.indices().tolist())
 
-    def test_rejects_a_mismatched_base_and_a_negative_cap(self, kernel_constants):
+    def test_rejects_a_mismatched_base_and_a_negative_cap(self, forced):
         # a dense base states cap 1/2 and serves every cap; a sieved one only
         # caps at or below its own
         g = FinAbGroup([32])
-        with kernel_constants(1.0, bohr.STOP_SHARE, bohr.BLOCK_CELLS):
+        with forced(gather="always"):
             base = bohr_distance_table(freq_set(g, 1), 0.2)
         assert base.at is not None
         with pytest.raises(ValueError, match="base"):
@@ -422,7 +413,7 @@ class TestPresieve:
                 assert (coarse <= limit.reshape(len(block), -1)).all()
 
     @pytest.mark.parametrize("cycles", [[3, 5, 7], [35, 63], [6, 10, 14]], ids=str)
-    def test_no_element_within_the_cap_or_kept_is_dropped(self, kernel_constants, cycles):
+    def test_no_element_within_the_cap_or_kept_is_dropped(self, forced, cycles):
         # caps exactly at each distance value of the table and 1/M either side
         g = FinAbGroup(cycles)
         M = g.phase_denominator
@@ -430,7 +421,6 @@ class TestPresieve:
         dropped = 0
         for size in (1, 3, 12):
             freqs = GroupSet.from_indices(g, rng.integers(1, g.order, size=size))
-            keep = GroupSet(g, rng.random(g.order) < 0.05)
             nums = oracle_numerators(freqs)
             coords = g.decode_array(freqs.indices())
             for num in {v + e for v in np.unique(nums).tolist() for e in (-1, 0, 1)}:
@@ -438,14 +428,14 @@ class TestPresieve:
                 if num < 0 or cap is None:  # below 0, or every element passes
                     continue
                 alive = np.ones(g.order, dtype=bool)
-                with kernel_constants(bohr.GATHER_SHARE, 0.0, bohr.BLOCK_CELLS):
+                with forced(stop="every row"):
                     assert bohr._presieve(g, coords, g.invariants, cap, alive)[1] == coords.shape[1]
-                    view = bohr_distance_table(freqs, num / M, keep).distances()
+                    view = bohr_distance_table(freqs, num / M).distances()
                 assert alive[nums <= cap].all()
                 dropped += np.count_nonzero(~alive)
-                # a gathered table holds the elements within the cap and the
-                # kept ones, a dense one every element
-                held = (nums <= cap) | keep.mask
+                # a gathered table holds exactly the elements within the cap, a
+                # dense one every element
+                held = nums <= cap
                 if np.isfinite(view).all():
                     held[:] = True
                 assert np.array_equal(np.isfinite(view), held)
@@ -715,12 +705,10 @@ class TestSurvivorsTable:
         return np.array([bohr_distance(g.element(x), g.zero, freqs) for x in range(g.order)])
 
     @staticmethod
-    def assert_reads(table, dist, keep, r_cap):
-        # a sieved table at r_cap holds the elements within it and the kept
-        # ones; a dense one holds every element and reads every radius
-        g = table.group
-        kept = np.zeros(g.order, dtype=bool) if keep is None else keep.mask
-        held = (dist <= r_cap + INCLUSION_SLACK) | kept
+    def assert_reads(table, dist, r_cap):
+        # a sieved table at r_cap holds exactly the elements within it; a
+        # dense one holds every element and reads every radius
+        held = dist <= r_cap + INCLUSION_SLACK
         view = table.distances()
         assert table.num.dtype == np.int32
         if table.at is None:
@@ -737,8 +725,6 @@ class TestSurvivorsTable:
             ball = dist <= radius + INCLUSION_SLACK
             assert np.array_equal(table.ball(radius).mask, ball)
             assert table.measure(radius) == np.count_nonzero(ball)
-        members = GroupSet(g, held & (np.arange(g.order) % 3 == 0))
-        assert np.array_equal(table.exact(members), dist[members.mask])
 
     @pytest.mark.parametrize("cycles", [[97], [12, 10], [6, 6, 4]], ids=str)
     def test_reads_match_the_oracle_at_every_cap(self, cycles):
@@ -749,14 +735,13 @@ class TestSurvivorsTable:
         between = float(np.median(dist))
         dense = set()
         for r_cap in (0.0, between, 0.5, 0.7):
-            for keep in (None, GroupSet(g, rng.random(g.order) < 0.1)):
-                table = bohr_distance_table(freqs, r_cap, keep)
-                dense.add(table.at is None)
-                self.assert_reads(table, dist, keep, r_cap)
+            table = bohr_distance_table(freqs, r_cap)
+            dense.add(table.at is None)
+            self.assert_reads(table, dist, r_cap)
         assert dense == {True, False}  # both forms were read
 
     @pytest.mark.parametrize("cycles", [[97], [12, 10], [6, 6, 4]], ids=str)
-    def test_a_base_with_a_higher_cap(self, kernel_constants, cycles):
+    def test_a_base_with_a_higher_cap(self, forced, cycles):
         # the base's cap is above the table's: its survivors (or all of G at
         # cap 1/2 and above) are read down to the table's own cap
         g = FinAbGroup(cycles)
@@ -766,38 +751,37 @@ class TestSurvivorsTable:
         dist = self.oracle(outer)
         low = float(np.quantile(dist, 0.2))
         forms = set()
-        for keep in (None, GroupSet(g, rng.random(g.order) < 0.1)):
-            for high in (float(np.quantile(self.oracle(inner), 0.6)), 0.5):
-                # a gather share of 1 gathers the base whenever its cap sieves
-                with kernel_constants(1.0, bohr.STOP_SHARE, bohr.BLOCK_CELLS):
-                    base = bohr_distance_table(inner, high, keep)
-                forms.add(base.at is None)
-                table = bohr_distance_table(outer, low, keep, base=base)
-                assert table.covers == set(outer.indices().tolist())
-                self.assert_reads(table, dist, keep, low)
-                # no row left (the negatives of the base's frequencies): the
-                # base's numerators, read at the base's cap
-                recapped = bohr_distance_table(negate(inner), low, keep, base=base)
-                assert recapped.cells == 0 and recapped.r_cap == base.r_cap
-                self.assert_reads(recapped, self.oracle(inner), keep, high)
-            with kernel_constants(1.0, bohr.STOP_SHARE, bohr.BLOCK_CELLS):
-                lower = bohr_distance_table(inner, 0.4, keep)
-            assert lower.at is not None
-            with pytest.raises(ValueError, match="base"):
-                bohr_distance_table(outer, 0.45, keep, base=lower)
+        for high in (float(np.quantile(self.oracle(inner), 0.6)), 0.5):
+            # gathering always, the base is gathered whenever its cap sieves
+            with forced(gather="always"):
+                base = bohr_distance_table(inner, high)
+            forms.add(base.at is None)
+            table = bohr_distance_table(outer, low, base=base)
+            assert table.covers == set(outer.indices().tolist())
+            self.assert_reads(table, dist, low)
+            # no row left (the negatives of the base's frequencies): the
+            # base's numerators, read at the base's cap
+            recapped = bohr_distance_table(negate(inner), low, base=base)
+            assert recapped.cells == 0 and recapped.r_cap == base.r_cap
+            self.assert_reads(recapped, self.oracle(inner), high)
+        with forced(gather="always"):
+            lower = bohr_distance_table(inner, 0.4)
+        assert lower.at is not None
+        with pytest.raises(ValueError, match="base"):
+            bohr_distance_table(outer, 0.45, base=lower)
         assert forms == {True, False}  # sieved and dense bases were read
 
     @settings(max_examples=40, deadline=None)
     @given(small_frequency_sets(), st.sampled_from([0.0, 0.05, 0.25, 0.5, 0.75]),
            st.booleans(), st.integers(0, 2 ** 32 - 1))
-    def test_a_dense_table_is_exact_everywhere(self, kernel_constants, freqs, r_cap, on_base, seed):
+    def test_a_dense_table_is_exact_everywhere(self, forced, freqs, r_cap, on_base, seed):
         # whatever cap it was asked for, a table whose rows ran over all of G
         # holds every distance and answers every radius
         g = freqs.group
         M = g.phase_denominator
         dist = self.oracle(freqs)
         split = np.random.default_rng(seed).random(g.order) < 0.5
-        with kernel_constants(0.0, bohr.STOP_SHARE, bohr.BLOCK_CELLS):  # never gathers
+        with forced(gather="never"):
             if on_base:
                 base = bohr_distance_table(GroupSet(g, freqs.mask & split), r_cap)
                 assert base.at is None and base.r_cap == 0.5
@@ -806,7 +790,6 @@ class TestSurvivorsTable:
                 table = bohr_distance_table(freqs, r_cap)
         assert table.at is None and table.r_cap == 0.5
         assert np.array_equal(table.distances(), dist)
-        assert np.array_equal(table.exact(GroupSet.full(g)), dist)
         values = np.unique(dist).tolist()
         for radius in values + [v + 0.5 / M for v in values] + [0.25, 0.4999, 0.5, 0.9]:
             ball = dist <= radius + INCLUSION_SLACK
@@ -814,39 +797,36 @@ class TestSurvivorsTable:
             assert table.measure(radius) == np.count_nonzero(ball)
 
     @pytest.mark.parametrize("cycles", [[97], [12, 10], [6, 6, 4]], ids=str)
-    def test_no_row_left_holds_a_sieved_base(self, kernel_constants, cycles):
+    def test_no_row_left_holds_a_sieved_base(self, forced, cycles):
         # the trivial character and the negatives of the base's frequencies add
         # no row: the table holds the base's numerators and survivors, at the
         # base's higher cap
         g = FinAbGroup(cycles)
         rng = np.random.default_rng(30 + len(cycles))
         inner = GroupSet.from_indices(g, rng.integers(1, g.order, size=2))
-        keep = GroupSet(g, rng.random(g.order) < 0.1)
-        with kernel_constants(1.0, bohr.STOP_SHARE, bohr.BLOCK_CELLS):
-            base = bohr_distance_table(inner, 0.3, keep)
+        with forced(gather="always"):
+            base = bohr_distance_table(inner, 0.3)
         assert base.at is not None
-        table = bohr_distance_table(negate(inner) | freq_set(g, 0), 0.1, keep, base=base)
+        table = bohr_distance_table(negate(inner) | freq_set(g, 0), 0.1, base=base)
         assert table.num is base.num and table.at is base.at
         assert table.r_cap == 0.3 and table.cells == table.coarse_cells == 0
-        self.assert_reads(table, self.oracle(inner), keep, 0.3)
+        self.assert_reads(table, self.oracle(inner), 0.3)
 
-    @pytest.mark.parametrize("cycles", [[97], [12, 10], [6, 6, 4]], ids=str)
-    def test_a_sieved_base_holds_every_kept_element(self, cycles):
-        # a base held as survivors has no numerator for an element it dropped,
-        # so a table that keeps one cannot be built on it
-        g = FinAbGroup(cycles)
-        rng = np.random.default_rng(20 + len(cycles))
-        inner = GroupSet.from_indices(g, rng.integers(1, g.order, size=2))
-        outer = inner | GroupSet.from_indices(g, rng.integers(1, g.order, size=2))
-        dist = self.oracle(inner)
-        cap = 0.0
-        far = GroupSet.from_indices(g, [int(np.argmax(dist))])
-        base = bohr_distance_table(inner, cap)
-        assert base.at is not None  # held as survivors
-        for freqs in (outer, negate(inner)):
-            with pytest.raises(ValueError, match="kept"):
-                bohr_distance_table(freqs, cap, far, base=base)
-        # a base that keeps the element, or a dense one, serves
-        for base in (bohr_distance_table(inner, cap, far), bohr_distance_table(inner, 0.5)):
-            table = bohr_distance_table(outer, cap, far, base=base)
-            self.assert_reads(table, self.oracle(outer), far, cap)
+
+class TestWorstDistance:
+    """A - A's worst distance in a Freiman run, from direct phases at its
+    elements alone."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(frequency_sets(), st.integers(0, 2 ** 32 - 1))
+    def test_matches_the_scalar_oracle(self, freqs, seed):
+        # random elements and the farthest one of G, which lies past every cap
+        # below its own distance
+        g = freqs.group
+        rng = np.random.default_rng(seed)
+        far = int(np.argmax(oracle_numerators(freqs)))
+        members = GroupSet.from_indices(
+            g, rng.integers(0, g.order, size=int(rng.integers(0, 8))).tolist() + [far])
+        expected = max(bohr_distance(g.element(int(x)), g.zero, freqs)
+                       if freqs.cardinality else 0.0 for x in members.indices())
+        assert worst_distance(freqs, members) == expected

@@ -283,12 +283,13 @@ def test_verify_suite(capsys):
 def test_config_file(set_file, tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(dumps({"dim_grid_cap": 5, "max_retries": 1}))
+    # the run escapes at 0.125 and 0.25, and would retry up to 0.5 by default
     code, payload = run_cli(capsys, "--config", str(cfg), "freiman", set_file,
-                            "--d", "1.0", "--epsilon", "0.5")
+                            "--d", "1.0", "--epsilon", "0.125")
     assert code == 0
     assert payload["config"]["dim_grid_cap"] == 5
     assert payload["config"]["max_retries"] == 1
-    assert payload["epsilon_retries"] == [0.5, 1.0]
+    assert payload["epsilon_retries"] == [0.125, 0.25]
 
 
 def test_usage_error_exit_code():

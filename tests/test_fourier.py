@@ -118,13 +118,13 @@ class TestConvolve:
         want[[0, 1, 2]] = (1, 2, 1)
         assert np.array_equal(out, want)  # exact: integer snapping
 
-    def test_support_equals_sumset(self, forced_route):
+    def test_support_equals_sumset(self, forced):
         rng = np.random.default_rng(4)
         for _ in range(10):
             g = rand_group(rng, 256)
             A, B = rand_set(rng, g), rand_set(rng, g)
             conv = convolve(A, B)
-            with forced_route("direct"):
+            with forced(route="direct"):
                 assert GroupSet(g, conv >= 0.5) == sumset(A, B)
 
     def test_indicator_values_are_integers(self):

@@ -7,7 +7,7 @@ import pathlib
 
 import pytest
 
-from addcomb import bourgain
+from addcomb import bohr, bourgain
 
 PATH = pathlib.Path(__file__).resolve().parent.parent / "tools" / "ladder.py"
 
@@ -27,7 +27,7 @@ def rows(out: str) -> list[dict]:
 def test_the_smallest_rungs_agree(ladder, capsys):
     assert ladder.main(["birkhoff", "--max-exp", "12", "--check-max-exp", "12",
                         "--repeats", "1"]) == 0
-    assert ladder.main(["bohr", "--max-exp", "16", "--shares", "0", "0.25",
+    assert ladder.main(["bohr", "--max-exp", "17", "--shares", "0", "0.25",
                         "--repeats", "1"]) == 0
     out, err = capsys.readouterr()
     assert err == ""
@@ -35,7 +35,21 @@ def test_the_smallest_rungs_agree(ladder, capsys):
     assert [r["oracle"] for r in checked if r["section"] == "birkhoff"] == [True] * 3
     # two shares, each on the picked grid and on the full one
     assert [(r["group"], r["share"]) for r in checked if r["section"] == "bohr"] == [
-        ("Z_2^16", 0.0), ("Z_2^16", 0.0), ("Z_2^16", 0.25), ("Z_2^16", 0.25)]
+        (group, share) for group in ("Z_2^16", "Z_2^17", "Z_256 x Z_512")
+        for share in (0.0, 0.0, 0.25, 0.25)]
+    # the rank-2 rung's ball table is gathered at the default share
+    assert [t["held"] < 2 ** 17 for t in checked[-1]["tables"]] == [False, True, True]
+
+
+def test_a_bohr_table_sieved_one_unit_low_is_named(ladder, capsys, monkeypatch):
+    # a gathered table drops the elements exactly at its cap's numerator
+    sieve = bohr._sieve
+    monkeypatch.setattr(bohr, "_sieve", lambda g, sums, state, at, cap, *rest: sieve(
+        g, sums, state, at, cap - 1, *rest))
+    assert ladder.main(["bohr", "--max-exp", "17", "--shares", "0", "0.25",
+                        "--repeats", "1"]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "bohr Z_256 x Z_512: the shares or grids give different mu(B) or report bytes"]
 
 
 def test_a_broken_route_is_named(ladder, capsys, monkeypatch):

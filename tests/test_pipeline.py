@@ -7,8 +7,10 @@ import numpy as np
 import pytest
 
 import addcomb
-from addcomb.bohr import DistanceTable, bohr_distance_table
+from conftest import CROSSOVERS
+from addcomb.bohr import INCLUSION_SLACK, DistanceTable, bohr_distance_table
 from addcomb.groups import FinAbGroup
+from addcomb.oracles import phase_numerator_rows
 from addcomb.pipeline import (FreimanConfig, FreimanRun, chain_cap, find_l,
                               lowerbound_audit, measured_growth_exponent, read_cap,
                               run_freiman, spectrum_cover)
@@ -109,11 +111,15 @@ class TestSpectrumCover:
     def test_escape_branch_when_epsilon_large(self):
         # (2r + 1/2) eps <= 1 admits no r >= 2 once eps > 2/9
         A = interval(64, 2)
-        for eps in (0.6, 1.9):
+        for eps in (0.25, 0.5):
             cover = spectrum_cover(FreimanRun(A), 2, eps)
             assert cover.escape
             assert cover.r is None
             assert cover.r_max < 2
+        # past 1/2, the paper's range, epsilon is rejected where it is called
+        for eps in (0.6, 1.9):
+            with pytest.raises(ValueError, match="epsilon"):
+                spectrum_cover(FreimanRun(A), 2, eps)
 
     def test_rejects_bad_epsilon(self):
         with pytest.raises(ValueError):
@@ -211,7 +217,7 @@ class TestRunFreiman:
         assert rep.l == 2
         assert rep.K_l == pytest.approx(1.8)
         assert rep.escape_flagged  # r-candidates are capped out at eps = 0.5
-        assert rep.epsilon_retries == (0.5, 1.0, 2.0, 4.0, 8.0)
+        assert rep.epsilon_retries == (0.5,)  # no retry doubles eps past 1/2
         assert rep.epsilon_used == 0.5
         assert rep.spectrum.count == 11
         assert rep.radius == pytest.approx(4 * 0.5 * math.sqrt(2 * 1.8))
@@ -304,9 +310,10 @@ def report_digest(report) -> str:
 # report_digest, recorded from the unsieved dense tables: (cycles, A, d,
 # epsilon, digest), one instance per branch of the cap
 SIEVE_DIGESTS = [
-    # radius >= 1/2 (the escaping acceptance run): the grid reads down to 0.47
+    # radius >= 1/2 (the escaping acceptance run): the grid reads down to 0.47;
+    # re-recorded when its retries stopped at eps = 1/2 (epsilon_retries [0.5])
     ([256], 2, 1.0, 0.5,
-     "8632c9c8f1749822bc61962eec9d6272171f2cf692e16f1f386e51155667bf93"),
+     "9cafe7bd0a7eb23f401fe878c1113107b6eba2562db118fe20e7b89799758f32"),
     # 2^9 eps < 1/2 sets the cap
     ([4096], 2, 1.0, 0.0005,
      "522019e648b9f0399e75157f3bfc3dfdb203cb86bf956be4ff861d3a733029d4"),
@@ -365,52 +372,79 @@ class TestSievedRun:
         with pytest.raises(ValueError, match="cap"):
             results[-1].ball((caps[-1] + 0.5) / 2)
 
-    def test_the_audit_reads_the_spectrums_table(self, record_calls, monkeypatch):
-        # inside a run the audit is served the spectrum's table object itself
+    def test_each_table_is_built_on_the_one_before(self, record_calls, monkeypatch):
+        # the spectrum's table, the ball's on it and the chain's on the
+        # ball's; the audit and chain link 1 read A - A off no table
         results, served = [], []
         record_calls(addcomb.bohr, "bohr_distance_table", results)
+        worst = record_calls(addcomb.bohr, "worst_distance")
         bohr_table = FreimanRun.bohr_table
+        monkeypatch.setattr(FreimanRun, "bohr_table", staticmethod(
+            lambda freqs, r_cap, base=None: served.append((freqs, r_cap, base))
+            or bohr_table(freqs, r_cap, base)))
+        A = interval(2 ** 14, 16)
+        report = run_freiman(A, FreimanConfig(d=1.0, epsilon=0.05))
+        eps = report.epsilon_used
+        cap = read_cap(report.radius, eps)
+        spec2 = lspec(iterate(report.l, A), 2 * eps).members
+        assert [(freqs, r_cap) for freqs, r_cap, _ in served] == [
+            (report.spectrum.members, cap), (report.ball.frequencies, cap),
+            (spec2, chain_cap(eps))]
+        assert len(results) == 3
+        assert [base for *_, base in served] == [None, results[0], results[1]]
+        AmA = difference(A, A)
+        assert worst == [(report.spectrum.members, AmA), (spec2, AmA)]
 
-        def recording(run, freqs, r_cap):
-            built = len(results)
-            table = bohr_table(run, freqs, r_cap)
-            served.append((freqs, r_cap, table, len(results) - built))
-            return table
-
-        monkeypatch.setattr(FreimanRun, "bohr_table", recording)
-        report = run_freiman(interval(2 ** 14, 16), FreimanConfig(d=1.0, epsilon=0.05))
-        cap, eps = read_cap(report.radius, report.epsilon_used), report.epsilon_used
-        assert [(r, n) for _, r, _, n in served] == [
-            (cap, 1), (None, 0), (cap, 1), (chain_cap(eps), 1)]
-        assert served[1][0] == served[0][0] == report.spectrum.members
-        assert served[1][2] is served[0][2] is results[0]
-
-    def test_an_audit_outside_a_run_builds_one_unsieved_table(self, record_calls):
+    def test_each_table_holds_exactly_the_elements_within_its_cap(self, record_calls):
+        # a sieved table of a run holds {x : dist(x) <= r_cap}, and no more:
+        # with the radius 2^-4, the Z_256 run's A - A lies past the chain's cap
         results = []
-        calls = record_calls(addcomb.bohr, "bohr_distance_table", results)
+        record_calls(addcomb.bohr, "bohr_distance_table", results)
+        rank3 = GroupSet.from_coords(FinAbGroup([256, 8, 8]),
+                                     [(x, y, 0) for x in range(-2, 3) for y in (0, 1)])
+        runs = [(interval(2 ** 14, 16), 1.0, 0.05, None), (interval(4096, 2), 1.0, 0.02, None),
+                (rank3, 1.0, 0.05, None), (interval(256, 2), 1.0, 0.5, 2 ** -4)]
+        for A, d, eps, radius in runs:
+            results.clear()
+            run_freiman(A, FreimanConfig(d=d, epsilon=eps, radius=radius))
+            assert any(t.at is not None for t in results)
+            for table in results:
+                g, M = table.group, table.group.phase_denominator
+                num = phase_numerator_rows(g, sorted(table.covers))
+                dist = np.minimum(num, M - num).max(axis=0, initial=0) / M
+                held = (np.ones(g.order, dtype=bool) if table.at is None
+                        else dist <= table.r_cap + INCLUSION_SLACK)
+                view = table.distances()
+                assert np.array_equal(np.isfinite(view), held)
+                assert np.array_equal(view[held], dist[held])
+
+    def test_an_audit_builds_no_table(self, record_calls):
+        # the audit reads A - A alone, by worst_distance
+        calls = record_calls(addcomb.bohr, "bohr_distance_table")
         run = FreimanRun(interval(512, 5))
         audit = lowerbound_audit(run, 2, 0.1)
-        assert audit.holds and len(calls) == 1
-        assert results[0].at is None and results[0].r_cap == 0.5
-        # asked again, the run serves the same table and lists it once
-        assert lowerbound_audit(run, 2, 0.1) == audit and len(calls) == 1
-        assert run.bohr_table(run.spectrum(2, 0.1).members, None) is results[0]
-        assert [t for _, t in run._tables] == results
+        assert audit.holds and not calls
+        assert lowerbound_audit(run, 2, 0.1) == audit
+        dense = bohr_distance_table(run.spectrum(2, 0.1).members)
+        assert audit.max_distance == dense.distances()[run.difference().mask].max()
 
     def test_a_base_needs_a_cap_at_or_above_the_table(self, monkeypatch):
-        bases, table = [], addcomb.bohr.bohr_distance_table
-        monkeypatch.setattr(addcomb.bohr, "bohr_distance_table", lambda *args, base=None, **kw: (
-            bases.append(base) or table(*args, base=base, **kw)))
-        run = FreimanRun(interval(256, 2))
-        g = run.A.group
-        low = run.bohr_table(GroupSet.from_indices(g, [0, 1, 255]), 0.1)
-        # the table at 0.1 cannot serve a table at 0.2, so it is built afresh
-        high = run.bohr_table(GroupSet.from_indices(g, [0, 1, 3, 253, 255]), 0.2)
-        # both could serve one at 0.05: the one of more frequencies does
+        calls, table = [], addcomb.bohr.bohr_distance_table
+        monkeypatch.setattr(addcomb.bohr, "bohr_distance_table", lambda freqs, *args, base=None: (
+            calls.append((freqs, base)) or table(freqs, *args, base=base)))
+        g = FinAbGroup([256])
+        low = FreimanRun.bohr_table(GroupSet.from_indices(g, [0, 1, 255]), 0.1)
+        high = FreimanRun.bohr_table(GroupSet.from_indices(g, [0, 1, 3, 253, 255]), 0.2)
+        # the table at 0.1 cannot serve as the base of a table at 0.2
+        with pytest.raises(ValueError, match="base"):
+            FreimanRun.bohr_table(GroupSet.from_indices(g, [0, 1, 3, 253, 255]), 0.2, low)
+        # the one at 0.2 serves one at 0.05: only the frequencies it does not
+        # cover get rows
         freqs = GroupSet.from_indices(g, [0, 1, 3, 7, 249, 253, 255])
-        lower = run.bohr_table(freqs, 0.05)
-        assert bases == [None, None, high] and low.r_cap == 0.1
-        fresh = table(freqs, 0.05, run.difference())
+        lower = FreimanRun.bohr_table(freqs, 0.05, high)
+        assert [base for _, base in calls] == [None, None, low, high] and low.r_cap == 0.1
+        assert calls[-1][0] == GroupSet.from_indices(g, [7, 249])
+        fresh = table(freqs, 0.05)
         assert np.array_equal(lower.distances(), fresh.distances())
 
 
@@ -452,58 +486,62 @@ GRID_RUNS = [
     (GroupSet.from_coords(FinAbGroup([64, 32, 32]),
                           [(x, 0, z) for x in range(-1, 2) for z in range(-1, 2)]), 2.0, 0.02,
      False),
-    # escapes: the retry's cut at 2 eps = 2 widens the index, on the full grid
+    # escapes at eps = 1/2, where no retry runs
     (interval(2 ** 14, 2), 1.0, 0.5, True),
 ]
 
 
 class TestSpectrumGrid:
     @pytest.mark.parametrize("A,d,eps,escapes", GRID_RUNS)
-    def test_report_bytes_are_the_same_on_both_grids(self, record_calls, forced_grid,
+    def test_report_bytes_are_the_same_on_both_grids(self, record_calls, forced,
                                                       A, d, eps, escapes):
         indices, texts = [], {}
         record_calls(addcomb.pipeline, "spectrum_index", indices)
         cycles = A.group.invariants
         for grid in ("full", "zoom"):
             indices.clear()
-            with forced_grid(grid):
+            with forced(grid=grid):
                 report = run_freiman(A, FreimanConfig(d=d, epsilon=eps))
             texts[grid] = dumps(report.to_jsonable())
             grids = [index.grid for index in indices]
             assert report.escape_flagged == escapes
-            assert len(grids) == (2 if escapes else 1)
-            # the zoom ran where forced; a cut at threshold 0 takes the full grid
+            # one index of lA; the zoom ran where forced
+            assert len(grids) == 1
             assert grids[0] == cycles if grid == "full" else grids[0] != cycles
-            assert grids[1:] == [cycles] * (len(grids) - 1)
         assert texts["full"] == texts["zoom"]
 
 
-#: bohr.GATHER_SHARE, STOP_SHARE and BLOCK_CELLS, each forced to either side
-#: of its crossover: gather never or whenever anything is sieved, run every
-#: 16-bit row or stop the pre-sieve at its first drop, one row per block
-KERNEL_SIDES = {
-    "never gather": (0.0, addcomb.bohr.STOP_SHARE, addcomb.bohr.BLOCK_CELLS),
-    "always gather": (1.0, addcomb.bohr.STOP_SHARE, addcomb.bohr.BLOCK_CELLS),
-    "every 16-bit row": (addcomb.bohr.GATHER_SHARE, 0.0, addcomb.bohr.BLOCK_CELLS),
-    "first drop": (addcomb.bohr.GATHER_SHARE, 1.0, addcomb.bohr.BLOCK_CELLS),
-    "one row per block": (addcomb.bohr.GATHER_SHARE, addcomb.bohr.STOP_SHARE, 1),
-}
+def crossed(names):
+    """(name, side) for every side of each named crossover of CROSSOVERS."""
+    return [(name, side) for name in names for side in CROSSOVERS[name][1]]
 
 
 class TestBohrKernelConstants:
     @pytest.mark.parametrize("A,d,eps,escapes", GRID_RUNS)
     def test_report_bytes_are_the_same_under_every_kernel_constant(
-            self, record_calls, kernel_constants, A, d, eps, escapes):
+            self, record_calls, forced, A, d, eps, escapes):
         tables = []
         record_calls(addcomb.bohr, "bohr_distance_table", tables)
         config = FreimanConfig(d=d, epsilon=eps)
         text = dumps(run_freiman(A, config).to_jsonable())
-        for side, constants in KERNEL_SIDES.items():
+        for name, side in crossed(("gather", "stop", "block")):
             tables.clear()
-            with kernel_constants(*constants):
-                assert dumps(run_freiman(A, config).to_jsonable()) == text, side
-            if side == "never gather":
+            with forced(**{name: side}):
+                assert dumps(run_freiman(A, config).to_jsonable()) == text, (name, side)
+            if (name, side) == ("gather", "never"):
                 assert all(t.at is None for t in tables)
+
+
+class TestCrossovers:
+    @pytest.mark.parametrize("A,d,eps,escapes", GRID_RUNS)
+    def test_report_bytes_are_the_same_on_either_side(self, forced, A, d, eps, escapes):
+        # the sumset route and the set form (mask or sorted indices) of every
+        # GroupSet of the run, each forced to either side
+        config = FreimanConfig(d=d, epsilon=eps)
+        text = dumps(run_freiman(A, config).to_jsonable())
+        for name, side in crossed(("route", "index")):
+            with forced(**{name: side}):
+                assert dumps(run_freiman(A, config).to_jsonable()) == text, (name, side)
 
 
 class TestRunReuse:
@@ -519,22 +557,51 @@ class TestRunReuse:
         sets_transformed = [f.mask.tobytes() for f, *_ in transforms]
         assert len(set(sets_transformed)) == len(sets_transformed) == 1
 
-    def test_each_bohr_distance_row_once(self, record_calls):
+    def test_each_bohr_distance_row_once(self, record_calls, monkeypatch):
         results = []
         tables = record_calls(addcomb.bohr, "bohr_distance_table", results)
-        # every phase row any reader of a Bohr distance reads is built here:
-        # as digit tables for a pass over G, or as direct phases at survivors
-        built = record_calls(addcomb.bohr, "_digit_rows")
-        direct = record_calls(addcomb.bohr, "_direct_sums")
+        worst = record_calls(addcomb.bohr, "worst_distance")
+        # every phase row a table reads is built here, as digit tables for a
+        # pass over G or as direct phases at survivors, each tagged with
+        # whether a table or A - A's worst distance evaluated it
+        phases, inside = [], []
+        digit_rows, direct_sums = addcomb.bohr._digit_rows, addcomb.bohr._direct_sums
+        table = addcomb.bohr.bohr_distance_table
+
+        def in_table(*args, **kwargs):
+            inside.append(True)
+            try:
+                return table(*args, **kwargs)
+            finally:
+                inside.pop()
+
+        def built(g, mc, *rest):
+            phases.append((bool(inside), g.encode_array(mc)))
+            return digit_rows(g, mc, *rest)
+
+        def direct(g, mc, start, stop, *rest):
+            phases.append((bool(inside), g.encode_array(mc[:, start:stop])))
+            return direct_sums(g, mc, start, stop, *rest)
+
+        monkeypatch.setattr(addcomb.bohr, "bohr_distance_table", in_table)
+        monkeypatch.setattr(addcomb.bohr, "_digit_rows", built)
+        monkeypatch.setattr(addcomb.bohr, "_direct_sums", direct)
         report = run_freiman(interval(4096, 16), FreimanConfig(d=1.0, epsilon=0.05))
         rows = np.concatenate([freqs.indices() for freqs, *_ in tables])
         assert len(np.unique(rows)) == len(rows), "a frequency row was computed twice"
         assert report.cover.spectrum_counts["2eps"] == len(rows)
         g = report.spectrum.members.group
-        phases = np.concatenate([g.encode_array(mc) for _, mc, *_ in built + direct])
-        assert len(np.unique(phases)) == len(phases), "a phase row was built twice"
         spec2 = GroupSet.from_indices(g, rows.tolist())
-        assert len(phases) == addcomb.bohr._rows(spec2).shape[1]
+        by_tables = np.concatenate([p for t, p in phases if t])
+        assert len(np.unique(by_tables)) == len(by_tables), "a phase row was built twice"
+        assert len(by_tables) == addcomb.bohr._rows(spec2).shape[1]
+        # one more evaluation, at A - A alone: LSpec(lA, eps) for the audit and
+        # LSpec(lA, 2 eps) for chain link 1, each row once
+        assert [freqs for freqs, _ in worst] == [report.spectrum.members, spec2]
+        at_difference = np.concatenate([p for t, p in phases if not t])
+        assert sorted(at_difference.tolist()) == sorted(
+            np.concatenate([g.encode_array(addcomb.bohr._rows(freqs))
+                            for freqs, _ in worst]).tolist())
         # the first row runs over all of G, later ones only where the sieve
         # left an element within the cap; unsieved, every row costs |G|
         assert sum(t.cells for t in results) < len(rows) * 4096 / 2
@@ -568,7 +635,7 @@ class TestRunReuse:
         run_freiman(interval(4096, 16), FreimanConfig(d=1.0, epsilon=0.05))
         assert all(calls.values()), {name: len(c) for name, c in calls.items()}
 
-    def test_stages_given_one_run_transform_la_once(self, record_calls, forced_grid):
+    def test_stages_given_one_run_transform_la_once(self, record_calls, forced):
         # one index of lA serves every stage, from one transform: of lA over
         # G, or of its crop over the zoom's coarse grid
         transforms = record_calls(addcomb.fourier, "transform")
@@ -576,7 +643,7 @@ class TestRunReuse:
         for grid in ("full", "zoom"):
             transforms.clear()
             indices.clear()
-            with forced_grid(grid):
+            with forced(grid=grid):
                 run = FreimanRun(interval(2 ** 14, 16))
                 cover = spectrum_cover(run, 2, 0.05)
                 audit = lowerbound_audit(run, 2, 0.05)
@@ -588,16 +655,17 @@ class TestRunReuse:
             else:
                 assert transforms[0][1].order < 2 ** 14
 
-    @pytest.mark.parametrize("A,epsilon", [(interval(4096, 16), 0.05), (interval(256, 2), 0.5)])
+    @pytest.mark.parametrize("A,epsilon", [(interval(4096, 16), 0.05), (interval(256, 2), 0.5),
+                                           (interval(256, 2), 0.125)])
     def test_each_spectrum_cut_once(self, record_calls, A, epsilon):
         cuts = record_calls(addcomb.pipeline, "cut_spectrum")
         indices = record_calls(addcomb.pipeline, "spectrum_index")
         report = run_freiman(A, FreimanConfig(d=1.0, epsilon=epsilon))
         keys = [(id(index.source), delta) for index, delta in cuts]
         assert len(set(keys)) == len(keys), "a spectrum was cut twice"
-        # the Z_256 run escapes and retries, cutting again at the doubled eps;
-        # its cut at 2 eps = 2 is wider than the index at delta = 1 serves, so
-        # that index is built once more at delta = 2, which serves every wider cut
-        assert len(report.epsilon_retries) == (1 if epsilon == 0.05 else 5)
-        lA = Multiples(A)[report.l]
-        assert indices == ([(lA, 1.0)] if epsilon == 0.05 else [(lA, 1.0), (lA, 2.0)])
+        # the Z_256 runs escape; at eps = 1/2 nothing is retried, from 0.125
+        # the retries cut again at 0.25 and 0.5, and every cut lies at delta <= 1
+        assert report.epsilon_retries == {0.05: (0.05,), 0.5: (0.5,),
+                                          0.125: (0.125, 0.25, 0.5)}[epsilon]
+        # one index of lA, at delta = 1, serves every cut
+        assert indices == [(Multiples(A)[report.l], 1.0)]

@@ -1,4 +1,3 @@
-import contextlib
 import math
 
 import numpy as np
@@ -6,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import addcomb.sets
-from addcomb.groups import ORDER_CAP, FinAbGroup, GroupMismatchError
+from addcomb.groups import FinAbGroup, GroupMismatchError
 from addcomb.sets import (SUMSET_BLOCK_CELLS, SUMSET_COST, GroupSet, GuardExceededError,
                           Multiples, _auto_route, _box_side, _coords, _least_sides,
                           _spectral_box, _sumset_route, difference, growth_profile, iterate,
@@ -125,24 +124,24 @@ def box_operands(draw):
     return A, A if draw(st.booleans()) else operand()
 
 
-def by_route(forced_route, route: str, A: GroupSet, B: GroupSet) -> GroupSet:
+def by_route(forced, route: str, A: GroupSet, B: GroupSet) -> GroupSet:
     """sumset(A, B) with route forced."""
-    with forced_route(route):
+    with forced(route=route):
         return sumset(A, B)
 
 
 @pytest.fixture
-def assert_box_route_exact(forced_route, record_calls):
+def assert_box_route_exact(forced, record_calls):
     """assert_box_route_exact(A, B, box_sides): the spectral route of A + B,
     forced, runs on a box of the given sides (None for all of G), and its
     sum, returned, equals the pairs oracle and the forced direct route."""
     runs = record_calls(addcomb.sets, "_spectral_sumset")
 
     def check(A: GroupSet, B: GroupSet, box_sides) -> GroupSet:
-        S = by_route(forced_route, "spectral", A, B)
+        S = by_route(forced, "spectral", A, B)
         assert [m for m, _, _ in runs[-1][2]] == (box_sides or list(A.group.invariants))
         assert set(S.indices()) == pairs_sumset(A, B)
-        assert S == by_route(forced_route, "direct", A, B)
+        assert S == by_route(forced, "direct", A, B)
         return S
 
     return check
@@ -151,11 +150,11 @@ def assert_box_route_exact(forced_route, record_calls):
 class TestSpectralBox:
     @settings(max_examples=250, deadline=None)
     @given(box_operands())
-    def test_matches_pairs_oracle_and_direct_route(self, forced_route, operands):
+    def test_matches_pairs_oracle_and_direct_route(self, forced, operands):
         A, B = operands
-        S = by_route(forced_route, "spectral", A, B)
+        S = by_route(forced, "spectral", A, B)
         assert set(S.indices()) == pairs_sumset(A, B)
-        assert S == by_route(forced_route, "direct", A, B)
+        assert S == by_route(forced, "direct", A, B)
 
     @pytest.mark.parametrize("a,b,side", [
         ((250, 12), (3, 5), 16),     # A wraps through 0
@@ -205,13 +204,13 @@ class TestSpectralBox:
         assert_box_route_exact(GroupSet.full(g), point, None)
 
     def test_operand_passed_twice_is_cropped_and_transformed_once(self, monkeypatch,
-                                                                  forced_route):
+                                                                  forced):
         g = FinAbGroup([4096])
         A = GroupSet.interval(g, 100)
         shapes, rfftn = [], np.fft.rfftn
         monkeypatch.setattr(np.fft, "rfftn", lambda a, *args, **kwargs: (
             shapes.append(np.shape(a)) or rfftn(a, *args, **kwargs)))
-        assert by_route(forced_route, "spectral", A, A) == GroupSet.interval(g, 200)
+        assert by_route(forced, "spectral", A, A) == GroupSet.interval(g, 200)
         assert shapes == [(405,)]
 
     @pytest.mark.parametrize("cycles,arcs", [
@@ -219,7 +218,7 @@ class TestSpectralBox:
         ([256], [(0, 126), (128, 126)]),  # planned, but 251 has no 5-smooth side below 256
         ([40, 30], [(3, 30), (35, 25)]),  # planned, and the arcs' sums fill both cycles
     ])
-    def test_whole_box_is_the_convolution_over_g(self, forced_route, record_calls, cycles,
+    def test_whole_box_is_the_convolution_over_g(self, forced, record_calls, cycles,
                                                  arcs):
         from addcomb import fourier
         g = FinAbGroup(cycles)
@@ -231,7 +230,7 @@ class TestSpectralBox:
                     for arc in arcs)
         planned = record_calls(addcomb.sets, "_coords")  # planning reads the coordinates
         calls = record_calls(fourier, "convolve")
-        S = by_route(forced_route, "spectral", A, B)
+        S = by_route(forced, "spectral", A, B)
         assert len(planned) == (arcs is not None)
         assert len(calls) == 1 and calls[0][2] is g
         assert np.array_equal(S.mask, fourier.convolve(A, B) >= 0.5)
@@ -263,14 +262,14 @@ class TestAutoRoute:
         g = FinAbGroup([2 ** 18])
         return g, GroupSet.interval(g, 314), GroupSet.interval(g, 471)
 
-    def test_dual_arcs_take_one_convolution_on_their_box(self, record_calls, forced_route):
+    def test_dual_arcs_take_one_convolution_on_their_box(self, record_calls, forced):
         from addcomb import fourier
         g, A, B = self.dual_arcs()
         assert _sumset_route(len(A), len(B), g, g.order) == "direct"  # on the full grid
         calls = record_calls(fourier, "convolve")
         S = sumset(A, B)
         assert len(calls) == 1 and calls[0][2].order <= 2048
-        assert S == GroupSet.interval(g, 314 + 471) == by_route(forced_route, "direct", A, B)
+        assert S == GroupSet.interval(g, 314 + 471) == by_route(forced, "direct", A, B)
         assert set(S.indices()) == pairs_sumset(A, B)
 
     def test_probed_sum_plans_its_box_once(self, record_calls):
@@ -290,7 +289,7 @@ class TestAutoRoute:
         assert [c[2].order for c in calls] == [1280]
         assert S == GroupSet.interval(g, 628)
 
-    def test_each_operand_is_read_once_per_sum(self, monkeypatch, forced_route):
+    def test_each_operand_is_read_once_per_sum(self, monkeypatch, forced):
         g = FinAbGroup([2 ** 18])
         rng = np.random.default_rng(7)
         spread = [GroupSet.from_indices(g, rng.choice(g.order, size, False))
@@ -301,7 +300,7 @@ class TestAutoRoute:
                             (arc, arc, "spectral")):
             picked, _, coords = _auto_route(A, B)
             assert picked == route and coords is not None  # planned
-            wants[A, B] = by_route(forced_route, "direct", A, B)
+            wants[A, B] = by_route(forced, "direct", A, B)
         reads, indices = [], GroupSet.indices
         monkeypatch.setattr(GroupSet, "indices", lambda S: reads.append(S) or indices(S))
         for (A, B), want in wants.items():
@@ -354,13 +353,13 @@ class TestAutoRoute:
                          ("spectral", False, False), ("spectral", False, True),
                          ("spectral", True, True)}
 
-    def test_forced_methods_never_probe(self, record_calls, forced_route):
+    def test_forced_methods_never_probe(self, record_calls, forced):
         g, A, B = self.dual_arcs()
         planned = record_calls(addcomb.sets, "_spectral_box")
-        assert by_route(forced_route, "direct", A, B) == GroupSet.interval(g, 314 + 471)
+        assert by_route(forced, "direct", A, B) == GroupSet.interval(g, 314 + 471)
         assert planned == []
         # a forced spectral sum plans its box once, before the route runs
-        assert by_route(forced_route, "spectral", A, B) == GroupSet.interval(g, 314 + 471)
+        assert by_route(forced, "spectral", A, B) == GroupSet.interval(g, 314 + 471)
         assert len(planned) == 1
 
 
@@ -388,7 +387,7 @@ class TestSumset:
         assert sumset(A, GroupSet.empty(g)).cardinality == 0
 
     @pytest.mark.parametrize("route", ["auto", "direct", "spectral"])
-    def test_zero_operand_runs_no_route(self, monkeypatch, forced_route, route):
+    def test_zero_operand_runs_no_route(self, monkeypatch, forced, route):
         from addcomb import fourier
         for name, module in (("_coords", addcomb.sets), ("convolve", fourier)):
             monkeypatch.setattr(module, name, lambda *a, **k: pytest.fail("a route ran"))
@@ -399,7 +398,7 @@ class TestSumset:
             some = GroupSet(g, rng.random(g.order) < 0.3) | GroupSet.singleton(g, g.order - 1)
             for S in (zero, some, GroupSet.full(g)):
                 for A, B in ((zero, S), (S, zero)):
-                    out = sumset(A, B) if route == "auto" else by_route(forced_route, route, A, B)
+                    out = sumset(A, B) if route == "auto" else by_route(forced, route, A, B)
                     assert out is S
                     assert set(out.indices()) == pairs_sumset(A, B)
 
@@ -407,37 +406,37 @@ class TestSumset:
         with pytest.raises(GroupMismatchError):
             sumset(GroupSet.full(FinAbGroup([4])), GroupSet.full(FinAbGroup([5])))
 
-    def test_direct_and_spectral_routes_agree(self, forced_route):
+    def test_direct_and_spectral_routes_agree(self, forced):
         rng = np.random.default_rng(11)
         for _ in range(25):
             g = FinAbGroup([int(rng.integers(2, 17)), int(rng.integers(2, 17))])
             A = GroupSet(g, rng.random(g.order) < rng.uniform(0.05, 0.7))
             B = GroupSet(g, rng.random(g.order) < rng.uniform(0.05, 0.7))
-            d = by_route(forced_route, "direct", A, B)
-            s = by_route(forced_route, "spectral", A, B)
+            d = by_route(forced, "direct", A, B)
+            s = by_route(forced, "spectral", A, B)
             assert d == s
             if A.cardinality and B.cardinality:
                 assert set(d.indices()) == brute_sumset(A, B)
 
     @settings(max_examples=80, deadline=None)
     @given(sumset_operands())
-    def test_all_routes_agree_with_brute_force(self, forced_route, operands):
+    def test_all_routes_agree_with_brute_force(self, forced, operands):
         A, B, route = operands
         auto = sumset(A, B)
-        assert (auto == by_route(forced_route, "direct", B, A)
-                == by_route(forced_route, "spectral", A, B))
+        assert (auto == by_route(forced, "direct", B, A)
+                == by_route(forced, "spectral", A, B))
         assert set(auto.indices()) == pairs_sumset(A, B)
         assert _sumset_route(A.cardinality, B.cardinality, A.group, A.group.order) == route
 
     @settings(max_examples=120, deadline=None)
     @given(direct_operands())
-    def test_blocked_direct_route_matches_pairs_oracle(self, forced_route, operands):
+    def test_blocked_direct_route_matches_pairs_oracle(self, forced, operands):
         A, B = operands
-        direct = by_route(forced_route, "direct", A, B)
+        direct = by_route(forced, "direct", A, B)
         assert set(direct.indices()) == pairs_sumset(A, B)
-        assert by_route(forced_route, "direct", B, A) == direct
+        assert by_route(forced, "direct", B, A) == direct
 
-    def test_block_edges_on_a_small_budget(self, monkeypatch, forced_route):
+    def test_block_edges_on_a_small_budget(self, monkeypatch, forced):
         # several short blocks, the last one partial, on every rank
         monkeypatch.setattr(addcomb.sets, "SUMSET_BLOCK_CELLS", 7)
         rng = np.random.default_rng(23)
@@ -446,7 +445,7 @@ class TestSumset:
             for small, big in ((1, 3), (2, 3), (3, 3), (4, 8), (7, 7), (9, 40), (11, g.order)):
                 A = GroupSet.from_indices(g, rng.choice(g.order, size=small, replace=False))
                 B = GroupSet.from_indices(g, rng.choice(g.order, size=big, replace=False))
-                direct = by_route(forced_route, "direct", A, B)
+                direct = by_route(forced, "direct", A, B)
                 assert set(direct.indices()) == pairs_sumset(A, B)
 
     @pytest.mark.parametrize("cycles,small,big,route", [
@@ -814,18 +813,6 @@ class TestIndexForm:
     does: each is run with the index path forced on and forced off."""
 
     @staticmethod
-    @contextlib.contextmanager
-    def path(indexed: bool):
-        # a fixed cost of 0 takes the indices for every set, one past the
-        # order cap never does
-        saved = addcomb.sets.INDEX_COST
-        addcomb.sets.INDEX_COST = (0, 0) if indexed else (2 * ORDER_CAP, 0)
-        try:
-            yield
-        finally:
-            addcomb.sets.INDEX_COST = saved
-
-    @staticmethod
     def masks(g: FinAbGroup, rng) -> list[np.ndarray]:
         """Random sets of three densities, arcs through column 0 on every
         cycle, a box off 0, the empty set, {0} and G."""
@@ -838,7 +825,7 @@ class TestIndexForm:
         return out
 
     @classmethod
-    def reads(cls, g: FinAbGroup, masks: list[np.ndarray], rng, forced_route) -> list:
+    def reads(cls, g: FinAbGroup, masks: list[np.ndarray], rng, forced) -> list:
         """Every read of every set and pair, on sets built afresh (half from
         masks, half from indices), as canonical bytes and Python values."""
         made = [GroupSet(g, m.copy()) if i % 2 else GroupSet.from_indices(g, np.flatnonzero(m))
@@ -851,21 +838,21 @@ class TestIndexForm:
                     [x in A for x in probe], hash(A) == hash(GroupSet(g, A.mask.copy()))]
             for B in made:
                 out += [A == B, A.is_subset_of(B), A | B, A & B, sumset(A, B),
-                        by_route(forced_route, "spectral", A, B)]
+                        by_route(forced, "spectral", A, B)]
                 if len(A) * len(B) <= 1 << 16:
-                    out.append(by_route(forced_route, "direct", A, B))
+                    out.append(by_route(forced, "direct", A, B))
         # a set read as its size, its mask and its indices
         return [(len(x), x.mask.tobytes(), x.indices().tolist()) if isinstance(x, GroupSet)
                 else x for x in out]
 
     @pytest.mark.parametrize("cycles", [[2 ** 16], [64, 64], [16, 16, 16]], ids=str)
-    def test_index_path_matches_mask_path(self, forced_route, cycles):
+    def test_index_path_matches_mask_path(self, forced, cycles):
         g = FinAbGroup(cycles)
         masks = self.masks(g, np.random.default_rng(len(cycles)))
         results = []
-        for indexed in (True, False):
-            with self.path(indexed):
-                results.append(self.reads(g, masks, np.random.default_rng(5), forced_route))
+        for side in ("indices", "mask"):
+            with forced(index=side):
+                results.append(self.reads(g, masks, np.random.default_rng(5), forced))
         assert results[0] == results[1]
 
     def test_forms_follow_the_share_of_the_group(self):

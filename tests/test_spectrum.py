@@ -183,9 +183,9 @@ def cell_of(index, g: FinAbGroup, grid) -> np.ndarray:
 class TestSpectrumIndex:
     @settings(max_examples=60, deadline=None)
     @given(localized_sets(), st.floats(0.05, 1.0))
-    def test_the_zoom_decides_as_the_full_transform(self, forced_grid, S, delta):
+    def test_the_zoom_decides_as_the_full_transform(self, forced, S, delta):
         full = spectrum._full_index(S, delta)
-        with forced_grid("zoom"):
+        with forced(grid="zoom"):
             index = spectrum_index(S, delta)
         assert index.grid != S.group.invariants
         mu = float(S.measure)
@@ -202,8 +202,8 @@ class TestSpectrumIndex:
 
     @settings(max_examples=40, deadline=None)
     @given(localized_sets())
-    def test_the_modulus_moves_at_most_lip_across_a_cell(self, forced_grid, S):
-        with forced_grid("zoom"):
+    def test_the_modulus_moves_at_most_lip_across_a_cell(self, forced, S):
+        with forced(grid="zoom"):
             grid = spectrum_index(S, 1.0).grid
         g, mu = S.group, S.measure
         coords = S.group.decode_array(S.indices())
@@ -229,12 +229,12 @@ class TestSpectrumIndex:
         assert np.allclose(index.moduli, full.moduli, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("cycles, sides", [([2 ** 14], [9]), ([128, 128], [3, 5])])
-    def test_a_zoomed_index_reads_the_coordinates_once(self, forced_grid, record_calls,
+    def test_a_zoomed_index_reads_the_coordinates_once(self, forced, record_calls,
                                                        cycles, sides):
         g = FinAbGroup(cycles)
         S = GroupSet.from_coords(g, np.ndindex(*sides))
         reads = record_calls(spectrum, "_coords")
-        with forced_grid("zoom"):
+        with forced(grid="zoom"):
             assert spectrum_index(S, 0.5).grid != g.invariants
         assert len(reads) == 1
 
@@ -247,10 +247,19 @@ class TestSpectrumIndex:
         # delta >= sqrt(2) puts the threshold at 0: the index holds every character
         assert spectrum_index(S, 2.0).at.size == 4096
 
-    def test_a_set_spread_over_its_cycle_takes_the_full_grid(self, forced_grid):
+    def test_lspec_zooms_where_the_count_says_so(self, record_calls):
+        # lspec has no route of its own: a short interval of Z_2^18 is cut
+        # from one zoomed index, with the full transform's members
+        S = interval(FinAbGroup([2 ** 18]), 16)
+        zooms = record_calls(spectrum, "_zoomed_index")
+        spec = lspec(S, 0.5)
+        assert len(zooms) == 1
+        assert spec.members == cut_spectrum(spectrum._full_index(S, 0.5), 0.5).members
+
+    def test_a_set_spread_over_its_cycle_takes_the_full_grid(self, forced):
         g = FinAbGroup([2 ** 14])
         S = GroupSet.from_indices(g, [0, 1, 2 ** 13, 2 ** 13 + 1])
-        with forced_grid("zoom"):
+        with forced(grid="zoom"):
             assert spectrum_index(S, 1.0).grid == g.invariants
 
     @pytest.mark.parametrize("cycles", [[64], [12, 10], [4, 4, 6]])

@@ -19,7 +19,9 @@ direct ~ |small| (c0 + c1 |big| rank), spectral ~ c2 |G| log2|G| + c3, and
 lists the picks over 10% slower than the faster route. Check: same sets.
 
 bohr: run_freiman on the interval {-16..16} of Z_2^16 .. (d = 1, epsilon =
-0.05) and, from 2^18, on {-1..1}^2 in Z_512^2 (d = 2, epsilon = 0.03), at
+0.05) and on {-1..1}^2 (d = 2, epsilon = 0.03) in Z_256 x Z_512 from 2^17
+and in Z_512^2 from 2^18, whose ball tables are gathered at the default
+share and so show a sieve that drops an element at its cap, at
 each GATHER_SHARE of --shares (0 keeps every table dense, at cap 1/2) and
 on the picked spectrum grid and the full one. A row gives lA's index grid,
 the seconds in bohr_distance_table, mu(B), and per table in call order its
@@ -200,9 +202,9 @@ def _freiman(A: GroupSet, config: FreimanConfig):
 def bohr_section(args) -> list[str]:
     rungs = [(f"Z_2^{k}", GroupSet.interval(FinAbGroup([2 ** k]), 16),
               FreimanConfig(d=1.0, epsilon=0.05)) for k in range(16, args.max_exp + 1)]
-    if args.max_exp >= 18:  # its ball table is gathered at the default share
-        rungs.append(("Z_512^2", GroupSet.linf_ball(FinAbGroup([512, 512]), 1),
-                      FreimanConfig(d=2.0, epsilon=0.03)))
+    rungs += [(name, GroupSet.linf_ball(FinAbGroup(cycles), 1), FreimanConfig(d=2.0, epsilon=0.03))
+              for name, cycles in (("Z_256 x Z_512", [256, 512]), ("Z_512^2", [512, 512]))
+              if math.prod(cycles) <= 2 ** args.max_exp]
     mismatches = []
     for name, A, config in rungs:
         outputs = set()
